@@ -2,126 +2,33 @@
 
     read interleaved docs (doc_id-pruned read, deterministic synthesis)
       -> map_batches(label_batch)            stateless tasks, Arrow zero-copy
-      -> map_batches(cell encode)            stateless tasks (see below)
+      -> map_batches(append_cell_columns)    stateless tasks
       -> groupby(tile_id).map_groups(render) THE shuffle
       -> tile rows (raster + vector payloads)
 
-Every stage streams; nothing materializes the whole dataset.
-
-Cell encoding ships in two forms with identical output (pinned by
-tests/test_cells.py): the stateless ``append_cell_columns`` task form and
-the ``CellEncoder`` actor-pool form (per-actor morton LUT).  The flagship
-defaults to the STATELESS form: Ray Data fuses upstream task stages into a
-downstream actor pool, so an actor-pool encode turns the whole hot
-label+encode chain into a pool — measured ~2x slower than the elastic task
-chain at 32 CPUs on short runs (actor startup + an extra operator hop
-dominate; the encode state is a 512 KiB LUT rebuilt in microseconds, so the
-actor pattern buys nothing here).  Pass ``encoder_concurrency`` (an int or
-an autoscaling ``(min, max)`` tuple, e.g. ``stages.util.actor_concurrency()``)
-to opt into the actor-pool form — the right shape when per-actor state is
-genuinely expensive (models, indexes; see stages/media.py, functions/sim.py).
+Every stage streams; nothing materializes the whole dataset.  The cell
+encode is a stateless task (``stages.cells.encode_stage``), so Ray Data
+fuses it into the label tasks; it holds no state that an actor pool would
+keep warm.
 """
 
 from __future__ import annotations
 
-from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
 from ..sources.docs import read_docs
-from ..stages.cells import CellEncoder, append_cell_columns
+from ..stages.cells import encode_stage
 from ..stages.label import label_points
 from ..stages.tiles import render_tiles
 
 
-PROBE_DOCS = 4_000  # bounded prefix the skew probe labels (cheap vs full run)
-# The probe only needs TILE-level label positions (tiles are 128 units,
-# config.DEFAULT_TILE_RES): labeling at tolerance 32 terminates the quadtree
-# search orders of magnitude earlier than per-doc tolerances (often <=1) and
-# moves a label by <32 units — tile histogram statistics (hottest/mean) are
-# insensitive to that, and the sentinel (0,0) hot tile is tolerance-exact.
-PROBE_TOLERANCE = 32.0
-SKEW_THRESHOLD = 4.0  # hottest-tile / mean-tile row ratio that triggers salting
-MAX_SALT = 8
-
-
-def _encode_stage(ds, encoder_concurrency=None):
-    """label-point -> (cell_id, tile_id) columns.  Stateless task form by
-    default; actor-pool form when a concurrency is given (see module doc)."""
-    if encoder_concurrency is None:
-        def encode(batch):
-            return append_cell_columns(
-                batch, cell_res=DEFAULT_CELL_RES, tile_res=DEFAULT_TILE_RES
-            )
-
-        return ds.map_batches(encode, batch_format="pyarrow", zero_copy_batch=True)
-    return ds.map_batches(
-        CellEncoder,
-        fn_constructor_kwargs={"cell_res": DEFAULT_CELL_RES, "tile_res": DEFAULT_TILE_RES},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=encoder_concurrency,
-    )
-
-
-def choose_salt(tile_counts) -> int:
-    """Pure salting policy: if the hottest tile holds more than
-    SKEW_THRESHOLD x the mean tile's rows, spread it over enough sub-groups
-    to bring the expected hottest sub-group back under the threshold."""
-    import numpy as np
-
-    counts = np.asarray(tile_counts, dtype=np.float64)
-    if len(counts) < 2:
-        return 1
-    ratio = counts.max() / counts.mean()
-    if ratio <= SKEW_THRESHOLD:
-        return 1
-    return int(min(MAX_SALT, np.ceil(ratio / SKEW_THRESHOLD) + 1))
-
-
-def probe_tile_skew(sf_dir: str, *, probe_docs: int = PROBE_DOCS,
-                    encoder_concurrency=None) -> tuple[float, int]:
-    """Cheap streaming skew probe: label+encode only a bounded PREFIX of the
-    doc stream (limit() stops the read early), partial-agg the tile
-    histogram (result is <= #tiles rows — driver-small), and derive the salt
-    factor.  Relative tile skew in a prefix tracks global skew because doc
-    order is uncorrelated with geometry."""
-    import pyarrow.compute as pc
-
-    from ..stages.agg import grouped_aggregate
-
-    def coarsen_tolerance(batch):
-        idx = batch.schema.get_field_index("tolerance")
-        coarse = pc.max_element_wise(batch.column("tolerance"), PROBE_TOLERANCE)
-        return batch.set_column(idx, "tolerance", coarse)
-
-    ds = read_docs(sf_dir, limit=probe_docs).map_batches(
-        coarsen_tolerance, batch_format="pyarrow", zero_copy_batch=True
-    )
-    ds = label_points(ds)
-    ds = _encode_stage(ds, encoder_concurrency)
-    hist = grouped_aggregate(ds, ["tile_id"], [("count", None, "n")]).to_pandas()
-    counts = hist["n"].to_numpy()
-    ratio = float(counts.max() / counts.mean()) if len(counts) else 1.0
-    return ratio, choose_salt(counts)
-
-
-def flagship_pipeline(sf_dir: str, *, encoder_concurrency=None,
-                      salt: int | None = None):
-    """salt=None runs the skew probe and salts the tile shuffle only when
-    the probe finds a hot tile (salted output == unsalted output — pinned by
-    tests/test_join_tiles.py::test_salted_tiles_match_unsalted)."""
-    if salt is None:
-        _, salt = probe_tile_skew(sf_dir, encoder_concurrency=encoder_concurrency)
-    ds = read_docs(sf_dir)
-    ds = label_points(ds)
-    ds = _encode_stage(ds, encoder_concurrency)
+def flagship_pipeline(sf_dir: str):
+    ds = encode_stage(label_points(read_docs(sf_dir)))
     # project BEFORE the tile shuffle: the renderer needs 3 columns; spans +
     # rings riding through the groupby would multiply the exchange ~50x
     # (measured 49 s -> bench-level on 120k docs)
-    return render_tiles(
-        ds.select_columns(["tile_id", "label_x", "label_y"]), salt=salt
-    )
+    return render_tiles(ds.select_columns(["tile_id", "label_x", "label_y"]))
 
 
-def labeled_output(sf_dir: str, *, encoder_concurrency=None):
+def labeled_output(sf_dir: str):
     """The per-document output table in the exact FIXTURES.md §3 schema:
 
         doc_id, spans (pass-through, order-preserved), label struct<x,y>,
@@ -129,9 +36,7 @@ def labeled_output(sf_dir: str, *, encoder_concurrency=None):
     """
     import pyarrow as pa
 
-    ds = read_docs(sf_dir)
-    ds = label_points(ds)
-    ds = _encode_stage(ds, encoder_concurrency)
+    ds = encode_stage(label_points(read_docs(sf_dir)))
 
     def shape(batch: pa.Table) -> pa.Table:
         label = pa.StructArray.from_arrays(

@@ -468,18 +468,11 @@ def _sql_labeled_output() -> str:
 
 
 def q_cell_encode(sf_dir: str):
-    """H3/S2-style cell encoding of label points (stateful actor pool)."""
-    from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
-    from ..stages.cells import CellEncoder
+    """H3/S2-style cell encoding of label points (stateless tasks)."""
+    from ..stages.cells import encode_stage
 
-    ds = _dyadic_labeled(sf_dir)
-    return ds.map_batches(
-        CellEncoder,
-        fn_constructor_kwargs={"cell_res": DEFAULT_CELL_RES, "tile_res": DEFAULT_TILE_RES},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=actor_concurrency(),
-    ).select_columns(["doc_num", "cell_id", "tile_id"])
+    ds = encode_stage(_dyadic_labeled(sf_dir))
+    return ds.select_columns(["doc_num", "cell_id", "tile_id"])
 
 
 def _sql_cell_encode() -> str:
@@ -612,16 +605,9 @@ def _sql_knn_tiles() -> str:
 
 def q_tile_counts(sf_dir: str):
     """Per-tile label counts after the groupby(tile_id) shuffle."""
-    from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
-    from ..stages.cells import CellEncoder
+    from ..stages.cells import encode_stage
 
-    ds = _dyadic_labeled(sf_dir).map_batches(
-        CellEncoder,
-        fn_constructor_kwargs={"cell_res": DEFAULT_CELL_RES, "tile_res": DEFAULT_TILE_RES},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=actor_concurrency(),
-    )
+    ds = encode_stage(_dyadic_labeled(sf_dir))
     from ..stages.agg import grouped_aggregate
 
     return grouped_aggregate(ds, ["tile_id"], [("count", None, "n_points")])
@@ -648,17 +634,10 @@ def q_render_tiles(sf_dir: str):
     (the exact-oracle set, same contract as zone_join/cell_encode); the
     all-fixture path with full binary payloads runs in the flagship and
     the pytest golden tests."""
-    from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
-    from ..stages.cells import CellEncoder
+    from ..stages.cells import encode_stage
     from ..stages.tiles import render_tiles
 
-    ds = _dyadic_labeled(sf_dir).map_batches(
-        CellEncoder,
-        fn_constructor_kwargs={"cell_res": DEFAULT_CELL_RES, "tile_res": DEFAULT_TILE_RES},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=actor_concurrency(),
-    )
+    ds = encode_stage(_dyadic_labeled(sf_dir))
     tiles = render_tiles(ds)
     return tiles.select_columns(
         ["tile_id", "n_points", "n_zones_clipped", "raster_nonzero", "raster_sum"]
@@ -3975,18 +3954,11 @@ def q_tile_pyramid(sf_dir: str):
     re-reading, no re-labeling, no coordinate recompute).  The classic
     z -> z-1 pyramid build: every level after the finest costs
     O(tiles), not O(points)."""
-    from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
+    from ..config import DEFAULT_TILE_RES
     from ..stages.agg import grouped_aggregate
-    from ..stages.cells import CellEncoder, cell_parent
+    from ..stages.cells import cell_parent, encode_stage
 
-    ds = _dyadic_labeled(sf_dir).map_batches(
-        CellEncoder,
-        fn_constructor_kwargs={"cell_res": DEFAULT_CELL_RES,
-                               "tile_res": DEFAULT_TILE_RES},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=actor_concurrency(),
-    )
+    ds = encode_stage(_dyadic_labeled(sf_dir))
     level = grouped_aggregate(
         ds, ["tile_id"], [("count", None, "n_points")]
     ).materialize()  # |tiles at z| rows

@@ -18,7 +18,7 @@ lattice, each tile's equalized level is the classic integer CDF remap
 where ``cum_before`` counts points in tiles strictly before this tile
 in (count, tile_id) order — fully deterministic, exact int64, and the
 standard contrast-stretch a tile renderer applies before colorizing.
-Reuses the label→cell-encode pipeline (CellEncoder actor pool) +
+Reuses the label→cell-encode pipeline (stateless encode tasks) +
 bounded tile histogram; the CDF fold is O(tiles) on the driver.
 Oracle: the same window arithmetic over the tile-count CTE.
 

@@ -47,21 +47,12 @@ def _ray():
 
 
 def q_tile_majority_fixture(sf_dir: str):
-    from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
     from ..stages.agg import grouped_aggregate
-    from ..stages.cells import CellEncoder
-    from ..stages.util import actor_concurrency
+    from ..stages.cells import encode_stage
     from .queries import _dyadic_labeled
 
     ray = _ray()
-    ds = _dyadic_labeled(sf_dir).map_batches(
-        CellEncoder,
-        fn_constructor_kwargs={"cell_res": DEFAULT_CELL_RES,
-                               "tile_res": DEFAULT_TILE_RES},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=actor_concurrency(),
-    )
+    ds = encode_stage(_dyadic_labeled(sf_dir))
 
     def keyed(batch: pa.Table) -> pa.Table:
         fix = batch.column("doc_num").to_numpy() % docs_mod.N_FIXTURES

@@ -63,20 +63,11 @@ def _ray():
 def _lattice_res(sf_dir: str, tile_res: int) -> np.ndarray:
     """Distributed tile counts at an arbitrary resolution -> dense
     bounded (n x n) int64 lattice, indexed [ix, iy]."""
-    from ..config import DEFAULT_CELL_RES
     from ..stages.agg import grouped_aggregate
-    from ..stages.cells import CellEncoder, decode_cells
-    from ..stages.util import actor_concurrency
+    from ..stages.cells import decode_cells, encode_stage
     from .queries import _dyadic_labeled
 
-    ds = _dyadic_labeled(sf_dir).map_batches(
-        CellEncoder,
-        fn_constructor_kwargs={"cell_res": DEFAULT_CELL_RES,
-                               "tile_res": tile_res},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=actor_concurrency(),
-    )
+    ds = encode_stage(_dyadic_labeled(sf_dir), tile_res=tile_res)
     tc = grouped_aggregate(
         ds, ["tile_id"], [("count", None, "n_points")],
     ).to_pandas()  # bounded: (2^res)^2

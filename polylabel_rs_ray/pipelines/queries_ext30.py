@@ -21,20 +21,12 @@ import pyarrow as pa
 
 
 def q_tile_png_stats(sf_dir: str):
-    from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
     from ..functions.png import decode_count_grid, encode_count_grid
-    from ..stages.cells import CellEncoder
+    from ..stages.cells import encode_stage
     from ..stages.tiles import render_tiles
-    from ..stages.util import actor_concurrency
     from .queries import _dyadic_labeled
 
-    ds = _dyadic_labeled(sf_dir).map_batches(
-        CellEncoder,
-        fn_constructor_kwargs={"cell_res": DEFAULT_CELL_RES, "tile_res": DEFAULT_TILE_RES},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=actor_concurrency(),
-    )
+    ds = encode_stage(_dyadic_labeled(sf_dir))
     tiles = render_tiles(ds)
 
     def png_stage(batch: pa.Table) -> pa.Table:

@@ -42,7 +42,7 @@ def run_label_partition(desc: dict) -> pa.Table:
     import ray
 
     from .sources.docs import attach_interleaved
-    from .stages.cells import append_cell_columns
+    from .stages.cells import encode_stage
     from .stages.label import label_points
 
     # one dominant compute stage -> per-op CPU reservation only starves it
@@ -59,18 +59,14 @@ def run_label_partition(desc: dict) -> pa.Table:
 
     ds = ds.map_batches(to_doc_ids, batch_format="pyarrow", zero_copy_batch=True)
     ds = label_points(ds, batch_size=300)
-
-    def encode(batch: pa.Table) -> pa.Table:
-        return append_cell_columns(
-            batch, cell_res=desc["cell_res"], tile_res=desc["tile_res"]
-        )
-
-    ds = ds.map_batches(encode, batch_format="pyarrow", zero_copy_batch=True)
+    ds = encode_stage(ds, desc["cell_res"], desc["tile_res"])
     ds = ds.drop_columns(["rings"])  # labels + lineage only in the sink
     # one partition's output is bounded by construction (n_docs / n_parts
     # rows), so collecting its blocks to write a single partition file is a
-    # small-result materialization, not a whole-dataset one
-    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    # small-result materialization, not a whole-dataset one.  The plan runs
+    # once in materialize(): to_arrow_refs() on the lazy plan would first
+    # run it under a row limit to read the schema, labelling every row twice.
+    return pa.concat_tables(ray.get(ds.materialize().to_arrow_refs()))
 
 
 def run(out_dir: str, n_docs: int, n_parts: int, *, tiles: bool = False,

@@ -8,9 +8,9 @@ parent/child relations bit-prefix operations — the property the spatial join
 and the tile assignment rely on — and keeps spatially-close cells
 numerically close, which keeps range-partitioned shuffles local.
 
-``CellEncoder`` is the stateful actor-pool stage: the 16-bit->32-bit morton
-spread LUT (512 KiB) is built once per actor in ``__init__`` and reused for
-every batch (map_batches(CellEncoder, concurrency=N) pattern).
+``encode_stage`` appends the cell and tile ids to a Dataset as a stateless
+``map_batches`` task over ``append_cell_columns``; the encode needs no
+per-worker state, so it fuses into the upstream label tasks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..config import DEFAULT_CELL_RES, MAX_RES, WORLD_MIN, WORLD_SIZE
+from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES, MAX_RES, WORLD_MIN, WORLD_SIZE
 
 _RES_SHIFT = 58
 
@@ -172,8 +172,8 @@ def append_cell_columns(
     x_col: str = "label_x",
     y_col: str = "label_y",
 ) -> pa.Table:
-    """Stateless function form of the cell encoding (same bit math, no LUT) —
-    used where elastic task parallelism matters more than per-actor state."""
+    """Append ``cell_id`` (and ``tile_id`` when ``tile_res`` is given) for
+    the point ``(x_col, y_col)`` of each row."""
     x = batch.column(x_col).to_numpy()
     y = batch.column(y_col).to_numpy()
     ix, iy = grid_coords(x, y, cell_res)
@@ -186,46 +186,13 @@ def append_cell_columns(
     return out
 
 
-class CellEncoder:
-    """Actor-pool map_batches stage: append cell_id (join key) and tile_id
-    (coarser parent) for the label point of each row.
-
-    Stateful setup (once per actor): the morton spread LUT for 16-bit
-    halves.  Use as
-    ``ds.map_batches(CellEncoder, fn_constructor_kwargs=..., concurrency=N,
-    batch_format="pyarrow")``."""
-
-    def __init__(self, cell_res: int = DEFAULT_CELL_RES, tile_res: int | None = None,
-                 x_col: str = "label_x", y_col: str = "label_y"):
-        self.cell_res = cell_res
-        self.tile_res = tile_res
-        self.x_col = x_col
-        self.y_col = y_col
-        # 16-bit -> 32-bit spread LUT, built once per actor
-        base = np.arange(1 << 16, dtype=np.uint64)
-        self._lut = _spread_bits_u32(base)
-
-    def _morton(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-        ixu = ix.astype(np.uint64)
-        iyu = iy.astype(np.uint64)
-        sx = self._lut[ixu & np.uint64(0xFFFF)] | (
-            self._lut[ixu >> np.uint64(16)] << np.uint64(32)
-        )
-        sy = self._lut[iyu & np.uint64(0xFFFF)] | (
-            self._lut[iyu >> np.uint64(16)] << np.uint64(32)
-        )
-        return sx | (sy << np.uint64(1))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        x = batch.column(self.x_col).to_numpy()
-        y = batch.column(self.y_col).to_numpy()
-        ix, iy = grid_coords(x, y, self.cell_res)
-        cid = (
-            (np.uint64(self.cell_res) << np.uint64(_RES_SHIFT)) | self._morton(ix, iy)
-        ).astype(np.int64)
-        out = batch.append_column("cell_id", pa.array(cid, type=pa.int64()))
-        if self.tile_res is not None:
-            shift = self.cell_res - self.tile_res
-            tid = encode_cells(ix >> shift, iy >> shift, self.tile_res)
-            out = out.append_column("tile_id", pa.array(tid, type=pa.int64()))
-        return out
+def encode_stage(ds, cell_res: int = DEFAULT_CELL_RES, tile_res: int = DEFAULT_TILE_RES):
+    """``ds`` with ``cell_id`` and ``tile_id`` of each row's label point.
+    ``append_cell_columns`` is looked up when the stage is built, so a
+    wrapper patched onto this module is the function the tasks run."""
+    return ds.map_batches(
+        append_cell_columns,
+        fn_kwargs={"cell_res": cell_res, "tile_res": tile_res},
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )

@@ -3,7 +3,10 @@
 
 This is the wide stage: rows are grouped by ``tile_id``
 (``ds.groupby("tile_id").map_groups(...)`` — the one all-to-all shuffle in
-the flagship pipeline) and each group renders independently.  Raster
+the flagship pipeline) and each group renders independently.  A tile row
+carries every point of its tile, so a hot tile is listed and sorted in one
+place whichever way the rows reach it; splitting it over sub-groups and
+merging the partial rows again only adds a second pass.  Raster
 payloads are raw little-endian uint32 grids here; real spec-compliant
 PNG encoding of the grids lives in ``functions/png.py`` (pure-stdlib
 codec) and runs as a downstream stateless map — see the
@@ -19,6 +22,7 @@ import pyarrow as pa
 from ..config import DEFAULT_TILE_RES, WORLD_MIN, WORLD_SIZE
 from .cells import cell_bounds
 from .join import N_ZONES, zone_table
+from .util import coalesce_for_shuffle
 
 
 class TileRenderer:
@@ -68,60 +72,13 @@ class TileRenderer:
         )
 
 
-def render_tiles(ds, tile_res: int = DEFAULT_TILE_RES, raster_px: int = 64,
-                 salt: int = 1):
-    """Dataset with (tile_id, label_x, label_y) -> one row per tile.
-
-    ``salt > 1`` enables hot-key salting (SURVEY.md §4.2): rows are spread
-    over ``(tile_id, salt)`` sub-groups rendered independently, then the
-    sub-rasters are summed in a second (tiny) groupby — so one mega-tile
-    cannot pin a single reducer.  Output is identical to the unsalted path
-    (rasters are additive; point lists re-sorted on merge)."""
+def render_tiles(ds, tile_res: int = DEFAULT_TILE_RES, raster_px: int = 64):
+    """Dataset with (tile_id, label_x, label_y) -> one row per tile."""
     renderer = TileRenderer(tile_res=tile_res, raster_px=raster_px)
 
     def render_tile_group(group: pa.Table) -> pa.Table:
         return renderer(group)
 
-    from .util import coalesce_for_shuffle
-
-    if salt <= 1:
-        return coalesce_for_shuffle(ds).groupby("tile_id").map_groups(
-            render_tile_group, batch_format="pyarrow"
-        )
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        x = batch.column("label_x").to_numpy()
-        s = (np.abs(x * 64389.0).astype(np.int64)) % salt
-        return batch.append_column("salt", pa.array(s, type=pa.int64()))
-
-    salted = coalesce_for_shuffle(
-        ds.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    partial = salted.groupby(["tile_id", "salt"]).map_groups(
+    return coalesce_for_shuffle(ds).groupby("tile_id").map_groups(
         render_tile_group, batch_format="pyarrow"
     )
-
-    px2 = raster_px
-
-    def merge_tile(group: pa.Table) -> pa.Table:
-        rows = group.to_pylist()
-        grid = np.zeros((px2, px2), dtype=np.uint32)
-        xs, ys = [], []
-        for r in rows:
-            grid += np.frombuffer(r["raster"], dtype=np.uint32).reshape(px2, px2)
-            xs.extend(r["points_x"])
-            ys.extend(r["points_y"])
-        first = rows[0]
-        return pa.table({
-            "tile_id": pa.array([first["tile_id"]], type=pa.int64()),
-            "n_points": pa.array([sum(r["n_points"] for r in rows)], type=pa.int64()),
-            "n_zones_clipped": pa.array([first["n_zones_clipped"]], type=pa.int64()),
-            "raster": pa.array([grid.tobytes()], type=pa.binary()),
-            "raster_nonzero": pa.array([int((grid > 0).sum())], type=pa.int64()),
-            "raster_sum": pa.array([int(grid.sum())], type=pa.int64()),
-            "vector": pa.array([first["vector"]], type=pa.binary()),
-            "points_x": pa.array([sorted(xs)], type=pa.list_(pa.float64())),
-            "points_y": pa.array([sorted(ys)], type=pa.list_(pa.float64())),
-        })
-
-    return partial.groupby("tile_id").map_groups(merge_tile, batch_format="pyarrow")

@@ -10,31 +10,35 @@ data down to ~one block per CPU before any wide operation."""
 from __future__ import annotations
 
 
-def shuffle_blocks(default: int = 32) -> int:
+def cluster_cpus() -> int:
+    """The Ray cluster's CPU count, or 32 without a Ray session."""
     try:
         import ray
 
         if ray.is_initialized():
-            return max(8, int(ray.cluster_resources().get("CPU", default)))
+            return max(1, int(ray.cluster_resources().get("CPU", 32)))
     except Exception:  # noqa: BLE001
         pass
-    return default
+    return 32
+
+
+def shuffle_blocks() -> int:
+    return max(8, cluster_cpus())
 
 
 def coalesce_for_shuffle(ds, target: int | None = None):
     return ds.repartition(target or shuffle_blocks())
 
 
-def actor_concurrency(reserve: int = 2, cap: int | None = None) -> tuple[int, int]:
-    """Autoscaling ``(min, max)`` actor-pool size derived from the cluster.
+def actor_concurrency() -> tuple[int, int]:
+    """Autoscaling ``(min, max)`` actor-pool size derived from the cluster,
+    with ``min <= max <= CPUs``.
 
     Ray Data fuses upstream stateless task stages into a downstream actor
-    pool (observed: ``ActorPoolMapOperator[MapBatches(attach_interleaved)->
-    ...->MapBatches(CellEncoder)]``), so a fixed ``concurrency=2`` caps the
-    WHOLE fused hot chain at 2 workers regardless of cluster size.  An
-    autoscaling tuple lets the pool grow to the machine (minus ``reserve``
-    cores left for the read/shuffle operators) while still starting small."""
-    hi = max(2, shuffle_blocks() - reserve)
-    if cap is not None:
-        hi = min(hi, cap)
-    return (2, hi)
+    pool, so a fixed ``concurrency=2`` caps the WHOLE fused chain at 2
+    workers regardless of cluster size.  The pool may grow to the machine
+    minus two cores left for the read/shuffle operators, and never below
+    one actor; it never asks for more actors than there are CPUs, which a
+    small cluster could not schedule (the pipeline would hang)."""
+    hi = max(1, cluster_cpus() - 2)
+    return (min(2, hi), hi)

@@ -1,19 +1,16 @@
-"""Convenience API, GeoJSON CLI, salted tiles, co-partitioned join."""
-
-import json
+"""Convenience API, GeoJSON CLI, one-tile render, co-partitioned join."""
 
 import numpy as np
 import pyarrow as pa
 
 from polylabel_rs_ray.api import label_position
 
-ELL = "/root/reference/ell.geojson"
+ELL_RING = [[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [1.0, 1.0], [1.0, 4.0], [0.0, 4.0], [0.0, 0.0]]
 
 
 def test_label_position_lists():
     # ffi.py:137-152 call shape; L-shape doctest value (lib.rs:333)
-    ext = [[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [1.0, 1.0], [1.0, 4.0], [0.0, 4.0], [0.0, 0.0]]
-    assert label_position(ext, tolerance=0.1) == (0.5625, 0.5625)
+    assert label_position(ELL_RING, tolerance=0.1) == (0.5625, 0.5625)
     # hexagon with two holes: containment-quality (see test_geom_kernel)
     exterior = [[4.0, 1.0], [5.0, 2.0], [5.0, 3.0], [4.0, 4.0], [3.0, 4.0],
                 [2.0, 3.0], [2.0, 2.0], [3.0, 1.0], [4.0, 1.0]]
@@ -40,8 +37,15 @@ def test_label_position_polygon_object():
 def test_geojson_cli_ell(ray_session, tmp_path):
     from polylabel_rs_ray.geojson_cli import label_geojson
 
-    with open(ELL) as f:
-        doc = json.load(f)
+    # the reference CLI's ell.geojson: one Feature holding the L-shape
+    doc = {
+        "type": "FeatureCollection",
+        "features": [{
+            "type": "Feature",
+            "properties": {},
+            "geometry": {"type": "Polygon", "coordinates": [ELL_RING]},
+        }],
+    }
     out = label_geojson(doc, 0.1)
     assert len(out["features"]) == 1
     feat = out["features"][0]
@@ -76,29 +80,34 @@ def test_geojson_multipolygon(ray_session):
     assert all(f["properties"]["feature_idx"] == 0 for f in out["features"])
 
 
-def test_salted_tiles_match_unsalted(ray_session):
+def test_one_hot_tile_matches_renderer(ray_session):
+    """Every row in one tile, spread over several blocks: the shuffle hands
+    the renderer the whole tile, so the output is what TileRenderer gives on
+    the whole table."""
     import ray
 
     from polylabel_rs_ray.stages.cells import cell_id
-    from polylabel_rs_ray.stages.tiles import render_tiles
+    from polylabel_rs_ray.stages.tiles import TileRenderer, render_tiles
 
     rng = np.random.default_rng(3)
-    x = rng.uniform(0, 500, 3000)
-    y = rng.uniform(0, 500, 3000)
+    x = rng.uniform(0.5, 127.5, 3000)
+    y = rng.uniform(0.5, 127.5, 3000)
+    tids = cell_id(x, y, 5)
+    assert len(np.unique(tids)) == 1
     t = pa.table({
-        "tile_id": pa.array(cell_id(x, y, 5), type=pa.int64()),
+        "tile_id": pa.array(tids, type=pa.int64()),
         "label_x": pa.array(x),
         "label_y": pa.array(y),
     })
-    plain = render_tiles(ray.data.from_arrow(t)).to_pandas().sort_values("tile_id").reset_index(drop=True)
-    salted = render_tiles(ray.data.from_arrow(t), salt=4).to_pandas().sort_values("tile_id").reset_index(drop=True)
-    assert (plain.tile_id == salted.tile_id).all()
-    assert (plain.n_points == salted.n_points).all()
-    assert (plain.raster_sum == salted.raster_sum).all()
-    for a, b in zip(plain.raster, salted.raster):
-        assert a == b
-    for a, b in zip(plain.points_x, salted.points_x):
-        assert list(a) == list(b)
+    blocks = [t.slice(i, 500) for i in range(0, t.num_rows, 500)]
+    got = render_tiles(ray.data.from_arrow(blocks)).to_pandas()
+    want = TileRenderer()(t).to_pandas()
+    assert len(got) == 1
+    assert got.tile_id[0] == want.tile_id[0]
+    assert got.n_points[0] == want.n_points[0] == 3000
+    assert got.raster[0] == want.raster[0]
+    assert list(got.points_x[0]) == list(want.points_x[0])
+    assert list(got.points_y[0]) == list(want.points_y[0])
 
 
 def test_copartitioned_join_equals_broadcast(ray_session):
@@ -119,43 +128,3 @@ def test_copartitioned_join_equals_broadcast(ray_session):
     a = set(zip(broadcast.column("doc_num").to_pylist(), broadcast.column("zone_id").to_pylist()))
     b = set(zip(cop.doc_num, cop.zone_id))
     assert a == b and len(a) > 200
-
-
-def test_choose_salt_policy():
-    from polylabel_rs_ray.pipelines.flagship import MAX_SALT, choose_salt
-
-    # flat distribution -> no salting
-    assert choose_salt(np.full(50, 100)) == 1
-    # one hot tile 20x the mean -> salted, bounded
-    counts = np.full(50, 100)
-    counts[7] = 100 * 50  # ~25x mean after inflation
-    s = choose_salt(counts)
-    assert 1 < s <= MAX_SALT
-
-
-def test_salt_balances_hot_tile(ray_session):
-    """The salt column spreads one hot tile's rows over ~salt sub-groups of
-    comparable size (the reducer-balance property salting exists for)."""
-    import pyarrow as pa
-
-    from polylabel_rs_ray.stages.tiles import render_tiles  # noqa: F401 (import path)
-
-    rng = np.random.default_rng(3)
-    n = 20_000
-    x = rng.uniform(0.0, 5.0, n)  # all inside one tile at default res
-    salt = 4
-    s = (np.abs(x * 64389.0).astype(np.int64)) % salt  # same hash as add_salt
-    sizes = np.bincount(s, minlength=salt)
-    assert len(sizes) == salt and (sizes > 0).all()
-    assert sizes.max() < 2.0 * n / salt  # no sub-group re-concentrates the key
-
-
-def test_flagship_probe_detects_sentinel_hot_tile(ray_session):
-    """The sentinel fixtures pin ~2/9 of all labels at (0,0), making the
-    tile containing the origin genuinely hot — the probe must see it and
-    salt the shuffle (salted output == unsalted is pinned above)."""
-    from polylabel_rs_ray.pipelines.flagship import MAX_SALT, SKEW_THRESHOLD, probe_tile_skew
-
-    ratio, salt = probe_tile_skew("/root/testdata/sf0.001")
-    assert ratio > SKEW_THRESHOLD
-    assert 1 < salt <= MAX_SALT

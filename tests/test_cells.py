@@ -6,7 +6,7 @@ import pyarrow as pa
 
 from polylabel_rs_ray.config import WORLD_MIN, WORLD_SIZE
 from polylabel_rs_ray.stages.cells import (
-    CellEncoder,
+    append_cell_columns,
     cell_bounds,
     cell_center,
     cell_id,
@@ -73,11 +73,10 @@ def test_neighbor_ring():
 
 
 def test_encoder_stage_matches_functions():
-    enc = CellEncoder(cell_res=8, tile_res=5)
     x = RNG.uniform(-2000, 2000, 1000)
     y = RNG.uniform(-2000, 2000, 1000)
     batch = pa.table({"label_x": x, "label_y": y})
-    out = enc(batch)
+    out = append_cell_columns(batch, cell_res=8, tile_res=5)
     np.testing.assert_array_equal(out.column("cell_id").to_numpy(), cell_id(x, y, 8))
     np.testing.assert_array_equal(out.column("tile_id").to_numpy(), cell_id(x, y, 5))
 

@@ -58,3 +58,24 @@ def test_tiles_phase(ray_session, tmp_path):
     with open(os.path.join(out, "_RUN_SUMMARY.json")) as f:
         summary = json.load(f)
     assert summary["rows"] == 180
+
+
+def test_partition_labelled_once(ray_session, tmp_path, monkeypatch):
+    """A checkpointed partition sends each of its rows through label_batch
+    once, not once more to read the output schema."""
+    from polylabel_rs_ray.run import build_partition_descs, run_label_partition
+    from polylabel_rs_ray.stages import label
+
+    counts = str(tmp_path / "label_rows.txt")
+    real = label.label_batch
+
+    def counting(batch):
+        with open(counts, "a") as f:
+            f.write(f"{batch.num_rows}\n")
+        return real(batch)
+
+    monkeypatch.setattr(label, "label_batch", counting)
+    out = run_label_partition(build_partition_descs(600, 1, 8, 5)[0])
+    assert out.num_rows == 600
+    with open(counts) as f:
+        assert sum(int(n) for n in f) == 600

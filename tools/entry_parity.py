@@ -2,8 +2,8 @@
 
 bench.py's headline times read -> label -> encode -> render with an inline
 synthesized source.  The driver's ``entry()`` runs
-``pipelines.flagship.flagship_pipeline`` (same stages + the tile-skew
-probe, source = read_docs over a documents table).  This script times the
+``pipelines.flagship.flagship_pipeline`` (same stages, source = read_docs
+over a documents table).  This script times the
 ENTRY path on a 120k-doc documents table (written to /tmp once) so the two
 numbers are directly comparable — the round-2 verdict asked for the
 entry()-path flagship within ~10% of the bench stateless variant.
@@ -51,7 +51,7 @@ def main() -> int:
     ray.data.range(1000).map_batches(lambda b: b, batch_format="pyarrow").count()
 
     t0 = time.time()
-    tiles = flagship_pipeline(tmp)  # the exact entry() call, incl. skew probe
+    tiles = flagship_pipeline(tmp)  # the exact entry() call
     n = tiles.count()
     wall = time.time() - t0
     print(json.dumps({
