@@ -67,8 +67,7 @@ def headline(num_cpus: int) -> dict:
     ds = label_points(ds, batch_size=300)
 
     # stateless function form of the cell encode: keeps the whole chain as
-    # elastic tasks (an actor-pool stage would fuse the chain into a
-    # fixed-size pool — the actor pattern is exercised by the query suite)
+    # elastic tasks
     def encode(batch: pa.Table) -> pa.Table:
         return append_cell_columns(
             batch, cell_res=DEFAULT_CELL_RES, tile_res=DEFAULT_TILE_RES

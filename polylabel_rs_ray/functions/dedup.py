@@ -2,8 +2,7 @@
 embedding-cosine near-dup.
 
 Scale notes (100 TB design):
-* signatures are computed in ``map_batches`` actor pools (permutation
-  parameters built once per actor);
+* signatures are computed in stateless ``map_batches`` tasks;
 * LSH banding turns near-dup detection into an exact groupby on
   (band, band_hash) — the only shuffle, keyed so each bucket is tiny;
 * candidate verification needs both documents' shingle sets; the small-scale

@@ -15,8 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..stages.util import actor_concurrency
-
 
 def _unit(m: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(m, axis=1)
@@ -84,13 +82,8 @@ def ann_topk_pipeline(sf_dir: str, n_queries: int = 3, k: int = 5):
     qids = qt.column("vec_id").to_numpy().astype(np.int64)
 
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    scored = ds.map_batches(
-        AnnScorer,
-        fn_constructor_kwargs={"queries": qm, "query_ids": qids, "k": k},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=actor_concurrency(),
-    )
+    scored = ds.map_batches(AnnScorer(qm, qids, k), batch_format="pyarrow",
+                            zero_copy_batch=True)
 
     def reduce_group(group: pa.Table) -> pa.Table:
         return topk_reduce(group, k)
@@ -214,16 +207,8 @@ def ivf_topk_pipeline(sf_dir: str, n_queries: int = 3, k: int = 5,
     qids = head.column("vec_id").to_numpy().astype(np.int64)[:n_queries]
 
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    scored = ds.map_batches(
-        IvfScorer,
-        fn_constructor_kwargs={
-            "centroids": centroids, "queries": qm, "query_ids": qids,
-            "k": k, "nprobe": nprobe,
-        },
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=actor_concurrency(),
-    )
+    scored = ds.map_batches(IvfScorer(centroids, qm, qids, k, nprobe),
+                            batch_format="pyarrow", zero_copy_batch=True)
 
     def reduce_group(group: pa.Table) -> pa.Table:
         return topk_reduce(group, k)
@@ -375,15 +360,10 @@ def ivf_topk_exact_pipeline(sf_dir: str, n_queries: int = 3, k: int = 5,
     npb = min(nprobe, d2_qc.shape[1])
     probe = np.argpartition(d2_qc, npb - 1, axis=1)[:, :npb]
     probed = ds.map_batches(
-        IvfSq8Scorer,
-        fn_constructor_kwargs={
-            "centroids": centroids, "qcodes": qcodes, "query_ids": qids,
-            "cand_cells": [probe[i] for i in range(len(qids))], "k": k,
-            "mn": mn, "span": span,
-        },
+        IvfSq8Scorer(centroids, qcodes, qids,
+                     [probe[i] for i in range(len(qids))], k, mn, span),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=actor_concurrency(),
     ).to_pandas()  # <= k x batches rows — bounded partial top-k table
     U = np.full(len(qids), np.inf)
     for qi, qid in enumerate(qids):
@@ -398,14 +378,9 @@ def ivf_topk_exact_pipeline(sf_dir: str, n_queries: int = 3, k: int = 5,
         lb = d_qc[qi] - radius  # lower bound on any member's distance
         cand_cells.append(np.flatnonzero(lb <= np.sqrt(U[qi]) + 1e-9))
     scored = ds.map_batches(
-        IvfSq8Scorer,
-        fn_constructor_kwargs={
-            "centroids": centroids, "qcodes": qcodes, "query_ids": qids,
-            "cand_cells": cand_cells, "k": k, "mn": mn, "span": span,
-        },
+        IvfSq8Scorer(centroids, qcodes, qids, cand_cells, k, mn, span),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=actor_concurrency(),
     )
 
     def reduce_group(group: pa.Table) -> pa.Table:

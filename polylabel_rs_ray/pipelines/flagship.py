@@ -8,8 +8,8 @@
 
 Every stage streams; nothing materializes the whole dataset.  The cell
 encode is a stateless task (``stages.cells.encode_stage``), so Ray Data
-fuses it into the label tasks; it holds no state that an actor pool would
-keep warm.
+fuses it into the label tasks.  Every map stage in the engine runs as a
+stateless task.
 """
 
 from __future__ import annotations

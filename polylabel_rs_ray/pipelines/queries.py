@@ -28,7 +28,6 @@ from ..geom.kernel import polylabel_one
 from ..sources import docs as docs_mod
 from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
 from ..stages.label import label_batch, label_points
-from ..stages.util import actor_concurrency
 
 DYADIC_IDX = [FIXTURE_CYCLE.index(n) for n in DYADIC_FIXTURES]
 
@@ -489,17 +488,13 @@ def _sql_cell_encode() -> str:
 
 def q_zone_join(sf_dir: str):
     """Point-in-polygon spatial join: label point x containing zones
-    (broadcast small side + per-actor cell prefilter + exact parity test)."""
+    (broadcast small side + cell prefilter built once when the query is
+    planned + exact parity test)."""
     from ..stages.join import ZoneJoin
 
     ds = _dyadic_labeled(sf_dir)
-    return ds.map_batches(
-        ZoneJoin,
-        fn_constructor_kwargs={"keep_cols": ("doc_num",)},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=actor_concurrency(),
-    )
+    return ds.map_batches(ZoneJoin(keep_cols=("doc_num",)),
+                          batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _sql_zone_join() -> str:
@@ -561,13 +556,8 @@ def q_knn_tiles(sf_dir: str):
     from ..stages.join import KnnTiles
 
     ds = _dyadic_labeled(sf_dir)
-    return ds.map_batches(
-        KnnTiles,
-        fn_constructor_kwargs={"k": 3, "keep_cols": ("doc_num",)},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=actor_concurrency(),
-    )
+    return ds.map_batches(KnnTiles(k=3, keep_cols=("doc_num",)),
+                          batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _sql_knn_tiles() -> str:
@@ -2311,8 +2301,8 @@ def _emb_planes(dim: int, planes_per_band: int) -> "np.ndarray":
     """Hyperplane matrix for AND/OR banding, built ONCE per worker process
     per (dim, planes) and reused across every batch (the per-batch rng +
     standard_normal construction was per-batch state setup of exactly the
-    kind the actor-__init__ pattern exists for; a module cache gives the
-    same amortization without forcing the stage into an actor pool).
+    kind a stage constructor exists for; a module cache gives the same
+    amortization inside a plain function stage).
     Deterministic from the seed, so every worker builds the identical
     banding without coordination."""
     key = (dim, planes_per_band)
@@ -3411,7 +3401,7 @@ SQL_REVENUE_BY_REGION = """
 
 def q_video_frame_stats(sf_dir: str):
     """Frame-sampling plumbing end-to-end: docs -> media-span explode ->
-    FrameSampler actor pool (sample + resize, fake decode per the stub
+    FrameSampler map stage (sample + resize, fake decode per the stub
     policy) -> per-doc frame count and payload bytes through the map-side
     combine.  Oracle-backed: span synthesis is pure doc_id arithmetic
     (spans_for_doc_ids) and the fake frame payload size is the constant

@@ -19,7 +19,6 @@ from ..config import DEFAULT_TILE_RES, WORLD_MIN, WORLD_SIZE
 from ..geom.ops import convex_hull, ring_area, simplify_ring
 from ..sources import docs as docs_mod
 from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
-from ..stages.util import actor_concurrency
 
 DYADIC_IDX = [FIXTURE_CYCLE.index(n) for n in DYADIC_FIXTURES]
 
@@ -130,7 +129,7 @@ def _sql_dyadic_bbox_cte() -> str:
 
 class _BboxZoneOverlap:
     """Broadcast rectangle-overlap join: doc bbox x zone rect.  The zone
-    side is small (shipped once per actor); for a large zone side this
+    side is small (shipped inside the stage callable); for a large zone side this
     composes with the cell-cover co-partitioning of
     ``stages/join.py::copartitioned_zone_join`` instead of a broadcast."""
 
@@ -173,7 +172,7 @@ def q_bbox_overlap_join(sf_dir: str):
         _bbox_stage, batch_format="pyarrow", zero_copy_batch=True
     )
     return ds.map_batches(
-        _BboxZoneOverlap, batch_format="pyarrow", zero_copy_batch=True, concurrency=actor_concurrency()
+        _BboxZoneOverlap(), batch_format="pyarrow", zero_copy_batch=True
     )
 
 
@@ -226,7 +225,7 @@ def q_nearest_zone(sf_dir: str):
     from .queries import _dyadic_labeled
 
     return _dyadic_labeled(sf_dir).map_batches(
-        _NearestZone, batch_format="pyarrow", zero_copy_batch=True, concurrency=actor_concurrency()
+        _NearestZone(), batch_format="pyarrow", zero_copy_batch=True
     )
 
 

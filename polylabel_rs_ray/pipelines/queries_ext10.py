@@ -9,7 +9,7 @@
   ranks [k, k+m), only those bins' rows are collected and ranked
   exactly (expected n/bins rows), with a deterministic (value, id)
   total order.
-* ``image_resize_stats`` — image resize plumbing (actor pool:
+* ``image_resize_stats`` — image resize plumbing (map stage:
   image spans -> fixed-WxH RGB payload rows, decode stubbed per the
   media policy), completing decode / feature-extract / RESIZE /
   frame-sample / chunk over the media span kinds."""
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-from ..stages.util import actor_concurrency
 import pyarrow.compute as pc
 
 PAGE_OFFSET = 100
@@ -202,12 +200,10 @@ def q_image_resize_stats(sf_dir: str):
         explode_media_spans, batch_format="pyarrow", zero_copy_batch=True
     )
     imgs = media.map_batches(
-        ImageResizer,
-        fn_constructor_kwargs={"decode": "fake"},
+        ImageResizer(decode="fake"),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=256,
-        concurrency=actor_concurrency(),
     )
 
     def sizes(batch: pa.Table) -> pa.Table:

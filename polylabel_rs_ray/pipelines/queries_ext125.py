@@ -145,7 +145,6 @@ class _ShardedNnScorer:
 
 def q_sq8_1nn_label_audit(sf_dir: str, n_shards: int | None = None):
     from ..functions.sim import embedding_matrix
-    from ..stages.util import actor_concurrency
 
     ray = _ray()
     mn, mx = _minmax(sf_dir)
@@ -172,14 +171,8 @@ def q_sq8_1nn_label_audit(sf_dir: str, n_shards: int | None = None):
         coded = coded.repartition(n_shards)
     shard_refs = [r for r in coded.materialize().to_arrow_refs()]
 
-    return ds.map_batches(
-        _ShardedNnScorer,
-        fn_constructor_kwargs={"shard_refs": shard_refs, "mn": mn,
-                               "span": span},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=actor_concurrency(),
-    )
+    return ds.map_batches(_ShardedNnScorer(shard_refs, mn, span),
+                          batch_format="pyarrow", zero_copy_batch=True)
 
 
 # list-vectorized pair sweep: the per-DIMENSION unnest join form blows

@@ -21,7 +21,7 @@ the 255→0 wrap makes it strongly negative for wrapping videos, a
 value only the real frame decode gets right).  Oracle: LATERAL frame
 replay of the ``(m+f) % 256`` store arithmetic.
 
-Scale shape (both): stateless-per-span actor decode, small batches,
+Scale shape (both): stateless per-span task decode, small batches,
 no shuffle beyond the bounded bucket combine.
 
 Reference anchors: multimodal family (SURVEY.md §2.4); siblings:
@@ -87,18 +87,16 @@ def q_audio_bucket_dedup(sf_dir: str):
     from ..sources.docs import read_docs
     from ..stages.agg import grouped_aggregate
     from ..stages.media import explode_media_spans
-    from ..stages.util import actor_concurrency
 
     buckets = grouped_aggregate(
         read_docs(sf_dir)
         .map_batches(explode_media_spans, batch_format="pyarrow",
                      zero_copy_batch=True)
         .map_batches(
-            AudioBucketer,
+            AudioBucketer(),
             batch_format="pyarrow",
             zero_copy_batch=True,
             batch_size=256,
-            concurrency=actor_concurrency(),
         ),
         ["dur_bucket", "amp_bucket"], [("sum", "n", "n_spans")],
     )
@@ -169,18 +167,16 @@ class BrightnessSloper:
 def q_video_brightness_slope(sf_dir: str):
     from ..sources.docs import read_docs
     from ..stages.media import explode_media_spans
-    from ..stages.util import actor_concurrency
 
     return (
         read_docs(sf_dir)
         .map_batches(explode_media_spans, batch_format="pyarrow",
                      zero_copy_batch=True)
         .map_batches(
-            BrightnessSloper,
+            BrightnessSloper(),
             batch_format="pyarrow",
             zero_copy_batch=True,
             batch_size=256,
-            concurrency=actor_concurrency(),
         )
     )
 

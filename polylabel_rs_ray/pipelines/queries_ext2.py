@@ -174,9 +174,9 @@ def q_contamination_check(sf_dir: str):
     benchmark corpus).
 
     Scale shape: the benchmark side is SMALL by definition (an eval set),
-    so its distinct 8-grams are reduced batch-wise and broadcast once via
-    ``ray.put``; the training corpus streams through one map_batches doing
-    a vectorized ``is_in`` membership test — no shuffle at all."""
+    so its distinct 8-grams are reduced batch-wise and broadcast once inside
+    the stage function; the training corpus streams through one map_batches
+    doing a vectorized ``is_in`` membership test — no shuffle at all."""
     ray = _ray()
 
     bench_ds = ray.data.read_parquet(
@@ -196,30 +196,25 @@ def q_contamination_check(sf_dir: str):
         bench = pc.unique(pa.array([r["g"] for r in parts], type=pa.string()))
     else:
         bench = pa.array([], type=pa.string())
-    bench_ref = ray.put(bench)
 
-    class Contam:
-        def __init__(self):
-            self._bench = ray.get(bench_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column("doc_id").to_numpy()
-            sub = batch.filter(pa.array(ids % CONTAM_BENCH_MOD != 0))
-            grams, n_grams = _doc_ngrams(sub.column("text"), CONTAM_NGRAM)
-            hit = pc.is_in(grams, value_set=self._bench)
-            hit_np = hit.to_numpy(zero_copy_only=False).astype(np.int64)
-            cum = np.concatenate([[0], np.cumsum(hit_np)])
-            ends = np.cumsum(n_grams)
-            starts = ends - n_grams
-            hits = cum[ends] - cum[starts]
-            return pa.table({
-                "doc_id": sub.column("doc_id"),
-                "n_hits": pa.array(hits, type=pa.int64()),
-                "contaminated": pa.array(hits > 0),
-            })
+    def contam(batch: pa.Table) -> pa.Table:
+        ids = batch.column("doc_id").to_numpy()
+        sub = batch.filter(pa.array(ids % CONTAM_BENCH_MOD != 0))
+        grams, n_grams = _doc_ngrams(sub.column("text"), CONTAM_NGRAM)
+        hit = pc.is_in(grams, value_set=bench)
+        hit_np = hit.to_numpy(zero_copy_only=False).astype(np.int64)
+        cum = np.concatenate([[0], np.cumsum(hit_np)])
+        ends = np.cumsum(n_grams)
+        starts = ends - n_grams
+        hits = cum[ends] - cum[starts]
+        return pa.table({
+            "doc_id": sub.column("doc_id"),
+            "n_hits": pa.array(hits, type=pa.int64()),
+            "contaminated": pa.array(hits > 0),
+        })
 
     return bench_ds.map_batches(
-        Contam, batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8)
+        contam, batch_format="pyarrow", zero_copy_batch=True
     )
 
 
@@ -519,8 +514,8 @@ def q_tfidf_top_terms(sf_dir: str):
 
     pass 1 — document frequency: per batch, per-doc DISTINCT terms reduce
     through an arrow group_by (map-side combine), then one small term
-    groupby; the vocabulary (terms with df >= 5) is broadcast via
-    ``ray.put`` — vocab << corpus by construction.
+    groupby; the vocabulary (terms with df >= 5) is broadcast inside the
+    stage function — vocab << corpus by construction.
     pass 2 — each batch computes per-doc tf with one arrow group_by,
     scores tf·N/df (one multiply + one divide, identical IEEE ops in the
     SQL oracle), and keeps each doc's top-3 by (score DESC, term ASC).
@@ -530,7 +525,6 @@ def q_tfidf_top_terms(sf_dir: str):
 
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
     # ONE tokenization pass: both the df pass and the scoring pass stream
@@ -566,45 +560,41 @@ def q_tfidf_top_terms(sf_dir: str):
     )
     vocab = kept["term"].to_numpy().astype(object)
     dfs = kept["df"].to_numpy().astype(np.int64)
-    vocab_ref = ray.put((vocab, dfs))
 
-    class TfIdf:
-        def __init__(self):
-            v, d = ray.get(vocab_ref)
-            self._df = dict(zip(v, d.tolist()))
+    df_of = dict(zip(vocab, dfs.tolist()))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            flat, off = toks_flat_from_batch(batch)
-            did = np.repeat(
-                batch.column("doc_id").to_numpy().astype(np.int64), np.diff(off)
-            )
-            pairs = pa.table({"doc_id": pa.array(did), "term": flat})
-            tf_tbl = pairs.group_by(["doc_id", "term"]).aggregate([("term", "count")])
-            doc = tf_tbl.column("doc_id").to_numpy().astype(np.int64)
-            term = np.asarray(tf_tbl.column("term").to_pylist(), dtype=object)
-            tf = tf_tbl.column("term_count").to_numpy().astype(np.int64)
-            dfv = np.array([self._df.get(t, 0) for t in term], dtype=np.int64)
-            m = dfv > 0
-            doc, term, tf, dfv = doc[m], term[m], tf[m], dfv[m]
-            score = tf.astype(np.float64) * n_docs / dfv
-            order = np.lexsort((term, -score, doc))
-            doc, term, tf, dfv, score = (
-                doc[order], term[order], tf[order], dfv[order], score[order]
-            )
-            new_doc = np.r_[True, doc[1:] != doc[:-1]]
-            idx = np.arange(len(doc), dtype=np.int64)
-            pos = idx - np.maximum.accumulate(np.where(new_doc, idx, 0))
-            k = pos < TFIDF_K
-            return pa.table({
-                "doc_id": pa.array(doc[k], type=pa.int64()),
-                "term": pa.array(term[k], type=pa.string()),
-                "tf": pa.array(tf[k], type=pa.int64()),
-                "df": pa.array(dfv[k], type=pa.int64()),
-                "score": pa.array(score[k], type=pa.float64()),
-            })
+    def tfidf(batch: pa.Table) -> pa.Table:
+        flat, off = toks_flat_from_batch(batch)
+        did = np.repeat(
+            batch.column("doc_id").to_numpy().astype(np.int64), np.diff(off)
+        )
+        pairs = pa.table({"doc_id": pa.array(did), "term": flat})
+        tf_tbl = pairs.group_by(["doc_id", "term"]).aggregate([("term", "count")])
+        doc = tf_tbl.column("doc_id").to_numpy().astype(np.int64)
+        term = np.asarray(tf_tbl.column("term").to_pylist(), dtype=object)
+        tf = tf_tbl.column("term_count").to_numpy().astype(np.int64)
+        dfv = np.array([df_of.get(t, 0) for t in term], dtype=np.int64)
+        m = dfv > 0
+        doc, term, tf, dfv = doc[m], term[m], tf[m], dfv[m]
+        score = tf.astype(np.float64) * n_docs / dfv
+        order = np.lexsort((term, -score, doc))
+        doc, term, tf, dfv, score = (
+            doc[order], term[order], tf[order], dfv[order], score[order]
+        )
+        new_doc = np.r_[True, doc[1:] != doc[:-1]]
+        idx = np.arange(len(doc), dtype=np.int64)
+        pos = idx - np.maximum.accumulate(np.where(new_doc, idx, 0))
+        k = pos < TFIDF_K
+        return pa.table({
+            "doc_id": pa.array(doc[k], type=pa.int64()),
+            "term": pa.array(term[k], type=pa.string()),
+            "tf": pa.array(tf[k], type=pa.int64()),
+            "df": pa.array(dfv[k], type=pa.int64()),
+            "score": pa.array(score[k], type=pa.float64()),
+        })
 
     return ds.map_batches(
-        TfIdf, batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8)
+        tfidf, batch_format="pyarrow", zero_copy_batch=True
     )
 
 

@@ -37,19 +37,15 @@ IMG_OUT_W = IMG_OUT_H = 64
 
 def q_image_decode_stats(sf_dir: str):
     """image spans -> fetch PPM -> decode (header-parsed dims) -> 64x64 box
-    resize -> per-image channel means from the RESIZED payload.  Actor pool
-    with small batches (decoded images are O(orig_w*orig_h*3) heap each)."""
+    resize -> per-image channel means from the RESIZED payload.  Small
+    batches (decoded images are O(orig_w*orig_h*3) heap each)."""
     from ..stages.media import ImageResizer
-    from ..stages.util import actor_concurrency
 
     resized = _media_rows(sf_dir).map_batches(
-        ImageResizer,
-        fn_constructor_kwargs={"width": IMG_OUT_W, "height": IMG_OUT_H,
-                               "decode": "real"},
+        ImageResizer(width=IMG_OUT_W, height=IMG_OUT_H, decode="real"),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=256,
-        concurrency=actor_concurrency(),
     )
 
     def stats(batch: pa.Table) -> pa.Table:
@@ -115,15 +111,12 @@ def q_audio_decode_stats(sf_dir: str):
     rate/length, peak amplitude from the real chunk payloads)."""
     from ..stages.agg import grouped_aggregate
     from ..stages.media import AudioChunker
-    from ..stages.util import actor_concurrency
 
     chunks = _media_rows(sf_dir).map_batches(
-        AudioChunker,
-        fn_constructor_kwargs={"chunk_s": AUD_CHUNK_S, "decode": "real"},
+        AudioChunker(chunk_s=AUD_CHUNK_S, decode="real"),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=256,
-        concurrency=actor_concurrency(),
     )
 
     def amp(batch: pa.Table) -> pa.Table:
@@ -182,16 +175,13 @@ def q_video_decode_stats(sf_dir: str):
     sample 4 frames evenly -> box-resize to 32x18 RGB -> per-frame stats
     (source index, decoded frame count, luma mean from the real payload)."""
     from ..stages.media import FrameSampler
-    from ..stages.util import actor_concurrency
 
     frames = _media_rows(sf_dir).map_batches(
-        FrameSampler,
-        fn_constructor_kwargs={"n_frames": VID_N_FRAMES, "width": VID_OUT_W,
-                               "height": VID_OUT_H, "decode": "real"},
+        FrameSampler(n_frames=VID_N_FRAMES, width=VID_OUT_W,
+                     height=VID_OUT_H, decode="real"),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=256,
-        concurrency=actor_concurrency(),
     )
 
     def stats(batch: pa.Table) -> pa.Table:

@@ -65,7 +65,6 @@ def q_bm25_top_terms(sf_dir: str):
     from ..stages.agg import grouped_aggregate
     from .queries_ext2 import tokenized_docs, toks_flat_from_batch
 
-    ray = _ray()
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
     # ONE tokenization pass: both the df pass and the scoring pass stream
@@ -104,63 +103,58 @@ def q_bm25_top_terms(sf_dir: str):
     vocab = kept["term"].to_numpy().astype(object)
     dfs = kept["df"].to_numpy().astype(np.int64)
     avgdl = total_words / n_docs  # ints < 2^53: exact conversions, one divide
-    vocab_ref = ray.put((vocab, dfs))
 
-    class Bm25:
-        def __init__(self):
-            v, d = ray.get(vocab_ref)
-            self._vocab = pa.array(v, type=pa.string())  # SORTED by term
-            self._dfs = d
+    vocab_arr = pa.array(vocab, type=pa.string())  # SORTED by term
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            flat, off = toks_flat_from_batch(batch)
-            bdoc = batch.column("doc_id").to_numpy().astype(np.int64)
-            dl_batch = np.diff(off).astype(np.int64)
-            did = np.repeat(bdoc, dl_batch)
-            pairs = pa.table({"doc_id": pa.array(did), "term": flat})
-            tf_tbl = pairs.group_by(["doc_id", "term"]).aggregate([("term", "count")])
-            doc = tf_tbl.column("doc_id").to_numpy().astype(np.int64)
-            # vocab rank instead of the term string everywhere: the vocab is
-            # sorted, so rank ASC == term ASC and the whole path stays numeric
-            rank = pc.fill_null(
-                pc.index_in(tf_tbl.column("term"), value_set=self._vocab), -1
-            ).to_numpy().astype(np.int64)
-            tf = tf_tbl.column("term_count").to_numpy().astype(np.int64)
-            m = rank >= 0
-            doc, rank, tf = doc[m], rank[m], tf[m]
-            dfv = self._dfs[rank]
-            # doc length lookup: batch doc ids are unique rows
-            bord = np.argsort(bdoc)
-            dl = dl_batch[bord][np.searchsorted(bdoc[bord], doc)]
-            # every op below appears VERBATIM in SQL_BM25_TOP_TERMS
-            idf = ((n_docs - dfv).astype(np.float64) + 0.5) / (
-                dfv.astype(np.float64) + 0.5
-            )
-            norm = dl.astype(np.float64) / avgdl
-            denom = tf.astype(np.float64) + BM25_K1 * (
-                (1.0 - BM25_B) + BM25_B * norm
-            )
-            score = idf * ((tf.astype(np.float64) * (BM25_K1 + 1.0)) / denom)
-            order = np.lexsort((rank, -score, doc))
-            doc, rank, tf, dfv, dl, score = (
-                doc[order], rank[order], tf[order], dfv[order], dl[order],
-                score[order],
-            )
-            new_doc = np.r_[True, doc[1:] != doc[:-1]]
-            idx = np.arange(len(doc), dtype=np.int64)
-            pos = idx - np.maximum.accumulate(np.where(new_doc, idx, 0))
-            k = pos < BM25_K
-            return pa.table({
-                "doc_id": pa.array(doc[k], type=pa.int64()),
-                "term": pc.take(self._vocab, pa.array(rank[k], type=pa.int64())),
-                "tf": pa.array(tf[k], type=pa.int64()),
-                "df": pa.array(dfv[k], type=pa.int64()),
-                "dl": pa.array(dl[k], type=pa.int64()),
-                "score": pa.array(score[k], type=pa.float64()),
-            })
+    def bm25(batch: pa.Table) -> pa.Table:
+        flat, off = toks_flat_from_batch(batch)
+        bdoc = batch.column("doc_id").to_numpy().astype(np.int64)
+        dl_batch = np.diff(off).astype(np.int64)
+        did = np.repeat(bdoc, dl_batch)
+        pairs = pa.table({"doc_id": pa.array(did), "term": flat})
+        tf_tbl = pairs.group_by(["doc_id", "term"]).aggregate([("term", "count")])
+        doc = tf_tbl.column("doc_id").to_numpy().astype(np.int64)
+        # vocab rank instead of the term string everywhere: the vocab is
+        # sorted, so rank ASC == term ASC and the whole path stays numeric
+        rank = pc.fill_null(
+            pc.index_in(tf_tbl.column("term"), value_set=vocab_arr), -1
+        ).to_numpy().astype(np.int64)
+        tf = tf_tbl.column("term_count").to_numpy().astype(np.int64)
+        m = rank >= 0
+        doc, rank, tf = doc[m], rank[m], tf[m]
+        dfv = dfs[rank]
+        # doc length lookup: batch doc ids are unique rows
+        bord = np.argsort(bdoc)
+        dl = dl_batch[bord][np.searchsorted(bdoc[bord], doc)]
+        # every op below appears VERBATIM in SQL_BM25_TOP_TERMS
+        idf = ((n_docs - dfv).astype(np.float64) + 0.5) / (
+            dfv.astype(np.float64) + 0.5
+        )
+        norm = dl.astype(np.float64) / avgdl
+        denom = tf.astype(np.float64) + BM25_K1 * (
+            (1.0 - BM25_B) + BM25_B * norm
+        )
+        score = idf * ((tf.astype(np.float64) * (BM25_K1 + 1.0)) / denom)
+        order = np.lexsort((rank, -score, doc))
+        doc, rank, tf, dfv, dl, score = (
+            doc[order], rank[order], tf[order], dfv[order], dl[order],
+            score[order],
+        )
+        new_doc = np.r_[True, doc[1:] != doc[:-1]]
+        idx = np.arange(len(doc), dtype=np.int64)
+        pos = idx - np.maximum.accumulate(np.where(new_doc, idx, 0))
+        k = pos < BM25_K
+        return pa.table({
+            "doc_id": pa.array(doc[k], type=pa.int64()),
+            "term": pc.take(vocab_arr, pa.array(rank[k], type=pa.int64())),
+            "tf": pa.array(tf[k], type=pa.int64()),
+            "df": pa.array(dfv[k], type=pa.int64()),
+            "dl": pa.array(dl[k], type=pa.int64()),
+            "score": pa.array(score[k], type=pa.float64()),
+        })
 
     return ds.map_batches(
-        Bm25, batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8)
+        bm25, batch_format="pyarrow", zero_copy_batch=True
     )
 
 

@@ -16,11 +16,12 @@ disjoint by construction), so subtracting the self-match makes the count
 exactly "sessions of other users".
 
 Scale shape: the interval INDEX is two sorted int64 arrays (16 bytes per
-session), ``ray.put`` ONCE and searchsorted per batch — the
-broadcast-small-side pattern.  When the session count itself outgrows a
-worker (~10^9+), the same identity applies per TIME BUCKET with boundary
-counts exchanged once; documented here as the scale path, not built,
-since the index for even 10^8 sessions is 1.6 GB — broadcastable.
+session), shipped ONCE inside the stage function and searchsorted per
+batch — the broadcast-small-side pattern.  When the session count itself
+outgrows a worker (~10^9+), the same identity applies per TIME BUCKET
+with boundary counts exchanged once; documented here as the scale path,
+not built, since the index for even 10^8 sessions is 1.6 GB —
+broadcastable.
 """
 
 from __future__ import annotations
@@ -29,16 +30,9 @@ import numpy as np
 import pyarrow as pa
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_interval_overlap(sf_dir: str):
     from .queries import q_sessionize
 
-    ray = _ray()
     sess = q_sessionize(sf_dir)
 
     # the broadcast interval index: two sorted int64 arrays.  Bounded by
@@ -47,29 +41,23 @@ def q_interval_overlap(sf_dir: str):
     idx = sess.select_columns(["session_start_us", "session_end_us"]).to_pandas()
     starts_sorted = np.sort(idx["session_start_us"].to_numpy().astype(np.int64))
     ends_sorted = np.sort(idx["session_end_us"].to_numpy().astype(np.int64))
-    index_ref = ray.put((starts_sorted, ends_sorted))
 
-    class OverlapCounter:
-        def __init__(self):
-            self._starts, self._ends = ray.get(index_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            s = batch.column("session_start_us").to_numpy().astype(np.int64)
-            e = batch.column("session_end_us").to_numpy().astype(np.int64)
-            n_le = np.searchsorted(self._starts, e, side="right")
-            n_lt = np.searchsorted(self._ends, s, side="left")
-            overlap = n_le - n_lt - 1  # minus the self-match
-            return pa.table({
-                "user_id": batch.column("user_id"),
-                "session_idx": batch.column("session_idx"),
-                "n_overlap": pa.array(overlap, type=pa.int64()),
-            })
+    def count_overlaps(batch: pa.Table) -> pa.Table:
+        s = batch.column("session_start_us").to_numpy().astype(np.int64)
+        e = batch.column("session_end_us").to_numpy().astype(np.int64)
+        n_le = np.searchsorted(starts_sorted, e, side="right")
+        n_lt = np.searchsorted(ends_sorted, s, side="left")
+        overlap = n_le - n_lt - 1  # minus the self-match
+        return pa.table({
+            "user_id": batch.column("user_id"),
+            "session_idx": batch.column("session_idx"),
+            "n_overlap": pa.array(overlap, type=pa.int64()),
+        })
 
     return sess.map_batches(
-        OverlapCounter,
+        count_overlaps,
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=(1, 8),
     )
 
 

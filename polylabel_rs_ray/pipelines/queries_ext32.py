@@ -106,7 +106,7 @@ def q_sq8_topk(sf_dir: str, n_queries: int = N_QUERIES, k: int = K):
     import pyarrow.parquet as pq
 
     from ..functions.sim import embedding_matrix
-    from ..stages.util import actor_concurrency, coalesce_for_shuffle
+    from ..stages.util import coalesce_for_shuffle
 
     ray = _ray()
     mn, mx = _minmax(sf_dir)
@@ -121,15 +121,8 @@ def q_sq8_topk(sf_dir: str, n_queries: int = N_QUERIES, k: int = K):
     ds = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
-    scored = ds.map_batches(
-        Sq8Scorer,
-        fn_constructor_kwargs={
-            "mn": mn, "span": span, "qcodes": qcodes, "qids": qids, "k": k,
-        },
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=actor_concurrency(),
-    )
+    scored = ds.map_batches(Sq8Scorer(mn, span, qcodes, qids, k),
+                            batch_format="pyarrow", zero_copy_batch=True)
 
     def reduce_group(group: pa.Table) -> pa.Table:
         d = group.column("d2").to_numpy().astype(np.int64)

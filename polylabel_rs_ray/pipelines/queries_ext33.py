@@ -20,7 +20,7 @@ on real encoded bytes.  On natural images the same signature degrades
 to a coarse color-histogram hash; swapping in a dHash/pHash bit pattern
 touches only ``_signature``.
 
-Scale shape: stateless-per-span actor decode (small batches — decoded
+Scale shape: stateless per-span task decode (small batches — decoded
 images are heap-heavy), ONE exchange partitioned by ``hash(sig) % P``,
 group stats vectorized via one Arrow sort per partition.  media_refs
 here are unique per span (``media://doc/j``); a deployment with shared
@@ -52,9 +52,8 @@ def _signature(resized: np.ndarray) -> int:
 
 
 class PhashSigner:
-    """Actor-pool stage: image spans -> (media_ref, sig) rows via real
-    fetch + PPM decode + 8x8 box resize (decode state imported once per
-    actor; payload work per batch)."""
+    """map_batches stage: image spans -> (media_ref, sig) rows via real
+    fetch + PPM decode + 8x8 box resize (payload work per batch)."""
 
     def __init__(self, fetch=None):
         from ..functions import codecs
@@ -80,7 +79,7 @@ class PhashSigner:
 def q_image_phash_dups(sf_dir: str, n_parts: int | None = None):
     from ..sources.docs import read_docs
     from ..stages.media import explode_media_spans
-    from ..stages.util import actor_concurrency, shuffle_blocks
+    from ..stages.util import shuffle_blocks
 
     from .queries import _hash_part
 
@@ -90,11 +89,10 @@ def q_image_phash_dups(sf_dir: str, n_parts: int | None = None):
         .map_batches(explode_media_spans, batch_format="pyarrow",
                      zero_copy_batch=True)
         .map_batches(
-            PhashSigner,
+            PhashSigner(),
             batch_format="pyarrow",
             zero_copy_batch=True,
             batch_size=256,
-            concurrency=actor_concurrency(),
         )
     )
 

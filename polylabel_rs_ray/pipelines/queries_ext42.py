@@ -15,7 +15,7 @@ oracle replays exactly which videos contain a cut (the wrap position
 full fetch -> decode -> per-frame reduce -> temporal diff chain ran
 value-exactly on real encoded bytes.
 
-Scale shape: stateless-per-span actor decode (frames are an O(nf*w*h)
+Scale shape: stateless per-span task decode (frames are an O(nf*w*h)
 heap spike per row — small batches), no shuffle at all: the temporal
 diff is per-video-local, output is one row per video span.
 """
@@ -76,18 +76,16 @@ class SceneCutDetector:
 def q_video_scene_cuts(sf_dir: str):
     from ..sources.docs import read_docs
     from ..stages.media import explode_media_spans
-    from ..stages.util import actor_concurrency
 
     return (
         read_docs(sf_dir)
         .map_batches(explode_media_spans, batch_format="pyarrow",
                      zero_copy_batch=True)
         .map_batches(
-            SceneCutDetector,
+            SceneCutDetector(),
             batch_format="pyarrow",
             zero_copy_batch=True,
             batch_size=256,
-            concurrency=actor_concurrency(),
         )
     )
 

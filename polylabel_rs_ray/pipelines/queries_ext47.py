@@ -12,7 +12,7 @@ would not be.
 The content store synthesizes constant-amplitude clips, so SQL replays
 ``sumsq = n * amp^2`` from ``md5_number_lower`` arithmetic — a value
 match proves the fetch -> RIFF parse -> PCM decode -> moment chain ran
-on real encoded bytes.  Scale shape: stateless actor decode, small
+on real encoded bytes.  Scale shape: stateless task decode, small
 batches, no shuffle (per-clip-local reduction).
 """
 
@@ -69,18 +69,16 @@ class RmsExtractor:
 def q_audio_rms_stats(sf_dir: str):
     from ..sources.docs import read_docs
     from ..stages.media import explode_media_spans
-    from ..stages.util import actor_concurrency
 
     return (
         read_docs(sf_dir)
         .map_batches(explode_media_spans, batch_format="pyarrow",
                      zero_copy_batch=True)
         .map_batches(
-            RmsExtractor,
+            RmsExtractor(),
             batch_format="pyarrow",
             zero_copy_batch=True,
             batch_size=256,
-            concurrency=actor_concurrency(),
         )
     )
 

@@ -34,7 +34,7 @@
   reduce is an O(blocks) driver sum, no shuffle at all.  Equivalence of
   the two engine paths is pytest-pinned (test_ext6_ops).
 * ``audio_chunk_stats`` — audio-decode plumbing end-to-end: docs ->
-  media-span explode -> AudioChunker actor pool (fixed-duration PCM
+  media-span explode -> AudioChunker map stage (fixed-duration PCM
   chunks, fake decode per the stub policy) -> per-doc chunk count and
   payload bytes.  Oracle-backed: span synthesis is pure doc_id
   arithmetic and the chunk count is md5-derived, which DuckDB's

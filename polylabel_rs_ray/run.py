@@ -16,11 +16,30 @@ table without coordination."""
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import time
+from hashlib import sha256
 
 import numpy as np
 import pyarrow as pa
+
+
+@functools.cache
+def code_digest() -> str:
+    """Digest of the source and data that compute a partition's rows: the
+    kernel, the label and cell stages, and the doc and fixture sources.
+    Partition descriptions carry it, so a code change makes every
+    checkpointed partition stale.  Computed once per process."""
+    root = os.path.dirname(os.path.abspath(__file__))
+    h = sha256()
+    for rel in ("geom/kernel.py", "stages/label.py", "stages/cells.py",
+                "sources/docs.py", "sources/fixtures.py",
+                "sources/fixture_data.npz"):
+        h.update(rel.encode())
+        with open(os.path.join(root, rel), "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()[:16]
 
 
 def build_partition_descs(n_docs: int, n_parts: int, cell_res: int, tile_res: int) -> list[dict]:
@@ -32,7 +51,7 @@ def build_partition_descs(n_docs: int, n_parts: int, cell_res: int, tile_res: in
             "hi": int(bounds[i + 1]),
             "cell_res": cell_res,
             "tile_res": tile_res,
-            "pipeline": "label+cells:v1",
+            "pipeline": f"label+cells:{code_digest()}",
         }
         for i in range(n_parts)
     ]

@@ -89,7 +89,12 @@ def grouped_aggregate(ds, keys: list[str], specs: list[tuple],
     )
 
     if high_cardinality:
-        reduced = _hash_exchange_aggregate(partial, keys, partial_aggs)
+        final_func = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
+        reduced = _hash_exchange(
+            partial, keys,
+            [(name, final_func[func], name, None)
+             for func, _col, name in partial_aggs],
+        )
     else:
         final_aggs = []
         for func, _col, name in partial_aggs:
@@ -140,19 +145,18 @@ def _key_hash(batch: pa.Table, keys: list[str]):
     return h
 
 
-def _hash_exchange_aggregate(partial, keys: list[str],
-                             partial_aggs: list[tuple],
-                             n_parts: int | None = None):
-    """Final exchange for high-cardinality keys: hash partition + one Arrow
-    C++ group_by per partition.  Input blocks carry ``keys`` + the partial
-    columns; output matches the native aggregate's (keys + partial names)."""
+def _hash_exchange(ds, keys: list[str], aggs: list[tuple],
+                   n_parts: int | None = None):
+    """Hash partition on mix(keys) % P, then one Arrow C++ group_by per
+    partition.  ``aggs`` entries are ``(col, pyarrow_func, alias,
+    cast_to)``; the output is ``keys`` + one column per alias, cast to
+    ``cast_to`` unless it is None."""
     import numpy as np
 
     from .util import coalesce_for_shuffle, shuffle_blocks
 
     P = int(n_parts or min(32, shuffle_blocks()))
-    final_func = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
-    agg_spec = [(name, final_func[func]) for func, _col, name in partial_aggs]
+    agg_spec = [(col, func) for col, func, _alias, _cast in aggs]
 
     def add_part(batch: pa.Table) -> pa.Table:
         part = (_key_hash(batch, keys) % np.uint64(P)).astype(np.int64)
@@ -161,14 +165,14 @@ def _hash_exchange_aggregate(partial, keys: list[str],
     def agg_partition(group: pa.Table) -> pa.Table:
         out = group.drop_columns(["__gpart"]).group_by(keys).aggregate(agg_spec)
         cols = {k: out.column(k) for k in keys}
-        for (func, _col, name), (_n, f2) in zip(partial_aggs, agg_spec):
-            cols[name] = out.column(f"{name}_{f2}")
+        for col, func, alias, cast_to in aggs:
+            c = out.column(f"{col}_{func}")
+            cols[alias] = c if cast_to is None else pc.cast(c, cast_to)
         return pa.table(cols)
 
     return (
         coalesce_for_shuffle(
-            partial.map_batches(add_part, batch_format="pyarrow",
-                                zero_copy_batch=True)
+            ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
         )
         .groupby("__gpart")
         .map_groups(agg_partition, batch_format="pyarrow")
@@ -184,53 +188,21 @@ def hash_grouped_aggregate(ds, keys: list[str], specs: list[tuple],
     shrunk the stream to |groups| x |blocks| rows over FEW groups, but its
     per-group merge cost is pathological when nearly every row is its own
     group (measured ~4 s per 37k-row block on 1.2M-pair co-occurrence
-    keys).  Here the final exchange is a hash partition on mix(keys) —
-    the shuffle key has only P distinct values — and each partition
-    aggregates with ONE pyarrow C++ group_by.  Exactness matches
-    grouped_aggregate for integer sums/counts/min/max (same kernels,
-    different association order only for floats)."""
-    import numpy as np
-
-    from .util import coalesce_for_shuffle, shuffle_blocks
-
-    P = int(n_parts or min(32, shuffle_blocks()))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, keys)  # int + string keys (polars fixed seed)
-        return batch.append_column(
-            "__gpart", pa.array((h % np.uint64(P)).astype(np.int64), type=pa.int64())
-        )
-
-    # reuse the partial-combine machinery by aggregating each hash
-    # partition with the same pyarrow spec the combine stage uses
-    agg_spec = []
-    aliases = []
+    keys).  Here the rows go straight through the hash exchange (no
+    map-side combine): the shuffle key has only P distinct values and
+    each partition aggregates with ONE pyarrow C++ group_by.  Exactness
+    matches grouped_aggregate for integer sums/counts/min/max (same
+    kernels, different association order only for floats)."""
+    aggs = []
     for kind, col, alias in specs:
         if kind == "count":
-            agg_spec.append((keys[0], "count"))
-            aliases.append((f"{keys[0]}_count", alias, pa.int64()))
+            aggs.append((keys[0], "count", alias, pa.int64()))
         elif kind in _PARTIAL_FUNCS:
-            agg_spec.append((col, kind))
-            aliases.append((f"{col}_{kind}", alias, None))
+            aggs.append((col, kind, alias, None))
         else:
             raise ValueError(f"hash_grouped_aggregate supports algebraic "
                              f"aggregates only, got {kind!r}")
-
-    def agg_partition(group: pa.Table) -> pa.Table:
-        out = group.drop_columns(["__gpart"]).group_by(keys).aggregate(agg_spec)
-        cols = {k: out.column(k) for k in keys}
-        for src, alias, cast_to in aliases:
-            col = out.column(src)
-            cols[alias] = pc.cast(col, cast_to) if cast_to is not None else col
-        return pa.table(cols)
-
-    return (
-        coalesce_for_shuffle(
-            ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("__gpart")
-        .map_groups(agg_partition, batch_format="pyarrow")
-    )
+    return _hash_exchange(ds, keys, aggs, n_parts)
 
 
 def distinct_values(path: str, col: str) -> list:

@@ -4,12 +4,13 @@ Patterns (SURVEY.md §2.3 joins, §7 step 4):
 
 * **Broadcast PIP join** — the polygon side (the deterministic ``zones``
   table) is small, so it is shipped once (serialized into the stage
-  callable / ``ray.put``) instead of shuffled; each actor builds a
-  cell_id -> candidate-zone index once in ``__init__`` (the H3/S2-style
-  cell prefilter), then exact containment runs the same even-odd parity
-  kernel the labeler uses (lib.rs:218-222).  For a large polygon side the
-  same stage composes with ``groupby(cell_id).map_groups`` co-partitioning
-  instead of a broadcast — see ``pipelines/flagship.py``.
+  callable) instead of shuffled; the stage builds a cell_id ->
+  candidate-zone index once in ``__init__`` (the H3/S2-style cell
+  prefilter) and every task reads that one copy, then exact containment
+  runs the same even-odd parity kernel the labeler uses (lib.rs:218-222).
+  For a large polygon side the same stage composes with
+  ``groupby(cell_id).map_groups`` co-partitioning instead of a broadcast
+  — see ``pipelines/flagship.py``.
 * **kNN label->tile** — tile centers form a regular grid, so the
   k-nearest-tile search scans the 5x5 neighbor-ring candidate set
   (provably a superset of the true top-3: any ring>=3 center is farther
@@ -65,8 +66,8 @@ class ZoneJoin:
     pairs for every zone containing the label point.  Rows matching no zone
     are dropped (inner-join semantics).
 
-    Stateful per-actor setup: cell_id -> candidate zone ids, built from each
-    zone's bbox covering at ``cell_res``."""
+    Built once in ``__init__`` and shipped with the stage: cell_id ->
+    candidate zone ids, from each zone's bbox covering at ``cell_res``."""
 
     def __init__(self, cell_res: int = DEFAULT_CELL_RES, keep_cols: tuple = ("doc_num",)):
         self.cell_res = cell_res
@@ -221,7 +222,7 @@ class KnnTiles:
         self.tile_res = tile_res
         self.k = k
         self.keep_cols = list(keep_cols)
-        # relative 5x5 candidate offsets, built once per actor
+        # relative 5x5 candidate offsets, built once with the stage
         d = np.arange(-2, 3, dtype=np.int64)
         ox, oy = np.meshgrid(d, d, indexing="ij")
         self.ox = ox.ravel()

@@ -1,5 +1,5 @@
 """Multimodal span processing: explode interleaved docs into media rows,
-featurize media payloads in an actor pool.
+featurize media payloads in a stateless map stage.
 
 Two decode modes per stage:
 
@@ -14,7 +14,7 @@ Two decode modes per stage:
   synthetic content store ``codecs.synth_media``; a deployment passes an
   object-store/Lance blob reader).  PIL/ffmpeg-class codecs (JPEG, H.264)
   are absent from this container — plugging them in is a ``fetch``+decoder
-  swap; every other line (actor pool, batch sizing, schema, rollups) is
+  swap; every other line (map stage, batch sizing, schema, rollups) is
   shared with the real path exercised here.
 """
 
@@ -25,8 +25,6 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-from .util import actor_concurrency
 
 MEDIA_FEATURE_DIM = 8
 
@@ -54,7 +52,7 @@ def explode_media_spans(batch: pa.Table) -> pa.Table:
 
 
 class MediaFeaturizer:
-    """Actor-pool stage: media_ref -> feature vector.
+    """map_batches stage: media_ref -> feature vector.
 
     ``decode="real"`` fetches the payload and genuinely decodes it
     (functions/codecs.py: PPM / WAV / Y4M by magic-byte sniff), emitting
@@ -67,7 +65,7 @@ class MediaFeaturizer:
     builtins, each ``decode_fn(data) -> np.ndarray`` of
     MEDIA_FEATURE_DIM floats.  Plugging a PIL/ffmpeg-class codec (JPEG,
     H.264) into a deployment is passing its entry here plus a real
-    ``fetch`` — a constructor-argument change, no stage rewrite
+    ``fetch`` to the instance the stage runs — no stage rewrite
     (pinned by tests/test_codecs.py::test_decoder_swap_seam)."""
 
     def __init__(self, decode: str = "fake", fetch=None,
@@ -131,23 +129,18 @@ class MediaFeaturizer:
         return batch.append_column("features", col)
 
 
-def media_pipeline(sf_dir: str, *, concurrency=None):
-    """docs -> explode media spans -> featurize (actor pool)."""
+def media_pipeline(sf_dir: str):
+    """docs -> explode media spans -> featurize."""
     from ..sources.docs import read_docs
 
     ds = read_docs(sf_dir)
     media = ds.map_batches(explode_media_spans, batch_format="pyarrow", zero_copy_batch=True)
-    return media.map_batches(
-        MediaFeaturizer,
-        fn_constructor_kwargs={"decode": "fake"},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency or actor_concurrency(),
-    )
+    return media.map_batches(MediaFeaturizer(decode="fake"),
+                             batch_format="pyarrow", zero_copy_batch=True)
 
 
 class FrameSampler:
-    """Actor-pool stage: video span -> N sampled frame rows, resized.
+    """map_batches stage: video span -> N sampled frame rows, resized.
 
     ``decode="real"`` fetches and parses an ACTUAL YUV4MPEG2 stream
     (functions/codecs.py), samples ``n_frames`` evenly across the decoded
@@ -159,8 +152,8 @@ class FrameSampler:
     The plumbing is shared: one row per sampled frame, an opaque
     ``binary`` payload column with typed metadata, and the stage is meant
     to run with a SMALL batch_size (frames are width*height*3 bytes each;
-    batch x concurrency must fit the worker heap — at real resolutions
-    use batch_size<=64)."""
+    a batch must fit the worker heap — at real resolutions use
+    batch_size<=64)."""
 
     def __init__(self, n_frames: int = 4, width: int = 32, height: int = 18,
                  decode: str = "fake", fetch=None):
@@ -233,7 +226,7 @@ class FrameSampler:
 
 
 class ImageResizer:
-    """Actor-pool stage: image span -> one fixed-WxH RGB payload row.
+    """map_batches stage: image span -> one fixed-WxH RGB payload row.
 
     ``decode="real"`` fetches and decodes an ACTUAL PPM payload
     (functions/codecs.py), reads the original dimensions from the parsed
@@ -305,7 +298,7 @@ class ImageResizer:
 
 
 class AudioChunker:
-    """Actor-pool stage: audio span -> fixed-duration PCM chunk rows.
+    """map_batches stage: audio span -> fixed-duration PCM chunk rows.
 
     Completes the media trio (image featurize / video frame-sample /
     audio chunk).  ``decode="real"`` fetches and decodes an ACTUAL
@@ -420,37 +413,33 @@ class AudioChunker:
         })
 
 
-def audio_pipeline(sf_dir: str, *, concurrency=None):
-    """docs -> explode media spans -> chunk audio (actor pool, small
-    batches for the PCM payloads)."""
+def audio_pipeline(sf_dir: str):
+    """docs -> explode media spans -> chunk audio (small batches for the
+    PCM payloads)."""
     from ..sources.docs import read_docs
 
     ds = read_docs(sf_dir)
     media = ds.map_batches(explode_media_spans, batch_format="pyarrow",
                            zero_copy_batch=True)
     return media.map_batches(
-        AudioChunker,
-        fn_constructor_kwargs={"decode": "fake"},
+        AudioChunker(decode="fake"),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=256,  # chunks explode rows x n_samples*2 bytes
-        concurrency=concurrency or actor_concurrency(),
     )
 
 
-def frame_pipeline(sf_dir: str, *, n_frames: int = 4, concurrency=None):
-    """docs -> explode media spans -> sample+resize frames (actor pool,
-    small batches for the binary payloads)."""
+def frame_pipeline(sf_dir: str, *, n_frames: int = 4):
+    """docs -> explode media spans -> sample+resize frames (small batches
+    for the binary payloads)."""
     from ..sources.docs import read_docs
 
     ds = read_docs(sf_dir)
     media = ds.map_batches(explode_media_spans, batch_format="pyarrow",
                            zero_copy_batch=True)
     return media.map_batches(
-        FrameSampler,
-        fn_constructor_kwargs={"n_frames": n_frames, "decode": "fake"},
+        FrameSampler(n_frames=n_frames, decode="fake"),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=256,  # frames explode rows x W*H*3 bytes; keep batches small
-        concurrency=concurrency or actor_concurrency(),
     )

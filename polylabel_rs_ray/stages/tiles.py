@@ -19,20 +19,17 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..config import DEFAULT_TILE_RES, WORLD_MIN, WORLD_SIZE
 from .cells import cell_bounds
-from .join import N_ZONES, zone_table
+from .join import zone_table
 from .util import coalesce_for_shuffle
 
 
 class TileRenderer:
     """map_groups callable: one group = one tile's points."""
 
-    def __init__(self, tile_res: int = DEFAULT_TILE_RES, raster_px: int = 64):
-        self.tile_res = tile_res
+    def __init__(self, raster_px: int = 64):
         self.px = raster_px
-        z = zone_table()
-        self.z = z
+        self.z = zone_table()
 
     def __call__(self, group: pa.Table) -> pa.Table:
         tid = int(group.column("tile_id")[0].as_py())
@@ -72,9 +69,10 @@ class TileRenderer:
         )
 
 
-def render_tiles(ds, tile_res: int = DEFAULT_TILE_RES, raster_px: int = 64):
-    """Dataset with (tile_id, label_x, label_y) -> one row per tile."""
-    renderer = TileRenderer(tile_res=tile_res, raster_px=raster_px)
+def render_tiles(ds, raster_px: int = 64):
+    """Dataset with (tile_id, label_x, label_y) -> one row per tile.  Tile
+    bounds come from each ``tile_id`` itself (``cell_bounds``)."""
+    renderer = TileRenderer(raster_px=raster_px)
 
     def render_tile_group(group: pa.Table) -> pa.Table:
         return renderer(group)

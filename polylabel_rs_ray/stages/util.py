@@ -29,16 +29,3 @@ def shuffle_blocks() -> int:
 def coalesce_for_shuffle(ds, target: int | None = None):
     return ds.repartition(target or shuffle_blocks())
 
-
-def actor_concurrency() -> tuple[int, int]:
-    """Autoscaling ``(min, max)`` actor-pool size derived from the cluster,
-    with ``min <= max <= CPUs``.
-
-    Ray Data fuses upstream stateless task stages into a downstream actor
-    pool, so a fixed ``concurrency=2`` caps the WHOLE fused chain at 2
-    workers regardless of cluster size.  The pool may grow to the machine
-    minus two cores left for the read/shuffle operators, and never below
-    one actor; it never asks for more actors than there are CPUs, which a
-    small cluster could not schedule (the pipeline would hang)."""
-    hi = max(1, cluster_cpus() - 2)
-    return (min(2, hi), hi)

@@ -69,12 +69,16 @@ def write_partition(
     out_dir: str, idx: int, table: pa.Table, desc: dict, wall_s: float,
     metrics: dict | None = None,
 ) -> dict:
-    """Write one partition's data + manifest atomically (manifest last, via
-    rename, so a crash mid-write never yields a 'complete' partition)."""
+    """Write one partition's data + manifest atomically: each file goes to
+    a temp name and is renamed into place, data first and manifest last,
+    so a crash mid-write leaves neither a torn ``data.parquet`` nor a
+    'complete' partition."""
     pdir = partition_dir(out_dir, idx)
     os.makedirs(pdir, exist_ok=True)
     data_file = "data.parquet"
-    pq.write_table(table, os.path.join(pdir, data_file))
+    tmp = os.path.join(pdir, data_file + ".tmp")
+    pq.write_table(table, tmp)
+    os.replace(tmp, os.path.join(pdir, data_file))
     manifest = {
         "partition": idx,
         "input_fingerprint": input_fingerprint(desc),

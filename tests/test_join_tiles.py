@@ -164,14 +164,3 @@ def test_bbox_query_pruned_read(ray_session):
     x0, y0, x1, y1 = BBOX_QUERY
     opened = {f"ptile={int(t)}" for t in cover_bbox(x0, y0, x1, y1, COARSE_RES)} & total
     assert 0 < len(opened) < len(total)
-
-
-def test_actor_concurrency_fits_one_cpu(monkeypatch):
-    """A 1-CPU cluster can schedule the actor pool: min <= max <= CPUs."""
-    import ray
-
-    from polylabel_rs_ray.stages.util import actor_concurrency
-
-    monkeypatch.setattr(ray, "is_initialized", lambda: True)
-    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1})
-    assert actor_concurrency() == (1, 1)

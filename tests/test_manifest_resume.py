@@ -79,3 +79,62 @@ def test_partition_labelled_once(ray_session, tmp_path, monkeypatch):
     assert out.num_rows == 600
     with open(counts) as f:
         assert sum(int(n) for n in f) == 600
+
+
+def _table(n):
+    import pyarrow as pa
+
+    return pa.table({"doc_id": pa.array(range(n), type=pa.int64())})
+
+
+def test_torn_data_write_leaves_partition_pending(tmp_path, monkeypatch):
+    """A crash inside the Parquet write leaves no torn ``data.parquet`` and
+    no manifest: the partition stays pending, and a finished file from an
+    earlier write survives intact."""
+    from polylabel_rs_ray.state import manifest
+
+    out = str(tmp_path / "torn")
+    desc = {"kind": "test", "lo": 0, "hi": 8}
+    data = os.path.join(manifest.partition_dir(out, 0), "data.parquet")
+    real = manifest.pq.write_table
+
+    def torn(table, where, *a, **kw):
+        with open(where, "wb") as f:
+            f.write(b"PAR1\x00partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(manifest.pq, "write_table", torn)
+    try:
+        manifest.write_partition(out, 0, _table(8), desc, 0.0)
+    except OSError:
+        pass
+    assert not os.path.exists(data)
+    assert manifest.pending_partitions(out, [desc]) == [0]
+
+    # a rewrite that crashes keeps the earlier complete file readable
+    monkeypatch.setattr(manifest.pq, "write_table", real)
+    manifest.write_partition(out, 0, _table(8), desc, 0.0)
+    os.remove(manifest.manifest_path(out, 0))
+    monkeypatch.setattr(manifest.pq, "write_table", torn)
+    try:
+        manifest.write_partition(out, 0, _table(9), desc, 0.0)
+    except OSError:
+        pass
+    assert pq.read_table(data).num_rows == 8
+    assert manifest.pending_partitions(out, [desc]) == [0]
+
+
+def test_code_digest_change_makes_every_partition_stale(tmp_path, monkeypatch):
+    from polylabel_rs_ray import run as run_mod
+    from polylabel_rs_ray.state.manifest import write_partition
+
+    out = str(tmp_path / "lineage")
+    parts = run_mod.build_partition_descs(40, 4, 8, 5)
+    for i, desc in enumerate(parts):
+        write_partition(out, i, _table(desc["hi"] - desc["lo"]), desc, 0.0)
+    # unchanged code: resume skips every finished partition
+    assert pending_partitions(out, run_mod.build_partition_descs(40, 4, 8, 5)) == []
+
+    monkeypatch.setattr(run_mod, "code_digest", lambda: "0" * 16)
+    changed = run_mod.build_partition_descs(40, 4, 8, 5)
+    assert pending_partitions(out, changed) == [0, 1, 2, 3]
