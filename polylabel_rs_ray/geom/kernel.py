@@ -1,6 +1,6 @@
-"""Pole-of-inaccessibility (Polylabel) kernel, from scratch in numpy.
+"""Pole-of-inaccessibility (Polylabel) kernel: numpy prep, compiled search.
 
-Semantics reproduce urschrei/polylabel-rs (``/root/reference/src/lib.rs:336-398``):
+Semantics reproduce urschrei/polylabel-rs (``lib.rs:336-398``):
 
 * degenerate polygon with zero signed area   -> (0, 0)          (lib.rs:340-343)
 * degenerate zero-extent bounding box        -> bbox.min()      (lib.rs:348-352)
@@ -14,40 +14,42 @@ Semantics reproduce urschrei/polylabel-rs (``/root/reference/src/lib.rs:336-398`
   (lib.rs:380-394).  ``max_distance = distance + half_extent*sqrt(2)``
   (lib.rs:47-57).
 
-Architectural departures from the reference (same results, batch-friendly):
+Split of the work:
 
-* the search runs in *lockstep* across a whole batch of polygons: per
-  iteration each live polygon pops heap cells (pure Python, cheap) until one
-  needs subdividing, then the children of every polygon in the batch are
-  scored in ONE flat vectorized numpy call (ragged segments +
-  ``np.minimum.reduceat`` / ``np.add.reduceat``).  Per-polygon pop/prune/best
-  sequencing is exactly the reference's, so results are identical to the
-  one-polygon-at-a-time path.
-* polygons with many edges use a block-skip path mirroring the reference's
-  BLOCK_SIZE=32 edge-block bboxes (lib.rs:90-161, 181-211): blocks that can
-  neither improve the running minimum distance nor flip ray-cast parity are
-  never evaluated.  The evaluated set always contains the argmin edge and
-  every parity-flipping edge, so the result is bit-identical to the dense
-  path.
-* NaN/non-finite coordinates would panic the reference
-  (``partial_cmp().unwrap()``, lib.rs:64-66); here they are pre-screened into
-  an error code and a (NaN, NaN) label, mirroring the FFI error convention
-  (ffi.rs:78-80).
+* numpy, per row (``polylabel_batch``): ring normalisation, the finite
+  screen, shoelace area and centroid (``np.sum`` pairwise summation — their
+  bits reach the ``area`` column and the centroid seed), bbox, the
+  zero-area / zero-extent guards and the seed-grid overflow guard.
+* C (``polylabel.c``), one call per batch: per polygon, edges grouped into
+  blocks of 32 with a bbox each (lib.rs:90-161), the signed distance with
+  block skipping, the seed grid, and one best-first heap loop.  Heap order
+  is (max ``max_distance``, then earliest push); best moves only on a
+  strictly larger distance; a polygon that pops more than ``MAX_POPS``
+  cells keeps its best so far and reports ``max_iterations``.
+  ``signed_distance`` exposes the same compiled scorer to the join stages.
+
+The C file is compiled with the system gcc on first import (flags below,
+no fp contraction, so no fused multiply-add changes a bit) into
+``_build/`` next to it, under a name derived from the source and flags,
+and loaded through cffi's ABI mode.  NaN/non-finite coordinates would
+panic the reference (``partial_cmp().unwrap()``, lib.rs:64-66); here they
+are pre-screened into an error code and a (NaN, NaN) label, mirroring the
+FFI error convention (ffi.rs:78-80).
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+import math
+import os
+import subprocess
+import tempfile
+from hashlib import sha256
+from typing import NamedTuple
 
+import cffi
 import numpy as np
 
-BLOCK_SIZE = 32  # edges per skip-block, as in the reference (lib.rs:90)
-SUPER = 8  # blocks per superblock (engine-only 2-level prune; result-neutral)
-LARGE_EDGE_THRESHOLD = 384  # >= this many edges -> block-skip scoring path
 MAX_POPS = 200_000  # safety valve (reference has none; guards tiny tolerances)
-
-SQRT2 = float(np.sqrt(np.float64(2.0)))
 
 # error codes (label_error column values; None/"" = ok)
 ERR_OK = ""
@@ -58,6 +60,52 @@ ERR_SEED_OVERFLOW = "seed_grid_overflow"
 MAX_SEED_CELLS = 1 << 22  # extreme-aspect polygons: the reference's seeding
 # grid is ceil(w/cs)*ceil(h/cs) cells with cs = min(w, h) (lib.rs:267-268),
 # which explodes for slivers; the engine degrades to an error row instead
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_SRC = os.path.join(_HERE, "polylabel.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_CDEF = """
+int pl_label(int64_t n, const int64_t *which, const double *xy,
+             const int64_t *ring_off, const int64_t *poly_off,
+             const double *par, int64_t max_pops, double *out);
+int pl_signed_distance(int64_t npoly, const double *xy, const int64_t *ring_off,
+                       const int64_t *poly_off, int64_t n, const double *px,
+                       const double *py, const int64_t *poly, double *out);
+"""
+
+
+def _load_lib():
+    """Build ``polylabel.c`` once per source+flags digest, then dlopen it.
+    The library is written under a temporary name and renamed into place,
+    so a process importing concurrently never loads a partial file."""
+    with open(_SRC, "rb") as f:
+        digest = sha256(f.read() + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    build = os.path.join(_HERE, "_build")
+    lib_path = os.path.join(build, f"polylabel-{digest}.so")
+    if not os.path.exists(lib_path):
+        os.makedirs(build, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=build, suffix=".tmp")
+        os.close(fd)
+        try:
+            res = subprocess.run(["gcc", *_CFLAGS, "-o", tmp, _SRC, "-lm"],
+                                 capture_output=True, text=True)
+            if res.returncode:
+                raise ImportError(f"gcc failed to build {_SRC}:\n{res.stderr}")
+            os.chmod(tmp, 0o755)  # mkstemp made it owner-only
+            os.replace(tmp, lib_path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    ffi = cffi.FFI()
+    ffi.cdef(_CDEF)
+    return ffi, ffi.dlopen(lib_path)
+
+
+_ffi, _lib = _load_lib()
+
+
+def _buf(ctype: str, a: np.ndarray):
+    return _ffi.from_buffer(ctype, a)
 
 
 def normalize_ring(ring: np.ndarray) -> np.ndarray:
@@ -102,10 +150,12 @@ def _ring_terms(ring: np.ndarray):
     with the reference fixtures depends on it)."""
     x = ring[:, 0]
     y = ring[:, 1]
-    x1 = _cyc(x)
-    y1 = _cyc(y)
+    r1 = np.concatenate((ring[1:], ring[:1]))  # both shifted columns at once
+    x1 = r1[:, 0]
+    y1 = r1[:, 1]
     cross = x * y1 - x1 * y
-    return x, x1, y, y1, cross, float(np.sum(cross))
+    # np.add.reduce is np.sum's own pairwise reduction, minus its wrapper
+    return x, x1, y, y1, cross, float(np.add.reduce(cross))
 
 
 def _centroid_from_cache(cache) -> tuple[float, float] | None:
@@ -115,8 +165,8 @@ def _centroid_from_cache(cache) -> tuple[float, float] | None:
     for i, (x, x1, y, y1, cross, a2) in enumerate(cache):
         if len(x) < 3 or a2 == 0.0:
             continue
-        rx = float(np.sum((x + x1) * cross)) / (3.0 * a2)
-        ry = float(np.sum((y + y1) * cross)) / (3.0 * a2)
+        rx = float(np.add.reduce((x + x1) * cross)) / (3.0 * a2)
+        ry = float(np.add.reduce((y + y1) * cross)) / (3.0 * a2)
         w = abs(a2) / 2.0
         if i > 0:
             w = -w  # holes subtract
@@ -128,551 +178,62 @@ def _centroid_from_cache(cache) -> tuple[float, float] | None:
     return cx / wsum, cy / wsum
 
 
-@dataclass
-class PreparedBatch:
-    """Edges of every *small* polygon in a batch, concatenated flat."""
+class PackedPolygons(NamedTuple):
+    """Polygons as flat arrays for the compiled scorer: polygon k owns rings
+    ``poly_off[k]:poly_off[k+1]``, ring r owns the (x, y) rows
+    ``ring_off[r]:ring_off[r+1]`` of ``xy``.  Plain numpy, so a stage that
+    holds one pickles cheaply."""
 
-    ax: np.ndarray  # (Etot,) segment start x
-    ay: np.ndarray
-    bx: np.ndarray  # segment end
-    by: np.ndarray
-    dx: np.ndarray  # bx - ax
-    dy: np.ndarray
-    d2: np.ndarray  # dx*dx + dy*dy
-    eoff: np.ndarray  # (P,) first edge index of polygon p
-    ecnt: np.ndarray  # (P,) edge count of polygon p
-    pair_cache: tuple | None = None  # memoized ragged pair indices
+    xy: np.ndarray  # (V, 2) float64, C-contiguous
+    ring_off: np.ndarray  # (R+1,) int64
+    poly_off: np.ndarray  # (P+1,) int64
 
 
-def prepare_edges(polys: list[list[np.ndarray]]) -> PreparedBatch:
-    """Decompose each polygon's rings into flat cyclic edge arrays."""
-    axs, ays, bxs, bys = [], [], [], []
-    eoff = np.empty(len(polys), dtype=np.int64)
-    ecnt = np.empty(len(polys), dtype=np.int64)
-    off = 0
-    for p, rings in enumerate(polys):
-        eoff[p] = off
-        n = 0
-        for ring in rings:
-            if len(ring) < 2:
-                continue
-            x = ring[:, 0]
-            y = ring[:, 1]
-            axs.append(x)
-            ays.append(y)
-            bxs.append(_cyc(x))
-            bys.append(_cyc(y))
-            n += len(ring)
-        ecnt[p] = n
-        off += n
-    if axs:
-        ax = np.concatenate(axs)
-        ay = np.concatenate(ays)
-        bx = np.concatenate(bxs)
-        by = np.concatenate(bys)
-    else:
-        ax = ay = bx = by = np.empty(0, dtype=np.float64)
-    dx = bx - ax
-    dy = by - ay
-    d2 = dx * dx + dy * dy
-    return PreparedBatch(ax, ay, bx, by, dx, dy, d2, eoff, ecnt)
+def _pack(rings: list[np.ndarray], rings_per_poly: list[int]) -> PackedPolygons:
+    ring_off = np.zeros(len(rings) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rings], out=ring_off[1:])
+    poly_off = np.zeros(len(rings_per_poly) + 1, dtype=np.int64)
+    np.cumsum(rings_per_poly, out=poly_off[1:])
+    xy = np.concatenate(rings) if rings else np.empty((0, 2))
+    return PackedPolygons(np.ascontiguousarray(xy, dtype=np.float64), ring_off, poly_off)
 
 
-def _make_scratch(n: int) -> tuple:
-    """Preallocated work buffers for ``_pair_scores`` — one set per cached
-    pair layout.  First-touch page faults on fresh numpy allocations are
-    ~100x a warm write on this class of host, and the search loop calls the
-    scorer dozens of times per batch with an identical layout, so reusing
-    the buffers removes ~10 large allocations per round."""
-    f8 = np.float64
-    return (
-        np.empty(n, f8),  # wx  (becomes ex, then dist2)
-        np.empty(n, f8),  # wy  (becomes ey)
-        np.empty(n, f8),  # t
-        np.empty(n, f8),  # tmp
-        np.empty(n, f8),  # xint
-        np.empty(n, bool),  # c1 (cond_y, then flips)
-        np.empty(n, bool),  # c2
-        np.empty(n, np.int64),  # iflips
-        np.empty(n, f8),  # pxp gather
-        np.empty(n, f8),  # pyp gather
-    )
+def pack_polygons(polys: list[list[np.ndarray]]) -> PackedPolygons:
+    """Pack polygons (lists of (n, 2) rings, closed or open) for
+    ``signed_distance``."""
+    rings = [np.asarray(r, dtype=np.float64).reshape(-1, 2) for p in polys for r in p]
+    return _pack(rings, [len(p) for p in polys])
 
 
-def _pair_scores(
-    pxp: np.ndarray,
-    pyp: np.ndarray,
-    ax: np.ndarray,
-    ay: np.ndarray,
-    dx: np.ndarray,
-    dy: np.ndarray,
-    d2: np.ndarray,
-    by: np.ndarray,
-    d2_zero: np.ndarray | None = None,
-    scratch: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per (point, edge) pair: squared point-to-segment distance and
-    even-odd ray-cast flip flag.  All inputs are flat pair-aligned arrays.
-
-    Distance: project, clamp t to [0,1], residual norm — the classic segment
-    distance the reference delegates to geo (lib.rs:226).
-    Parity: ``(a.y > y) != (b.y > y) && x < (b.x-a.x)*(y-a.y)/(b.y-a.y)+a.x``
-    exactly as lib.rs:218-222.
-
-    With ``scratch`` the same values compute into caller-owned buffers (the
-    op ORDER is identical, so results stay bit-equal); the returned arrays
-    are views into scratch, valid until the next call with that scratch."""
-    if scratch is None:
-        scratch = _make_scratch(len(pxp))
-    wx, wy, t, tmp, xint, c1, c2, _ibuf, _px, _py = scratch
-    if d2_zero is None:
-        d2_zero = ~(d2 > 0.0)
-    np.subtract(pxp, ax, out=wx)
-    np.subtract(pyp, ay, out=wy)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # t = (wx*dx + wy*dy) / d2, zeroed where d2 == 0
-        np.multiply(wx, dx, out=t)
-        np.multiply(wy, dy, out=tmp)
-        np.add(t, tmp, out=t)
-        np.divide(t, d2, out=t)
-        np.copyto(t, 0.0, where=d2_zero)
-        np.clip(t, 0.0, 1.0, out=t)
-
-        # parity first — it needs the original wy
-        np.greater(ay, pyp, out=c1)
-        np.greater(by, pyp, out=c2)
-        np.not_equal(c1, c2, out=c1)  # cond_y
-        # the crossing x is only needed where the edge straddles the ray's y
-        # (identical fp result; the division is just masked out elsewhere)
-        np.multiply(dx, wy, out=tmp)
-        np.divide(tmp, dy, out=xint, where=c1)
-        np.add(xint, ax, out=xint)
-        np.less(pxp, xint, out=c2)
-        np.logical_and(c1, c2, out=c1)  # flips
-
-        # dist2 = (wx - t*dx)^2 + (wy - t*dy)^2, in place
-        np.multiply(t, dx, out=tmp)
-        np.subtract(wx, tmp, out=wx)  # ex
-        np.multiply(t, dy, out=tmp)
-        np.subtract(wy, tmp, out=wy)  # ey
-        np.multiply(wx, wx, out=wx)
-        np.multiply(wy, wy, out=wy)
-        np.add(wx, wy, out=wx)  # dist2
-    return wx, c1
-
-
-def score_points_flat(
-    px: np.ndarray, py: np.ndarray, poly_of_point: np.ndarray, prep: PreparedBatch
+def signed_distance(
+    px: np.ndarray, py: np.ndarray, poly_of_point: np.ndarray, packed: PackedPolygons
 ) -> np.ndarray:
-    """Signed distance of K points, each against its own polygon's edges,
-    in one flat vectorized call.  Mirrors ``signed_distance``
-    (lib.rs:163-233) without the block skip (used for small polygons, where
-    the dense evaluation is cheaper than the skip bookkeeping)."""
-    K = len(px)
-    if K == 0:
-        return np.empty(0, dtype=np.float64)
-    # memoize the ragged pair-index arrays: in lockstep batches the active
-    # point->polygon layout repeats across many rounds (cache lives on the
-    # prep object, so its lifetime matches the batch)
-    key = poly_of_point.tobytes()
-    cached = getattr(prep, "pair_cache", None)
-    if cached is not None and cached[0] == key:
-        point_rep, seg_start, edges, d2_zero, scratch = cached[1]
-    else:
-        ecnt = prep.ecnt[poly_of_point]  # edges per point
-        starts = prep.eoff[poly_of_point]
-        total = int(ecnt.sum())
-        seg_start = np.zeros(K, dtype=np.int64)
-        np.cumsum(ecnt[:-1], out=seg_start[1:])
-        point_rep = np.repeat(np.arange(K), ecnt)
-        pair_idx = np.arange(total, dtype=np.int64) - seg_start[point_rep] + starts[point_rep]
-        # the gathered per-pair edge arrays depend only on the layout, so
-        # they are cached alongside it (values are read-only views of prep),
-        # as are the zero-length-edge mask and the scorer's scratch buffers
-        edges = (
-            prep.ax[pair_idx],
-            prep.ay[pair_idx],
-            prep.dx[pair_idx],
-            prep.dy[pair_idx],
-            prep.d2[pair_idx],
-            prep.by[pair_idx],
-        )
-        d2_zero = ~(edges[4] > 0.0)
-        scratch = _make_scratch(total)
-        prep.pair_cache = (key, (point_rep, seg_start, edges, d2_zero, scratch))
-
-    pxp, pyp = scratch[8], scratch[9]
-    np.take(px, point_rep, out=pxp, mode="clip")
-    np.take(py, point_rep, out=pyp, mode="clip")
-    dist2, flips = _pair_scores(pxp, pyp, *edges, d2_zero=d2_zero, scratch=scratch)
-    mind2 = np.minimum.reduceat(dist2, seg_start)
-    iflips = scratch[7]
-    np.copyto(iflips, flips, casting="unsafe")
-    nflips = np.add.reduceat(iflips, seg_start)
-    d = np.sqrt(mind2)
-    return np.where((nflips & 1).astype(bool), d, -d)
-
-
-class PreparedLarge:
-    """One large polygon prepared with BLOCK_SIZE edge-block bboxes for the
-    skip test (mirrors PreparedPolygon/PreparedRing, lib.rs:90-161; blocks
-    never span rings, as in the reference)."""
-
-    def __init__(self, rings: list[np.ndarray]):
-        axs, ays, bxs, bys = [], [], [], []
-        for ring in rings:
-            if len(ring) < 2:
-                continue
-            x = ring[:, 0]
-            y = ring[:, 1]
-            # pad each ring's edge list to a BLOCK_SIZE multiple (blocks never
-            # span rings) with DEGENERATE VERTEX edges anchored at the ring's
-            # last vertex: d2 == 0 so their distance is the distance to that
-            # vertex, which can never beat the real edge (same block) the
-            # vertex belongs to, and ay == by so they can never flip parity —
-            # inert by construction, with no pad mask, no infs, no NaNs
-            n = len(ring)
-            pad = (-n) % BLOCK_SIZE
-            a_x = np.concatenate([x, np.full(pad, x[-1])])
-            a_y = np.concatenate([y, np.full(pad, y[-1])])
-            b_x = np.concatenate([_cyc(x), np.full(pad, x[-1])])
-            b_y = np.concatenate([_cyc(y), np.full(pad, y[-1])])
-            axs.append(a_x)
-            ays.append(a_y)
-            bxs.append(b_x)
-            bys.append(b_y)
-        self.ax = np.concatenate(axs)
-        self.ay = np.concatenate(ays)
-        self.bx = np.concatenate(bxs)
-        self.by = np.concatenate(bys)
-        self.dx = self.bx - self.ax
-        self.dy = self.by - self.ay
-        self.d2 = self.dx * self.dx + self.dy * self.dy
-
-        nb = len(self.ax) // BLOCK_SIZE
-        eax = self.ax.reshape(nb, BLOCK_SIZE)
-        eay = self.ay.reshape(nb, BLOCK_SIZE)
-        ebx = self.bx.reshape(nb, BLOCK_SIZE)
-        eby = self.by.reshape(nb, BLOCK_SIZE)
-        # pad vertices lie inside their block's real bbox, so plain min/max
-        # over endpoints is the tight bbox (no masking needed)
-        self.bxmin = np.minimum(eax.min(axis=1), ebx.min(axis=1))
-        self.bxmax = np.maximum(eax.max(axis=1), ebx.max(axis=1))
-        self.bymin = np.minimum(eay.min(axis=1), eby.min(axis=1))
-        self.bymax = np.maximum(eay.max(axis=1), eby.max(axis=1))
-        self.nblocks = nb
-
-
-class LargeGroup:
-    """Every large polygon of a batch concatenated into one flat block-skip
-    scorer, so one lockstep round's children across ALL large polygons are
-    scored in ~2 vectorized calls instead of one call per polygon.
-
-    Evaluation set per point: (a) its own parity-relevant (cross) blocks,
-    (b) its first minimal-lower-bound block, then (c) every block whose
-    bbox lower bound beats the phase-(a/b) minimum — a superset of the
-    argmin edge and all parity edges, so min/parity are bit-identical to
-    the dense path (same argument as PreparedLarge.score)."""
-
-    def __init__(self, preps: list[PreparedLarge]):
-        ax = np.concatenate([p.ax for p in preps])
-        ay = np.concatenate([p.ay for p in preps])
-        by = np.concatenate([p.by for p in preps])
-        dx = np.concatenate([p.dx for p in preps])
-        dy = np.concatenate([p.dy for p in preps])
-        d2 = np.concatenate([p.d2 for p in preps])
-        nb_total = len(ax) // BLOCK_SIZE
-        # (B, 32) row-major layout: one row gather per selected block is far
-        # cheaper than a flat fancy-index of n*32 element indices
-        self.ax2 = ax.reshape(nb_total, BLOCK_SIZE)
-        self.ay2 = ay.reshape(nb_total, BLOCK_SIZE)
-        self.by2 = by.reshape(nb_total, BLOCK_SIZE)
-        self.dx2 = dx.reshape(nb_total, BLOCK_SIZE)
-        self.dy2 = dy.reshape(nb_total, BLOCK_SIZE)
-        # d2 with 1.0 on zero-length (incl. pad) edges: t = dot/d2nz
-        # reproduces the where(d2>0, t, 0) semantics bit-for-bit (the dot
-        # product is exactly 0 there)
-        self.d2nz2 = np.where(d2 > 0.0, d2, 1.0).reshape(nb_total, BLOCK_SIZE)
-        self.bxmin = np.concatenate([p.bxmin for p in preps])
-        self.bxmax = np.concatenate([p.bxmax for p in preps])
-        self.bymin = np.concatenate([p.bymin for p in preps])
-        self.bymax = np.concatenate([p.bymax for p in preps])
-        self.nb = np.array([p.nblocks for p in preps], dtype=np.int64)
-        self.block_off = np.zeros(len(preps), dtype=np.int64)
-        np.cumsum(self.nb[:-1], out=self.block_off[1:])
-
-        # superblock level (SUPER blocks each, never spanning polygons): the
-        # per-round lower-bound sweep runs over ~nb/SUPER superblocks first
-        # and only expands the promising ones to blocks
-        npolys = len(preps)
-        self.nsb = (self.nb + SUPER - 1) // SUPER
-        self.sb_off = np.zeros(npolys, dtype=np.int64)
-        np.cumsum(self.nsb[:-1], out=self.sb_off[1:])
-        total_sb = int(self.nsb.sum())
-        sb_poly = np.repeat(np.arange(npolys), self.nsb)
-        sb_local = np.arange(total_sb, dtype=np.int64) - self.sb_off[sb_poly]
-        self.sb_start = self.block_off[sb_poly] + sb_local * SUPER  # global block id
-        self.sb_cnt = np.minimum(self.nb[sb_poly] - sb_local * SUPER, SUPER)
-        # consecutive sb_start values partition the global block range, so
-        # reduceat segments are exactly the superblocks
-        self.sbxmin = np.minimum.reduceat(self.bxmin, self.sb_start)
-        self.sbxmax = np.maximum.reduceat(self.bxmax, self.sb_start)
-        self.sbymin = np.minimum.reduceat(self.bymin, self.sb_start)
-        self.sbymax = np.maximum.reduceat(self.bymax, self.sb_start)
-        self._layout_cache: tuple | None = None
-
-    def _scratch(self, n: int) -> tuple:
-        """Growable (cap, 32) work-buffer pool shared by the two block
-        evaluators: block-row counts change every round, so buffers are
-        sized to the high-water mark and sliced.  Fresh multi-MB numpy
-        allocations are mmap-backed and re-fault every page on this host
-        class (~100x a warm write); reuse makes them warm."""
-        pool = getattr(self, "_pool", None)
-        if pool is None or pool[0] < n:
-            cap = max(n, (0 if pool is None else pool[0] * 3 // 2) + 64)
-            pool = (
-                cap,
-                tuple(np.empty((cap, BLOCK_SIZE)) for _ in range(7)),
-                tuple(np.empty((cap, BLOCK_SIZE), dtype=bool) for _ in range(2)),
-            )
-            self._pool = pool
-        return (
-            tuple(b[:n] for b in pool[1]),
-            tuple(b[:n] for b in pool[2]),
-        )
-
-    def _eval_dist(self, px, py, e_pt, blk):
-        """Per-pair block min dist^2 for (point e_pt[i], block blk[i]).  Pad
-        edges are degenerate real vertices (see PreparedLarge): no masking —
-        their distance never beats the block min.  Works in pooled buffers;
-        the fp op order matches the plain expression bit-for-bit."""
-        (A, B, C, D, E, T, U), _ = self._scratch(len(blk))
-        np.take(self.ax2, blk, axis=0, out=A, mode="clip")
-        np.take(self.ay2, blk, axis=0, out=B, mode="clip")
-        np.take(self.dx2, blk, axis=0, out=C, mode="clip")
-        np.take(self.dy2, blk, axis=0, out=D, mode="clip")
-        np.take(self.d2nz2, blk, axis=0, out=E, mode="clip")
-        pxp = px[e_pt][:, None]
-        pyp = py[e_pt][:, None]
-        np.subtract(pxp, A, out=A)  # wx
-        np.subtract(pyp, B, out=B)  # wy
-        # t = (wx*dx + wy*dy) / d2nz
-        np.multiply(A, C, out=T)
-        np.multiply(B, D, out=U)
-        np.add(T, U, out=T)
-        np.divide(T, E, out=T)
-        np.clip(T, 0.0, 1.0, out=T)
-        # dist2 = (wx - t*dx)^2 + (wy - t*dy)^2
-        np.multiply(T, C, out=U)
-        np.subtract(A, U, out=A)  # ex
-        np.multiply(T, D, out=U)
-        np.subtract(B, U, out=B)  # ey
-        np.multiply(A, A, out=A)
-        np.multiply(B, B, out=B)
-        np.add(A, B, out=A)
-        return A.min(axis=1)
-
-    def _eval_flips(self, px, py, e_pt, blk):
-        """Per-pair ray-cast flip counts — called only for CROSSING blocks
-        (a non-crossing block contributes exactly 0 flips: its edges cannot
-        straddle the ray's y nor sit right of the point).  Pad edges have
-        ay == by, so they never flip."""
-        (A, B, C, D, E, T, _U), (C1, C2) = self._scratch(len(blk))
-        np.take(self.ax2, blk, axis=0, out=A, mode="clip")
-        np.take(self.ay2, blk, axis=0, out=B, mode="clip")
-        np.take(self.dx2, blk, axis=0, out=C, mode="clip")
-        np.take(self.dy2, blk, axis=0, out=D, mode="clip")
-        np.take(self.by2, blk, axis=0, out=E, mode="clip")
-        pxp = px[e_pt][:, None]
-        pyp = py[e_pt][:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.greater(B, pyp, out=C1)
-            np.greater(E, pyp, out=C2)
-            np.not_equal(C1, C2, out=C1)  # cond_y
-            # xint = dx * (pyp - ay) / dy + ax
-            np.subtract(pyp, B, out=T)
-            np.multiply(C, T, out=T)
-            np.divide(T, D, out=T)
-            np.add(T, A, out=T)
-            np.less(pxp, T, out=C2)
-            np.logical_and(C1, C2, out=C1)  # flips
-        return C1.sum(axis=1)
-
-    @staticmethod
-    def _face_ub2(px, py, xmin, xmax, ymin, ymax):
-        """Upper bound on dist^2 from each point to the nearest edge inside
-        its bbox: bboxes are tight over edge endpoints, so some edge point
-        sits on each face; the cheapest face-strip worst case bounds it."""
-        fdx2 = np.maximum((px - xmin) ** 2, (px - xmax) ** 2)
-        fdy2 = np.maximum((py - ymin) ** 2, (py - ymax) ** 2)
-        return np.minimum(
-            np.minimum((px - xmin) ** 2, (px - xmax) ** 2) + fdy2,
-            np.minimum((py - ymin) ** 2, (py - ymax) ** 2) + fdx2,
-        )
-
-    def score(self, px: np.ndarray, py: np.ndarray, slot: np.ndarray) -> np.ndarray:
-        """Two-level block-skip sweep.  Level 1 scans superblock bboxes and
-        keeps {crossing} ∪ {lb2 <= seed-superblock upper bound}; level 2
-        expands survivors to blocks, re-filters with the tighter seed-BLOCK
-        upper bound, then evaluates distance on the survivors and parity on
-        the crossing blocks only.  Every kept set is a superset of the argmin
-        edge's block and of all parity blocks, so min/parity are
-        bit-identical to the dense evaluation."""
-        K = len(px)
-        # the (point -> superblock) pair layout and gathered bbox arrays
-        # depend only on the slot vector, which repeats across lockstep
-        # rounds while the same polygons stay live — memoize
-        key = slot.tobytes()
-        cached = self._layout_cache
-        if cached is not None and cached[0] == key:
-            (seg, pair_pt, pair_sb, idx_in_seg,
-             sxmin, sxmax, symin, symax) = cached[1]
-        else:
-            nsb_k = self.nsb[slot]
-            total = int(nsb_k.sum())
-            seg = np.zeros(K, dtype=np.int64)
-            np.cumsum(nsb_k[:-1], out=seg[1:])
-            pair_pt = np.repeat(np.arange(K), nsb_k)
-            idx_in_seg = np.arange(total, dtype=np.int64) - seg[pair_pt]
-            pair_sb = idx_in_seg + self.sb_off[slot][pair_pt]
-            sxmin = self.sbxmin[pair_sb]
-            sxmax = self.sbxmax[pair_sb]
-            symin = self.sbymin[pair_sb]
-            symax = self.sbymax[pair_sb]
-            self._layout_cache = (
-                key,
-                (seg, pair_pt, pair_sb, idx_in_seg, sxmin, sxmax, symin, symax),
-            )
-        total = len(pair_pt)
-
-        pxp = px[pair_pt]
-        pyp = py[pair_pt]
-        ddx = np.maximum(sxmin - pxp, 0.0) + np.maximum(pxp - sxmax, 0.0)
-        ddy = np.maximum(symin - pyp, 0.0) + np.maximum(pyp - symax, 0.0)
-        lb2_sb = ddx * ddx + ddy * ddy
-        cross_sb = ~((pyp < symin) | (pyp >= symax) | (pxp > sxmax))
-
-        # seed superblock (first minimal lower bound) -> coarse upper bound
-        seg_min = np.minimum.reduceat(lb2_sb, seg)
-        cand_pos = np.where(lb2_sb == seg_min[pair_pt], idx_in_seg, total)
-        first_pos = np.minimum.reduceat(cand_pos, seg)
-        seed_sb = pair_sb[seg + first_pos]
-        ub2 = self._face_ub2(
-            px, py,
-            self.sbxmin[seed_sb], self.sbxmax[seed_sb],
-            self.sbymin[seed_sb], self.sbymax[seed_sb],
-        )
-
-        keep = cross_sb | (lb2_sb <= ub2[pair_pt])
-        sel_sb = np.flatnonzero(keep)
-        spt = pair_pt[sel_sb]
-        ssb = pair_sb[sel_sb]
-
-        # expand surviving superblocks to their blocks
-        bcnt = self.sb_cnt[ssb]
-        m = int(bcnt.sum())
-        e_pt = np.repeat(spt, bcnt)
-        csum = np.cumsum(bcnt)
-        blk = np.repeat(self.sb_start[ssb], bcnt) + np.arange(m) - np.repeat(csum - bcnt, bcnt)
-
-        bxmin = self.bxmin[blk]
-        bxmax = self.bxmax[blk]
-        bymin = self.bymin[blk]
-        bymax = self.bymax[blk]
-        pxb = px[e_pt]
-        pyb = py[e_pt]
-        bdx = np.maximum(bxmin - pxb, 0.0) + np.maximum(pxb - bxmax, 0.0)
-        bdy = np.maximum(bymin - pyb, 0.0) + np.maximum(pyb - bymax, 0.0)
-        lb2 = bdx * bdx + bdy * bdy
-        cross = ~((pyb < bymin) | (pyb >= bymax) | (pxb > bxmax))
-
-        # refine the upper bound with the seed BLOCK (min lb2 per point over
-        # the expanded blocks; e_pt is non-decreasing so bincount segments it)
-        per_pt_cnt = np.bincount(e_pt, minlength=K)  # >= 1: seed sb expanded
-        b0 = np.zeros(K, dtype=np.int64)
-        np.cumsum(per_pt_cnt[:-1], out=b0[1:])
-        blk_seg_min = np.minimum.reduceat(lb2, b0)
-        pos_in_pt = np.arange(m, dtype=np.int64) - b0[e_pt]
-        cand_b = np.where(lb2 == blk_seg_min[e_pt], pos_in_pt, m)
-        first_b = np.minimum.reduceat(cand_b, b0)
-        seed_blk = blk[b0 + first_b]
-        ub2b = np.minimum(
-            ub2,
-            self._face_ub2(
-                px, py,
-                self.bxmin[seed_blk], self.bxmax[seed_blk],
-                self.bymin[seed_blk], self.bymax[seed_blk],
-            ),
-        )
-
-        need = cross | (lb2 <= ub2b[e_pt])
-        sel = np.flatnonzero(need)
-        min2_pb = self._eval_dist(px, py, e_pt[sel], blk[sel])
-        cnt = np.bincount(e_pt[sel], minlength=K)  # >= 1 (argmin block kept)
-        b1 = np.zeros(K, dtype=np.int64)
-        np.cumsum(cnt[:-1], out=b1[1:])
-        min2 = np.minimum.reduceat(min2_pb, b1)
-
-        # parity only over crossing blocks (typically far fewer than `need`)
-        selc = np.flatnonzero(cross)
-        if len(selc):
-            nf_pb = self._eval_flips(px, py, e_pt[selc], blk[selc])
-            nflips = np.bincount(e_pt[selc], weights=nf_pb, minlength=K)
-            odd = (nflips.astype(np.int64) & 1).astype(bool)
-        else:
-            odd = np.zeros(K, dtype=bool)
-
-        d = np.sqrt(min2)
-        return np.where(odd, d, -d)
-
-
-class _PolyState:
-    """Per-polygon best-first search state (heap + best), lockstep-driven."""
-
-    __slots__ = (
-        "heap", "seq", "best_d", "best_x", "best_y", "tol", "pops", "done", "err", "large", "_cen",
+    """Signed distance of K points, each to its own polygon's outline
+    (``signed_distance``, lib.rs:163-233): positive inside by the even-odd
+    rule, holes included.  Rings of fewer than 2 vertices have no edges."""
+    px = np.ascontiguousarray(px, dtype=np.float64)
+    py = np.ascontiguousarray(py, dtype=np.float64)
+    poly = np.ascontiguousarray(poly_of_point, dtype=np.int64)
+    npoly = len(packed.poly_off) - 1
+    if (packed.xy.dtype != np.float64 or packed.xy.shape[1:] != (2,)
+            or not packed.xy.flags.c_contiguous
+            or packed.ring_off[-1] != len(packed.xy)
+            or packed.poly_off[-1] != len(packed.ring_off) - 1):
+        raise ValueError("packed polygons are inconsistent; build them with pack_polygons")
+    if not len(px) == len(py) == len(poly):
+        raise ValueError("px, py and poly_of_point differ in length")
+    if len(poly) and (poly.min() < 0 or poly.max() >= npoly):
+        raise IndexError(f"poly_of_point outside [0, {npoly})")
+    out = np.empty(len(px))
+    rc = _lib.pl_signed_distance(
+        npoly, _buf("double[]", packed.xy),
+        _buf("int64_t[]", packed.ring_off), _buf("int64_t[]", packed.poly_off),
+        len(px), _buf("double[]", px), _buf("double[]", py),
+        _buf("int64_t[]", poly), _buf("double[]", out),
     )
-
-    def __init__(self, tol: float):
-        self.heap: list[tuple[float, int, float, float, float, float]] = []
-        self.seq = 0
-        self.best_d = -np.inf
-        self.best_x = np.nan
-        self.best_y = np.nan
-        self.tol = tol
-        self.pops = 0
-        self.done = False
-        self.err = ERR_OK
-        self.large: PreparedLarge | None = None
-
-    def push(self, cx: float, cy: float, h: float, d: float) -> None:
-        maxd = d + h * SQRT2
-        heapq.heappush(self.heap, (-maxd, self.seq, cx, cy, h, d))
-        self.seq += 1
-
-    def set_best(self, x: float, y: float, d: float) -> None:
-        self.best_d = d
-        self.best_x = x
-        self.best_y = y
-
-    def advance(self) -> tuple[float, float, float] | None:
-        """Pop cells (reference loop, lib.rs:380-394) until one needs
-        subdividing; return its (cx, cy, child_half_extent) or None when the
-        heap drains (done)."""
-        while self.heap:
-            self.pops += 1
-            if self.pops > MAX_POPS:
-                self.done = True
-                self.err = ERR_MAXITER
-                return None
-            neg_maxd, _, cx, cy, h, d = heapq.heappop(self.heap)
-            if d > self.best_d:
-                self.set_best(cx, cy, d)
-            if (-neg_maxd) - self.best_d <= self.tol:
-                continue
-            return cx, cy, h / 2.0
-        self.done = True
-        return None
+    if rc:
+        raise MemoryError("pl_signed_distance: out of memory")
+    return out
 
 
 def polylabel_batch(
@@ -682,8 +243,8 @@ def polylabel_batch(
 
     ``polys[i]`` is a list of (n, 2) float64 rings (ring 0 = exterior); rings
     may be closed (first == last) or open.  Results are identical to running
-    the reference algorithm polygon-by-polygon; work is vectorized across the
-    batch (small polygons) or over edge blocks (large polygons)."""
+    the reference algorithm polygon-by-polygon: numpy screens and seeds each
+    row, then one compiled call searches every live polygon."""
     P = len(polys)
     out_x = np.full(P, np.nan)
     out_y = np.full(P, np.nan)
@@ -691,58 +252,49 @@ def polylabel_batch(
     out_a = np.full(P, np.nan)
     out_e: list[str] = [ERR_OK] * P
 
-    # --- screen + degenerate guards (lib.rs:340-352), compute area ---------
-    norm_polys: list[list[np.ndarray] | None] = []
-    small_polys: list[list[np.ndarray]] = []
-    small_ids: list[int] = []
-    large_preps: list[PreparedLarge] = []
-    states: dict[int, _PolyState] = {}
-    seeds: list[tuple[int, float, float, float]] = []  # (poly, cx, cy, h)
-
-    # phase 1: normalize rings; flatten every surviving coordinate once so
-    # the per-poly isfinite / bbox screens become a handful of reduceat
-    # calls instead of ~4 small reductions per polygon.  These are
-    # comparison reductions — any evaluation order is bit-identical.
+    # phase 1: normalize rings; pack every surviving ring once so the
+    # per-poly isfinite / bbox screens become a handful of reduceat calls
+    # and the compiled search reads the same arrays.  These are comparison
+    # reductions — any evaluation order is bit-identical.
     norm_all: list[list[np.ndarray] | None] = []
-    flat_parts: list[np.ndarray] = []
-    poly_starts: list[int] = []
-    pos = 0
+    flat_rings: list[np.ndarray] = []
+    rings_per_poly: list[int] = []
     for rings in polys:
         rs = [normalize_ring(np.asarray(r, dtype=np.float64).reshape(-1, 2)) for r in rings]
         rs = [r for r in rs if len(r) > 0]
-        if not rs or len(rs[0]) == 0:
+        if not rs:
             norm_all.append(None)
             continue
         norm_all.append(rs)
-        poly_starts.append(pos)
-        for r in rs:
-            flat_parts.append(r)
-            pos += len(r)
-    if flat_parts:
-        flat = np.concatenate(flat_parts)
-        flat_parts.clear()  # drop the ring-view list: the concat copy + the
-        # norm_all originals would otherwise coexist for the whole batch
-        starts = np.asarray(poly_starts, dtype=np.int64)
-        fin = np.isfinite(flat)
-        fin_row = fin[:, 0] & fin[:, 1]
-        poly_finite = np.bitwise_and.reduceat(fin_row, starts)
-        minx_a = np.minimum.reduceat(flat[:, 0], starts)
-        maxx_a = np.maximum.reduceat(flat[:, 0], starts)
-        miny_a = np.minimum.reduceat(flat[:, 1], starts)
-        maxy_a = np.maximum.reduceat(flat[:, 1], starts)
-        del flat, fin, fin_row  # screens done; free before the state build
+        flat_rings.extend(rs)
+        rings_per_poly.append(len(rs))
+    if not flat_rings:
+        out_e = [ERR_EMPTY] * P
+        return out_x, out_y, out_d, out_a, out_e
+    packed = _pack(flat_rings, rings_per_poly)
+    flat = packed.xy
+    starts = packed.ring_off[packed.poly_off[:-1]]
+    fin = np.isfinite(flat)
+    poly_finite = np.bitwise_and.reduceat(fin[:, 0] & fin[:, 1], starts)
+    minx_a = np.minimum.reduceat(flat[:, 0], starts)
+    maxx_a = np.maximum.reduceat(flat[:, 0], starts)
+    miny_a = np.minimum.reduceat(flat[:, 1], starts)
+    maxy_a = np.maximum.reduceat(flat[:, 1], starts)
+    del fin
 
+    # phase 2: per-row guards and seed parameters for the compiled search
+    which: list[int] = []  # packed polygon index of each searched row
+    rows: list[int] = []  # its batch row
+    par: list[tuple] = []
     k = -1  # index into the surviving-poly arrays above
-    for i, rings in enumerate(polys):
+    for i in range(P):
         rs = norm_all[i]
         if rs is None:
             out_e[i] = ERR_EMPTY
-            norm_polys.append(None)
             continue
         k += 1
         if not poly_finite[k]:
             out_e[i] = ERR_NONFINITE
-            norm_polys.append(None)
             continue
         ring_cache = [_ring_terms(r) for r in rs]
         # identical to polygon_signed_area: python-sequential sum of the
@@ -753,7 +305,6 @@ def polylabel_batch(
             out_x[i] = 0.0
             out_y[i] = 0.0
             out_d[i] = 0.0
-            norm_polys.append(None)
             continue
         # bounding box over ALL rings (geo bounding_rect covers interiors too)
         minx = float(minx_a[k])
@@ -767,373 +318,53 @@ def polylabel_batch(
             out_x[i] = minx
             out_y[i] = miny
             out_d[i] = 0.0
-            norm_polys.append(None)
             continue
-        norm_polys.append(rs)
-        half = cell_size / 2.0
 
-        st = _PolyState(float(tolerances[i]))
-        states[i] = st
-        nedges = sum(len(r) for r in rs)
-        if nedges >= LARGE_EDGE_THRESHOLD:
-            st.large = len(large_preps)  # slot in the batch's LargeGroup
-            large_preps.append(PreparedLarge(rs))
-        else:
-            small_ids.append(i)
-            small_polys.append(rs)
-
-        # seed cells: centroid guess, bbox-centre guess, covering grid
+        # seed guesses: area-weighted centroid and bbox centre
         cen = _centroid_from_cache(ring_cache)
         bbc = ((minx + maxx) / 2.0, (miny + maxy) / 2.0)
         if cen is None:
             cen = bbc  # degenerate centroid: fall back to bbox centre guess
-        seeds.append((i, cen[0], cen[1], -2.0))  # marker: centroid guess
-        seeds.append((i, bbc[0], bbc[1], -1.0))  # marker: bbox guess
         # ratio can overflow float64 to inf for denormal-width slivers
-        # (e.g. w ~ 1e-308): guard in FLOAT space before any int() cast,
-        # otherwise int(np.ceil(inf)) raises OverflowError and kills the task
+        # (e.g. w ~ 1e-308): guard in FLOAT space before any ceil, otherwise
+        # math.ceil(inf) raises OverflowError and kills the task
         rx = w / cell_size
         ry = hgt / cell_size
         if (
-            not (np.isfinite(rx) and np.isfinite(ry))
-            or np.ceil(rx) * np.ceil(ry) > MAX_SEED_CELLS
+            not (math.isfinite(rx) and math.isfinite(ry))
+            or math.ceil(rx) * math.ceil(ry) > MAX_SEED_CELLS
         ):
-            # the centroid/bbox guess seeds are already queued above, so the
-            # row still carries a usable (if coarse) label plus the error
-            st.done = True
-            st.err = ERR_SEED_OVERFLOW
-            continue
-        nx = int(np.ceil(rx))
-        ny = int(np.ceil(ry))
-        # reference iterates x outer, y inner (lib.rs:274-281)
-        for gx in range(nx):
-            for gy in range(ny):
-                cx = (minx + gx * cell_size) + half
-                cy = (miny + gy * cell_size) + half
-                seeds.append((i, cx, cy, half))
-
-    # --- score all seed cells in bulk --------------------------------------
-    if seeds:
-        small_prep = prepare_edges(small_polys)
-        small_slot = {pid: k for k, pid in enumerate(small_ids)}
-        large_group = LargeGroup(large_preps) if large_preps else None
-        scored = _score_mixed(seeds, states, small_prep, small_slot, large_group)
-        heap_cells: dict[int, list[tuple[float, float, float, float]]] = {}
-        for i, cx, cy, h, d in _drain_scored(seeds, scored):
-            st = states[i]
-            if h == -2.0:
-                st._cen = (cx, cy, d)  # type: ignore[attr-defined]
-            elif h == -1.0:
-                cen_x, cen_y, cen_d = st._cen  # type: ignore[attr-defined]
-                # reference keeps bbox cell iff its distance is LOWER
-                # (lib.rs:370-374) — replicated verbatim, quirk included
-                if d < cen_d:
-                    st.set_best(cx, cy, d)
-                else:
-                    st.set_best(cen_x, cen_y, cen_d)
-            else:
-                heap_cells.setdefault(i, []).append((cx, cy, h, d))
-
-        # route each live polygon: vectorized 2D frontier (bounded seed
-        # count) or the scalar heap loop (extreme-aspect seed outliers)
-        vec_ids: list[int] = []
-        scalar_ids: list[int] = []
-        for i, st in states.items():
-            if st.done or i not in heap_cells:
-                continue
-            (vec_ids if len(heap_cells[i]) <= SEED_2D_CAP else scalar_ids).append(i)
-
-        if vec_ids:
-            overflow = _run_vectorized(
-                vec_ids, heap_cells, states, small_prep, small_slot, large_group
-            )
-            scalar_ids.extend(overflow)
-
-        if scalar_ids:
-            for i in scalar_ids:
-                st = states[i]
-                if not st.heap:  # seed (or spilled) cells in seq order
-                    for cx, cy, h, d in heap_cells[i]:
-                        st.push(cx, cy, h, d)
-
-            # --- scalar lockstep best-first loop (fallback path) ----------
-            live = [i for i in scalar_ids if not states[i].done]
-            while live:
-                requests: list[tuple[int, float, float, float]] = []
-                for i in live:
-                    st = states[i]
-                    nxt = st.advance()
-                    if nxt is not None:
-                        cx, cy, h2 = nxt
-                        # 4 children in reference order (lib.rs:289-301)
-                        requests.append((i, cx - h2, cy - h2, h2))
-                        requests.append((i, cx + h2, cy - h2, h2))
-                        requests.append((i, cx - h2, cy + h2, h2))
-                        requests.append((i, cx + h2, cy + h2, h2))
-                if not requests:
-                    break
-                scored = _score_mixed(requests, states, small_prep, small_slot,
-                                      large_group)
-                for i, cx, cy, h, d in _drain_scored(requests, scored):
-                    states[i].push(cx, cy, h, d)
-                live = [i for i in live if not states[i].done]
-
-    for i, st in states.items():
-        out_x[i] = st.best_x
-        out_y[i] = st.best_y
-        out_d[i] = st.best_d
-        if st.err:
-            out_e[i] = st.err
-            if st.err == ERR_MAXITER:
-                pass  # best-so-far still reported
-    return out_x, out_y, out_d, out_a, out_e
-
-
-def _score_mixed(
-    cells: list[tuple[int, float, float, float]],
-    states: dict[int, _PolyState],
-    small_prep: PreparedBatch,
-    small_slot: dict[int, int],
-    large_group: "LargeGroup | None" = None,
-) -> np.ndarray:
-    """Score (poly, cx, cy, h) cells: small polygons in one flat call,
-    large polygons in one flat block-skip call over the whole batch.
-    Returns the per-cell distance array (passed to `_drain_scored` — kept
-    explicit so concurrent batch calls in one process can't cross-wire)."""
-    d_out = np.empty(len(cells))
-    sm_idx: list[int] = []
-    lg_idx: list[int] = []
-    lg_slots: list[int] = []
-    for k, (pid, _, _, _) in enumerate(cells):
-        slot = states[pid].large
-        if slot is None:
-            sm_idx.append(k)
+            # no grid: the row still carries the better guess (a usable, if
+            # coarse, label) plus the error
+            nx = ny = 0
+            out_e[i] = ERR_SEED_OVERFLOW
         else:
-            lg_idx.append(k)
-            lg_slots.append(slot)
-    if sm_idx:
-        px = np.array([cells[k][1] for k in sm_idx])
-        py = np.array([cells[k][2] for k in sm_idx])
-        slot = np.array([small_slot[cells[k][0]] for k in sm_idx], dtype=np.int64)
-        d_out[sm_idx] = score_points_flat(px, py, slot, small_prep)
-    if lg_idx:
-        px = np.array([cells[k][1] for k in lg_idx])
-        py = np.array([cells[k][2] for k in lg_idx])
-        d_out[lg_idx] = large_group.score(px, py, np.asarray(lg_slots, dtype=np.int64))
-    return d_out
+            nx = math.ceil(rx)
+            ny = math.ceil(ry)
+        which.append(k)
+        rows.append(i)
+        par.append((float(tolerances[i]), cen[0], cen[1], bbc[0], bbc[1],
+                    minx, miny, cell_size, nx, ny))
 
-
-def _drain_scored(cells: list[tuple[int, float, float, float]], d: np.ndarray):
-    for k, (pid, cx, cy, h) in enumerate(cells):
-        yield pid, cx, cy, h, float(d[k])
-
-
-SEED_2D_CAP = 4096  # polys seeding more cells than this use the scalar heap
-_VEC_BUDGET_CELLS = 32_000_000  # rows x columns ceiling before scalar spill
-_NEG_INF = -np.inf
-
-
-def _run_vectorized(
-    vec_ids: list[int],
-    heap_cells: dict[int, list[tuple[float, float, float, float]]],
-    states: dict[int, "_PolyState"],
-    small_prep: PreparedBatch,
-    small_slot: dict[int, int],
-    large_group: "LargeGroup | None",
-) -> list[int]:
-    """Vectorized lockstep best-first search over a (poly x cell) frontier.
-
-    Replaces the per-cell Python heap with dense 2D arrays: one row per
-    polygon, one column per cell in PUSH order, consumed/pad cells at
-    maxd = -inf.  Correctness rests on two exact equivalences with the
-    reference loop (lib.rs:380-394):
-
-      * pop order is (max max_distance, FIFO ties) — ``np.argmax`` returns
-        the FIRST maximum, and columns are in push (seq) order, so the tie
-        rule is identical to the engine's (-maxd, seq) heap;
-      * once the top cell fails the ``maxd - best <= tol`` prune, EVERY
-        remaining cell fails it too (maxd is non-increasing along pop order
-        while best is non-decreasing), so each advance() is exactly "pop
-        argmax -> subdivide" or "drain the whole heap -> done"; the drain
-        reduces to a masked max with the same first-wins tie rule.
-
-    Updates ``states[pid]`` best/pops/done/err in place.  Returns pids that
-    spilled to the scalar path (memory budget), with their live cells
-    written back into ``heap_cells[pid]`` in seq order."""
-    L = len(vec_ids)
-    ids = np.asarray(vec_ids, dtype=np.int64)
-    tolv = np.array([states[p].tol for p in vec_ids])
-    largev = np.array(
-        [-1 if states[p].large is None else states[p].large for p in vec_ids],
-        dtype=np.int64,
-    )
-    smallv = np.array([small_slot.get(p, -1) for p in vec_ids], dtype=np.int64)
-    counts = np.array([len(heap_cells[p]) for p in vec_ids], dtype=np.int64)
-    C = 1 << int(np.ceil(np.log2(max(int(counts.max()) + 8, 16))))
-
-    def alloc(c):
-        m = np.full((L, c), _NEG_INF)
-        z = np.zeros((L, c))
-        return m, z.copy(), z.copy(), z.copy(), z
-
-    maxd2, d2, cx2, cy2, h2 = alloc(C)
-    for r, p in enumerate(vec_ids):
-        cells = heap_cells[p]
-        n = len(cells)
-        arr = np.asarray(cells)  # (n, 4): cx, cy, h, d
-        cx2[r, :n] = arr[:, 0]
-        cy2[r, :n] = arr[:, 1]
-        h2[r, :n] = arr[:, 2]
-        d2[r, :n] = arr[:, 3]
-        maxd2[r, :n] = arr[:, 3] + arr[:, 2] * SQRT2
-
-    best_d = np.array([states[p].best_d for p in vec_ids])
-    bx = np.array([states[p].best_x for p in vec_ids])
-    by = np.array([states[p].best_y for p in vec_ids])
-    pops = np.zeros(L, dtype=np.int64)
-    err_maxiter = np.zeros(L, dtype=bool)
-    spilled: list[int] = []
-
-    live = np.arange(L)
-    while live.size:
-        rows = live
-        n = len(rows)
-        M = maxd2[rows]
-        k = np.argmax(M, axis=1)  # first max == FIFO tie on seq
-        ar = np.arange(n)
-        mstar = M[ar, k]
-        empty = mstar == _NEG_INF
-        exceed = (~empty) & (pops[rows] + 1 > MAX_POPS)
-        popped = ~empty & ~exceed
-        dstar = d2[rows, k]
-        upd = popped & (dstar > best_d[rows])
-        if upd.any():
-            ur = rows[upd]
-            best_d[ur] = dstar[upd]
-            bx[ur] = cx2[ur, k[upd]]
-            by[ur] = cy2[ur, k[upd]]
-        subdiv = popped & (mstar - best_d[rows] > tolv[rows])
-        drain = popped & ~subdiv
-        maxd2[rows[popped], k[popped]] = _NEG_INF
-        pops[rows[popped]] += 1
-        err_maxiter[rows[exceed]] = True
-
-        dr = rows[drain]
-        if dr.size:
-            av = maxd2[dr] > _NEG_INF
-            n_alive = av.sum(axis=1)
-            over = pops[dr] + n_alive > MAX_POPS
-            norm = dr[~over]
-            if norm.size:
-                dm = np.where(av[~over], d2[norm], _NEG_INF)
-                dmax = dm.max(axis=1)
-                gain = dmax > best_d[norm]
-                if gain.any():
-                    g = norm[gain]
-                    # winner = first cell in pop order with d == dmax:
-                    # max maxd among candidates, tie -> lowest column
-                    key = np.where(d2[g] == dmax[gain][:, None], maxd2[g], _NEG_INF)
-                    kw = np.argmax(key, axis=1)
-                    best_d[g] = dmax[gain]
-                    bx[g] = cx2[g, kw]
-                    by[g] = cy2[g, kw]
-                pops[norm] += n_alive[~over]
-            for r in dr[over]:  # rare: MAX_POPS lands mid-drain
-                acols = np.flatnonzero(maxd2[r] > _NEG_INF)
-                order = acols[np.lexsort((acols, -maxd2[r, acols]))]
-                for c in order:
-                    pops[r] += 1
-                    if pops[r] > MAX_POPS:
-                        err_maxiter[r] = True
-                        break
-                    if d2[r, c] > best_d[r]:
-                        best_d[r] = d2[r, c]
-                        bx[r] = cx2[r, c]
-                        by[r] = cy2[r, c]
-
-        sr = rows[subdiv]
-        if sr.size == 0:
-            break
-        kk = k[subdiv]
-        hh = h2[sr, kk] / 2.0
-        pcx = cx2[sr, kk]
-        pcy = cy2[sr, kk]
-        S = len(sr)
-        px = np.empty(4 * S)
-        py = np.empty(4 * S)
-        # 4 children in reference order (lib.rs:289-301), per-poly contiguous
-        px[0::4] = pcx - hh; px[1::4] = pcx + hh
-        px[2::4] = pcx - hh; px[3::4] = pcx + hh
-        py[0::4] = pcy - hh; py[1::4] = pcy - hh
-        py[2::4] = pcy + hh; py[3::4] = pcy + hh
-        dch = np.empty(4 * S)
-        lg = largev[sr] >= 0
-        if (~lg).any():
-            m4 = np.repeat(~lg, 4)
-            dch[m4] = score_points_flat(
-                px[m4], py[m4], np.repeat(smallv[sr][~lg], 4), small_prep
-            )
-        if lg.any():
-            m4 = np.repeat(lg, 4)
-            dch[m4] = large_group.score(px[m4], py[m4], np.repeat(largev[sr][lg], 4))
-
-        if counts[sr].max() + 4 > C:
-            newC = C * 2
-            if newC * L > _VEC_BUDGET_CELLS:
-                # spill remaining live rows to the scalar heap path
-                for r in sr:
-                    p = int(ids[r])
-                    st = states[p]
-                    st.best_d, st.best_x, st.best_y = best_d[r], bx[r], by[r]
-                    st.pops = int(pops[r])
-                    acols = np.flatnonzero(maxd2[r] > _NEG_INF)
-                    heap_cells[p] = [
-                        (cx2[r, c], cy2[r, c], h2[r, c], d2[r, c]) for c in acols
-                    ]
-                    # plus this round's children, pushed after existing cells
-                    j = np.flatnonzero(sr == r)[0]
-                    for t in range(4):
-                        heap_cells[p].append(
-                            (px[4 * j + t], py[4 * j + t], hh[j], dch[4 * j + t])
-                        )
-                    spilled.append(p)
-                live = np.empty(0, dtype=np.int64)
-                sr = live
-                break
-            grow = lambda a, fill: np.concatenate(
-                [a, np.full((L, newC - C), fill)], axis=1
-            )
-            maxd2 = grow(maxd2, _NEG_INF)
-            d2 = grow(d2, 0.0)
-            cx2 = grow(cx2, 0.0)
-            cy2 = grow(cy2, 0.0)
-            h2 = grow(h2, 0.0)
-            C = newC
-        base = counts[sr]
-        rowr = np.repeat(sr, 4)
-        colf = (base[:, None] + np.arange(4)[None, :]).ravel()
-        cx2[rowr, colf] = px
-        cy2[rowr, colf] = py
-        h2[rowr, colf] = np.repeat(hh, 4)
-        d2[rowr, colf] = dch
-        maxd2[rowr, colf] = dch + np.repeat(hh, 4) * SQRT2
-        counts[sr] += 4
-        live = sr
-
-    # sync results back (spilled rows were synced at spill time)
-    spilled_set = set(spilled)
-    for r, p in enumerate(vec_ids):
-        if p in spilled_set:
-            continue
-        st = states[p]
-        st.best_d = float(best_d[r])
-        st.best_x = float(bx[r])
-        st.best_y = float(by[r])
-        st.pops = int(pops[r])
-        st.done = True
-        if err_maxiter[r]:
-            st.err = ERR_MAXITER
-    return spilled
+    if which:
+        n = len(which)
+        which_a = np.asarray(which, dtype=np.int64)
+        par_a = np.asarray(par, dtype=np.float64)
+        res = np.empty((n, 4))
+        rc = _lib.pl_label(
+            n, _buf("int64_t[]", which_a), _buf("double[]", flat),
+            _buf("int64_t[]", packed.ring_off), _buf("int64_t[]", packed.poly_off),
+            _buf("double[]", par_a), MAX_POPS, _buf("double[]", res),
+        )
+        if rc:
+            raise MemoryError("pl_label: out of memory")
+        rows_a = np.asarray(rows, dtype=np.int64)
+        out_x[rows_a] = res[:, 0]
+        out_y[rows_a] = res[:, 1]
+        out_d[rows_a] = res[:, 2]
+        for j in np.flatnonzero(res[:, 3]):
+            out_e[rows[j]] = ERR_MAXITER
+    return out_x, out_y, out_d, out_a, out_e
 
 
 def polylabel_one(

@@ -25,16 +25,19 @@ import numpy as np
 import pyarrow as pa
 
 
+_PKG = os.path.dirname(os.path.abspath(__file__))
+
+
 @functools.cache
-def code_digest() -> str:
-    """Digest of the source and data that compute a partition's rows: the
-    kernel, the label and cell stages, and the doc and fixture sources.
-    Partition descriptions carry it, so a code change makes every
-    checkpointed partition stale.  Computed once per process."""
-    root = os.path.dirname(os.path.abspath(__file__))
+def code_digest(root: str = _PKG) -> str:
+    """Digest of the source and data under ``root`` (this package) that
+    compute a partition's rows: the kernel and its C search loop, the label
+    and cell stages, and the doc and fixture sources.  Partition
+    descriptions carry it, so a code change makes every checkpointed
+    partition stale.  Computed once per process."""
     h = sha256()
-    for rel in ("geom/kernel.py", "stages/label.py", "stages/cells.py",
-                "sources/docs.py", "sources/fixtures.py",
+    for rel in ("geom/kernel.py", "geom/polylabel.c", "stages/label.py",
+                "stages/cells.py", "sources/docs.py", "sources/fixtures.py",
                 "sources/fixture_data.npz"):
         h.update(rel.encode())
         with open(os.path.join(root, rel), "rb") as f:
@@ -64,11 +67,12 @@ def run_label_partition(desc: dict) -> pa.Table:
     from .stages.cells import encode_stage
     from .stages.label import label_points
 
-    # one dominant compute stage -> per-op CPU reservation only starves it
-    ray.data.DataContext.get_current().op_resource_reservation_enabled = False
-
     n = desc["hi"] - desc["lo"]
     ds = ray.data.range(n, override_num_blocks=max(n // 300, 8))
+    # one dominant compute stage -> per-op CPU reservation only starves it.
+    # The Dataset holds its own copy of the context, and every Dataset
+    # derived from it below shares that copy; the process-global one stays.
+    ds.context.op_resource_reservation_enabled = False
 
     lo = desc["lo"]
 

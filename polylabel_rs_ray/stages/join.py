@@ -30,6 +30,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES, WORLD_MIN, WORLD_SIZE
+from ..geom.kernel import pack_polygons, signed_distance
 from .cells import cover_bbox, decode_cells, encode_cells, grid_coords
 
 N_ZONES = 40
@@ -90,14 +91,10 @@ class ZoneJoin:
             else np.empty(0, dtype=np.int64)
         )
         # rings for the exact parity test (general-polygon path; rectangles
-        # here, but the kernel is the same one used for any zone geometry)
-        from ..geom.kernel import prepare_edges
-
-        self.prep = prepare_edges([zone_rings(z, j) for j in range(N_ZONES)])
+        # here, but the scorer is the labeller's compiled one)
+        self.zones = pack_polygons([zone_rings(z, j) for j in range(N_ZONES)])
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..geom.kernel import score_points_flat
-
         px = batch.column("label_x").to_numpy()
         py = batch.column("label_y").to_numpy()
         ix, iy = grid_coords(px, py, self.cell_res)
@@ -118,7 +115,7 @@ class ZoneJoin:
         base = np.repeat(self.csr_off[pos_c], cnt)
         csum = np.cumsum(cnt)
         zones_a = self.csr_zones[base + np.arange(total) - np.repeat(csum - cnt, cnt)]
-        d = score_points_flat(px[rows_a], py[rows_a], zones_a, self.prep)
+        d = signed_distance(px[rows_a], py[rows_a], zones_a, self.zones)
         hit = d > 0  # strictly inside (no boundary cases by construction)
         rows_a = rows_a[hit]
         zones_a = zones_a[hit]
@@ -140,8 +137,6 @@ def copartitioned_zone_join(points_ds, cell_res: int = DEFAULT_CELL_RES,
     deterministic table (so the oracle stays valid); the shape is what a
     billion-polygon side would use, with hot cells salted upstream."""
     import ray
-
-    from ..geom.kernel import prepare_edges, score_points_flat
 
     z = zone_table()
     cover_rows = {"cell_id": [], "zone_id": []}
@@ -180,7 +175,7 @@ def copartitioned_zone_join(points_ds, cell_res: int = DEFAULT_CELL_RES,
 
     pts = points_ds.map_batches(key_points, batch_format="pyarrow", zero_copy_batch=True)
 
-    prep = prepare_edges([zone_rings(z, j) for j in range(N_ZONES)])
+    zones = pack_polygons([zone_rings(z, j) for j in range(N_ZONES)])
 
     def join_cell(group: pa.Table) -> pa.Table:
         side = np.asarray(group.column("side").to_pylist())
@@ -198,7 +193,7 @@ def copartitioned_zone_join(points_ds, cell_res: int = DEFAULT_CELL_RES,
         P, Z = len(pidx), len(zone_ids)
         pp = np.repeat(np.arange(P), Z)
         zz = np.tile(zone_ids, P)
-        d = score_points_flat(px[pp], py[pp], zz, prep)
+        d = signed_distance(px[pp], py[pp], zz, zones)
         hit = d > 0
         cols = {}
         for c in keep:

@@ -22,9 +22,9 @@ from polylabel_rs_ray.geom.kernel import (
     polygon_centroid,
     polygon_signed_area,
     polylabel_batch,
+    pack_polygons,
     polylabel_one,
-    prepare_edges,
-    score_points_flat,
+    signed_distance,
 )
 from polylabel_rs_ray.sources.fixtures import FIXTURES
 
@@ -167,30 +167,46 @@ def test_signed_area_and_centroid():
     assert polygon_signed_area([np.asarray(fx.rings[0])]) == 7.0
 
 
-def test_queue_pop_order():
-    # mirrors the reference's test_queue (lib.rs:474-500): cells pop in
-    # descending max_distance order
-    from polylabel_rs_ray.geom.kernel import _PolyState
+def test_queue_pop_order(monkeypatch):
+    # mirrors the reference's test_queue (lib.rs:474-500) through the search
+    # itself: with MAX_POPS = k the loop stops after k pops and keeps its
+    # best so far.  U-shape seed cells (x outer, y inner): (1,1) d=1,
+    # (3,1) d=0 on the notch floor, (5,1) d=1; guesses: centroid (3, 0.9)
+    # d=0.1, bbox centre (3,1) d=0
+    import polylabel_rs_ray.geom.kernel as K
 
-    st = _PolyState(1.0)
-    # push with distances chosen so max_distance = d (half_extent 0)
-    for d in [8.0, 7.0, 9.0]:
-        st.push(1.0, 2.0, 0.0, d)
-    import heapq
+    u = [np.array([(0, 0), (6, 0), (6, 2), (4, 2), (4, 1), (2, 1), (2, 2), (0, 2)], float)]
+    monkeypatch.setattr(K, "MAX_POPS", 0)
+    # no pop: the bbox guess wins because its distance is LOWER (lib.rs:370-374)
+    x, y, d, _, e = polylabel_one(u, 0.1)
+    assert (x, y, e) == (3.0, 1.0, "max_iterations")
+    monkeypatch.setattr(K, "MAX_POPS", 1)
+    # the first pop has the largest max_distance; of the two tied cells the
+    # one pushed first ((1,1), x outer) pops first
+    x, y, d, _, e = polylabel_one(u, 0.1)
+    assert (x, y, d, e) == (1.0, 1.0, 1.0, "max_iterations")
+    monkeypatch.setattr(K, "MAX_POPS", 200_000)
+    assert polylabel_one(u, 0.1)[4] == ""
 
-    popped = [-heapq.heappop(st.heap)[0] for _ in range(3)]
-    assert popped == [9.0, 8.0, 7.0]
 
-
-def test_score_points_flat_signs():
+def test_signed_distance_signs():
     fx = FIXTURES["l_shape"]
-    prep = prepare_edges([fx.rings])
-    d = score_points_flat(
+    d = signed_distance(
         np.array([0.5, 2.0, -1.0]),
         np.array([0.5, 2.0, -1.0]),
         np.array([0, 0, 0]),
-        prep,
+        pack_polygons([fx.rings]),
     )
-    assert d[0] > 0  # inside the L
-    assert d[1] < 0  # in the notch
-    assert d[2] < 0  # outside entirely
+    assert d[0] == 0.5  # inside the L
+    assert d[1] == -1.0  # in the notch
+    assert d[2] == -math.sqrt(2.0)  # outside entirely, nearest the corner
+
+
+def test_signed_distance_rejects_bad_indices():
+    # the compiled scorer trusts its indices, so they are checked first
+    packed = pack_polygons([FIXTURES["l_shape"].rings])
+    one = np.array([0.5])
+    with pytest.raises(IndexError):
+        signed_distance(one, one, np.array([1]), packed)
+    with pytest.raises(ValueError):
+        signed_distance(one, np.array([0.5, 0.5]), np.array([0]), packed)

@@ -114,32 +114,3 @@ def test_self_intersecting_label_in_grid_overhang():
     cell = 11.0  # min(w=46, h=11)
     assert -46.0 <= x <= -46.0 + cell * np.ceil(46.0 / cell)  # grid extent
     assert 0.0 <= y <= 0.0 + cell * np.ceil(11.0 / cell)
-
-
-def test_vectorized_driver_equals_scalar_heap(monkeypatch):
-    # the 2D-frontier driver and the per-poly heap fallback must be
-    # bit-identical: same pop order (argmax first-max == FIFO tie), same
-    # drain semantics — cross-validated over fixtures at three tolerances
-    # plus random (possibly self-intersecting) rings
-    import polylabel_rs_ray.geom.kernel as K
-    from polylabel_rs_ray.sources.fixtures import FIXTURES, FIXTURE_CYCLE
-
-    polys, tols = [], []
-    for i in range(60):
-        f = FIXTURES[FIXTURE_CYCLE[i % len(FIXTURE_CYCLE)]]
-        polys.append([r + np.array([i % 5, i % 3]) for r in f.rings])
-        tols.append([1.0, 0.1, 0.01][i % 3])
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        n = int(rng.integers(3, 16))
-        polys.append([rng.uniform(-50, 50, size=(n, 2))])
-        tols.append(float(rng.uniform(0.01, 5.0)))
-    tols = np.asarray(tols)
-
-    vx, vy, vd, va, ve = K.polylabel_batch(polys, tols)
-    monkeypatch.setattr(K, "SEED_2D_CAP", -1)  # force the scalar path
-    sx, sy, sd, sa, se = K.polylabel_batch(polys, tols)
-    assert ve == se
-    for a, b in ((vx, sx), (vy, sy), (vd, sd), (va, sa)):
-        same = (a == b) | (np.isnan(a) & np.isnan(b))
-        assert same.all()

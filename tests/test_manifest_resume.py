@@ -138,3 +138,52 @@ def test_code_digest_change_makes_every_partition_stale(tmp_path, monkeypatch):
     monkeypatch.setattr(run_mod, "code_digest", lambda: "0" * 16)
     changed = run_mod.build_partition_descs(40, 4, 8, 5)
     assert pending_partitions(out, changed) == [0, 1, 2, 3]
+
+
+def _copy_digest_inputs(src_root, dst_root, c_suffix=b""):
+    import shutil
+
+    for rel in ("geom/kernel.py", "geom/polylabel.c", "stages/label.py",
+                "stages/cells.py", "sources/docs.py", "sources/fixtures.py",
+                "sources/fixture_data.npz"):
+        os.makedirs(os.path.join(dst_root, os.path.dirname(rel)), exist_ok=True)
+        shutil.copyfile(os.path.join(src_root, rel), os.path.join(dst_root, rel))
+    with open(os.path.join(dst_root, "geom/polylabel.c"), "ab") as f:
+        f.write(c_suffix)
+
+
+def test_code_digest_covers_the_c_source(tmp_path):
+    """Changing only the compiled kernel's source changes the digest, so
+    checkpoints written by the old search are re-run."""
+    from polylabel_rs_ray import run as run_mod
+
+    same, edited = str(tmp_path / "same"), str(tmp_path / "edited")
+    _copy_digest_inputs(run_mod._PKG, same)
+    _copy_digest_inputs(run_mod._PKG, edited, c_suffix=b"/* edited */\n")
+    assert run_mod.code_digest(same) == run_mod.code_digest()
+    assert run_mod.code_digest(edited) != run_mod.code_digest()
+
+
+def test_partition_leaves_global_data_context(ray_session, monkeypatch):
+    """run_label_partition switches the CPU reservation off for its own
+    Dataset and the Datasets derived from it; the process-global context
+    keeps its value."""
+    import ray
+
+    from polylabel_rs_ray.run import build_partition_descs, run_label_partition
+    from polylabel_rs_ray.stages import cells
+
+    ctx = ray.data.DataContext.get_current()
+    monkeypatch.setattr(ctx, "op_resource_reservation_enabled", True)
+    seen = []
+    real = cells.encode_stage
+
+    def spy(ds, *a):
+        seen.append(ds.context.op_resource_reservation_enabled)
+        return real(ds, *a)
+
+    monkeypatch.setattr(cells, "encode_stage", spy)
+    out = run_label_partition(build_partition_descs(40, 1, 8, 5)[0])
+    assert out.num_rows == 40
+    assert seen == [False]  # the labelled Dataset inherited the flag
+    assert ray.data.DataContext.get_current().op_resource_reservation_enabled is True
