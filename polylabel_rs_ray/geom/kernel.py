@@ -280,7 +280,6 @@ def polylabel_batch(
     maxx_a = np.maximum.reduceat(flat[:, 0], starts)
     miny_a = np.minimum.reduceat(flat[:, 1], starts)
     maxy_a = np.maximum.reduceat(flat[:, 1], starts)
-    del fin
 
     # phase 2: per-row guards and seed parameters for the compiled search
     which: list[int] = []  # packed polygon index of each searched row

@@ -7,12 +7,12 @@
  * (lib.rs:380-394).  kernel.py does the per-row prep (screens, area,
  * centroid, bbox, guards) and hands each live polygon's seed parameters in.
  *
- * Every floating-point expression keeps the operation order of the numpy
- * kernel it replaced, and the file is built with -ffp-contract=off, so
- * results are bit-identical to it.  Block skipping never drops the edge
- * that holds the minimum distance nor an edge that flips ray-cast parity:
- * both skip tests carry a margin that covers the rounding of the
- * per-edge arithmetic.
+ * Every floating-point expression keeps the operation order that
+ * tests/data/kernel_golden.npz was computed with, and the file is built
+ * with -ffp-contract=off (no fused multiply-add), so results match it bit
+ * for bit.  Block skipping never drops the edge that holds the minimum
+ * distance nor an edge that flips ray-cast parity: both skip tests carry a
+ * margin that covers the rounding of the per-edge arithmetic.
  */
 #include <float.h>
 #include <math.h>
@@ -39,8 +39,8 @@ typedef struct {
 typedef struct {
     edge_t *e;
     block_t *b;
-    double *lb; /* per-block scratch: squared distance to the box */
-    int64_t ne, nb, ecap, bcap, lbcap;
+    double *lb; /* per block: squared distance from the point to its box */
+    int64_t nb, ecap, bcap, lbcap;
     double x0, x1, y0, y1; /* bbox of every edge endpoint */
 } prep_t;
 
@@ -87,7 +87,6 @@ static int prep_build(prep_t *p, const double *xy, const int64_t *ring_off,
             nb += (n + BLOCK_SIZE - 1) / BLOCK_SIZE;
         }
     }
-    p->ne = ne;
     p->nb = nb;
     if (grow((void **)&p->e, &p->ecap, ne, sizeof(edge_t)) ||
         grow((void **)&p->b, &p->bcap, nb, sizeof(block_t)) ||
@@ -137,7 +136,8 @@ static int prep_build(prep_t *p, const double *xy, const int64_t *ring_off,
     return 0;
 }
 
-/* squared point-to-segment distance, in the numpy scorer's op order */
+/* squared point-to-segment distance; the op order is part of the result
+ * (tests/data/kernel_golden.npz), so keep it */
 static inline double edge_dist2(const edge_t *e, double px, double py)
 {
     double wx = px - e->ax, wy = py - e->ay;
