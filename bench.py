@@ -36,12 +36,8 @@ def headline(num_cpus: int) -> dict:
         ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
                  ignore_reinit_error=True)
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    import pyarrow as pa
-
-    from polylabel_rs_ray.config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
-    from polylabel_rs_ray.sources.docs import attach_interleaved
-    from polylabel_rs_ray.stages.cells import append_cell_columns
-    from polylabel_rs_ray.stages.label import label_points
+    from polylabel_rs_ray.sources.docs import range_docs
+    from polylabel_rs_ray.stages.label import labeled_rows
     from polylabel_rs_ray.stages.tiles import render_tiles
 
     # The streaming executor's per-operator CPU reservation splits the
@@ -54,26 +50,7 @@ def headline(num_cpus: int) -> dict:
     ray.data.range(1000).map_batches(lambda b: b, batch_format="pyarrow").count()
 
     t0 = time.time()
-    # ~300-doc blocks: enough tasks to balance the ~1000x per-polygon cost
-    # skew (L-shape vs Norway) across the pool without per-task overhead
-    ds = ray.data.range(BENCH_DOCS, override_num_blocks=max(BENCH_DOCS // 300, num_cpus))
-
-    def to_docs(batch: pa.Table) -> pa.Table:
-        return attach_interleaved(
-            pa.table({"doc_id": batch.column("id").cast(pa.int64())})
-        )
-
-    ds = ds.map_batches(to_docs, batch_format="pyarrow", zero_copy_batch=True)
-    ds = label_points(ds, batch_size=300)
-
-    # stateless function form of the cell encode: keeps the whole chain as
-    # elastic tasks
-    def encode(batch: pa.Table) -> pa.Table:
-        return append_cell_columns(
-            batch, cell_res=DEFAULT_CELL_RES, tile_res=DEFAULT_TILE_RES
-        )
-
-    ds = ds.map_batches(encode, batch_format="pyarrow", zero_copy_batch=True)
+    ds = labeled_rows(range_docs(0, BENCH_DOCS))
     tiles = render_tiles(ds.select_columns(["tile_id", "label_x", "label_y"]))
     n_tiles = tiles.count()
     wall = time.time() - t0

@@ -7,8 +7,6 @@ arithmetic is fp-exact; covers both the synthetic planar fixtures
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 WORLD_MIN = -2048.0
 WORLD_SIZE = 4096.0  # world is [WORLD_MIN, WORLD_MIN + WORLD_SIZE)^2
 
@@ -16,12 +14,3 @@ DEFAULT_CELL_RES = 8  # 256x256 grid -> 16-unit cells (join/shuffle key)
 DEFAULT_TILE_RES = 5  # 32x32 grid -> 128-unit tiles (render targets)
 MAX_RES = 26
 
-
-@dataclass(frozen=True)
-class EngineConfig:
-    cell_res: int = DEFAULT_CELL_RES
-    tile_res: int = DEFAULT_TILE_RES
-    tolerance_default: float = 1.0
-    label_batch_size: int = 512
-    raster_px: int = 64  # raster tile edge, pixels
-    knn_k: int = 3

@@ -6,22 +6,23 @@
       -> groupby(tile_id).map_groups(render) THE shuffle
       -> tile rows (raster + vector payloads)
 
-Every stage streams; nothing materializes the whole dataset.  The cell
-encode is a stateless task (``stages.cells.encode_stage``), so Ray Data
-fuses it into the label tasks.  Every map stage in the engine runs as a
-stateless task.
+Every stage streams; nothing materializes the whole dataset.  The label
+and cell-encode steps are the engine's one chain,
+``stages.label.labeled_rows``; ``run`` and the bench scripts call the same
+chain and differ only in the doc source (``sources.docs.range_docs`` there,
+``read_docs`` here).  Every map stage in the engine runs as a stateless
+task, so Ray Data fuses the cell encode into the label tasks.
 """
 
 from __future__ import annotations
 
 from ..sources.docs import read_docs
-from ..stages.cells import encode_stage
-from ..stages.label import label_points
+from ..stages.label import labeled_rows
 from ..stages.tiles import render_tiles
 
 
 def flagship_pipeline(sf_dir: str):
-    ds = encode_stage(label_points(read_docs(sf_dir)))
+    ds = labeled_rows(read_docs(sf_dir))
     # project BEFORE the tile shuffle: the renderer needs 3 columns; spans +
     # rings riding through the groupby would multiply the exchange ~50x
     # (measured 49 s -> bench-level on 120k docs)
@@ -36,7 +37,7 @@ def labeled_output(sf_dir: str):
     """
     import pyarrow as pa
 
-    ds = encode_stage(label_points(read_docs(sf_dir)))
+    ds = labeled_rows(read_docs(sf_dir))
 
     def shape(batch: pa.Table) -> pa.Table:
         label = pa.StructArray.from_arrays(

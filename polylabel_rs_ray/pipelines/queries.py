@@ -48,19 +48,22 @@ _LABELED_CACHE: dict[str, object] = {}
 
 def _labeled_checkpoint_dir(sf_dir: str, name: str = "labeled") -> str:
     """Deterministic checkpoint path keyed by source identity (path + mtime +
-    size of documents.parquet) — the lineage fingerprint that invalidates the
-    checkpoint if the input changes.  ``name`` selects the derived artifact
-    ("labeled" label columns, "tokenized" token lists, ...)."""
+    size of documents.parquet) and by ``run.code_digest()`` of the code that
+    computes the labels — the lineage fingerprint that invalidates the
+    checkpoint if the input or the kernel changes.  ``name`` selects the
+    derived artifact ("labeled" label columns, "tokenized" token lists, ...)."""
     import os
     import tempfile
     from hashlib import sha256
+
+    from .. import run
 
     src = os.path.join(sf_dir, "documents.parquet")
     try:
         stamp = f"{sf_dir}|{os.path.getmtime(src)}|{os.path.getsize(src)}"
     except OSError:
         stamp = sf_dir
-    fp = sha256(stamp.encode()).hexdigest()[:16]
+    fp = sha256(f"{stamp}|{run.code_digest()}".encode()).hexdigest()[:16]
     return os.path.join(tempfile.gettempdir(), "polylabel_ckpt", fp, name)
 
 
@@ -161,35 +164,24 @@ def spatial_partitioned_docs(sf_dir: str) -> str:
     coarse spatial tile of each label (partition_cols=['ptile']) — the
     clustered layout that makes spatial reads prunable.  Fingerprinted and
     atomically published like the labeled checkpoint."""
-    import os
-    import shutil
-
     from ..stages.cells import encode_cells, grid_coords
 
+    def add_ptile(batch: pa.Table) -> pa.Table:
+        x = batch.column("label_x").to_numpy()
+        y = batch.column("label_y").to_numpy()
+        ix, iy = grid_coords(x, y, COARSE_RES)
+        pt = encode_cells(ix, iy, COARSE_RES)
+        return pa.table({
+            "doc_num": batch.column("doc_num"),
+            "label_x": batch.column("label_x"),
+            "label_y": batch.column("label_y"),
+            "ptile": pa.array(pt, type=pa.int64()),
+        })
+
     ckpt = _labeled_checkpoint_dir(sf_dir) + "_spatial"
-    if not os.path.isdir(ckpt):
-        ds = labeled_docs(sf_dir)
-
-        def add_ptile(batch: pa.Table) -> pa.Table:
-            x = batch.column("label_x").to_numpy()
-            y = batch.column("label_y").to_numpy()
-            ix, iy = grid_coords(x, y, COARSE_RES)
-            pt = encode_cells(ix, iy, COARSE_RES)
-            return pa.table({
-                "doc_num": batch.column("doc_num"),
-                "label_x": batch.column("label_x"),
-                "label_y": batch.column("label_y"),
-                "ptile": pa.array(pt, type=pa.int64()),
-            })
-
-        tmp = f"{ckpt}.tmp.{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        ds.map_batches(add_ptile, batch_format="pyarrow",
-                       zero_copy_batch=True).write_parquet(tmp, partition_cols=["ptile"])
-        try:
-            os.rename(tmp, ckpt)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
+    _publish_checkpoint(ckpt, lambda tmp: labeled_docs(sf_dir).map_batches(
+        add_ptile, batch_format="pyarrow", zero_copy_batch=True,
+    ).write_parquet(tmp, partition_cols=["ptile"]))
     return ckpt
 
 
@@ -306,42 +298,12 @@ SQL_SPAN_INTEGRITY = """
 def _sql_dyadic_labels_cte() -> str:
     """CTE body: doc_num, label_x, label_y for the dyadic-fixture rows
     (labels fp-exactly fixture_constant + integer offset)."""
-    cases_x, cases_y = [], []
-    for name in DYADIC_FIXTURES:
-        f = FIXTURE_CYCLE.index(name)
-        fx = FIXTURES[name]
-        x, y, d, a, _ = polylabel_one(fx.rings, fx.tolerance)
-        if fx.kind == "sentinel":
-            cases_x.append(f"WHEN {f} THEN 0.0")
-            cases_y.append(f"WHEN {f} THEN 0.0")
-        else:
-            cases_x.append(
-                f"WHEN {f} THEN {x!r} + (doc_id*{docs_mod.OFF_X_MULT})%{docs_mod.OFF_MOD}"
-            )
-            cases_y.append(
-                f"WHEN {f} THEN {y!r} + (doc_id*{docs_mod.OFF_Y_MULT})%{docs_mod.OFF_MOD}"
-            )
-    n = docs_mod.N_FIXTURES
-    mods = ",".join(str(m) for m in DYADIC_IDX)
-    return (
-        f"SELECT doc_id AS doc_num, "
-        f"CASE doc_id % {n} {' '.join(cases_x)} END AS label_x, "
-        f"CASE doc_id % {n} {' '.join(cases_y)} END AS label_y "
-        f"FROM documents WHERE doc_id % {n} IN ({mods})"
-    )
+    return f"SELECT doc_num, label_x, label_y FROM ({_sql_label_dyadic()})"
 
 
 def _dyadic_labeled(sf_dir: str):
     """Labeled docs filtered to the dyadic-fixture rows (exact-oracle set)."""
-    ds = labeled_docs(sf_dir)
-    mods = DYADIC_IDX
-
-    def pick(batch: pa.Table) -> pa.Table:
-        fixture_idx = batch.column("doc_num").to_numpy() % docs_mod.N_FIXTURES
-        mask = pa.array(np.isin(fixture_idx, mods))
-        return batch.filter(mask).select(["doc_num", "label_x", "label_y"])
-
-    return ds.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
+    return q_label_dyadic(sf_dir).select_columns(["doc_num", "label_x", "label_y"])
 
 
 def q_labeled_output(sf_dir: str):

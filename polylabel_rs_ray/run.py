@@ -3,9 +3,11 @@
     python -m polylabel_rs_ray.run --out /tmp/labels_run --n-docs 20000 \
         --partitions 16 [--tiles] [--num-cpus 32]
 
-Phase 1 (resumable): doc-id-range partitions -> synthesize -> label ->
-cell-encode -> per-partition parquet + lineage manifest.  A re-run skips
-partitions whose manifest matches the input fingerprint.
+Phase 1 (resumable): each doc-id-range partition runs the engine's one
+chain, ``stages.label.labeled_rows`` over ``sources.docs.range_docs``
+(synthesize -> label -> cell-encode), into a per-partition parquet +
+lineage manifest; the flagship runs the same chain over ``read_docs``.  A
+re-run skips partitions whose manifest matches the input fingerprint.
 Phase 2: tile rendering over the labeled output (the groupby(tile_id)
 shuffle), written beside it.
 
@@ -63,26 +65,15 @@ def build_partition_descs(n_docs: int, n_parts: int, cell_res: int, tile_res: in
 def run_label_partition(desc: dict) -> pa.Table:
     import ray
 
-    from .sources.docs import attach_interleaved
-    from .stages.cells import encode_stage
-    from .stages.label import label_points
+    from .sources import docs
+    from .stages import label
 
-    n = desc["hi"] - desc["lo"]
-    ds = ray.data.range(n, override_num_blocks=max(n // 300, 8))
+    ds = docs.range_docs(desc["lo"], desc["hi"])
     # one dominant compute stage -> per-op CPU reservation only starves it.
     # The Dataset holds its own copy of the context, and every Dataset
     # derived from it below shares that copy; the process-global one stays.
     ds.context.op_resource_reservation_enabled = False
-
-    lo = desc["lo"]
-
-    def to_doc_ids(batch: pa.Table) -> pa.Table:
-        ids = batch.column("id").to_numpy() + lo
-        return attach_interleaved(pa.table({"doc_id": pa.array(ids, type=pa.int64())}))
-
-    ds = ds.map_batches(to_doc_ids, batch_format="pyarrow", zero_copy_batch=True)
-    ds = label_points(ds, batch_size=300)
-    ds = encode_stage(ds, desc["cell_res"], desc["tile_res"])
+    ds = label.labeled_rows(ds, desc["cell_res"], desc["tile_res"])
     ds = ds.drop_columns(["rings"])  # labels + lineage only in the sink
     # one partition's output is bounded by construction (n_docs / n_parts
     # rows), so collecting its blocks to write a single partition file is a

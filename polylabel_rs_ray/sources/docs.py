@@ -186,19 +186,51 @@ def attach_interleaved(batch: pa.Table) -> pa.Table:
     return out
 
 
-# read_docs block sizing: a single parquet file reads as ONE block, which
-# would serialize the downstream label chain (measured 12-17x on 120k docs).
-# Below this row count the doc_id column is cheap enough (8 bytes/row) to
-# re-split into ~300-row blocks (the label stage's skew-balancing size);
-# above it — the 10^12-doc deployment — the table is many files/fragments
-# and the reader's natural sharding provides the parallelism, so a
-# repartition of the id column would be a pointless all-to-all.
+# Doc block sizing: a single parquet file reads as ONE block, which would
+# serialize the downstream label chain (measured 12-17x on 120k docs).
+# Below RESPLIT_MAX_ROWS the doc_id column is cheap enough (8 bytes/row) to
+# re-split into ~LABEL_BLOCK_ROWS-row blocks (the label stage's
+# skew-balancing size); above it — the 10^12-doc deployment — the table is
+# many files/fragments and the reader's natural sharding provides the
+# parallelism, so a repartition of the id column would be a pointless
+# all-to-all.
 RESPLIT_MAX_ROWS = 50_000_000
 LABEL_BLOCK_ROWS = 300
 
 
-def read_docs(sf_dir: str, columns: list[str] | None = None,
-              limit: int | None = None):
+def doc_blocks(rows: int) -> int:
+    """Block count for ``rows`` docs, the one rule of every doc source:
+    ~LABEL_BLOCK_ROWS rows a block, at least ``shuffle_blocks()`` blocks
+    (one a CPU, at least 8), at most 4096."""
+    from ..stages.util import shuffle_blocks
+
+    return int(min(max(rows // LABEL_BLOCK_ROWS, shuffle_blocks()), 4096))
+
+
+def _synthesize(ds):
+    """``ds`` (an integer ``doc_id`` column) -> the interleaved documents.
+    ``attach_interleaved`` is looked up when the stage is built, so a
+    wrapper patched onto this module is the function the tasks run."""
+    return ds.map_batches(attach_interleaved, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _offset_ids(batch: pa.Table, lo: int) -> pa.Table:
+    ids = batch.column("id").to_numpy() + lo
+    return pa.table({"doc_id": pa.array(ids, type=pa.int64())})
+
+
+def range_docs(lo: int, hi: int):
+    """Interleaved-document Dataset for the doc ids ``[lo, hi)``, with no
+    table behind it: every row is synthesized from its id."""
+    import ray
+
+    ds = ray.data.range(hi - lo, override_num_blocks=doc_blocks(hi - lo))
+    ds = ds.map_batches(_offset_ids, fn_kwargs={"lo": lo}, batch_format="pyarrow",
+                        zero_copy_batch=True)
+    return _synthesize(ds)
+
+
+def read_docs(sf_dir: str):
     """Interleaved-document Dataset derived from the sf documents table.
 
     On a real deployment this is ``ray.data.read_lance`` over the Lance table
@@ -206,29 +238,17 @@ def read_docs(sf_dir: str, columns: list[str] | None = None,
     deterministically from the documents table's doc_id column — only the
     needed column leaves storage (prune-at-read).  The format is resolved by
     ``sources.table.read_table`` (Lance if available, Parquet fallback).
-    Small single-file tables are re-split to ~300-row blocks so the label
-    chain parallelizes (see RESPLIT_MAX_ROWS note above).
-
-    ``limit`` truncates BEFORE the repartition and synthesis stages — a
-    ``.limit()`` applied downstream of read_docs sits after the re-split
-    barrier and the span/ring synthesis, so the whole table gets synthesized
-    while the limit races it (measured: the skew probe spent ~3x its label
-    time there).  Pushing it here means only ``limit`` rows are ever built."""
+    Small single-file tables are re-split to ``doc_blocks`` blocks so the
+    label chain parallelizes (see RESPLIT_MAX_ROWS note above)."""
     from .table import read_table
-    from ..stages.util import shuffle_blocks
 
     ds = read_table(sf_dir, "documents", columns=["doc_id"])
-    rows = None
     try:
         import pyarrow.parquet as pq
 
         rows = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
     except Exception:  # noqa: BLE001 — non-parquet source: trust its sharding
-        pass
-    if limit is not None:
-        ds = ds.limit(limit)
-        rows = min(rows, limit) if rows else limit
+        rows = None
     if rows and rows <= RESPLIT_MAX_ROWS:
-        target = int(min(max(rows // LABEL_BLOCK_ROWS, shuffle_blocks()), 4096))
-        ds = ds.repartition(target)
-    return ds.map_batches(attach_interleaved, batch_format="pyarrow", zero_copy_batch=True)
+        ds = ds.repartition(doc_blocks(rows))
+    return _synthesize(ds)

@@ -11,6 +11,10 @@ Appends: label_x, label_y (the label point — the reference's
 clearance, ``best_cell.distance``), area (shoelace signed area, the CLI's
 ``_area`` property, labels.geojson:1), label_error (non-null when the
 reference would have errored/panicked: ffi.rs:78-80, lib.rs:64-66).
+
+``labeled_rows`` is the engine's one chain from documents to labelled,
+cell-encoded rows; every entry (flagship, ``run``, the bench scripts) calls
+it and differs only in its doc source.
 """
 
 from __future__ import annotations
@@ -18,9 +22,15 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import cells
+from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
 from ..geom.kernel import polylabel_batch
 
 DEFAULT_TOLERANCE = 1.0
+# rows per label batch: polygons vary ~1000x in cost (7-vertex L-shape vs
+# 8854-vertex Norway — benches/benchmark.rs), so batches are kept small
+# enough that Ray's streaming executor can balance the skew across tasks
+LABEL_BATCH_ROWS = 512
 
 
 def rings_to_numpy(col: pa.ChunkedArray | pa.Array) -> list[list[np.ndarray]]:
@@ -69,13 +79,15 @@ def label_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def label_points(ds, *, batch_size: int = 512):
-    """Public convenience: Dataset -> Dataset with label columns.
-
-    ``batch_size`` bounds per-task work; polygons vary ~1000x in cost
-    (7-vertex L-shape vs 8854-vertex Norway — benches/benchmark.rs), so
-    batches are kept small enough that Ray's streaming executor can balance
-    the skew across tasks."""
+def label_points(ds):
+    """Dataset -> Dataset with label columns, in batches of LABEL_BATCH_ROWS rows."""
     return ds.map_batches(
-        label_batch, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
+        label_batch, batch_format="pyarrow", zero_copy_batch=True, batch_size=LABEL_BATCH_ROWS
     )
+
+
+def labeled_rows(docs, cell_res: int = DEFAULT_CELL_RES, tile_res: int = DEFAULT_TILE_RES):
+    """Documents -> label columns -> ``cell_id`` and ``tile_id``.  The stage
+    callables are looked up on their modules when the chain is built, so a
+    wrapper patched onto a module is the function the tasks run."""
+    return cells.encode_stage(label_points(docs), cell_res, tile_res)

@@ -90,11 +90,14 @@ def test_span_sequence_equality_through_stage(doc_table):
         assert out.column("spans")[i].as_py() == doc_table.column("spans")[i].as_py()
 
 
-def test_ray_dataset_label_stage(ray_session, doc_table):
+def test_ray_dataset_label_stage(ray_session, doc_table, monkeypatch):
     import ray
 
+    from polylabel_rs_ray.stages import label
+
+    monkeypatch.setattr(label, "LABEL_BATCH_ROWS", 32)  # several batches
     ds = ray.data.from_arrow(doc_table)
-    res = label_points(ds, batch_size=32).sort("doc_num")
+    res = label_points(ds).sort("doc_num")
     got = res.to_pandas()
     ref = label_batch(doc_table)
     np.testing.assert_array_equal(got["label_x"].to_numpy(), ref.column("label_x").to_numpy())
@@ -149,6 +152,20 @@ def test_labeled_checkpoint_fingerprint_invalidation(tmp_path):
     assert p1 == p2
     os.utime(src, (1_700_000_000, 1_700_000_000))
     assert _labeled_checkpoint_dir(str(tmp_path)) != p1
+
+
+def test_labeled_checkpoint_keyed_by_code_digest(tmp_path, monkeypatch):
+    """A kernel or chain change (a new ``run.code_digest()``) moves the
+    labelled checkpoint, so labels from the old code are never read."""
+    import shutil
+
+    from polylabel_rs_ray import run
+    from polylabel_rs_ray.pipelines.queries import _labeled_checkpoint_dir
+
+    shutil.copy("/root/testdata/sf0.001/documents.parquet", tmp_path / "documents.parquet")
+    before = _labeled_checkpoint_dir(str(tmp_path))
+    monkeypatch.setattr(run, "code_digest", lambda: "0" * 16)
+    assert _labeled_checkpoint_dir(str(tmp_path)) != before
 
 
 def test_read_table_format_fallbacks(ray_session, tmp_path):

@@ -81,6 +81,32 @@ def test_partition_labelled_once(ray_session, tmp_path, monkeypatch):
         assert sum(int(n) for n in f) == 600
 
 
+def test_partition_matches_read_docs_chain(ray_session, tmp_path):
+    """A checkpointed partition and the flagship's documents-table source
+    feed the same chain: for the same doc ids they give the same labels,
+    cells, tiles and spans."""
+    import numpy as np
+    import pyarrow as pa
+    import ray
+
+    from polylabel_rs_ray.run import build_partition_descs, run_label_partition
+    from polylabel_rs_ray.sources.docs import read_docs
+    from polylabel_rs_ray.stages.label import labeled_rows
+
+    lo, n = 1000, 250
+    pq.write_table(pa.table({"doc_id": pa.array(np.arange(lo, lo + n), type=pa.int64())}),
+                   str(tmp_path / "documents.parquet"))
+    desc = build_partition_descs(n, 1, 8, 5)[0]
+    desc["lo"], desc["hi"] = lo, lo + n
+    part = run_label_partition(desc).sort_by("doc_num")
+    ds = labeled_rows(read_docs(str(tmp_path)), 8, 5).materialize()
+    table = pa.concat_tables(ray.get(ds.to_arrow_refs())).sort_by("doc_num")
+    assert part.column("doc_num").to_pylist() == list(range(lo, lo + n))
+    for col in ["doc_num", "doc_id", "label_x", "label_y", "label_dist", "area",
+                "label_error", "cell_id", "tile_id", "spans"]:
+        assert part.column(col).to_pylist() == table.column(col).to_pylist(), col
+
+
 def _table(n):
     import pyarrow as pa
 

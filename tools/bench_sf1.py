@@ -60,33 +60,14 @@ def main() -> None:
     qs = entrymod.queries()
 
     # flagship headline at 10x the bench.py document count
-    import pyarrow as pa
-
-    from polylabel_rs_ray.config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
-    from polylabel_rs_ray.sources.docs import attach_interleaved
-    from polylabel_rs_ray.stages.cells import append_cell_columns
-    from polylabel_rs_ray.stages.label import label_points
+    from polylabel_rs_ray.sources.docs import range_docs
+    from polylabel_rs_ray.stages.label import labeled_rows
     from polylabel_rs_ray.stages.tiles import render_tiles
 
     docs = int(os.environ.get("GRAFT_BENCH_DOCS", "1200000"))
     ray.data.range(1000).map_batches(lambda b: b, batch_format="pyarrow").count()
     t0 = time.time()
-    ds = ray.data.range(docs, override_num_blocks=max(docs // 300, NUM_CPUS))
-
-    def to_docs(batch: pa.Table) -> pa.Table:
-        return attach_interleaved(
-            pa.table({"doc_id": batch.column("id").cast(pa.int64())})
-        )
-
-    ds = ds.map_batches(to_docs, batch_format="pyarrow", zero_copy_batch=True)
-    ds = label_points(ds, batch_size=300)
-
-    def encode(batch: pa.Table) -> pa.Table:
-        return append_cell_columns(
-            batch, cell_res=DEFAULT_CELL_RES, tile_res=DEFAULT_TILE_RES
-        )
-
-    ds = ds.map_batches(encode, batch_format="pyarrow", zero_copy_batch=True)
+    ds = labeled_rows(range_docs(0, docs))
     tiles = render_tiles(ds.select_columns(["tile_id", "label_x", "label_y"]))
     n_tiles = tiles.count()
     flagship_wall = time.time() - t0

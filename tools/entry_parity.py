@@ -1,12 +1,12 @@
 """Parity evidence: the entry()/flagship_pipeline code path at bench scale.
 
-bench.py's headline times read -> label -> encode -> render with an inline
-synthesized source.  The driver's ``entry()`` runs
-``pipelines.flagship.flagship_pipeline`` (same stages, source = read_docs
-over a documents table).  This script times the
+bench.py's headline and the driver's ``entry()``
+(``pipelines.flagship.flagship_pipeline``) run the same chain,
+``stages.label.labeled_rows`` then the tile render, and differ only in the
+doc source: bench.py synthesizes a doc-id range (``sources.docs.range_docs``),
+entry() reads the documents table (``read_docs``).  This script times the
 ENTRY path on a 120k-doc documents table (written to /tmp once) so the two
-numbers are directly comparable — the round-2 verdict asked for the
-entry()-path flagship within ~10% of the bench stateless variant.
+numbers are directly comparable, which measures what the source alone costs.
 
     python tools/entry_parity.py [--docs 120000] [--num-cpus 32]
 """

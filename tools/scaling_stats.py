@@ -26,12 +26,8 @@ def run(num_cpus: int, docs: int, reservation: bool) -> tuple[dict, str]:
 
     ray.init(address="local", num_cpus=num_cpus, include_dashboard=False)
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    import pyarrow as pa
-
-    from polylabel_rs_ray.config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
-    from polylabel_rs_ray.sources.docs import attach_interleaved
-    from polylabel_rs_ray.stages.cells import append_cell_columns
-    from polylabel_rs_ray.stages.label import label_points
+    from polylabel_rs_ray.sources.docs import range_docs
+    from polylabel_rs_ray.stages.label import labeled_rows
     from polylabel_rs_ray.stages.tiles import render_tiles
 
     ray.data.DataContext.get_current().op_resource_reservation_enabled = reservation
@@ -40,22 +36,7 @@ def run(num_cpus: int, docs: int, reservation: bool) -> tuple[dict, str]:
     ray.data.range(1000).map_batches(lambda b: b, batch_format="pyarrow").count()
 
     t0 = time.time()
-    ds = ray.data.range(docs, override_num_blocks=max(docs // 300, num_cpus))
-
-    def to_docs(batch: pa.Table) -> pa.Table:
-        return attach_interleaved(
-            pa.table({"doc_id": batch.column("id").cast(pa.int64())})
-        )
-
-    ds = ds.map_batches(to_docs, batch_format="pyarrow", zero_copy_batch=True)
-    ds = label_points(ds, batch_size=300)
-
-    def encode(batch: pa.Table) -> pa.Table:
-        return append_cell_columns(
-            batch, cell_res=DEFAULT_CELL_RES, tile_res=DEFAULT_TILE_RES
-        )
-
-    ds = ds.map_batches(encode, batch_format="pyarrow", zero_copy_batch=True)
+    ds = labeled_rows(range_docs(0, docs))
     tiles = render_tiles(ds.select_columns(["tile_id", "label_x", "label_y"]))
     # materialize so stats() reports THIS execution (count() runs a plan
     # copy whose stats are dropped); the output is tile rows — driver-small
