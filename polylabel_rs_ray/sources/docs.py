@@ -189,12 +189,15 @@ def attach_interleaved(batch: pa.Table) -> pa.Table:
 # Doc block sizing: a single parquet file reads as ONE block, which would
 # serialize the downstream label chain (measured 12-17x on 120k docs).
 # Below RESPLIT_MAX_ROWS the doc_id column is cheap enough (8 bytes/row) to
-# re-split into ~LABEL_BLOCK_ROWS-row blocks (the label stage's
-# skew-balancing size); above it — the 10^12-doc deployment — the table is
-# many files/fragments and the reader's natural sharding provides the
-# parallelism, so a repartition of the id column would be a pointless
-# all-to-all.
+# re-split into ~LABEL_BLOCK_ROWS-row blocks; above it — the 10^12-doc
+# deployment — the table is many files/fragments and the reader's natural
+# sharding provides the parallelism, so a repartition of the id column would
+# be a pointless all-to-all.
 RESPLIT_MAX_ROWS = 50_000_000
+# Rows a doc block holds.  It is not the label task size: a label task
+# bundles whole blocks up to ``label.LABEL_BATCH_ROWS`` rows, i.e. two
+# 300-row blocks.  Since fixtures cycle with the doc id, every block of
+# consecutive ids carries the same mix of cheap and ~1000x costlier polygons.
 LABEL_BLOCK_ROWS = 300
 
 

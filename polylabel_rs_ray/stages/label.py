@@ -27,9 +27,11 @@ from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
 from ..geom.kernel import polylabel_batch
 
 DEFAULT_TOLERANCE = 1.0
-# rows per label batch: polygons vary ~1000x in cost (7-vertex L-shape vs
-# 8854-vertex Norway — benches/benchmark.rs), so batches are kept small
-# enough that Ray's streaming executor can balance the skew across tasks
+# Rows a label batch holds.  A task bundles whole doc blocks until it has at
+# least this many rows, so over ``docs.LABEL_BLOCK_ROWS`` (300) blocks a
+# label task is two blocks, ~600 rows.  One block a task (300-row batches)
+# was 15-18% slower in docs/s on perfbench's mixed_flagship and
+# small_poly_join (1 CPU, 10 alternating pairs each).
 LABEL_BATCH_ROWS = 512
 
 

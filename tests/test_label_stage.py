@@ -137,12 +137,14 @@ def test_f32_api_dtype_roundtrip():
     assert (float(x), float(y)) == (0.5625, 0.5625)
 
 
-def test_labeled_checkpoint_fingerprint_invalidation(tmp_path):
+def test_labeled_checkpoint_fingerprint_invalidation(tmp_path, monkeypatch):
     """Checkpoint lineage: same source -> same path; touched source
-    (mtime change) -> different path (stale checkpoint never reused)."""
+    (mtime change) or new code (``run.code_digest()``) -> different path
+    (stale checkpoint never reused)."""
     import os
     import shutil
 
+    from polylabel_rs_ray import run
     from polylabel_rs_ray.pipelines.queries import _labeled_checkpoint_dir
 
     src = tmp_path / "documents.parquet"
@@ -151,21 +153,10 @@ def test_labeled_checkpoint_fingerprint_invalidation(tmp_path):
     p2 = _labeled_checkpoint_dir(str(tmp_path))
     assert p1 == p2
     os.utime(src, (1_700_000_000, 1_700_000_000))
-    assert _labeled_checkpoint_dir(str(tmp_path)) != p1
-
-
-def test_labeled_checkpoint_keyed_by_code_digest(tmp_path, monkeypatch):
-    """A kernel or chain change (a new ``run.code_digest()``) moves the
-    labelled checkpoint, so labels from the old code are never read."""
-    import shutil
-
-    from polylabel_rs_ray import run
-    from polylabel_rs_ray.pipelines.queries import _labeled_checkpoint_dir
-
-    shutil.copy("/root/testdata/sf0.001/documents.parquet", tmp_path / "documents.parquet")
-    before = _labeled_checkpoint_dir(str(tmp_path))
+    p3 = _labeled_checkpoint_dir(str(tmp_path))
+    assert p3 != p1
     monkeypatch.setattr(run, "code_digest", lambda: "0" * 16)
-    assert _labeled_checkpoint_dir(str(tmp_path)) != before
+    assert _labeled_checkpoint_dir(str(tmp_path)) != p3
 
 
 def test_read_table_format_fallbacks(ray_session, tmp_path):
