@@ -10,7 +10,7 @@ carrying an ``_area`` property (mirroring labels.geojson:1; planar shoelace
 area here — the reference CLI reports projected area).
 
 The feature list becomes a Ray Dataset so arbitrarily large collections
-stream through the same ``label_batch`` stage as the table pipeline.
+stream through the same ``label_points`` stage as the table pipeline.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import argparse
 import json
 import sys
 
-import numpy as np
 import pyarrow as pa
 
 from .sources.docs import RINGS_TYPE
-from .stages.label import label_batch
+from .stages.label import label_points
 
 
 def features_to_table(features: list[dict], tolerance: float) -> pa.Table:
@@ -50,21 +49,14 @@ def features_to_table(features: list[dict], tolerance: float) -> pa.Table:
     })
 
 
-def label_geojson(doc: dict, tolerance: float, *, use_ray: bool = True) -> dict:
-    table = features_to_table(doc.get("features", []), tolerance)
-    if use_ray:
-        import ray
+def label_geojson(doc: dict, tolerance: float) -> dict:
+    import ray
 
-        ds = ray.data.from_arrow(table)
-        out = pa.concat_tables(
-            ray.get(
-                ds.map_batches(
-                    label_batch, batch_format="pyarrow", zero_copy_batch=True
-                ).to_arrow_refs()
-            )
-        )
-    else:
-        out = label_batch(table)
+    table = features_to_table(doc.get("features", []), tolerance)
+    # materialize() runs the plan once; to_arrow_refs() on the lazy plan
+    # would first run it to read the schema, labelling every polygon twice
+    ds = label_points(ray.data.from_arrow(table)).materialize()
+    out = pa.concat_tables(ray.get(ds.to_arrow_refs()))
     feats = []
     for row in out.to_pylist():
         props = {"_area": row["area"], "feature_idx": row["feature_idx"],

@@ -21,8 +21,7 @@ pipeline, not just that two replicas agree.
 
 Reference anchors: raster-classification + engine-audit families
 (SURVEY.md §2.3/2.4); siblings: tile_counts / tile_equalize (bounded
-tile rasters), label_dyadic (translation-exact labels),
-partition_skew_audit (generator-replay oracles).
+tile rasters), label_dyadic (translation-exact labels).
 """
 
 from __future__ import annotations

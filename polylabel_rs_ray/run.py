@@ -80,7 +80,9 @@ def run_label_partition(desc: dict) -> pa.Table:
     # small-result materialization, not a whole-dataset one.  The plan runs
     # once in materialize(): to_arrow_refs() on the lazy plan would first
     # run it under a row limit to read the schema, labelling every row twice.
-    return pa.concat_tables(ray.get(ds.materialize().to_arrow_refs()))
+    # Blocks arrive in task-completion order; sorting by the unique doc_num
+    # makes a partition's rows, and so its data.parquet bytes, reproducible.
+    return pa.concat_tables(ray.get(ds.materialize().to_arrow_refs())).sort_by("doc_num")
 
 
 def run(out_dir: str, n_docs: int, n_parts: int, *, tiles: bool = False,

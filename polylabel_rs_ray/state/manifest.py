@@ -118,13 +118,7 @@ def write_summary(out_dir: str, extra: dict | None = None) -> dict:
     return summary
 
 
-def run_partitioned(
-    out_dir: str,
-    parts: list[dict],
-    run_one,
-    *,
-    summary_extra: dict | None = None,
-) -> dict:
+def run_partitioned(out_dir: str, parts: list[dict], run_one) -> dict:
     """Execute ``run_one(desc) -> pyarrow.Table`` for every pending
     partition, skipping complete ones (resume semantics).  Returns the run
     summary.  ``run_one`` typically builds and consumes a Ray Dataset
@@ -134,7 +128,4 @@ def run_partitioned(
         t0 = time.time()
         table = run_one(parts[i])
         write_partition(out_dir, i, table, parts[i], time.time() - t0)
-    return write_summary(
-        out_dir,
-        {**(summary_extra or {}), "resumed_skipped": len(parts) - len(pending)},
-    )
+    return write_summary(out_dir, {"resumed_skipped": len(parts) - len(pending)})

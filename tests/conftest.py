@@ -16,3 +16,23 @@ def ray_session():
         )
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def labelled_rows(tmp_path, monkeypatch):
+    """Patch ``label.label_batch`` with a row counter; returns a function
+    giving the number of rows labelled so far.  The counts go through a
+    file because the batches run in Ray worker processes."""
+    from polylabel_rs_ray.stages import label
+
+    counts = tmp_path / "label_rows.txt"
+    counts.touch()
+    real = label.label_batch
+
+    def counting(batch):
+        with open(counts, "a") as f:
+            f.write(f"{batch.num_rows}\n")
+        return real(batch)
+
+    monkeypatch.setattr(label, "label_batch", counting)
+    return lambda: sum(int(n) for n in counts.read_text().split())

@@ -80,6 +80,25 @@ def test_geojson_multipolygon(ray_session):
     assert all(f["properties"]["feature_idx"] == 0 for f in out["features"])
 
 
+def test_geojson_cli_labels_each_polygon_once(ray_session, labelled_rows):
+    """The CLI sends each polygon through label_batch once, not once more to
+    read the output schema."""
+    from polylabel_rs_ray.geojson_cli import label_geojson
+
+    doc = {
+        "type": "FeatureCollection",
+        "features": [{
+            "type": "Feature",
+            "properties": {},
+            "geometry": {"type": "Polygon",
+                         "coordinates": [[[x + i * 10.0, y] for x, y in ELL_RING]]},
+        } for i in range(5)],
+    }
+    out = label_geojson(doc, 0.1)
+    assert len(out["features"]) == 5
+    assert labelled_rows() == 5
+
+
 def test_one_hot_tile_matches_renderer(ray_session):
     """Every row in one tile, spread over several blocks: the shuffle hands
     the renderer the whole tile, so the output is what TileRenderer gives on

@@ -60,25 +60,31 @@ def test_tiles_phase(ray_session, tmp_path):
     assert summary["rows"] == 180
 
 
-def test_partition_labelled_once(ray_session, tmp_path, monkeypatch):
+def test_partition_labelled_once(ray_session, labelled_rows):
     """A checkpointed partition sends each of its rows through label_batch
     once, not once more to read the output schema."""
     from polylabel_rs_ray.run import build_partition_descs, run_label_partition
-    from polylabel_rs_ray.stages import label
 
-    counts = str(tmp_path / "label_rows.txt")
-    real = label.label_batch
-
-    def counting(batch):
-        with open(counts, "a") as f:
-            f.write(f"{batch.num_rows}\n")
-        return real(batch)
-
-    monkeypatch.setattr(label, "label_batch", counting)
     out = run_label_partition(build_partition_descs(600, 1, 8, 5)[0])
     assert out.num_rows == 600
-    with open(counts) as f:
-        assert sum(int(n) for n in f) == 600
+    assert labelled_rows() == 600
+
+
+def test_partition_rows_in_doc_order(ray_session, tmp_path):
+    """A partition spread over several label tasks comes back in doc_num
+    order whatever order the tasks finish in, so two runs write the same
+    data.parquet bytes."""
+    from polylabel_rs_ray.run import run
+
+    paths = []
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        run(out, n_docs=1500, n_parts=1)
+        paths.append(os.path.join(out, "part-00000", "data.parquet"))
+    doc_num = pq.read_table(paths[0], columns=["doc_num"]).column("doc_num").to_pylist()
+    assert doc_num == list(range(1500))
+    with open(paths[0], "rb") as fa, open(paths[1], "rb") as fb:
+        assert fa.read() == fb.read()
 
 
 def test_partition_matches_read_docs_chain(ray_session, tmp_path):
