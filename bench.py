@@ -74,15 +74,19 @@ def run_queries(sf_dir: str) -> dict:
         "zone_join",
         "knn_tiles",
         "render_tiles",
+        "pricing_summary",
+        "top_orders",
+        "events_by_type",
         "exact_dedup",
         "minhash_near_dup",
         "ann_topk",
         "quality_scores",
         "media_kind_counts",
-        # round-3 additions: real media decode trio
+        # round-3 additions: real media decode trio + scale-safe pagerank
         "image_decode_stats",
         "audio_decode_stats",
         "video_decode_stats",
+        "pagerank_parts",
     ]
     qs = entrymod.queries()
     gate = float(os.environ.get("GRAFT_LOAD_GATE", "2.0"))

@@ -44,6 +44,7 @@ def lang_id_batch(texts: list[str | None]) -> list[str]:
 
 # --- quality scoring -------------------------------------------------------
 _STOPWORDS = _LANG_PROFILES["en"]
+PUNCT = ".,!?;:"
 
 
 def quality_batch(texts: pa.Array | pa.ChunkedArray) -> pa.Table:
@@ -95,6 +96,9 @@ def token_counts_batch(texts: pa.Array | pa.ChunkedArray) -> pa.Table:
 
 
 # --- document fingerprint (rolling polynomial hash) ------------------------
+FP_BASE = np.uint64(1000003)
+FP_MOD_MASK = np.uint64((1 << 61) - 1)  # mod 2^61-1 via masking-free modmul
+
 
 def fingerprint_one(text: str) -> int:
     """Polynomial rolling hash over utf-8 bytes, mod 2^61-1 — a stable
@@ -109,3 +113,8 @@ def fingerprint_one(text: str) -> int:
 
 def fingerprint_batch(texts: list[str | None]) -> list[int | None]:
     return [fingerprint_one(t) if t is not None else None for t in texts]
+
+
+def sql_fingerprint_udf(con) -> None:
+    """Register fingerprint as a DuckDB scalar UDF for oracle runs."""
+    con.create_function("fp61", fingerprint_one, return_type="BIGINT")

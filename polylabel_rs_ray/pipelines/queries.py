@@ -9,8 +9,9 @@ value are *bit-identical* by construction —
   * label points of dyadic fixtures: integer translation is fp-exact
     (tests/test_geom_kernel.py::test_translation_exactness_dyadic), so the
     expected label is ``fixture_constant + offset``;
-  * sums go through integers (cents, micro-units, counts), making
-    distributed sums order-free.
+  * money/value sums go through integer cents (values have exactly 2
+    decimals in the test tables), making distributed sums order-free;
+  * quantity sums/averages involve only integral doubles (exact in fp).
 Non-SQL-expressible pipelines (full spatial join, tiles, MinHash, ...) are
 registered without an oracle -> driver records rows-only checks.
 """
@@ -26,7 +27,7 @@ import pyarrow.compute as pc
 from ..geom.kernel import polylabel_one
 from ..sources import docs as docs_mod
 from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
-from ..stages.label import label_points
+from ..stages.label import label_batch, label_points
 
 DYADIC_IDX = [FIXTURE_CYCLE.index(n) for n in DYADIC_FIXTURES]
 
@@ -477,6 +478,41 @@ def q_zone_join_copartitioned(sf_dir: str):
     return copartitioned_zone_join(_dyadic_labeled(sf_dir))
 
 
+def q_events_windowed(sf_dir: str):
+    """Tumbling-window (1h) aggregate per event_type — the streaming-style
+    windowed rollup, as a groupby over truncated event time."""
+    ray = _ray()
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"])
+
+    def bucket(batch: pa.Table) -> pa.Table:
+        # epoch-microsecond ints, not timestamps: pandas timestamp units
+        # (ns vs us) differ between Arrow and DuckDB paths and would trip a
+        # schema comparison
+        win = pc.floor_temporal(batch.column("ts"), unit="hour")
+        return pa.table({
+            "window_start_us": pc.cast(win, pa.int64()),
+            "event_type": batch.column("event_type"),
+            "value_cents": pc.cast(pc.round(pc.multiply(batch.column("value"), 100.0)), pa.int64()),
+        })
+
+    from ..stages.agg import grouped_aggregate
+
+    return grouped_aggregate(
+        ds.map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True),
+        ["window_start_us", "event_type"],
+        [("count", None, "n_events"), ("sum", "value_cents", "sum_value_cents")],
+    )
+
+
+SQL_EVENTS_WINDOWED = """
+    SELECT CAST(epoch_us(date_trunc('hour', ts)) AS BIGINT) AS window_start_us,
+           event_type,
+           CAST(COUNT(*) AS BIGINT) AS n_events,
+           CAST(SUM(CAST(ROUND(value*100) AS BIGINT)) AS BIGINT) AS sum_value_cents
+    FROM events GROUP BY 1, 2
+"""
+
+
 def q_knn_tiles(sf_dir: str):
     """k-nearest tile centers per label point (expanding-ring search)."""
     from ..stages.join import KnnTiles
@@ -617,6 +653,136 @@ def _sql_render_tiles() -> str:
 
 
 # --------------------------------------------------------------------------
+# relational operators over the TPC-H-ish tables (engine generality)
+# --------------------------------------------------------------------------
+
+def q_pricing_summary(sf_dir: str):
+    """Groupby-aggregate with map-side-friendly exact arithmetic (cents)."""
+    ray = _ray()
+    from ray.data.aggregate import Count, Mean, Sum
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/lineitem.parquet",
+        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
+    )
+
+    def to_cents(batch: pa.Table) -> pa.Table:
+        cents = pc.cast(pc.round(pc.multiply(batch.column("l_extendedprice"), 100.0)), pa.int64())
+        return pa.table({
+            "l_returnflag": batch.column("l_returnflag"),
+            "l_linestatus": batch.column("l_linestatus"),
+            "l_quantity": batch.column("l_quantity"),
+            "price_cents": cents,
+        })
+
+    from ..stages.agg import grouped_aggregate
+
+    return grouped_aggregate(
+        ds.map_batches(to_cents, batch_format="pyarrow", zero_copy_batch=True),
+        ["l_returnflag", "l_linestatus"],
+        [
+            ("sum", "l_quantity", "sum_qty"),
+            ("sum", "price_cents", "sum_price_cents"),
+            ("mean", "l_quantity", "avg_qty"),
+            ("count", None, "count_order"),
+        ],
+    )
+
+
+SQL_PRICING_SUMMARY = """
+    SELECT l_returnflag, l_linestatus,
+           SUM(l_quantity) AS sum_qty,
+           CAST(SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT)) AS BIGINT) AS sum_price_cents,
+           AVG(l_quantity) AS avg_qty,
+           CAST(COUNT(*) AS BIGINT) AS count_order
+    FROM lineitem GROUP BY l_returnflag, l_linestatus
+"""
+
+
+def q_top_orders(sf_dir: str):
+    """Sort + limit (top-k), deterministic via secondary key."""
+    ray = _ray()
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"]
+    )
+    return ds.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(10)
+
+
+SQL_TOP_ORDERS = """
+    SELECT o_orderkey, o_totalprice FROM orders
+    ORDER BY o_totalprice DESC, o_orderkey ASC LIMIT 10
+"""
+
+
+def q_customers_per_nation(sf_dir: str):
+    """Broadcast hash join (small side shipped once via ray.put) + count."""
+    ray = _ray()
+    import pyarrow.parquet as pq
+
+    nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
+
+    class AttachNation:
+        """Broadcast LUT join, vectorized: searchsorted over the sorted key
+        column + a single pc.take gather (no per-row Python)."""
+
+        def __init__(self, tbl: pa.Table):
+            keys = tbl.column("n_nationkey").to_numpy().astype(np.int64)
+            order = np.argsort(keys)
+            self.keys_sorted = keys[order]
+            self.names_sorted = tbl.column("n_name").combine_chunks().take(pa.array(order))
+
+        def __call__(self, batch: pa.Table) -> pa.Table:
+            keys = batch.column("c_nationkey").to_numpy()
+            idx = np.searchsorted(self.keys_sorted, keys)
+            return pa.table({"n_name": self.names_sorted.take(pa.array(idx))})
+
+    ds = ray.data.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_nationkey"])
+    fn = AttachNation(nation)
+    from ..stages.agg import grouped_aggregate
+
+    return grouped_aggregate(
+        ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True),
+        ["n_name"],
+        [("count", None, "num_customers")],
+    )
+
+
+SQL_CUSTOMERS_PER_NATION = """
+    SELECT n_name, CAST(COUNT(*) AS BIGINT) AS num_customers
+    FROM customer JOIN nation ON c_nationkey = n_nationkey
+    GROUP BY n_name
+"""
+
+
+def q_events_by_type(sf_dir: str):
+    ray = _ray()
+    from ray.data.aggregate import Count, Sum
+
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
+
+    def to_cents(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "event_type": batch.column("event_type"),
+            "value_cents": pc.cast(pc.round(pc.multiply(batch.column("value"), 100.0)), pa.int64()),
+        })
+
+    from ..stages.agg import grouped_aggregate
+
+    return grouped_aggregate(
+        ds.map_batches(to_cents, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type"],
+        [("count", None, "n_events"), ("sum", "value_cents", "sum_value_cents")],
+    )
+
+
+SQL_EVENTS_BY_TYPE = """
+    SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_events,
+           CAST(SUM(CAST(ROUND(value*100) AS BIGINT)) AS BIGINT) AS sum_value_cents
+    FROM events GROUP BY event_type
+"""
+
+
+# --------------------------------------------------------------------------
 # text / dedup over the documents table
 # --------------------------------------------------------------------------
 
@@ -696,6 +862,347 @@ SQL_LANG_COUNTS = """
     SELECT lang, CAST(COUNT(*) AS BIGINT) AS n_docs,
            CAST(SUM(n_chars) AS BIGINT) AS total_chars
     FROM documents GROUP BY lang
+"""
+
+
+def q_sessionize(sf_dir: str):
+    """Gap-based sessionization (30-min inactivity): per-user event streams
+    sorted by time inside ``groupby(user_id).map_groups`` — the stateful
+    ordered-within-key pattern; output is one row per session."""
+    ray = _ray()
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
+
+    GAP_US = 30 * 60 * 1_000_000
+
+    def sessions(group: pa.Table) -> pa.Table:
+        ts = group.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
+        order = np.argsort(ts, kind="stable")
+        ts = ts[order]
+        uid = int(group.column("user_id")[0].as_py())
+        new_session = np.empty(len(ts), dtype=bool)
+        new_session[0] = True
+        np.greater(np.diff(ts), GAP_US, out=new_session[1:])
+        sid = np.cumsum(new_session)  # 1-based session index per user
+        starts = np.flatnonzero(new_session)
+        ends = np.append(starts[1:], len(ts))
+        return pa.table({
+            "user_id": pa.array(np.full(len(starts), uid), type=pa.int64()),
+            "session_idx": pa.array(np.arange(1, len(starts) + 1), type=pa.int64()),
+            "n_events": pa.array(ends - starts, type=pa.int64()),
+            "session_start_us": pa.array(ts[starts], type=pa.int64()),
+            "session_end_us": pa.array(ts[ends - 1], type=pa.int64()),
+        })
+
+    from ..stages.util import coalesce_for_shuffle
+
+    return coalesce_for_shuffle(ds).groupby("user_id").map_groups(
+        sessions, batch_format="pyarrow"
+    )
+
+
+SQL_SESSIONIZE = """
+    WITH marked AS (
+        SELECT user_id, ts,
+               CASE WHEN ts - LAG(ts) OVER w > INTERVAL 30 MINUTE
+                    OR LAG(ts) OVER w IS NULL THEN 1 ELSE 0 END AS new_session
+        FROM events
+        WINDOW w AS (PARTITION BY user_id ORDER BY ts)
+    ),
+    numbered AS (
+        SELECT user_id, ts,
+               SUM(new_session) OVER (PARTITION BY user_id ORDER BY ts
+                                      ROWS UNBOUNDED PRECEDING) AS session_idx
+        FROM marked
+    )
+    SELECT user_id, CAST(session_idx AS BIGINT) AS session_idx,
+           CAST(COUNT(*) AS BIGINT) AS n_events,
+           CAST(epoch_us(MIN(ts)) AS BIGINT) AS session_start_us,
+           CAST(epoch_us(MAX(ts)) AS BIGINT) AS session_end_us
+    FROM numbered GROUP BY user_id, session_idx
+"""
+
+
+def q_asof_purchase_view(sf_dir: str, n_parts: int | None = None):
+    """AS-OF join (an operator Ray Data lacks natively): every 'purchase'
+    event is matched to the latest 'view' event of the same user at or
+    before it.  Both sides are co-partitioned by hash(user_id) through ONE
+    groupby; inside each partition the views are sorted once and every
+    purchase resolves with a single vectorized searchsorted over packed
+    (user, ts) keys.  Inner semantics (purchases with no prior view drop),
+    matching DuckDB's ASOF JOIN oracle."""
+    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type"]
+    )
+
+    def keyed(batch: pa.Table) -> pa.Table:
+        kind = batch.column("event_type")
+        keep = pc.is_in(kind, value_set=pa.array(["purchase", "view"]))
+        b = batch.filter(keep)
+        uid = b.column("user_id").to_numpy().astype(np.int64)
+        ts_us = b.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
+        is_p = pc.equal(b.column("event_type"), "purchase")
+        return pa.table({
+            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
+            "user_id": pa.array(uid, type=pa.int64()),
+            "ts_us": pa.array(ts_us, type=pa.int64()),
+            "event_id": b.column("event_id"),
+            "is_purchase": pc.cast(is_p, pa.int64()),
+        })
+
+    def asof_group(group: pa.Table) -> pa.Table:
+        uid = group.column("user_id").to_numpy().astype(np.int64)
+        ts = group.column("ts_us").to_numpy().astype(np.int64)
+        eid = group.column("event_id").to_numpy().astype(np.int64)
+        isp = group.column("is_purchase").to_numpy().astype(bool)
+        empty = pa.table({
+            "event_id": pa.array([], type=pa.int64()),
+            "purchase_ts_us": pa.array([], type=pa.int64()),
+            "user_id": pa.array([], type=pa.int64()),
+            "view_ts_us": pa.array([], type=pa.int64()),
+        })
+        if not isp.any() or isp.all():
+            return empty
+        # pack (user, ts-rel) into one sortable int64: after rebasing to the
+        # partition's min, ts must span < 2^42 us (~52 days) and user ids
+        # < 2^21 — explicit guards, not silent corruption; wider domains
+        # would move to a (user-segment boundaries + per-segment ts
+        # searchsorted) two-level scheme
+        t0 = ts.min()
+        rel = ts - t0
+        if rel.max() >= (1 << 42) or uid.max() >= (1 << 21):
+            raise ValueError("asof key packing out of range: widen the scheme")
+        key = (uid << np.int64(42)) | rel
+        vmask = ~isp
+        vkey = np.sort(key[vmask])
+        vu_sorted = (vkey >> np.int64(42))
+        pk = key[isp]
+        idx = np.searchsorted(vkey, pk, side="right") - 1
+        ok = idx >= 0
+        ok[ok] &= vu_sorted[idx[ok]] == (pk[ok] >> np.int64(42))
+        if not ok.any():
+            return empty
+        sel_p = np.flatnonzero(isp)[ok]
+        view_ts = (vkey[idx[ok]] & ((np.int64(1) << np.int64(42)) - 1)) + t0
+        return pa.table({
+            "event_id": pa.array(eid[sel_p], type=pa.int64()),
+            "purchase_ts_us": pa.array(ts[sel_p], type=pa.int64()),
+            "user_id": pa.array(uid[sel_p], type=pa.int64()),
+            "view_ts_us": pa.array(view_ts, type=pa.int64()),
+        })
+
+    return (
+        coalesce_for_shuffle(ds.map_batches(keyed, batch_format="pyarrow",
+                                            zero_copy_batch=True))
+        .groupby("part")
+        .map_groups(asof_group, batch_format="pyarrow")
+    )
+
+
+SQL_ASOF_PURCHASE_VIEW = """
+    SELECT p.event_id,
+           CAST(epoch_us(p.ts) AS BIGINT) AS purchase_ts_us,
+           p.user_id,
+           CAST(epoch_us(v.ts) AS BIGINT) AS view_ts_us
+    FROM (SELECT * FROM events WHERE event_type = 'purchase') p
+    ASOF JOIN (SELECT * FROM events WHERE event_type = 'view') v
+      ON p.user_id = v.user_id AND p.ts >= v.ts
+"""
+
+
+def q_top_orders_per_customer(sf_dir: str, k: int = 3, n_parts: int | None = None):
+    """Windowed rank / top-N per group WITHOUT one-task-per-group: orders
+    are hash-partitioned by customer through one groupby, and each partition
+    ranks every customer's orders in a single vectorized lexsort + segment
+    sweep (groupby(custkey).map_groups would pay ~0.2 s per group at 100k+
+    customers — this pays it once per partition)."""
+    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderkey", "o_totalprice"]
+    )
+
+    def keyed(batch: pa.Table) -> pa.Table:
+        cust = batch.column("o_custkey").to_numpy().astype(np.int64)
+        return batch.append_column("part", pa.array(_hash_part(cust, P), type=pa.int64()))
+
+    def topk_group(group: pa.Table) -> pa.Table:
+        cust = group.column("o_custkey").to_numpy().astype(np.int64)
+        okey = group.column("o_orderkey").to_numpy().astype(np.int64)
+        price = group.column("o_totalprice").to_numpy()
+        order = np.lexsort((okey, -price, cust))  # cust asc, price desc, key asc
+        cs = cust[order]
+        starts = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])
+        seg_id = np.cumsum(np.r_[True, cs[1:] != cs[:-1]]) - 1
+        rn = np.arange(len(cs)) - starts[seg_id]
+        keep = rn < k
+        sel = order[keep]
+        return pa.table({
+            "o_custkey": pa.array(cust[sel], type=pa.int64()),
+            "rank": pa.array(rn[keep] + 1, type=pa.int64()),
+            "o_orderkey": pa.array(okey[sel], type=pa.int64()),
+            "o_totalprice": pa.array(price[sel], type=pa.float64()),
+        })
+
+    return (
+        coalesce_for_shuffle(ds.map_batches(keyed, batch_format="pyarrow",
+                                            zero_copy_batch=True))
+        .groupby("part")
+        .map_groups(topk_group, batch_format="pyarrow")
+    )
+
+
+SQL_TOP_ORDERS_PER_CUSTOMER = """
+    SELECT o_custkey, CAST(rn AS BIGINT) AS rank, o_orderkey, o_totalprice
+    FROM (
+        SELECT o_custkey, o_orderkey, o_totalprice,
+               ROW_NUMBER() OVER (PARTITION BY o_custkey
+                                  ORDER BY o_totalprice DESC, o_orderkey) AS rn
+        FROM orders
+    ) WHERE rn <= 3
+"""
+
+
+QUANTILE_QS = (0.25, 0.5, 0.9)
+QUANTILE_BINS = 4096
+
+
+def q_value_quantiles(sf_dir: str):
+    """EXACT distributed quantiles (quantile_disc semantics: the element at
+    0-indexed rank ceil(q*n)-1) without ever materializing or sorting the
+    column: (1) one streamed pass reduces per-batch (count, min, max);
+    (2) one streamed pass reduces a 4096-bin histogram (each batch emits one
+    partial vector — driver sees O(batches) rows, not O(n)); (3) only the
+    bins containing target ranks are filtered out and sorted — expected
+    n/4096 rows per bin; at deeper scale the same step recurses per bin
+    instead of collecting."""
+    ray = _ray()
+
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
+
+    def stats_batch(batch: pa.Table) -> pa.Table:
+        v = batch.column("value").to_numpy()
+        return pa.table({
+            "n": pa.array([len(v)], type=pa.int64()),
+            "lo": pa.array([float(v.min()) if len(v) else np.inf]),
+            "hi": pa.array([float(v.max()) if len(v) else -np.inf]),
+        })
+
+    st = ds.map_batches(stats_batch, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
+    n = int(st["n"].sum())
+    lo = float(st["lo"].min())
+    hi = float(st["hi"].max())
+    ks = [int(np.ceil(q * n)) - 1 for q in QUANTILE_QS]
+
+    if n == 0 or lo == hi:
+        return pa.table({
+            "q": pa.array(list(QUANTILE_QS), type=pa.float64()),
+            "value": pa.array([lo] * len(QUANTILE_QS), type=pa.float64()),
+        })
+
+    B = QUANTILE_BINS
+    scale = B / (hi - lo)
+
+    def bin_of(v: np.ndarray) -> np.ndarray:
+        return np.minimum((np.maximum(v - lo, 0.0) * scale).astype(np.int64), B - 1)
+
+    def hist_batch(batch: pa.Table) -> pa.Table:
+        v = batch.column("value").to_numpy()
+        h = np.bincount(bin_of(v), minlength=B)
+        return pa.table({"hist": pa.array([h], type=pa.list_(pa.int64()))})
+
+    parts = ds.map_batches(hist_batch, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
+    hist = np.zeros(B, dtype=np.int64)
+    for row in parts["hist"]:
+        hist += np.asarray(row, dtype=np.int64)
+    cum = np.concatenate([[0], np.cumsum(hist)])
+    target_bins = sorted({int(np.searchsorted(cum, kk, side="right") - 1) for kk in ks})
+
+    tb = np.asarray(target_bins, dtype=np.int64)
+
+    def pick_bins(batch: pa.Table) -> pa.Table:
+        v = batch.column("value").to_numpy()
+        m = np.isin(bin_of(v), tb)
+        return pa.table({"value": pa.array(v[m], type=pa.float64()),
+                         "bin": pa.array(bin_of(v[m]), type=pa.int64())})
+
+    got = ds.map_batches(pick_bins, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
+    out_vals = []
+    for kk in ks:
+        b = int(np.searchsorted(cum, kk, side="right") - 1)
+        vals = np.sort(got.loc[got["bin"] == b, "value"].to_numpy())
+        out_vals.append(float(vals[kk - cum[b]]))
+    return pa.table({
+        "q": pa.array(list(QUANTILE_QS), type=pa.float64()),
+        "value": pa.array(out_vals, type=pa.float64()),
+    })
+
+
+SQL_VALUE_QUANTILES = """
+    SELECT 0.25 AS q, quantile_disc(value, 0.25) AS value FROM events
+    UNION ALL
+    SELECT 0.5 AS q, quantile_disc(value, 0.5) AS value FROM events
+    UNION ALL
+    SELECT 0.9 AS q, quantile_disc(value, 0.9) AS value FROM events
+"""
+
+
+def q_orders_without_lineitems(sf_dir: str):
+    """Distributed anti join: orders with no lineitem rows.
+
+    Both key columns flow through ONE co-partitioned aggregate — each side
+    tagged with a presence flag, map-side combined per batch (unique keys +
+    max flag), then a key groupby reduces to (has_order, has_line) per key.
+    No driver-side key materialization; shuffle volume is O(distinct keys ×
+    blocks) after the partial combine, not O(lineitem rows)."""
+    ray = _ray()
+
+    def tag(flag_order: int, flag_line: int, key_col: str):
+        def stage(batch: pa.Table) -> pa.Table:
+            keys = pc.unique(batch.column(key_col))
+            n = len(keys)
+            return pa.table({
+                "o_orderkey": pc.cast(keys, pa.int64()),
+                "is_order": pa.array(np.full(n, flag_order, dtype=np.int64)),
+                "is_line": pa.array(np.full(n, flag_line, dtype=np.int64)),
+            })
+        return stage
+
+    orders = ray.data.read_parquet(
+        f"{sf_dir}/orders.parquet", columns=["o_orderkey"]
+    ).map_batches(tag(1, 0, "o_orderkey"), batch_format="pyarrow", zero_copy_batch=True)
+    lines = ray.data.read_parquet(
+        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"]
+    ).map_batches(tag(0, 1, "l_orderkey"), batch_format="pyarrow", zero_copy_batch=True)
+
+    from ..stages.agg import grouped_aggregate
+
+    flags = grouped_aggregate(
+        orders.union(lines),
+        ["o_orderkey"],
+        [("max", "is_order", "has_order"), ("max", "is_line", "has_line")],
+        high_cardinality=True,  # order keys are ~unique
+    )
+
+    def anti(batch: pa.Table) -> pa.Table:
+        mask = pc.and_(
+            pc.equal(batch.column("has_order"), 1), pc.equal(batch.column("has_line"), 0)
+        )
+        return batch.filter(mask).select(["o_orderkey"])
+
+    return flags.map_batches(anti, batch_format="pyarrow", zero_copy_batch=True)
+
+
+SQL_ORDERS_WITHOUT_LINEITEMS = """
+    SELECT o_orderkey FROM orders
+    WHERE o_orderkey NOT IN (SELECT l_orderkey FROM lineitem)
 """
 
 
@@ -2027,8 +2534,180 @@ SQL_MEDIA_KIND_COUNTS = """
 
 
 # --------------------------------------------------------------------------
-# dedup / sampling / chunking operators over the documents table
+# registry
 # --------------------------------------------------------------------------
+
+# --------------------------------------------------------------------------
+# bounded-window / non-equi-join / sampling / rollup operators
+# --------------------------------------------------------------------------
+
+ROLL_PRECEDING = 2  # ROWS BETWEEN 2 PRECEDING AND CURRENT ROW
+
+
+def q_rolling_user_stats(sf_dir: str, n_parts: int | None = None):
+    """Bounded ROWS-window aggregate per key (an operator Ray Data lacks
+    natively): per user, events ordered by (ts, event_id), emit
+    LAG(value,1,0.0), MAX(value) over the trailing 3-row window, and the
+    window row count.  Hash-partitioned by user through ONE groupby; inside
+    a partition every user's windows resolve with segmented numpy shifts —
+    no per-group task, no global sort.  Every output is an exact copy /
+    comparison of input doubles (no reassociated arithmetic), so the SQL
+    window oracle matches bit-for-bit."""
+    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "value"]
+    )
+
+    def keyed(batch: pa.Table) -> pa.Table:
+        uid = batch.column("user_id").to_numpy().astype(np.int64)
+        ts_us = batch.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
+        return pa.table({
+            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
+            "user_id": pa.array(uid, type=pa.int64()),
+            "ts_us": pa.array(ts_us, type=pa.int64()),
+            "event_id": batch.column("event_id"),
+            "value": batch.column("value"),
+        })
+
+    def windows(group: pa.Table) -> pa.Table:
+        uid = group.column("user_id").to_numpy().astype(np.int64)
+        ts = group.column("ts_us").to_numpy().astype(np.int64)
+        eid = group.column("event_id").to_numpy().astype(np.int64)
+        val = group.column("value").to_numpy()
+        n = len(uid)
+        order = np.lexsort((eid, ts, uid))
+        uid, ts, eid, val = uid[order], ts[order], eid[order], val[order]
+        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
+        seg_id = np.cumsum(np.r_[True, uid[1:] != uid[:-1]]) - 1
+        pos = np.arange(n) - starts[seg_id]  # row index within its user
+        prev = np.empty(n)
+        prev[0], prev[1:] = 0.0, val[:-1]
+        prev[pos == 0] = 0.0  # LAG default at each segment start
+        roll_max = val.copy()
+        for k in (1, 2):
+            shk = np.empty(n)
+            shk[:k], shk[k:] = -np.inf, val[:-k]
+            np.maximum(roll_max, np.where(pos >= k, shk, -np.inf), out=roll_max)
+        return pa.table({
+            "event_id": pa.array(eid, type=pa.int64()),
+            "user_id": pa.array(uid, type=pa.int64()),
+            "ts_us": pa.array(ts, type=pa.int64()),
+            "prev_value": pa.array(prev, type=pa.float64()),
+            "roll_max": pa.array(roll_max, type=pa.float64()),
+            "roll_n": pa.array(np.minimum(pos + 1, ROLL_PRECEDING + 1), type=pa.int64()),
+        })
+
+    return (
+        coalesce_for_shuffle(ds.map_batches(keyed, batch_format="pyarrow",
+                                            zero_copy_batch=True))
+        .groupby("part")
+        .map_groups(windows, batch_format="pyarrow")
+    )
+
+
+SQL_ROLLING_USER_STATS = """
+    SELECT event_id, user_id, CAST(epoch_us(ts) AS BIGINT) AS ts_us,
+           LAG(value, 1, 0.0) OVER w AS prev_value,
+           MAX(value) OVER (PARTITION BY user_id ORDER BY ts, event_id
+                            ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS roll_max,
+           CAST(COUNT(*) OVER (PARTITION BY user_id ORDER BY ts, event_id
+                            ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS BIGINT)
+               AS roll_n
+    FROM events
+    WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
+"""
+
+
+ATTRIB_WINDOW_US = 60 * 60 * 1_000_000  # trailing 1 hour
+
+
+def q_attribution_counts(sf_dir: str, n_parts: int | None = None):
+    """Bounded-interval RANGE JOIN (non-equi): every purchase counts the
+    same user's views with v.ts in (p.ts - 1h, p.ts] — the attribution
+    window.  Co-partitioned by hash(user_id) through one groupby; per
+    partition the views sort once and every purchase resolves with TWO
+    vectorized searchsorteds over packed (user, ts) keys — the
+    bounded-interval sibling of the as-of join (left semantics: zero-view
+    purchases stay, the index difference is already their count)."""
+    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type"]
+    )
+
+    def keyed(batch: pa.Table) -> pa.Table:
+        kind = batch.column("event_type")
+        b = batch.filter(pc.is_in(kind, value_set=pa.array(["purchase", "view"])))
+        uid = b.column("user_id").to_numpy().astype(np.int64)
+        ts_us = b.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
+        return pa.table({
+            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
+            "user_id": pa.array(uid, type=pa.int64()),
+            "ts_us": pa.array(ts_us, type=pa.int64()),
+            "event_id": b.column("event_id"),
+            "is_purchase": pc.cast(pc.equal(b.column("event_type"), "purchase"), pa.int64()),
+        })
+
+    def count_group(group: pa.Table) -> pa.Table:
+        uid = group.column("user_id").to_numpy().astype(np.int64)
+        ts = group.column("ts_us").to_numpy().astype(np.int64)
+        eid = group.column("event_id").to_numpy().astype(np.int64)
+        isp = group.column("is_purchase").to_numpy().astype(bool)
+        empty = pa.table({
+            "event_id": pa.array([], type=pa.int64()),
+            "user_id": pa.array([], type=pa.int64()),
+            "purchase_ts_us": pa.array([], type=pa.int64()),
+            "n_views_1h": pa.array([], type=pa.int64()),
+        })
+        if not isp.any():
+            return empty
+        # pack (user, rebased ts) into one sortable int64 (asof-join scheme).
+        # The lower probe rel-H may go negative: it then lands in the
+        # PREVIOUS user's key space, below every key of this user — the
+        # subtraction still counts exactly this user's views in the window,
+        # provided rel.max() + H stays well under 2^42 (guarded).
+        t0 = ts.min()
+        rel = ts - t0
+        if rel.max() + ATTRIB_WINDOW_US >= (1 << 42) or uid.max() >= (1 << 21):
+            raise ValueError("attribution key packing out of range: widen the scheme")
+        key = (uid << np.int64(42)) | rel
+        vkey = np.sort(key[~isp])
+        pk = key[isp]
+        hi = np.searchsorted(vkey, pk, side="right")
+        lo = np.searchsorted(vkey, pk - ATTRIB_WINDOW_US, side="right")
+        sel = np.flatnonzero(isp)
+        return pa.table({
+            "event_id": pa.array(eid[sel], type=pa.int64()),
+            "user_id": pa.array(uid[sel], type=pa.int64()),
+            "purchase_ts_us": pa.array(ts[sel], type=pa.int64()),
+            "n_views_1h": pa.array(hi - lo, type=pa.int64()),
+        })
+
+    return (
+        coalesce_for_shuffle(ds.map_batches(keyed, batch_format="pyarrow",
+                                            zero_copy_batch=True))
+        .groupby("part")
+        .map_groups(count_group, batch_format="pyarrow")
+    )
+
+
+SQL_ATTRIBUTION_COUNTS = """
+    SELECT p.event_id, p.user_id,
+           CAST(epoch_us(p.ts) AS BIGINT) AS purchase_ts_us,
+           CAST(COUNT(v.event_id) AS BIGINT) AS n_views_1h
+    FROM (SELECT * FROM events WHERE event_type = 'purchase') p
+    LEFT JOIN (SELECT * FROM events WHERE event_type = 'view') v
+      ON v.user_id = p.user_id
+     AND v.ts > p.ts - INTERVAL 1 HOUR AND v.ts <= p.ts
+    GROUP BY p.event_id, p.user_id, p.ts
+"""
 
 
 _CANON_MASK21 = (1 << 21) - 1
@@ -2139,6 +2818,242 @@ SQL_STRATIFIED_SAMPLE = """
 """
 
 
+HIST_BIN_WIDTH = 25.0
+
+
+def q_value_histogram(sf_dir: str):
+    """Fixed-width binned aggregation (histogram): bin = floor(value/25),
+    count + exact min/max per bin via the map-side-combined groupby.  The
+    bin id is one double division + floor on both sides — bit-identical."""
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
+
+    def binned(batch: pa.Table) -> pa.Table:
+        v = batch.column("value").to_numpy()
+        return pa.table({
+            "bin": pa.array(np.floor(v / HIST_BIN_WIDTH).astype(np.int64),
+                            type=pa.int64()),
+            "value": batch.column("value"),
+        })
+
+    return grouped_aggregate(
+        ds.map_batches(binned, batch_format="pyarrow", zero_copy_batch=True),
+        ["bin"],
+        [("count", None, "n"), ("min", "value", "min_value"),
+         ("max", "value", "max_value")],
+    )
+
+
+SQL_VALUE_HISTOGRAM = """
+    SELECT CAST(FLOOR(value / 25.0) AS BIGINT) AS bin,
+           CAST(COUNT(*) AS BIGINT) AS n,
+           MIN(value) AS min_value, MAX(value) AS max_value
+    FROM events GROUP BY 1
+"""
+
+
+def q_rollup_sales(sf_dir: str):
+    """Hierarchical aggregate (GROUP BY ROLLUP): the coarser levels
+    re-aggregate the FINEST level's output (|groups| rows) — the fact
+    table is scanned exactly once no matter how many rollup levels.
+    Integer-cents and integral-double sums keep every level bit-exact
+    under reassociation; grouped-out columns take the 'ALL' marker on both
+    sides (no NULL-vs-NULL ambiguity in the driver compare)."""
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/lineitem.parquet",
+        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
+    )
+
+    def to_cents(batch: pa.Table) -> pa.Table:
+        cents = pc.cast(
+            pc.round(pc.multiply(batch.column("l_extendedprice"), 100.0)), pa.int64()
+        )
+        return pa.table({
+            "l_returnflag": batch.column("l_returnflag"),
+            "l_linestatus": batch.column("l_linestatus"),
+            "l_quantity": batch.column("l_quantity"),
+            "revenue_cents": cents,
+        })
+
+    level0 = grouped_aggregate(
+        ds.map_batches(to_cents, batch_format="pyarrow", zero_copy_batch=True),
+        ["l_returnflag", "l_linestatus"],
+        [("sum", "l_quantity", "sum_qty"), ("sum", "revenue_cents", "revenue_cents"),
+         ("count", None, "n_items")],
+    ).materialize()  # |groups| rows — the partial both coarser levels reuse
+
+    RESPEC = [("sum", "sum_qty", "sum_qty"),
+              ("sum", "revenue_cents", "revenue_cents"),
+              ("sum", "n_items", "n_items")]
+
+    def all_linestatus(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "l_returnflag": batch.column("l_returnflag"),
+            "l_linestatus": pa.array(["ALL"] * batch.num_rows, type=pa.string()),
+            "sum_qty": batch.column("sum_qty"),
+            "revenue_cents": batch.column("revenue_cents"),
+            "n_items": batch.column("n_items"),
+        })
+
+    level1 = grouped_aggregate(level0, ["l_returnflag"], RESPEC).map_batches(
+        all_linestatus, batch_format="pyarrow", zero_copy_batch=True
+    )
+
+    def const_key(batch: pa.Table) -> pa.Table:
+        return batch.append_column("_all", pa.array([0] * batch.num_rows,
+                                                    type=pa.int64()))
+
+    def all_both(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "l_returnflag": pa.array(["ALL"] * batch.num_rows, type=pa.string()),
+            "l_linestatus": pa.array(["ALL"] * batch.num_rows, type=pa.string()),
+            "sum_qty": batch.column("sum_qty"),
+            "revenue_cents": batch.column("revenue_cents"),
+            "n_items": batch.column("n_items"),
+        })
+
+    level2 = grouped_aggregate(
+        level0.map_batches(const_key, batch_format="pyarrow", zero_copy_batch=True),
+        ["_all"],
+        RESPEC,
+    ).map_batches(all_both, batch_format="pyarrow", zero_copy_batch=True)
+
+    return level0.union(level1).union(level2)
+
+
+SQL_ROLLUP_SALES = """
+    SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag,
+           COALESCE(l_linestatus, 'ALL') AS l_linestatus,
+           SUM(l_quantity) AS sum_qty,
+           CAST(SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT)) AS BIGINT)
+               AS revenue_cents,
+           CAST(COUNT(*) AS BIGINT) AS n_items
+    FROM lineitem GROUP BY ROLLUP(l_returnflag, l_linestatus)
+"""
+
+
+def q_order_fulfillment(sf_dir: str, n_parts: int | None = None):
+    """Distributed LEFT OUTER join + aggregate: every order with its
+    lineitem count and quantity sum, zero-filled when no lineitems exist.
+
+    The join key is ~unique on the orders side, so a key-groupby would
+    sort-shuffle O(rows) rows across 150k+ groups (measured 14s at sf0.1).
+    Instead both sides co-partition by hash(key) through ONE small-domain
+    groupby (P partitions), and inside each partition the lineitem rows
+    aggregate with a vectorized lexsort+reduceat and attach to orders via
+    searchsorted — same shape as the as-of join.  sum_qty sums integral
+    doubles (quantities), exact in fp under any association, so the SQL
+    sum matches bit-for-bit."""
+    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+
+    def order_side(batch: pa.Table) -> pa.Table:
+        key = batch.column("o_orderkey").to_numpy().astype(np.int64)
+        return pa.table({
+            "part": pa.array(_hash_part(key, P), type=pa.int64()),
+            "key": pa.array(key, type=pa.int64()),
+            "o_totalprice": batch.column("o_totalprice"),
+            "qty": pa.nulls(batch.num_rows, pa.float64()),
+        })
+
+    def line_side(batch: pa.Table) -> pa.Table:
+        key = batch.column("l_orderkey").to_numpy().astype(np.int64)
+        return pa.table({
+            "part": pa.array(_hash_part(key, P), type=pa.int64()),
+            "key": pa.array(key, type=pa.int64()),
+            "o_totalprice": pa.nulls(batch.num_rows, pa.float64()),
+            "qty": batch.column("l_quantity"),
+        })
+
+    orders = ray.data.read_parquet(
+        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"]
+    ).map_batches(order_side, batch_format="pyarrow", zero_copy_batch=True)
+    lines = ray.data.read_parquet(
+        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"]
+    ).map_batches(line_side, batch_format="pyarrow", zero_copy_batch=True)
+
+    def join_group(group: pa.Table) -> pa.Table:
+        is_order = pc.is_valid(group.column("o_totalprice"))
+        o = group.filter(is_order)
+        l = group.filter(pc.invert(is_order))
+        okey = o.column("key").to_numpy().astype(np.int64)
+        price = o.column("o_totalprice").to_numpy()
+        lkey = l.column("key").to_numpy().astype(np.int64)
+        qty = l.column("qty").to_numpy()
+        order = np.argsort(lkey, kind="stable")
+        lkey, qty = lkey[order], qty[order]
+        starts = np.flatnonzero(np.r_[True, lkey[1:] != lkey[:-1]]) \
+            if len(lkey) else np.empty(0, dtype=np.int64)
+        uniq = lkey[starts] if len(lkey) else lkey
+        cnts = (np.r_[starts[1:], len(lkey)] - starts) if len(lkey) else starts
+        sums = np.add.reduceat(qty, starts) if len(lkey) else qty
+        idx = np.searchsorted(uniq, okey)
+        hit = (idx < len(uniq))
+        hit[hit] &= uniq[idx[hit]] == okey[hit]
+        n_items = np.zeros(len(okey), dtype=np.int64)
+        sum_qty = np.zeros(len(okey), dtype=np.float64)
+        n_items[hit] = cnts[idx[hit]]
+        sum_qty[hit] = sums[idx[hit]]
+        return pa.table({
+            "o_orderkey": pa.array(okey, type=pa.int64()),
+            "o_totalprice": pa.array(price, type=pa.float64()),
+            "n_items": pa.array(n_items, type=pa.int64()),
+            "sum_qty": pa.array(sum_qty, type=pa.float64()),
+        })
+
+    return (
+        coalesce_for_shuffle(orders.union(lines))
+        .groupby("part")
+        .map_groups(join_group, batch_format="pyarrow")
+    )
+
+
+SQL_ORDER_FULFILLMENT = """
+    SELECT o.o_orderkey, o.o_totalprice,
+           CAST(COUNT(l.l_orderkey) AS BIGINT) AS n_items,
+           COALESCE(SUM(l.l_quantity), 0.0) AS sum_qty
+    FROM orders o LEFT JOIN lineitem l ON l.l_orderkey = o.o_orderkey
+    GROUP BY o.o_orderkey, o.o_totalprice
+"""
+
+
+def q_distinct_users_per_type(sf_dir: str):
+    """Exact distributed COUNT(DISTINCT) via hierarchical aggregation: the
+    first level dedups (event_type, user_id) pairs with a map-side-combined
+    groupby (the shuffle carries unique pairs per block, not rows), the
+    second level counts the distinct pairs and sums the row counts per
+    type.  No per-key set materialization anywhere."""
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
+    )
+    level1 = grouped_aggregate(
+        ds, ["event_type", "user_id"], [("count", None, "n")],
+        high_cardinality=True,  # pair keys ~ rows
+    )
+    return grouped_aggregate(
+        level1, ["event_type"],
+        [("count", None, "n_users"), ("sum", "n", "n_events")],
+    )
+
+
+SQL_DISTINCT_USERS_PER_TYPE = """
+    SELECT event_type,
+           CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users,
+           CAST(COUNT(*) AS BIGINT) AS n_events
+    FROM events GROUP BY event_type
+"""
+
+
 LONG_DOCS_Q = 0.9
 
 
@@ -2171,6 +3086,278 @@ def q_long_docs(sf_dir: str):
 SQL_LONG_DOCS = """
     SELECT doc_id, n_chars FROM documents
     WHERE n_chars >= (SELECT quantile_disc(n_chars, 0.9) FROM documents)
+"""
+
+
+PIVOT_TYPES = ("click", "error", "purchase", "signup", "view")
+
+
+def q_user_event_pivot(sf_dir: str):
+    """Pivot / conditional aggregation: one row per user with a count
+    column per event type.  The pivot happens INSIDE the map stage
+    (vectorized equality -> int indicator columns), so the groupby is a
+    plain map-side-combined sum — no per-type scan, no post-join, and the
+    shuffle carries one row per (user x block).  Oracle: COUNT(*) FILTER."""
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
+    )
+
+    def indicators(batch: pa.Table) -> pa.Table:
+        cols = {"user_id": batch.column("user_id")}
+        kind = batch.column("event_type")
+        for t in PIVOT_TYPES:
+            cols[f"n_{t}"] = pc.cast(pc.equal(kind, t), pa.int64())
+        return pa.table(cols)
+
+    return grouped_aggregate(
+        ds.map_batches(indicators, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id"],
+        [("sum", f"n_{t}", f"n_{t}") for t in PIVOT_TYPES]
+        + [("count", None, "n_total")],
+    )
+
+
+SQL_USER_EVENT_PIVOT = """
+    SELECT user_id,
+           CAST(COUNT(*) FILTER (event_type = 'click')    AS BIGINT) AS n_click,
+           CAST(COUNT(*) FILTER (event_type = 'error')    AS BIGINT) AS n_error,
+           CAST(COUNT(*) FILTER (event_type = 'purchase') AS BIGINT) AS n_purchase,
+           CAST(COUNT(*) FILTER (event_type = 'signup')   AS BIGINT) AS n_signup,
+           CAST(COUNT(*) FILTER (event_type = 'view')     AS BIGINT) AS n_view,
+           CAST(COUNT(*) AS BIGINT) AS n_total
+    FROM events GROUP BY user_id
+"""
+
+
+GROUP_QUANTILE_Q = 0.5
+
+
+def q_median_value_per_type(sf_dir: str):
+    """Per-GROUP exact quantile (median value per event type): a value
+    isn't integer here, so the engine runs the two-pass histogram
+    selection PER KEY — pass 1 reduces per-(key, batch) count/min/max
+    partials, pass 2 per-key 512-bin histograms (one partial vector per
+    key x batch; driver reduces O(keys x blocks) rows), then only the
+    target bin's rows are pulled per key (expected n_k/512).  Rank
+    semantics = quantile_disc, same as value_quantiles."""
+    ray = _ray()
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
+    )
+    B = 512
+
+    def stats_batch(batch: pa.Table) -> pa.Table:
+        gb = pa.table({
+            "event_type": batch.column("event_type"),
+            "v": batch.column("value"),
+        }).group_by(["event_type"]).aggregate([("v", "count"), ("v", "min"), ("v", "max")])
+        return pa.table({
+            "event_type": gb.column("event_type"),
+            "n": pc.cast(gb.column("v_count"), pa.int64()),
+            "lo": gb.column("v_min"),
+            "hi": gb.column("v_max"),
+        })
+
+    st = (
+        ds.map_batches(stats_batch, batch_format="pyarrow", zero_copy_batch=True)
+        .to_pandas()
+        .groupby("event_type")
+        .agg(n=("n", "sum"), lo=("lo", "min"), hi=("hi", "max"))
+    )
+    keys = sorted(st.index)
+    kidx = {k: i for i, k in enumerate(keys)}
+    n_k = st["n"].reindex(keys).to_numpy()
+    lo_k = st["lo"].reindex(keys).to_numpy()
+    hi_k = st["hi"].reindex(keys).to_numpy()
+    rank_k = np.ceil(GROUP_QUANTILE_Q * n_k).astype(np.int64) - 1
+    scale_k = np.where(hi_k > lo_k, B / (hi_k - lo_k), 0.0)
+
+    def bin_of(key_ids: np.ndarray, v: np.ndarray) -> np.ndarray:
+        rel = np.maximum(v - lo_k[key_ids], 0.0) * scale_k[key_ids]
+        return np.minimum(rel.astype(np.int64), B - 1)
+
+    key_set = pa.array(keys, type=pa.string())
+
+    def key_ids_of(col: pa.ChunkedArray) -> np.ndarray:
+        # vectorized key -> dense id (index_in is an arrow C++ kernel)
+        return pc.index_in(col, value_set=key_set).to_numpy().astype(np.int64)
+
+    def hist_batch(batch: pa.Table) -> pa.Table:
+        ki = key_ids_of(batch.column("event_type"))
+        v = batch.column("value").to_numpy()
+        h = np.bincount(ki * B + bin_of(ki, v), minlength=len(keys) * B)
+        return pa.table({"hist": pa.array([h], type=pa.list_(pa.int64()))})
+
+    parts = ds.map_batches(hist_batch, batch_format="pyarrow",
+                           zero_copy_batch=True).to_pandas()
+    hist = np.zeros(len(keys) * B, dtype=np.int64)
+    for row in parts["hist"]:
+        hist += np.asarray(row, dtype=np.int64)
+    hist = hist.reshape(len(keys), B)
+    cums = np.concatenate([np.zeros((len(keys), 1), dtype=np.int64),
+                           np.cumsum(hist, axis=1)], axis=1)
+    tbin_k = np.array(
+        [int(np.searchsorted(cums[i], rank_k[i], side="right") - 1)
+         for i in range(len(keys))], dtype=np.int64)
+
+    def pick(batch: pa.Table) -> pa.Table:
+        ki = key_ids_of(batch.column("event_type"))
+        v = batch.column("value").to_numpy()
+        m = bin_of(ki, v) == tbin_k[ki]
+        return pa.table({
+            "key_id": pa.array(ki[m], type=pa.int64()),
+            "value": pa.array(v[m], type=pa.float64()),
+        })
+
+    got = ds.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
+    out = []
+    for k in keys:
+        i = kidx[k]
+        vals = np.sort(got.loc[got["key_id"] == i, "value"].to_numpy())
+        out.append(float(vals[rank_k[i] - cums[i][tbin_k[i]]]))
+    return pa.table({
+        "event_type": pa.array(keys, type=pa.string()),
+        "median_value": pa.array(out, type=pa.float64()),
+    })
+
+
+SQL_MEDIAN_VALUE_PER_TYPE = """
+    SELECT event_type, quantile_disc(value, 0.5) AS median_value
+    FROM events GROUP BY event_type
+"""
+
+
+HOUR_US = 3600 * 1_000_000
+
+
+def q_view_only_hours(sf_dir: str):
+    """Distributed set operation (EXCEPT): hours that saw a 'view' event
+    but no 'purchase'.  Per-batch conditional presence flags collapse
+    through the map-side-combined groupby to one (saw_view, saw_purchase)
+    row per hour bucket — EXCEPT/INTERSECT/UNION all fall out of the same
+    flag algebra without materializing either distinct set."""
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
+
+    def flags(batch: pa.Table) -> pa.Table:
+        kind = batch.column("event_type")
+        keep = pc.is_in(kind, value_set=pa.array(["purchase", "view"]))
+        b = batch.filter(keep)
+        ts_us = b.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
+        return pa.table({
+            "hour_us": pa.array(ts_us // HOUR_US * HOUR_US, type=pa.int64()),
+            "saw_view": pc.cast(pc.equal(b.column("event_type"), "view"), pa.int64()),
+            "saw_purchase": pc.cast(
+                pc.equal(b.column("event_type"), "purchase"), pa.int64()
+            ),
+        })
+
+    agg = grouped_aggregate(
+        ds.map_batches(flags, batch_format="pyarrow", zero_copy_batch=True),
+        ["hour_us"],
+        [("max", "saw_view", "saw_view"), ("max", "saw_purchase", "saw_purchase")],
+    )
+
+    def except_(batch: pa.Table) -> pa.Table:
+        keep = pc.and_(
+            pc.equal(batch.column("saw_view"), 1),
+            pc.equal(batch.column("saw_purchase"), 0),
+        )
+        return batch.filter(keep).select(["hour_us"])
+
+    return agg.map_batches(except_, batch_format="pyarrow", zero_copy_batch=True)
+
+
+SQL_VIEW_ONLY_HOURS = """
+    SELECT CAST(epoch_us(date_trunc('hour', ts)) AS BIGINT) AS hour_us
+    FROM events WHERE event_type = 'view'
+    EXCEPT
+    SELECT CAST(epoch_us(date_trunc('hour', ts)) AS BIGINT)
+    FROM events WHERE event_type = 'purchase'
+"""
+
+
+def q_revenue_by_region(sf_dir: str, join_mode: str | None = None):
+    """Join chain region ⨝ nation ⨝ customer ⨝ orders, split by scale
+    class: nation/region are bounded dims (a 25-entry nationkey→r_name
+    lookup broadcast into the stage closure), while CUSTOMER is a
+    fact-scaled table — it attaches through the size-gated broadcast /
+    co-partitioned exchange (stages/factjoin.attach_cust_nationkey; modes
+    pinned equal in tests/test_queries.py).  One pass over orders below
+    the gate, one custkey exchange above it; the final shuffle is never
+    wider than |regions| x blocks."""
+    import pyarrow.parquet as pq
+
+    from ..stages.agg import grouped_aggregate
+    from ..stages.factjoin import attach_cust_nationkey
+    from ..stages.util import shuffle_blocks
+
+    ray = _ray()
+    P = min(32, shuffle_blocks())
+    region = pq.read_table(f"{sf_dir}/region.parquet")
+    nation = pq.read_table(f"{sf_dir}/nation.parquet")
+    nkey = nation.column("n_nationkey").to_numpy().astype(np.int64)
+    nreg = nation.column("n_regionkey").to_numpy().astype(np.int64)
+    rkey = region.column("r_regionkey").to_numpy().astype(np.int64)
+    rname = np.asarray(region.column("r_name").to_pylist(), dtype=object)
+    order_n = np.argsort(nkey)
+    order_r = np.argsort(rkey)
+    nk_sorted = nkey[order_n]
+    nk_rname = rname[order_r][np.searchsorted(rkey[order_r], nreg[order_n])]
+    rname_arr = pa.array(list(nk_rname), type=pa.string())
+
+    def fact(batch: pa.Table) -> pa.Table:
+        cents = pc.cast(
+            pc.round(pc.multiply(batch.column("o_totalprice"), 100.0)),
+            pa.int64())
+        return pa.table({
+            "key": pc.cast(batch.column("o_custkey"), pa.int64()),
+            "revenue_cents": cents,
+        })
+
+    orders = ray.data.read_parquet(
+        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
+    ).map_batches(fact, batch_format="pyarrow", zero_copy_batch=True)
+    joined = attach_cust_nationkey(sf_dir, orders, ["revenue_cents"], P,
+                                   mode=join_mode)
+
+    def name_region(batch: pa.Table) -> pa.Table:
+        nk = batch.column("nk").to_numpy().astype(np.int64)
+        # clip so an out-of-domain key raises the FK message, not IndexError
+        pos = np.clip(np.searchsorted(nk_sorted, nk), 0,
+                      max(len(nk_sorted) - 1, 0))
+        if len(nk) and (not len(nk_sorted)
+                        or not np.all(nk_sorted[pos] == nk)):
+            raise ValueError("FK violation: c_nationkey not in nation")
+        return pa.table({
+            "r_name": rname_arr.take(pa.array(pos)),
+            "revenue_cents": batch.column("revenue_cents"),
+        })
+
+    ds = joined.map_batches(name_region, batch_format="pyarrow",
+                            zero_copy_batch=True)
+    return grouped_aggregate(
+        ds, ["r_name"],
+        [("sum", "revenue_cents", "revenue_cents"), ("count", None, "n_orders")],
+    )
+
+
+SQL_REVENUE_BY_REGION = """
+    SELECT r.r_name,
+           CAST(SUM(CAST(ROUND(o.o_totalprice*100) AS BIGINT)) AS BIGINT)
+               AS revenue_cents,
+           CAST(COUNT(*) AS BIGINT) AS n_orders
+    FROM orders o
+    JOIN customer c ON c.c_custkey = o.o_custkey
+    JOIN nation n ON n.n_nationkey = c.c_nationkey
+    JOIN region r ON r.r_regionkey = n.n_regionkey
+    GROUP BY r.r_name
 """
 
 
@@ -2275,9 +3462,441 @@ SQL_DOC_CHUNKS = r"""
 """
 
 
+HLL_P = 12  # 4096 registers -> ~1.6% typical relative error
+_HLL_T_MASK = (1 << (64 - HLL_P)) - 1  # low 52 bits = the rho window
+
+
+def _hll_md5_reg_rho(uids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(register, rho) per uid via the repo-wide SQL-replayable hash:
+    ``h = md5_number_lower(str(uid))`` (lower 8 digest bytes, little
+    endian), register = top HLL_P bits, rho = leading-zero count of the
+    remaining 52-bit window + 1 = 53 - bit_length(h & T_MASK).  md5 runs
+    once per DISTINCT uid in the batch (user domain is bounded; the
+    ``feature_hash`` convention), then scatters through the inverse."""
+    import hashlib
+
+    uniq, inv = np.unique(uids, return_inverse=True)
+    reg_u = np.empty(len(uniq), dtype=np.int64)
+    rho_u = np.empty(len(uniq), dtype=np.int64)
+    for i, u in enumerate(uniq):
+        h = int.from_bytes(
+            hashlib.md5(str(int(u)).encode()).digest()[8:], "little")
+        reg_u[i] = h >> (64 - HLL_P)
+        rho_u[i] = (64 - HLL_P) + 1 - (h & _HLL_T_MASK).bit_length()
+    return reg_u[inv], rho_u[inv]
+
+
+def _hll_estimate_exact(regs: np.ndarray) -> int:
+    """Integer-exact HLL estimate, SQL-replayable to the last bit.
+
+    The harmonic sum is kept as the exact integer ``s_int = sum(2^(64 -
+    r_j))`` (Python big int; empty register contributes 2^64) and the
+    bias constant is used in its RATIONAL form ``alpha = 7213*m /
+    (10*(1000m + 1079))``, so the raw estimate is the big-int ratio
+    ``e_num/e_den = 7213*m^3*2^64 / (10*(1000m+1079)*s_int)`` rounded
+    half-up — every step replays in DuckDB HUGEINT arithmetic.  The
+    linear-counting small-range branch (``E <= 2.5m`` and empty
+    registers exist — decided on the exact ratio) is the one float op:
+    ``floor(m*ln(m/zeros) + 0.5)`` with libm ``log`` on both sides."""
+    import math
+
+    m = len(regs)
+    zeros = int((regs == 0).sum())
+    cnt = np.bincount(regs.astype(np.int64), minlength=(64 - HLL_P) + 2)
+    s_int = sum(int(c) << (64 - r) for r, c in enumerate(cnt) if c)
+    e_num = (7213 * m ** 3) << 64
+    e_den = 10 * (1000 * m + 1079) * s_int
+    if zeros > 0 and 2 * e_num <= 5 * m * e_den:
+        return int(math.floor(m * math.log(m / zeros) + 0.5))
+    return (2 * e_num + e_den) // (2 * e_den)
+
+
+def _sql_hll_est(where: str) -> str:
+    """Scalar-subquery SQL replaying ``_hll_md5_reg_rho`` +
+    ``_hll_estimate_exact`` over ``events.user_id`` rows matching
+    ``where`` — bit-exact vs the engine (HUGEINT ratio; libm LN in the
+    linear-counting branch)."""
+    m = 1 << HLL_P
+    e_num = (7213 * m ** 3) << 64
+    den_c = 10 * (1000 * m + 1079)
+    shift = 64 - HLL_P
+    return f"""(
+      WITH hh AS (
+        SELECT md5_number_lower(CAST(user_id AS VARCHAR)) AS h
+        FROM events WHERE {where}
+      ), rr AS (
+        SELECT CAST(h >> {shift} AS BIGINT) AS reg,
+               CAST(CASE WHEN (h & {_HLL_T_MASK}) = 0 THEN {shift + 1}
+                    ELSE {shift + 1}
+                         - length(bin(CAST(h & {_HLL_T_MASK} AS BIGINT)))
+                    END AS BIGINT) AS rho
+        FROM hh
+      ), regs AS (
+        SELECT reg, MAX(rho) AS rho FROM rr GROUP BY 1
+      ), est AS (
+        SELECT {m} - COUNT(*) AS zeros,
+               COALESCE(SUM(CAST(1 AS HUGEINT)
+                            << (64 - CAST(rho AS INT))), 0)
+                 + CAST({m} - COUNT(*) AS HUGEINT)
+                   * {1 << 64} AS s_int
+        FROM regs
+      )
+      SELECT CASE
+        WHEN zeros > 0 AND 2 * {e_num} <= 5 * {m} * ({den_c} * s_int)
+        THEN CAST(FLOOR({m} * LN({m}.0 / zeros) + 0.5) AS BIGINT)
+        ELSE CAST((2 * {e_num} + {den_c} * s_int)
+                  // (2 * {den_c} * s_int) AS BIGINT)
+      END FROM est
+    )"""
+
+
+def _hll_mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer — a well-distributed 64-bit hash, vectorized."""
+    z = x.astype(np.uint64)
+    z = (z + np.uint64(0x9E3779B97F4A7C15)) * np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _leading_zeros64(w: np.ndarray) -> np.ndarray:
+    """Vectorized count-leading-zeros for uint64 (6 binary-search steps)."""
+    w = w.copy()
+    lz = np.zeros(len(w), dtype=np.int64)
+    for sh in (32, 16, 8, 4, 2, 1):
+        zero_top = (w >> np.uint64(64 - sh)) == 0
+        lz += np.where(zero_top, sh, 0)
+        w = np.where(zero_top, w << np.uint64(sh), w)
+    return np.where(w == 0, 64, lz)
+
+
+def q_approx_distinct_users(sf_dir: str):
+    """Mergeable-sketch aggregation (HyperLogLog): per-batch PARTIAL
+    sketches (4096 registers per key) merge with elementwise max through
+    one groupby — the shuffle carries a constant-size row per (key x
+    block) no matter the cardinality, the pattern that replaces exact
+    COUNT(DISTINCT) when the distinct set itself no longer fits a
+    shuffle.  Classic HLL estimator with the linear-counting small-range
+    correction.  The hash chain is the SQL-replayable md5 convention and
+    the estimator is integer-exact (``_hll_estimate_exact``), so the
+    oracle replays the full register array and estimate value-exactly —
+    the sketch is approximate vs COUNT(DISTINCT), but deterministic and
+    therefore oracle-checkable (the ``cmsketch_word_counts`` treatment;
+    pytest additionally pins relative error vs the exact count)."""
+    ray = _ray()
+    m = 1 << HLL_P
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
+    )
+
+    def partial(batch: pa.Table) -> pa.Table:
+        # dictionary-encode keys (arrow C++ kernel) -> dense group ids;
+        # one flat scatter-max builds every group's registers at once
+        de = batch.column("event_type").combine_chunks().dictionary_encode()
+        gid = de.indices.to_numpy().astype(np.int64)
+        g = len(de.dictionary)
+        uid = batch.column("user_id").to_numpy().astype(np.int64)
+        reg, rho = _hll_md5_reg_rho(uid)
+        regs = np.zeros(g * m, dtype=np.int64)
+        np.maximum.at(regs, gid * m + reg, rho)
+        return pa.table({
+            "event_type": de.dictionary,
+            "regs": pa.array(list(regs.reshape(g, m)), type=pa.list_(pa.int64())),
+        })
+
+    def merge_estimate(group: pa.Table) -> pa.Table:
+        regs = np.zeros(m, dtype=np.int64)
+        for row in group.column("regs").to_pylist():
+            np.maximum(regs, np.asarray(row, dtype=np.int64), out=regs)
+        return pa.table({
+            "event_type": pa.array([group.column("event_type")[0].as_py()]),
+            "approx_users": pa.array([_hll_estimate_exact(regs)],
+                                     type=pa.int64()),
+        })
+
+    return (
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby("event_type")
+        .map_groups(merge_estimate, batch_format="pyarrow")
+    )
+
+
+def _sql_approx_distinct_users() -> str:
+    return f"""
+    SELECT event_type,
+           {_sql_hll_est("event_type = t.event_type")} AS approx_users
+    FROM (SELECT DISTINCT event_type FROM events) t
+    """
+
+
 # --------------------------------------------------------------------------
-# tile pyramid
+# round-2 continuation batch 2: self-join co-occurrence, funnel, CUBE,
+# tile pyramid, distributed exact moments, grouped string aggregation
 # --------------------------------------------------------------------------
+
+def q_part_pair_counts(sf_dir: str, n_parts: int | None = None):
+    """Self-join co-occurrence: for every pair of lineitem rows in the same
+    order with ``part_a < part_b``, count the pair.  Market-basket shape.
+
+    Distributed form: co-partition lineitem by ``hash(l_orderkey)`` (an
+    order's rows always land together), generate the intra-order pairs
+    VECTORIZED inside each partition (per-order fan-out is tiny — avg ~4
+    rows/order — so pair volume is ~O(rows)), then a map-side-combined
+    groupby on (part_a, part_b) counts pairs globally.  No O(rows) sort
+    shuffle on the ~unique order key anywhere."""
+    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+
+    def to_parts(batch: pa.Table) -> pa.Table:
+        key = batch.column("l_orderkey").to_numpy().astype(np.int64)
+        return pa.table({
+            "part": pa.array(_hash_part(key, P), type=pa.int64()),
+            "okey": pa.array(key, type=pa.int64()),
+            "pkey": batch.column("l_partkey"),
+        })
+
+    def pairs_in_partition(group: pa.Table) -> pa.Table:
+        okey = group.column("okey").to_numpy().astype(np.int64)
+        pkey = group.column("pkey").to_numpy().astype(np.int64)
+        if len(okey) == 0:
+            return pa.table({
+                "part_a": pa.array([], type=pa.int64()),
+                "part_b": pa.array([], type=pa.int64()),
+                "n_pairs": pa.array([], type=pa.int64()),
+            })
+        order = np.lexsort((pkey, okey))
+        okey, pkey = okey[order], pkey[order]
+        # segment start index for each row's order group
+        new_seg = np.r_[True, okey[1:] != okey[:-1]]
+        seg_start = np.maximum.accumulate(np.where(new_seg, np.arange(len(okey)), 0))
+        # row j pairs with every earlier row i of its segment (i < j);
+        # concatenated-ranges trick: i = local offset + segment start
+        cnt = np.arange(len(okey)) - seg_start          # pairs with j as 2nd elem
+        j = np.repeat(np.arange(len(okey)), cnt)
+        total = int(cnt.sum())
+        csum = np.r_[0, np.cumsum(cnt)]
+        i = np.arange(total) - np.repeat(csum[:-1], cnt) + np.repeat(seg_start, cnt)
+        pa_, pb_ = pkey[i], pkey[j]
+        keep = pa_ != pb_  # strict part_a < part_b excludes equal-part row pairs
+        lo = np.minimum(pa_[keep], pb_[keep])
+        hi = np.maximum(pa_[keep], pb_[keep])
+        # partition-local combine so the global shuffle carries unique pairs
+        t = pa.table({"part_a": lo, "part_b": hi}).group_by(
+            ["part_a", "part_b"]).aggregate([("part_a", "count")])
+        return pa.table({
+            "part_a": t.column("part_a"),
+            "part_b": t.column("part_b"),
+            "n_pairs": pc.cast(t.column("part_a_count"), pa.int64()),
+        })
+
+    from ..stages.agg import grouped_aggregate
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
+    ).map_batches(to_parts, batch_format="pyarrow", zero_copy_batch=True)
+    pairs = (
+        coalesce_for_shuffle(ds)
+        .groupby("part")
+        .map_groups(pairs_in_partition, batch_format="pyarrow")
+    )
+    # pair keys are ~unique (groups ~ rows): the hash-partitioned aggregate
+    # (one Arrow C++ group_by per partition) replaces the native sort-based
+    # aggregate, which is pathological at this cardinality (18 s -> ~1 s at
+    # sf0.1; see stages/agg.py::hash_grouped_aggregate)
+    from ..stages.agg import hash_grouped_aggregate
+
+    return hash_grouped_aggregate(pairs, ["part_a", "part_b"],
+                                  [("sum", "n_pairs", "n_pairs")])
+
+
+SQL_PART_PAIR_COUNTS = """
+    SELECT a.l_partkey AS part_a, b.l_partkey AS part_b,
+           CAST(COUNT(*) AS BIGINT) AS n_pairs
+    FROM lineitem a JOIN lineitem b
+      ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey
+    GROUP BY 1, 2
+"""
+
+
+def q_conversion_funnel(sf_dir: str):
+    """Ordered-sequence (funnel) detection: users whose FIRST view precedes
+    their FIRST click precedes their FIRST purchase.  Two map-side-combined
+    aggregations: (1) per-user min timestamp per stage (sentinel-encoded so
+    min() is null-free), (2) a constant-size count reduce over the per-user
+    rows.  The shuffle carries one row per (user x block), then one row per
+    block — nothing scales with event volume."""
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+    SENT = np.int64(2**62)
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "ts"]
+    )
+
+    def stage_cols(batch: pa.Table) -> pa.Table:
+        ts = pc.cast(batch.column("ts"), pa.int64()).to_numpy()
+        et = batch.column("event_type")
+        out = {"user_id": batch.column("user_id")}
+        for name in ("view", "click", "purchase"):
+            is_stage = pc.equal(et, name).to_numpy(zero_copy_only=False)
+            out[f"t_{name}"] = pa.array(
+                np.where(is_stage, ts, SENT), type=pa.int64())
+        return pa.table(out)
+
+    per_user = grouped_aggregate(
+        ds.map_batches(stage_cols, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id"],
+        [("min", "t_view", "tv"), ("min", "t_click", "tc"),
+         ("min", "t_purchase", "tp")],
+        high_cardinality=True,  # one group per user
+    )
+
+    def count_partial(batch: pa.Table) -> pa.Table:
+        tv = batch.column("tv").to_numpy()
+        tc = batch.column("tc").to_numpy()
+        tp = batch.column("tp").to_numpy()
+        has_v = tv < SENT
+        vc = has_v & (tc < SENT) & (tv < tc)
+        vcp = vc & (tp < SENT) & (tc < tp)
+        return pa.table({
+            "_k": pa.array([0], type=pa.int64()),
+            "n_view": pa.array([int(has_v.sum())], type=pa.int64()),
+            "n_view_click": pa.array([int(vc.sum())], type=pa.int64()),
+            "n_view_click_purchase": pa.array([int(vcp.sum())], type=pa.int64()),
+        })
+
+    def drop_key(batch: pa.Table) -> pa.Table:
+        return batch.drop_columns(["_k"])
+
+    return grouped_aggregate(
+        per_user.map_batches(count_partial, batch_format="pyarrow",
+                             zero_copy_batch=True),
+        ["_k"],
+        [("sum", "n_view", "n_view"),
+         ("sum", "n_view_click", "n_view_click"),
+         ("sum", "n_view_click_purchase", "n_view_click_purchase")],
+    ).map_batches(drop_key, batch_format="pyarrow", zero_copy_batch=True)
+
+
+SQL_CONVERSION_FUNNEL = """
+    WITH m AS (
+      SELECT user_id,
+             MIN(ts) FILTER (WHERE event_type = 'view')     AS tv,
+             MIN(ts) FILTER (WHERE event_type = 'click')    AS tc,
+             MIN(ts) FILTER (WHERE event_type = 'purchase') AS tp
+      FROM events GROUP BY user_id)
+    SELECT CAST(COUNT(*) FILTER (WHERE tv IS NOT NULL) AS BIGINT) AS n_view,
+           CAST(COUNT(*) FILTER (WHERE tv IS NOT NULL AND tc IS NOT NULL
+                                 AND tv < tc) AS BIGINT) AS n_view_click,
+           CAST(COUNT(*) FILTER (WHERE tv IS NOT NULL AND tc IS NOT NULL
+                                 AND tp IS NOT NULL AND tv < tc AND tc < tp)
+                AS BIGINT) AS n_view_click_purchase
+    FROM m
+"""
+
+
+def _sales_level0(sf_dir: str):
+    """Shared finest-level (returnflag x linestatus) sales aggregate — the
+    one fact-table pass that ROLLUP and CUBE levels re-aggregate."""
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/lineitem.parquet",
+        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
+    )
+
+    def to_cents(batch: pa.Table) -> pa.Table:
+        cents = pc.cast(
+            pc.round(pc.multiply(batch.column("l_extendedprice"), 100.0)), pa.int64()
+        )
+        return pa.table({
+            "l_returnflag": batch.column("l_returnflag"),
+            "l_linestatus": batch.column("l_linestatus"),
+            "l_quantity": batch.column("l_quantity"),
+            "revenue_cents": cents,
+        })
+
+    return grouped_aggregate(
+        ds.map_batches(to_cents, batch_format="pyarrow", zero_copy_batch=True),
+        ["l_returnflag", "l_linestatus"],
+        [("sum", "l_quantity", "sum_qty"), ("sum", "revenue_cents", "revenue_cents"),
+         ("count", None, "n_items")],
+    )
+
+
+_SALES_RESPEC = [("sum", "sum_qty", "sum_qty"),
+                 ("sum", "revenue_cents", "revenue_cents"),
+                 ("sum", "n_items", "n_items")]
+
+
+def _sales_mask_level(level0, keep: list[str]):
+    """Re-aggregate the finest sales level with the non-kept dimension(s)
+    masked to the 'ALL' marker."""
+    from ..stages.agg import grouped_aggregate
+
+    dims = ["l_returnflag", "l_linestatus"]
+
+    def mask(batch: pa.Table) -> pa.Table:
+        cols = {}
+        for d in dims:
+            cols[d] = (batch.column(d) if d in keep
+                       else pa.array(["ALL"] * batch.num_rows, type=pa.string()))
+        for c in ("sum_qty", "revenue_cents", "n_items"):
+            cols[c] = batch.column(c)
+        return pa.table(cols)
+
+    masked = level0.map_batches(mask, batch_format="pyarrow", zero_copy_batch=True)
+    key = keep if keep else ["l_returnflag", "l_linestatus"]
+    out = grouped_aggregate(masked, key, _SALES_RESPEC)
+    if keep == ["l_returnflag"]:
+        def put_back(batch: pa.Table) -> pa.Table:
+            return pa.table({
+                "l_returnflag": batch.column("l_returnflag"),
+                "l_linestatus": pa.array(["ALL"] * batch.num_rows, type=pa.string()),
+                "sum_qty": batch.column("sum_qty"),
+                "revenue_cents": batch.column("revenue_cents"),
+                "n_items": batch.column("n_items"),
+            })
+        out = out.map_batches(put_back, batch_format="pyarrow", zero_copy_batch=True)
+    elif keep == ["l_linestatus"]:
+        def put_back2(batch: pa.Table) -> pa.Table:
+            return pa.table({
+                "l_returnflag": pa.array(["ALL"] * batch.num_rows, type=pa.string()),
+                "l_linestatus": batch.column("l_linestatus"),
+                "sum_qty": batch.column("sum_qty"),
+                "revenue_cents": batch.column("revenue_cents"),
+                "n_items": batch.column("n_items"),
+            })
+        out = out.map_batches(put_back2, batch_format="pyarrow", zero_copy_batch=True)
+    return out
+
+
+def q_cube_sales(sf_dir: str):
+    """GROUP BY CUBE(returnflag, linestatus): all four grouping sets from
+    ONE fact-table pass — the three coarser levels re-aggregate the
+    |groups|-row finest level, so adding grouping sets costs nothing at
+    scale.  Same integer-cents exactness discipline as rollup_sales."""
+    level0 = _sales_level0(sf_dir).materialize()  # |groups| rows, reused 3x
+    lvl_rf = _sales_mask_level(level0, ["l_returnflag"])
+    lvl_ls = _sales_mask_level(level0, ["l_linestatus"])
+    lvl_all = _sales_mask_level(level0, [])
+    return level0.union(lvl_rf).union(lvl_ls).union(lvl_all)
+
+
+SQL_CUBE_SALES = """
+    SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag,
+           COALESCE(l_linestatus, 'ALL') AS l_linestatus,
+           SUM(l_quantity) AS sum_qty,
+           CAST(SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT)) AS BIGINT)
+               AS revenue_cents,
+           CAST(COUNT(*) AS BIGINT) AS n_items
+    FROM lineitem GROUP BY CUBE(l_returnflag, l_linestatus)
+"""
 
 
 def q_tile_pyramid(sf_dir: str):
@@ -2340,9 +3959,205 @@ def _sql_tile_pyramid() -> str:
     return f"WITH labels AS ({_sql_dyadic_labels_cte()}) {u}"
 
 
+def q_price_discount_corr(sf_dir: str):
+    """Distributed EXACT second-moment statistics + Pearson correlation of
+    extendedprice (cents) vs discount (percent units).  Per-batch partials
+    accumulate the six moment sums (n, Σx, Σy, Σx², Σy², Σxy) as EXACT
+    arbitrary-precision integers (int64 per-row products, Python-int
+    across chunk sums — Σx² overflows int64 past ~80k rows/batch),
+    shipped as decimal strings; one constant-size final reduce merges them
+    and derives corr.  The moment row is bit-exact vs the SQL HUGEINT
+    sums; corr is reported as integer microunits so the driver's value
+    hash is float-rounding-proof."""
+    ray = _ray()
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice", "l_discount"]
+    )
+
+    CHUNK = 50_000  # int64-safe: 50k rows x (1.1e7 cents)^2 < 2^63
+
+    def partial(batch: pa.Table) -> pa.Table:
+        x = pc.cast(pc.round(pc.multiply(batch.column("l_extendedprice"), 100.0)),
+                    pa.int64()).to_numpy()
+        y = pc.cast(pc.round(pc.multiply(batch.column("l_discount"), 100.0)),
+                    pa.int64()).to_numpy()
+        n = len(x)
+        sx = sy = sxx = syy = sxy = 0
+        for s in range(0, n, CHUNK):
+            cx, cy = x[s:s + CHUNK], y[s:s + CHUNK]
+            sx += int(cx.sum()); sy += int(cy.sum())
+            sxx += int((cx * cx).sum()); syy += int((cy * cy).sum())
+            sxy += int((cx * cy).sum())
+        return pa.table({
+            "_k": pa.array([0], type=pa.int64()),
+            "n": pa.array([n], type=pa.int64()),
+            "sx": pa.array([str(sx)]), "sy": pa.array([str(sy)]),
+            "sxx": pa.array([str(sxx)]), "syy": pa.array([str(syy)]),
+            "sxy": pa.array([str(sxy)]),
+        })
+
+    def final(group: pa.Table) -> pa.Table:
+        n = int(pc.sum(group.column("n")).as_py())
+        sx = sum(int(v) for v in group.column("sx").to_pylist())
+        sy = sum(int(v) for v in group.column("sy").to_pylist())
+        sxx = sum(int(v) for v in group.column("sxx").to_pylist())
+        syy = sum(int(v) for v in group.column("syy").to_pylist())
+        sxy = sum(int(v) for v in group.column("sxy").to_pylist())
+        # identical double expression to the SQL oracle (same op order)
+        num = float(n) * float(sxy) - float(sx) * float(sy)
+        den = np.sqrt(float(n) * float(sxx) - float(sx) * float(sx)) * \
+            np.sqrt(float(n) * float(syy) - float(sy) * float(sy))
+        corr_micro = int(np.round(num / den * 1e6))
+        return pa.table({
+            "n": pa.array([n], type=pa.int64()),
+            "sx": pa.array([str(sx)]), "sy": pa.array([str(sy)]),
+            "sxx": pa.array([str(sxx)]), "syy": pa.array([str(syy)]),
+            "sxy": pa.array([str(sxy)]),
+            "corr_micro": pa.array([corr_micro], type=pa.int64()),
+        })
+
+    return (
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby("_k")
+        .map_groups(final, batch_format="pyarrow")
+    )
+
+
+SQL_PRICE_DISCOUNT_CORR = """
+    WITH t AS (
+      SELECT CAST(ROUND(l_extendedprice*100) AS BIGINT) AS x,
+             CAST(ROUND(l_discount*100) AS BIGINT) AS y
+      FROM lineitem),
+    s AS (
+      SELECT CAST(COUNT(*) AS BIGINT) AS n,
+             SUM(x) AS sx, SUM(y) AS sy,
+             SUM(x*x) AS sxx, SUM(y*y) AS syy, SUM(x*y) AS sxy
+      FROM t)
+    SELECT n,
+           CAST(sx AS VARCHAR) AS sx, CAST(sy AS VARCHAR) AS sy,
+           CAST(sxx AS VARCHAR) AS sxx, CAST(syy AS VARCHAR) AS syy,
+           CAST(sxy AS VARCHAR) AS sxy,
+           CAST(ROUND((CAST(n AS DOUBLE) * CAST(sxy AS DOUBLE)
+                       - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE))
+                      / (SQRT(CAST(n AS DOUBLE) * CAST(sxx AS DOUBLE)
+                              - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE))
+                         * SQRT(CAST(n AS DOUBLE) * CAST(syy AS DOUBLE)
+                                - CAST(sy AS DOUBLE) * CAST(sy AS DOUBLE)))
+                      * 1e6) AS BIGINT) AS corr_micro
+    FROM s
+"""
+
+
+def q_event_types_per_user(sf_dir: str, n_parts: int | None = None):
+    """Grouped ordered string aggregation: the sorted distinct event types
+    each user has produced, comma-joined.  The pair-dedup level is a
+    map-side-combined groupby (shuffle carries unique (user, type) pairs
+    per block), then pairs co-partition by hash(user) and each partition
+    emits its users' joined strings from one lexsort — no per-user task,
+    no global sort."""
+    from ..stages.agg import grouped_aggregate
+    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
+    )
+    pairs = grouped_aggregate(ds, ["user_id", "event_type"],
+                              [("count", None, "_n")],
+                              high_cardinality=True)
+
+    def to_parts(batch: pa.Table) -> pa.Table:
+        uid = batch.column("user_id").to_numpy().astype(np.int64)
+        return pa.table({
+            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
+            "user_id": batch.column("user_id"),
+            "event_type": batch.column("event_type"),
+        })
+
+    def join_types(group: pa.Table) -> pa.Table:
+        uid = group.column("user_id").to_numpy().astype(np.int64)
+        et = group.column("event_type").to_pandas().to_numpy()
+        order = np.lexsort((et, uid))
+        uid, et = uid[order], et[order]
+        new_seg = np.r_[True, uid[1:] != uid[:-1]]
+        starts = np.flatnonzero(new_seg)
+        ends = np.r_[starts[1:], len(uid)]
+        users = uid[starts]
+        joined = [",".join(et[s:e]) for s, e in zip(starts, ends)]
+        return pa.table({
+            "user_id": pa.array(users, type=pa.int64()),
+            "types": pa.array(joined, type=pa.string()),
+        })
+
+    return (
+        coalesce_for_shuffle(
+            pairs.map_batches(to_parts, batch_format="pyarrow",
+                              zero_copy_batch=True))
+        .groupby("part")
+        .map_groups(join_types, batch_format="pyarrow")
+    )
+
+
+SQL_EVENT_TYPES_PER_USER = """
+    SELECT user_id,
+           STRING_AGG(DISTINCT event_type, ',' ORDER BY event_type) AS types
+    FROM events GROUP BY user_id
+"""
+
+
+def q_props_value_stats(sf_dir: str):
+    """Semi-structured field extraction + aggregate: parse the integer `k`
+    field out of the JSON `props` string column with ONE vectorized arrow
+    C++ regex kernel (`pc.extract_regex` — no per-row json.loads), then a
+    map-side-combined groupby per event type.  The parse is a stateless
+    stage; unparseable rows become NULL and are excluded from the k-stats
+    but still counted (`n_events` vs `n_with_k`)."""
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["event_type", "props"]
+    )
+
+    def extract(batch: pa.Table) -> pa.Table:
+        m = pc.extract_regex(batch.column("props"), r'"k":\s*(?P<k>-?\d+)')
+        k = pc.cast(pc.struct_field(m, 0), pa.int64())
+        return pa.table({
+            "event_type": batch.column("event_type"),
+            "k": k,
+            "has_k": pc.cast(pc.is_valid(k), pa.int64()),
+        })
+
+    return grouped_aggregate(
+        ds.map_batches(extract, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type"],
+        [("count", None, "n_events"), ("sum", "has_k", "n_with_k"),
+         ("sum", "k", "sum_k"), ("min", "k", "min_k"), ("max", "k", "max_k")],
+    )
+
+
+SQL_PROPS_VALUE_STATS = r"""
+    WITH t AS (
+      SELECT event_type,
+             TRY_CAST(NULLIF(regexp_extract(props, '"k":\s*(-?\d+)', 1), '')
+                      AS BIGINT) AS k
+      FROM events)
+    SELECT event_type,
+           CAST(COUNT(*) AS BIGINT) AS n_events,
+           CAST(COUNT(k) AS BIGINT) AS n_with_k,
+           CAST(SUM(k) AS BIGINT) AS sum_k,
+           MIN(k) AS min_k, MAX(k) AS max_k
+    FROM t GROUP BY event_type
+"""
+
+
 def build_queries() -> dict:
     from .queries_ext import build_queries_ext
     from .queries_ext2 import build_queries_ext2
+    from .queries_ext3 import build_queries_ext3
+    from .queries_ext4 import build_queries_ext4
     from .queries_ext5 import build_queries_ext5
     from .queries_ext6 import build_queries_ext6
     from .queries_ext7 import build_queries_ext7
@@ -2351,81 +4166,146 @@ def build_queries() -> dict:
     from .queries_ext10 import build_queries_ext10
     from .queries_ext11 import build_queries_ext11
     from .queries_ext12 import build_queries_ext12
+    from .queries_ext13 import build_queries_ext13
+    from .queries_ext14 import build_queries_ext14
     from .queries_ext15 import build_queries_ext15
+    from .queries_ext16 import build_queries_ext16
+    from .queries_ext17 import build_queries_ext17
+    from .queries_ext18 import build_queries_ext18
+    from .queries_ext19 import build_queries_ext19
+    from .queries_ext20 import build_queries_ext20
     from .queries_ext21 import build_queries_ext21
     from .queries_ext22 import build_queries_ext22
     from .queries_ext23 import build_queries_ext23
     from .queries_ext24 import build_queries_ext24
     from .queries_ext25 import build_queries_ext25
     from .queries_ext26 import build_queries_ext26
+    from .queries_ext27 import build_queries_ext27
+    from .queries_ext28 import build_queries_ext28
     from .queries_ext29 import build_queries_ext29
     from .queries_ext30 import build_queries_ext30
+    from .queries_ext31 import build_queries_ext31
     from .queries_ext32 import build_queries_ext32
     from .queries_ext33 import build_queries_ext33
     from .queries_ext34 import build_queries_ext34
+    from .queries_ext35 import build_queries_ext35
     from .queries_ext36 import build_queries_ext36
+    from .queries_ext37 import build_queries_ext37
+    from .queries_ext38 import build_queries_ext38
+    from .queries_ext39 import build_queries_ext39
     from .queries_ext40 import build_queries_ext40
     from .queries_ext41 import build_queries_ext41
     from .queries_ext42 import build_queries_ext42
+    from .queries_ext43 import build_queries_ext43
+    from .queries_ext44 import build_queries_ext44
     from .queries_ext45 import build_queries_ext45
+    from .queries_ext46 import build_queries_ext46
     from .queries_ext47 import build_queries_ext47
+    from .queries_ext48 import build_queries_ext48
     from .queries_ext49 import build_queries_ext49
     from .queries_ext50 import build_queries_ext50
+    from .queries_ext51 import build_queries_ext51
     from .queries_ext52 import build_queries_ext52
+    from .queries_ext53 import build_queries_ext53
     from .queries_ext54 import build_queries_ext54
     from .queries_ext55 import build_queries_ext55
+    from .queries_ext56 import build_queries_ext56
     from .queries_ext57 import build_queries_ext57
+    from .queries_ext58 import build_queries_ext58
+    from .queries_ext59 import build_queries_ext59
+    from .queries_ext60 import build_queries_ext60
+    from .queries_ext61 import build_queries_ext61
+    from .queries_ext62 import build_queries_ext62
+    from .queries_ext63 import build_queries_ext63
+    from .queries_ext64 import build_queries_ext64
     from .queries_ext65 import build_queries_ext65
     from .queries_ext66 import build_queries_ext66
+    from .queries_ext67 import build_queries_ext67
     from .queries_ext68 import build_queries_ext68
+    from .queries_ext69 import build_queries_ext69
     from .queries_ext70 import build_queries_ext70
     from .queries_ext71 import build_queries_ext71
+    from .queries_ext72 import build_queries_ext72
     from .queries_ext73 import build_queries_ext73
     from .queries_ext74 import build_queries_ext74
+    from .queries_ext75 import build_queries_ext75
     from .queries_ext76 import build_queries_ext76
     from .queries_ext77 import build_queries_ext77
     from .queries_ext78 import build_queries_ext78
     from .queries_ext79 import build_queries_ext79
     from .queries_ext80 import build_queries_ext80
     from .queries_ext81 import build_queries_ext81
+    from .queries_ext82 import build_queries_ext82
     from .queries_ext83 import build_queries_ext83
+    from .queries_ext84 import build_queries_ext84
     from .queries_ext85 import build_queries_ext85
     from .queries_ext86 import build_queries_ext86
     from .queries_ext87 import build_queries_ext87
     from .queries_ext88 import build_queries_ext88
+    from .queries_ext89 import build_queries_ext89
     from .queries_ext90 import build_queries_ext90
     from .queries_ext91 import build_queries_ext91
+    from .queries_ext92 import build_queries_ext92
     from .queries_ext93 import build_queries_ext93
     from .queries_ext94 import build_queries_ext94
     from .queries_ext95 import build_queries_ext95
+    from .queries_ext96 import build_queries_ext96
     from .queries_ext97 import build_queries_ext97
     from .queries_ext98 import build_queries_ext98
     from .queries_ext99 import build_queries_ext99
     from .queries_ext100 import build_queries_ext100
+    from .queries_ext101 import build_queries_ext101
+    from .queries_ext102 import build_queries_ext102
+    from .queries_ext103 import build_queries_ext103
+    from .queries_ext104 import build_queries_ext104
+    from .queries_ext105 import build_queries_ext105
+    from .queries_ext106 import build_queries_ext106
     from .queries_ext107 import build_queries_ext107
+    from .queries_ext108 import build_queries_ext108
+    from .queries_ext109 import build_queries_ext109
     from .queries_ext110 import build_queries_ext110
     from .queries_ext111 import build_queries_ext111
     from .queries_ext112 import build_queries_ext112
+    from .queries_ext113 import build_queries_ext113
+    from .queries_ext114 import build_queries_ext114
     from .queries_ext115 import build_queries_ext115
     from .queries_ext116 import build_queries_ext116
+    from .queries_ext117 import build_queries_ext117
     from .queries_ext118 import build_queries_ext118
     from .queries_ext119 import build_queries_ext119
+    from .queries_ext120 import build_queries_ext120
     from .queries_ext121 import build_queries_ext121
     from .queries_ext122 import build_queries_ext122
+    from .queries_ext123 import build_queries_ext123
+    from .queries_ext124 import build_queries_ext124
     from .queries_ext125 import build_queries_ext125
     from .queries_ext126 import build_queries_ext126
     from .queries_ext127 import build_queries_ext127
+    from .queries_ext128 import build_queries_ext128
     from .queries_ext129 import build_queries_ext129
+    from .queries_ext130 import build_queries_ext130
+    from .queries_ext131 import build_queries_ext131
     from .queries_ext132 import build_queries_ext132
+    from .queries_ext133 import build_queries_ext133
+    from .queries_ext134 import build_queries_ext134
     from .queries_ext135 import build_queries_ext135
+    from .queries_ext136 import build_queries_ext136
+    from .queries_ext137 import build_queries_ext137
+    from .queries_ext138 import build_queries_ext138
     from .queries_ext139 import build_queries_ext139
+    from .queries_ext140 import build_queries_ext140
+    from .queries_ext141 import build_queries_ext141
+    from .queries_ext142 import build_queries_ext142
     from .queries_ext143 import build_queries_ext143
+    from .queries_ext144 import build_queries_ext144
     from .queries_ext145 import build_queries_ext145
     from .queries_ext146 import build_queries_ext146
+    from .queries_ext147 import build_queries_ext147
     from .queries_ext148 import build_queries_ext148
     from .queries_ext149 import build_queries_ext149
     from .queries_ext150 import build_queries_ext150
     from .queries_ext151 import build_queries_ext151
+    from .queries_ext152 import build_queries_ext152
     from .queries_ext153 import build_queries_ext153
     from .queries_ext154 import build_queries_ext154
     from .queries_ext155 import build_queries_ext155
@@ -2435,19 +4315,24 @@ def build_queries() -> dict:
     from .queries_ext159 import build_queries_ext159
     from .queries_ext160 import build_queries_ext160
     from .queries_ext161 import build_queries_ext161
+    from .queries_ext162 import build_queries_ext162
     from .queries_ext163 import build_queries_ext163
     from .queries_ext164 import build_queries_ext164
     from .queries_ext165 import build_queries_ext165
     from .queries_ext166 import build_queries_ext166
+    from .queries_ext167 import build_queries_ext167
+    from .queries_ext168 import build_queries_ext168
     from .queries_ext169 import build_queries_ext169
     from .queries_ext170 import build_queries_ext170
     from .queries_ext171 import build_queries_ext171
     from .queries_ext172 import build_queries_ext172
     from .queries_ext173 import build_queries_ext173
+    from .queries_ext174 import build_queries_ext174
     from .queries_ext175 import build_queries_ext175
     from .queries_ext176 import build_queries_ext176
     from .queries_ext177 import build_queries_ext177
     from .queries_ext178 import build_queries_ext178
+    from .queries_ext179 import build_queries_ext179
     from .queries_ext180 import build_queries_ext180
     from .queries_ext181 import build_queries_ext181
     from .queries_ext182 import build_queries_ext182
@@ -2457,16 +4342,23 @@ def build_queries() -> dict:
     from .queries_ext186 import build_queries_ext186
     from .queries_ext187 import build_queries_ext187
     from .queries_ext188 import build_queries_ext188
+    from .queries_ext189 import build_queries_ext189
     from .queries_ext190 import build_queries_ext190
     from .queries_ext191 import build_queries_ext191
     from .queries_ext192 import build_queries_ext192
+    from .queries_ext193 import build_queries_ext193
     from .queries_ext194 import build_queries_ext194
+    from .queries_ext195 import build_queries_ext195
+    from .queries_ext196 import build_queries_ext196
     from .queries_ext197 import build_queries_ext197
+    from .queries_ext198 import build_queries_ext198
     from .queries_ext199 import build_queries_ext199
 
     return {
         **build_queries_ext(),
         **build_queries_ext2(),
+        **build_queries_ext3(),
+        **build_queries_ext4(),
         **build_queries_ext5(),
         **build_queries_ext6(),
         **build_queries_ext7(),
@@ -2475,81 +4367,146 @@ def build_queries() -> dict:
         **build_queries_ext10(),
         **build_queries_ext11(),
         **build_queries_ext12(),
+        **build_queries_ext13(),
+        **build_queries_ext14(),
         **build_queries_ext15(),
+        **build_queries_ext16(),
+        **build_queries_ext17(),
+        **build_queries_ext18(),
+        **build_queries_ext19(),
+        **build_queries_ext20(),
         **build_queries_ext21(),
         **build_queries_ext22(),
         **build_queries_ext23(),
         **build_queries_ext24(),
         **build_queries_ext25(),
         **build_queries_ext26(),
+        **build_queries_ext27(),
+        **build_queries_ext28(),
         **build_queries_ext29(),
         **build_queries_ext30(),
+        **build_queries_ext31(),
         **build_queries_ext32(),
         **build_queries_ext33(),
         **build_queries_ext34(),
+        **build_queries_ext35(),
         **build_queries_ext36(),
+        **build_queries_ext37(),
+        **build_queries_ext38(),
+        **build_queries_ext39(),
         **build_queries_ext40(),
         **build_queries_ext41(),
         **build_queries_ext42(),
+        **build_queries_ext43(),
+        **build_queries_ext44(),
         **build_queries_ext45(),
+        **build_queries_ext46(),
         **build_queries_ext47(),
+        **build_queries_ext48(),
         **build_queries_ext49(),
         **build_queries_ext50(),
+        **build_queries_ext51(),
         **build_queries_ext52(),
+        **build_queries_ext53(),
         **build_queries_ext54(),
         **build_queries_ext55(),
+        **build_queries_ext56(),
         **build_queries_ext57(),
+        **build_queries_ext58(),
+        **build_queries_ext59(),
+        **build_queries_ext60(),
+        **build_queries_ext61(),
+        **build_queries_ext62(),
+        **build_queries_ext63(),
+        **build_queries_ext64(),
         **build_queries_ext65(),
         **build_queries_ext66(),
+        **build_queries_ext67(),
         **build_queries_ext68(),
+        **build_queries_ext69(),
         **build_queries_ext70(),
         **build_queries_ext71(),
+        **build_queries_ext72(),
         **build_queries_ext73(),
         **build_queries_ext74(),
+        **build_queries_ext75(),
         **build_queries_ext76(),
         **build_queries_ext77(),
         **build_queries_ext78(),
         **build_queries_ext79(),
         **build_queries_ext80(),
         **build_queries_ext81(),
+        **build_queries_ext82(),
         **build_queries_ext83(),
+        **build_queries_ext84(),
         **build_queries_ext85(),
         **build_queries_ext86(),
         **build_queries_ext87(),
         **build_queries_ext88(),
+        **build_queries_ext89(),
         **build_queries_ext90(),
         **build_queries_ext91(),
+        **build_queries_ext92(),
         **build_queries_ext93(),
         **build_queries_ext94(),
         **build_queries_ext95(),
+        **build_queries_ext96(),
         **build_queries_ext97(),
         **build_queries_ext98(),
         **build_queries_ext99(),
         **build_queries_ext100(),
+        **build_queries_ext101(),
+        **build_queries_ext102(),
+        **build_queries_ext103(),
+        **build_queries_ext104(),
+        **build_queries_ext105(),
+        **build_queries_ext106(),
         **build_queries_ext107(),
+        **build_queries_ext108(),
+        **build_queries_ext109(),
         **build_queries_ext110(),
         **build_queries_ext111(),
         **build_queries_ext112(),
+        **build_queries_ext113(),
+        **build_queries_ext114(),
         **build_queries_ext115(),
         **build_queries_ext116(),
+        **build_queries_ext117(),
         **build_queries_ext118(),
         **build_queries_ext119(),
+        **build_queries_ext120(),
         **build_queries_ext121(),
         **build_queries_ext122(),
+        **build_queries_ext123(),
+        **build_queries_ext124(),
         **build_queries_ext125(),
         **build_queries_ext126(),
         **build_queries_ext127(),
+        **build_queries_ext128(),
         **build_queries_ext129(),
+        **build_queries_ext130(),
+        **build_queries_ext131(),
         **build_queries_ext132(),
+        **build_queries_ext133(),
+        **build_queries_ext134(),
         **build_queries_ext135(),
+        **build_queries_ext136(),
+        **build_queries_ext137(),
+        **build_queries_ext138(),
         **build_queries_ext139(),
+        **build_queries_ext140(),
+        **build_queries_ext141(),
+        **build_queries_ext142(),
         **build_queries_ext143(),
+        **build_queries_ext144(),
         **build_queries_ext145(),
         **build_queries_ext146(),
+        **build_queries_ext147(),
         **build_queries_ext148(),
         **build_queries_ext149(),
         **build_queries_ext150(),
         **build_queries_ext151(),
+        **build_queries_ext152(),
         **build_queries_ext153(),
         **build_queries_ext154(),
         **build_queries_ext155(),
@@ -2559,19 +4516,24 @@ def build_queries() -> dict:
         **build_queries_ext159(),
         **build_queries_ext160(),
         **build_queries_ext161(),
+        **build_queries_ext162(),
         **build_queries_ext163(),
         **build_queries_ext164(),
         **build_queries_ext165(),
         **build_queries_ext166(),
+        **build_queries_ext167(),
+        **build_queries_ext168(),
         **build_queries_ext169(),
         **build_queries_ext170(),
         **build_queries_ext171(),
         **build_queries_ext172(),
         **build_queries_ext173(),
+        **build_queries_ext174(),
         **build_queries_ext175(),
         **build_queries_ext176(),
         **build_queries_ext177(),
         **build_queries_ext178(),
+        **build_queries_ext179(),
         **build_queries_ext180(),
         **build_queries_ext181(),
         **build_queries_ext182(),
@@ -2581,11 +4543,16 @@ def build_queries() -> dict:
         **build_queries_ext186(),
         **build_queries_ext187(),
         **build_queries_ext188(),
+        **build_queries_ext189(),
         **build_queries_ext190(),
         **build_queries_ext191(),
         **build_queries_ext192(),
+        **build_queries_ext193(),
         **build_queries_ext194(),
+        **build_queries_ext195(),
+        **build_queries_ext196(),
         **build_queries_ext197(),
+        **build_queries_ext198(),
         **build_queries_ext199(),
         "label_dyadic": q_label_dyadic,
         "bbox_query": q_bbox_query,
@@ -2595,14 +4562,24 @@ def build_queries() -> dict:
         "labeled_output": q_labeled_output,
         "zone_join": q_zone_join,
         "zone_join_copartitioned": q_zone_join_copartitioned,
+        "events_windowed": q_events_windowed,
+        "sessionize": q_sessionize,
+        "asof_purchase_view": q_asof_purchase_view,
+        "top_orders_per_customer": q_top_orders_per_customer,
+        "value_quantiles": q_value_quantiles,
         "top_bigrams": q_top_bigrams,
         "train_test_split": q_train_test_split,
         "token_packing": q_token_packing,
         "dedup_clusters": q_dedup_clusters,
+        "orders_without_lineitems": q_orders_without_lineitems,
         "distinct_sources": q_distinct_sources,
         "knn_tiles": q_knn_tiles,
         "tile_counts": q_tile_counts,
         "render_tiles": q_render_tiles,
+        "pricing_summary": q_pricing_summary,
+        "top_orders": q_top_orders,
+        "customers_per_nation": q_customers_per_nation,
+        "events_by_type": q_events_by_type,
         "token_counts": q_token_counts,
         "exact_dedup": q_exact_dedup,
         "lang_counts": q_lang_counts,
@@ -2616,18 +4593,37 @@ def build_queries() -> dict:
         "ann_topk": q_ann_topk,
         "ivf_topk": q_ivf_topk,
         "media_kind_counts": q_media_kind_counts,
+        "rolling_user_stats": q_rolling_user_stats,
+        "attribution_counts": q_attribution_counts,
         "canonical_docs": q_canonical_docs,
         "stratified_sample": q_stratified_sample,
+        "value_histogram": q_value_histogram,
+        "rollup_sales": q_rollup_sales,
+        "distinct_users_per_type": q_distinct_users_per_type,
         "long_docs": q_long_docs,
+        "order_fulfillment": q_order_fulfillment,
+        "user_event_pivot": q_user_event_pivot,
+        "median_value_per_type": q_median_value_per_type,
+        "approx_distinct_users": q_approx_distinct_users,
+        "view_only_hours": q_view_only_hours,
+        "revenue_by_region": q_revenue_by_region,
         "video_frame_stats": q_video_frame_stats,
         "doc_chunks": q_doc_chunks,
+        "part_pair_counts": q_part_pair_counts,
+        "conversion_funnel": q_conversion_funnel,
+        "cube_sales": q_cube_sales,
         "tile_pyramid": q_tile_pyramid,
+        "price_discount_corr": q_price_discount_corr,
+        "event_types_per_user": q_event_types_per_user,
+        "props_value_stats": q_props_value_stats,
     }
 
 
 def build_oracles() -> dict:
     from .queries_ext import build_oracles_ext
     from .queries_ext2 import build_oracles_ext2
+    from .queries_ext3 import build_oracles_ext3
+    from .queries_ext4 import build_oracles_ext4
     from .queries_ext5 import build_oracles_ext5
     from .queries_ext6 import build_oracles_ext6
     from .queries_ext7 import build_oracles_ext7
@@ -2636,81 +4632,146 @@ def build_oracles() -> dict:
     from .queries_ext10 import build_oracles_ext10
     from .queries_ext11 import build_oracles_ext11
     from .queries_ext12 import build_oracles_ext12
+    from .queries_ext13 import build_oracles_ext13
+    from .queries_ext14 import build_oracles_ext14
     from .queries_ext15 import build_oracles_ext15
+    from .queries_ext16 import build_oracles_ext16
+    from .queries_ext17 import build_oracles_ext17
+    from .queries_ext18 import build_oracles_ext18
+    from .queries_ext19 import build_oracles_ext19
+    from .queries_ext20 import build_oracles_ext20
     from .queries_ext21 import build_oracles_ext21
     from .queries_ext22 import build_oracles_ext22
     from .queries_ext23 import build_oracles_ext23
     from .queries_ext24 import build_oracles_ext24
     from .queries_ext25 import build_oracles_ext25
     from .queries_ext26 import build_oracles_ext26
+    from .queries_ext27 import build_oracles_ext27
+    from .queries_ext28 import build_oracles_ext28
     from .queries_ext29 import build_oracles_ext29
     from .queries_ext30 import build_oracles_ext30
+    from .queries_ext31 import build_oracles_ext31
     from .queries_ext32 import build_oracles_ext32
     from .queries_ext33 import build_oracles_ext33
     from .queries_ext34 import build_oracles_ext34
+    from .queries_ext35 import build_oracles_ext35
     from .queries_ext36 import build_oracles_ext36
+    from .queries_ext37 import build_oracles_ext37
+    from .queries_ext38 import build_oracles_ext38
+    from .queries_ext39 import build_oracles_ext39
     from .queries_ext40 import build_oracles_ext40
     from .queries_ext41 import build_oracles_ext41
     from .queries_ext42 import build_oracles_ext42
+    from .queries_ext43 import build_oracles_ext43
+    from .queries_ext44 import build_oracles_ext44
     from .queries_ext45 import build_oracles_ext45
+    from .queries_ext46 import build_oracles_ext46
     from .queries_ext47 import build_oracles_ext47
+    from .queries_ext48 import build_oracles_ext48
     from .queries_ext49 import build_oracles_ext49
     from .queries_ext50 import build_oracles_ext50
+    from .queries_ext51 import build_oracles_ext51
     from .queries_ext52 import build_oracles_ext52
+    from .queries_ext53 import build_oracles_ext53
     from .queries_ext54 import build_oracles_ext54
     from .queries_ext55 import build_oracles_ext55
+    from .queries_ext56 import build_oracles_ext56
     from .queries_ext57 import build_oracles_ext57
+    from .queries_ext58 import build_oracles_ext58
+    from .queries_ext59 import build_oracles_ext59
+    from .queries_ext60 import build_oracles_ext60
+    from .queries_ext61 import build_oracles_ext61
+    from .queries_ext62 import build_oracles_ext62
+    from .queries_ext63 import build_oracles_ext63
+    from .queries_ext64 import build_oracles_ext64
     from .queries_ext65 import build_oracles_ext65
     from .queries_ext66 import build_oracles_ext66
+    from .queries_ext67 import build_oracles_ext67
     from .queries_ext68 import build_oracles_ext68
+    from .queries_ext69 import build_oracles_ext69
     from .queries_ext70 import build_oracles_ext70
     from .queries_ext71 import build_oracles_ext71
+    from .queries_ext72 import build_oracles_ext72
     from .queries_ext73 import build_oracles_ext73
     from .queries_ext74 import build_oracles_ext74
+    from .queries_ext75 import build_oracles_ext75
     from .queries_ext76 import build_oracles_ext76
     from .queries_ext77 import build_oracles_ext77
     from .queries_ext78 import build_oracles_ext78
     from .queries_ext79 import build_oracles_ext79
     from .queries_ext80 import build_oracles_ext80
     from .queries_ext81 import build_oracles_ext81
+    from .queries_ext82 import build_oracles_ext82
     from .queries_ext83 import build_oracles_ext83
+    from .queries_ext84 import build_oracles_ext84
     from .queries_ext85 import build_oracles_ext85
     from .queries_ext86 import build_oracles_ext86
     from .queries_ext87 import build_oracles_ext87
     from .queries_ext88 import build_oracles_ext88
+    from .queries_ext89 import build_oracles_ext89
     from .queries_ext90 import build_oracles_ext90
     from .queries_ext91 import build_oracles_ext91
+    from .queries_ext92 import build_oracles_ext92
     from .queries_ext93 import build_oracles_ext93
     from .queries_ext94 import build_oracles_ext94
     from .queries_ext95 import build_oracles_ext95
+    from .queries_ext96 import build_oracles_ext96
     from .queries_ext97 import build_oracles_ext97
     from .queries_ext98 import build_oracles_ext98
     from .queries_ext99 import build_oracles_ext99
     from .queries_ext100 import build_oracles_ext100
+    from .queries_ext101 import build_oracles_ext101
+    from .queries_ext102 import build_oracles_ext102
+    from .queries_ext103 import build_oracles_ext103
+    from .queries_ext104 import build_oracles_ext104
+    from .queries_ext105 import build_oracles_ext105
+    from .queries_ext106 import build_oracles_ext106
     from .queries_ext107 import build_oracles_ext107
+    from .queries_ext108 import build_oracles_ext108
+    from .queries_ext109 import build_oracles_ext109
     from .queries_ext110 import build_oracles_ext110
     from .queries_ext111 import build_oracles_ext111
     from .queries_ext112 import build_oracles_ext112
+    from .queries_ext113 import build_oracles_ext113
+    from .queries_ext114 import build_oracles_ext114
     from .queries_ext115 import build_oracles_ext115
     from .queries_ext116 import build_oracles_ext116
+    from .queries_ext117 import build_oracles_ext117
     from .queries_ext118 import build_oracles_ext118
     from .queries_ext119 import build_oracles_ext119
+    from .queries_ext120 import build_oracles_ext120
     from .queries_ext121 import build_oracles_ext121
     from .queries_ext122 import build_oracles_ext122
+    from .queries_ext123 import build_oracles_ext123
+    from .queries_ext124 import build_oracles_ext124
     from .queries_ext125 import build_oracles_ext125
     from .queries_ext126 import build_oracles_ext126
     from .queries_ext127 import build_oracles_ext127
+    from .queries_ext128 import build_oracles_ext128
     from .queries_ext129 import build_oracles_ext129
+    from .queries_ext130 import build_oracles_ext130
+    from .queries_ext131 import build_oracles_ext131
     from .queries_ext132 import build_oracles_ext132
+    from .queries_ext133 import build_oracles_ext133
+    from .queries_ext134 import build_oracles_ext134
     from .queries_ext135 import build_oracles_ext135
+    from .queries_ext136 import build_oracles_ext136
+    from .queries_ext137 import build_oracles_ext137
+    from .queries_ext138 import build_oracles_ext138
     from .queries_ext139 import build_oracles_ext139
+    from .queries_ext140 import build_oracles_ext140
+    from .queries_ext141 import build_oracles_ext141
+    from .queries_ext142 import build_oracles_ext142
     from .queries_ext143 import build_oracles_ext143
+    from .queries_ext144 import build_oracles_ext144
     from .queries_ext145 import build_oracles_ext145
     from .queries_ext146 import build_oracles_ext146
+    from .queries_ext147 import build_oracles_ext147
     from .queries_ext148 import build_oracles_ext148
     from .queries_ext149 import build_oracles_ext149
     from .queries_ext150 import build_oracles_ext150
     from .queries_ext151 import build_oracles_ext151
+    from .queries_ext152 import build_oracles_ext152
     from .queries_ext153 import build_oracles_ext153
     from .queries_ext154 import build_oracles_ext154
     from .queries_ext155 import build_oracles_ext155
@@ -2720,19 +4781,24 @@ def build_oracles() -> dict:
     from .queries_ext159 import build_oracles_ext159
     from .queries_ext160 import build_oracles_ext160
     from .queries_ext161 import build_oracles_ext161
+    from .queries_ext162 import build_oracles_ext162
     from .queries_ext163 import build_oracles_ext163
     from .queries_ext164 import build_oracles_ext164
     from .queries_ext165 import build_oracles_ext165
     from .queries_ext166 import build_oracles_ext166
+    from .queries_ext167 import build_oracles_ext167
+    from .queries_ext168 import build_oracles_ext168
     from .queries_ext169 import build_oracles_ext169
     from .queries_ext170 import build_oracles_ext170
     from .queries_ext171 import build_oracles_ext171
     from .queries_ext172 import build_oracles_ext172
     from .queries_ext173 import build_oracles_ext173
+    from .queries_ext174 import build_oracles_ext174
     from .queries_ext175 import build_oracles_ext175
     from .queries_ext176 import build_oracles_ext176
     from .queries_ext177 import build_oracles_ext177
     from .queries_ext178 import build_oracles_ext178
+    from .queries_ext179 import build_oracles_ext179
     from .queries_ext180 import build_oracles_ext180
     from .queries_ext181 import build_oracles_ext181
     from .queries_ext182 import build_oracles_ext182
@@ -2742,16 +4808,23 @@ def build_oracles() -> dict:
     from .queries_ext186 import build_oracles_ext186
     from .queries_ext187 import build_oracles_ext187
     from .queries_ext188 import build_oracles_ext188
+    from .queries_ext189 import build_oracles_ext189
     from .queries_ext190 import build_oracles_ext190
     from .queries_ext191 import build_oracles_ext191
     from .queries_ext192 import build_oracles_ext192
+    from .queries_ext193 import build_oracles_ext193
     from .queries_ext194 import build_oracles_ext194
+    from .queries_ext195 import build_oracles_ext195
+    from .queries_ext196 import build_oracles_ext196
     from .queries_ext197 import build_oracles_ext197
+    from .queries_ext198 import build_oracles_ext198
     from .queries_ext199 import build_oracles_ext199
 
     return {
         **build_oracles_ext(),
         **build_oracles_ext2(),
+        **build_oracles_ext3(),
+        **build_oracles_ext4(),
         **build_oracles_ext5(),
         **build_oracles_ext6(),
         **build_oracles_ext7(),
@@ -2760,81 +4833,146 @@ def build_oracles() -> dict:
         **build_oracles_ext10(),
         **build_oracles_ext11(),
         **build_oracles_ext12(),
+        **build_oracles_ext13(),
+        **build_oracles_ext14(),
         **build_oracles_ext15(),
+        **build_oracles_ext16(),
+        **build_oracles_ext17(),
+        **build_oracles_ext18(),
+        **build_oracles_ext19(),
+        **build_oracles_ext20(),
         **build_oracles_ext21(),
         **build_oracles_ext22(),
         **build_oracles_ext23(),
         **build_oracles_ext24(),
         **build_oracles_ext25(),
         **build_oracles_ext26(),
+        **build_oracles_ext27(),
+        **build_oracles_ext28(),
         **build_oracles_ext29(),
         **build_oracles_ext30(),
+        **build_oracles_ext31(),
         **build_oracles_ext32(),
         **build_oracles_ext33(),
         **build_oracles_ext34(),
+        **build_oracles_ext35(),
         **build_oracles_ext36(),
+        **build_oracles_ext37(),
+        **build_oracles_ext38(),
+        **build_oracles_ext39(),
         **build_oracles_ext40(),
         **build_oracles_ext41(),
         **build_oracles_ext42(),
+        **build_oracles_ext43(),
+        **build_oracles_ext44(),
         **build_oracles_ext45(),
+        **build_oracles_ext46(),
         **build_oracles_ext47(),
+        **build_oracles_ext48(),
         **build_oracles_ext49(),
         **build_oracles_ext50(),
+        **build_oracles_ext51(),
         **build_oracles_ext52(),
+        **build_oracles_ext53(),
         **build_oracles_ext54(),
         **build_oracles_ext55(),
+        **build_oracles_ext56(),
         **build_oracles_ext57(),
+        **build_oracles_ext58(),
+        **build_oracles_ext59(),
+        **build_oracles_ext60(),
+        **build_oracles_ext61(),
+        **build_oracles_ext62(),
+        **build_oracles_ext63(),
+        **build_oracles_ext64(),
         **build_oracles_ext65(),
         **build_oracles_ext66(),
+        **build_oracles_ext67(),
         **build_oracles_ext68(),
+        **build_oracles_ext69(),
         **build_oracles_ext70(),
         **build_oracles_ext71(),
+        **build_oracles_ext72(),
         **build_oracles_ext73(),
         **build_oracles_ext74(),
+        **build_oracles_ext75(),
         **build_oracles_ext76(),
         **build_oracles_ext77(),
         **build_oracles_ext78(),
         **build_oracles_ext79(),
         **build_oracles_ext80(),
         **build_oracles_ext81(),
+        **build_oracles_ext82(),
         **build_oracles_ext83(),
+        **build_oracles_ext84(),
         **build_oracles_ext85(),
         **build_oracles_ext86(),
         **build_oracles_ext87(),
         **build_oracles_ext88(),
+        **build_oracles_ext89(),
         **build_oracles_ext90(),
         **build_oracles_ext91(),
+        **build_oracles_ext92(),
         **build_oracles_ext93(),
         **build_oracles_ext94(),
         **build_oracles_ext95(),
+        **build_oracles_ext96(),
         **build_oracles_ext97(),
         **build_oracles_ext98(),
         **build_oracles_ext99(),
         **build_oracles_ext100(),
+        **build_oracles_ext101(),
+        **build_oracles_ext102(),
+        **build_oracles_ext103(),
+        **build_oracles_ext104(),
+        **build_oracles_ext105(),
+        **build_oracles_ext106(),
         **build_oracles_ext107(),
+        **build_oracles_ext108(),
+        **build_oracles_ext109(),
         **build_oracles_ext110(),
         **build_oracles_ext111(),
         **build_oracles_ext112(),
+        **build_oracles_ext113(),
+        **build_oracles_ext114(),
         **build_oracles_ext115(),
         **build_oracles_ext116(),
+        **build_oracles_ext117(),
         **build_oracles_ext118(),
         **build_oracles_ext119(),
+        **build_oracles_ext120(),
         **build_oracles_ext121(),
         **build_oracles_ext122(),
+        **build_oracles_ext123(),
+        **build_oracles_ext124(),
         **build_oracles_ext125(),
         **build_oracles_ext126(),
         **build_oracles_ext127(),
+        **build_oracles_ext128(),
         **build_oracles_ext129(),
+        **build_oracles_ext130(),
+        **build_oracles_ext131(),
         **build_oracles_ext132(),
+        **build_oracles_ext133(),
+        **build_oracles_ext134(),
         **build_oracles_ext135(),
+        **build_oracles_ext136(),
+        **build_oracles_ext137(),
+        **build_oracles_ext138(),
         **build_oracles_ext139(),
+        **build_oracles_ext140(),
+        **build_oracles_ext141(),
+        **build_oracles_ext142(),
         **build_oracles_ext143(),
+        **build_oracles_ext144(),
         **build_oracles_ext145(),
         **build_oracles_ext146(),
+        **build_oracles_ext147(),
         **build_oracles_ext148(),
         **build_oracles_ext149(),
         **build_oracles_ext150(),
         **build_oracles_ext151(),
+        **build_oracles_ext152(),
         **build_oracles_ext153(),
         **build_oracles_ext154(),
         **build_oracles_ext155(),
@@ -2844,19 +4982,24 @@ def build_oracles() -> dict:
         **build_oracles_ext159(),
         **build_oracles_ext160(),
         **build_oracles_ext161(),
+        **build_oracles_ext162(),
         **build_oracles_ext163(),
         **build_oracles_ext164(),
         **build_oracles_ext165(),
         **build_oracles_ext166(),
+        **build_oracles_ext167(),
+        **build_oracles_ext168(),
         **build_oracles_ext169(),
         **build_oracles_ext170(),
         **build_oracles_ext171(),
         **build_oracles_ext172(),
         **build_oracles_ext173(),
+        **build_oracles_ext174(),
         **build_oracles_ext175(),
         **build_oracles_ext176(),
         **build_oracles_ext177(),
         **build_oracles_ext178(),
+        **build_oracles_ext179(),
         **build_oracles_ext180(),
         **build_oracles_ext181(),
         **build_oracles_ext182(),
@@ -2866,11 +5009,16 @@ def build_oracles() -> dict:
         **build_oracles_ext186(),
         **build_oracles_ext187(),
         **build_oracles_ext188(),
+        **build_oracles_ext189(),
         **build_oracles_ext190(),
         **build_oracles_ext191(),
         **build_oracles_ext192(),
+        **build_oracles_ext193(),
         **build_oracles_ext194(),
+        **build_oracles_ext195(),
+        **build_oracles_ext196(),
         **build_oracles_ext197(),
+        **build_oracles_ext198(),
         **build_oracles_ext199(),
         "label_dyadic": _sql_label_dyadic(),
         "bbox_query": _sql_bbox_query(),
@@ -2879,13 +5027,24 @@ def build_oracles() -> dict:
         "cell_encode": _sql_cell_encode(),
         "zone_join": _sql_zone_join(),
         "zone_join_copartitioned": _sql_zone_join(),
+        "events_windowed": SQL_EVENTS_WINDOWED,
+        "sessionize": SQL_SESSIONIZE,
         "top_bigrams": SQL_TOP_BIGRAMS,
         "train_test_split": SQL_TRAIN_TEST_SPLIT,
         "token_packing": SQL_TOKEN_PACKING,
+        "asof_purchase_view": SQL_ASOF_PURCHASE_VIEW,
+        "top_orders_per_customer": SQL_TOP_ORDERS_PER_CUSTOMER,
+        "value_quantiles": SQL_VALUE_QUANTILES,
+        "orders_without_lineitems": SQL_ORDERS_WITHOUT_LINEITEMS,
         "distinct_sources": SQL_DISTINCT_SOURCES,
         "knn_tiles": _sql_knn_tiles(),
         "tile_counts": _sql_tile_counts(),
         # render_tiles: no oracle (binary tile payloads) -> rows-only
+        "approx_distinct_users": _sql_approx_distinct_users(),
+        "pricing_summary": SQL_PRICING_SUMMARY,
+        "top_orders": SQL_TOP_ORDERS,
+        "customers_per_nation": SQL_CUSTOMERS_PER_NATION,
+        "events_by_type": SQL_EVENTS_BY_TYPE,
         "token_counts": SQL_TOKEN_COUNTS,
         "exact_dedup": SQL_EXACT_DEDUP,
         "lang_counts": SQL_LANG_COUNTS,
@@ -2895,16 +5054,32 @@ def build_oracles() -> dict:
         "media_kind_counts": SQL_MEDIA_KIND_COUNTS,
         "lang_id": _sql_lang_id(),
         "fingerprints": SQL_FINGERPRINTS,
+        "rolling_user_stats": SQL_ROLLING_USER_STATS,
+        "attribution_counts": SQL_ATTRIBUTION_COUNTS,
         "canonical_docs": SQL_CANONICAL_DOCS,
         "stratified_sample": SQL_STRATIFIED_SAMPLE,
+        "value_histogram": SQL_VALUE_HISTOGRAM,
+        "rollup_sales": SQL_ROLLUP_SALES,
+        "distinct_users_per_type": SQL_DISTINCT_USERS_PER_TYPE,
         "long_docs": SQL_LONG_DOCS,
+        "order_fulfillment": SQL_ORDER_FULFILLMENT,
+        "user_event_pivot": SQL_USER_EVENT_PIVOT,
+        "median_value_per_type": SQL_MEDIAN_VALUE_PER_TYPE,
+        "view_only_hours": SQL_VIEW_ONLY_HOURS,
         "doc_chunks": SQL_DOC_CHUNKS,
+        "revenue_by_region": SQL_REVENUE_BY_REGION,
+        "part_pair_counts": SQL_PART_PAIR_COUNTS,
+        "conversion_funnel": SQL_CONVERSION_FUNNEL,
+        "cube_sales": SQL_CUBE_SALES,
         "tile_pyramid": _sql_tile_pyramid(),
         "labeled_output": _sql_labeled_output(),
         "render_tiles": _sql_render_tiles(),
         "simhash": _sql_simhash(),
         "minhash_near_dup": _sql_minhash_near_dup(),
         "dedup_clusters": _sql_dedup_clusters(),
+        "price_discount_corr": SQL_PRICE_DISCOUNT_CORR,
+        "event_types_per_user": SQL_EVENT_TYPES_PER_USER,
+        "props_value_stats": SQL_PROPS_VALUE_STATS,
         "video_frame_stats": SQL_VIDEO_FRAME_STATS,
         # two-algorithms-one-ground-truth oracle (the jaccard_join_exact
         # precedent): the exhaustive all-pairs cosine sweep — LSH banding

@@ -1,5 +1,6 @@
 """Round-2 extension operators: spatial overlap joins, coverage
-rasterization, hull/simplification kernels, pairwise n-gram Jaccard.
+rasterization, hull/simplification kernels, first/last-value windows,
+pairwise n-gram Jaccard, interpolated quantiles.
 
 Same contracts as ``queries.py``: every query callable takes ``sf_dir`` and
 returns a Dataset / Arrow table; oracles are written only where the Ray
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import DEFAULT_TILE_RES, WORLD_MIN, WORLD_SIZE
 from ..geom.ops import convex_hull, ring_area, simplify_ring
@@ -449,6 +451,117 @@ def _sql_simplify_stats() -> str:
 
 
 # --------------------------------------------------------------------------
+# first/last value per key (distributed FIRST_VALUE / LAST_VALUE)
+# --------------------------------------------------------------------------
+
+
+def q_user_first_last(sf_dir: str, n_parts: int | None = None):
+    """First and last event type per user by (ts, event_id) order — the
+    distributed FIRST_VALUE/LAST_VALUE window.  Map-side combine: each
+    block reduces to one candidate row per user (lexsort + segment
+    boundaries), the shuffle carries O(users x blocks) candidate rows, and
+    each hash partition finishes its users with the same segment sweep —
+    no per-user task, no global sort."""
+    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
+
+    from .queries import _hash_part
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet",
+        columns=["event_id", "ts", "user_id", "event_type"],
+    )
+
+    def partials(batch: pa.Table) -> pa.Table:
+        uid = batch.column("user_id").to_numpy().astype(np.int64)
+        ts = pc.cast(batch.column("ts"), pa.int64()).to_numpy()
+        eid = batch.column("event_id").to_numpy().astype(np.int64)
+        et = batch.column("event_type").to_pandas().to_numpy()
+        order = np.lexsort((eid, ts, uid))
+        uid, ts, eid, et = uid[order], ts[order], eid[order], et[order]
+        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
+        ends = np.r_[starts[1:], len(uid)]
+        lasts = ends - 1
+        return pa.table({
+            "part": pa.array(_hash_part(uid[starts], P), type=pa.int64()),
+            "user_id": pa.array(uid[starts], type=pa.int64()),
+            "f_ts": pa.array(ts[starts], type=pa.int64()),
+            "f_eid": pa.array(eid[starts], type=pa.int64()),
+            "f_type": pa.array(et[starts], type=pa.string()),
+            "l_ts": pa.array(ts[lasts], type=pa.int64()),
+            "l_eid": pa.array(eid[lasts], type=pa.int64()),
+            "l_type": pa.array(et[lasts], type=pa.string()),
+            "n": pa.array(ends - starts, type=pa.int64()),
+        })
+
+    def finish(group: pa.Table) -> pa.Table:
+        uid = group.column("user_id").to_numpy().astype(np.int64)
+        f_ts = group.column("f_ts").to_numpy()
+        f_eid = group.column("f_eid").to_numpy()
+        f_type = group.column("f_type").to_pandas().to_numpy()
+        l_ts = group.column("l_ts").to_numpy()
+        l_eid = group.column("l_eid").to_numpy()
+        l_type = group.column("l_type").to_pandas().to_numpy()
+        n = group.column("n").to_numpy()
+
+        of = np.lexsort((f_eid, f_ts, uid))
+        sf = np.flatnonzero(np.r_[True, uid[of][1:] != uid[of][:-1]])
+        first_rows = of[sf]  # argmin (f_ts, f_eid) per user
+
+        ol = np.lexsort((l_eid, l_ts, uid))
+        sl = np.flatnonzero(np.r_[True, uid[ol][1:] != uid[ol][:-1]])
+        el = np.r_[sl[1:], len(uid)]
+        last_rows = ol[el - 1]  # argmax (l_ts, l_eid) per user
+
+        # users is sorted (first_rows follows the uid-major lexsort order),
+        # so the per-user partial-count sum is one searchsorted + bincount
+        users = uid[first_rows]
+        n_tot = np.bincount(
+            np.searchsorted(users, uid), weights=n, minlength=len(users)
+        ).astype(np.int64)
+        return pa.table({
+            "user_id": pa.array(users, type=pa.int64()),
+            "first_event_type": pa.array(f_type[first_rows], type=pa.string()),
+            "last_event_type": pa.array(l_type[last_rows], type=pa.string()),
+            "first_ts_us": pa.array(f_ts[first_rows], type=pa.int64()),
+            "last_ts_us": pa.array(l_ts[last_rows], type=pa.int64()),
+            "n_events": pa.array(n_tot, type=pa.int64()),
+        })
+
+    return (
+        coalesce_for_shuffle(
+            ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
+        )
+        .groupby("part")
+        .map_groups(finish, batch_format="pyarrow")
+    )
+
+
+SQL_USER_FIRST_LAST = """
+    WITH e AS (
+        SELECT user_id, CAST(epoch_us(ts) AS BIGINT) AS ts_us, event_id,
+               event_type
+        FROM events
+    ),
+    r AS (
+        SELECT *,
+               ROW_NUMBER() OVER (PARTITION BY user_id
+                                  ORDER BY ts_us, event_id) AS rn,
+               COUNT(*) OVER (PARTITION BY user_id) AS cnt
+        FROM e
+    )
+    SELECT user_id,
+           MIN(CASE WHEN rn = 1 THEN event_type END) AS first_event_type,
+           MIN(CASE WHEN rn = cnt THEN event_type END) AS last_event_type,
+           CAST(MIN(ts_us) AS BIGINT) AS first_ts_us,
+           CAST(MAX(ts_us) AS BIGINT) AS last_ts_us,
+           CAST(COUNT(*) AS BIGINT) AS n_events
+    FROM r GROUP BY user_id
+"""
+
+
+# --------------------------------------------------------------------------
 # pairwise n-gram Jaccard (co-partitioned text-similarity join)
 # --------------------------------------------------------------------------
 
@@ -587,6 +700,144 @@ SQL_NGRAM_JACCARD_PAIRS = r"""
 
 
 # --------------------------------------------------------------------------
+# interpolated quantiles (percentile_cont semantics, exact integer space)
+# --------------------------------------------------------------------------
+
+CONT_QS = [(0.25, 1, 4), (0.50, 1, 2), (0.90, 9, 10)]  # (q, q_num, q_den)
+
+
+def q_value_quantiles_cont(sf_dir: str):
+    """EXACT interpolated quantiles (percentile_cont semantics) without a
+    global sort: the fractional rank q*(n-1) is computed in integer
+    arithmetic (numerator/denominator), the two bracketing order statistics
+    are selected via the distributed histogram-selection pass (the same
+    machinery as value_quantiles), and the interpolated value is emitted as
+    an exact integer numerator over q_den (lo*(den-rem) + hi*rem, in cents)
+    — no float interpolation anywhere, so the oracle matches bit-for-bit."""
+    ray = _ray()
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
+
+    def cents(batch: pa.Table) -> pa.Table:
+        c = pc.cast(pc.round(pc.multiply(batch.column("value"), 100.0)), pa.int64())
+        return pa.table({"c": c})
+
+    dc = ds.map_batches(cents, batch_format="pyarrow", zero_copy_batch=True)
+
+    def stats_batch(batch: pa.Table) -> pa.Table:
+        v = batch.column("c").to_numpy()
+        return pa.table({
+            "n": pa.array([len(v)], type=pa.int64()),
+            "lo": pa.array([int(v.min()) if len(v) else 2**62], type=pa.int64()),
+            "hi": pa.array([int(v.max()) if len(v) else -(2**62)], type=pa.int64()),
+        })
+
+    st = dc.map_batches(stats_batch, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
+    n = int(st["n"].sum())
+    lo_all = int(st["lo"].min())
+    hi_all = int(st["hi"].max())
+
+    ranks = []
+    for _, qn, qd in CONT_QS:
+        idx = qn * (n - 1)
+        lo_k = idx // qd
+        ranks += [lo_k, min(lo_k + 1, n - 1)]
+    ranks = sorted(set(ranks))
+    vals = _exact_rank_select(dc, ranks, n, lo_all, hi_all)
+    at = dict(zip(ranks, vals))
+
+    q_out, loc, hic, inum, iden = [], [], [], [], []
+    for q, qn, qd in CONT_QS:
+        idx = qn * (n - 1)
+        lo_k, rem = idx // qd, idx % qd
+        hi_k = min(lo_k + 1, n - 1)
+        lo_c, hi_c = at[lo_k], at[hi_k]
+        q_out.append(q)
+        loc.append(lo_c)
+        hic.append(hi_c)
+        inum.append(lo_c * (qd - rem) + hi_c * rem)
+        iden.append(qd)
+    return pa.table({
+        "q": pa.array(q_out, type=pa.float64()),
+        "lo_cents": pa.array(loc, type=pa.int64()),
+        "hi_cents": pa.array(hic, type=pa.int64()),
+        "interp_num": pa.array(inum, type=pa.int64()),
+        "interp_den": pa.array(iden, type=pa.int64()),
+    })
+
+
+def _exact_rank_select(dc, ranks: list[int], n: int, lo: int, hi: int) -> list[int]:
+    """Elements at the given 0-indexed global ranks of the int column ``c``:
+    one histogram pass (O(batches) driver rows) + one filtered pass over
+    only the bins holding target ranks (expected n/4096 rows per bin)."""
+    if n == 0:
+        return [0 for _ in ranks]
+    if lo == hi:
+        return [lo for _ in ranks]
+    B = 4096
+    scale = B / float(hi - lo)
+
+    def bin_of(v: np.ndarray) -> np.ndarray:
+        return np.minimum(((v - lo) * scale).astype(np.int64), B - 1)
+
+    def hist_batch(batch: pa.Table) -> pa.Table:
+        v = batch.column("c").to_numpy()
+        h = np.bincount(bin_of(v), minlength=B)
+        return pa.table({"hist": pa.array([h], type=pa.list_(pa.int64()))})
+
+    parts = dc.map_batches(hist_batch, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
+    hist = np.zeros(B, dtype=np.int64)
+    for row in parts["hist"]:
+        hist += np.asarray(row, dtype=np.int64)
+    cum = np.concatenate([[0], np.cumsum(hist)])
+    tb = np.asarray(
+        sorted({int(np.searchsorted(cum, k, side="right") - 1) for k in ranks}),
+        dtype=np.int64,
+    )
+
+    def pick_bins(batch: pa.Table) -> pa.Table:
+        v = batch.column("c").to_numpy()
+        m = np.isin(bin_of(v), tb)
+        kept = v[m]
+        return pa.table({
+            "c": pa.array(kept, type=pa.int64()),
+            "bin": pa.array(bin_of(kept), type=pa.int64()),
+        })
+
+    got = dc.map_batches(pick_bins, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
+    out = []
+    for k in ranks:
+        b = int(np.searchsorted(cum, k, side="right") - 1)
+        vals = np.sort(got.loc[got["bin"] == b, "c"].to_numpy())
+        out.append(int(vals[k - cum[b]]))
+    return out
+
+
+def _sql_value_quantiles_cont() -> str:
+    vals = ", ".join(f"({q!r}, {qn}, {qd})" for q, qn, qd in CONT_QS)
+    return f"""
+        WITH v AS (SELECT CAST(ROUND(value*100) AS BIGINT) AS c FROM events),
+        nn AS (SELECT CAST(COUNT(*) AS BIGINT) AS cnt FROM v),
+        r AS (SELECT c, ROW_NUMBER() OVER (ORDER BY c) - 1 AS rk FROM v),
+        qs(q, qn, qd) AS (VALUES {vals}),
+        k AS (
+            SELECT CAST(q AS DOUBLE) AS q, qn, qd,
+                   (qn*(cnt-1))//qd AS lo_k,
+                   (qn*(cnt-1))%qd AS rem,
+                   LEAST((qn*(cnt-1))//qd + 1, cnt-1) AS hi_k
+            FROM qs, nn
+        )
+        SELECT k.q,
+               CAST(lo.c AS BIGINT) AS lo_cents,
+               CAST(hi.c AS BIGINT) AS hi_cents,
+               CAST(lo.c*(k.qd - k.rem) + hi.c*k.rem AS BIGINT) AS interp_num,
+               CAST(k.qd AS BIGINT) AS interp_den
+        FROM k
+        JOIN r lo ON lo.rk = k.lo_k
+        JOIN r hi ON hi.rk = k.hi_k
+    """
+
+
+# --------------------------------------------------------------------------
 # registry
 # --------------------------------------------------------------------------
 
@@ -598,7 +849,9 @@ def build_queries_ext() -> dict:
         "doc_tile_coverage": q_doc_tile_coverage,
         "hull_stats": q_hull_stats,
         "simplify_stats": q_simplify_stats,
+        "user_first_last": q_user_first_last,
         "ngram_jaccard_pairs": q_ngram_jaccard_pairs,
+        "value_quantiles_cont": q_value_quantiles_cont,
     }
 
 
@@ -609,5 +862,7 @@ def build_oracles_ext() -> dict:
         "doc_tile_coverage": _sql_doc_tile_coverage(),
         "hull_stats": _sql_hull_stats(),
         "simplify_stats": _sql_simplify_stats(),
+        "user_first_last": SQL_USER_FIRST_LAST,
         "ngram_jaccard_pairs": SQL_NGRAM_JACCARD_PAIRS,
+        "value_quantiles_cont": _sql_value_quantiles_cont(),
     }

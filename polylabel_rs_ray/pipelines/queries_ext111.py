@@ -14,7 +14,8 @@ fixture collapses to one point and reports zero dispersion — pinned.
 
 ``source_overlap_matrix`` — cross-source contamination matrix: for
 every source pair, how many distinct word 3-grams they share.  The
-pairwise extension of ``contamination_check``: distinct
+text-level sibling of ``audience_overlap_matrix`` (users/event-types)
+and the pairwise extension of ``contamination_check``: distinct
 (shingle, source) pairs co-partition by shingle hash, each shingle
 partition emits its within-shingle source-pair combinations (sources
 are BOUNDED — 20 — so per-shingle fan-out is ≤ C(20,2)), and a final

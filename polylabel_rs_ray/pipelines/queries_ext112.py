@@ -1,4 +1,17 @@
-"""Round-3 extension operators, batch 112: min-area rectangle.
+"""Round-3 extension operators, batch 112: peak concurrency + min-area
+rectangle.
+
+``peak_concurrency`` — the sweep-line classic: the maximum number of
+simultaneously-active (user, day) activity intervals ``[first_ts,
+last_ts]`` and the earliest instant it is reached.  Closed intervals
+decrement at ``end + 1µs`` so no same-instant +/− ordering ambiguity
+exists; net deltas aggregate PER TIMESTAMP first, so the running sum
+is order-free.  Distributed shape: per-(user, day) interval endpoints
+come from one high-cardinality exchange; delta rows then partition by
+arithmetic TIME RANGE (the token_packing / ext39 prefix pattern) —
+each partition prefix-sums locally and the driver stitches P offsets;
+the peak is max(local_max + offset), earliest-tie pinned.  No global
+sort.
 
 ``min_area_rect_stats`` — rotating-calipers minimum-AREA enclosing
 rectangle per dyadic fixture (completing the calipers family:
@@ -18,6 +31,136 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+DAY_US = 86_400_000_000
+
+
+def _ray():
+    import ray
+
+    return ray
+
+
+# --------------------------------------------------------------------------
+# peak_concurrency
+# --------------------------------------------------------------------------
+
+
+def q_peak_concurrency(sf_dir: str, n_parts: int | None = None):
+    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.util import shuffle_blocks
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+
+    def interval_partials(batch: pa.Table) -> pa.Table:
+        ts = pc.cast(batch.column("ts"), pa.int64()).to_numpy()
+        uid = batch.column("user_id").to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        day = ts // DAY_US
+        g = pa.table({
+            "user_id": pa.array(uid, type=pa.int64()),
+            "day": pa.array(day, type=pa.int64()),
+            "s": pa.array(ts, type=pa.int64()),
+            "e": pa.array(ts, type=pa.int64()),
+        }).group_by(["user_id", "day"]).aggregate(
+            [("s", "min"), ("e", "max")])
+        return pa.table({
+            "user_id": g.column("user_id"), "day": g.column("day"),
+            "s": g.column("s_min"), "e": g.column("e_max"),
+        })
+
+    intervals = hash_grouped_aggregate(
+        ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                              columns=["ts", "user_id"])
+        .map_batches(interval_partials, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        ["user_id", "day"], [("min", "s", "s"), ("max", "e", "e")],
+    )
+
+    # probe the global time span once (two scalar reduces) for the
+    # arithmetic range partitioner
+    lo = intervals.min("s")
+    hi = intervals.max("e") + 2  # decrements land at e+1
+    span = max(int(hi - lo), 1)
+
+    def delta_rows(batch: pa.Table) -> pa.Table:
+        s = batch.column("s").to_numpy().astype(np.int64)
+        e = batch.column("e").to_numpy().astype(np.int64) + 1
+        t = np.concatenate([s, e])
+        d = np.concatenate([np.ones(len(s), np.int64),
+                            -np.ones(len(s), np.int64)])
+        g = pa.table({
+            "t": pa.array(t, type=pa.int64()),
+            "d": pa.array(d, type=pa.int64()),
+        }).group_by(["t"]).aggregate([("d", "sum")])
+        tt = g.column("t").to_numpy().astype(np.int64)
+        rng = ((tt - lo) * P) // span
+        return pa.table({
+            "part": pa.array(rng, type=pa.int64()),
+            "t": g.column("t"),
+            "d": g.column("d_sum"),
+        })
+
+    def local_scan(group: pa.Table) -> pa.Table:
+        part = int(group.column("part")[0].as_py())
+        g = group.group_by(["t"]).aggregate([("d", "sum")])
+        t = g.column("t").to_numpy().astype(np.int64)
+        d = g.column("d_sum").to_numpy().astype(np.int64)
+        order = np.argsort(t)
+        t, d = t[order], d[order]
+        run = np.cumsum(d)
+        k = int(np.argmax(run))  # first max: earliest tie within partition
+        return pa.table({
+            "part": pa.array([part], type=pa.int64()),
+            "local_max": pa.array([int(run[k])], type=pa.int64()),
+            "local_max_t": pa.array([int(t[k])], type=pa.int64()),
+            "total": pa.array([int(run[-1])], type=pa.int64()),
+            "n_points": pa.array([len(t)], type=pa.int64()),
+        })
+
+    parts = intervals.map_batches(
+        delta_rows, batch_format="pyarrow", zero_copy_batch=True
+    ).groupby("part").map_groups(local_scan, batch_format="pyarrow") \
+        .to_pandas()  # bounded: P rows
+    parts = parts.sort_values("part").reset_index(drop=True)
+    offsets = parts["total"].cumsum().shift(fill_value=0)
+    gmax = (parts["local_max"] + offsets).astype(int)
+    peak = int(gmax.max())
+    # earliest instant: the FIRST partition (time-ordered) achieving peak
+    i = int(gmax.eq(peak).idxmax())
+    peak_ts = int(parts.loc[i, "local_max_t"])
+    n_intervals = int(parts["n_points"].sum())  # distinct delta instants
+    return pa.table({
+        "peak": pa.array([peak], type=pa.int64()),
+        "peak_ts_us": pa.array([peak_ts], type=pa.int64()),
+        "n_delta_points": pa.array([n_intervals], type=pa.int64()),
+    })
+
+
+SQL_PEAK_CONCURRENCY = f"""
+WITH iv AS (
+  SELECT user_id,
+         epoch_us(ts) // {DAY_US} AS day,
+         MIN(epoch_us(ts)) AS s, MAX(epoch_us(ts)) AS e
+  FROM events GROUP BY 1, 2
+),
+pts AS (
+  SELECT s AS t, 1 AS d FROM iv
+  UNION ALL
+  SELECT e + 1 AS t, -1 AS d FROM iv
+),
+net AS (SELECT t, SUM(d) AS d FROM pts GROUP BY t),
+scan AS (
+  SELECT t, SUM(d) OVER (ORDER BY t) AS run FROM net
+),
+best AS (SELECT t, run FROM scan ORDER BY run DESC, t ASC LIMIT 1)
+SELECT CAST(best.run AS BIGINT) AS peak,
+       CAST(best.t AS BIGINT) AS peak_ts_us,
+       (SELECT CAST(COUNT(*) AS BIGINT) FROM net) AS n_delta_points
+FROM best
+"""
 
 
 # --------------------------------------------------------------------------
@@ -124,11 +267,13 @@ def _sql_min_area_rect_stats() -> str:
 
 def build_queries_ext112() -> dict:
     return {
+        "peak_concurrency": q_peak_concurrency,
         "min_area_rect_stats": q_min_area_rect_stats,
     }
 
 
 def build_oracles_ext112() -> dict:
     return {
+        "peak_concurrency": SQL_PEAK_CONCURRENCY,
         "min_area_rect_stats": _sql_min_area_rect_stats(),
     }

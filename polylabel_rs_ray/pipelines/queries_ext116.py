@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 116: AMS F2 sketch.
+"""Round-3 extension operators, batch 116: AMS F2 sketch + Haar
+wavelet energy spectrum.
 
 ``ams_f2_sketch`` — the Alon-Matias-Szegedy second-frequency-moment
 sketch over the corpus vocabulary: K=64 counters ``z_k = Σ_w
@@ -16,6 +17,18 @@ exchange; sign partials collapse map-side to ≤ K rows per block; the
 final aggregate is K rows — constant, the point of a sketch.  The
 estimate fold is a K-row driver reduction.
 
+``haar_hourly_energy`` — the multi-resolution burstiness spectrum:
+unnormalized Haar wavelet decomposition of the global hourly
+event-count series (hours since 2024-01-01, zero-filled and padded to
+N=1024).  Detail coefficients at every level are integer differences
+of integer sums, so per-level detail energies ``Σ d²`` are EXACT
+int64s; the oracle replays all ``log2(N)=10`` levels with ten chained
+(non-recursive) halving CTEs.  Parseval closes the books for the
+unnormalized transform: ``Σ_L energy_L · N/2^L + (Σ h)² == N · Σ h²``
+— pinned in pytest as an internal invariant.  Distributed part: the hourly histogram via map-side
+combine (bounded ≤ N rows); the transform folds on the driver over
+that bounded vector.
+
 Reference anchors: sketch/aggregation surface (SURVEY.md §2.3/§2.4);
 sibling of ext40 (Count-Min), ext79 (KMV), ext69 (CUSUM).
 """
@@ -26,8 +39,12 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 AMS_K = 64
+HAAR_N = 1024  # power of two >= 720 hours of January 2024 events
+_HOUR_US = 3_600_000_000
+_ORIGIN_US = 1_704_067_200_000_000  # 2024-01-01T00:00:00Z in microseconds
 
 
 def _ray():
@@ -133,13 +150,109 @@ def _sql_ams_f2_sketch() -> str:
     """
 
 
+# --------------------------------------------------------------------------
+# haar_hourly_energy
+# --------------------------------------------------------------------------
+
+
+def _hourly_counts(sf_dir: str) -> np.ndarray:
+    """Zero-filled length-HAAR_N int64 vector of global hourly counts."""
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
+
+    def partial(batch: pa.Table) -> pa.Table:
+        us = batch.column("ts").cast(pa.int64()).to_numpy()
+        idx = (us - _ORIGIN_US) // _HOUR_US
+        t = pa.table({"idx": pa.array(idx, type=pa.int64())})
+        out = t.group_by(["idx"]).aggregate([("idx", "count")])
+        return pa.table({
+            "idx": out.column("idx"),
+            "c": pc.cast(out.column("idx_count"), pa.int64()),
+        })
+
+    hist = grouped_aggregate(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["idx"], [("sum", "c", "c")],
+    ).to_pandas()  # bounded: <= HAAR_N rows
+    vec = np.zeros(HAAR_N, dtype=np.int64)
+    idx = hist["idx"].to_numpy()
+    if len(idx) and (idx.min() < 0 or idx.max() >= HAAR_N):
+        raise ValueError("hour index outside the Haar window")
+    vec[idx] = hist["c"].to_numpy()
+    return vec
+
+
+def q_haar_hourly_energy(sf_dir: str):
+    ray = _ray()
+    vec = _hourly_counts(sf_dir)
+    levels, energies, ncoefs = [], [], []
+    cur = vec
+    level = 1
+    while len(cur) > 1:
+        a = cur[0::2]
+        b = cur[1::2]
+        d = a - b
+        levels.append(level)
+        energies.append(int(np.dot(d, d)))
+        ncoefs.append(len(d))
+        cur = a + b
+        level += 1
+    return ray.data.from_arrow(pa.table({
+        "level": pa.array(levels, type=pa.int64()),
+        "energy": pa.array(energies, type=pa.int64()),
+        "n_coeffs": pa.array(ncoefs, type=pa.int64()),
+    }))
+
+
+def _sql_haar_hourly_energy() -> str:
+    hour_expr = f"(epoch_us(ts) - {_ORIGIN_US}) // {_HOUR_US}"
+    ctes = [f"""
+        hrs AS (
+          SELECT CAST(unnest(range({HAAR_N})) AS BIGINT) AS idx
+        ), raw AS (
+          SELECT {hour_expr} AS idx, CAST(COUNT(*) AS BIGINT) AS c
+          FROM events GROUP BY 1
+        ), l0 AS (
+          SELECT h.idx, COALESCE(r.c, 0) AS val
+          FROM hrs h LEFT JOIN raw r ON r.idx = h.idx
+        )"""]
+    n = HAAR_N
+    selects = []
+    prev = "l0"
+    level = 1
+    while n > 1:
+        cur = f"l{level}"
+        ctes.append(f"""
+        {cur} AS (
+          SELECT idx // 2 AS idx,
+                 CAST(SUM(val) AS BIGINT) AS val,
+                 CAST(SUM(CASE WHEN idx % 2 = 0 THEN val ELSE -val END)
+                     AS BIGINT) AS d
+          FROM {prev} GROUP BY idx // 2
+        )""")
+        selects.append(
+            f"SELECT CAST({level} AS BIGINT) AS level,"
+            f" CAST(SUM(d * d) AS BIGINT) AS energy,"
+            f" CAST(COUNT(*) AS BIGINT) AS n_coeffs FROM {cur}"
+        )
+        prev = cur
+        n //= 2
+        level += 1
+    return ("WITH " + ",".join(ctes) + "\n"
+            + "\nUNION ALL\n".join(selects))
+
+
 def build_queries_ext116() -> dict:
     return {
         "ams_f2_sketch": q_ams_f2_sketch,
+        "haar_hourly_energy": q_haar_hourly_energy,
     }
 
 
 def build_oracles_ext116() -> dict:
     return {
         "ams_f2_sketch": _sql_ams_f2_sketch(),
+        "haar_hourly_energy": _sql_haar_hourly_energy(),
     }

@@ -1,16 +1,25 @@
-"""Round-2 extension operators, batch 13: text index.
+"""Round-2 extension operators, batch 13: windowed distincts + text index.
 
+* ``sliding_window_users`` — COUNT(DISTINCT user) per sliding window
+  (1 h window / 15 min hop): the fixed-factor window fan-out feeds a
+  pair-dedup aggregate (shuffle carries unique (window, user) pairs per
+  block), then a constant-size per-window count — the streaming-distinct
+  shape at any scale.
 * ``inverted_index`` — text index build: per word, document frequency
   and the ordered posting list of doc ids.  (word, doc) pairs dedup
   through a map-side-combined groupby, co-partition by hash(word), and
   each partition emits its words' joined postings from one lexsort —
-  no per-word task, no global sort."""
+  no per-word task, no global sort (the ``event_types_per_user``
+  machinery pointed at an unbounded key domain)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+HOP_US = 900_000_000
+WIN_HOPS = 4
 
 
 def _ray():
@@ -23,6 +32,41 @@ def _P(n_parts: int | None) -> int:
     from ..stages.util import shuffle_blocks
 
     return int(n_parts or min(32, shuffle_blocks()))
+
+
+def q_sliding_window_users(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
+
+    def fanout(batch: pa.Table) -> pa.Table:
+        ts_us = batch.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
+        uid = batch.column("user_id").to_numpy().astype(np.int64)
+        h = ts_us // HOP_US
+        n = len(h)
+        ws = (np.repeat(h, WIN_HOPS) - np.tile(np.arange(WIN_HOPS, dtype=np.int64), n)) * HOP_US
+        return pa.table({
+            "ws_us": pa.array(ws, type=pa.int64()),
+            "user_id": pa.array(np.repeat(uid, WIN_HOPS), type=pa.int64()),
+        })
+
+    pairs = grouped_aggregate(
+        ds.map_batches(fanout, batch_format="pyarrow", zero_copy_batch=True),
+        ["ws_us", "user_id"],
+        [("count", None, "_n")],
+        high_cardinality=True,  # (window, user) pairs ~ fanned-out rows
+    )
+    return grouped_aggregate(pairs, ["ws_us"], [("count", None, "n_users")])
+
+
+SQL_SLIDING_WINDOW_USERS = """
+    SELECT (epoch_us(ts) // 900000000 - j.j) * 900000000 AS ws_us,
+           CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users
+    FROM events
+    CROSS JOIN (SELECT UNNEST(generate_series(0, 3)) AS j) j
+    GROUP BY 1
+"""
 
 
 def q_inverted_index(sf_dir: str, n_parts: int | None = None):
@@ -106,11 +150,13 @@ SQL_INVERTED_INDEX = """
 
 def build_queries_ext12() -> dict:
     return {
+        "sliding_window_users": q_sliding_window_users,
         "inverted_index": q_inverted_index,
     }
 
 
 def build_oracles_ext12() -> dict:
     return {
+        "sliding_window_users": SQL_SLIDING_WINDOW_USERS,
         "inverted_index": SQL_INVERTED_INDEX,
     }

@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 121: even-odd PIP probe-grid audit.
+"""Round-3 extension operators, batch 121: even-odd PIP probe-grid audit
++ Elias gamma/delta code-length spectrum.
 
 ``pip_grid_audit`` — per dyadic document, the even-odd (ray-casting)
 point-in-polygon classification of 8 fixed probe points spread over
@@ -18,7 +19,19 @@ vertex table (cross-join with the probe VALUES, integer CASE per
 edge) — an independent engine running the same integer spec, the
 ext119 discipline.  Zero-area degenerates classify all probes outside.
 
+``elias_code_spectrum`` — the storage-planning spectrum for Elias
+gamma/delta coding of per-user event time gaps: with v = gap_us + 1
+and blen = bit length of v, per blen bucket emit the delta count and
+the exact total gamma bits (2·blen − 1 each) and Elias-delta bits
+(blen − 1 + 2·bitlen(blen) − 1 each).  Per-user deltas via the
+established hash-partition + per-partition lexsort (user, ts,
+event_id) — no global sort; bit lengths via integer searchsorted over
+the powers-of-two table (no float log anywhere).  Oracle: LEAD over a
+per-user window, ``length(bin(v))`` as the bit length.
+
 Reference anchors: encoding-cost family (SURVEY.md §2.4); siblings:
+varint_size_estimate (same partitioned delta machinery),
+for_encoding_cost / dod_encoding_cost (bit-width arithmetic),
 picks_theorem_audit (integer parity PIP on lattice points).
 """
 
@@ -26,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..sources import docs as docs_mod
 from .queries_ext import DYADIC_IDX, _dyadic_rings_ds
@@ -34,6 +48,12 @@ from .queries_ext119 import _sql_fixture_verts
 N_PROBES = 8
 PROBE_FX = [2 * k + 1 for k in range(N_PROBES)]         # × W / 16
 PROBE_FY = [(5 * k + 3) % 16 for k in range(N_PROBES)]  # × H / 16
+
+
+def _ray():
+    import ray
+
+    return ray
 
 
 # --------------------------------------------------------------------------
@@ -148,13 +168,102 @@ def _sql_pip_grid_audit() -> str:
     """
 
 
+# --------------------------------------------------------------------------
+# elias_code_spectrum
+# --------------------------------------------------------------------------
+
+_POWS = (2 ** np.arange(63)).astype(np.int64)
+
+
+def _bitlen(v: np.ndarray) -> np.ndarray:
+    """Exact bit length of positive int64 values — integer searchsorted
+    over the powers-of-two table, no float log."""
+    return np.searchsorted(_POWS, v, side="right").astype(np.int64)
+
+
+def q_elias_code_spectrum(sf_dir: str, n_parts: int | None = None):
+    from ..stages.agg import grouped_aggregate
+    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
+    from .queries import _hash_part
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+
+    def keyed(batch: pa.Table) -> pa.Table:
+        uid = batch.column("user_id").to_numpy().astype(np.int64)
+        return pa.table({
+            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
+            "user_id": pa.array(uid, type=pa.int64()),
+            "ts_us": pc.cast(batch.column("ts"), pa.int64()),
+            "event_id": pc.cast(batch.column("event_id"), pa.int64()),
+        })
+
+    def per_partition(group: pa.Table) -> pa.Table:
+        uid = group.column("user_id").to_numpy().astype(np.int64)
+        ts = group.column("ts_us").to_numpy().astype(np.int64)
+        eid = group.column("event_id").to_numpy().astype(np.int64)
+        order = np.lexsort((eid, ts, uid))
+        uid, ts = uid[order], ts[order]
+        same = np.empty(len(uid), dtype=bool)
+        same[:-1] = uid[1:] == uid[:-1]
+        same[-1] = False
+        v = np.where(same, np.roll(ts, -1) - ts, 0)[same] + 1
+        blen = _bitlen(v)
+        lens, cnt = np.unique(blen, return_counts=True)
+        cnt = cnt.astype(np.int64)
+        gamma = (2 * lens - 1) * cnt
+        delta = (lens - 1 + 2 * _bitlen(lens) - 1) * cnt
+        return pa.table({
+            "bitlen": pa.array(lens, type=pa.int64()),
+            "n_deltas": pa.array(cnt, type=pa.int64()),
+            "gamma_bits": pa.array(gamma, type=pa.int64()),
+            "delta_bits": pa.array(delta, type=pa.int64()),
+        })
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"]
+    ).map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
+
+    return grouped_aggregate(
+        coalesce_for_shuffle(ds)
+        .groupby("part")
+        .map_groups(
+            lambda g: per_partition(g.drop_columns(["part"])),
+            batch_format="pyarrow",
+        ),
+        ["bitlen"],
+        [("sum", "n_deltas", "n_deltas"), ("sum", "gamma_bits", "gamma_bits"),
+         ("sum", "delta_bits", "delta_bits")],
+    )
+
+
+SQL_ELIAS_CODE_SPECTRUM = """
+WITH gaps AS (
+  SELECT epoch_us(LEAD(ts) OVER (PARTITION BY user_id
+                                 ORDER BY ts, event_id))
+         - epoch_us(ts) + 1 AS v
+  FROM events
+), lens AS (
+  SELECT LENGTH(BIN(v)) AS blen FROM gaps WHERE v IS NOT NULL
+)
+SELECT CAST(blen AS BIGINT) AS bitlen,
+       CAST(COUNT(*) AS BIGINT) AS n_deltas,
+       CAST(SUM(2 * blen - 1) AS BIGINT) AS gamma_bits,
+       CAST(SUM(blen - 1 + 2 * LENGTH(BIN(blen)) - 1) AS BIGINT)
+           AS delta_bits
+FROM lens GROUP BY blen
+"""
+
+
 def build_queries_ext121() -> dict:
     return {
         "pip_grid_audit": q_pip_grid_audit,
+        "elias_code_spectrum": q_elias_code_spectrum,
     }
 
 
 def build_oracles_ext121() -> dict:
     return {
         "pip_grid_audit": _sql_pip_grid_audit(),
+        "elias_code_spectrum": SQL_ELIAS_CODE_SPECTRUM,
     }

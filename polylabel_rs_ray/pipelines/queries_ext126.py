@@ -1,25 +1,42 @@
-"""Round-3 extension operators, batch 126: search-index storage planning —
-posting-list delta compression.
+"""Round-3 extension operators, batch 126: search-index storage planning
+— Roaring container costs + posting-list delta compression.
+
+``roaring_cost_estimate`` — the Roaring-bitmap sizing pass of a
+bitmap-index planner: event ids per event type are bucketed into
+Roaring's 2^16-wide containers (``event_id >> 16``); a container with
+n distinct ids costs ``2·n`` bytes as a sorted-array container when
+n < 4096, else a fixed 8192-byte bitmap container (the classic
+array/bitmap break-even), plus a 16-byte per-container header.  Per
+type: container counts by kind and total bytes — all exact int64.
+The (type, bucket) distinct-count table is bounded (types × id-range
+/ 65536) and flows through the map-side combine (event ids are unique
+per row, so per-batch counts ARE distinct counts after the combine).
+Oracle: the same bucket rollup + CASE break-even in SQL.
 
 ``posting_list_cost`` — the inverted-index compression audit: for
 every distinct word of the document corpus (the bounded synthetic
 vocabulary), the document frequency and the exact varint byte cost of
 delta-encoding its SORTED distinct posting list (first id encodes
 absolutely; each subsequent gap costs ``ceil(bits/7)`` bytes — the
-varint ladder).  One hash exchange on the word
+``varint_size_estimate`` ladder).  One hash exchange on the word
 (inverted_index discipline: map-side (word, doc) dedup, reduce-side
 global dedup + sort + vectorized delta/byte fold).  Oracle: LAG
 deltas per word ordered by doc_id + the shared CASE ladder.
 
 Reference anchors: storage/encoding-cost family (SURVEY.md §2.4);
-siblings: inverted_index (posting assembly), dict_encoding_estimate.
+siblings: inverted_index (posting assembly), varint_size_estimate
+(byte ladder), dict_encoding_estimate, for_encoding_cost.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
+ROARING_BREAK_EVEN = 4096
+ROARING_BITMAP_BYTES = 8192
+ROARING_HEADER_BYTES = 16
 
 _VARINT_LADDER = " ".join(
     f"WHEN dt < {1 << (7 * k)} THEN {k}" for k in range(1, 10)
@@ -30,6 +47,76 @@ def _ray():
     import ray
 
     return ray
+
+
+# --------------------------------------------------------------------------
+# roaring_cost_estimate
+# --------------------------------------------------------------------------
+
+
+def q_roaring_cost_estimate(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                               columns=["event_id", "event_type"])
+
+    def bucket(batch: pa.Table) -> pa.Table:
+        eid = batch.column("event_id").to_numpy().astype(np.int64)
+        t = pa.table({
+            "event_type": batch.column("event_type"),
+            "bucket": pa.array(eid >> 16, type=pa.int64()),
+        })
+        out = t.group_by(["event_type", "bucket"]).aggregate(
+            [("bucket", "count")])
+        return pa.table({
+            "event_type": out.column("event_type"),
+            "bucket": out.column("bucket"),
+            "n": pc.cast(out.column("bucket_count"), pa.int64()),
+        })
+
+    # event ids are unique, so summed per-batch counts ARE distinct counts
+    per_bucket = grouped_aggregate(
+        ds.map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type", "bucket"], [("sum", "n", "n")],
+    ).to_pandas()  # bounded: types × (id range / 65536)
+
+    types, nc, na, nb, tb = [], [], [], [], []
+    for et, g in per_bucket.groupby("event_type"):
+        n = g["n"].to_numpy().astype(np.int64)
+        is_arr = n < ROARING_BREAK_EVEN
+        cost = np.where(is_arr, 2 * n, ROARING_BITMAP_BYTES)
+        types.append(et)
+        nc.append(len(n))
+        na.append(int(is_arr.sum()))
+        nb.append(int((~is_arr).sum()))
+        tb.append(int(cost.sum()) + ROARING_HEADER_BYTES * len(n))
+    return ray.data.from_arrow(pa.table({
+        "event_type": pa.array(types, type=pa.string()),
+        "n_containers": pa.array(nc, type=pa.int64()),
+        "array_containers": pa.array(na, type=pa.int64()),
+        "bitmap_containers": pa.array(nb, type=pa.int64()),
+        "total_bytes": pa.array(tb, type=pa.int64()),
+    }))
+
+
+SQL_ROARING_COST_ESTIMATE = f"""
+WITH b AS (
+  SELECT event_type, event_id // 65536 AS bucket,
+         CAST(COUNT(*) AS BIGINT) AS n
+  FROM events GROUP BY 1, 2
+)
+SELECT event_type,
+       CAST(COUNT(*) AS BIGINT) AS n_containers,
+       CAST(SUM(CASE WHEN n < {ROARING_BREAK_EVEN} THEN 1 ELSE 0 END)
+            AS BIGINT) AS array_containers,
+       CAST(SUM(CASE WHEN n < {ROARING_BREAK_EVEN} THEN 0 ELSE 1 END)
+            AS BIGINT) AS bitmap_containers,
+       CAST(SUM(CASE WHEN n < {ROARING_BREAK_EVEN} THEN 2 * n
+                     ELSE {ROARING_BITMAP_BYTES} END)
+            + {ROARING_HEADER_BYTES} * COUNT(*) AS BIGINT) AS total_bytes
+FROM b GROUP BY event_type
+"""
 
 
 # --------------------------------------------------------------------------
@@ -136,11 +223,13 @@ FROM per GROUP BY word
 
 def build_queries_ext126() -> dict:
     return {
+        "roaring_cost_estimate": q_roaring_cost_estimate,
         "posting_list_cost": q_posting_list_cost,
     }
 
 
 def build_oracles_ext126() -> dict:
     return {
+        "roaring_cost_estimate": SQL_ROARING_COST_ESTIMATE,
         "posting_list_cost": SQL_POSTING_LIST_COST,
     }

@@ -1,4 +1,16 @@
-"""Round-3 extension operators, batch 129: nearest-vertex fixture distance.
+"""Round-3 extension operators, batch 129: windowed anti-join (abandoned
+views) + nearest-vertex fixture distance.
+
+``abandoned_view_counts`` — the time-windowed ANTI join: per user, how
+many of their 'view' events have NO 'purchase' by the same user
+within the following hour (strictly after the view, at or before
+view + 1h — the banded-theta strict/non-strict convention spelled out
+so both engines replay the same boundary).  Shape: one hash
+co-partition by user, per-partition lexsort, vectorized searchsorted
+of each view into the user's purchase timeline (packed (user, ts)
+keys; counts in the window via two boundary probes — no pair
+materialization, the interval-stabbing discipline).  Exact integers.
+Oracle: NOT EXISTS with the same interval.
 
 ``fixture_min_vertex_dist`` — per dyadic document, the MINIMUM
 squared vertex-to-vertex distance from the document's normalized
@@ -10,19 +22,121 @@ integer only a bit-exact kernel gets right).  One broadcastered
 constants from an independent pure-Python all-pairs twin (the
 diameter_stats discipline).
 
-Reference anchors: shape-metrology family (SURVEY.md §2.3/2.4);
-siblings: hausdorff_fixture_pairs (same fan-out, max-min).
+Reference anchors: range-join + shape-metrology families (SURVEY.md
+§2.3/2.4); siblings: interval_overlap (stabbing identity),
+order_burst_pairs (banded theta), hausdorff_fixture_pairs (same
+fan-out, max-min), conversion latency ops.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..sources import docs as docs_mod
 from .queries_ext import _dyadic_rings_ds, _norm_exterior
 from .queries_ext118 import _fixture_norm_ext, _next_dyadic
 from ..sources.fixtures import FIXTURE_CYCLE
+
+WINDOW_US = 3_600_000_000  # 1 hour
+
+
+def _ray():
+    import ray
+
+    return ray
+
+
+# --------------------------------------------------------------------------
+# abandoned_view_counts
+# --------------------------------------------------------------------------
+
+
+def q_abandoned_view_counts(sf_dir: str, n_parts: int | None = None):
+    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
+    from .queries import _hash_part
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet",
+        columns=["user_id", "ts", "event_type"])
+
+    def keyed(batch: pa.Table) -> pa.Table:
+        et = batch.column("event_type")
+        keep = pc.or_(pc.equal(et, "view"), pc.equal(et, "purchase"))
+        b = batch.filter(keep)
+        uid = b.column("user_id").to_numpy().astype(np.int64)
+        return pa.table({
+            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
+            "user_id": pa.array(uid, type=pa.int64()),
+            "ts_us": pc.cast(b.column("ts"), pa.int64()),
+            "is_view": pc.cast(pc.equal(b.column("event_type"), "view"),
+                               pa.int8()),
+        })
+
+    def per_partition(group: pa.Table) -> pa.Table:
+        uid = group.column("user_id").to_numpy().astype(np.int64)
+        ts = group.column("ts_us").to_numpy().astype(np.int64)
+        isv = group.column("is_view").to_numpy().astype(bool)
+        vu, vt = uid[isv], ts[isv]
+        pu, pt = uid[~isv], ts[~isv]
+        porder = np.lexsort((pt, pu))
+        pu, pt = pu[porder], pt[porder]
+        # packed (user-rank, ts-offset) keys make the interval probe ONE
+        # vectorized searchsorted pair: rank·SPAN + (ts − tmin) is
+        # monotone in (user, ts) and SPAN > ts-range + W + 1 prevents
+        # cross-user bleed (rank < ~1e5, SPAN < ~3e12 → key < 2^60)
+        if len(ts):
+            tmin = int(ts.min())
+            span = int(ts.max()) - tmin + WINDOW_US + 2
+            users = np.unique(uid)
+            prank = np.searchsorted(users, pu)
+            vrank = np.searchsorted(users, vu)
+            pk = prank * span + (pt - tmin)
+            vbase = vrank * span + (vt - tmin)
+            lo = np.searchsorted(pk, vbase, side="right")
+            hi = np.searchsorted(pk, vbase + WINDOW_US, side="right")
+        else:
+            lo = hi = np.empty(0, dtype=np.int64)
+        abandoned = (hi - lo) == 0
+        t = pa.table({
+            "user_id": pa.array(vu, type=pa.int64()),
+            "one": pa.array(np.ones(len(vu), dtype=np.int64)),
+            "ab": pa.array(abandoned.astype(np.int64)),
+        })
+        out = t.group_by(["user_id"]).aggregate(
+            [("one", "sum"), ("ab", "sum")])
+        return pa.table({
+            "user_id": out.column("user_id"),
+            "n_views": pc.cast(out.column("one_sum"), pa.int64()),
+            "n_abandoned": pc.cast(out.column("ab_sum"), pa.int64()),
+        })
+
+    return coalesce_for_shuffle(
+        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
+    ).groupby("part").map_groups(
+        lambda g: per_partition(g.drop_columns(["part"])),
+        batch_format="pyarrow")
+
+
+SQL_ABANDONED_VIEW_COUNTS = """
+WITH v AS (
+  SELECT user_id, ts FROM events WHERE event_type = 'view'
+)
+SELECT v.user_id,
+       CAST(COUNT(*) AS BIGINT) AS n_views,
+       CAST(SUM(CASE WHEN NOT EXISTS (
+           SELECT 1 FROM events p
+           WHERE p.event_type = 'purchase'
+             AND p.user_id = v.user_id
+             AND p.ts > v.ts
+             AND p.ts <= v.ts + INTERVAL 1 HOUR
+       ) THEN 1 ELSE 0 END) AS BIGINT) AS n_abandoned
+FROM v GROUP BY v.user_id
+"""
 
 
 # --------------------------------------------------------------------------
@@ -100,11 +214,13 @@ def _sql_fixture_min_vertex_dist() -> str:
 
 def build_queries_ext129() -> dict:
     return {
+        "abandoned_view_counts": q_abandoned_view_counts,
         "fixture_min_vertex_dist": q_fixture_min_vertex_dist,
     }
 
 
 def build_oracles_ext129() -> dict:
     return {
+        "abandoned_view_counts": SQL_ABANDONED_VIEW_COUNTS,
         "fixture_min_vertex_dist": _sql_fixture_min_vertex_dist(),
     }

@@ -1,4 +1,13 @@
-"""Round-3 extension operators, batch 139: tile histogram equalization.
+"""Round-3 extension operators, batch 139: trailing rolling max +
+tile histogram equalization.
+
+``hourly_rolling_max`` — the sliding-window MAX shape (the monotone-
+deque classic, here over the bounded hourly lattice): per event type
+and observed hour, the max hourly count over the trailing 6 OBSERVED
+rows (ROWS 5 PRECEDING — row-based framing, engine-neutral by
+construction).  Bounded types×720 histogram via the map-side combine;
+the window fold is one vectorized driver sliding-max over ≤720
+elements per type.  Oracle: MAX() OVER (ROWS 5 PRECEDING).
 
 ``tile_equalize`` — raster histogram EQUALIZATION over the label tile
 counts: with the bounded per-tile point counts from the render
@@ -13,8 +22,9 @@ Reuses the label→cell-encode pipeline (stateless encode tasks) +
 bounded tile histogram; the CDF fold is O(tiles) on the driver.
 Oracle: the same window arithmetic over the tile-count CTE.
 
-Reference anchors: raster family (SURVEY.md §2.3);
-siblings: tile_counts / tile_heat_smooth (bounded tile rasters).
+Reference anchors: window + raster families (SURVEY.md §2.3/2.4);
+siblings: rolling_user_stats (ROWS frames), tile_counts /
+tile_heat_smooth (bounded tile rasters), hourly_peak_counts.
 """
 
 from __future__ import annotations
@@ -22,7 +32,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .queries_ext120 import HOUR_US, _bucket_counts
 
+ROLL_WINDOW = 6
 EQ_LEVELS = 16
 
 
@@ -30,6 +42,54 @@ def _ray():
     import ray
 
     return ray
+
+
+# --------------------------------------------------------------------------
+# hourly_rolling_max
+# --------------------------------------------------------------------------
+
+
+def q_hourly_rolling_max(sf_dir: str):
+    ray = _ray()
+    hist = _bucket_counts(sf_dir, HOUR_US, "hour")
+
+    et_out, h_out, n_out, m_out = [], [], [], []
+    for et, g in hist.groupby("event_type"):
+        g = g.sort_values("hour")
+        h = g["hour"].to_numpy().astype(np.int64)
+        c = g["n"].to_numpy().astype(np.int64)
+        # vectorized trailing-6 max over the bounded series
+        stack = np.full((ROLL_WINDOW, len(c)), np.iinfo(np.int64).min)
+        for k in range(ROLL_WINDOW):
+            if k == 0:
+                stack[0] = c
+            else:
+                stack[k, k:] = c[:-k]
+        m = stack.max(axis=0)
+        et_out.extend([et] * len(c))
+        h_out.extend(h.tolist())
+        n_out.extend(c.tolist())
+        m_out.extend(m.astype(np.int64).tolist())
+    return ray.data.from_arrow(pa.table({
+        "event_type": pa.array(et_out, type=pa.string()),
+        "hour": pa.array(h_out, type=pa.int64()),
+        "n": pa.array(n_out, type=pa.int64()),
+        "rolling_max": pa.array(m_out, type=pa.int64()),
+    }))
+
+
+SQL_HOURLY_ROLLING_MAX = f"""
+WITH hourly AS (
+  SELECT event_type, epoch_us(ts) // {HOUR_US} AS hour,
+         CAST(COUNT(*) AS BIGINT) AS n
+  FROM events GROUP BY 1, 2
+)
+SELECT event_type, hour, n,
+       CAST(MAX(n) OVER (PARTITION BY event_type ORDER BY hour
+                         ROWS {ROLL_WINDOW - 1} PRECEDING) AS BIGINT)
+           AS rolling_max
+FROM hourly
+"""
 
 
 # --------------------------------------------------------------------------
@@ -77,11 +137,13 @@ def _sql_tile_equalize() -> str:
 
 def build_queries_ext139() -> dict:
     return {
+        "hourly_rolling_max": q_hourly_rolling_max,
         "tile_equalize": q_tile_equalize,
     }
 
 
 def build_oracles_ext139() -> dict:
     return {
+        "hourly_rolling_max": SQL_HOURLY_ROLLING_MAX,
         "tile_equalize": _sql_tile_equalize(),
     }

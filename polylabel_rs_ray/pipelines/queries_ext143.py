@@ -1,5 +1,5 @@
 """Round-3 extension operators, batch 143: rotational symmetry
-classification.
+classification + week-over-week retention.
 
 ``rotation_symmetry_audit`` — per dyadic document, whether the
 exterior VERTEX SET is invariant under 180° and 90° rotation about
@@ -11,14 +11,33 @@ only be a symmetry when W == H), and vertex-SET equality is
 engine-neutral.  Oracle constants from an independent pure-Python
 twin (sorted-list comparison, the mirror_symmetry discipline).
 
-Reference anchors: shape-metrology family (SURVEY.md §2.3);
-siblings: mirror_symmetry_audit (vertex-set symmetry).
+``wow_retention`` — week-over-week retention: for every observed week
+w, the number of active users and how many of them are also active in
+week w+1.  The per-user week-bitmask collapses through ONE hash
+aggregate (weeks span ≤ 62 so ``Σ distinct 2^(w−w0)`` is an exact
+int64 mask — the audience_overlap discipline on the time axis), then
+a bounded mask histogram folds to the retention pairs on the driver.
+Oracle: distinct (user, week) self-join on w+1.
+
+Reference anchors: shape-metrology + cohort families (SURVEY.md
+§2.3/2.4); siblings: mirror_symmetry_audit (vertex-set symmetry),
+cohort_retention (monthly cohorts), users_every_week (week division),
+audience_overlap_matrix (bitmask algebra).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+WEEK_US = 7 * 86_400_000_000
+
+
+def _ray():
+    import ray
+
+    return ray
 
 
 # --------------------------------------------------------------------------
@@ -116,13 +135,128 @@ def _sql_rotation_symmetry_audit() -> str:
     """
 
 
+# --------------------------------------------------------------------------
+# wow_retention
+# --------------------------------------------------------------------------
+
+
+def q_wow_retention(sf_dir: str):
+    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+
+    ray = _ray()
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                               columns=["user_id", "ts"])
+    import pyarrow.parquet as pq
+
+    # global week origin: one bounded min fold off the source read
+    def wmin(batch: pa.Table) -> pa.Table:
+        wk = pc.cast(batch.column("ts"), pa.int64()).to_numpy() // WEEK_US
+        return pa.table({
+            "k": pa.array([0], type=pa.int64()),
+            "w0": pa.array([int(wk.min())], type=pa.int64()),
+            "w1": pa.array([int(wk.max())], type=pa.int64()),
+        })
+
+    b = grouped_aggregate(
+        ds.map_batches(wmin, batch_format="pyarrow", zero_copy_batch=True),
+        ["k"], [("min", "w0", "w0"), ("max", "w1", "w1")],
+    ).to_pandas()
+    w0, w1 = int(b["w0"][0]), int(b["w1"][0])
+    n_weeks = w1 - w0 + 1  # bounded; span/7 << 62
+
+    def masks(batch: pa.Table) -> pa.Table:
+        uid = batch.column("user_id").to_numpy().astype(np.int64)
+        wk = pc.cast(batch.column("ts"), pa.int64()).to_numpy() // WEEK_US
+        t = pa.table({
+            "k": pa.array(uid, type=pa.int64()),
+            "bit": pa.array(np.int64(1) << (wk - w0), type=pa.int64()),
+        })
+        # per-batch OR via max over distinct (user, bit) then sum of
+        # distinct bits == OR since bits are powers of two deduped
+        out = t.group_by(["k", "bit"]).aggregate([("bit", "count")])
+        return pa.table({
+            "k": out.column("k"),
+            "mask": out.column("bit"),
+        })
+
+    # distinct (user, bit) across blocks, then Σ bits == the OR mask
+    ub = hash_grouped_aggregate(
+        ds.map_batches(masks, batch_format="pyarrow", zero_copy_batch=True)
+          .map_batches(lambda t: pa.table({
+              "k": t.column("k"), "mask": t.column("mask"),
+              "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
+          }), batch_format="pyarrow", zero_copy_batch=True),
+        ["k", "mask"], [("sum", "one", "n")],
+    )
+
+    def fold(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "k": batch.column("k"),
+            "mask": batch.column("mask"),
+        })
+
+    per_user = hash_grouped_aggregate(
+        ub.map_batches(fold, batch_format="pyarrow", zero_copy_batch=True),
+        ["k"], [("sum", "mask", "mask")],
+    )
+
+    def mask_hist(batch: pa.Table) -> pa.Table:
+        m = batch.column("mask").to_numpy().astype(np.int64)
+        t = pa.table({"mask": pa.array(m, type=pa.int64())})
+        out = t.group_by(["mask"]).aggregate([("mask", "count")])
+        return pa.table({
+            "mask": out.column("mask"),
+            "n": pc.cast(out.column("mask_count"), pa.int64()),
+        })
+
+    hist = grouped_aggregate(
+        per_user.map_batches(mask_hist, batch_format="pyarrow",
+                             zero_copy_batch=True),
+        ["mask"], [("sum", "n", "n")],
+    ).to_pandas()  # bounded: <= 2^n_weeks masks (weeks ~ 5)
+
+    active = np.zeros(n_weeks, dtype=np.int64)
+    retained = np.zeros(n_weeks, dtype=np.int64)
+    for r in hist.itertuples():
+        m, n = int(r.mask), int(r.n)
+        for w in range(n_weeks):
+            if m >> w & 1:
+                active[w] += n
+                if w + 1 < n_weeks and m >> (w + 1) & 1:
+                    retained[w] += n
+    return _ray().data.from_arrow(pa.table({
+        "week": pa.array(np.arange(w0, w1 + 1), type=pa.int64()),
+        "n_active": pa.array(active, type=pa.int64()),
+        "n_retained": pa.array(retained, type=pa.int64()),
+    }))
+
+
+SQL_WOW_RETENTION = f"""
+WITH uw AS (
+  SELECT DISTINCT user_id, epoch_us(ts) // {WEEK_US} AS w FROM events
+), weeks AS (
+  SELECT UNNEST(range((SELECT MIN(w) FROM uw),
+                      (SELECT MAX(w) FROM uw) + 1)) AS week
+)
+SELECT CAST(wk.week AS BIGINT) AS week,
+       CAST((SELECT COUNT(*) FROM uw a WHERE a.w = wk.week) AS BIGINT)
+           AS n_active,
+       CAST((SELECT COUNT(*) FROM uw a JOIN uw b
+             ON b.user_id = a.user_id AND b.w = a.w + 1
+             WHERE a.w = wk.week) AS BIGINT) AS n_retained
+FROM weeks wk
+"""
+
+
 def build_queries_ext143() -> dict:
     return {
         "rotation_symmetry_audit": q_rotation_symmetry_audit,
+        "wow_retention": q_wow_retention,
     }
 
 
 def build_oracles_ext143() -> dict:
     return {
         "rotation_symmetry_audit": _sql_rotation_symmetry_audit(),
+        "wow_retention": SQL_WOW_RETENTION,
     }

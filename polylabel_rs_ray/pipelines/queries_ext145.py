@@ -1,7 +1,9 @@
-"""Round-3 extension operators, batch 145: 2-D Haar raster energy.
+"""Round-3 extension operators, batch 145: 2-D Haar raster energy +
+first-vs-modal type matrix.
 
 ``tile_haar_energy`` — the 2-D multi-resolution energy spectrum of
-the label tile raster: the 32×32 per-tile label counts run through 5
+the label tile raster (the spatial counterpart of
+haar_hourly_energy): the 32×32 per-tile label counts run through 5
 levels of the unnormalized 2-D Haar transform; per level the exact
 int64 energies of the horizontal, vertical and diagonal detail bands
 (with the block convention a=(0,0) b=(1,0) c=(0,1) d=(1,1):
@@ -11,14 +13,24 @@ parity-signed sums — absent tiles are exact zeros, so no dense
 materialization is needed SQL-side; the engine folds the bounded
 dense 32×32 lattice.  Oracle: 5 chained halving CTEs.
 
-Reference anchors: raster family (SURVEY.md §2.3); siblings:
-tile_heat_smooth / tile_equalize (bounded tile rasters).
+``first_vs_modal_matrix`` — the 5×5 behavioral matrix (entry type vs
+habitual type): per user the FIRST event type (by (ts, event_id))
+and the MODAL type (count desc, type asc — the mode_event_type
+contract), counted per (first, modal) cell.  Per-user co-partitioned
+map_groups (ordered-within-key), bounded 25-cell combine.  Oracle:
+FIRST(... ORDER BY) + QUALIFY mode join.
+
+Reference anchors: raster + behavioral families (SURVEY.md §2.3/2.4);
+siblings: haar_hourly_energy (1-D spectrum), tile_heat_smooth /
+tile_equalize (bounded tile rasters), mode_event_type,
+session_bounce_rate (entry-type machinery).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 HAAR_LEVELS = 5
 
@@ -108,13 +120,69 @@ def _sql_tile_haar_energy() -> str:
             + ",".join(parts) + " " + " UNION ALL ".join(sel))
 
 
+# --------------------------------------------------------------------------
+# first_vs_modal_matrix
+# --------------------------------------------------------------------------
+
+
+def q_first_vs_modal_matrix(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+    from ..stages.util import coalesce_for_shuffle
+
+    ray = _ray()
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet",
+        columns=["user_id", "ts", "event_id", "event_type"])
+
+    def per_user(group: pa.Table) -> pa.Table:
+        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy()
+        eid = group.column("event_id").to_numpy().astype(np.int64)
+        et = np.asarray(group.column("event_type").to_pylist(), dtype=object)
+        order = np.lexsort((eid, ts))
+        first = et[order[0]]
+        vals, counts = np.unique(et, return_counts=True)
+        # mode: count desc, type asc
+        best = np.lexsort((vals, -counts))[0]
+        return pa.table({
+            "first_type": pa.array([first], type=pa.string()),
+            "mode_type": pa.array([str(vals[best])], type=pa.string()),
+            "one": pa.array([1], type=pa.int64()),
+        })
+
+    per = coalesce_for_shuffle(ds).groupby("user_id").map_groups(
+        lambda g: per_user(g.drop_columns(["user_id"])),
+        batch_format="pyarrow")
+    return grouped_aggregate(
+        per, ["first_type", "mode_type"], [("sum", "one", "n_users")],
+    )
+
+
+SQL_FIRST_VS_MODAL_MATRIX = """
+WITH f AS (
+  SELECT user_id, FIRST(event_type ORDER BY ts, event_id) AS first_type
+  FROM events GROUP BY user_id
+), c AS (
+  SELECT user_id, event_type, COUNT(*) AS n FROM events GROUP BY 1, 2
+), m AS (
+  SELECT user_id, event_type AS mode_type FROM c
+  QUALIFY ROW_NUMBER() OVER (PARTITION BY user_id
+                             ORDER BY n DESC, event_type ASC) = 1
+)
+SELECT f.first_type, m.mode_type, CAST(COUNT(*) AS BIGINT) AS n_users
+FROM f JOIN m ON m.user_id = f.user_id
+GROUP BY 1, 2
+"""
+
+
 def build_queries_ext145() -> dict:
     return {
         "tile_haar_energy": q_tile_haar_energy,
+        "first_vs_modal_matrix": q_first_vs_modal_matrix,
     }
 
 
 def build_oracles_ext145() -> dict:
     return {
         "tile_haar_energy": _sql_tile_haar_energy(),
+        "first_vs_modal_matrix": SQL_FIRST_VS_MODAL_MATRIX,
     }

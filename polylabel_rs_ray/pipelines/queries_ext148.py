@@ -21,7 +21,8 @@ pipeline, not just that two replicas agree.
 
 Reference anchors: raster-classification + engine-audit families
 (SURVEY.md §2.3/2.4); siblings: tile_counts / tile_equalize (bounded
-tile rasters), label_dyadic (translation-exact labels).
+tile rasters), label_dyadic (translation-exact labels),
+partition_skew_audit (generator-replay oracles).
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 151: prefix-blocking dedup savings.
+"""Round-3 extension operators, batch 151: prefix-blocking dedup savings
++ exact half-life activity decay.
 
 ``prefix_dup_token_savings`` — the dedup-planning op of an LLM corpus
 pipeline: documents are blocked on their first-8-token prefix (the
@@ -13,8 +14,19 @@ run → single space) is pinned identical on both sides:
 ``extract_regex + replace_substring_regex`` in Arrow vs
 ``array_to_string(regexp_extract_all(text,'\\S+')[1:8], ' ')`` in SQL.
 
-Reference anchors: dedup family (SURVEY.md §2.4); siblings:
-exact_dedup / canonical_docs (packed-key groupby).
+``halflife_activity_score`` — recency-weighted user activity with EXACT
+dyadic decay: each event contributes ``round(value·100) · 2^(K−age)``
+where ``age = max_day − event_day`` (global max day, capped at K=20 so
+the weight floor is 1).  Powers of two make the decay exactly
+representable in int64 — no libm, no float drift — so the oracle is
+bit-exact (bound: 56k cents · 2^20 · ≤99 events/user ≈ 6e12 ≪ 2^63;
+the 100-TB upgrade path is HUGEINT partials emitted as decimal
+strings, the ols_price_model pattern).  Two passes: an O(1) max-day
+aggregate, then one map-side-combined per-user sum.
+
+Reference anchors: dedup + sessionization families (SURVEY.md §2.4);
+siblings: exact_dedup / canonical_docs (packed-key groupby),
+user_time_weighted_value (exact per-user integral).
 """
 
 from __future__ import annotations
@@ -23,8 +35,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+DAY_US = 86_400_000_000
 PFX_TOKENS = 8
 TOK_PACK = 1 << 20  # tokens < 2^20: pack (doc_id, tokens) into one int64
+HALF_LIFE_CAP = 20  # weight = 2^(CAP - min(age, CAP))
 
 
 def _ray():
@@ -110,13 +124,75 @@ HAVING COUNT(*) > 1
 """
 
 
+# --------------------------------------------------------------------------
+# halflife_activity_score
+# --------------------------------------------------------------------------
+
+
+def q_halflife_activity_score(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+    path = f"{sf_dir}/events.parquet"
+
+    # pass 1: global max day (O(1) aggregate)
+    max_day = int(
+        ray.data.read_parquet(path, columns=["ts"])
+        .map_batches(
+            lambda b: pa.table({"d": pa.array(
+                [int(pc.cast(b.column("ts"), pa.int64())
+                     .to_numpy().max()) // DAY_US], type=pa.int64())}),
+            batch_format="pyarrow", zero_copy_batch=True)
+        .max("d")
+    )
+
+    ds = ray.data.read_parquet(path, columns=["user_id", "ts", "value"])
+
+    def stage(batch: pa.Table) -> pa.Table:
+        day = pc.cast(batch.column("ts"), pa.int64()).to_numpy() // DAY_US
+        age = np.minimum(max_day - day, HALF_LIFE_CAP)
+        w = np.left_shift(np.int64(1), (HALF_LIFE_CAP - age).astype(np.int64))
+        cents = np.round(
+            batch.column("value").to_numpy() * 100.0).astype(np.int64)
+        return pa.table({
+            "user_id": pc.cast(batch.column("user_id"), pa.int64()),
+            "one": pa.array(np.ones(len(day), dtype=np.int64)),
+            "s": pa.array(cents * w, type=pa.int64()),
+        })
+
+    return grouped_aggregate(
+        ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id"],
+        [("count", None, "n_events"), ("sum", "s", "score_scaled")],
+        high_cardinality=True,
+    )
+
+
+SQL_HALFLIFE_ACTIVITY_SCORE = f"""
+WITH mx AS (
+  SELECT MAX(epoch_us(ts) // {DAY_US}) AS max_day FROM events
+)
+SELECT CAST(user_id AS BIGINT) AS user_id,
+       CAST(COUNT(*) AS BIGINT) AS n_events,
+       CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)
+                * (CAST(1 AS BIGINT) << CAST({HALF_LIFE_CAP} - LEAST(
+                      mx.max_day - epoch_us(ts) // {DAY_US},
+                      {HALF_LIFE_CAP}) AS INTEGER)))
+            AS BIGINT) AS score_scaled
+FROM events, mx
+GROUP BY 1
+"""
+
+
 def build_queries_ext151() -> dict:
     return {
         "prefix_dup_token_savings": q_prefix_dup_token_savings,
+        "halflife_activity_score": q_halflife_activity_score,
     }
 
 
 def build_oracles_ext151() -> dict:
     return {
         "prefix_dup_token_savings": SQL_PREFIX_DUP_TOKEN_SAVINGS,
+        "halflife_activity_score": SQL_HALFLIFE_ACTIVITY_SCORE,
     }

@@ -26,7 +26,8 @@ The oracle enumerates all n-grams per (doc, n) via LATERAL positions and
 takes MAX(n) over duplicated grams.
 
 Reference anchors: text-quality + dedup families (SURVEY.md §2.4);
-siblings: dup_trigram_coverage (flat dictionary-encode + reduceat).
+siblings: dup_trigram_coverage (flat dictionary-encode + reduceat),
+value_qq_distance (decile distance — EMD is its full-histogram upgrade).
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 154: MMR diversified retrieval.
+"""Round-3 extension operators, batch 154: MMR diversified retrieval +
+customer-cohort LTV triangle.
 
 ``mmr_topk`` — retrieve-then-rerank with maximal marginal relevance, the
 diversity-aware retrieval op of a RAG/data-curation stack: the query is
@@ -15,15 +16,26 @@ partials), one id-filtered pass to collect the 64 candidate code rows,
 then the O(K·POOL·dim) greedy on the driver.  At 10^12 docs the pool
 collection is the standard top-k exchange; the greedy stays O(1).
 
-Reference anchors: similarity family (SURVEY.md §2.4); siblings:
-sq8_topk (integer ADC scoring), doc_merkle_root (machine-generated
-unrolled SQL).
+``order_cohort_ltv`` — the classic LTV triangle: orders bucketed by the
+customer's acquisition month (calendar month of their first order,
+months-since-epoch ints via ``datetime64[M]`` == SQL EXTRACT arithmetic)
+and the month offset since acquisition, with exact cent revenue.  Pass 1
+reduces per-customer first-month (hash aggregate); the bounded
+(custkey → cohort) map is broadcast via ``ray.put`` (small side; the
+10^12-row path co-partitions both sides on custkey hash, the
+zone_join_copartitioned pattern); pass 2 is one map-side-combined
+aggregate into the bounded (cohort × offset) triangle.
+
+Reference anchors: similarity + calendar families (SURVEY.md §2.4);
+siblings: sq8_topk (integer ADC scoring), cohort_retention
+(events cohorts), doc_merkle_root (machine-generated unrolled SQL).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 MMR_POOL = 64
 MMR_K = 10
@@ -209,13 +221,95 @@ FROM ({finals})
     return sql
 
 
+# --------------------------------------------------------------------------
+# order_cohort_ltv
+# --------------------------------------------------------------------------
+
+
+def q_order_cohort_ltv(sf_dir: str):
+    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+
+    ray = _ray()
+    path = f"{sf_dir}/orders.parquet"
+    ds = ray.data.read_parquet(path, columns=["o_custkey", "o_orderdate",
+                                              "o_totalprice"])
+
+    def months(batch: pa.Table) -> pa.Table:
+        ts = pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy() \
+            .astype("datetime64[us]")
+        m = ts.astype("datetime64[M]").astype(np.int64)
+        return pa.table({
+            "custkey": pc.cast(batch.column("o_custkey"), pa.int64()),
+            "m": pa.array(m, type=pa.int64()),
+            "cents": pa.array(
+                np.round(batch.column("o_totalprice").to_numpy() * 100.0)
+                .astype(np.int64), type=pa.int64()),
+        })
+
+    om = ds.map_batches(months, batch_format="pyarrow", zero_copy_batch=True)
+
+    coh = hash_grouped_aggregate(
+        om.select_columns(["custkey", "m"]),
+        ["custkey"], [("min", "m", "cm")],
+    ).to_pandas().sort_values("custkey")  # small side; broadcast below
+    ck = coh["custkey"].to_numpy().astype(np.int64)
+    cm = coh["cm"].to_numpy().astype(np.int64)
+    coh_ref = ray.put((ck, cm))
+
+    def attach(batch: pa.Table) -> pa.Table:
+        k, c = ray.get(coh_ref)
+        cust = batch.column("custkey").to_numpy().astype(np.int64)
+        cohort = c[np.searchsorted(k, cust)]
+        m = batch.column("m").to_numpy().astype(np.int64)
+        t = pa.table({
+            "cohort_month": pa.array(cohort, type=pa.int64()),
+            "month_offset": pa.array(m - cohort, type=pa.int64()),
+            "one": pa.array(np.ones(len(m), dtype=np.int64)),
+            "cents": batch.column("cents"),
+        })
+        out = t.group_by(["cohort_month", "month_offset"]).aggregate(
+            [("one", "sum"), ("cents", "sum")])
+        return pa.table({
+            "cohort_month": out.column("cohort_month"),
+            "month_offset": out.column("month_offset"),
+            "n": pc.cast(out.column("one_sum"), pa.int64()),
+            "rev": pc.cast(out.column("cents_sum"), pa.int64()),
+        })
+
+    return grouped_aggregate(
+        om.map_batches(attach, batch_format="pyarrow", zero_copy_batch=True),
+        ["cohort_month", "month_offset"],
+        [("sum", "n", "n_orders"), ("sum", "rev", "rev_cents")],
+    )
+
+
+SQL_ORDER_COHORT_LTV = """
+WITH om AS (
+    SELECT o_custkey,
+           (EXTRACT(year FROM o_orderdate) - 1970) * 12
+               + EXTRACT(month FROM o_orderdate) - 1 AS m,
+           CAST(ROUND(o_totalprice * 100) AS BIGINT) AS cents
+    FROM orders
+),
+coh AS (SELECT o_custkey, MIN(m) AS cm FROM om GROUP BY 1)
+SELECT CAST(coh.cm AS BIGINT) AS cohort_month,
+       CAST(om.m - coh.cm AS BIGINT) AS month_offset,
+       CAST(COUNT(*) AS BIGINT) AS n_orders,
+       CAST(SUM(om.cents) AS BIGINT) AS rev_cents
+FROM om JOIN coh USING (o_custkey)
+GROUP BY 1, 2
+"""
+
+
 def build_queries_ext154() -> dict:
     return {
         "mmr_topk": q_mmr_topk,
+        "order_cohort_ltv": q_order_cohort_ltv,
     }
 
 
 def build_oracles_ext154() -> dict:
     return {
         "mmr_topk": _sql_mmr_topk(),
+        "order_cohort_ltv": SQL_ORDER_COHORT_LTV,
     }

@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 159: enclosed-hole detection.
+"""Round-3 extension operators, batch 159: enclosed-hole detection +
+interval activity selection.
 
 ``tile_enclosed_holes`` — the "lakes" detector of raster morphology:
 an EMPTY lattice cell is an enclosed hole iff it cannot reach the
@@ -16,17 +17,35 @@ cross-product every iteration), with UNION dedup guaranteeing
 termination.  Output: one row per EMPTY cell with its ``enclosed``
 flag.
 
+``activity_selection`` — the classic greedy interval-scheduling
+operator, per user: each event spawns the interval ``[s, s + dur)``
+with ``s = epoch_us(ts)`` and the deterministic duration ``dur =
+60_000_000 · (1 + event_id % 10)`` microseconds; the operator reports
+the maximum number of pairwise non-overlapping intervals (touching
+allowed: the next start may equal the previous end).  The engine runs
+the earliest-end greedy per user inside co-partitioned ``map_groups``
+(provably optimal for this problem — the exchange argument — and
+pytest cross-checks it against an independent predecessor-DP).  The
+chain state is only ``cur_end``, so tie-breaks cannot matter: the next
+end is ``MIN(e) over {s >= cur_end}``, which is exactly how the oracle
+replays it — a recursive CTE whose recursive term advances every
+user's chain by one pick (strictly increasing ``cur_end`` terminates
+it).
+
 Reference anchors: raster + behavioral families (SURVEY.md §2.3/§2.4);
 siblings: tile_chebyshev_dt / tile_visibility (bounded-lattice ops
 after the distributed shuffle), dedup_clusters (recursive-CTE
-reachability oracle).
+reachability oracle), user_inactivity_gaps / peak_concurrency
+(interval machinery).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
+DUR_US = 60_000_000  # 1-minute quantum; dur = DUR_US * (1 + event_id % 10)
 HOLE_RES = 6  # 64x64: finest lattice with non-trivial enclosure (see doc)
 
 
@@ -119,6 +138,67 @@ LEFT JOIN reach r ON r.ix = e.ix AND r.iy = e.iy
 
 
 # --------------------------------------------------------------------------
+# activity_selection
+# --------------------------------------------------------------------------
+
+
+def q_activity_selection(sf_dir: str):
+    from ..stages.util import coalesce_for_shuffle
+
+    ray = _ray()
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                               columns=["user_id", "ts", "event_id"])
+
+    def per_user(group: pa.Table) -> pa.Table:
+        uid = int(group.column("user_id")[0].as_py())
+        s = pc.cast(group.column("ts"), pa.int64()).to_numpy()
+        eid = group.column("event_id").to_numpy().astype(np.int64)
+        e = s + DUR_US * (1 + eid % 10)
+        order = np.lexsort((s, e))  # earliest end first
+        cur = -(1 << 62)
+        cnt = 0
+        for i in order:
+            if s[i] >= cur:
+                cnt += 1
+                cur = int(e[i])
+        return pa.table({
+            "user_id": pa.array([uid], type=pa.int64()),
+            "n_events": pa.array([len(s)], type=pa.int64()),
+            "max_nonoverlap": pa.array([cnt], type=pa.int64()),
+        })
+
+    return coalesce_for_shuffle(ds).groupby("user_id").map_groups(
+        per_user, batch_format="pyarrow")
+
+
+SQL_ACTIVITY_SELECTION = f"""
+WITH RECURSIVE iv AS MATERIALIZED (
+  SELECT user_id, epoch_us(ts) AS s,
+         epoch_us(ts) + {DUR_US} * (1 + event_id % 10) AS e
+  FROM events
+), step AS (
+  SELECT user_id, MIN(e) AS cur_end, 1 AS cnt
+  FROM iv GROUP BY user_id
+  UNION ALL
+  SELECT st.user_id,
+         (SELECT MIN(e) FROM iv
+          WHERE iv.user_id = st.user_id AND iv.s >= st.cur_end),
+         st.cnt + 1
+  FROM step st
+  WHERE EXISTS (SELECT 1 FROM iv
+                WHERE iv.user_id = st.user_id AND iv.s >= st.cur_end)
+)
+SELECT st.user_id,
+       CAST(c.n AS BIGINT) AS n_events,
+       CAST(MAX(st.cnt) AS BIGINT) AS max_nonoverlap
+FROM step st
+JOIN (SELECT user_id, COUNT(*) AS n FROM iv GROUP BY 1) c
+  ON c.user_id = st.user_id
+GROUP BY 1, 2
+"""
+
+
+# --------------------------------------------------------------------------
 # registry hooks
 # --------------------------------------------------------------------------
 
@@ -126,10 +206,12 @@ LEFT JOIN reach r ON r.ix = e.ix AND r.iy = e.iy
 def build_queries_ext159():
     return {
         "tile_enclosed_holes": q_tile_enclosed_holes,
+        "activity_selection": q_activity_selection,
     }
 
 
 def build_oracles_ext159():
     return {
         "tile_enclosed_holes": _sql_tile_enclosed_holes(),
+        "activity_selection": SQL_ACTIVITY_SELECTION,
     }

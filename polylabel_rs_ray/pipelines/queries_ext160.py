@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 160: largest empty square.
+"""Round-3 extension operators, batch 160: largest empty square +
+longest increasing subsequence.
 
 ``tile_max_empty_square`` — the facility-siting primitive on the tile
 raster: for every lattice cell, the side of the largest all-EMPTY
@@ -13,15 +14,30 @@ anti-join, ≤ 33k candidate windows).  The occupied set is sparse on
 this corpus, so the EMPTY-square variant is the non-trivial one
 (occupied squares max out at 1×1 at every scale factor — measured).
 
+``lis_per_user`` — longest strictly-increasing subsequence of each
+user's event values (cents-exact), in (ts, event_id) order: the
+sequence-analysis primitive behind trend mining.  The engine runs
+O(n log n) PATIENCE SORTING per user inside co-partitioned
+``map_groups`` (bisect on the tails array); the oracle is a genuinely
+different algorithm — the O(n²) chain-extension DP expressed as a
+recursive CTE whose UNION-deduped state is (user, pos, value, chain
+length), bounded by Σᵢ LIS_i rows.  Patience length == DP max length
+is the classical duality (Dilworth / RSK), so agreement here is a
+cross-algorithm proof, not a replay.
+
 Reference anchors: raster + behavioral families (SURVEY.md §2.3/§2.4);
-siblings: tile_seam_dp / tile_chebyshev_dt (lattice DPs).
+siblings: tile_seam_dp / tile_chebyshev_dt (lattice DPs),
+max_histogram_rectangle (largest-area siting), type_streaks /
+mann_kendall_stats (ordered-sequence statistics).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def _ray():
@@ -83,6 +99,65 @@ GROUP BY 1, 2
 
 
 # --------------------------------------------------------------------------
+# lis_per_user
+# --------------------------------------------------------------------------
+
+
+def q_lis_per_user(sf_dir: str):
+    from ..stages.util import coalesce_for_shuffle
+
+    ray = _ray()
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                               columns=["user_id", "ts", "event_id", "value"])
+
+    def per_user(group: pa.Table) -> pa.Table:
+        uid = int(group.column("user_id")[0].as_py())
+        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy()
+        eid = group.column("event_id").to_numpy().astype(np.int64)
+        v = np.round(group.column("value").to_numpy() * 100.0).astype(np.int64)
+        order = np.lexsort((eid, ts))
+        tails: list[int] = []
+        for x in v[order]:
+            i = bisect_left(tails, int(x))
+            if i == len(tails):
+                tails.append(int(x))
+            else:
+                tails[i] = int(x)
+        return pa.table({
+            "user_id": pa.array([uid], type=pa.int64()),
+            "n_events": pa.array([len(v)], type=pa.int64()),
+            "lis_len": pa.array([len(tails)], type=pa.int64()),
+        })
+
+    return coalesce_for_shuffle(ds).groupby("user_id").map_groups(
+        per_user, batch_format="pyarrow")
+
+
+SQL_LIS_PER_USER = """
+WITH RECURSIVE iv AS MATERIALIZED (
+  SELECT user_id,
+         ROW_NUMBER() OVER (PARTITION BY user_id
+                            ORDER BY ts, event_id) AS pos,
+         CAST(ROUND(value * 100) AS BIGINT) AS v
+  FROM events
+), chain AS (
+  SELECT user_id, pos, v, 1 AS l FROM iv
+  UNION
+  SELECT j.user_id, j.pos, j.v, c.l + 1
+  FROM chain c
+  JOIN iv j ON j.user_id = c.user_id AND j.pos > c.pos AND j.v > c.v
+)
+SELECT c.user_id,
+       CAST(n.n AS BIGINT) AS n_events,
+       CAST(MAX(c.l) AS BIGINT) AS lis_len
+FROM chain c
+JOIN (SELECT user_id, COUNT(*) AS n FROM iv GROUP BY 1) n
+  ON n.user_id = c.user_id
+GROUP BY 1, 2
+"""
+
+
+# --------------------------------------------------------------------------
 # registry hooks
 # --------------------------------------------------------------------------
 
@@ -90,10 +165,12 @@ GROUP BY 1, 2
 def build_queries_ext160():
     return {
         "tile_max_empty_square": q_tile_max_empty_square,
+        "lis_per_user": q_lis_per_user,
     }
 
 
 def build_oracles_ext160():
     return {
         "tile_max_empty_square": _sql_tile_max_empty_square(),
+        "lis_per_user": SQL_LIS_PER_USER,
     }

@@ -1,4 +1,18 @@
-"""Round-3 extension operators, batch 161: greedy vocabulary set cover.
+"""Round-3 extension operators, batch 161: business-day ship lag +
+greedy vocabulary set cover.
+
+``busday_ship_lag`` — the business-day (Mon-Fri) lag histogram between
+``o_orderdate`` and ``l_shipdate``, per order priority: the
+calendar-aware SLA operator.  The join is the established
+co-partitioned union shape (both sides hash-partition on the order
+key through ONE exchange; orders attach to lineitems via searchsorted
+inside each partition — the order key is unique on the orders side).
+The engine counts with ``np.busday_count`` (half-open [order, ship),
+negative when shipping precedes ordering — this corpus contains such
+rows); the oracle derives the same number from the closed form
+``g(x) = 5·(x//7) + LEAST(x mod 7, 5)`` with ``x`` = days since
+Monday 1969-12-29, so ``lag = g(ship) - g(order)`` — an independent
+derivation of the busday count, not a replay of numpy.
 
 ``vocab_set_cover`` — greedy SET COVER of the corpus vocabulary by
 documents (the dataset-curation primitive "pick the fewest docs that
@@ -21,8 +35,10 @@ value-checkable.  Greedy's ln(n)-approximation is deliberate and
 documented; what the oracle pins is the exact deterministic pick
 sequence.
 
-Reference anchors: corpus-curation family (SURVEY.md §2.4);
-siblings: vocab_ids / vocab_growth_curve (vocabulary machinery), contamination_check.
+Reference anchors: relational + corpus-curation families (SURVEY.md
+§2.4); siblings: order_fulfillment (the co-partitioned union join),
+supplier_leadtime_stats (calendar lags, incl. negative), vocab_ids /
+vocab_growth_curve (vocabulary machinery), contamination_check.
 """
 
 from __future__ import annotations
@@ -31,6 +47,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+_MONDAY_EPOCH_DAYS = -3  # 1969-12-29 (a Monday) in days since 1970-01-01
 COVER_MAX_CHARS = 120  # set-cover candidate gate (see vocab_set_cover doc)
 
 
@@ -38,6 +55,113 @@ def _ray():
     import ray
 
     return ray
+
+
+# --------------------------------------------------------------------------
+# busday_ship_lag
+# --------------------------------------------------------------------------
+
+
+def q_busday_ship_lag(sf_dir: str, n_parts: int | None = None):
+    from ..stages.agg import grouped_aggregate
+    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
+    from .queries import _hash_part
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+
+    def order_side(batch: pa.Table) -> pa.Table:
+        key = batch.column("o_orderkey").to_numpy().astype(np.int64)
+        odays = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()
+                 // 86_400_000_000)
+        return pa.table({
+            "part": pa.array(_hash_part(key, P), type=pa.int64()),
+            "key": pa.array(key, type=pa.int64()),
+            "odays": pa.array(odays, type=pa.int64()),
+            "sdays": pa.nulls(batch.num_rows, pa.int64()),
+            "prio": batch.column("o_orderpriority"),
+        })
+
+    def line_side(batch: pa.Table) -> pa.Table:
+        key = batch.column("l_orderkey").to_numpy().astype(np.int64)
+        sdays = (pc.cast(batch.column("l_shipdate"), pa.int64()).to_numpy()
+                 // 86_400_000_000)
+        return pa.table({
+            "part": pa.array(_hash_part(key, P), type=pa.int64()),
+            "key": pa.array(key, type=pa.int64()),
+            "odays": pa.nulls(batch.num_rows, pa.int64()),
+            "sdays": pa.array(sdays, type=pa.int64()),
+            "prio": pa.nulls(batch.num_rows, pa.string()),
+        })
+
+    orders = ray.data.read_parquet(
+        f"{sf_dir}/orders.parquet",
+        columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
+    ).map_batches(order_side, batch_format="pyarrow", zero_copy_batch=True)
+    lines = ray.data.read_parquet(
+        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"],
+    ).map_batches(line_side, batch_format="pyarrow", zero_copy_batch=True)
+
+    def join_group(group: pa.Table) -> pa.Table:
+        is_order = pc.is_valid(group.column("odays"))
+        o = group.filter(is_order)
+        l = group.filter(pc.invert(is_order))
+        okey = o.column("key").to_numpy().astype(np.int64)
+        oord = np.argsort(okey, kind="stable")
+        okey = okey[oord]
+        odays = o.column("odays").to_numpy().astype(np.int64)[oord]
+        prio = np.asarray(o.column("prio").to_pylist(), dtype=object)[oord]
+        lkey = l.column("key").to_numpy().astype(np.int64)
+        sdays = l.column("sdays").to_numpy().astype(np.int64)
+        pos = np.searchsorted(okey, lkey)
+        assert np.all(okey[pos] == lkey)  # FK integrity within partition
+        begin = odays[pos].astype("datetime64[D]")
+        end = sdays.astype("datetime64[D]")
+        # antisymmetric convention: lag(a, b) == -lag(b, a); numpy's own
+        # reversed-argument behavior is NOT the negated forward count, so
+        # negative lags are computed as the negated forward interval.
+        neg = end < begin
+        lag = np.empty(len(end), dtype=np.int64)
+        lag[~neg] = np.busday_count(begin[~neg], end[~neg])
+        lag[neg] = -np.busday_count(end[neg], begin[neg])
+        lp = prio[pos]
+        # bounded partial: (prio, lag) histogram
+        t = pa.table({
+            "o_orderpriority": pa.array(lp.tolist(), type=pa.string()),
+            "lag_busdays": pa.array(lag, type=pa.int64()),
+            "one": pa.array(np.ones(len(lag), dtype=np.int64)),
+        })
+        out = t.group_by(["o_orderpriority", "lag_busdays"]).aggregate(
+            [("one", "sum")])
+        return pa.table({
+            "o_orderpriority": out.column("o_orderpriority"),
+            "lag_busdays": out.column("lag_busdays"),
+            "n": pc.cast(out.column("one_sum"), pa.int64()),
+        })
+
+    both = orders.union(lines)
+    per = coalesce_for_shuffle(both).groupby("part").map_groups(
+        join_group, batch_format="pyarrow")
+    return grouped_aggregate(
+        per, ["o_orderpriority", "lag_busdays"], [("sum", "n", "n")],
+    )
+
+
+SQL_BUSDAY_SHIP_LAG = f"""
+WITH j AS (
+  SELECT o.o_orderpriority,
+         date_diff('day', DATE '1969-12-29', CAST(o.o_orderdate AS DATE))
+           AS xo,
+         date_diff('day', DATE '1969-12-29', CAST(l.l_shipdate AS DATE))
+           AS xs
+  FROM lineitem l JOIN orders o ON o.o_orderkey = l.l_orderkey
+)
+SELECT o_orderpriority,
+       CAST((5 * (xs // 7) + LEAST(xs % 7, 5))
+            - (5 * (xo // 7) + LEAST(xo % 7, 5)) AS BIGINT) AS lag_busdays,
+       CAST(COUNT(*) AS BIGINT) AS n
+FROM j GROUP BY 1, 2
+"""
 
 
 # --------------------------------------------------------------------------
@@ -161,11 +285,13 @@ FROM sel
 
 def build_queries_ext161():
     return {
+        "busday_ship_lag": q_busday_ship_lag,
         "vocab_set_cover": q_vocab_set_cover,
     }
 
 
 def build_oracles_ext161():
     return {
+        "busday_ship_lag": SQL_BUSDAY_SHIP_LAG,
         "vocab_set_cover": SQL_VOCAB_SET_COVER,
     }

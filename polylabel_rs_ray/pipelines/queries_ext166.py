@@ -1,5 +1,19 @@
-"""Round-3 extension operators, batch 166: exact polar octant label
-statistics.
+"""Round-3 extension operators, batch 166: Cartesian-tree parents of the
+daily revenue series + exact polar octant label statistics.
+
+``daily_revenue_cartesian`` — the range-max index structure over the
+time series, pinned by shape: the Cartesian tree of the daily order
+revenue sequence (key = epoch day, priority = exact revenue cents,
+ties broken "earlier day wins" so priorities are a strict total
+order).  The classic characterization makes the shape value-checkable
+without walking the tree: each node's parent is the SMALLER-priority
+of its nearest strictly-greater neighbors to the left and right
+(PGE / NGE), and the root is the global maximum.  Distributed shape:
+the daily cents reduce through the map-side combine (the bounded
+~2.5k-day domain of every daily-series sibling); the PGE/NGE pass is
+one O(days) monotonic-stack fold on the bounded table.  The oracle
+computes PGE/NGE independently as nearest-qualifying-day self-joins
+(O(days²), bounded) — no stack, no recursion, shared with nothing.
 
 ``label_octant_stats`` — polar quadrat analysis of the computed label
 points, EXACT end-to-end: labels of the dyadic fixture subset are
@@ -14,8 +28,8 @@ bounded 8-row combine; the oracle replays the generator arithmetic
 via the shared dyadic-labels CTE.
 
 Reference anchors: DB-internals + spatial-statistics families
-(SURVEY.md §2.3/§2.4); siblings: tile_seam_dp (shape-pinning
-contracts),
+(SURVEY.md §2.3/§2.4); siblings: daily_revenue_acf / ivm_daily_revenue
+(bounded daily-series folds), tile_seam_dp (shape-pinning contracts),
 label_tile_clearance (exact integer-unit label arithmetic),
 ripley_k_counts (spatial point statistics).
 """
@@ -28,6 +42,129 @@ import pyarrow.compute as pc
 
 OCT_CENTER = 512.0  # exact integer center of the label-offset cloud
 OCT_SCALE = 32      # clears every dyadic fixture denominator (<= 32)
+
+
+def _ray():
+    import ray
+
+    return ray
+
+
+# --------------------------------------------------------------------------
+# daily_revenue_cartesian
+# --------------------------------------------------------------------------
+
+
+def q_daily_revenue_cartesian(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+
+    def prep(batch: pa.Table) -> pa.Table:
+        day = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()
+               // 86_400_000_000)
+        cents = np.round(
+            batch.column("o_totalprice").to_numpy() * 100.0
+        ).astype(np.int64)
+        return pa.table({
+            "day": pa.array(day, type=pa.int64()),
+            "cents": pa.array(cents, type=pa.int64()),
+        })
+
+    daily = grouped_aggregate(
+        ray.data.read_parquet(
+            f"{sf_dir}/orders.parquet",
+            columns=["o_orderdate", "o_totalprice"]).map_batches(
+            prep, batch_format="pyarrow", zero_copy_batch=True),
+        ["day"], [("sum", "cents", "cents")],
+    ).to_pandas()  # bounded: one row per calendar day
+    daily = daily.sort_values("day").reset_index(drop=True)
+    day = daily["day"].to_numpy().astype(np.int64)
+    cents = daily["cents"].to_numpy().astype(np.int64)
+    n = len(day)
+
+    # strict priority order: (cents, -day) lexicographic, earlier day wins
+    def greater(i: int, j: int) -> bool:
+        return (cents[i], -day[i]) > (cents[j], -day[j])
+
+    pge = np.full(n, -1, dtype=np.int64)  # index of nearest left greater
+    stack: list[int] = []
+    for i in range(n):  # bounded-domain fold (days, not rows)
+        while stack and not greater(stack[-1], i):
+            stack.pop()
+        pge[i] = stack[-1] if stack else -1
+        stack.append(i)
+    nge = np.full(n, -1, dtype=np.int64)
+    stack = []
+    for i in range(n - 1, -1, -1):
+        while stack and not greater(stack[-1], i):
+            stack.pop()
+        nge[i] = stack[-1] if stack else -1
+        stack.append(i)
+
+    parent = np.full(n, -1, dtype=np.int64)
+    side = np.empty(n, dtype=object)
+    for i in range(n):
+        l, r = pge[i], nge[i]
+        if l < 0 and r < 0:
+            side[i] = "root"
+        elif l < 0 or (r >= 0 and greater(l, r)):
+            parent[i] = day[r]
+            side[i] = "R"
+        else:
+            parent[i] = day[l]
+            side[i] = "L"
+    return ray.data.from_arrow(pa.table({
+        "day": pa.array(day, type=pa.int64()),
+        "cents": pa.array(cents, type=pa.int64()),
+        "parent_day": pa.array(parent, type=pa.int64()),
+        "side": pa.array(side.tolist(), type=pa.string()),
+    }))
+
+
+SQL_DAILY_REVENUE_CARTESIAN = """
+WITH daily AS MATERIALIZED (
+  SELECT CAST(date_diff('day', DATE '1970-01-01',
+                        CAST(o_orderdate AS DATE)) AS BIGINT) AS day,
+         CAST(SUM(CAST(ROUND(o_totalprice * 100) AS BIGINT)) AS BIGINT)
+           AS cents
+  FROM orders GROUP BY 1
+), pge AS (
+  SELECT v.day,
+         (SELECT MAX(u.day) FROM daily u
+          WHERE u.day < v.day
+            AND (u.cents > v.cents
+                 OR (u.cents = v.cents AND u.day < v.day))) AS l
+  FROM daily v
+), nge AS (
+  SELECT v.day,
+         (SELECT MIN(u.day) FROM daily u
+          WHERE u.day > v.day
+            AND (u.cents > v.cents
+                 OR (u.cents = v.cents AND u.day < v.day))) AS r
+  FROM daily v
+)
+SELECT d.day, d.cents,
+       CAST(CASE
+         WHEN p.l IS NULL AND g.r IS NULL THEN -1
+         WHEN p.l IS NULL THEN g.r
+         WHEN g.r IS NULL THEN p.l
+         WHEN (dl.cents, -dl.day) > (dr.cents, -dr.day) THEN g.r
+         ELSE p.l
+       END AS BIGINT) AS parent_day,
+       CASE
+         WHEN p.l IS NULL AND g.r IS NULL THEN 'root'
+         WHEN p.l IS NULL THEN 'R'
+         WHEN g.r IS NULL THEN 'L'
+         WHEN (dl.cents, -dl.day) > (dr.cents, -dr.day) THEN 'R'
+         ELSE 'L'
+       END AS side
+FROM daily d
+JOIN pge p ON p.day = d.day
+JOIN nge g ON g.day = d.day
+LEFT JOIN daily dl ON dl.day = p.l
+LEFT JOIN daily dr ON dr.day = g.r
+"""
 
 
 # --------------------------------------------------------------------------
@@ -96,11 +233,13 @@ GROUP BY 1
 
 def build_queries_ext166():
     return {
+        "daily_revenue_cartesian": q_daily_revenue_cartesian,
         "label_octant_stats": q_label_octant_stats,
     }
 
 
 def build_oracles_ext166():
     return {
+        "daily_revenue_cartesian": SQL_DAILY_REVENUE_CARTESIAN,
         "label_octant_stats": _sql_label_octant_stats(),
     }

@@ -1,5 +1,5 @@
 """Round-3 extension operators, batch 171: morphological opening/closing
-audit.
+audit + per-user turning-point counts.
 
 ``tile_morph_open_close`` — the salt-and-pepper filters of raster
 morphology with the 4-connected plus structuring element: per lattice
@@ -16,15 +16,26 @@ explicit bounds predicates).  The oracle quantifies neighborhoods
 directly (erode = occupied AND all in-bounds 4-neighbors occupied;
 dilate = occupied OR any 4-neighbor occupied) — no shift machinery.
 
+``user_turning_points`` — the turning-point randomness screen per
+user: counts of STRICT local peaks (prev < v > next) and troughs
+(prev > v < next) over the (ts, event_id)-ordered value sequence in
+exact cents (plateau members are neither, by the strict-inequality
+policy — stated, not incidental).  One vectorized pass per hash
+partition with the guarded_sequence_match segment machinery (shifted
+compares + reduceat folds, per-user resets free because segment
+boundaries mask out).  Oracle: per-user LAG/LEAD window compares.
+
 Reference anchors: raster/tile + sequence-statistics families
 (SURVEY.md §2.3/§2.4); siblings: tile_components / tile_enclosed_
-holes (lattice morphology).
+holes (lattice morphology), runs_test_daily (randomness screens),
+guarded_sequence_match (segment reduceat machinery).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 MORPH_RES = 5
 
@@ -146,6 +157,90 @@ JOIN di d ON d.ix = a.ix AND d.iy = a.iy
 
 
 # --------------------------------------------------------------------------
+# user_turning_points
+# --------------------------------------------------------------------------
+
+
+def q_user_turning_points(sf_dir: str, n_parts: int | None = None):
+    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
+    from .queries import _hash_part
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+
+    def add_part(batch: pa.Table) -> pa.Table:
+        uid = batch.column("user_id").to_numpy().astype(np.int64)
+        return batch.append_column(
+            "part", pa.array(_hash_part(uid, P), type=pa.int64()))
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet",
+        columns=["user_id", "ts", "event_id", "value"],
+    ).map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
+
+    def per_part(group: pa.Table) -> pa.Table:
+        uid = group.column("user_id").to_numpy().astype(np.int64)
+        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy()
+        eid = group.column("event_id").to_numpy().astype(np.int64)
+        v = np.round(group.column("value").to_numpy() * 100.0).astype(
+            np.int64)
+        order = np.lexsort((eid, ts, uid))
+        uid, v = uid[order], v[order]
+        n = len(uid)
+        seg_mask = np.empty(n, dtype=bool)
+        seg_mask[0] = True
+        np.not_equal(uid[1:], uid[:-1], out=seg_mask[1:])
+        seg_start_idx = np.flatnonzero(seg_mask)
+        seg_len = np.diff(np.append(seg_start_idx, n)).astype(np.int64)
+        # interior positions: previous and next row belong to same user
+        interior = np.zeros(n, dtype=bool)
+        interior[1:-1] = ~seg_mask[1:-1] & ~seg_mask[2:]
+        prev = np.empty(n, dtype=np.int64)
+        nxt = np.empty(n, dtype=np.int64)
+        prev[1:] = v[:-1]
+        prev[0] = 0
+        nxt[:-1] = v[1:]
+        nxt[-1] = 0
+        peak = interior & (prev < v) & (v > nxt)
+        trough = interior & (prev > v) & (v < nxt)
+        return pa.table({
+            "user_id": pa.array(uid[seg_start_idx], type=pa.int64()),
+            "n_events": pa.array(seg_len, type=pa.int64()),
+            "n_peaks": pa.array(
+                np.add.reduceat(peak.astype(np.int64), seg_start_idx),
+                type=pa.int64()),
+            "n_troughs": pa.array(
+                np.add.reduceat(trough.astype(np.int64), seg_start_idx),
+                type=pa.int64()),
+        })
+
+    return coalesce_for_shuffle(ds).groupby("part").map_groups(
+        per_part, batch_format="pyarrow")
+
+
+SQL_USER_TURNING_POINTS = """
+WITH seq AS MATERIALIZED (
+  SELECT user_id,
+         CAST(ROUND(value * 100) AS BIGINT) AS v,
+         LAG(CAST(ROUND(value * 100) AS BIGINT))
+           OVER (PARTITION BY user_id ORDER BY ts, event_id) AS pv,
+         LEAD(CAST(ROUND(value * 100) AS BIGINT))
+           OVER (PARTITION BY user_id ORDER BY ts, event_id) AS nv
+  FROM events
+)
+SELECT user_id,
+       CAST(COUNT(*) AS BIGINT) AS n_events,
+       CAST(SUM(CASE WHEN pv IS NOT NULL AND nv IS NOT NULL
+                      AND pv < v AND v > nv THEN 1 ELSE 0 END) AS BIGINT)
+         AS n_peaks,
+       CAST(SUM(CASE WHEN pv IS NOT NULL AND nv IS NOT NULL
+                      AND pv > v AND v < nv THEN 1 ELSE 0 END) AS BIGINT)
+         AS n_troughs
+FROM seq GROUP BY 1
+"""
+
+
+# --------------------------------------------------------------------------
 # registry hooks
 # --------------------------------------------------------------------------
 
@@ -153,10 +248,12 @@ JOIN di d ON d.ix = a.ix AND d.iy = a.iy
 def build_queries_ext171():
     return {
         "tile_morph_open_close": q_tile_morph_open_close,
+        "user_turning_points": q_user_turning_points,
     }
 
 
 def build_oracles_ext171():
     return {
         "tile_morph_open_close": _sql_tile_morph_open_close(),
+        "user_turning_points": SQL_USER_TURNING_POINTS,
     }

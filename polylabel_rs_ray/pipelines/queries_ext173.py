@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 173: Zhang-Suen skeleton thinning.
+"""Round-3 extension operators, batch 173: Zhang-Suen skeleton thinning
++ Luhn check digits.
 
 ``tile_skeleton`` — morphological skeletonization of the occupied
 res-6 lattice by the classic Zhang-Suen two-subiteration thinning
@@ -16,18 +17,29 @@ machine-generated sub-round CTEs, each reconstructing the
 neighborhood via EIGHT LEFT self-joins of the previous state and
 replaying the predicates in SQL CASE arithmetic — no shift code.
 
+``luhn_check_digits`` — the checksum op of ingest validation: the
+Luhn (mod-10 double-alternate) check digit over each order key as a
+12-digit payload, plus the standard double-minus-nine digit rule.
+Both sides implement the published algorithm independently (numpy
+digit matrix vs a 12-term SQL sum over (k // 10^i) % 10) — exact
+integers end to end.  One stateless vectorized map; the histogram
+sanity (all 10 digits populated) is pytest-pinned.
+
 Reference anchors: raster/tile + data-quality families (SURVEY.md
 §2.3/§2.4); siblings: tile_morph_open_close (the morphology suite),
-tile_components.
+tile_components, name_key_consistency_audit / fk_orphan_audit
+(validation audits), varint_size_estimate (digitwise arithmetic).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 SKEL_RES = 6
 SKEL_ROUNDS = 16
+LUHN_DIGITS = 12
 
 
 def _ray():
@@ -154,6 +166,52 @@ WHERE o0.v = 1""")
 
 
 # --------------------------------------------------------------------------
+# luhn_check_digits
+# --------------------------------------------------------------------------
+
+
+def q_luhn_check_digits(sf_dir: str):
+    ray = _ray()
+
+    def stage(batch: pa.Table) -> pa.Table:
+        k = batch.column("o_orderkey").to_numpy().astype(np.int64)
+        total = np.zeros(len(k), dtype=np.int64)
+        for i in range(LUHN_DIGITS):
+            d = (k // 10 ** i) % 10
+            if i % 2 == 0:  # rightmost payload digit doubles
+                d = d * 2
+                d = np.where(d > 9, d - 9, d)
+            total += d
+        check = (10 - total % 10) % 10
+        return pa.table({
+            "o_orderkey": pa.array(k, type=pa.int64()),
+            "check_digit": pa.array(check, type=pa.int64()),
+        })
+
+    return ray.data.read_parquet(
+        f"{sf_dir}/orders.parquet", columns=["o_orderkey"],
+    ).map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _sql_luhn_check_digits() -> str:
+    terms = []
+    for i in range(LUHN_DIGITS):
+        d = f"((o_orderkey // {10 ** i}) % 10)"
+        if i % 2 == 0:
+            terms.append(
+                f"(CASE WHEN {d} * 2 > 9 THEN {d} * 2 - 9 "
+                f"ELSE {d} * 2 END)")
+        else:
+            terms.append(d)
+    s = " + ".join(terms)
+    return f"""
+SELECT o_orderkey,
+       CAST((10 - ({s}) % 10) % 10 AS BIGINT) AS check_digit
+FROM orders
+"""
+
+
+# --------------------------------------------------------------------------
 # registry hooks
 # --------------------------------------------------------------------------
 
@@ -161,10 +219,12 @@ WHERE o0.v = 1""")
 def build_queries_ext173():
     return {
         "tile_skeleton": q_tile_skeleton,
+        "luhn_check_digits": q_luhn_check_digits,
     }
 
 
 def build_oracles_ext173():
     return {
         "tile_skeleton": _sql_tile_skeleton(),
+        "luhn_check_digits": _sql_luhn_check_digits(),
     }

@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 181: Aho-Corasick failure links.
+"""Round-3 extension operators, batch 181: Aho-Corasick failure links +
+Fenwick tree node array.
 
 ``aho_corasick_links`` — the multi-pattern automaton over the corpus
 vocabulary, pinned structurally: every trie node (every distinct
@@ -13,9 +14,19 @@ specification, value-equal.  Distributed shape: the vocabulary
 reduce is the corpus-scan cost; the bounded trie (Σ word lengths)
 folds on the driver.
 
+``fenwick_nodes`` — the Fenwick (binary indexed) tree over the daily
+order-count series, node by node: day ranks 1..D, node i stores the
+sum of counts over the half-open rank window (i − lowbit(i), i].
+The engine runs the O(D) sibling-propagation build (fen[i] += c[i];
+fen[i + lowbit(i)] += fen[i]); the oracle evaluates the definition
+as a windowed range-sum join with ``i & (−i)`` bit arithmetic in
+SQL.  The query-path identity (prefix sums via the parent chain)
+is pytest-pinned for every rank.
+
 Reference anchors: text-automaton + DB-internals families (SURVEY.md
 §2.4); siblings: phrase_screen_counts (multi-pattern matching),
-vocab_front_coding / vocab_ids (prefix machinery).
+vocab_front_coding / vocab_ids (prefix machinery), dod_encoding_cost
+(bit-arithmetic replays), ivm_daily_revenue (daily series).
 """
 
 from __future__ import annotations
@@ -115,6 +126,66 @@ FROM nodes n JOIN fails f ON f.p = n.p
 
 
 # --------------------------------------------------------------------------
+# fenwick_nodes
+# --------------------------------------------------------------------------
+
+
+def q_fenwick_nodes(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+
+    def prep(batch: pa.Table) -> pa.Table:
+        day = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()
+               // 86_400_000_000)
+        return pa.table({
+            "day": pa.array(day, type=pa.int64()),
+            "one": pa.array(np.ones(len(day), dtype=np.int64)),
+        })
+
+    daily = grouped_aggregate(
+        ray.data.read_parquet(
+            f"{sf_dir}/orders.parquet", columns=["o_orderdate"]).map_batches(
+            prep, batch_format="pyarrow", zero_copy_batch=True),
+        ["day"], [("sum", "one", "n")],
+    ).to_pandas().sort_values("day").reset_index(drop=True)
+    c = daily["n"].to_numpy().astype(np.int64)
+    day = daily["day"].to_numpy().astype(np.int64)
+    D = len(c)
+    # classic O(D) sibling-propagation build
+    fen = np.zeros(D + 1, dtype=np.int64)
+    for i in range(1, D + 1):
+        fen[i] += c[i - 1]
+        p = i + (i & -i)
+        if p <= D:
+            fen[p] += fen[i]
+    return ray.data.from_arrow(pa.table({
+        "idx": pa.array(np.arange(1, D + 1), type=pa.int64()),
+        "day": pa.array(day, type=pa.int64()),
+        "node_sum": pa.array(fen[1:], type=pa.int64()),
+    }))
+
+
+SQL_FENWICK_NODES = """
+WITH daily AS MATERIALIZED (
+  SELECT CAST(CAST(o_orderdate AS DATE) - DATE '1970-01-01' AS BIGINT)
+           AS day,
+         CAST(COUNT(*) AS BIGINT) AS n
+  FROM orders GROUP BY 1
+), ranked AS MATERIALIZED (
+  SELECT day, n,
+         CAST(ROW_NUMBER() OVER (ORDER BY day) AS BIGINT) AS idx
+  FROM daily
+)
+SELECT r.idx, r.day,
+       CAST((SELECT SUM(s.n) FROM ranked s
+             WHERE s.idx > r.idx - (r.idx & (-r.idx))
+               AND s.idx <= r.idx) AS BIGINT) AS node_sum
+FROM ranked r
+"""
+
+
+# --------------------------------------------------------------------------
 # registry hooks
 # --------------------------------------------------------------------------
 
@@ -122,10 +193,12 @@ FROM nodes n JOIN fails f ON f.p = n.p
 def build_queries_ext181():
     return {
         "aho_corasick_links": q_aho_corasick_links,
+        "fenwick_nodes": q_fenwick_nodes,
     }
 
 
 def build_oracles_ext181():
     return {
         "aho_corasick_links": SQL_AHO_CORASICK_LINKS,
+        "fenwick_nodes": SQL_FENWICK_NODES,
     }

@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 182: document suffix array + LCP.
+"""Round-3 extension operators, batch 182: document suffix array + LCP
++ skip-list level histogram.
 
 ``doc_suffix_array`` — the canonical string-index structure over the
 corpus' anchor document (the minimum doc_id): every suffix with its
@@ -13,15 +14,28 @@ single bounded string (the per-document unit of text indexing — at
 corpus scale this stage maps per doc inside map_batches, which the
 per-doc-loop-free siblings already demonstrate).
 
+``skiplist_level_histogram`` — the randomized-structure audit made
+deterministic: each order key draws its skip-list level from the
+geometric distribution induced by its md5 hash (level = 1 + count of
+trailing zero bits of ``md5_number_lower(key)`` — the repo-wide
+SQL-replayable hash convention), and the bounded level histogram is
+emitted.  The engine computes trailing zeros vectorized (uint64
+lowbit + exact float log2); the oracle probes the first set bit with
+a MIN-over-shifts pick — different bit machinery, same histogram.
+The geometric-decay shape (each level roughly half the previous) is
+pytest-pinned loosely.
+
 Reference anchors: text-index + DB-internals families (SURVEY.md
 §2.4); siblings: fingerprints / longest_repeated_ngram (string
-indexing).
+indexing), fenwick_nodes (structure-node contracts), consistent_
+hash_audit (md5-derived placement).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def _ray():
@@ -140,6 +154,61 @@ LEFT JOIN ranked b ON b.rank = a.rank - 1
 
 
 # --------------------------------------------------------------------------
+# skiplist_level_histogram
+# --------------------------------------------------------------------------
+
+
+def q_skiplist_level_histogram(sf_dir: str):
+    import hashlib
+
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+
+    def levels(batch: pa.Table) -> pa.Table:
+        k = batch.column("o_orderkey").to_numpy().astype(np.int64)
+        h = np.array([
+            int.from_bytes(
+                hashlib.md5(str(int(x)).encode()).digest()[8:], "little")
+            for x in k], dtype=np.uint64)
+        lowbit = np.bitwise_and(h, (~h) + np.uint64(1))
+        tz = np.where(h == 0, 63,
+                      np.log2(lowbit.astype(np.float64))).astype(np.int64)
+        level = tz + 1
+        t = pa.table({
+            "level": pa.array(level, type=pa.int64()),
+            "one": pa.array(np.ones(len(k), dtype=np.int64)),
+        })
+        g = t.group_by("level").aggregate([("one", "sum")])
+        return pa.table({
+            "level": g.column("level"),
+            "n_keys": pc.cast(g.column("one_sum"), pa.int64()),
+        })
+
+    return grouped_aggregate(
+        ray.data.read_parquet(
+            f"{sf_dir}/orders.parquet", columns=["o_orderkey"]).map_batches(
+            levels, batch_format="pyarrow", zero_copy_batch=True),
+        ["level"], [("sum", "n_keys", "n_keys")],
+    )
+
+
+SQL_SKIPLIST_LEVEL_HISTOGRAM = """
+WITH h AS MATERIALIZED (
+  SELECT md5_number_lower(CAST(o_orderkey AS VARCHAR)) AS v
+  FROM orders
+), lv AS (
+  SELECT COALESCE((SELECT MIN(r.range) FROM range(0, 64) r
+                   WHERE ((v >> r.range) & 1) = 1), 63) + 1 AS level
+  FROM h
+)
+SELECT CAST(level AS BIGINT) AS level,
+       CAST(COUNT(*) AS BIGINT) AS n_keys
+FROM lv GROUP BY 1
+"""
+
+
+# --------------------------------------------------------------------------
 # registry hooks
 # --------------------------------------------------------------------------
 
@@ -147,10 +216,12 @@ LEFT JOIN ranked b ON b.rank = a.rank - 1
 def build_queries_ext182():
     return {
         "doc_suffix_array": q_doc_suffix_array,
+        "skiplist_level_histogram": q_skiplist_level_histogram,
     }
 
 
 def build_oracles_ext182():
     return {
         "doc_suffix_array": SQL_DOC_SUFFIX_ARRAY,
+        "skiplist_level_histogram": SQL_SKIPLIST_LEVEL_HISTOGRAM,
     }

@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 183: Burrows-Wheeler transform.
+"""Round-3 extension operators, batch 183: Burrows-Wheeler transform +
+Golomb-Rice parameter scan.
 
 ``doc_bwt`` — the Burrows-Wheeler transform (cyclic-rotation form, no
 sentinel) of the corpus anchor document: rank → last column
@@ -10,14 +11,30 @@ rotations and window-ranks them in SQL.  Invertibility — the whole
 point of the BWT — is pytest-pinned: the LF-mapping walk
 reconstructs a cyclic rotation of the original text.
 
+``rice_param_scan`` — the Golomb-Rice parameter sweep of an index
+encoder: for the gap sequence of the distinct order days (sorted
+diffs minus one, the delta-gap stream every posting list stores),
+the exact bit cost at every Rice parameter k ∈ [0, 15] — unary
+quotient (g >> k) + 1 stop bit + k remainder bits — plus the argmin
+flag (ties to the smallest k).  Pure integer arithmetic both sides:
+vectorized shifts vs SQL ``//`` power arithmetic.  The convexity of
+the cost curve in k (decreasing then increasing around the optimum)
+is pytest-checked loosely, and the chosen k beats fixed-width
+encoding.
+
 Reference anchors: compression/text-index families (SURVEY.md §2.4);
-siblings: doc_suffix_array (the anchor-doc index unit).
+siblings: doc_suffix_array (the anchor-doc index unit), elias_code_
+spectrum / varint_size_estimate / for_encoding_cost (integer-code
+costs), dod_encoding_cost (delta streams).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+RICE_MAX_K = 15
 
 
 def _ray():
@@ -85,6 +102,65 @@ FROM rot
 
 
 # --------------------------------------------------------------------------
+# rice_param_scan
+# --------------------------------------------------------------------------
+
+
+def q_rice_param_scan(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+
+    def prep(batch: pa.Table) -> pa.Table:
+        day = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()
+               // 86_400_000_000)
+        return pa.table({
+            "day": pa.array(day, type=pa.int64()),
+            "one": pa.array(np.ones(len(day), dtype=np.int64)),
+        })
+
+    daily = grouped_aggregate(
+        ray.data.read_parquet(
+            f"{sf_dir}/orders.parquet", columns=["o_orderdate"]).map_batches(
+            prep, batch_format="pyarrow", zero_copy_batch=True),
+        ["day"], [("count", None, "cnt")],
+    ).to_pandas().sort_values("day")
+    days = daily["day"].to_numpy().astype(np.int64)
+    gaps = np.diff(days) - 1  # >= 0
+    ks = np.arange(RICE_MAX_K + 1, dtype=np.int64)
+    costs = np.array([int(((gaps >> int(k)) + 1 + int(k)).sum())
+                      for k in ks], dtype=np.int64)
+    best = int(ks[np.argmin(costs)])  # argmin takes smallest on ties
+    return ray.data.from_arrow(pa.table({
+        "k": pa.array(ks, type=pa.int64()),
+        "total_bits": pa.array(costs, type=pa.int64()),
+        "is_best": pa.array((ks == best).astype(np.int64)),
+    }))
+
+
+SQL_RICE_PARAM_SCAN = f"""
+WITH days AS MATERIALIZED (
+  SELECT DISTINCT CAST(CAST(o_orderdate AS DATE) - DATE '1970-01-01'
+                       AS BIGINT) AS day
+  FROM orders
+), gaps AS MATERIALIZED (
+  SELECT day - LAG(day) OVER (ORDER BY day) - 1 AS g FROM days
+  QUALIFY g IS NOT NULL
+), ks AS (SELECT range AS k FROM range(0, {RICE_MAX_K + 1})
+), cost AS MATERIALIZED (
+  SELECT k.k,
+         CAST(SUM(g.g // (1::BIGINT << k.k) + 1 + k.k) AS BIGINT)
+           AS total_bits
+  FROM ks k, gaps g GROUP BY 1
+)
+SELECT k, total_bits,
+       CAST(CASE WHEN ROW_NUMBER() OVER (ORDER BY total_bits, k) = 1
+            THEN 1 ELSE 0 END AS BIGINT) AS is_best
+FROM cost
+"""
+
+
+# --------------------------------------------------------------------------
 # registry hooks
 # --------------------------------------------------------------------------
 
@@ -92,10 +168,12 @@ FROM rot
 def build_queries_ext183():
     return {
         "doc_bwt": q_doc_bwt,
+        "rice_param_scan": q_rice_param_scan,
     }
 
 
 def build_oracles_ext183():
     return {
         "doc_bwt": SQL_DOC_BWT,
+        "rice_param_scan": SQL_RICE_PARAM_SCAN,
     }

@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 185: percolation threshold scan.
+"""Round-3 extension operators, batch 185: percolation threshold scan +
+per-user activity h-index.
 
 ``tile_percolation_scan`` — the percolation question over the label
 raster: for every occupancy threshold t ∈ [1, 8], take the "open"
@@ -12,15 +13,25 @@ lattice).  Oracle: per threshold, a machine-generated recursive-CTE
 reachability from the left column / top row with an exists-crossing
 test — per-t CTEs share nothing with the flood masks.
 
+``user_h_index`` — the Hirsch index transplanted to activity streams:
+per user, the largest h such that at least h distinct DAYS carry at
+least h events each (the "sustained engagement" score used in
+curation heuristics).  Engine: per-(user, day) counts through the
+map-side combine, then one vectorized rank-vs-count fold per user
+partition (sort counts desc; h = max rank with count ≥ rank).
+Oracle: window ranks with a MAX FILTER.
+
 Reference anchors: raster-physics + user-analytics families
 (SURVEY.md §2.3/§2.4); siblings: tile_components / tile_enclosed_
-holes (connectivity machinery).
+holes (connectivity machinery), user_activity_coverage / users_every_
+week (per-user day statistics).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 PERC_RES = 5
 PERC_MAX_T = 8
@@ -123,6 +134,88 @@ FROM ({' UNION ALL '.join(selects)})""")
 
 
 # --------------------------------------------------------------------------
+# user_h_index
+# --------------------------------------------------------------------------
+
+
+def q_user_h_index(sf_dir: str, n_parts: int | None = None):
+    from ..stages.agg import grouped_aggregate
+    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
+    from .queries import _hash_part
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+
+    def prep(batch: pa.Table) -> pa.Table:
+        uid = batch.column("user_id").to_numpy().astype(np.int64)
+        day = (pc.cast(batch.column("ts"), pa.int64()).to_numpy()
+               // 86_400_000_000)
+        return pa.table({
+            "user_id": pa.array(uid, type=pa.int64()),
+            "day": pa.array(day, type=pa.int64()),
+            "one": pa.array(np.ones(len(uid), dtype=np.int64)),
+        })
+
+    per_day = grouped_aggregate(
+        ray.data.read_parquet(
+            f"{sf_dir}/events.parquet",
+            columns=["user_id", "ts"]).map_batches(
+            prep, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id", "day"], [("sum", "one", "n")],
+        high_cardinality=True,
+    )
+
+    def add_part(batch: pa.Table) -> pa.Table:
+        uid = batch.column("user_id").to_numpy().astype(np.int64)
+        return batch.append_column(
+            "part", pa.array(_hash_part(uid, P), type=pa.int64()))
+
+    def per_part(group: pa.Table) -> pa.Table:
+        uid = group.column("user_id").to_numpy().astype(np.int64)
+        cnt = group.column("n").to_numpy().astype(np.int64)
+        order = np.lexsort((-cnt, uid))
+        uid, cnt = uid[order], cnt[order]
+        m = len(uid)
+        seg_mask = np.empty(m, dtype=bool)
+        seg_mask[0] = True
+        np.not_equal(uid[1:], uid[:-1], out=seg_mask[1:])
+        seg_start_idx = np.flatnonzero(seg_mask)
+        seg_len = np.diff(np.append(seg_start_idx, m)).astype(np.int64)
+        seg_start = np.repeat(seg_start_idx, seg_len)
+        rank = np.arange(m, dtype=np.int64) - seg_start + 1
+        qual = np.where(cnt >= rank, rank, 0)
+        h = np.maximum.reduceat(qual, seg_start_idx)
+        return pa.table({
+            "user_id": pa.array(uid[seg_start_idx], type=pa.int64()),
+            "n_days": pa.array(seg_len, type=pa.int64()),
+            "h_index": pa.array(h, type=pa.int64()),
+        })
+
+    return coalesce_for_shuffle(
+        per_day.map_batches(add_part, batch_format="pyarrow",
+                            zero_copy_batch=True)
+    ).groupby("part").map_groups(per_part, batch_format="pyarrow")
+
+
+SQL_USER_H_INDEX = """
+WITH pd AS MATERIALIZED (
+  SELECT user_id, epoch_us(ts) // 86400000000 AS day,
+         CAST(COUNT(*) AS BIGINT) AS n
+  FROM events GROUP BY 1, 2
+), ranked AS (
+  SELECT user_id, n,
+         ROW_NUMBER() OVER (PARTITION BY user_id ORDER BY n DESC) AS rn
+  FROM pd
+)
+SELECT user_id,
+       CAST(COUNT(*) AS BIGINT) AS n_days,
+       CAST(COALESCE(MAX(rn) FILTER (WHERE n >= rn), 0) AS BIGINT)
+         AS h_index
+FROM ranked GROUP BY 1
+"""
+
+
+# --------------------------------------------------------------------------
 # registry hooks
 # --------------------------------------------------------------------------
 
@@ -130,10 +223,12 @@ FROM ({' UNION ALL '.join(selects)})""")
 def build_queries_ext185():
     return {
         "tile_percolation_scan": q_tile_percolation_scan,
+        "user_h_index": q_user_h_index,
     }
 
 
 def build_oracles_ext185():
     return {
         "tile_percolation_scan": _sql_tile_percolation_scan(),
+        "user_h_index": SQL_USER_H_INDEX,
     }

@@ -23,8 +23,9 @@ MAX-k probe, construction vs specification (the aho_corasick_links
 pattern, one level deeper into stringology).
 
 Reference anchors: computational-geometry + stringology families
-(SURVEY.md §2.4); siblings: aho_corasick_links (prefix automata),
-fingerprints.
+(SURVEY.md §2.4); siblings: skyline_parts / pareto_point (dominance),
+fenwick_nodes (the tree, reused as machinery), aho_corasick_links
+(prefix automata), fingerprints.
 """
 
 from __future__ import annotations

@@ -17,12 +17,13 @@ of near-dup diffing): emitted as one row (len_a, len_b, n_matches,
 lcs_len).  The engine runs the textbook O(len_a·len_b) DP; the
 oracle uses the chain characterization — the LCS is the longest
 strictly-increasing-in-both-coordinates chain of match pairs
-(a_i = b_j) — as a recursive chain-closure CTE.
+(a_i = b_j) — as a recursive chain-closure CTE (the lis_per_user
+shape lifted to two dimensions).
 
 Reference anchors: text-normalization + alignment families
 (SURVEY.md §2.4); siblings: edit_distance_dups (banded Levenshtein at
 corpus scale), vocab_set_cover / vocab_borders (bounded vocabulary
-folds).
+folds), lis_per_user (chain-closure oracles).
 """
 
 from __future__ import annotations

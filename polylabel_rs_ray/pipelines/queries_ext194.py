@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 194: lattice facility location.
+"""Round-3 extension operators, batch 194: lattice facility location +
+bullwhip variance moments.
 
 ``tile_facility_location`` — the two classic single-facility
 objectives over the res-5 lattice, solved exactly: the 1-CENTER
@@ -10,14 +11,27 @@ value.  Engine: the bounded (cells × occupied) distance tensor with
 vectorized max/sum reductions.  Oracle: grid × occ aggregation with
 window argmin picks — identical semantics, no tensor.
 
-Reference anchors: operations-research family (SURVEY.md §2.4);
-siblings: tile_chebyshev_dt / tile_sedt (distance fields).
+``bullwhip_moments`` — the bullwhip-effect diagnostic kept exact:
+for the weekly ORDER counts and weekly SHIPMENT (lineitem) counts,
+the integer variance numerator ``ssd = n·Σx² − (Σx)²`` (n-scaled sum
+of squared deviations) plus n and Σx, one row per series.  The
+bullwhip ratio itself (Var_orders/Var_ships) is an exact-rational
+comparison of the two rows — pytest cross-multiplies; nothing float
+crosses the oracle hash.  Weeks are epoch-day // 7 (the established
+calendar identity).  Distributed shape: per-week counts through the
+map-side combine; moments are a bounded fold.
+
+Reference anchors: operations-research + supply-chain families
+(SURVEY.md §2.4); siblings: tile_chebyshev_dt / tile_sedt (distance
+fields), balance_skewness_moments (integer moment contracts),
+users_every_week (week bucketing).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 FAC_RES = 5
 
@@ -84,6 +98,82 @@ SELECT objective, ix, iy, CAST(value AS BIGINT) AS value FROM (
 
 
 # --------------------------------------------------------------------------
+# bullwhip_moments
+# --------------------------------------------------------------------------
+
+
+def q_bullwhip_moments(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+
+    def o_prep(batch: pa.Table) -> pa.Table:
+        wk = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()
+              // 86_400_000_000) // 7
+        return pa.table({
+            "series": pa.array(["orders"] * len(wk), type=pa.string()),
+            "week": pa.array(wk, type=pa.int64()),
+            "one": pa.array(np.ones(len(wk), dtype=np.int64)),
+        })
+
+    def l_prep(batch: pa.Table) -> pa.Table:
+        wk = (pc.cast(batch.column("l_shipdate"), pa.int64()).to_numpy()
+              // 86_400_000_000) // 7
+        return pa.table({
+            "series": pa.array(["ships"] * len(wk), type=pa.string()),
+            "week": pa.array(wk, type=pa.int64()),
+            "one": pa.array(np.ones(len(wk), dtype=np.int64)),
+        })
+
+    orders = ray.data.read_parquet(
+        f"{sf_dir}/orders.parquet", columns=["o_orderdate"]).map_batches(
+        o_prep, batch_format="pyarrow", zero_copy_batch=True)
+    ships = ray.data.read_parquet(
+        f"{sf_dir}/lineitem.parquet", columns=["l_shipdate"]).map_batches(
+        l_prep, batch_format="pyarrow", zero_copy_batch=True)
+    weekly = grouped_aggregate(
+        orders.union(ships),
+        ["series", "week"], [("sum", "one", "n")],
+    ).to_pandas()  # bounded: 2 x weeks
+
+    out = []
+    for name, grp in weekly.groupby("series"):
+        x = grp["n"].to_numpy().astype(np.int64)
+        n = len(x)
+        s1 = int(x.sum())
+        s2 = int((x * x).sum())
+        out.append((name, n, s1, n * s2 - s1 * s1))
+    out.sort()
+    return ray.data.from_arrow(pa.table({
+        "series": pa.array([r[0] for r in out], type=pa.string()),
+        "n_weeks": pa.array([r[1] for r in out], type=pa.int64()),
+        "total": pa.array([r[2] for r in out], type=pa.int64()),
+        "ssd_scaled": pa.array([r[3] for r in out], type=pa.int64()),
+    }))
+
+
+SQL_BULLWHIP_MOMENTS = """
+WITH weekly AS MATERIALIZED (
+  SELECT series, week, CAST(COUNT(*) AS BIGINT) AS n FROM (
+    SELECT 'orders' AS series,
+           (CAST(o_orderdate AS DATE) - DATE '1970-01-01') // 7 AS week
+    FROM orders
+    UNION ALL
+    SELECT 'ships',
+           (CAST(l_shipdate AS DATE) - DATE '1970-01-01') // 7
+    FROM lineitem
+  ) GROUP BY 1, 2
+)
+SELECT series,
+       CAST(COUNT(*) AS BIGINT) AS n_weeks,
+       CAST(SUM(n) AS BIGINT) AS total,
+       CAST(COUNT(*) * SUM(n * n) - SUM(n) * SUM(n) AS BIGINT)
+         AS ssd_scaled
+FROM weekly GROUP BY 1
+"""
+
+
+# --------------------------------------------------------------------------
 # registry hooks
 # --------------------------------------------------------------------------
 
@@ -91,10 +181,12 @@ SELECT objective, ix, iy, CAST(value AS BIGINT) AS value FROM (
 def build_queries_ext194():
     return {
         "tile_facility_location": q_tile_facility_location,
+        "bullwhip_moments": q_bullwhip_moments,
     }
 
 
 def build_oracles_ext194():
     return {
         "tile_facility_location": _sql_tile_facility_location(),
+        "bullwhip_moments": SQL_BULLWHIP_MOMENTS,
     }

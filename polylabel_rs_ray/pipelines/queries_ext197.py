@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 197: maximum-sum submatrix.
+"""Round-3 extension operators, batch 197: maximum-sum submatrix +
+Josephus survivor.
 
 ``max_sum_submatrix`` — the 2-D Kadane problem over the ZERO-SUM
 transform of the res-5 count lattice (cell value = count·1024 −
@@ -10,17 +11,29 @@ Kadane (every (x0, x1) row band reduced to a 1-D max-subarray scan).
 Oracle: ALL O(n⁴) rectangles evaluated via 2-D prefix sums with a
 window argmin pick — exhaustive where the engine is clever.
 
+``josephus_survivor`` — the classic elimination recurrence executed
+on the user roster: people = distinct users ordered by user_id,
+every JOSEPHUS_K-th eliminated in a circle; emitted: n_users, the
+0-based survivor position J(n) and the surviving user_id.  Engine:
+the O(n) fold ``J(m) = (J(m−1) + k) mod m``.  Oracle: the SAME
+recurrence as a single-row recursive CTE chain (the scalar-state
+recursion DuckDB's UNION-dedup recursion handles exactly), joined
+back to the ranked roster.
+
 Reference anchors: raster-optimization + recurrence families
 (SURVEY.md §2.3/§2.4); siblings: tile_max_empty_square (window-DP
-contracts), vocab_set_cover (scalar-state recursive oracles).
+contracts), vopt_histogram_dp, vocab_set_cover (scalar-state
+recursive oracles).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 KAD_RES = 5
+JOSEPHUS_K = 7
 
 
 def _ray():
@@ -116,6 +129,64 @@ WHERE rn = 1
 
 
 # --------------------------------------------------------------------------
+# josephus_survivor
+# --------------------------------------------------------------------------
+
+
+def q_josephus_survivor(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "user_id": batch.column("user_id"),
+            "one": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
+        })
+
+    users = grouped_aggregate(
+        ray.data.read_parquet(
+            f"{sf_dir}/events.parquet", columns=["user_id"]).map_batches(
+            prep, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id"], [("sum", "one", "n")],
+    ).to_pandas()  # bounded roster
+    roster = sorted(users["user_id"].astype(int))
+    n = len(roster)
+    j = 0
+    for m in range(2, n + 1):
+        j = (j + JOSEPHUS_K) % m
+    return ray.data.from_arrow(pa.table({
+        "n_users": pa.array([n], type=pa.int64()),
+        "k": pa.array([JOSEPHUS_K], type=pa.int64()),
+        "survivor_pos": pa.array([j], type=pa.int64()),
+        "survivor_user_id": pa.array([roster[j]], type=pa.int64()),
+    }))
+
+
+SQL_JOSEPHUS_SURVIVOR = f"""
+WITH RECURSIVE roster AS MATERIALIZED (
+  SELECT DISTINCT user_id FROM events
+), nn AS MATERIALIZED (SELECT COUNT(*) AS n FROM roster
+), rec AS (
+  SELECT 1 AS m, 0 AS j
+  UNION ALL
+  SELECT m + 1, (j + {JOSEPHUS_K}) % (m + 1)
+  FROM rec WHERE m < (SELECT n FROM nn)
+), fin AS (
+  SELECT j FROM rec WHERE m = (SELECT n FROM nn)
+), ranked AS (
+  SELECT user_id, ROW_NUMBER() OVER (ORDER BY user_id) - 1 AS pos
+  FROM roster
+)
+SELECT (SELECT CAST(n AS BIGINT) FROM nn) AS n_users,
+       CAST({JOSEPHUS_K} AS BIGINT) AS k,
+       (SELECT CAST(j AS BIGINT) FROM fin) AS survivor_pos,
+       (SELECT CAST(r.user_id AS BIGINT) FROM ranked r, fin f
+        WHERE r.pos = f.j) AS survivor_user_id
+"""
+
+
+# --------------------------------------------------------------------------
 # registry hooks
 # --------------------------------------------------------------------------
 
@@ -123,10 +194,12 @@ WHERE rn = 1
 def build_queries_ext197():
     return {
         "max_sum_submatrix": q_max_sum_submatrix,
+        "josephus_survivor": q_josephus_survivor,
     }
 
 
 def build_oracles_ext197():
     return {
         "max_sum_submatrix": _sql_max_sum_submatrix(),
+        "josephus_survivor": SQL_JOSEPHUS_SURVIVOR,
     }

@@ -15,6 +15,8 @@
   with the (C+1)-th count subtracted — any word with global count >
   sum of per-block decrements survives in some summary); pass 2
   re-counts the bounded candidate union exactly and takes top-k.
+* ``scrub_props`` — PII-style redaction: digit runs masked in the
+  event props payload with one arrow regex kernel.
 
 Same contracts as ``queries.py``."""
 
@@ -421,6 +423,36 @@ SQL_HEAVY_HITTER_WORDS = rf"""
 
 
 # --------------------------------------------------------------------------
+# PII-style redaction
+# --------------------------------------------------------------------------
+
+
+def q_scrub_props(sf_dir: str):
+    """Redaction map: digit runs in the event props payload masked with
+    one arrow regex-replace kernel — the shape of any PII scrubbing
+    stage (emails/phones/SSNs are the same kernel with other patterns)."""
+    ray = _ray()
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "props"])
+
+    def scrub(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "event_id": pc.cast(batch.column("event_id"), pa.int64()),
+            "props_scrubbed": pc.replace_substring_regex(
+                batch.column("props"), pattern="[0-9]+", replacement="#"
+            ),
+        })
+
+    return ds.map_batches(scrub, batch_format="pyarrow", zero_copy_batch=True)
+
+
+SQL_SCRUB_PROPS = """
+    SELECT CAST(event_id AS BIGINT) AS event_id,
+           regexp_replace(props, '[0-9]+', '#', 'g') AS props_scrubbed
+    FROM events
+"""
+
+
+# --------------------------------------------------------------------------
 # registry
 # --------------------------------------------------------------------------
 
@@ -430,6 +462,7 @@ def build_queries_ext5() -> dict:
         "gopher_signals": q_gopher_signals,
         "edit_distance_dups": q_edit_distance_dups,
         "heavy_hitter_words": q_heavy_hitter_words,
+        "scrub_props": q_scrub_props,
     }
 
 
@@ -438,4 +471,5 @@ def build_oracles_ext5() -> dict:
         "gopher_signals": SQL_GOPHER_SIGNALS,
         "edit_distance_dups": SQL_EDIT_DISTANCE_DUPS,
         "heavy_hitter_words": SQL_HEAVY_HITTER_WORDS,
+        "scrub_props": SQL_SCRUB_PROPS,
     }

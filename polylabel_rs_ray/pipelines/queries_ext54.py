@@ -1,5 +1,11 @@
-"""Round-3 extension operators, batch 54: grouped top-k.
+"""Round-3 extension operators, batch 54: graph + grouped-top-k analytics.
 
+* ``degree_histogram`` — the degree distribution of the co-purchase
+  graph (the first diagnostic of any graph workload: skew, hubs,
+  power-law shape): distinct co-occurrence edges come from the existing
+  pair machinery, per-node degrees from a bounded part-domain
+  aggregate, and the output is the bounded (degree -> node count)
+  histogram.  Isolated parts (degree 0) are excluded on both sides.
 * ``top_terms_per_lang`` — grouped top-k (the per-stratum leaderboard):
   top-5 words by count per language label, ties to the lexicographically
   smaller word.  (lang, word) counts ride the high-cardinality exchange;
@@ -20,6 +26,59 @@ def _ray():
     import ray
 
     return ray
+
+
+def q_degree_histogram(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    from .queries import q_part_pair_counts
+
+    edges = q_part_pair_counts(sf_dir)  # one row per distinct co-occur pair
+
+    def endpoints(batch: pa.Table) -> pa.Table:
+        a = batch.column("part_a").to_numpy().astype(np.int64)
+        b = batch.column("part_b").to_numpy().astype(np.int64)
+        return pa.table({
+            "node": pa.array(np.concatenate([a, b]), type=pa.int64()),
+            "one": pa.array(np.ones(2 * len(a), np.int64), type=pa.int64()),
+        })
+
+    degrees = grouped_aggregate(
+        edges.map_batches(endpoints, batch_format="pyarrow",
+                          zero_copy_batch=True),
+        ["node"], [("sum", "one", "degree")],
+        high_cardinality=True,  # part-domain keys: groups ~ rows here
+    )  # bounded: one row per part
+
+    def to_hist(batch: pa.Table) -> pa.Table:
+        d = batch.column("degree").to_numpy().astype(np.int64)
+        t = pa.table({"degree": pa.array(d, type=pa.int64())})
+        out = t.group_by(["degree"]).aggregate([("degree", "count")])
+        return pa.table({
+            "degree": out.column("degree"),
+            "n_nodes": pc.cast(out.column("degree_count"), pa.int64()),
+        })
+
+    return grouped_aggregate(
+        degrees.map_batches(to_hist, batch_format="pyarrow",
+                            zero_copy_batch=True),
+        ["degree"], [("sum", "n_nodes", "n_nodes")],
+    )
+
+
+SQL_DEGREE_HISTOGRAM = """
+WITH e AS (
+  SELECT DISTINCT a.l_partkey AS pa, b.l_partkey AS pb
+  FROM lineitem a JOIN lineitem b
+    ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey
+), deg AS (
+  SELECT node, CAST(COUNT(*) AS BIGINT) AS degree FROM (
+    SELECT pa AS node FROM e UNION ALL SELECT pb AS node FROM e
+  ) GROUP BY node
+)
+SELECT degree, CAST(COUNT(*) AS BIGINT) AS n_nodes
+FROM deg GROUP BY degree
+"""
 
 
 def q_top_terms_per_lang(sf_dir: str):
@@ -106,11 +165,13 @@ FROM ranked WHERE rank <= {TOP_TERMS}
 
 def build_queries_ext54() -> dict:
     return {
+        "degree_histogram": q_degree_histogram,
         "top_terms_per_lang": q_top_terms_per_lang,
     }
 
 
 def build_oracles_ext54() -> dict:
     return {
+        "degree_histogram": SQL_DEGREE_HISTOGRAM,
         "top_terms_per_lang": SQL_TOP_TERMS_PER_LANG,
     }

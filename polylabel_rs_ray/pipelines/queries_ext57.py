@@ -1,4 +1,4 @@
-"""Round-3 extension operators, batch 57: shape quality.
+"""Round-3 extension operators, batch 57: shape quality + RANGE windows.
 
 * ``convexity_stats`` — per-polygon convexity ratio |ring area| / hull
   area (1.0 exactly for convex shapes, < 1 for concave, 0 for the
@@ -7,12 +7,28 @@
   constants from the INDEPENDENT pure-Python twin (the diameter_stats
   discipline — hull via a separate sequential implementation, not the
   engine's ``convex_hull``).
+* ``daily_revenue_7d`` — the RANGE-interval window family (the ROWS
+  windows are covered by rolling_user_stats): per order day, exact
+  revenue cents plus the trailing-7-day revenue sum.  Daily revenue is a
+  bounded map-side-combined aggregate; the trailing sum is computed on
+  the BOUNDED day table with a two-pointer prefix difference — no
+  per-row window scan, exact integers throughout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+DAY_US = 86_400_000_000
+WINDOW_DAYS = 7
+
+
+def _ray():
+    import ray
+
+    return ray
 
 
 # --------------------------------------------------------------------------
@@ -119,13 +135,77 @@ def _sql_convexity_stats() -> str:
     """
 
 
+# --------------------------------------------------------------------------
+# daily_revenue_7d
+# --------------------------------------------------------------------------
+
+
+def q_daily_revenue_7d(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
+    )
+
+    def daily(batch: pa.Table) -> pa.Table:
+        day = pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy() // DAY_US
+        cents = pc.cast(
+            pc.round(pc.multiply(batch.column("o_totalprice"), 100.0)), pa.int64()
+        ).to_numpy()
+        t = pa.table({
+            "day": pa.array(day, type=pa.int64()),
+            "rev": pa.array(cents, type=pa.int64()),
+        })
+        out = t.group_by(["day"]).aggregate([("rev", "sum")])
+        return pa.table({
+            "day": out.column("day"),
+            "rev_cents": pc.cast(out.column("rev_sum"), pa.int64()),
+        })
+
+    hist = grouped_aggregate(
+        ds.map_batches(daily, batch_format="pyarrow", zero_copy_batch=True),
+        ["day"], [("sum", "rev_cents", "rev_cents")],
+    ).to_pandas().sort_values("day")  # bounded: one row per calendar day
+
+    days = hist["day"].to_numpy().astype(np.int64)
+    rev = hist["rev_cents"].to_numpy().astype(np.int64)
+    pref = np.concatenate([[0], np.cumsum(rev)])
+    lo = np.searchsorted(days, days - (WINDOW_DAYS - 1), side="left")
+    hi = np.arange(1, len(days) + 1)
+    trailing = pref[hi] - pref[lo]
+    t = pa.table({
+        "day": pa.array(days, type=pa.int64()),
+        "rev_cents": pa.array(rev, type=pa.int64()),
+        "rev_7d_cents": pa.array(trailing, type=pa.int64()),
+    })
+    return ray.data.from_arrow(t)
+
+
+SQL_DAILY_REVENUE_7D = f"""
+WITH daily AS (
+  SELECT epoch_us(o_orderdate) // {DAY_US} AS day,
+         CAST(SUM(CAST(ROUND(o_totalprice * 100) AS BIGINT)) AS BIGINT)
+             AS rev_cents
+  FROM orders GROUP BY 1
+)
+SELECT CAST(day AS BIGINT) AS day, rev_cents,
+       CAST(SUM(rev_cents) OVER (
+           ORDER BY day RANGE BETWEEN {WINDOW_DAYS - 1} PRECEDING
+                                  AND CURRENT ROW) AS BIGINT) AS rev_7d_cents
+FROM daily
+"""
+
+
 def build_queries_ext57() -> dict:
     return {
         "convexity_stats": q_convexity_stats,
+        "daily_revenue_7d": q_daily_revenue_7d,
     }
 
 
 def build_oracles_ext57() -> dict:
     return {
         "convexity_stats": _sql_convexity_stats(),
+        "daily_revenue_7d": SQL_DAILY_REVENUE_7D,
     }

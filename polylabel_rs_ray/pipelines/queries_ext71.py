@@ -1,4 +1,14 @@
-"""Round-3 extension operators, batch 71: label-placement quality.
+"""Round-3 extension operators, batch 71: partitioner introspection and
+label-placement quality.
+
+``partition_skew_audit`` — the engine auditing itself: the SAME
+splitmix hash every co-partitioned stage uses (``(u * GOLD) >> 33 %
+P``, queries.py::_hash_part) is replayed over events.user_id, and the
+audit reports per-partition row counts (empty partitions included)
+plus the exact Gini coefficient of the partition loads as the integer
+rational ``(Σ_i Σ_j |x_i - x_j|, 2 P Σx)``.  The SQL oracle replays
+the 64-bit wrapping multiply in HUGEINT arithmetic — the partitioner
+itself is oracle-pinned, not just the data that flows through it.
 
 ``label_centroid_offset`` — label-placement quality: the displacement
 between the pole of inaccessibility (the label) and the area centroid,
@@ -11,12 +21,78 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+GOLD_INT = 0x9E3779B97F4A7C15
+TWO64 = 1 << 64
+AUDIT_P = 32
 
 
 def _ray():
     import ray
 
     return ray
+
+
+def q_partition_skew_audit(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    from .queries import _hash_part
+
+    ray = _ray()
+
+    def keyed(batch: pa.Table) -> pa.Table:
+        uid = batch.column("user_id").to_numpy().astype(np.int64)
+        return pa.table({
+            "part": pa.array(_hash_part(uid, AUDIT_P), type=pa.int64()),
+        })
+
+    hist = grouped_aggregate(
+        ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                              columns=["user_id"])
+        .map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        ["part"], [("count", None, "n_rows")],
+    ).to_pandas()  # bounded: P rows
+
+    import pandas as pd
+
+    x = np.zeros(AUDIT_P, dtype=np.int64)
+    x[hist["part"].to_numpy().astype(np.int64)] = \
+        hist["n_rows"].to_numpy().astype(np.int64)
+    gini_num = int(np.abs(x[:, None] - x[None, :]).sum())
+    gini_den = 2 * AUDIT_P * int(x.sum())
+    return pd.DataFrame({
+        "part": np.arange(AUDIT_P, dtype=np.int64),
+        "n_rows": x,
+        "gini_num": np.int64(gini_num),
+        "gini_den": np.int64(gini_den),
+    })
+
+
+SQL_PARTITION_SKEW_AUDIT = f"""
+WITH h AS (
+  SELECT CAST(((CAST(user_id AS HUGEINT) * {GOLD_INT}) % {TWO64})
+              // {1 << 33} % {AUDIT_P} AS BIGINT) AS part
+  FROM events
+),
+cnt AS (SELECT part, CAST(COUNT(*) AS BIGINT) AS n FROM h GROUP BY part),
+grid AS (
+  SELECT unnest(generate_series(0, {AUDIT_P - 1})) AS part
+),
+filled AS (
+  SELECT g.part, COALESCE(c.n, 0) AS n_rows
+  FROM grid g LEFT JOIN cnt c ON g.part = c.part
+),
+gini AS (
+  SELECT CAST(SUM(ABS(a.n_rows - b.n_rows)) AS BIGINT) AS gn,
+         CAST(2 * {AUDIT_P} * (SELECT SUM(n_rows) FROM filled) AS BIGINT)
+           AS gd
+  FROM filled a, filled b
+)
+SELECT CAST(f.part AS BIGINT) AS part, f.n_rows,
+       g.gn AS gini_num, g.gd AS gini_den
+FROM filled f, gini g
+"""
 
 
 def q_label_centroid_offset(sf_dir: str):
@@ -131,11 +207,13 @@ def _sql_label_centroid_offset() -> str:
 
 def build_queries_ext71() -> dict:
     return {
+        "partition_skew_audit": q_partition_skew_audit,
         "label_centroid_offset": q_label_centroid_offset,
     }
 
 
 def build_oracles_ext71() -> dict:
     return {
+        "partition_skew_audit": SQL_PARTITION_SKEW_AUDIT,
         "label_centroid_offset": _sql_label_centroid_offset(),
     }

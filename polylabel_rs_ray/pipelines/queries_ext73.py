@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 73: minimum enclosing circle.
+"""Round-3 extension operators, batch 73: minimum enclosing circle and
+cumulative-distinct growth curves.
 
 ``bounding_circle_stats`` — the smallest enclosing circle of each
 fixture's exterior ring (the canonical bounding volume for spatial
@@ -11,14 +12,27 @@ two circle FORMULAS (midpoint-diameter and circumcenter measured from
 the first support point) and the containment epsilon, so the unique
 optimum reproduces bit-for-bit.
 
+``cumulative_unique_users`` — the audience growth curve: per day, how
+many users appear for the FIRST time and the running distinct total.
+Running-distinct is not algebraic, but first-seen-day per user IS a
+min-aggregate (one high-cardinality exchange); the day histogram is
+bounded and the cumulative sum folds driver-side.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
+DAY_US = 86_400_000_000
 IN_EPS = 1e-9  # absolute containment slack shared by engine and twin
+
+
+def _ray():
+    import ray
+
+    return ray
 
 
 # --- shared circle formulas (the ONLY code twin and engine both use) ------
@@ -158,13 +172,66 @@ def _sql_bounding_circle_stats() -> str:
     """
 
 
+def q_cumulative_unique_users(sf_dir: str):
+    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+
+    ray = _ray()
+
+    def keyed(batch: pa.Table) -> pa.Table:
+        uid = batch.column("user_id").to_numpy().astype(np.int64)
+        day = pc.cast(batch.column("ts"), pa.int64()).to_numpy() // DAY_US
+        return pa.table({
+            "user_id": pa.array(uid, type=pa.int64()),
+            "day": pa.array(day, type=pa.int64()),
+        })
+
+    first_seen = hash_grouped_aggregate(
+        ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                              columns=["user_id", "ts"])
+        .map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id"],
+        [("min", "day", "first_day")],
+    )
+
+    hist = grouped_aggregate(
+        first_seen.select_columns(["first_day"]),
+        ["first_day"], [("count", None, "new_users")],
+    ).to_pandas().sort_values("first_day")  # bounded: calendar days
+
+    import pandas as pd
+
+    hist["cum_users"] = hist["new_users"].cumsum()
+    out = hist.rename(columns={"first_day": "day"}).reset_index(drop=True)
+    for c in ("day", "new_users", "cum_users"):
+        out[c] = out[c].astype("int64")
+    return out[["day", "new_users", "cum_users"]]
+
+
+SQL_CUMULATIVE_UNIQUE_USERS = f"""
+WITH fs AS (
+  SELECT user_id,
+         MIN(CAST(epoch_us(ts) AS BIGINT) // {DAY_US}) AS day
+  FROM events GROUP BY user_id
+),
+hist AS (
+  SELECT day, CAST(COUNT(*) AS BIGINT) AS new_users FROM fs GROUP BY day
+)
+SELECT day, new_users,
+       CAST(SUM(new_users) OVER (ORDER BY day ROWS UNBOUNDED PRECEDING)
+            AS BIGINT) AS cum_users
+FROM hist
+"""
+
+
 def build_queries_ext73() -> dict:
     return {
         "bounding_circle_stats": q_bounding_circle_stats,
+        "cumulative_unique_users": q_cumulative_unique_users,
     }
 
 
 def build_oracles_ext73() -> dict:
     return {
         "bounding_circle_stats": _sql_bounding_circle_stats(),
+        "cumulative_unique_users": SQL_CUMULATIVE_UNIQUE_USERS,
     }

@@ -1,4 +1,14 @@
-"""Round-3 extension operators, batch 77: l-diversity privacy audit.
+"""Round-3 extension operators, batch 77: inequality self-join and
+l-diversity privacy audit.
+
+``order_burst_pairs`` — the banded theta self-join: pairs of orders
+by the SAME customer placed within 7 days of each other (burst
+purchasing).  Equality on custkey co-partitions; the date band
+resolves per customer with a sorted two-pointer sweep — each order
+counts how many later orders fall inside its band, so the pair count
+is exact with no quadratic blowup (window size bounds the scan).
+Output: per customer, the number of in-band ordered pairs and the
+tightest gap.
 
 ``l_diversity_audit`` — the privacy audit beyond k-anonymity: within
 each quasi-identifier class (lang x n_chars bucket), how many
@@ -12,7 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
+DAY_US = 86_400_000_000
+BURST_WINDOW_US = 7 * DAY_US
 QI_CHAR_BUCKET = 100
 
 
@@ -20,6 +33,89 @@ def _ray():
     import ray
 
     return ray
+
+
+def q_order_burst_pairs(sf_dir: str, n_parts: int | None = None):
+    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
+
+    from .queries import _hash_part
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+
+    def keyed(batch: pa.Table) -> pa.Table:
+        ck = batch.column("o_custkey").to_numpy().astype(np.int64)
+        return pa.table({
+            "part": pa.array(_hash_part(ck, P), type=pa.int64()),
+            "c_custkey": pa.array(ck, type=pa.int64()),
+            "t": pc.cast(batch.column("o_orderdate"), pa.int64()),
+            "okey": pc.cast(batch.column("o_orderkey"), pa.int64()),
+        })
+
+    def per_partition(group: pa.Table) -> pa.Table:
+        ck = group.column("c_custkey").to_numpy().astype(np.int64)
+        t = group.column("t").to_numpy().astype(np.int64)
+        okey = group.column("okey").to_numpy().astype(np.int64)
+        order = np.lexsort((okey, t, ck))
+        ck, t = ck[order], t[order]
+        starts = np.flatnonzero(np.concatenate([[True], ck[1:] != ck[:-1]]))
+        ends = np.concatenate([starts[1:], [len(ck)]])
+        users, pairs, mingap = [], [], []
+        for s, e in zip(starts, ends):
+            tt = t[s:e]
+            # for each order: STRICTLY-later orders within the band
+            # (searchsorted on the sorted per-user times — O(n log n), no
+            # quadratic blowup; ties are not pairs, matching b.t > a.t)
+            hi = np.searchsorted(tt, tt + BURST_WINDOW_US, side="right")
+            lo = np.searchsorted(tt, tt, side="right")
+            n_pairs = int((hi - lo).sum())
+            if n_pairs > 0:
+                users.append(ck[s])
+                pairs.append(n_pairs)
+                gaps = np.diff(tt)
+                gaps = gaps[(gaps > 0) & (gaps <= BURST_WINDOW_US)]
+                mingap.append(int(gaps.min()))
+        return pa.table({
+            "c_custkey": pa.array(np.array(users, dtype=np.int64),
+                                  type=pa.int64()),
+            "n_burst_pairs": pa.array(np.array(pairs, dtype=np.int64),
+                                      type=pa.int64()),
+            "min_gap_us": pa.array(np.array(mingap, dtype=np.int64),
+                                   type=pa.int64()),
+        })
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/orders.parquet",
+        columns=["o_orderkey", "o_custkey", "o_orderdate"],
+    ).map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
+
+    return (
+        coalesce_for_shuffle(ds)
+        .groupby("part")
+        .map_groups(
+            lambda g: per_partition(g.drop_columns(["part"])),
+            batch_format="pyarrow",
+        )
+    )
+
+
+SQL_ORDER_BURST_PAIRS = f"""
+WITH o AS (
+  SELECT o_custkey, CAST(epoch_us(o_orderdate) AS BIGINT) AS t
+  FROM orders
+),
+pairs AS (
+  SELECT a.o_custkey,
+         b.t - a.t AS gap
+  FROM o a JOIN o b
+    ON a.o_custkey = b.o_custkey
+   AND b.t > a.t AND b.t - a.t <= {BURST_WINDOW_US}
+)
+SELECT o_custkey AS c_custkey,
+       CAST(COUNT(*) AS BIGINT) AS n_burst_pairs,
+       CAST(MIN(gap) AS BIGINT) AS min_gap_us
+FROM pairs GROUP BY o_custkey
+"""
 
 
 def q_l_diversity_audit(sf_dir: str):
@@ -93,11 +189,13 @@ GROUP BY lang, char_bucket
 
 def build_queries_ext77() -> dict:
     return {
+        "order_burst_pairs": q_order_burst_pairs,
         "l_diversity_audit": q_l_diversity_audit,
     }
 
 
 def build_oracles_ext77() -> dict:
     return {
+        "order_burst_pairs": SQL_ORDER_BURST_PAIRS,
         "l_diversity_audit": SQL_L_DIVERSITY_AUDIT,
     }

@@ -1,4 +1,14 @@
-"""Round-3 extension operators, batch 79: Hilbert-curve spatial indexing.
+"""Round-3 extension operators, batch 79: KMV distinct sketch and
+Hilbert-curve spatial indexing.
+
+``kmv_distinct_sketch`` — the k-minimum-values distinct sketch with a
+REAL oracle (the count-min discipline): user-day keys hash through
+``md5_number_lower`` (low 8 digest bytes, little-endian — the DuckDB
+builtin), masked to 63 bits; each block emits its k smallest hashes
+(a constant-size mergeable partial) and the driver keeps the global k
+minimum.  The k-th minimum — the sketch's defining statistic — is
+SQL-replayable verbatim (ORDER BY hash LIMIT k), as is the exact
+distinct count it estimates.
 
 ``hilbert_cells`` — the Hilbert space-filling curve as the clustering
 index (the locality-preserving alternative to the existing z-order):
@@ -10,13 +20,99 @@ arithmetic itself is oracle-pinned, not just the counts.
 
 from __future__ import annotations
 
+import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
+DAY_US = 86_400_000_000
+KMV_K = 16
+MASK63 = (1 << 63) - 1
 
 HILBERT_N = 16  # order-4 curve: 16 x 16 grid
 HILBERT_CELL = 8.0
+
+
+def _ray():
+    import ray
+
+    return ray
+
+
+# --------------------------------------------------------------------------
+# kmv_distinct_sketch
+# --------------------------------------------------------------------------
+
+
+def q_kmv_distinct_sketch(sf_dir: str):
+    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+
+    ray = _ray()
+
+    def hashed(batch: pa.Table) -> pa.Table:
+        uid = batch.column("user_id").to_numpy().astype(np.int64)
+        day = pc.cast(batch.column("ts"), pa.int64()).to_numpy() // DAY_US
+        h = np.fromiter(
+            (int.from_bytes(
+                hashlib.md5(f"{u}:{d}".encode()).digest()[8:], "little")
+             & MASK63
+             for u, d in zip(uid, day)),
+            dtype=np.int64, count=len(uid))
+        # constant-size partial: this block's k smallest distinct hashes
+        h = np.unique(h)[:KMV_K]
+        return pa.table({"h": pa.array(h, type=pa.int64())})
+
+    cand = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
+    ).map_batches(hashed, batch_format="pyarrow",
+                  zero_copy_batch=True).to_pandas()
+    # driver merge: global k minimum over O(blocks * k) candidates
+    merged = np.unique(cand["h"].to_numpy().astype(np.int64))[:KMV_K]
+    kth = int(merged[-1])
+
+    # exact distinct user-days for the audit column (engine-native)
+    def keyed(batch: pa.Table) -> pa.Table:
+        uid = batch.column("user_id").to_numpy().astype(np.int64)
+        day = pc.cast(batch.column("ts"), pa.int64()).to_numpy() // DAY_US
+        return pa.table({
+            "ud": pa.array(uid * (1 << 20) + (day % (1 << 20)),
+                           type=pa.int64()),
+        })
+
+    n_exact = hash_grouped_aggregate(
+        ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                              columns=["user_id", "ts"])
+        .map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        ["ud"], [("count", None, "_n")],
+    ).count()
+
+    import pandas as pd
+
+    return pd.DataFrame({
+        "k": [np.int64(len(merged))],
+        "kth_min_hash": [np.int64(kth)],
+        "n_exact": [np.int64(n_exact)],
+    })
+
+
+SQL_KMV_DISTINCT_SKETCH = f"""
+WITH ud AS (
+  SELECT DISTINCT user_id,
+         CAST(epoch_us(ts) AS BIGINT) // {DAY_US} AS day
+  FROM events
+),
+h AS (
+  SELECT DISTINCT CAST(
+    md5_number_lower(CAST(user_id AS VARCHAR) || ':' ||
+                     CAST(day AS VARCHAR)) % {1 << 63} AS BIGINT) AS hv
+  FROM ud
+),
+kmin AS (SELECT hv FROM h ORDER BY hv LIMIT {KMV_K})
+SELECT CAST((SELECT COUNT(*) FROM kmin) AS BIGINT) AS k,
+       CAST((SELECT MAX(hv) FROM kmin) AS BIGINT) AS kth_min_hash,
+       CAST((SELECT COUNT(*) FROM ud) AS BIGINT) AS n_exact
+"""
 
 
 # --------------------------------------------------------------------------
@@ -108,11 +204,13 @@ def _sql_hilbert_cells() -> str:
 
 def build_queries_ext79() -> dict:
     return {
+        "kmv_distinct_sketch": q_kmv_distinct_sketch,
         "hilbert_cells": q_hilbert_cells,
     }
 
 
 def build_oracles_ext79() -> dict:
     return {
+        "kmv_distinct_sketch": SQL_KMV_DISTINCT_SKETCH,
         "hilbert_cells": _sql_hilbert_cells(),
     }

@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 80: polygon kernel membership.
+"""Round-3 extension operators, batch 80: polygon kernel membership and
+proportional quota allocation.
 
 ``star_shaped_audit`` — is the exterior ring star-shaped as seen from
 its pole of inaccessibility?  The label sees every boundary point iff
@@ -9,12 +10,28 @@ half-planes — so the test is one exact sign comparison per edge
 with holes has an empty kernel w.r.t. its full boundary by
 construction).  Output: the half-plane violation count and the flag.
 
+``nation_quota_allocation`` — largest-remainder (Hamilton)
+apportionment: K slots distributed over nations proportional to their
+customer counts — floor(K * n_i / N) each, the leftover slots to the
+largest remainders (ties: smaller nationkey first).  Apportionment is
+pure integer arithmetic, so the oracle replays it with one window
+rank over remainders; the count side folds through the bounded
+nation aggregate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+QUOTA_SLOTS = 100
+
+
+def _ray():
+    import ray
+
+    return ray
 
 
 # --------------------------------------------------------------------------
@@ -129,13 +146,87 @@ def _sql_star_shaped_audit() -> str:
     """
 
 
+# --------------------------------------------------------------------------
+# nation_quota_allocation
+# --------------------------------------------------------------------------
+
+
+def q_nation_quota_allocation(sf_dir: str):
+    import pyarrow.parquet as pq
+
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+
+    counts = grouped_aggregate(
+        ray.data.read_parquet(f"{sf_dir}/customer.parquet",
+                              columns=["c_nationkey"])
+        .map_batches(
+            lambda b: pa.table({
+                "n_nationkey": pc.cast(b.column("c_nationkey"), pa.int64()),
+            }),
+            batch_format="pyarrow", zero_copy_batch=True),
+        ["n_nationkey"], [("count", None, "n_customers")],
+    ).to_pandas()  # bounded: 25 nations
+
+    import pandas as pd
+
+    nk = counts["n_nationkey"].to_numpy().astype(np.int64)
+    n = counts["n_customers"].to_numpy().astype(np.int64)
+    total = int(n.sum())
+    base = (QUOTA_SLOTS * n) // total
+    rem = QUOTA_SLOTS * n - base * total  # remainder * total (exact ints)
+    leftover = QUOTA_SLOTS - int(base.sum())
+    # largest remainders first; ties to the smaller nationkey
+    order = np.lexsort((nk, -rem))
+    extra = np.zeros(len(nk), dtype=np.int64)
+    extra[order[:leftover]] = 1
+    out = pd.DataFrame({
+        "n_nationkey": nk,
+        "n_customers": n,
+        "quota": base + extra,
+    }).sort_values("n_nationkey").reset_index(drop=True)
+    for c in out.columns:
+        out[c] = out[c].astype("int64")
+    return out
+
+
+SQL_NATION_QUOTA_ALLOCATION = f"""
+WITH cnt AS (
+  SELECT CAST(c_nationkey AS BIGINT) AS n_nationkey,
+         CAST(COUNT(*) AS BIGINT) AS n_customers
+  FROM customer GROUP BY c_nationkey
+),
+tot AS (SELECT CAST(SUM(n_customers) AS BIGINT) AS total FROM cnt),
+base AS (
+  SELECT c.n_nationkey, c.n_customers,
+         ({QUOTA_SLOTS} * c.n_customers) // t.total AS floor_q,
+         {QUOTA_SLOTS} * c.n_customers
+           - (({QUOTA_SLOTS} * c.n_customers) // t.total) * t.total AS rem
+  FROM cnt c, tot t
+),
+ranked AS (
+  SELECT *,
+         ROW_NUMBER() OVER (ORDER BY rem DESC, n_nationkey ASC) AS rk,
+         {QUOTA_SLOTS} - (SELECT SUM(floor_q) FROM base) AS leftover
+  FROM base
+)
+SELECT n_nationkey, n_customers,
+       CAST(floor_q + CASE WHEN rk <= leftover THEN 1 ELSE 0 END AS BIGINT)
+         AS quota
+FROM ranked
+"""
+
+
 def build_queries_ext80() -> dict:
     return {
         "star_shaped_audit": q_star_shaped_audit,
+        "nation_quota_allocation": q_nation_quota_allocation,
     }
 
 
 def build_oracles_ext80() -> dict:
     return {
         "star_shaped_audit": _sql_star_shaped_audit(),
+        "nation_quota_allocation": SQL_NATION_QUOTA_ALLOCATION,
     }

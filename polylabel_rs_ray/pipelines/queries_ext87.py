@@ -1,4 +1,12 @@
-"""Round-3 extension operators, batch 87: minimum-width bounding strip.
+"""Round-3 extension operators, batch 87: paired sign-test statistics
+and minimum-width bounding strip.
+
+``yoy_sign_test`` — the distribution-free year-over-year comparison:
+weekly revenue for two calendar years aligned by week-of-year, and
+the sign-test sufficient statistics (n_pos / n_neg / n_zero weekly
+diffs plus the exact integer diff total).  Everything is exact cents
+through the bounded week histogram; the test's p-value is a consumer
+fold over (n, k).
 
 ``min_width_stats`` — the minimum-width bounding strip (the rotating
 calipers result): width = min over convex-hull edges of the maximum
@@ -13,6 +21,118 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+WEEK_US = 7 * 86_400_000_000
+YOY_YEAR_A = 1996
+YOY_YEAR_B = 1997
+
+
+def _ray():
+    import ray
+
+    return ray
+
+
+# --------------------------------------------------------------------------
+# yoy_sign_test
+# --------------------------------------------------------------------------
+
+
+def q_yoy_sign_test(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+    lo_a = int(np.datetime64(f"{YOY_YEAR_A}-01-01", "us").astype(np.int64))
+    hi_a = int(np.datetime64(f"{YOY_YEAR_A + 1}-01-01", "us").astype(np.int64))
+    lo_b = int(np.datetime64(f"{YOY_YEAR_B}-01-01", "us").astype(np.int64))
+    hi_b = int(np.datetime64(f"{YOY_YEAR_B + 1}-01-01", "us").astype(np.int64))
+
+    def weekly(batch: pa.Table) -> pa.Table:
+        t = pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()
+        cents = pc.cast(
+            pc.round(pc.multiply(batch.column("o_totalprice"), 100.0)),
+            pa.int64()).to_numpy()
+        in_a = (t >= lo_a) & (t < hi_a)
+        in_b = (t >= lo_b) & (t < hi_b)
+        woy_a = (t[in_a] - lo_a) // WEEK_US  # week-of-year 0..52
+        woy_b = (t[in_b] - lo_b) // WEEK_US
+        tb = pa.table({
+            "woy": pa.array(np.concatenate([woy_a, woy_b]), type=pa.int64()),
+            "year": pa.array(
+                np.concatenate([np.full(len(woy_a), YOY_YEAR_A, np.int64),
+                                np.full(len(woy_b), YOY_YEAR_B, np.int64)]),
+                type=pa.int64()),
+            "cents": pa.array(np.concatenate([cents[in_a], cents[in_b]]),
+                              type=pa.int64()),
+        })
+        out = tb.group_by(["woy", "year"]).aggregate([("cents", "sum")])
+        return pa.table({
+            "woy": out.column("woy"),
+            "year": out.column("year"),
+            "cents": pc.cast(out.column("cents_sum"), pa.int64()),
+        })
+
+    hist = grouped_aggregate(
+        ray.data.read_parquet(f"{sf_dir}/orders.parquet",
+                              columns=["o_orderdate", "o_totalprice"])
+        .map_batches(weekly, batch_format="pyarrow", zero_copy_batch=True),
+        ["woy", "year"], [("sum", "cents", "cents")],
+    ).to_pandas()  # bounded: 53 weeks x 2 years
+
+    a = np.zeros(53, dtype=np.int64)
+    b = np.zeros(53, dtype=np.int64)
+    for _, r in hist.iterrows():
+        w = int(r["woy"])
+        if w > 52:
+            continue
+        if int(r["year"]) == YOY_YEAR_A:
+            a[w] = int(r["cents"])
+        else:
+            b[w] = int(r["cents"])
+    diff = b - a
+    import pandas as pd
+
+    return pd.DataFrame({
+        "n_weeks": [np.int64(53)],
+        "n_pos": [np.int64(int((diff > 0).sum()))],
+        "n_neg": [np.int64(int((diff < 0).sum()))],
+        "n_zero": [np.int64(int((diff == 0).sum()))],
+        "total_diff_cents": [np.int64(int(diff.sum()))],
+    })
+
+
+SQL_YOY_SIGN_TEST = f"""
+WITH wk AS (
+  SELECT (CAST(epoch_us(o_orderdate) AS BIGINT)
+          - CAST(epoch_us(CAST(CAST(EXTRACT(year FROM o_orderdate) AS VARCHAR)
+                               || '-01-01' AS TIMESTAMP)) AS BIGINT))
+           // {WEEK_US} AS woy,
+         CAST(EXTRACT(year FROM o_orderdate) AS BIGINT) AS yr,
+         CAST(ROUND(o_totalprice * 100) AS BIGINT) AS cents
+  FROM orders
+  WHERE EXTRACT(year FROM o_orderdate) IN ({YOY_YEAR_A}, {YOY_YEAR_B})
+),
+hist AS (
+  SELECT woy, yr, CAST(SUM(cents) AS BIGINT) AS cents
+  FROM wk WHERE woy <= 52 GROUP BY woy, yr
+),
+grid AS (SELECT unnest(generate_series(0, 52)) AS woy),
+ab AS (
+  SELECT g.woy,
+         COALESCE((SELECT cents FROM hist
+                   WHERE woy = g.woy AND yr = {YOY_YEAR_A}), 0) AS a,
+         COALESCE((SELECT cents FROM hist
+                   WHERE woy = g.woy AND yr = {YOY_YEAR_B}), 0) AS b
+  FROM grid g
+)
+SELECT CAST(COUNT(*) AS BIGINT) AS n_weeks,
+       CAST(SUM(CASE WHEN b > a THEN 1 ELSE 0 END) AS BIGINT) AS n_pos,
+       CAST(SUM(CASE WHEN b < a THEN 1 ELSE 0 END) AS BIGINT) AS n_neg,
+       CAST(SUM(CASE WHEN b = a THEN 1 ELSE 0 END) AS BIGINT) AS n_zero,
+       CAST(SUM(b - a) AS BIGINT) AS total_diff_cents
+FROM ab
+"""
 
 
 # --------------------------------------------------------------------------
@@ -139,11 +259,13 @@ def _sql_min_width_stats() -> str:
 
 def build_queries_ext87() -> dict:
     return {
+        "yoy_sign_test": q_yoy_sign_test,
         "min_width_stats": q_min_width_stats,
     }
 
 
 def build_oracles_ext87() -> dict:
     return {
+        "yoy_sign_test": SQL_YOY_SIGN_TEST,
         "min_width_stats": _sql_min_width_stats(),
     }

@@ -1,4 +1,12 @@
-"""Round-3 extension operators, batch 90: hexagonal ring smoothing.
+"""Round-3 extension operators, batch 90: calendar-month bucketing and
+hexagonal ring smoothing.
+
+``monthly_revenue`` — calendar-aware time bucketing: every other time
+rollup here uses fixed-width epoch arithmetic (day/week/hour), but
+months have variable length, so the bucket comes from numpy's
+calendar-aware ``datetime64[M]`` truncation — which matches SQL
+``date_trunc('month', ...)`` exactly.  Output keyed by the month's
+first-day epoch microseconds; exact integer cents.
 
 ``hex_ring_smooth`` — neighborhood aggregation on the HEXAGONAL
 lattice (the hex complement to the square tile_heat_smooth): per
@@ -10,9 +18,56 @@ the same six offsets.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 HEX_NEIGHBORS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
+
+
+def _ray():
+    import ray
+
+    return ray
+
+
+def q_monthly_revenue(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+
+    def monthly(batch: pa.Table) -> pa.Table:
+        ts = batch.column("o_orderdate").to_numpy().astype("datetime64[us]")
+        month_start = ts.astype("datetime64[M]").astype("datetime64[us]")
+        cents = pc.cast(
+            pc.round(pc.multiply(batch.column("o_totalprice"), 100.0)),
+            pa.int64()).to_numpy()
+        t = pa.table({
+            "month_us": pa.array(month_start.astype(np.int64),
+                                 type=pa.int64()),
+            "cents": pa.array(cents, type=pa.int64()),
+        })
+        out = t.group_by(["month_us"]).aggregate([("cents", "sum")])
+        return pa.table({
+            "month_us": out.column("month_us"),
+            "revenue_cents": pc.cast(out.column("cents_sum"), pa.int64()),
+        })
+
+    return grouped_aggregate(
+        ray.data.read_parquet(f"{sf_dir}/orders.parquet",
+                              columns=["o_orderdate", "o_totalprice"])
+        .map_batches(monthly, batch_format="pyarrow", zero_copy_batch=True),
+        ["month_us"], [("sum", "revenue_cents", "revenue_cents")],
+    )
+
+
+SQL_MONTHLY_REVENUE = """
+SELECT CAST(epoch_us(date_trunc('month', o_orderdate)) AS BIGINT)
+         AS month_us,
+       CAST(SUM(CAST(ROUND(o_totalprice * 100) AS BIGINT)) AS BIGINT)
+         AS revenue_cents
+FROM orders GROUP BY 1
+"""
 
 
 def q_hex_ring_smooth(sf_dir: str):
@@ -79,11 +134,13 @@ def _sql_hex_ring_smooth() -> str:
 
 def build_queries_ext90() -> dict:
     return {
+        "monthly_revenue": q_monthly_revenue,
         "hex_ring_smooth": q_hex_ring_smooth,
     }
 
 
 def build_oracles_ext90() -> dict:
     return {
+        "monthly_revenue": SQL_MONTHLY_REVENUE,
         "hex_ring_smooth": _sql_hex_ring_smooth(),
     }

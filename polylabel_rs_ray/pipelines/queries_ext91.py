@@ -1,4 +1,13 @@
-"""Round-3 extension operators, batch 91: rectilinearity.
+"""Round-3 extension operators, batch 91: rank concordance and
+rectilinearity.
+
+``nation_rank_concordance`` — rank-correlation statistics between two
+nation rankings (revenue rank vs customer-count rank): Kendall's
+concordant / discordant / tied pair counts and the Spearman footrule
+distance Σ|rank_a - rank_b| — all exact integers over the bounded
+nation domain (the rank-agreement complement to the Mann-Whitney AUC
+op).  Ranks are dense by (value desc, nationkey asc), so ties in the
+underlying values break deterministically.
 
 ``rectilinearity_stats`` — how axis-aligned is a polygon's boundary?
 Rectilinearity = axis-aligned Manhattan edge length over total
@@ -13,6 +22,146 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+
+def _ray():
+    import ray
+
+    return ray
+
+
+def q_nation_rank_concordance(sf_dir: str, n_parts: int | None = None):
+    from ..stages.agg import grouped_aggregate
+    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
+
+    from .queries import _hash_part
+    from .queries_ext60 import _attach_inner
+
+    ray = _ray()
+    P = int(n_parts or min(32, shuffle_blocks()))
+
+    # revenue per nation: orders x customer co-partitioned on custkey
+    def key_orders(batch: pa.Table) -> pa.Table:
+        ck = batch.column("o_custkey").to_numpy().astype(np.int64)
+        n = len(ck)
+        return pa.table({
+            "part": pa.array(_hash_part(ck, P), type=pa.int64()),
+            "__side": pa.array(np.zeros(n, np.int64)),
+            "c_custkey": pa.array(ck, type=pa.int64()),
+            "cents": pc.cast(
+                pc.round(pc.multiply(batch.column("o_totalprice"), 100.0)),
+                pa.int64()),
+            "c_nationkey": pa.nulls(n, type=pa.int64()),
+        })
+
+    def key_cust(batch: pa.Table) -> pa.Table:
+        ck = batch.column("c_custkey").to_numpy().astype(np.int64)
+        n = len(ck)
+        return pa.table({
+            "part": pa.array(_hash_part(ck, P), type=pa.int64()),
+            "__side": pa.array(np.ones(n, np.int64)),
+            "c_custkey": pa.array(ck, type=pa.int64()),
+            "cents": pa.nulls(n, type=pa.int64()),
+            "c_nationkey": pc.cast(batch.column("c_nationkey"), pa.int64()),
+        })
+
+    od = ray.data.read_parquet(
+        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
+    ).map_batches(key_orders, batch_format="pyarrow", zero_copy_batch=True)
+    cu = ray.data.read_parquet(
+        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
+    ).map_batches(key_cust, batch_format="pyarrow", zero_copy_batch=True)
+
+    joined = (
+        coalesce_for_shuffle(od.union(cu))
+        .groupby("part")
+        .map_groups(
+            lambda g: _attach_inner(g.drop_columns(["part"]), "c_custkey"),
+            batch_format="pyarrow",
+        )
+    )
+    rev = grouped_aggregate(
+        joined.select_columns(["c_nationkey", "cents"]),
+        ["c_nationkey"], [("sum", "cents", "revenue_cents")],
+    ).to_pandas()
+
+    cust = grouped_aggregate(
+        ray.data.read_parquet(f"{sf_dir}/customer.parquet",
+                              columns=["c_nationkey"])
+        .map_batches(
+            lambda b: pa.table({
+                "c_nationkey": pc.cast(b.column("c_nationkey"), pa.int64()),
+            }), batch_format="pyarrow", zero_copy_batch=True),
+        ["c_nationkey"], [("count", None, "n_customers")],
+    ).to_pandas()
+
+    import pandas as pd
+
+    m = rev.merge(cust, on="c_nationkey", how="outer").fillna(0)
+    nk = m["c_nationkey"].to_numpy().astype(np.int64)
+    rv = m["revenue_cents"].to_numpy().astype(np.int64)
+    nc = m["n_customers"].to_numpy().astype(np.int64)
+    # dense ranks by (value desc, nationkey asc)
+    rank_a = np.empty(len(nk), dtype=np.int64)
+    rank_a[np.lexsort((nk, -rv))] = np.arange(1, len(nk) + 1)
+    rank_b = np.empty(len(nk), dtype=np.int64)
+    rank_b[np.lexsort((nk, -nc))] = np.arange(1, len(nk) + 1)
+    conc = disc = 0
+    n = len(nk)
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = (rank_a[i] - rank_a[j]) * (rank_b[i] - rank_b[j])
+            if s > 0:
+                conc += 1
+            elif s < 0:
+                disc += 1
+    footrule = int(np.abs(rank_a - rank_b).sum())
+    return pd.DataFrame({
+        "n_nations": [np.int64(n)],
+        "n_concordant": [np.int64(conc)],
+        "n_discordant": [np.int64(disc)],
+        "footrule": [np.int64(footrule)],
+    })
+
+
+SQL_NATION_RANK_CONCORDANCE = """
+WITH rev AS (
+  SELECT c.c_nationkey,
+         CAST(SUM(CAST(ROUND(o.o_totalprice * 100) AS BIGINT)) AS BIGINT)
+           AS revenue_cents
+  FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
+  GROUP BY c.c_nationkey
+),
+cust AS (
+  SELECT c_nationkey, CAST(COUNT(*) AS BIGINT) AS n_customers
+  FROM customer GROUP BY c_nationkey
+),
+m AS (
+  SELECT COALESCE(r.c_nationkey, c.c_nationkey) AS nk,
+         COALESCE(r.revenue_cents, 0) AS rv,
+         COALESCE(c.n_customers, 0) AS nc
+  FROM rev r FULL OUTER JOIN cust c ON r.c_nationkey = c.c_nationkey
+),
+ranked AS (
+  SELECT nk,
+         ROW_NUMBER() OVER (ORDER BY rv DESC, nk ASC) AS rank_a,
+         ROW_NUMBER() OVER (ORDER BY nc DESC, nk ASC) AS rank_b
+  FROM m
+),
+pairs AS (
+  SELECT (a.rank_a - b.rank_a) * (a.rank_b - b.rank_b) AS s
+  FROM ranked a JOIN ranked b ON a.nk < b.nk
+)
+SELECT CAST((SELECT COUNT(*) FROM ranked) AS BIGINT) AS n_nations,
+       CAST(SUM(CASE WHEN s > 0 THEN 1 ELSE 0 END) AS BIGINT)
+         AS n_concordant,
+       CAST(SUM(CASE WHEN s < 0 THEN 1 ELSE 0 END) AS BIGINT)
+         AS n_discordant,
+       CAST((SELECT SUM(ABS(rank_a - rank_b)) FROM ranked) AS BIGINT)
+         AS footrule
+FROM pairs
+"""
 
 
 # --------------------------------------------------------------------------
@@ -101,11 +250,13 @@ def _sql_rectilinearity_stats() -> str:
 
 def build_queries_ext91() -> dict:
     return {
+        "nation_rank_concordance": q_nation_rank_concordance,
         "rectilinearity_stats": q_rectilinearity_stats,
     }
 
 
 def build_oracles_ext91() -> dict:
     return {
+        "nation_rank_concordance": SQL_NATION_RANK_CONCORDANCE,
         "rectilinearity_stats": _sql_rectilinearity_stats(),
     }

@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 93: onion-peeling depth.
+"""Round-3 extension operators, batch 93: onion-peeling depth and
+burstiness.
 
 ``onion_depth`` — convex-layer decomposition (onion peeling) of each
 fixture's vertex set: repeatedly remove the convex hull until no
@@ -7,12 +8,26 @@ layers.  The engine peels with the library hull; the twin peels with
 an independent monotone chain — layer SETS are unique, so the counts
 agree exactly.
 
+``daily_fano_factor`` — burstiness of the per-type daily event
+counts: the Fano factor (variance / mean) as the EXACT integer
+rational ``(n·Σx² - (Σx)², n·Σx)`` over the zero-filled day grid —
+1 is Poisson-like, > 1 bursty, < 1 regular.  Bounded day x type
+histogram; integer moments throughout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+DAY_US = 86_400_000_000
+
+
+def _ray():
+    import ray
+
+    return ray
 
 
 # --------------------------------------------------------------------------
@@ -116,13 +131,96 @@ def _sql_onion_depth() -> str:
     """
 
 
+# --------------------------------------------------------------------------
+# daily_fano_factor
+# --------------------------------------------------------------------------
+
+
+def q_daily_fano_factor(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+
+    def daily(batch: pa.Table) -> pa.Table:
+        day = pc.cast(batch.column("ts"), pa.int64()).to_numpy() // DAY_US
+        t = pa.table({
+            "event_type": batch.column("event_type"),
+            "day": pa.array(day, type=pa.int64()),
+        })
+        out = t.group_by(["event_type", "day"]).aggregate([("day", "count")])
+        return pa.table({
+            "event_type": out.column("event_type"),
+            "day": out.column("day"),
+            "n": pc.cast(out.column("day_count"), pa.int64()),
+        })
+
+    hist = grouped_aggregate(
+        ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                              columns=["ts", "event_type"])
+        .map_batches(daily, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type", "day"], [("sum", "n", "n")],
+    ).to_pandas()  # bounded: type x day
+
+    import pandas as pd
+
+    lo, hi = int(hist["day"].min()), int(hist["day"].max())
+    n_days = hi - lo + 1
+    rows = []
+    for etype, g in hist.groupby("event_type"):
+        x = np.zeros(n_days, dtype=np.int64)
+        x[g["day"].to_numpy().astype(np.int64) - lo] = \
+            g["n"].to_numpy().astype(np.int64)
+        s = int(x.sum())
+        s2 = int((x * x).sum())
+        rows.append({
+            "event_type": etype,
+            "n_days": n_days,
+            "fano_num": n_days * s2 - s * s,
+            "fano_den": n_days * s,
+        })
+    out = pd.DataFrame(rows).sort_values("event_type").reset_index(drop=True)
+    for c in ("n_days", "fano_num", "fano_den"):
+        out[c] = out[c].astype("int64")
+    return out
+
+
+SQL_DAILY_FANO_FACTOR = f"""
+WITH ev AS (
+  SELECT event_type, CAST(epoch_us(ts) AS BIGINT) // {DAY_US} AS day
+  FROM events
+),
+bounds AS (SELECT MIN(day) AS lo, MAX(day) AS hi, hi - lo + 1 AS nd FROM ev),
+days AS (SELECT unnest(generate_series(lo, hi)) AS day FROM bounds),
+types AS (SELECT DISTINCT event_type FROM ev),
+grid AS (SELECT t.event_type, d.day FROM types t, days d),
+cnt AS (
+  SELECT event_type, day, CAST(COUNT(*) AS BIGINT) AS n
+  FROM ev GROUP BY event_type, day
+),
+filled AS (
+  SELECT g.event_type, COALESCE(c.n, 0) AS n
+  FROM grid g LEFT JOIN cnt c
+    ON g.event_type = c.event_type AND g.day = c.day
+)
+SELECT f.event_type,
+       CAST(b.nd AS BIGINT) AS n_days,
+       CAST(b.nd * SUM(f.n * f.n) - SUM(f.n) * SUM(f.n) AS BIGINT)
+         AS fano_num,
+       CAST(b.nd * SUM(f.n) AS BIGINT) AS fano_den
+FROM filled f, bounds b
+GROUP BY f.event_type, b.nd
+"""
+
+
 def build_queries_ext93() -> dict:
     return {
         "onion_depth": q_onion_depth,
+        "daily_fano_factor": q_daily_fano_factor,
     }
 
 
 def build_oracles_ext93() -> dict:
     return {
         "onion_depth": _sql_onion_depth(),
+        "daily_fano_factor": SQL_DAILY_FANO_FACTOR,
     }

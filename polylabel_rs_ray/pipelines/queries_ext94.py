@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 94: spatial central tendency.
+"""Round-3 extension operators, batch 94: spatial central tendency and
+Benford forensics.
 
 ``spatial_center_stats`` — the two classic centers of a point cloud:
 the MEAN center as an exact pair (Σx, Σy, n — dyadic coordinate sums,
@@ -8,11 +9,26 @@ Both fold over the label table; at corpus scale Σ/n is a map-side
 combine and the medians come from the histogram-refinement machinery
 the quantile ops already use.
 
+``benford_audit`` — the data-forensics classic: the first significant
+digit distribution of order totals (in cents), counts per digit 1-9.
+Digit extraction is pure integer arithmetic (divide by 10 until one
+digit remains) in the engine and string slicing in SQL — same answer,
+different mechanisms.  Synthetic uniform prices will NOT follow
+Benford; the audit reports the distribution, the test pins only
+structural invariants.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+
+def _ray():
+    import ray
+
+    return ray
 
 
 def q_spatial_center_stats(sf_dir: str):
@@ -66,13 +82,51 @@ def _sql_spatial_center_stats() -> str:
     """
 
 
+def q_benford_audit(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+
+    def digits(batch: pa.Table) -> pa.Table:
+        cents = pc.cast(
+            pc.round(pc.multiply(batch.column("o_totalprice"), 100.0)),
+            pa.int64()).to_numpy().astype(np.int64)
+        v = np.abs(cents)
+        v = v[v > 0]
+        while (m := v >= 10).any():
+            v = np.where(m, v // 10, v)
+        return pa.table({
+            "digit": pa.array(v, type=pa.int64()),
+        })
+
+    return grouped_aggregate(
+        ray.data.read_parquet(f"{sf_dir}/orders.parquet",
+                              columns=["o_totalprice"])
+        .map_batches(digits, batch_format="pyarrow", zero_copy_batch=True),
+        ["digit"], [("count", None, "n_orders")],
+    )
+
+
+SQL_BENFORD_AUDIT = """
+WITH cents AS (
+  SELECT ABS(CAST(ROUND(o_totalprice * 100) AS BIGINT)) AS v FROM orders
+)
+SELECT CAST(CAST(LEFT(CAST(v AS VARCHAR), 1) AS BIGINT) AS BIGINT) AS digit,
+       CAST(COUNT(*) AS BIGINT) AS n_orders
+FROM cents WHERE v > 0
+GROUP BY 1
+"""
+
+
 def build_queries_ext94() -> dict:
     return {
         "spatial_center_stats": q_spatial_center_stats,
+        "benford_audit": q_benford_audit,
     }
 
 
 def build_oracles_ext94() -> dict:
     return {
         "spatial_center_stats": _sql_spatial_center_stats(),
+        "benford_audit": SQL_BENFORD_AUDIT,
     }

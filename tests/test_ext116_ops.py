@@ -1,4 +1,4 @@
-"""Extension batch 116: AMS F2 sketch."""
+"""Extension batch 116: AMS F2 sketch + Haar hourly energy spectrum."""
 
 import duckdb
 import numpy as np
@@ -50,3 +50,37 @@ def test_ams_estimator_contract(ray_session):
     est = est_num / AMS_K
     assert f2 > 0
     assert abs(est / f2 - 1.0) < 1.0
+
+
+def test_haar_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext116 import (
+        _sql_haar_hourly_energy, q_haar_hourly_energy,
+    )
+
+    d = q_haar_hourly_energy(SF).to_pandas()
+    o = con.execute(_sql_haar_hourly_energy()).df()
+    assert len(d) == len(o) == 10
+    assert _norm(d).equals(_norm(o))
+
+
+def test_haar_parseval_identity(ray_session):
+    """Unnormalized-Haar Parseval: Σ_L energy_L·N/2^L + (Σh)² == N·Σh²,
+    with the level-L coefficient count halving down to 1."""
+    from polylabel_rs_ray.pipelines.queries_ext116 import (
+        HAAR_N, _hourly_counts, q_haar_hourly_energy,
+    )
+
+    d = q_haar_hourly_energy(SF).to_pandas().sort_values("level")
+    h = _hourly_counts(SF)
+    lhs = int(sum(int(e) * (HAAR_N >> int(lv))
+                  for lv, e in zip(d["level"], d["energy"])))
+    lhs += int(h.sum()) ** 2
+    assert lhs == HAAR_N * int(np.dot(h, h))
+    assert list(d["n_coeffs"]) == [HAAR_N >> lv for lv in d["level"]]
+    # brute-force recount of the transform on the driver vector
+    cur, energies = h.copy(), []
+    while len(cur) > 1:
+        a, b = cur[0::2], cur[1::2]
+        energies.append(int(np.dot(a - b, a - b)))
+        cur = a + b
+    assert list(d["energy"]) == energies

@@ -1,6 +1,7 @@
-"""Extension batch 121: PIP probe-grid audit."""
+"""Extension batch 121: PIP probe-grid audit + Elias code spectrum."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -63,3 +64,37 @@ def test_pip_known_shapes(ray_session):
             expect_n += 1
     assert (l["inside_mask"] == expect_mask).all()
     assert (l["inside_n"] == expect_n).all()
+
+
+def test_elias_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext121 import (
+        SQL_ELIAS_CODE_SPECTRUM, q_elias_code_spectrum,
+    )
+
+    d = q_elias_code_spectrum(SF).to_pandas()
+    o = con.execute(SQL_ELIAS_CODE_SPECTRUM).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_elias_identities(ray_session, con):
+    """Per-bucket code-length identities and the partition-invariance of
+    the distributed delta machinery (n_parts=1 == n_parts=8)."""
+    from polylabel_rs_ray.pipelines.queries_ext121 import (
+        q_elias_code_spectrum,
+    )
+
+    d = q_elias_code_spectrum(SF).to_pandas().sort_values("bitlen")
+    b = d["bitlen"].to_numpy()
+    n = d["n_deltas"].to_numpy()
+    assert (d["gamma_bits"].to_numpy() == (2 * b - 1) * n).all()
+    blb = np.array([int(x).bit_length() for x in b])
+    assert (d["delta_bits"].to_numpy() == (b - 1 + 2 * blb - 1) * n).all()
+    # total deltas = events - users (one gapless head per user)
+    tot = con.execute("""
+        SELECT COUNT(*) - COUNT(DISTINCT user_id) FROM events
+    """).fetchone()[0]
+    assert int(n.sum()) == tot
+    d1 = q_elias_code_spectrum(SF, n_parts=1).to_pandas().sort_values("bitlen")
+    d8 = q_elias_code_spectrum(SF, n_parts=8).to_pandas().sort_values("bitlen")
+    assert _norm(d1).equals(_norm(d8))

@@ -1,6 +1,7 @@
-"""Extension batch 126: posting-list costs."""
+"""Extension batch 126: Roaring container costs + posting-list costs."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -19,6 +20,50 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_roaring_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext126 import (
+        SQL_ROARING_COST_ESTIMATE, q_roaring_cost_estimate,
+    )
+
+    d = q_roaring_cost_estimate(SF).to_pandas()
+    o = con.execute(SQL_ROARING_COST_ESTIMATE).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_roaring_brute(ray_session, con):
+    """Pure-Python Counter twin over (type, id>>16) plus the container
+    accounting identity array + bitmap == total containers."""
+    from collections import Counter
+
+    from polylabel_rs_ray.pipelines.queries_ext126 import (
+        ROARING_BITMAP_BYTES, ROARING_BREAK_EVEN, ROARING_HEADER_BYTES,
+        q_roaring_cost_estimate,
+    )
+
+    d = q_roaring_cost_estimate(SF).to_pandas().set_index("event_type")
+    assert (d["array_containers"] + d["bitmap_containers"]
+            == d["n_containers"]).all()
+    ev = con.execute("SELECT event_type, event_id FROM events").df()
+    cnt = Counter(zip(ev["event_type"], ev["event_id"] // 65536))
+    per_type: dict = {}
+    for (et, _b), n in cnt.items():
+        st = per_type.setdefault(et, [0, 0, 0, 0])
+        st[0] += 1
+        if n < ROARING_BREAK_EVEN:
+            st[1] += 1
+            st[3] += 2 * n
+        else:
+            st[2] += 1
+            st[3] += ROARING_BITMAP_BYTES
+    for et, (nc, na, nb, bb) in per_type.items():
+        row = d.loc[et]
+        assert row["n_containers"] == nc
+        assert row["array_containers"] == na
+        assert row["bitmap_containers"] == nb
+        assert row["total_bytes"] == bb + ROARING_HEADER_BYTES * nc
 
 
 def test_postings_match_duckdb(ray_session, con):

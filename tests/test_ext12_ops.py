@@ -1,6 +1,8 @@
-"""Extension operators batch 13 (queries_ext12): the inverted index."""
+"""Extension operators batch 13 (queries_ext12): sliding distincts and the
+inverted index."""
 
 import duckdb
+import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -26,6 +28,18 @@ def con():
     for t in ["events", "documents"]:
         c.execute(f"CREATE VIEW {t} AS SELECT * FROM '{SF}/{t}.parquet'")
     return c
+
+
+def test_sliding_window_users_match_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext12 import (
+        SQL_SLIDING_WINDOW_USERS,
+        q_sliding_window_users,
+    )
+
+    w = _compare(q_sliding_window_users, SQL_SLIDING_WINDOW_USERS, con)
+    total_users = con.execute("SELECT COUNT(DISTINCT user_id) FROM events").fetchone()[0]
+    assert w["n_users"].max() <= total_users
+    assert (w["n_users"] >= 1).all()
 
 
 def test_inverted_index_matches_duckdb(ray_session, con):

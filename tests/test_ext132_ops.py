@@ -1,6 +1,7 @@
-"""Extension batch 132: source dedup rates."""
+"""Extension batch 132: source dedup rates + value QQ distance."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -47,3 +48,42 @@ def test_source_dedup_reconciles(ray_session, con):
     # per-source distinct sums to >= global distinct (same text can
     # appear in several sources)
     assert int(d["n_distinct"].sum()) >= n_texts
+
+
+def test_qq_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext132 import (
+        SQL_VALUE_QQ_DISTANCE, q_value_qq_distance,
+    )
+
+    d = q_value_qq_distance(SF).to_pandas()
+    o = con.execute(SQL_VALUE_QQ_DISTANCE).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_qq_brute_and_metric(ray_session, con):
+    """Numpy sort twin for the decile vectors; max <= l1 <= 9·max;
+    pair count = C(types, 2)."""
+    from polylabel_rs_ray.pipelines.queries_ext132 import (
+        QQ_DECILES, q_value_qq_distance,
+    )
+
+    d = q_value_qq_distance(SF).to_pandas()
+    assert (d["max_qq"] <= d["l1_qq"]).all()
+    assert (d["l1_qq"] <= 9 * d["max_qq"]).all()
+    ev = con.execute(
+        "SELECT event_type, CAST(ROUND(value*100) AS BIGINT) c "
+        "FROM events").df()
+    dec = {}
+    for et, g in ev.groupby("event_type"):
+        c = np.sort(g["c"].to_numpy().astype(np.int64))
+        dec[et] = np.array([c[(len(c) - 1) * j // 10] for j in QQ_DECILES])
+    types = sorted(dec)
+    assert len(d) == len(types) * (len(types) - 1) // 2
+    got = d.set_index(["type_a", "type_b"])
+    for i in range(len(types)):
+        for j in range(i + 1, len(types)):
+            diff = np.abs(dec[types[i]] - dec[types[j]])
+            row = got.loc[(types[i], types[j])]
+            assert row["l1_qq"] == int(diff.sum())
+            assert row["max_qq"] == int(diff.max())

@@ -1,4 +1,4 @@
-"""Extension batch 139: tile equalization."""
+"""Extension batch 139: rolling max + tile equalization."""
 
 import duckdb
 import numpy as np
@@ -20,6 +20,34 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_rolling_max_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext139 import (
+        SQL_HOURLY_ROLLING_MAX, q_hourly_rolling_max,
+    )
+
+    d = q_hourly_rolling_max(SF).to_pandas()
+    o = con.execute(SQL_HOURLY_ROLLING_MAX).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_rolling_max_properties(ray_session):
+    """rolling_max >= n everywhere, monotone under window growth
+    (trailing-6 max >= the element 5 back), and a brute window twin."""
+    from polylabel_rs_ray.pipelines.queries_ext139 import (
+        ROLL_WINDOW, q_hourly_rolling_max,
+    )
+
+    d = q_hourly_rolling_max(SF).to_pandas()
+    assert (d["rolling_max"] >= d["n"]).all()
+    for et, g in d.groupby("event_type"):
+        g = g.sort_values("hour").reset_index(drop=True)
+        c = g["n"].to_numpy()
+        for i in range(len(g)):
+            lo = max(0, i - ROLL_WINDOW + 1)
+            assert g["rolling_max"].iloc[i] == c[lo:i + 1].max()
 
 
 def test_equalize_matches_duckdb(ray_session, con):

@@ -1,6 +1,7 @@
-"""Extension batch 143: rotational symmetry."""
+"""Extension batch 143: rotational symmetry + WoW retention."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -49,3 +50,40 @@ def test_rotation_known_shapes(ray_session):
     col = d[d["fixture_idx"] == FIXTURE_CYCLE.index("degenerate_collinear")]
     assert col["rot180"].all()
     assert (~col["rot90"]).all()
+
+
+def test_retention_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext143 import (
+        SQL_WOW_RETENTION, q_wow_retention,
+    )
+
+    d = q_wow_retention(SF).to_pandas()
+    o = con.execute(SQL_WOW_RETENTION).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_retention_brute(ray_session, con):
+    """Set twin over (user, week); retained(w) <= min(active(w),
+    active(w+1)); last week retains 0 by construction."""
+    from polylabel_rs_ray.pipelines.queries_ext143 import (
+        WEEK_US, q_wow_retention,
+    )
+
+    d = q_wow_retention(SF).to_pandas().sort_values("week").reset_index(
+        drop=True)
+    uw = con.execute(
+        f"SELECT DISTINCT user_id, epoch_us(ts) // {WEEK_US} AS w "
+        "FROM events").df()
+    by_week: dict = {}
+    for r in uw.itertuples():
+        by_week.setdefault(int(r.w), set()).add(r.user_id)
+    for i, row in d.iterrows():
+        w = int(row["week"])
+        act = by_week.get(w, set())
+        nxt = by_week.get(w + 1, set())
+        assert row["n_active"] == len(act)
+        assert row["n_retained"] == len(act & nxt)
+        assert row["n_retained"] <= min(len(act), len(nxt)) \
+            if nxt else row["n_retained"] == 0
+    assert d["n_retained"].iloc[-1] == 0

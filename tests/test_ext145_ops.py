@@ -1,4 +1,4 @@
-"""Extension batch 145: 2-D Haar tile energy."""
+"""Extension batch 145: 2-D Haar tile energy + first-vs-modal matrix."""
 
 import duckdb
 import numpy as np
@@ -67,3 +67,26 @@ def test_haar_parseval(ray_session):
             + int(((a + dd - b - c) ** 2).sum())
             + int((s * s).sum()))
         cur = s
+
+
+def test_matrix_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext145 import (
+        SQL_FIRST_VS_MODAL_MATRIX, q_first_vs_modal_matrix,
+    )
+
+    d = q_first_vs_modal_matrix(SF).to_pandas()
+    o = con.execute(SQL_FIRST_VS_MODAL_MATRIX).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_matrix_totals(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext145 import (
+        q_first_vs_modal_matrix,
+    )
+
+    d = q_first_vs_modal_matrix(SF).to_pandas()
+    n_users = con.execute(
+        "SELECT COUNT(DISTINCT user_id) FROM events").fetchone()[0]
+    assert int(d["n_users"].sum()) == n_users
+    assert (d["n_users"] > 0).all()

@@ -1,6 +1,7 @@
-"""Extension batch 146: dup group histogram."""
+"""Extension batch 146: skewness moments + dup group histogram."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -20,6 +21,47 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_skew_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext146 import (
+        SQL_BALANCE_SKEWNESS_MOMENTS, q_balance_skewness_moments,
+    )
+
+    d = q_balance_skewness_moments(SF).to_pandas()
+    o = con.execute(SQL_BALANCE_SKEWNESS_MOMENTS).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_skew_brute(ray_session, con):
+    """Python big-int twin per nation; sign agrees with numpy float
+    skewness away from zero."""
+    from polylabel_rs_ray.pipelines.queries_ext146 import (
+        q_balance_skewness_moments,
+    )
+
+    d = q_balance_skewness_moments(SF).to_pandas().set_index("nation")
+    rows = con.execute("""
+        SELECT CAST(s_nationkey AS BIGINT) nat,
+               CAST(ROUND(s_acctbal*100) AS BIGINT) x
+        FROM supplier
+    """).df()
+    for nat, g in rows.groupby("nat"):
+        xs = [int(v) for v in g["x"]]
+        n = len(xs)
+        sx = sum(xs)
+        sx2 = sum(v * v for v in xs)
+        sx3 = sum(v ** 3 for v in xs)
+        m3 = n * n * sx3 - 3 * n * sx * sx2 + 2 * sx ** 3
+        row = d.loc[nat]
+        assert int(row["m3_num"]) == m3
+        assert row["m3_sign"] == (m3 > 0) - (m3 < 0)
+        # cross-check against float third central moment
+        arr = np.array(xs, dtype=np.float64)
+        f3 = ((arr - arr.mean()) ** 3).sum()
+        if abs(f3) > 1e-3 * max(1.0, np.abs(arr).max() ** 3 / n):
+            assert np.sign(f3) == row["m3_sign"]
 
 
 def test_hist_matches_duckdb(ray_session, con):

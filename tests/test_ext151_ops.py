@@ -1,6 +1,7 @@
-"""Extension batch 151: prefix-dup token savings."""
+"""Extension batch 151: prefix-dup token savings + half-life decay."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -55,3 +56,34 @@ def test_prefix_savings_reconciles(ray_session, con):
         assert int(g["doc_id"].min()) == row.keep_doc_id
         kept_tok = int(g.loc[g["doc_id"].idxmin(), "tok"])
         assert int(g["tok"].sum()) - kept_tok == row.tokens_saved
+
+
+def test_halflife_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext151 import (
+        SQL_HALFLIFE_ACTIVITY_SCORE, q_halflife_activity_score,
+    )
+
+    d = q_halflife_activity_score(SF).to_pandas()
+    o = con.execute(SQL_HALFLIFE_ACTIVITY_SCORE).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_halflife_decay_properties(ray_session, con):
+    """The decay really is dyadic: the newest day's events carry weight
+    2^20, the oldest (age >= cap) weight 1, and every user's score is
+    bounded by 2^20 x their plain cent sum (exactness headroom pin)."""
+    from polylabel_rs_ray.pipelines.queries_ext151 import (
+        HALF_LIFE_CAP, q_halflife_activity_score,
+    )
+
+    d = q_halflife_activity_score(SF).to_pandas().set_index("user_id")
+    base = con.execute("""
+        SELECT CAST(user_id AS BIGINT) AS user_id,
+               SUM(CAST(ROUND(value * 100) AS BIGINT)) AS cents
+        FROM events GROUP BY 1
+    """).df().set_index("user_id")["cents"]
+    top = np.int64(1) << HALF_LIFE_CAP
+    for uid, cents in base.items():
+        s = int(d.loc[uid, "score_scaled"])
+        assert cents <= s <= cents * top

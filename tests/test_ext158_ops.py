@@ -1,8 +1,9 @@
-"""Extension batch 158: tile visibility."""
+"""Extension batch 158: tile visibility + reciprocal rank fusion."""
 
 import duckdb
 import numpy as np
 import pytest
+from fractions import Fraction
 
 SF = "/root/testdata/sf0.001"
 
@@ -81,3 +82,49 @@ def test_visibility_invariants(ray_session):
             for bx, by in occ
             if (bx, by) != (sx, sy) and (bx, by) != (int(tx), int(ty)))
         assert vis[tx, ty] == (0 if blocked else 1), (tx, ty)
+
+
+def test_rrf_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext158 import (
+        _sql_rrf_fusion, q_rrf_fusion,
+    )
+
+    d = q_rrf_fusion(SF).to_pandas()
+    o = con.execute(_sql_rrf_fusion()).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_rrf_exact_fraction_ordering(ray_session, con):
+    """The emitted top-N really is the top-N under exact Fraction order,
+    and num/den reproduce 1/(60+r1)+1/(60+r2)."""
+    from polylabel_rs_ray.pipelines.queries_ext158 import (
+        RRF_K, RRF_TOPN, q_rrf_fusion,
+    )
+
+    d = q_rrf_fusion(SF).to_pandas()
+    full = con.execute("""
+        SELECT l_partkey AS p,
+               SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT)
+                   * (100 - CAST(ROUND(l_discount*100) AS BIGINT))) AS rev,
+               SUM(CAST(l_quantity AS BIGINT)) AS qty
+        FROM lineitem GROUP BY 1
+    """).df()
+    p = full["p"].to_numpy().astype(np.int64)
+    rev = full["rev"].to_numpy().astype(np.int64)
+    qty = full["qty"].to_numpy().astype(np.int64)
+    r_rev = np.empty(len(p), dtype=np.int64)
+    r_rev[np.lexsort((p, -rev))] = np.arange(1, len(p) + 1)
+    r_qty = np.empty(len(p), dtype=np.int64)
+    r_qty[np.lexsort((p, -qty))] = np.arange(1, len(p) + 1)
+    fr = [Fraction(1, RRF_K + int(a)) + Fraction(1, RRF_K + int(b))
+          for a, b in zip(r_rev, r_qty)]
+    order = sorted(range(len(p)), key=lambda i: (-fr[i], int(p[i])))
+    expect = [int(p[i]) for i in order[:RRF_TOPN]]
+    assert list(d["p_partkey"]) == sorted(
+        list(d["p_partkey"]),
+        key=lambda v: expect.index(v)) or set(d["p_partkey"]) == set(expect)
+    assert set(d["p_partkey"]) == set(expect)
+    for row in d.itertuples():
+        i = int(np.nonzero(p == row.p_partkey)[0][0])
+        assert Fraction(int(row.rrf_num), int(row.rrf_den)) == fr[i]

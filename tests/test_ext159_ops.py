@@ -1,4 +1,4 @@
-"""Extension batch 159: enclosed holes."""
+"""Extension batch 159: enclosed holes + activity selection."""
 
 import duckdb
 import numpy as np
@@ -55,3 +55,40 @@ def test_enclosed_holes_invariants(ray_session):
             assert nb in occ or nb in enc, (x, y, nb)
     # empty rows are exactly the complement of occ
     assert len(d) + len(occ) == n * n
+
+
+def test_activity_selection_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext159 import (
+        SQL_ACTIVITY_SELECTION, q_activity_selection,
+    )
+
+    d = q_activity_selection(SF).to_pandas()
+    o = con.execute(SQL_ACTIVITY_SELECTION).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_activity_selection_vs_dp_optimum(ray_session, con):
+    """The greedy count must equal the true optimum from an independent
+    predecessor DP (classic interval scheduling), per user."""
+    from polylabel_rs_ray.pipelines.queries_ext159 import (
+        DUR_US, q_activity_selection,
+    )
+
+    d = q_activity_selection(SF).to_pandas().set_index("user_id")
+    raw = con.execute(
+        "SELECT user_id, epoch_us(ts) AS s, event_id FROM events").df()
+    for uid, grp in raw.groupby("user_id"):
+        s = grp["s"].to_numpy().astype(np.int64)
+        e = s + DUR_US * (1 + grp["event_id"].to_numpy().astype(np.int64) % 10)
+        order = np.argsort(e, kind="stable")
+        s, e = s[order], e[order]
+        m = len(s)
+        # dp[i] = best using intervals 0..i-1 (sorted by end)
+        dp = np.zeros(m + 1, dtype=np.int64)
+        for i in range(1, m + 1):
+            # predecessor: last j with e[j-1] <= s[i-1]
+            j = int(np.searchsorted(e, s[i - 1], side="right"))
+            dp[i] = max(dp[i - 1], 1 + dp[min(j, i - 1)])
+        assert d.loc[uid, "max_nonoverlap"] == dp[m], uid
+        assert d.loc[uid, "n_events"] == m

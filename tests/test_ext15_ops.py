@@ -1,6 +1,8 @@
-"""Extension operators batch 16 (queries_ext15): per-stratum sampling."""
+"""Extension operators batch 16 (queries_ext15): per-stratum sampling,
+HLL set algebra, bloom-prefiltered semi join."""
 
 import duckdb
+import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -47,3 +49,41 @@ def test_sample_per_lang_deterministic(ray_session):
     a = q_sample_per_lang(SF).to_pandas().sort_values(["lang", "doc_id"])
     b = q_sample_per_lang(SF).to_pandas().sort_values(["lang", "doc_id"])
     assert a.reset_index(drop=True).equals(b.reset_index(drop=True))
+
+
+def test_hll_overlap_near_exact(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext15 import q_hll_type_overlap
+
+    est = q_hll_type_overlap(SF).to_pandas().iloc[0]
+    exact = con.execute("""
+        SELECT
+          (SELECT COUNT(DISTINCT user_id) FROM events WHERE event_type='view'),
+          (SELECT COUNT(DISTINCT user_id) FROM events WHERE event_type='purchase'),
+          (SELECT COUNT(DISTINCT user_id) FROM events
+             WHERE event_type IN ('view','purchase')),
+          (SELECT COUNT(*) FROM (
+             SELECT user_id FROM events WHERE event_type='view'
+             INTERSECT
+             SELECT user_id FROM events WHERE event_type='purchase'))
+    """).fetchone()
+    names = ["approx_viewers", "approx_purchasers", "approx_either", "approx_both"]
+    for name, true in zip(names, exact):
+        tol = max(10, 0.1 * exact[2])  # HLL 4096-register error envelope
+        assert abs(est[name] - true) <= tol, (name, est[name], true)
+
+
+def test_bloom_semi_join_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext15 import (
+        SQL_ORDERS_WITH_LINEITEMS_BLOOM,
+        q_orders_with_lineitems_bloom,
+    )
+
+    b = _compare(q_orders_with_lineitems_bloom, SQL_ORDERS_WITH_LINEITEMS_BLOOM, con)
+    assert b["o_orderkey"].is_unique
+    # semi + anti partitions the orders table exactly
+    total = con.execute("SELECT COUNT(*) FROM orders").fetchone()[0]
+    anti = con.execute(
+        "SELECT COUNT(*) FROM orders o WHERE NOT EXISTS "
+        "(SELECT 1 FROM lineitem l WHERE l.l_orderkey = o.o_orderkey)"
+    ).fetchone()[0]
+    assert len(b) == total - anti

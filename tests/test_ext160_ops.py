@@ -1,4 +1,4 @@
-"""Extension batch 160: largest empty square."""
+"""Extension batch 160: largest empty square + LIS per user."""
 
 import duckdb
 import numpy as np
@@ -58,3 +58,44 @@ def test_max_empty_square_bruteforce(ray_session):
                 else:
                     break
             assert got[x, y] == best, (x, y)
+
+
+def test_lis_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext160 import (
+        SQL_LIS_PER_USER, q_lis_per_user,
+    )
+
+    d = q_lis_per_user(SF).to_pandas()
+    o = con.execute(SQL_LIS_PER_USER).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_lis_vs_quadratic_dp(ray_session, con):
+    """Independent O(n^2) numpy DP per user must agree with patience."""
+    from polylabel_rs_ray.pipelines.queries_ext160 import q_lis_per_user
+
+    d = q_lis_per_user(SF).to_pandas().set_index("user_id")
+    raw = con.execute("""
+        SELECT user_id, CAST(ROUND(value*100) AS BIGINT) AS v
+        FROM events ORDER BY user_id, ts, event_id""").df()
+    for uid, grp in raw.groupby("user_id"):
+        v = grp["v"].to_numpy().astype(np.int64)
+        m = len(v)
+        dp = np.ones(m, dtype=np.int64)
+        for i in range(m):
+            mask = v[:i] < v[i]
+            if mask.any():
+                dp[i] = 1 + dp[:i][mask].max()
+        assert d.loc[uid, "lis_len"] == int(dp.max()), uid
+        assert d.loc[uid, "n_events"] == m
+
+
+def test_lis_monotone_under_prefix(ray_session, con):
+    """Sanity: LIS of each user is <= n_events and >= 1, and at least
+    the count of record highs divided by ... (weak bound: >= 1)."""
+    from polylabel_rs_ray.pipelines.queries_ext160 import q_lis_per_user
+
+    d = q_lis_per_user(SF).to_pandas()
+    assert (d["lis_len"] >= 1).all()
+    assert (d["lis_len"] <= d["n_events"]).all()

@@ -1,4 +1,4 @@
-"""Extension batch 161: greedy vocab set cover."""
+"""Extension batch 161: business-day ship lag + greedy vocab set cover."""
 
 import duckdb
 import numpy as np
@@ -20,6 +20,72 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_busday_lag_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext161 import (
+        SQL_BUSDAY_SHIP_LAG, q_busday_ship_lag,
+    )
+
+    d = q_busday_ship_lag(SF).to_pandas()
+    o = con.execute(SQL_BUSDAY_SHIP_LAG).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+    # the corpus ships some lineitems before their order date
+    assert int(d["lag_busdays"].min()) < 0 < int(d["lag_busdays"].max())
+
+
+def test_busday_lag_pure_python_recheck(ray_session, con):
+    """Independent weekday-walk recheck of the histogram on raw pairs."""
+    from collections import Counter
+
+    from polylabel_rs_ray.pipelines.queries_ext161 import q_busday_ship_lag
+
+    d = q_busday_ship_lag(SF).to_pandas()
+    raw = con.execute("""
+        SELECT o.o_orderpriority AS prio,
+               CAST(o.o_orderdate AS DATE) AS od,
+               CAST(l.l_shipdate AS DATE) AS sd
+        FROM lineitem l JOIN orders o ON o.o_orderkey = l.l_orderkey
+    """).df()
+    import datetime
+
+    def walk(a: datetime.date, b: datetime.date) -> int:
+        if b < a:
+            return -walk(b, a)
+        n, cur = 0, a
+        while cur < b:  # half-open [a, b)
+            if cur.weekday() < 5:
+                n += 1
+            cur += datetime.timedelta(days=1)
+        return n
+
+    want = Counter()
+    for prio, od, sd in zip(raw["prio"], raw["od"], raw["sd"]):
+        want[(prio, walk(od, sd))] += 1
+    got = {(r.o_orderpriority, int(r.lag_busdays)): int(r.n)
+           for r in d.itertuples()}
+    assert got == dict(want)
+
+
+def test_busday_lag_antisymmetric_kernel():
+    """The engine's split busday kernel equals the closed form g(xs)-g(xo)
+    for both orientations on a dense date grid."""
+    def kernel(begin, end):
+        neg = end < begin
+        lag = np.empty(len(begin), dtype=np.int64)
+        lag[~neg] = np.busday_count(begin[~neg], end[~neg])
+        lag[neg] = -np.busday_count(end[neg], begin[neg])
+        return lag
+
+    mon = np.datetime64("1969-12-29", "D")
+    days = mon + np.arange(0, 21)
+    a, b = np.meshgrid(days, days)
+    a, b = a.ravel(), b.ravel()
+    g = lambda x: 5 * (x // 7) + np.minimum(x % 7, 5)  # noqa: E731
+    cf = g((b - mon).astype(np.int64)) - g((a - mon).astype(np.int64))
+    assert np.array_equal(kernel(a, b), cf)
+    assert np.array_equal(kernel(a, b), -kernel(b, a))
 
 
 def test_set_cover_matches_duckdb(ray_session, con):

@@ -1,4 +1,4 @@
-"""Extension batch 163: autocomplete top-k."""
+"""Extension batch 163: k-core bucket decomposition + autocomplete top-k."""
 
 import duckdb
 import numpy as np
@@ -20,6 +20,65 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+@pytest.fixture(scope="module")
+def edge_list(con):
+    df = con.execute("""
+        SELECT a.l_partkey pa, b.l_partkey pb
+        FROM lineitem a JOIN lineitem b
+          ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey
+        GROUP BY 1, 2""").df()
+    return (df["pa"].to_numpy().astype(np.int64),
+            df["pb"].to_numpy().astype(np.int64))
+
+
+def test_core_buckets_match_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext163 import (
+        _sql_part_core_buckets, q_part_core_buckets,
+    )
+
+    d = q_part_core_buckets(SF).to_pandas()
+    o = con.execute(_sql_part_core_buckets()).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+    assert d["core_bucket"].nunique() >= 2  # non-trivial ladder
+
+
+def test_core_defining_property(ray_session, edge_list):
+    """Each rung's bucket-≥K set IS the K-core: induced min-degree ≥ K
+    (coreness) and no strict superset of it within the graph has
+    induced min-degree ≥ K when grown greedily (maximality via
+    independent from-scratch peeling with a set-based loop)."""
+    from polylabel_rs_ray.pipelines.queries_ext163 import (
+        CORE_LADDER, q_part_core_buckets,
+    )
+
+    d = q_part_core_buckets(SF).to_pandas()
+    bucket = dict(zip(d["part_key"], d["core_bucket"]))
+    a, b = edge_list
+    for k in CORE_LADDER:
+        members = {v for v, bk in bucket.items() if bk >= k}
+        if members:
+            deg = {}
+            for x, y in zip(a, b):
+                if x in members and y in members:
+                    deg[x] = deg.get(x, 0) + 1
+                    deg[y] = deg.get(y, 0) + 1
+            assert min(deg.get(v, 0) for v in members) >= k
+        # independent peel from scratch (no warm start, set loop)
+        rem = set(d["part_key"].tolist())
+        while True:
+            deg = {}
+            for x, y in zip(a, b):
+                if x in rem and y in rem:
+                    deg[x] = deg.get(x, 0) + 1
+                    deg[y] = deg.get(y, 0) + 1
+            nxt = {v for v in rem if deg.get(v, 0) >= k}
+            if nxt == rem:
+                break
+            rem = nxt
+        assert rem == members, k
 
 
 def test_autocomplete_matches_duckdb(ray_session, con):

@@ -1,4 +1,4 @@
-"""Extension batch 165: tile connected components."""
+"""Extension batch 165: tile connected components + v-optimal histogram DP."""
 
 import duckdb
 import numpy as np
@@ -75,3 +75,54 @@ def test_components_bfs_twin(ray_session):
     want = {(int(x), int(y)): (int(comp[x, y]), sizes[int(comp[x, y])])
             for x, y in zip(*np.nonzero(occ))}
     assert got == want
+
+
+def test_vopt_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext165 import (
+        _sql_vopt_histogram_dp, q_vopt_histogram_dp,
+    )
+
+    d = q_vopt_histogram_dp(SF).to_pandas()
+    o = con.execute(_sql_vopt_histogram_dp()).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_vopt_dp_properties(ray_session, con):
+    """dp is non-increasing in b at fixed j; dp[1][j] equals the direct
+    one-segment cost; the optimum beats 30 deterministic random valid
+    partitions of the full range (upper-bound spot checks)."""
+    from polylabel_rs_ray.pipelines.queries_ext165 import (
+        VOPT_BUCKETS, VOPT_PREBINS, q_vopt_histogram_dp,
+    )
+
+    d = q_vopt_histogram_dp(SF).to_pandas()
+    dp = {(int(r.b), int(r.j)): int(r.dp_cost) for r in d.itertuples()}
+    cents = con.execute(
+        "SELECT CAST(ROUND(value*100) AS BIGINT) c FROM events"
+    ).df()["c"].to_numpy()
+    lo, hi = int(cents.min()), int(cents.max())
+    span = hi - lo + 1
+    bins = (cents - lo) * VOPT_PREBINS // span
+
+    def seg_cost(i, j):
+        sel = cents[(bins >= i) & (bins <= j)]
+        n, s1, s2 = len(sel), int(sel.sum()), int((sel * sel).sum())
+        return n * s2 - s1 * s1
+
+    for j in range(VOPT_PREBINS):
+        assert dp[(1, j)] == seg_cost(0, j)
+        for b in range(2, VOPT_BUCKETS + 1):
+            if (b, j) in dp and (b - 1, j) in dp:
+                assert dp[(b, j)] <= dp[(b - 1, j)]
+
+    rng = np.random.default_rng(11)
+    best = dp[(VOPT_BUCKETS, VOPT_PREBINS - 1)]
+    for _ in range(30):
+        cuts = np.sort(rng.choice(
+            np.arange(1, VOPT_PREBINS), size=VOPT_BUCKETS - 1,
+            replace=False))
+        bounds = np.r_[0, cuts, VOPT_PREBINS]
+        total = sum(seg_cost(int(bounds[k]), int(bounds[k + 1] - 1))
+                    for k in range(VOPT_BUCKETS))
+        assert best <= total

@@ -1,4 +1,4 @@
-"""Extension batch 166: label octant stats."""
+"""Extension batch 166: daily-revenue Cartesian tree + label octant stats."""
 
 import duckdb
 import numpy as np
@@ -20,6 +20,50 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_cartesian_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext166 import (
+        SQL_DAILY_REVENUE_CARTESIAN, q_daily_revenue_cartesian,
+    )
+
+    d = q_daily_revenue_cartesian(SF).to_pandas()
+    o = con.execute(SQL_DAILY_REVENUE_CARTESIAN).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_cartesian_is_a_valid_treap(ray_session):
+    """Structural recheck: exactly one root (the max-priority day);
+    every non-root's parent has strictly greater priority; the parent
+    is an adjacent dominator — every day strictly between child and
+    parent has smaller priority than the child (the defining
+    range-max/heap property of a Cartesian tree); and parent links
+    form a tree (n-1 edges, acyclic by priorities)."""
+    from polylabel_rs_ray.pipelines.queries_ext166 import (
+        q_daily_revenue_cartesian,
+    )
+
+    d = q_daily_revenue_cartesian(SF).to_pandas().sort_values(
+        "day").reset_index(drop=True)
+    prio = {int(r.day): (int(r.cents), -int(r.day))
+            for r in d.itertuples()}
+    roots = d[d["side"] == "root"]
+    assert len(roots) == 1
+    assert prio[int(roots["day"].iloc[0])] == max(prio.values())
+    days = d["day"].to_numpy()
+    for r in d.itertuples():
+        if r.side == "root":
+            assert r.parent_day == -1
+            continue
+        p = int(r.parent_day)
+        v = int(r.day)
+        assert prio[p] > prio[v]
+        assert (r.side == "L") == (p < v)
+        lo, hi = min(p, v), max(p, v)
+        between = days[(days > lo) & (days < hi)]
+        for w in between:
+            assert prio[int(w)] < prio[v], (v, p, w)
 
 
 def test_octants_match_duckdb(ray_session, con):

@@ -1,4 +1,4 @@
-"""Extension batch 170: Chaikin smoothing stats."""
+"""Extension batch 170: merged-timeline runs + Chaikin smoothing stats."""
 
 import duckdb
 import numpy as np
@@ -20,6 +20,58 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_runs_match_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext170 import (
+        SQL_STREAM_ALTERNATION_RUNS, q_stream_alternation_runs,
+    )
+
+    d = q_stream_alternation_runs(SF).to_pandas()
+    o = con.execute(SQL_STREAM_ALTERNATION_RUNS).df()
+    assert len(d) == len(o) == 2
+    assert _norm(d).equals(_norm(o))
+    assert (d["n_runs"] > 10).all()  # genuinely interleaved streams
+
+
+def test_runs_partitioned_equals_single_partition(ray_session):
+    """The boundary-stitch fold must be invariant to the partition
+    count — P=1 (no stitching at all) through P=13 (prime, uneven)."""
+    from polylabel_rs_ray.pipelines.queries_ext170 import (
+        q_stream_alternation_runs,
+    )
+
+    base = _norm(q_stream_alternation_runs(SF, n_parts=1).to_pandas())
+    for P in (2, 5, 13):
+        got = _norm(q_stream_alternation_runs(SF, n_parts=P).to_pandas())
+        assert got.equals(base), P
+
+
+def test_runs_scalar_twin(ray_session, con):
+    """Global python merge + RLE from the raw tables."""
+    from polylabel_rs_ray.pipelines.queries_ext170 import (
+        SRC_ORDER, SRC_SHIP, q_stream_alternation_runs,
+    )
+
+    d = q_stream_alternation_runs(SF).to_pandas().set_index("src")
+    rows = con.execute("""
+        SELECT CAST(o_orderdate AS DATE) - DATE '1970-01-01' AS day,
+               0 AS sp, o_orderkey AS k1, 0 AS k2 FROM orders
+        UNION ALL
+        SELECT CAST(l_shipdate AS DATE) - DATE '1970-01-01', 1,
+               l_orderkey, l_linenumber FROM lineitem
+        ORDER BY 1, 2, 3, 4""").fetchall()
+    runs = []
+    for _, sp, _, _ in rows:
+        if runs and runs[-1][0] == sp:
+            runs[-1][1] += 1
+        else:
+            runs.append([sp, 1])
+    for sp, name in ((0, SRC_ORDER), (1, SRC_SHIP)):
+        rs = [ln for s, ln in runs if s == sp]
+        assert int(d.loc[name, "n_runs"]) == len(rs)
+        assert int(d.loc[name, "longest_run"]) == max(rs)
+        assert int(d.loc[name, "n_items"]) == sum(rs)
 
 
 def test_chaikin_matches_duckdb(ray_session, con):

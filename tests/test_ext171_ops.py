@@ -1,4 +1,4 @@
-"""Extension batch 171: morphological open/close."""
+"""Extension batch 171: morphological open/close + turning points."""
 
 import duckdb
 import numpy as np
@@ -82,3 +82,38 @@ def test_morph_sandwich_and_scipy_free_twin(ray_session):
         if 0 < x < n - 1 and 0 < y < n - 1:
             continue  # border cells exempt
     assert (occ & closed) <= closed
+
+
+def test_turning_points_match_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext171 import (
+        SQL_USER_TURNING_POINTS, q_user_turning_points,
+    )
+
+    d = q_user_turning_points(SF).to_pandas()
+    o = con.execute(SQL_USER_TURNING_POINTS).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+    assert (d["n_peaks"] > 0).any() and (d["n_troughs"] > 0).any()
+
+
+def test_turning_points_scalar_twin(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext171 import (
+        q_user_turning_points,
+    )
+
+    d = q_user_turning_points(SF).to_pandas().set_index("user_id")
+    raw = con.execute("""
+        SELECT user_id, CAST(ROUND(value*100) AS BIGINT) v
+        FROM events ORDER BY user_id, ts, event_id""").df()
+    for uid, grp in raw.groupby("user_id"):
+        v = grp["v"].tolist()
+        peaks = sum(1 for i in range(1, len(v) - 1)
+                    if v[i - 1] < v[i] > v[i + 1])
+        troughs = sum(1 for i in range(1, len(v) - 1)
+                      if v[i - 1] > v[i] < v[i + 1])
+        row = d.loc[uid]
+        assert int(row["n_events"]) == len(v)
+        assert int(row["n_peaks"]) == peaks
+        assert int(row["n_troughs"]) == troughs
+        # alternation: peak/trough counts differ by at most 1
+        assert abs(peaks - troughs) <= 1

@@ -1,4 +1,4 @@
-"""Extension batch 173: Zhang-Suen skeleton."""
+"""Extension batch 173: Zhang-Suen skeleton + Luhn check digits."""
 
 import duckdb
 import numpy as np
@@ -104,3 +104,51 @@ def test_skeleton_scalar_twin_and_properties(ray_session):
 
     # Zhang-Suen preserves 8-connectivity of components
     assert ncomp(cur) == ncomp(on)
+
+
+def test_luhn_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext173 import (
+        _sql_luhn_check_digits, q_luhn_check_digits,
+    )
+
+    d = q_luhn_check_digits(SF).to_pandas()
+    o = con.execute(_sql_luhn_check_digits()).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+    assert d["check_digit"].nunique() == 10  # all digits populated
+
+
+def test_luhn_known_vectors(ray_session):
+    """Published Luhn vectors: payload 7992739871 -> check digit 3, and
+    appending the digit makes the full number Luhn-valid."""
+    from polylabel_rs_ray.pipelines.queries_ext173 import LUHN_DIGITS
+
+    def check_digit(payload: int) -> int:
+        total = 0
+        for i in range(LUHN_DIGITS):
+            dd = (payload // 10 ** i) % 10
+            if i % 2 == 0:
+                dd *= 2
+                if dd > 9:
+                    dd -= 9
+            total += dd
+        return (10 - total % 10) % 10
+
+    assert check_digit(7992739871) == 3
+
+    def luhn_valid(number: int) -> bool:
+        total, i = 0, 0
+        while number or i < 2:
+            dd = number % 10
+            if i % 2 == 1:
+                dd *= 2
+                if dd > 9:
+                    dd -= 9
+            total += dd
+            number //= 10
+            i += 1
+        return total % 10 == 0
+
+    for payload in (7992739871, 123456789012 % 10 ** LUHN_DIGITS, 1, 0):
+        full = payload * 10 + check_digit(payload)
+        assert luhn_valid(full), payload

@@ -1,8 +1,9 @@
-"""Extension batch 175: SFE code lengths."""
+"""Extension batch 175: SFE code lengths + rank-biased overlap."""
 
 from fractions import Fraction
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -57,3 +58,43 @@ def test_sfe_kraft_and_definition(ray_session):
         # definitional cross-check (floats fine as a spot check)
         assert L == ceil(log2(N / c)) + 1 or c == N
         assert int(r.cost_bits) == c * L
+
+
+def test_rbo_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext175 import (
+        SQL_RANK_BIASED_OVERLAP, q_rank_biased_overlap,
+    )
+
+    d = q_rank_biased_overlap(SF).to_pandas()
+    o = con.execute(SQL_RANK_BIASED_OVERLAP).df()
+    assert len(d) == len(o) == 20
+    assert _norm(d).equals(_norm(o))
+
+
+def test_rbo_properties(ray_session, con):
+    """Overlap is monotone with |Δ| ≤ 1 per depth; terms replay from
+    overlaps exactly; the descaled total is a valid RBO in [0, 1] and
+    equals the Fraction recomputation from scratch rankings."""
+    from polylabel_rs_ray.pipelines.queries_ext175 import (
+        RBO_DEPTH, RBO_LCM, q_rank_biased_overlap,
+    )
+
+    d = q_rank_biased_overlap(SF).to_pandas().sort_values("d")
+    ov = d["overlap_d"].to_numpy()
+    assert (np.diff(ov) >= 0).all() and (np.diff(ov) <= 2).all()
+    assert ov[0] in (0, 1)
+    for r in d.itertuples():
+        assert int(r.term_scaled) == (RBO_LCM // int(r.d)) * \
+            (1 << (RBO_DEPTH - int(r.d))) * int(r.overlap_d)
+    ra = [x[0] for x in con.execute("""
+        SELECT p_partkey FROM part
+        ORDER BY CAST(ROUND(p_retailprice*100) AS BIGINT) DESC, p_partkey
+        LIMIT 20""").fetchall()]
+    rb = [x[0] for x in con.execute("""
+        SELECT p_partkey FROM part
+        ORDER BY p_size DESC, p_partkey LIMIT 20""").fetchall()]
+    rbo = sum(Fraction(len(set(ra[:k]) & set(rb[:k])), k * 2 ** k)
+              for k in range(1, RBO_DEPTH + 1))
+    scaled_total = int(d["term_scaled"].sum())
+    assert Fraction(scaled_total, RBO_LCM * 2 ** RBO_DEPTH) == rbo
+    assert 0 <= rbo <= 1

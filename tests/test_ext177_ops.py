@@ -1,4 +1,4 @@
-"""Extension batch 177: lattice Euler characteristic."""
+"""Extension batch 177: lattice Euler characteristic + bitonic length."""
 
 import duckdb
 import numpy as np
@@ -90,3 +90,45 @@ def test_euler_equals_components_minus_holes(ray_session):
     assert int(d["euler"]) == ncomp - holes
     assert int(d["n_cells"]) == len(on)
     # single-cell sanity is implied by the formula: V-E+F = 4-4+1
+
+
+def test_bitonic_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext177 import (
+        SQL_USER_BITONIC_LEN, q_user_bitonic_len,
+    )
+
+    d = q_user_bitonic_len(SF).to_pandas()
+    o = con.execute(SQL_USER_BITONIC_LEN).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_bitonic_vs_quadratic_dp(ray_session, con):
+    """O(n²) DP twin: rise[i]/fall[i] by direct maximization; also
+    bitonic ≥ both the plain LIS and plain LDS."""
+    from polylabel_rs_ray.pipelines.queries_ext177 import (
+        q_user_bitonic_len,
+    )
+
+    d = q_user_bitonic_len(SF).to_pandas().set_index("user_id")
+    raw = con.execute("""
+        SELECT user_id, CAST(ROUND(value*100) AS BIGINT) v
+        FROM events ORDER BY user_id, ts, event_id""").df()
+    for uid, grp in raw.groupby("user_id"):
+        v = grp["v"].to_numpy().astype(np.int64)
+        m = len(v)
+        rise = np.ones(m, dtype=np.int64)
+        fall = np.ones(m, dtype=np.int64)
+        for i in range(m):
+            mask = v[:i] < v[i]
+            if mask.any():
+                rise[i] = 1 + rise[:i][mask].max()
+        for i in range(m - 1, -1, -1):
+            mask = v[i + 1:] < v[i]
+            if mask.any():
+                fall[i] = 1 + fall[i + 1:][mask].max()
+        want = int((rise + fall - 1).max())
+        row = d.loc[uid]
+        assert int(row["bitonic_len"]) == want, uid
+        assert want >= int(rise.max()) and want >= int(fall.max())
+        assert int(row["n_events"]) == m

@@ -1,7 +1,9 @@
-"""Extension batch 178: quadtree census."""
+"""Extension batch 178: exact Markov stationary weights + quadtree census."""
 
+from fractions import Fraction
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -20,6 +22,47 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_stationary_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext178 import (
+        _sql_markov_stationary_exact, q_markov_stationary_exact,
+    )
+
+    d = q_markov_stationary_exact(SF).to_pandas()
+    o = con.execute(_sql_markov_stationary_exact()).df()
+    assert len(d) == len(o) == 5
+    assert _norm(d).equals(_norm(o))
+
+
+def test_stationary_is_stationary(ray_session, con):
+    """πP = π verified exactly with Fractions from the raw transition
+    counts; weights positive (irreducible chain)."""
+    from polylabel_rs_ray.pipelines.queries_ext178 import (
+        EVENT_TYPES, q_markov_stationary_exact,
+    )
+
+    d = q_markov_stationary_exact(SF).to_pandas().set_index("event_type")
+    w = {t: int(d.loc[t, "weight_str"]) for t in EVENT_TYPES}
+    assert all(x > 0 for x in w.values())
+    cnt = con.execute("""
+        WITH seq AS (SELECT user_id, event_type,
+               LEAD(event_type) OVER (PARTITION BY user_id
+                                      ORDER BY ts, event_id) nxt
+               FROM events)
+        SELECT event_type, nxt, COUNT(*) n FROM seq
+        WHERE nxt IS NOT NULL GROUP BY 1, 2""").df()
+    C = {(r.event_type, r.nxt): int(r.n) for r in cnt.itertuples()}
+    rows = {t: sum(C.get((t, u), 0) for u in EVENT_TYPES)
+            for t in EVENT_TYPES}
+    for t in EVENT_TYPES:
+        assert int(d.loc[t, "row_count"]) == rows[t]
+    total = sum(w.values())
+    pi = {t: Fraction(w[t], total) for t in EVENT_TYPES}
+    for v in EVENT_TYPES:
+        lhs = sum(pi[u] * Fraction(C.get((u, v), 0), rows[u])
+                  for u in EVENT_TYPES)
+        assert lhs == pi[v], v
 
 
 def test_quadtree_matches_duckdb(ray_session, con):

@@ -1,6 +1,7 @@
-"""Extension batch 181: Aho-Corasick links."""
+"""Extension batch 181: Aho-Corasick links + Fenwick nodes."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -56,3 +57,34 @@ def test_ac_definitional_properties(ray_session):
     # word flags: exactly the vocabulary
     for w in words:
         assert any(w == p for p in nodes)
+
+
+def test_fenwick_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext181 import (
+        SQL_FENWICK_NODES, q_fenwick_nodes,
+    )
+
+    d = q_fenwick_nodes(SF).to_pandas()
+    o = con.execute(SQL_FENWICK_NODES).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_fenwick_query_path(ray_session, con):
+    """Prefix sums via the parent chain (i -= lowbit) must equal the
+    direct cumulative counts for EVERY rank."""
+    from polylabel_rs_ray.pipelines.queries_ext181 import q_fenwick_nodes
+
+    d = q_fenwick_nodes(SF).to_pandas().sort_values("idx")
+    fen = np.r_[0, d["node_sum"].to_numpy().astype(np.int64)]
+    daily = con.execute("""
+        SELECT CAST(o_orderdate AS DATE) AS day, COUNT(*) AS n
+        FROM orders GROUP BY 1 ORDER BY 1""").df()
+    pref = np.r_[0, daily["n"].to_numpy().astype(np.int64).cumsum()]
+    D = len(daily)
+    for i in range(1, D + 1):
+        s, j = 0, i
+        while j > 0:
+            s += int(fen[j])
+            j -= j & (-j)
+        assert s == int(pref[i]), i

@@ -1,6 +1,7 @@
-"""Extension batch 182: document suffix array."""
+"""Extension batch 182: document suffix array + skip-list levels."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -56,3 +57,37 @@ def test_suffix_array_definition(ray_session, con):
     assert int(d["lcp_prev"].iloc[0]) == 0
     # suffix array is a permutation
     assert sorted(d["pos"]) == list(range(L))
+
+
+def test_skiplist_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext182 import (
+        SQL_SKIPLIST_LEVEL_HISTOGRAM, q_skiplist_level_histogram,
+    )
+
+    d = q_skiplist_level_histogram(SF).to_pandas()
+    o = con.execute(SQL_SKIPLIST_LEVEL_HISTOGRAM).df()
+    assert len(d) == len(o) > 3
+    assert _norm(d).equals(_norm(o))
+
+
+def test_skiplist_geometric_shape(ray_session, con):
+    """Mass identity, hashlib twin, and loose geometric decay: level-1
+    holds roughly half the keys."""
+    import hashlib
+
+    from polylabel_rs_ray.pipelines.queries_ext182 import (
+        q_skiplist_level_histogram,
+    )
+
+    d = q_skiplist_level_histogram(SF).to_pandas().set_index("level")
+    keys = con.execute("SELECT o_orderkey FROM orders").df()["o_orderkey"]
+    n = len(keys)
+    assert int(d["n_keys"].sum()) == n
+    want = {}
+    for k in keys:
+        h = int.from_bytes(
+            hashlib.md5(str(int(k)).encode()).digest()[8:], "little")
+        tz = (h & -h).bit_length() - 1 if h else 63
+        want[tz + 1] = want.get(tz + 1, 0) + 1
+    assert {int(k): int(v) for k, v in d["n_keys"].items()} == want
+    assert 0.4 < int(d["n_keys"].get(1, 0)) / n < 0.6

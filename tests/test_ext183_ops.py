@@ -1,6 +1,7 @@
-"""Extension batch 183: Burrows-Wheeler transform."""
+"""Extension batch 183: Burrows-Wheeler transform + Rice parameter scan."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -59,3 +60,36 @@ def test_bwt_invertible(ray_session, con):
         row = lf[row]
     recovered = "".join(reversed(out))
     assert recovered in text + text  # a cyclic rotation of text
+
+
+def test_rice_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext183 import (
+        SQL_RICE_PARAM_SCAN, q_rice_param_scan,
+    )
+
+    d = q_rice_param_scan(SF).to_pandas()
+    o = con.execute(SQL_RICE_PARAM_SCAN).df()
+    assert len(d) == len(o) == 16
+    assert _norm(d).equals(_norm(o))
+    assert int(d["is_best"].sum()) == 1
+
+
+def test_rice_cost_definition(ray_session, con):
+    """Scalar recount of the bit costs per k and the argmin flag; the
+    best k beats 64-bit fixed width."""
+    from polylabel_rs_ray.pipelines.queries_ext183 import (
+        RICE_MAX_K, q_rice_param_scan,
+    )
+
+    d = q_rice_param_scan(SF).to_pandas().sort_values("k")
+    days = sorted(r[0] for r in con.execute(
+        "SELECT DISTINCT CAST(o_orderdate AS DATE) - DATE '1970-01-01' "
+        "FROM orders").fetchall())
+    gaps = [b - a - 1 for a, b in zip(days, days[1:])]
+    for r in d.itertuples():
+        k = int(r.k)
+        want = sum((g >> k) + 1 + k for g in gaps)
+        assert int(r.total_bits) == want
+    best_row = d[d["is_best"] == 1].iloc[0]
+    assert int(best_row["total_bits"]) == int(d["total_bits"].min())
+    assert int(best_row["total_bits"]) < 64 * len(gaps)

@@ -1,4 +1,4 @@
-"""Extension batch 184: Hough line peaks."""
+"""Extension batch 184: Hough line peaks + zigzag varint cost."""
 
 import duckdb
 import numpy as np
@@ -49,3 +49,44 @@ def test_hough_collinearity(ray_session):
     for r in d.itertuples():
         n = int((proj[r.direction] == int(r.offset)).sum())
         assert n == int(r.n_cells) >= HOUGH_MIN
+
+
+def test_zigzag_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext184 import (
+        SQL_ZIGZAG_VARINT_COST, q_zigzag_varint_cost,
+    )
+
+    d = q_zigzag_varint_cost(SF).to_pandas()
+    o = con.execute(SQL_ZIGZAG_VARINT_COST).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_zigzag_scalar_twin(ray_session, con):
+    """Pure-Python protobuf-style zigzag + varint length per delta."""
+    from polylabel_rs_ray.pipelines.queries_ext184 import (
+        q_zigzag_varint_cost,
+    )
+
+    d = q_zigzag_varint_cost(SF).to_pandas()
+    daily = con.execute("""
+        SELECT SUM(CAST(ROUND(o_totalprice*100) AS BIGINT)) AS cents
+        FROM orders GROUP BY CAST(o_orderdate AS DATE)
+        ORDER BY CAST(o_orderdate AS DATE)""").df()
+    cents = daily["cents"].tolist()
+    want = {}
+    n_deltas = 0
+    for a, b in zip(cents, cents[1:]):
+        delta = int(b) - int(a)
+        z = (delta << 1) ^ (delta >> 63) if delta >= 0 else \
+            ((-delta) * 2 - 1)
+        # canonical: z = 2|d| - (d<0)
+        z = 2 * abs(delta) - (1 if delta < 0 else 0)
+        nb = max(1, -(-z.bit_length() // 7)) if z else 1
+        want[nb] = want.get(nb, 0) + 1
+        n_deltas += 1
+    got = dict(zip(d["n_bytes"].astype(int), d["n_deltas"].astype(int)))
+    assert got == want
+    assert int(d["n_deltas"].sum()) == n_deltas
+    for r in d.itertuples():
+        assert int(r.total_bytes) == int(r.n_bytes) * int(r.n_deltas)

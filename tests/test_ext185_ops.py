@@ -1,4 +1,4 @@
-"""Extension batch 185: percolation scan."""
+"""Extension batch 185: percolation scan + user h-index."""
 
 import duckdb
 import numpy as np
@@ -72,3 +72,32 @@ def test_percolation_monotonicity_and_bfs_twin(ray_session):
         top = [(x, 0) for x in range(n) if open_[x, 0]]
         assert int(r.crosses_lr) == crosses(left, lambda c: c[0] == n - 1)
         assert int(r.crosses_tb) == crosses(top, lambda c: c[1] == n - 1)
+
+
+def test_h_index_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext185 import (
+        SQL_USER_H_INDEX, q_user_h_index,
+    )
+
+    d = q_user_h_index(SF).to_pandas()
+    o = con.execute(SQL_USER_H_INDEX).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+    assert (d["h_index"] >= 1).all()
+
+
+def test_h_index_definition(ray_session, con):
+    """Definitional recheck: h is the LARGEST h with ≥h days of ≥h
+    events — both the attainment and the maximality side."""
+    from polylabel_rs_ray.pipelines.queries_ext185 import q_user_h_index
+
+    d = q_user_h_index(SF).to_pandas().set_index("user_id")
+    pd_counts = con.execute("""
+        SELECT user_id, COUNT(*) n FROM events
+        GROUP BY user_id, epoch_us(ts) // 86400000000""").df()
+    for uid, grp in pd_counts.groupby("user_id"):
+        counts = sorted(grp["n"].astype(int), reverse=True)
+        h = int(d.loc[uid, "h_index"])
+        assert sum(1 for c in counts if c >= h) >= h
+        assert sum(1 for c in counts if c >= h + 1) < h + 1
+        assert int(d.loc[uid, "n_days"]) == len(counts)

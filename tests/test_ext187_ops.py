@@ -1,6 +1,7 @@
-"""Extension batch 187: Z-function."""
+"""Extension batch 187: Z-function + RMQ sparse table."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -50,3 +51,42 @@ def test_z_definition(ray_session, con):
             while i + want < L and s[want] == s[i + want]:
                 want += 1
         assert int(d["z"].iloc[i]) == want, i
+
+
+def test_rmq_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext187 import (
+        _sql_rmq_sparse_table, q_rmq_sparse_table,
+    )
+
+    d = q_rmq_sparse_table(SF).to_pandas()
+    o = con.execute(_sql_rmq_sparse_table()).df()
+    assert len(d) == len(o) > 0
+    assert _norm(d).equals(_norm(o))
+
+
+def test_rmq_query_identity(ray_session, con):
+    """O(1) RMQ: for deterministic probe ranges, min(st[k][l],
+    st[k][r-2^k]) with k = floor(log2(len)) equals the direct min."""
+    from polylabel_rs_ray.pipelines.queries_ext187 import (
+        q_rmq_sparse_table,
+    )
+
+    d = q_rmq_sparse_table(SF).to_pandas()
+    st = {(int(r.k), int(r.idx)): int(r.node_min) for r in d.itertuples()}
+    daily = con.execute("""
+        SELECT SUM(CAST(ROUND(o_totalprice*100) AS BIGINT)) AS cents
+        FROM orders GROUP BY CAST(o_orderdate AS DATE)
+        ORDER BY CAST(o_orderdate AS DATE)""").df()
+    c = daily["cents"].to_numpy().astype(np.int64)
+    D = len(c)
+    # level-0 equals the series
+    for i in range(D):
+        assert st[(0, i)] == int(c[i])
+    probes = [(0, D), (1, D // 2), (D // 3, D - 1), (5, 6), (7, 100)]
+    for lo, hi in probes:
+        if hi <= lo:
+            continue
+        ln = hi - lo
+        k = ln.bit_length() - 1
+        got = min(st[(k, lo)], st[(k, hi - (1 << k))])
+        assert got == int(c[lo:hi].min()), (lo, hi)

@@ -1,6 +1,7 @@
-"""Extension batch 188: Lyndon factorization."""
+"""Extension batch 188: Lyndon factorization + LPT scheduling."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -56,3 +57,41 @@ def test_lyndon_properties(ray_session, con):
         assert int(r.start_pos) == pos
         assert len(r.factor) == int(r.factor_len)
         pos += int(r.factor_len)
+
+
+def test_lpt_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext188 import (
+        _sql_lpt_schedule, q_lpt_schedule,
+    )
+
+    d = q_lpt_schedule(SF).to_pandas()
+    o = con.execute(_sql_lpt_schedule()).df()
+    assert len(d) == len(o) == 7
+    assert _norm(d).equals(_norm(o))
+
+
+def test_lpt_greedy_and_bound(ray_session, con):
+    """Scalar greedy replay; mass identity; 4/3-approximation against
+    the lower bounds max(job_max, ceil(total/machines))."""
+    from polylabel_rs_ray.pipelines.queries_ext188 import (
+        LPT_JOBS, LPT_MACHINES, q_lpt_schedule,
+    )
+
+    d = q_lpt_schedule(SF).to_pandas().sort_values("machine")
+    jobs = [int(r[0]) for r in con.execute(f"""
+        SELECT CAST(ROUND(p_retailprice*100) AS BIGINT) c FROM part
+        ORDER BY c DESC, p_partkey LIMIT {LPT_JOBS}""").fetchall()]
+    loads = [0] * LPT_MACHINES
+    counts = [0] * LPT_MACHINES
+    for c in jobs:
+        m = min(range(LPT_MACHINES), key=lambda i: (loads[i], i))
+        loads[m] += c
+        counts[m] += 1
+    assert d["load_cents"].tolist() == loads
+    assert d["n_jobs"].tolist() == counts
+    assert int(d["load_cents"].sum()) == sum(jobs)
+    assert int(d["n_jobs"].sum()) == LPT_JOBS
+    makespan = int(d["load_cents"].max())
+    lb = max(max(jobs), -(-sum(jobs) // LPT_MACHINES))
+    assert makespan <= (4 * lb) // 3 + max(jobs)  # loose 4/3-style bound
+    assert makespan >= lb

@@ -1,4 +1,4 @@
-"""Extension batch 190: tile 3-NN profile."""
+"""Extension batch 190: tile 3-NN profile + SPF histogram."""
 
 import duckdb
 import numpy as np
@@ -51,3 +51,44 @@ def test_knn3_scalar_twin(ray_session):
                     for (u, v) in cells if (u, v) != (x, y))
         assert got[(int(x), int(y))] == ds[KNN_K - 1]
         assert ds[KNN_K - 1] >= ds[0]
+
+
+def test_spf_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext190 import (
+        _sql_orderkey_spf_histogram, q_orderkey_spf_histogram,
+    )
+
+    d = q_orderkey_spf_histogram(SF).to_pandas()
+    o = con.execute(_sql_orderkey_spf_histogram()).df()
+    assert len(d) == len(o) > 10
+    assert _norm(d).equals(_norm(o))
+
+
+def test_spf_number_theory(ray_session, con):
+    """Scalar sympy-free recheck, density identities: spf=2 is every
+    second key (keys are the dense 2..N+1 range), spf values are prime,
+    masses sum to the order count."""
+    from polylabel_rs_ray.pipelines.queries_ext190 import (
+        SPF_PROBE_MAX, q_orderkey_spf_histogram,
+    )
+
+    d = q_orderkey_spf_histogram(SF).to_pandas().set_index("spf")
+    keys = [int(r[0]) + 2 for r in con.execute(
+        "SELECT o_orderkey FROM orders").fetchall()]
+    want = {}
+    for k in keys:
+        s = 0
+        for p in range(2, SPF_PROBE_MAX):
+            if all(p % q for q in range(2, int(p ** 0.5) + 1)) \
+                    and k % p == 0:
+                s = p
+                break
+        want[s] = want.get(s, 0) + 1
+    assert {int(i): int(v) for i, v in d["n_keys"].items()} == want
+    assert int(d["n_keys"].sum()) == len(keys)
+    n = len(keys)
+    assert abs(int(d["n_keys"].get(2, 0)) - n // 2) <= 1  # dense range
+    for s in d.index:
+        s = int(s)
+        if s:
+            assert all(s % q for q in range(2, int(s ** 0.5) + 1))

@@ -1,4 +1,4 @@
-"""Extension batch 192: tile gradient histogram."""
+"""Extension batch 192: ABC classification + tile gradient histogram."""
 
 import duckdb
 import numpy as np
@@ -20,6 +20,54 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_abc_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext192 import (
+        SQL_ABC_CLASSIFICATION, q_abc_classification,
+    )
+
+    d = q_abc_classification(SF).to_pandas()
+    o = con.execute(SQL_ABC_CLASSIFICATION).df()
+    assert len(d) == len(o) == 3
+    assert _norm(d).equals(_norm(o))
+
+
+def test_abc_scalar_replay(ray_session, con):
+    """Scalar cumulative walk over the ranked part revenues and mass
+    identities.  (No Pareto-SHAPE assertion: this synthetic corpus has
+    near-uniform part revenues, so class A holds ~70% of the parts as
+    well as ~70% of the mass — the classifier is exact either way.)"""
+    from polylabel_rs_ray.pipelines.queries_ext192 import (
+        ABC_A_NUM, ABC_B_NUM, ABC_DEN, q_abc_classification,
+    )
+
+    d = q_abc_classification(SF).to_pandas().set_index("abc_class")
+    per = con.execute("""
+        SELECT SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT)) rev
+        FROM lineitem GROUP BY l_partkey
+        ORDER BY rev DESC, l_partkey""").df()
+    rev = per["rev"].astype(int).tolist()
+    total = sum(rev)
+    cum = 0
+    want = {"A": [0, 0], "B": [0, 0], "C": [0, 0]}
+    for r in rev:
+        cum += r
+        cls = "A" if ABC_DEN * cum <= ABC_A_NUM * total else \
+            "B" if ABC_DEN * cum <= ABC_B_NUM * total else "C"
+        want[cls][0] += 1
+        want[cls][1] += r
+    for cls in ("A", "B", "C"):
+        assert int(d.loc[cls, "n_parts"]) == want[cls][0]
+        assert int(d.loc[cls, "revenue_cents"]) == want[cls][1]
+    assert int(d["revenue_cents"].sum()) == total
+    assert int(d["n_parts"].sum()) == len(rev)
+    assert int(d.loc["A", "revenue_cents"]) > \
+        int(d.loc["C", "revenue_cents"])
+    # A's share really is <= 70% and A+B's <= 90% (boundary predicates)
+    assert 10 * int(d.loc["A", "revenue_cents"]) <= 7 * total
+    assert 10 * (int(d.loc["A", "revenue_cents"])
+                 + int(d.loc["B", "revenue_cents"])) <= 9 * total
 
 
 def test_gradient_matches_duckdb(ray_session, con):

@@ -1,5 +1,6 @@
-"""Extension batch 194: facility location."""
+"""Extension batch 194: facility location + bullwhip moments."""
 
+from fractions import Fraction
 
 import duckdb
 import numpy as np
@@ -57,3 +58,48 @@ def test_facility_optimality(ray_session):
                 if seen_best is None or cand < seen_best:
                     seen_best = cand
         assert best == seen_best, obj
+
+
+def test_bullwhip_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext194 import (
+        SQL_BULLWHIP_MOMENTS, q_bullwhip_moments,
+    )
+
+    d = q_bullwhip_moments(SF).to_pandas()
+    o = con.execute(SQL_BULLWHIP_MOMENTS).df()
+    assert len(d) == len(o) == 2
+    assert _norm(d).equals(_norm(o))
+
+
+def test_bullwhip_ratio_exact(ray_session, con):
+    """Moments replayed from raw weekly counts; the variance ratio as an
+    exact Fraction; totals reconcile with raw row counts."""
+    from polylabel_rs_ray.pipelines.queries_ext194 import (
+        q_bullwhip_moments,
+    )
+
+    d = q_bullwhip_moments(SF).to_pandas().set_index("series")
+    for series, sql in (
+        ("orders", "SELECT (CAST(o_orderdate AS DATE) - DATE "
+                   "'1970-01-01')//7 w, COUNT(*) n FROM orders GROUP "
+                   "BY 1"),
+        ("ships", "SELECT (CAST(l_shipdate AS DATE) - DATE "
+                  "'1970-01-01')//7 w, COUNT(*) n FROM lineitem GROUP "
+                  "BY 1"),
+    ):
+        wk = con.execute(sql).df()
+        x = wk["n"].astype(int).tolist()
+        n = len(x)
+        s1, s2 = sum(x), sum(v * v for v in x)
+        row = d.loc[series]
+        assert int(row["n_weeks"]) == n
+        assert int(row["total"]) == s1
+        assert int(row["ssd_scaled"]) == n * s2 - s1 * s1
+    # variance ratio: Var = ssd / n^2; exact rational comparison
+    vo = Fraction(int(d.loc["orders", "ssd_scaled"]),
+                  int(d.loc["orders", "n_weeks"]) ** 2)
+    vs = Fraction(int(d.loc["ships", "ssd_scaled"]),
+                  int(d.loc["ships", "n_weeks"]) ** 2)
+    assert vo > 0 and vs > 0
+    ratio = vs / vo  # shipments amplify order variance (or not) —
+    assert ratio > 0  # existence; the magnitude is data, not contract

@@ -1,4 +1,4 @@
-"""Extension batch 197: max-sum submatrix."""
+"""Extension batch 197: max-sum submatrix + Josephus survivor."""
 
 import duckdb
 import numpy as np
@@ -63,3 +63,39 @@ def test_submatrix_brute_force(ray_session):
     assert int(d["best_sum"]) > 0  # zero-sum transform: full grid = 0
     assert (int(d["x1"]) - int(d["x0"]) + 1) * \
         (int(d["y1"]) - int(d["y0"]) + 1) < n * n
+
+
+def test_josephus_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext197 import (
+        SQL_JOSEPHUS_SURVIVOR, q_josephus_survivor,
+    )
+
+    d = q_josephus_survivor(SF).to_pandas()
+    o = con.execute(SQL_JOSEPHUS_SURVIVOR).df()
+    assert len(d) == len(o) == 1
+    assert _norm(d).equals(_norm(o))
+
+
+def test_josephus_simulation(ray_session, con):
+    """Direct circle-elimination simulation with a list, plus the known
+    textbook instance J(7, k=3) = position 3 (0-based)."""
+    from polylabel_rs_ray.pipelines.queries_ext197 import (
+        JOSEPHUS_K, q_josephus_survivor,
+    )
+
+    def simulate(n, k):
+        people = list(range(n))
+        idx = 0
+        while len(people) > 1:
+            idx = (idx + k - 1) % len(people)
+            people.pop(idx)
+        return people[0]
+
+    assert simulate(7, 3) == 3  # classic textbook value
+
+    d = q_josephus_survivor(SF).to_pandas().iloc[0]
+    n = int(d["n_users"])
+    assert int(d["survivor_pos"]) == simulate(n, JOSEPHUS_K)
+    roster = sorted(r[0] for r in con.execute(
+        "SELECT DISTINCT user_id FROM events").fetchall())
+    assert int(d["survivor_user_id"]) == roster[int(d["survivor_pos"])]

@@ -1,4 +1,4 @@
-"""Extension batch 199: perimeter census."""
+"""Extension batch 199: perimeter census + digital roots."""
 
 import duckdb
 import numpy as np
@@ -55,3 +55,41 @@ def test_perimeter_handshake_identity(ray_session):
                         or not (0 <= x + dx < n and 0 <= y + dy < n)
                         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))))
     assert int(d["n_border"]) == border
+
+
+def test_droot_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext199 import (
+        _sql_orderkey_digital_root, q_orderkey_digital_root,
+    )
+
+    d = q_orderkey_digital_root(SF).to_pandas()
+    o = con.execute(_sql_orderkey_digital_root()).df()
+    assert len(d) == len(o) == 10  # 0 plus 1..9 (key 0 exists)
+    assert _norm(d).equals(_norm(o))
+
+
+def test_droot_definition_and_uniformity(ray_session, con):
+    """Iterated digit-sum scalar twin, closed-form identity, and
+    near-uniform masses over the dense key range."""
+    from polylabel_rs_ray.pipelines.queries_ext199 import (
+        q_orderkey_digital_root,
+    )
+
+    d = q_orderkey_digital_root(SF).to_pandas().set_index("droot")
+    keys = [int(r[0]) for r in con.execute(
+        "SELECT o_orderkey FROM orders").fetchall()]
+
+    def droot(k):
+        while k >= 10:
+            k = sum(int(c) for c in str(k))
+        return k
+
+    want = {}
+    for k in keys:
+        want[droot(k)] = want.get(droot(k), 0) + 1
+    assert {int(i): int(v) for i, v in d["n_keys"].items()} == want
+    for k in keys[:200]:
+        assert droot(k) == (0 if k == 0 else 1 + (k - 1) % 9)
+    n = len(keys)
+    for cls in range(1, 10):
+        assert abs(int(d["n_keys"].get(cls, 0)) - n // 9) <= n // 90 + 2

@@ -1,11 +1,13 @@
 """Extension operators batch 3 (queries_ext2): bit-equal to their DuckDB
-oracles at sf0.001 plus semantic invariants, and a synthetic-input test
-for the path the random corpus never exercises (planted contamination)."""
+oracles at sf0.001 plus semantic invariants, and synthetic-input tests for
+the paths the random corpus never exercises (planted contamination, RANGE
+window ts-peers)."""
 
 import os
 
 import duckdb
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -91,6 +93,93 @@ def test_contamination_check_planted(ray_session, tmp_path):
     assert not d.loc[~planted, "contaminated"].any()
 
 
+def test_time_window_avg_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext2 import (
+        SQL_TIME_WINDOW_AVG,
+        q_time_window_avg,
+    )
+
+    d = _compare(q_time_window_avg, SQL_TIME_WINDOW_AVG, con)
+    assert (d["w_n"] >= 1).all()  # window always includes the row itself
+    np.testing.assert_array_equal(
+        d["w_avg"].to_numpy(),
+        d["w_sum_cents"].to_numpy() / (d["w_n"].to_numpy() * 100),
+    )
+
+
+def test_time_window_avg_ts_peers(ray_session, tmp_path):
+    """RANGE semantics: rows sharing a timestamp are window peers — all of
+    them (even 'later' event_ids) count in each other's window.  The
+    random events table has distinct timestamps, so craft duplicates."""
+    from polylabel_rs_ray.pipelines.queries_ext2 import (
+        SQL_TIME_WINDOW_AVG,
+        q_time_window_avg,
+    )
+
+    base = np.datetime64("2024-01-01T00:00:00", "us")
+    rows = []
+    eid = 0
+    for uid in (1, 2):
+        for off_min, val in [(0, 1.0), (0, 2.0), (0, 4.0), (30, 8.0), (30, 16.0),
+                             (61, 32.0), (90, 64.0), (200, 1.28)]:
+            rows.append({
+                "event_id": eid,
+                "ts": (base + np.timedelta64(off_min * 60 + uid, "s")).item(),
+                "user_id": uid,
+                "value": val,
+            })
+            eid += 1
+    tbl = pa.Table.from_pylist(rows).cast(
+        pa.schema([
+            ("event_id", pa.int64()),
+            ("ts", pa.timestamp("us")),
+            ("user_id", pa.int64()),
+            ("value", pa.float64()),
+        ])
+    )
+    pq.write_table(tbl, os.path.join(tmp_path, "events.parquet"))
+
+    d = (
+        q_time_window_avg(str(tmp_path), n_parts=2)
+        .to_pandas()
+        .sort_values("event_id")
+        .reset_index(drop=True)
+    )
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW events AS SELECT * FROM '{tmp_path}/events.parquet'")
+    o = con.execute(SQL_TIME_WINDOW_AVG).df().sort_values("event_id")
+    assert d.equals(
+        o[d.columns].astype(d.dtypes.to_dict()).reset_index(drop=True)
+    )
+    # the three ts-peers at offset 0 each see all three values (1+2+4)
+    peers = d[d["event_id"].isin([0, 1, 2])]
+    assert (peers["w_n"] == 3).all() and (peers["w_sum_cents"] == 700).all()
+    # offset 61 min: the offset-0 peers have aged out, offset-30 remain
+    r61 = d[d["event_id"] == 5].iloc[0]
+    assert r61["w_n"] == 3 and r61["w_sum_cents"] == (800 + 1600 + 3200)
+
+
+def test_rank_ntile_match_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext2 import (
+        NTILE_N,
+        SQL_NTILE_VALUES,
+        SQL_PRIORITY_RANK,
+        q_ntile_values,
+        q_priority_rank,
+    )
+
+    r = _compare(q_priority_rank, SQL_PRIORITY_RANK, con)
+    assert (r["drnk"] <= r["rnk"]).all()  # dense rank never exceeds rank
+    # within a (customer, priority) run every row shares both ranks
+    g = r.groupby(["o_custkey", "o_orderpriority"])[["rnk", "drnk"]].nunique()
+    assert (g == 1).all().all()
+
+    t = _compare(q_ntile_values, SQL_NTILE_VALUES, con)
+    sizes = t["tile"].value_counts()
+    assert set(sizes.index) == set(range(1, NTILE_N + 1))
+    assert sizes.max() - sizes.min() <= 1  # NTILE balance invariant
+
+
 def test_tfidf_top_terms_matches_duckdb(ray_session, con):
     from polylabel_rs_ray.pipelines.queries_ext2 import (
         TFIDF_DF_MIN,
@@ -126,6 +215,41 @@ def test_tfidf_dist_matches_broadcast_and_duckdb(ray_session, con):
     assert sorted(b.columns) == cols
     b = b[cols].sort_values(cols).reset_index(drop=True)
     assert d.equals(b)
+
+
+def test_gapfill_semi_paths_match_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext2 import (
+        SQL_BIG_SPENDERS,
+        SQL_EVENT_PATH_TRIGRAMS,
+        SQL_USER_HOUR_GAPFILL,
+        q_big_spenders,
+        q_event_path_trigrams,
+        q_user_hour_gapfill,
+    )
+
+    g = _compare(q_user_hour_gapfill, SQL_USER_HOUR_GAPFILL, con)
+    # dense hours: per user, hr is exactly [min..max] with no gaps
+    spans = g.groupby("user_id")["hr"].agg(["min", "max", "size"])
+    assert (spans["size"] == spans["max"] - spans["min"] + 1).all()
+    # zero-filled rows exist (the op is pointless otherwise)
+    assert (g["n_events"] == 0).any()
+    # total preserved
+    n_events = con.execute("SELECT COUNT(*) FROM events").fetchone()[0]
+    assert g["n_events"].sum() == n_events
+
+    s = _compare(q_big_spenders, SQL_BIG_SPENDERS, con)
+    assert s["c_custkey"].is_unique
+
+    p = _compare(q_event_path_trigrams, SQL_EVENT_PATH_TRIGRAMS, con)
+    assert len(p) == 20 and (p["n"] >= 1).all()
+    assert p["path"].str.count(" > ").eq(2).all()
+    # genuinely the top-20: no excluded path outcounts the kept minimum
+    full = con.execute(
+        SQL_EVENT_PATH_TRIGRAMS.replace("LIMIT 20", "LIMIT 100000")
+    ).df()
+    excluded = full[~full["path"].isin(p["path"])]
+    if len(excluded):
+        assert excluded["n"].max() <= p["n"].min()
 
 
 def test_tokens_flat_parity():

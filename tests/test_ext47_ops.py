@@ -1,4 +1,4 @@
-"""Extension batch 47: audio loudness moments."""
+"""Extension batches 47-48: audio loudness moments + diversity index."""
 
 import duckdb
 import numpy as np
@@ -54,3 +54,36 @@ def test_rms_extractor_on_synthetic_wave(ray_session):
     assert out.column("peak_amp")[0].as_py() == 12
     assert out.column("sumsq")[0].as_py() == 9 + 16 + 0 + 144 + 49
     assert out.column("rms")[0].as_py() == float(np.sqrt(218.0 / 5.0))
+
+
+def test_type_diversity_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext48 import (
+        SQL_TYPE_DIVERSITY_PER_USER, q_type_diversity_per_user,
+    )
+
+    d = _sorted(q_type_diversity_per_user(SF).to_pandas())
+    o = con.execute(SQL_TYPE_DIVERSITY_PER_USER).df()
+    o = _sorted(o.astype(d.dtypes.to_dict()))
+    assert len(d) == len(o) > 0
+    assert d.equals(o)
+
+
+def test_type_diversity_semantics(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext48 import (
+        q_type_diversity_per_user,
+    )
+
+    df = q_type_diversity_per_user(SF).to_pandas()
+    n_users = con.execute("SELECT COUNT(DISTINCT user_id) FROM events").fetchone()[0]
+    assert len(df) == n_users
+    # identity: simpson == 0 iff single type; bounded by 1 - 1/n_types
+    assert (df["simpson"] >= 0).all()
+    single = df[df["n_types"] == 1]
+    assert (single["simpson"] == 0).all() or len(single) == 0
+    multi = df[df["n_types"] > 1]
+    assert (multi["simpson"] > 0).all()
+    assert (df["simpson"] <= 1 - 1.0 / df["n_types"] + 1e-15).all()
+    # partition invariance
+    a = _sorted(q_type_diversity_per_user(SF, n_parts=1).to_pandas())
+    b = _sorted(q_type_diversity_per_user(SF, n_parts=6).to_pandas())
+    assert a.equals(b)

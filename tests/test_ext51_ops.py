@@ -1,6 +1,7 @@
-"""Extension batch 52: quadkey tiles."""
+"""Extension batches 51-52: RFM segmentation + quadkey tiles."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -17,6 +18,35 @@ def con():
 def _sorted(df):
     cols = sorted(df.columns)
     return df[cols].sort_values(cols).reset_index(drop=True)
+
+
+def test_user_rfm_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext51 import (
+        SQL_USER_RFM_SEGMENTS, q_user_rfm_segments,
+    )
+
+    d = _sorted(q_user_rfm_segments(SF).to_pandas())
+    o = con.execute(SQL_USER_RFM_SEGMENTS).df()
+    o = _sorted(o.astype(d.dtypes.to_dict()))
+    assert len(d) == len(o) > 0
+    assert d.equals(o)
+
+
+def test_user_rfm_semantics(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext51 import q_user_rfm_segments
+
+    df = q_user_rfm_segments(SF).to_pandas()
+    n_users = con.execute(
+        "SELECT COUNT(DISTINCT user_id) FROM events"
+    ).fetchone()[0]
+    assert len(df) == n_users
+    assert (df["recency_days"] >= 0).all()
+    assert (df["r_band"] == df["recency_days"] // 30).all()
+    assert (df["f_band"] == df["n_events"] // 10).all()
+    assert (df["m_band"] == df["spend_cents"] // 100_000).all()
+    sizes = df.groupby(["r_band", "f_band", "m_band"]).size()
+    for key, g in df.groupby(["r_band", "f_band", "m_band"]):
+        assert (g["cohort_n"] == sizes.loc[key]).all()
 
 
 def test_quadkey_tiles_matches_duckdb(ray_session, con):

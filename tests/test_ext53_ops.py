@@ -1,6 +1,8 @@
-"""Extension batch 54: grouped top-k terms."""
+"""Extension batches 53-54: Markov transitions, degree histogram,
+grouped top-k terms."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -17,6 +19,58 @@ def con():
 def _sorted(df):
     cols = sorted(df.columns)
     return df[cols].sort_values(cols).reset_index(drop=True)
+
+
+def test_transition_matrix_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext53 import (
+        SQL_TYPE_TRANSITION_MATRIX, q_type_transition_matrix,
+    )
+
+    d = _sorted(q_type_transition_matrix(SF).to_pandas())
+    o = con.execute(SQL_TYPE_TRANSITION_MATRIX).df()
+    o = _sorted(o.astype(d.dtypes.to_dict()))
+    assert len(d) == len(o) > 0
+    assert d.equals(o)
+
+
+def test_transition_matrix_is_stochastic(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext53 import (
+        q_type_transition_matrix,
+    )
+
+    df = q_type_transition_matrix(SF).to_pandas()
+    # each source row's probabilities sum to 1 and counts to the row total
+    for prev, g in df.groupby("prev_type"):
+        assert g["n"].sum() == g["row_total"].iloc[0]
+        assert np.isclose(g["p"].sum(), 1.0, atol=1e-12)
+    # total transitions == events - users (each user contributes len-1)
+    tot = con.execute(
+        "SELECT COUNT(*) - COUNT(DISTINCT user_id) FROM events"
+    ).fetchone()[0]
+    assert df["n"].sum() == tot
+    # partition invariance
+    a = _sorted(q_type_transition_matrix(SF, n_parts=1).to_pandas())
+    b = _sorted(q_type_transition_matrix(SF, n_parts=7).to_pandas())
+    assert a.equals(b)
+
+
+def test_degree_histogram_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext54 import (
+        SQL_DEGREE_HISTOGRAM, q_degree_histogram,
+    )
+
+    d = _sorted(q_degree_histogram(SF).to_pandas())
+    o = con.execute(SQL_DEGREE_HISTOGRAM).df()
+    o = _sorted(o.astype(d.dtypes.to_dict()))
+    assert len(d) == len(o) > 0
+    assert d.equals(o)
+    # handshake identity: sum(degree * n_nodes) == 2 * |E|
+    n_edges = con.execute(
+        "SELECT COUNT(*) FROM (SELECT DISTINCT a.l_partkey, b.l_partkey "
+        "FROM lineitem a JOIN lineitem b ON a.l_orderkey = b.l_orderkey "
+        "AND a.l_partkey < b.l_partkey)"
+    ).fetchone()[0]
+    assert (d["degree"] * d["n_nodes"]).sum() == 2 * n_edges
 
 
 def test_top_terms_per_lang_matches_duckdb(ray_session, con):

@@ -1,6 +1,7 @@
-"""Extension batch 57: convexity ratio."""
+"""Extension batch 57: convexity ratio + trailing-window revenue."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -44,3 +45,31 @@ def test_convexity_semantics(ray_session):
     assert 0.0 in vals          # degenerate fixtures
     assert 1.0 in vals          # convex square
     assert any(0.0 < v < 1.0 for v in vals)  # the concave L
+
+
+def test_daily_revenue_7d_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext57 import (
+        SQL_DAILY_REVENUE_7D, q_daily_revenue_7d,
+    )
+
+    d = _sorted(q_daily_revenue_7d(SF).to_pandas())
+    o = con.execute(SQL_DAILY_REVENUE_7D).df()
+    o = _sorted(o.astype(d.dtypes.to_dict()))
+    assert len(d) == len(o) > 0
+    assert d.equals(o)
+
+
+def test_daily_revenue_7d_brute_force(ray_session):
+    from polylabel_rs_ray.pipelines.queries_ext57 import (
+        WINDOW_DAYS, q_daily_revenue_7d,
+    )
+
+    df = q_daily_revenue_7d(SF).to_pandas().sort_values("day").reset_index(drop=True)
+    days = df["day"].to_numpy()
+    rev = df["rev_cents"].to_numpy()
+    for i in range(len(df)):
+        window = rev[(days > days[i] - WINDOW_DAYS) & (days <= days[i])].sum()
+        assert window == df["rev_7d_cents"].iloc[i]
+    # trailing sum >= the day's own revenue, equals it on the first day
+    assert df["rev_7d_cents"].iloc[0] == df["rev_cents"].iloc[0]
+    assert (df["rev_7d_cents"] >= df["rev_cents"]).all()

@@ -164,3 +164,13 @@ def test_mg_partial_bounds_candidates():
     dec = counts[order[MG_CAPACITY]]
     est = counts[order[:MG_CAPACITY]] - dec
     assert (est >= 0).all() and len(est) <= MG_CAPACITY
+
+
+def test_scrub_props_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext5 import (
+        SQL_SCRUB_PROPS,
+        q_scrub_props,
+    )
+
+    s = _compare(q_scrub_props, SQL_SCRUB_PROPS, con)
+    assert not s["props_scrubbed"].str.contains(r"\d").any()

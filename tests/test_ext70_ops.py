@@ -1,4 +1,4 @@
-"""Extension batch 70: raster local maxima."""
+"""Extension batch 70: bitmask containment join + raster local maxima."""
 
 import duckdb
 import pytest
@@ -19,6 +19,43 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_containment_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext70 import (
+        SQL_TYPESET_CONTAINMENT_PAIRS, q_typeset_containment_pairs,
+    )
+
+    d = q_typeset_containment_pairs(SF)
+    o = con.execute(SQL_TYPESET_CONTAINMENT_PAIRS).df()
+    assert len(d) == len(o) >= 1
+    assert _norm(d).equals(_norm(o))
+
+
+def test_containment_is_strict_subset(ray_session):
+    from polylabel_rs_ray.pipelines.queries_ext70 import (
+        q_typeset_containment_pairs,
+    )
+
+    d = q_typeset_containment_pairs(SF)
+    for _, r in d.iterrows():
+        a, b = int(r["mask_a"]), int(r["mask_b"])
+        assert a != b and (a & b) == a
+        assert r["n_pairs"] >= 1
+
+
+def test_containment_transitivity(ray_session):
+    """If (a ⊂ b) and (b ⊂ c) appear, (a ⊂ c) must appear too."""
+    from polylabel_rs_ray.pipelines.queries_ext70 import (
+        q_typeset_containment_pairs,
+    )
+
+    d = q_typeset_containment_pairs(SF)
+    pairs = set(zip(d["mask_a"].astype(int), d["mask_b"].astype(int)))
+    for a, b in pairs:
+        for b2, c in pairs:
+            if b2 == b:
+                assert (a, c) in pairs
 
 
 def test_local_maxima_matches_oracle(ray_session, con):

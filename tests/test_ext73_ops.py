@@ -1,4 +1,4 @@
-"""Extension batch 73: minimum enclosing circle."""
+"""Extension batch 73: minimum enclosing circle + cumulative unique users."""
 
 import duckdb
 import numpy as np
@@ -68,3 +68,19 @@ def test_mec_collinear_points():
     cx, cy, rsq = _welzl(line)
     assert (cx, cy) == (1.5, 1.5)
     assert rsq == pytest.approx(4.5)
+
+
+def test_cumulative_users_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext73 import (
+        SQL_CUMULATIVE_UNIQUE_USERS, q_cumulative_unique_users,
+    )
+
+    d = q_cumulative_unique_users(SF)
+    o = con.execute(SQL_CUMULATIVE_UNIQUE_USERS).df()
+    assert len(d) == len(o) >= 1
+    assert _norm(d).equals(_norm(o))
+    # final cumulative equals the total distinct user count
+    total = con.execute(
+        "SELECT COUNT(DISTINCT user_id) FROM events").fetchone()[0]
+    assert int(d["cum_users"].iloc[-1]) == total
+    assert (d["new_users"] >= 1).all()

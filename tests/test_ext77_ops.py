@@ -1,4 +1,4 @@
-"""Extension batch 77: l-diversity audit."""
+"""Extension batch 77: banded theta self-join + l-diversity audit."""
 
 import duckdb
 import pytest
@@ -19,6 +19,42 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_burst_pairs_match_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext77 import (
+        SQL_ORDER_BURST_PAIRS, q_order_burst_pairs,
+    )
+
+    d = q_order_burst_pairs(SF).to_pandas()
+    o = con.execute(SQL_ORDER_BURST_PAIRS).df()
+    assert len(d) == len(o) >= 1
+    assert _norm(d).equals(_norm(o))
+
+
+def test_burst_pairs_partition_invariance(ray_session):
+    from polylabel_rs_ray.pipelines.queries_ext77 import q_order_burst_pairs
+
+    a = _norm(q_order_burst_pairs(SF, n_parts=1).to_pandas())
+    b = _norm(q_order_burst_pairs(SF, n_parts=7).to_pandas())
+    assert a.equals(b)
+
+
+def test_burst_pairs_brute_force_one_user(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext77 import (
+        BURST_WINDOW_US, q_order_burst_pairs,
+    )
+
+    d = q_order_burst_pairs(SF).to_pandas()
+    uid = int(d["c_custkey"].iloc[0])
+    ts = con.execute(
+        f"SELECT CAST(epoch_us(o_orderdate) AS BIGINT) AS t FROM orders "
+        f"WHERE o_custkey = {uid} ORDER BY t").df()["t"].tolist()
+    pairs = [(a, b) for i, a in enumerate(ts) for b in ts[i + 1:]
+             if 0 < b - a <= BURST_WINDOW_US]
+    row = d[d["c_custkey"] == uid].iloc[0]
+    assert int(row["n_burst_pairs"]) == len(pairs)
+    assert int(row["min_gap_us"]) == min(b - a for a, b in pairs)
 
 
 def test_l_diversity_matches_duckdb(ray_session, con):

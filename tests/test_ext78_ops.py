@@ -1,4 +1,4 @@
-"""Extension batch 78: edge orientation spectrum."""
+"""Extension batch 78: distributed RLE stats + edge orientation spectrum."""
 
 import duckdb
 import numpy as np
@@ -20,6 +20,37 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_rle_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext78 import (
+        SQL_RETURNFLAG_RLE_STATS, q_returnflag_rle_stats,
+    )
+
+    d = q_returnflag_rle_stats(SF)
+    o = con.execute(SQL_RETURNFLAG_RLE_STATS).df()
+    assert len(d) == len(o) == 1
+    assert _norm(d).equals(_norm(o))
+
+
+def test_rle_partition_invariance_exercises_stitching(ray_session):
+    """1, 3, and 32 partitions must agree — boundary runs merge exactly."""
+    from polylabel_rs_ray.pipelines.queries_ext78 import q_returnflag_rle_stats
+
+    a = _norm(q_returnflag_rle_stats(SF, n_parts=1))
+    b = _norm(q_returnflag_rle_stats(SF, n_parts=3))
+    c = _norm(q_returnflag_rle_stats(SF, n_parts=32))
+    assert a.equals(b) and b.equals(c)
+
+
+def test_rle_bounds(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext78 import q_returnflag_rle_stats
+
+    d = q_returnflag_rle_stats(SF).iloc[0]
+    n_vals = con.execute(
+        "SELECT COUNT(DISTINCT l_returnflag) FROM lineitem").fetchone()[0]
+    assert n_vals <= d["n_runs"] <= d["n_rows"]
+    assert 1 <= d["max_run"] <= d["n_rows"]
 
 
 def test_spectrum_matches_oracle(ray_session, con):

@@ -1,4 +1,4 @@
-"""Extension batch 79: Hilbert cell index."""
+"""Extension batch 79: KMV distinct sketch + Hilbert cell index."""
 
 import duckdb
 import numpy as np
@@ -20,6 +20,29 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_kmv_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext79 import (
+        SQL_KMV_DISTINCT_SKETCH, q_kmv_distinct_sketch,
+    )
+
+    d = q_kmv_distinct_sketch(SF)
+    o = con.execute(SQL_KMV_DISTINCT_SKETCH).df()
+    assert len(d) == len(o) == 1
+    assert _norm(d).equals(_norm(o))
+
+
+def test_kmv_estimate_quality(ray_session):
+    """(k-1) * 2^63 / kth is a sane estimate of the exact distinct count
+    (within 3x here — k=16 has ~25% relative error at one sigma)."""
+    from polylabel_rs_ray.pipelines.queries_ext79 import q_kmv_distinct_sketch
+
+    d = q_kmv_distinct_sketch(SF).iloc[0]
+    k, kth, exact = int(d["k"]), int(d["kth_min_hash"]), int(d["n_exact"])
+    assert k >= 2 and kth > 0 and exact >= k
+    est = (k - 1) * (1 << 63) / kth
+    assert exact / 3 <= est <= exact * 3
 
 
 def test_hilbert_matches_oracle(ray_session, con):

@@ -1,4 +1,4 @@
-"""Extension batch 80: star-shaped kernel audit."""
+"""Extension batch 80: star-shaped kernel audit + quota apportionment."""
 
 import duckdb
 import numpy as np
@@ -68,3 +68,29 @@ def test_kernel_known_geometry():
                        (1.0, 4.0), (0.0, 4.0), (0.0, 0.0)])
     assert _kernel_violations(lshape, 0.5, 0.5) == 0  # sees both arms
     assert _kernel_violations(lshape, 3.5, 0.5) > 0   # can't see the top arm
+
+
+def test_quota_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext80 import (
+        SQL_NATION_QUOTA_ALLOCATION, q_nation_quota_allocation,
+    )
+
+    d = q_nation_quota_allocation(SF)
+    o = con.execute(SQL_NATION_QUOTA_ALLOCATION).df()
+    assert len(d) == len(o) >= 1
+    assert _norm(d).equals(_norm(o))
+
+
+def test_quota_apportionment_properties(ray_session):
+    """Slots sum exactly to K; every quota is floor or floor+1 of the
+    proportional share (the Hamilton-method quota property)."""
+    from polylabel_rs_ray.pipelines.queries_ext80 import (
+        QUOTA_SLOTS, q_nation_quota_allocation,
+    )
+
+    d = q_nation_quota_allocation(SF)
+    assert int(d["quota"].sum()) == QUOTA_SLOTS
+    total = int(d["n_customers"].sum())
+    for _, r in d.iterrows():
+        lo = (QUOTA_SLOTS * int(r["n_customers"])) // total
+        assert lo <= int(r["quota"]) <= lo + 1

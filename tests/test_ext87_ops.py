@@ -1,6 +1,7 @@
-"""Extension batch 87: minimum-width bounding strip."""
+"""Extension batch 87: YoY sign test + minimum-width bounding strip."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -19,6 +20,25 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_yoy_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext87 import (
+        SQL_YOY_SIGN_TEST, q_yoy_sign_test,
+    )
+
+    d = q_yoy_sign_test(SF)
+    o = con.execute(SQL_YOY_SIGN_TEST).df()
+    assert len(d) == len(o) == 1
+    assert _norm(d).equals(_norm(o))
+
+
+def test_yoy_partition(ray_session):
+    from polylabel_rs_ray.pipelines.queries_ext87 import q_yoy_sign_test
+
+    d = q_yoy_sign_test(SF).iloc[0]
+    assert d["n_pos"] + d["n_neg"] + d["n_zero"] == d["n_weeks"] == 53
+    assert d["n_pos"] > 0 or d["n_neg"] > 0
 
 
 def test_width_matches_oracle(ray_session, con):

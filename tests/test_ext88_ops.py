@@ -1,6 +1,7 @@
-"""Extension batch 88: NN distance histogram."""
+"""Extension batch 88: NN distance histogram + clamped backlog sim."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -33,3 +34,49 @@ def test_nn_hist_matches_duckdb(ray_session, con):
     from polylabel_rs_ray.pipelines.queries import _dyadic_labeled
 
     assert int(d["n_points"].sum()) == _dyadic_labeled(SF).count()
+
+
+def test_backlog_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext88 import (
+        SQL_ORDER_BACKLOG_SIM, q_order_backlog_sim,
+    )
+
+    d = q_order_backlog_sim(SF)
+    o = con.execute(SQL_ORDER_BACKLOG_SIM).df()
+    assert len(d) == len(o) == 1
+    assert _norm(d).equals(_norm(o))
+
+
+def test_backlog_prefix_identity_equals_recurrence():
+    """The prefix-min identity reproduces the literal clamped recurrence on
+    adversarial series (bursts, droughts, exact drains)."""
+    def recurrence(a, c):
+        b, out = 0, []
+        for v in a:
+            b = max(0, b + v - c)
+            out.append(b)
+        return out
+
+    def identity(a, c):
+        p = np.concatenate([[0], np.cumsum(np.asarray(a) - c)])
+        rmin = np.minimum.accumulate(p)
+        return (p[1:] - rmin[1:]).tolist()
+
+    cases = [
+        ([5, 0, 0, 9, 0, 1, 1], 2),
+        ([1, 1, 1], 1),
+        ([10], 3),
+        ([0, 0, 4, 4, 0, 0], 2),
+        ([3, 3, 3, 0, 0, 0, 7], 3),
+    ]
+    for a, c in cases:
+        assert identity(a, c) == recurrence(a, c), (a, c)
+
+
+def test_backlog_sanity(ray_session):
+    from polylabel_rs_ray.pipelines.queries_ext88 import q_order_backlog_sim
+
+    d = q_order_backlog_sim(SF).iloc[0]
+    assert d["capacity"] >= 1
+    assert 0 <= d["final_backlog"] <= d["max_backlog"]
+    assert d["days_with_backlog"] >= 0

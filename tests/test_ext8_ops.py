@@ -1,5 +1,5 @@
-"""Extension operators batch 9 (queries_ext8): array top-k and vocabulary
-build — bit-equal to DuckDB at sf0.001."""
+"""Extension operators batch 9 (queries_ext8): conversion latency, array
+top-k, exact MAD, vocabulary build — bit-equal to DuckDB at sf0.001."""
 
 import duckdb
 import numpy as np
@@ -30,6 +30,17 @@ def con():
     return c
 
 
+def test_conversion_latency_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext8 import (
+        SQL_USER_CONVERSION_LATENCY,
+        q_user_conversion_latency,
+    )
+
+    l = _compare(q_user_conversion_latency, SQL_USER_CONVERSION_LATENCY, con)
+    assert (l["latency_us"] >= 0).all()
+    assert l["user_id"].is_unique
+
+
 def test_top_k_dims_match_duckdb(ray_session, con):
     from polylabel_rs_ray.pipelines.queries_ext8 import (
         SQL_TOP_K_DIMS,
@@ -52,6 +63,32 @@ def test_top_k_dims_match_duckdb(ray_session, con):
     kept = set(one["dim"] - 1)
     rest_max = max((v for i, v in enumerate(emb) if i not in kept), default=0.0)
     assert np.abs(one["val"]).min() >= rest_max
+
+
+def test_value_mad_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext8 import SQL_VALUE_MAD, q_value_mad
+
+    m = _compare(q_value_mad, SQL_VALUE_MAD, con)
+    assert len(m) == 1 and (m["mad_cents"] >= 0).all()
+
+
+def test_exact_median_matches_numpy(ray_session):
+    import ray
+
+    from polylabel_rs_ray.pipelines.queries_ext8 import exact_median_int
+
+    rng = np.random.default_rng(5)
+    for vals in [
+        rng.integers(-1000, 1000, 10_001),
+        rng.integers(0, 5, 1000),  # heavy ties
+        np.array([7]),
+        np.array([3, 3, 3, 3]),
+    ]:
+        ds = ray.data.from_arrow(pa.table({"c": pa.array(vals, type=pa.int64())}))
+        got = exact_median_int(ds, "c")
+        s = np.sort(vals)
+        want = int(s[int(np.ceil(0.5 * len(s))) - 1])  # quantile_disc 0.5
+        assert got == want, (got, want, len(vals))
 
 
 def test_vocab_ids_match_duckdb(ray_session, con):

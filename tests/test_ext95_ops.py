@@ -1,4 +1,4 @@
-"""Extension batch 95: vocab front coding."""
+"""Extension batch 95: duplicate-shipment audit + vocab front coding."""
 
 import duckdb
 import pytest
@@ -19,6 +19,39 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_dup_shipments_match_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext95 import (
+        SQL_DUPLICATE_SHIPMENT_AUDIT, q_duplicate_shipment_audit,
+    )
+
+    d = q_duplicate_shipment_audit(SF).to_pandas()
+    o = con.execute(SQL_DUPLICATE_SHIPMENT_AUDIT).df()
+    assert len(d) == len(o) == 1
+    assert _norm(d).equals(_norm(o))
+    assert int(d["n_pairs"].iloc[0]) > 0  # the audit fires on this data
+
+
+def test_dup_shipments_partition_invariance(ray_session):
+    from polylabel_rs_ray.pipelines.queries_ext95 import (
+        q_duplicate_shipment_audit,
+    )
+
+    a = _norm(q_duplicate_shipment_audit(SF, n_parts=1).to_pandas())
+    b = _norm(q_duplicate_shipment_audit(SF, n_parts=7).to_pandas())
+    assert a.equals(b)
+
+
+def test_dup_shipments_bounds(ray_session):
+    from polylabel_rs_ray.pipelines.queries_ext95 import (
+        q_duplicate_shipment_audit,
+    )
+
+    d = q_duplicate_shipment_audit(SF).to_pandas().iloc[0]
+    # every pair involves 2 lineitems; involvement can overlap
+    assert d["n_lineitems"] <= 2 * d["n_pairs"]
+    assert d["n_parts_affected"] <= d["n_pairs"]
 
 
 def test_front_coding_matches_duckdb(ray_session, con):

@@ -1,4 +1,4 @@
-"""Extension batch 97: FD violation audit."""
+"""Extension batch 97: FD violation audit + weekday seasonality stats."""
 
 import duckdb
 import pytest
@@ -44,3 +44,28 @@ def test_fd_semantics(ray_session, con):
             assert r["n_violations"] == 0
         assert 0 <= r["n_violations"] < r["n_rows"]
     assert d.loc["lang->source", "n_violations"] > 0
+
+
+def test_dow_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext97 import (
+        SQL_DOW_SEASONALITY_STATS, q_dow_seasonality_stats,
+    )
+
+    d = q_dow_seasonality_stats(SF)
+    o = con.execute(SQL_DOW_SEASONALITY_STATS).df()
+    assert len(d) == len(o) == 7
+    assert _norm(d).equals(_norm(o))
+
+
+def test_dow_conservation(ray_session, con):
+    """Day and order masses are conserved across the 7 buckets."""
+    from polylabel_rs_ray.pipelines.queries_ext97 import q_dow_seasonality_stats
+
+    d = q_dow_seasonality_stats(SF)
+    total_orders = con.execute("SELECT COUNT(*) FROM orders").fetchone()[0]
+    assert int(d["sum_orders"].sum()) == total_orders
+    span = con.execute("""
+        SELECT MAX(d) - MIN(d) + 1 FROM (
+          SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS d
+          FROM orders)""").fetchone()[0]
+    assert int(d["n_days"].sum()) == span

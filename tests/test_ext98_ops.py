@@ -1,4 +1,4 @@
-"""Extension batch 98: blocking efficiency."""
+"""Extension batch 98: winsorized stats + blocking efficiency."""
 
 import duckdb
 import pytest
@@ -19,6 +19,48 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_winsorized_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext98 import (
+        SQL_WINSORIZED_VALUE_STATS, q_winsorized_value_stats,
+    )
+
+    d = q_winsorized_value_stats(SF)
+    o = con.execute(SQL_WINSORIZED_VALUE_STATS).df()
+    assert len(d) == len(o) >= 1
+    assert _norm(d).equals(_norm(o))
+
+
+def test_winsorized_bounds(ray_session, con):
+    """Cuts are realized values, lo <= hi, and the winsorized sum is
+    bounded by n*lo and n*hi."""
+    from polylabel_rs_ray.pipelines.queries_ext98 import (
+        q_winsorized_value_stats,
+    )
+
+    d = q_winsorized_value_stats(SF)
+    for _, r in d.iterrows():
+        assert r["lo_cut_cents"] <= r["hi_cut_cents"]
+        assert (r["n_events"] * r["lo_cut_cents"]
+                <= r["winsorized_sum_cents"]
+                <= r["n_events"] * r["hi_cut_cents"])
+
+
+def test_winsorized_clamps_less_than_raw_spread(ray_session, con):
+    """The winsorized sum differs from the raw sum whenever outliers were
+    clamped (the estimator actually does something)."""
+    from polylabel_rs_ray.pipelines.queries_ext98 import (
+        q_winsorized_value_stats,
+    )
+
+    d = q_winsorized_value_stats(SF)
+    raw = con.execute("""
+        SELECT event_type, SUM(CAST(ROUND(value*100) AS BIGINT)) AS s
+        FROM events GROUP BY 1""").df().set_index("event_type")["s"]
+    diffs = [abs(int(r["winsorized_sum_cents"]) - int(raw[r["event_type"]]))
+             for _, r in d.iterrows()]
+    assert any(x > 0 for x in diffs)
 
 
 def test_blocking_matches_duckdb(ray_session, con):

@@ -1,4 +1,4 @@
-"""Extension batch 99: vocabulary growth curve."""
+"""Extension batch 99: supplier lead times + vocabulary growth curve."""
 
 import duckdb
 import pytest
@@ -19,6 +19,40 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
+
+
+def test_leadtime_matches_duckdb(ray_session, con):
+    from polylabel_rs_ray.pipelines.queries_ext99 import (
+        SQL_SUPPLIER_LEADTIME_STATS, q_supplier_leadtime_stats,
+    )
+
+    d = q_supplier_leadtime_stats(SF).to_pandas()
+    o = con.execute(SQL_SUPPLIER_LEADTIME_STATS).df()
+    assert len(d) == len(o) >= 1
+    assert _norm(d).equals(_norm(o))
+
+
+def test_leadtime_partition_invariance(ray_session):
+    from polylabel_rs_ray.pipelines.queries_ext99 import (
+        q_supplier_leadtime_stats,
+    )
+
+    a = _norm(q_supplier_leadtime_stats(SF, n_parts=2).to_pandas())
+    b = _norm(q_supplier_leadtime_stats(SF, n_parts=13).to_pandas())
+    assert a.equals(b)
+
+
+def test_leadtime_negative_values_handled(ray_session):
+    """This synthetic data contains NEGATIVE lead times (ship before
+    order) — the op must report them, not clamp them away."""
+    from polylabel_rs_ray.pipelines.queries_ext99 import (
+        q_supplier_leadtime_stats,
+    )
+
+    d = q_supplier_leadtime_stats(SF).to_pandas()
+    assert (d["min_days"] < 0).any()
+    assert (d["min_days"] <= d["max_days"]).all()
+    assert (d["sumsq_days"] >= 0).all()
 
 
 def test_vocab_growth_matches_duckdb(ray_session, con):

@@ -85,8 +85,18 @@ def test_geom_stats_ops_match_duckdb(ray_session, con):
 def test_window_text_quantile_ext_match_duckdb(ray_session, con):
     from polylabel_rs_ray.pipelines.queries_ext import (
         SQL_NGRAM_JACCARD_PAIRS,
+        SQL_USER_FIRST_LAST,
+        _sql_value_quantiles_cont,
         q_ngram_jaccard_pairs,
+        q_user_first_last,
+        q_value_quantiles_cont,
     )
+
+    fl = _compare(q_user_first_last, SQL_USER_FIRST_LAST, con)
+    assert fl["user_id"].is_unique
+    assert (fl["first_ts_us"] <= fl["last_ts_us"]).all()
+    single = fl[fl["n_events"] == 1]
+    assert (single["first_event_type"] == single["last_event_type"]).all()
 
     jc = _compare(q_ngram_jaccard_pairs, SQL_NGRAM_JACCARD_PAIRS, con)
     assert jc["jaccard"].between(0.0, 1.0).all()
@@ -98,6 +108,19 @@ def test_window_text_quantile_ext_match_duckdb(ray_session, con):
     ).df()["doc_id"]
     if len(same):
         assert (jc.set_index("doc_a").loc[same, "jaccard"] == 1.0).all()
+
+    qq = _compare(q_value_quantiles_cont, _sql_value_quantiles_cont(), con)
+    assert (qq["lo_cents"] <= qq["hi_cents"]).all()
+    lo_s = qq["lo_cents"] * qq["interp_den"]
+    hi_s = qq["hi_cents"] * qq["interp_den"]
+    assert ((qq["interp_num"] >= lo_s) & (qq["interp_num"] <= hi_s)).all()
+    # interpolated quartile agrees with numpy's percentile on the cents
+    vals = con.execute(
+        "SELECT CAST(ROUND(value*100) AS BIGINT) c FROM events"
+    ).df()["c"].to_numpy()
+    for _, row in qq.iterrows():
+        expect = np.percentile(vals, row["q"] * 100, method="linear")
+        assert abs(row["interp_num"] / row["interp_den"] - expect) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,40 @@ def test_entry_smoke(ray_session):
     assert set(oracles) <= set(qs)
 
 
+def test_new_engine_ops_match_duckdb(ray_session):
+    """As-of join, top-N per group, exact distributed quantiles: bit-equal
+    to the DuckDB oracles at sf0.001."""
+    import duckdb
+
+    from polylabel_rs_ray.pipelines.queries import (
+        SQL_ASOF_PURCHASE_VIEW,
+        SQL_TOP_ORDERS_PER_CUSTOMER,
+        SQL_VALUE_QUANTILES,
+        q_asof_purchase_view,
+        q_top_orders_per_customer,
+        q_value_quantiles,
+    )
+
+    sf = "/root/testdata/sf0.001"
+    con = duckdb.connect()
+    for t in ("events", "orders"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf}/{t}.parquet'")
+    for q, sql in [
+        (q_asof_purchase_view, SQL_ASOF_PURCHASE_VIEW),
+        (q_top_orders_per_customer, SQL_TOP_ORDERS_PER_CUSTOMER),
+        (q_value_quantiles, SQL_VALUE_QUANTILES),
+    ]:
+        res = q(sf)
+        d = res.to_pandas() if hasattr(res, "to_pandas") else res
+        if isinstance(d, pa.Table):
+            d = d.to_pandas()
+        o = con.execute(sql).df()
+        cols = sorted(d.columns)
+        a = d[cols].sort_values(cols).reset_index(drop=True)
+        b = o[cols].astype(a.dtypes.to_dict()).sort_values(cols).reset_index(drop=True)
+        assert len(a) > 0 and a.equals(b), sql
+
+
 def test_bbox_query_pruned_read(ray_session):
     """Partition-pruned spatial read: result equals the dyadic SQL oracle
     and the read opens strictly fewer partitions than exist."""

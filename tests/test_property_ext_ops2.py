@@ -1,7 +1,8 @@
 """Hypothesis property tests for the later continuation kernels: banded
-Levenshtein."""
+Levenshtein, weighted median, HLL register math."""
 
 import numpy as np
+import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,3 +53,57 @@ def test_banded_levenshtein_exact_within_threshold(strs, d):
             assert got == true, (strs[i], strs[j], d, got, true)
         else:
             assert got > d, (strs[i], strs[j], d, got, true)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 500), st.integers(1, 7)),
+        min_size=1,
+        max_size=150,
+    )
+)
+def test_weighted_median_matches_expansion(ray_session, tmp_path_factory, rows):
+    import os
+
+    import pyarrow.parquet as pq
+
+    from polylabel_rs_ray.pipelines.queries_ext18 import q_weighted_median_price
+
+    c = np.array([r[0] for r in rows], dtype=np.int64)
+    w = np.array([r[1] for r in rows], dtype=np.int64)
+    d = str(tmp_path_factory.mktemp("wm"))
+    pq.write_table(
+        pa.table({
+            "l_extendedprice": pa.array(c / 100.0, type=pa.float64()),
+            "l_quantity": pa.array(w.astype(np.float64)),
+        }),
+        os.path.join(d, "lineitem.parquet"),
+    )
+    got = int(q_weighted_median_price(d).to_pandas()["wmedian_cents"].iloc[0])
+    expanded = np.sort(np.repeat(c, w))
+    want = int(expanded[(len(expanded) + 1) // 2 - 1])
+    assert got == want, (len(rows), got, want)
+
+
+def test_hll_union_is_register_max():
+    # |A ∪ B| estimated from max(regs_A, regs_B) equals sketching A ∪ B
+    # directly — the losslessness the overlap op relies on (checked on
+    # the production md5 hash chain)
+    from polylabel_rs_ray.pipelines.queries import _hll_md5_reg_rho
+    from polylabel_rs_ray.pipelines.queries_ext15 import HLL_P
+
+    m = 1 << HLL_P
+    rng = np.random.default_rng(31)
+
+    def regs(vals):
+        r = np.zeros(m, dtype=np.int64)
+        reg, rho = _hll_md5_reg_rho(vals.astype(np.int64))
+        np.maximum.at(r, reg, rho)
+        return r
+
+    a = rng.integers(0, 10_000, 3000)
+    b = rng.integers(5_000, 15_000, 3000)
+    assert np.array_equal(
+        np.maximum(regs(a), regs(b)), regs(np.concatenate([a, b]))
+    )

@@ -1,7 +1,9 @@
-"""Round-2 continuation batch 2 operators: the tile pyramid, bit-equal to
-its DuckDB oracle at sf0.001 (driver repeats at sf0.01)."""
+"""Round-2 continuation batch 2 operators: self-join co-occurrence, funnel,
+CUBE, tile pyramid, exact distributed moments, grouped string aggregation —
+bit-equal to their DuckDB oracles at sf0.001 (driver repeats at sf0.01)."""
 
 import duckdb
+import numpy as np
 import pyarrow as pa
 
 SF = "/root/testdata/sf0.001"
@@ -27,6 +29,51 @@ def _con(*tables):
     return con
 
 
+def test_part_pair_counts_matches_duckdb(ray_session):
+    from polylabel_rs_ray.pipelines.queries import (
+        SQL_PART_PAIR_COUNTS,
+        q_part_pair_counts,
+    )
+
+    con = _con("lineitem")
+    d = _compare(q_part_pair_counts, SQL_PART_PAIR_COUNTS, con)
+    # canonical pair order, and total pair count equals the self-join count
+    assert (d["part_a"] < d["part_b"]).all()
+    total = con.execute("""
+        SELECT COUNT(*) FROM lineitem a JOIN lineitem b
+        ON a.l_orderkey=b.l_orderkey AND a.l_partkey < b.l_partkey
+    """).fetchone()[0]
+    assert int(d["n_pairs"].sum()) == total
+
+
+def test_conversion_funnel_matches_duckdb(ray_session):
+    from polylabel_rs_ray.pipelines.queries import (
+        SQL_CONVERSION_FUNNEL,
+        q_conversion_funnel,
+    )
+
+    con = _con("events")
+    d = _compare(q_conversion_funnel, SQL_CONVERSION_FUNNEL, con)
+    row = d.iloc[0]
+    # funnel is monotonically narrowing
+    assert row["n_view"] >= row["n_view_click"] >= row["n_view_click_purchase"]
+    assert row["n_view"] > 0
+
+
+def test_cube_sales_matches_duckdb(ray_session):
+    from polylabel_rs_ray.pipelines.queries import SQL_CUBE_SALES, q_cube_sales
+
+    con = _con("lineitem")
+    d = _compare(q_cube_sales, SQL_CUBE_SALES, con)
+    # 4 grouping sets: fine + rf-only + ls-only + grand total
+    fine = d[(d.l_returnflag != "ALL") & (d.l_linestatus != "ALL")]
+    ls_only = d[(d.l_returnflag == "ALL") & (d.l_linestatus != "ALL")]
+    total = d[(d.l_returnflag == "ALL") & (d.l_linestatus == "ALL")]
+    assert len(total) == 1 and len(ls_only) > 0
+    assert int(total["revenue_cents"].iloc[0]) == int(fine["revenue_cents"].sum())
+    assert int(ls_only["revenue_cents"].sum()) == int(fine["revenue_cents"].sum())
+
+
 def test_tile_pyramid_matches_duckdb(ray_session):
     from polylabel_rs_ray.pipelines.queries import _sql_tile_pyramid, q_tile_pyramid
 
@@ -38,3 +85,45 @@ def test_tile_pyramid_matches_duckdb(ray_session):
     # coarser levels never have more tiles
     tiles = d.groupby("res").size().sort_index()
     assert (tiles.diff().dropna() >= 0).all()
+
+
+def test_price_discount_corr_matches_duckdb(ray_session):
+    from polylabel_rs_ray.pipelines.queries import (
+        SQL_PRICE_DISCOUNT_CORR,
+        q_price_discount_corr,
+    )
+
+    con = _con("lineitem")
+    d = _compare(q_price_discount_corr, SQL_PRICE_DISCOUNT_CORR, con)
+    # cross-check vs numpy's two-pass corrcoef (different algorithm)
+    xy = con.execute("""SELECT CAST(ROUND(l_extendedprice*100) AS BIGINT) x,
+                               CAST(ROUND(l_discount*100) AS BIGINT) y
+                        FROM lineitem""").df()
+    ref = np.corrcoef(xy["x"], xy["y"])[0, 1]
+    assert abs(d["corr_micro"].iloc[0] / 1e6 - ref) < 2e-6
+
+
+def test_props_value_stats_matches_duckdb(ray_session):
+    from polylabel_rs_ray.pipelines.queries import (
+        SQL_PROPS_VALUE_STATS,
+        q_props_value_stats,
+    )
+
+    con = _con("events")
+    d = _compare(q_props_value_stats, SQL_PROPS_VALUE_STATS, con)
+    assert (d["n_with_k"] <= d["n_events"]).all()
+    assert (d["min_k"] <= d["max_k"]).all()
+
+
+def test_event_types_per_user_matches_duckdb(ray_session):
+    from polylabel_rs_ray.pipelines.queries import (
+        SQL_EVENT_TYPES_PER_USER,
+        q_event_types_per_user,
+    )
+
+    con = _con("events")
+    d = _compare(q_event_types_per_user, SQL_EVENT_TYPES_PER_USER, con)
+    assert d["user_id"].is_unique
+    for s in d["types"]:
+        parts = s.split(",")
+        assert parts == sorted(set(parts))

@@ -22,14 +22,19 @@ SF01 = "/root/testdata/sf0.1"
 SF1 = os.environ.get("GRAFT_SF1_DIR", "/tmp/testdata/sf1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
-# the slowest still-registered rows of the sf0.1 full sweep (r3 artifact) + the bench.py
+# the 20 slowest rows of the sf0.1 full sweep (r3 artifact) + the bench.py
 # representative set's heavy tail
 HEAVY = [
-    "jaccard_join_exact", "bpe_merges", "tile_pyramid", "nearest_zone",
+    "part_graph_assortativity", "customer_region_coverage",
+    "bipartite_joint_degrees", "triangle_parts", "p90_order_exemplar",
+    "degree_histogram", "jaccard_join_exact", "bpe_merges",
+    "local_clustering_coeff", "allen_relation_histogram", "part_pair_lift",
+    "median_of_medians_audit", "busday_ship_lag", "tile_pyramid",
+    "basket_triple_support", "nearest_zone", "denormalized_sales",
     "bbox_overlap_join", "tile_gradient_histogram", "tile_facility_location",
     # representative engine stages (bench.py set)
-    "minhash_near_dup", "exact_dedup", "ann_topk", "ivf_topk",
-    "bm25_top_terms",
+    "minhash_near_dup", "exact_dedup", "pricing_summary", "events_by_type",
+    "ann_topk", "ivf_topk", "bm25_top_terms", "pagerank_parts",
 ]
 
 
