@@ -19,6 +19,10 @@ registered without an oracle -> driver records rows-only checks.
 from __future__ import annotations
 
 import hashlib
+import importlib
+import os
+import pkgutil
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -26,17 +30,9 @@ import pyarrow.compute as pc
 
 from ..geom.kernel import polylabel_one
 from ..sources import docs as docs_mod
+from ..sources.docs import DYADIC_CYCLE_IDX as DYADIC_IDX
 from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
 from ..stages.label import label_batch, label_points
-
-DYADIC_IDX = [FIXTURE_CYCLE.index(n) for n in DYADIC_FIXTURES]
-
-
-def _ray():
-    import ray.data  # noqa: F401  (Ray is initialised by the caller/driver)
-    import ray
-
-    return ray
 
 
 # --------------------------------------------------------------------------
@@ -99,7 +95,9 @@ def labeled_docs(sf_dir: str):
         _publish_checkpoint(
             ckpt, lambda tmp: label_points(docs_mod.read_docs(sf_dir)).write_parquet(tmp)
         )
-        ds = _ray().data.read_parquet(ckpt)
+        import ray
+
+        ds = ray.data.read_parquet(ckpt)
         _LABELED_CACHE[sf_dir] = ds
     return ds
 
@@ -197,7 +195,7 @@ def q_bbox_query(sf_dir: str):
 
     from ..stages.cells import cover_bbox
 
-    ray = _ray()
+    import ray
     ckpt = spatial_partitioned_docs(sf_dir)
     x0, y0, x1, y1 = BBOX_QUERY
     tiles = cover_bbox(x0, y0, x1, y1, COARSE_RES)
@@ -481,7 +479,7 @@ def q_zone_join_copartitioned(sf_dir: str):
 def q_events_windowed(sf_dir: str):
     """Tumbling-window (1h) aggregate per event_type — the streaming-style
     windowed rollup, as a groupby over truncated event time."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"])
 
     def bucket(batch: pa.Table) -> pa.Table:
@@ -658,7 +656,7 @@ def _sql_render_tiles() -> str:
 
 def q_pricing_summary(sf_dir: str):
     """Groupby-aggregate with map-side-friendly exact arithmetic (cents)."""
-    ray = _ray()
+    import ray
     from ray.data.aggregate import Count, Mean, Sum
 
     ds = ray.data.read_parquet(
@@ -701,7 +699,7 @@ SQL_PRICING_SUMMARY = """
 
 def q_top_orders(sf_dir: str):
     """Sort + limit (top-k), deterministic via secondary key."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"]
     )
@@ -716,7 +714,7 @@ SQL_TOP_ORDERS = """
 
 def q_customers_per_nation(sf_dir: str):
     """Broadcast hash join (small side shipped once via ray.put) + count."""
-    ray = _ray()
+    import ray
     import pyarrow.parquet as pq
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
@@ -755,7 +753,7 @@ SQL_CUSTOMERS_PER_NATION = """
 
 
 def q_events_by_type(sf_dir: str):
-    ray = _ray()
+    import ray
     from ray.data.aggregate import Count, Sum
 
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
@@ -787,7 +785,7 @@ SQL_EVENTS_BY_TYPE = """
 # --------------------------------------------------------------------------
 
 def q_token_counts(sf_dir: str):
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def count_tokens(batch: pa.Table) -> pa.Table:
@@ -816,7 +814,7 @@ def md5_batch(texts: pa.ChunkedArray | pa.Array) -> pa.Array:
 
 def q_exact_dedup(sf_dir: str):
     """Exact dedup: content-hash partition, keep first doc per hash."""
-    ray = _ray()
+    import ray
     from ray.data.aggregate import Count, Min
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
@@ -847,7 +845,7 @@ SQL_EXACT_DEDUP = """
 
 
 def q_lang_counts(sf_dir: str):
-    ray = _ray()
+    import ray
     from ray.data.aggregate import Count, Sum
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"])
@@ -869,7 +867,7 @@ def q_sessionize(sf_dir: str):
     """Gap-based sessionization (30-min inactivity): per-user event streams
     sorted by time inside ``groupby(user_id).map_groups`` — the stateful
     ordered-within-key pattern; output is one row per session."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
 
     GAP_US = 30 * 60 * 1_000_000
@@ -932,7 +930,7 @@ def q_asof_purchase_view(sf_dir: str, n_parts: int | None = None):
     matching DuckDB's ASOF JOIN oracle."""
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     ds = ray.data.read_parquet(
@@ -1022,7 +1020,7 @@ def q_top_orders_per_customer(sf_dir: str, k: int = 3, n_parts: int | None = Non
     customers — this pays it once per partition)."""
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     ds = ray.data.read_parquet(
@@ -1083,7 +1081,7 @@ def q_value_quantiles(sf_dir: str):
     bins containing target ranks are filtered out and sorted — expected
     n/4096 rows per bin; at deeper scale the same step recurses per bin
     instead of collecting."""
-    ray = _ray()
+    import ray
 
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
 
@@ -1162,7 +1160,7 @@ def q_orders_without_lineitems(sf_dir: str):
     max flag), then a key groupby reduces to (has_order, has_line) per key.
     No driver-side key materialization; shuffle volume is O(distinct keys ×
     blocks) after the partial combine, not O(lineitem rows)."""
-    ray = _ray()
+    import ray
 
     def tag(flag_order: int, flag_line: int, key_col: str):
         def stage(batch: pa.Table) -> pa.Table:
@@ -1208,7 +1206,7 @@ SQL_ORDERS_WITHOUT_LINEITEMS = """
 
 def q_distinct_sources(sf_dir: str):
     """Distinct/unique over a projected column (set op)."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["source"])
 
     def dedup_batch(batch: pa.Table) -> pa.Table:
@@ -1234,7 +1232,7 @@ SQL_DISTINCT_SOURCES = "SELECT DISTINCT source FROM documents"
 def q_quality_scores(sf_dir: str):
     from ..functions.text import quality_batch
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def stage(batch: pa.Table) -> pa.Table:
@@ -1266,7 +1264,7 @@ SQL_QUALITY_SCORES = r"""
 def q_bpe_tokens(sf_dir: str):
     from ..functions.text import token_counts_batch
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def stage(batch: pa.Table) -> pa.Table:
@@ -1290,7 +1288,7 @@ def q_lang_id(sf_dir: str):
     stopword-vote + CJK-share heuristic is replayed in pure SQL)."""
     from ..functions.text import lang_id_batch
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
 
     def stage(batch: pa.Table) -> pa.Table:
@@ -1351,7 +1349,7 @@ def q_fingerprints(sf_dir: str):
     guarded by the ascii flag column on both sides)."""
     from ..functions.text import fingerprint_batch
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def stage(batch: pa.Table) -> pa.Table:
@@ -1397,7 +1395,7 @@ DUP_EVERY = 7  # every 7th doc gets a planted near-duplicate
 
 def _corpus_with_planted_dups(sf_dir: str):
     """documents plus planted near-duplicates (doc_id + DUP_OFFSET)."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def plant(batch: pa.Table) -> pa.Table:
@@ -1570,6 +1568,16 @@ def _hash_part(ids: np.ndarray, n_parts: int) -> np.ndarray:
     return ((u * GOLD64) >> np.uint64(33)).astype(np.int64) % n_parts
 
 
+def _P(n_parts: int | None) -> int:
+    from ..stages.util import shuffle_blocks
+
+    return int(n_parts or min(32, shuffle_blocks()))
+
+
+def _ts_us(iso: str) -> int:
+    return int(np.datetime64(iso, "us").astype(np.int64))
+
+
 def _bucket_candidate_pairs(group: pa.Table) -> pa.Table:
     """Vectorized bucket-collision pairs over ONE bucket-hash partition of
     the band table (sorted sweep; per-partition dedup by (a,b) key)."""
@@ -1658,7 +1666,7 @@ def q_minhash_near_dup(
     )
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     ds = _corpus_with_planted_dups(sf_dir)
 
@@ -1723,7 +1731,7 @@ def verify_candidate_pairs(
     from ..functions.dedup import jaccard_pct_exact, shingle_strs
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     import pyarrow.parquet as pq
 
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
@@ -1982,7 +1990,7 @@ def q_train_test_split(sf_dir: str, train_pct: int = 80):
     as an integer mod 100, so exact duplicates always land in the same
     split.  Stateless vectorized-per-batch map; oracle replays the same md5
     arithmetic in SQL."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def stage(batch: pa.Table) -> pa.Table:
@@ -2026,7 +2034,7 @@ def q_token_packing(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
     from ..stages.util import shuffle_blocks
 
-    ray = _ray()
+    import ray
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
     P = int(n_parts or min(32, shuffle_blocks()))
     rng = max(1, -(-n_docs // P))  # ceil
@@ -2101,7 +2109,7 @@ def q_dedup_clusters(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import shuffle_blocks
 
-    ray = _ray()
+    import ray
 
     # pair-table CHECKPOINT, not object-store materialize: the verified
     # near-dup pair graph is written once per source fingerprint and
@@ -2294,7 +2302,7 @@ def q_embedding_near_dup(sf_dir: str, threshold: float = 0.98, n_parts: int | No
     from ..functions.sim import _unit, embedding_matrix
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     import pyarrow.parquet as pq
 
@@ -2555,7 +2563,7 @@ def q_rolling_user_stats(sf_dir: str, n_parts: int | None = None):
     window oracle matches bit-for-bit."""
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     ds = ray.data.read_parquet(
@@ -2635,7 +2643,7 @@ def q_attribution_counts(sf_dir: str, n_parts: int | None = None):
     purchases stay, the index difference is already their count)."""
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     ds = ray.data.read_parquet(
@@ -2722,7 +2730,7 @@ def q_canonical_docs(sf_dir: str):
     O(groups x blocks) rows.  The ROW_NUMBER()=1 oracle replays it."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "n_chars"]
     )
@@ -2784,7 +2792,7 @@ def q_stratified_sample(sf_dir: str):
     content-hash arithmetic as the train/test split (exact duplicates
     sample together, leakage-safe), and the whole op is a stateless
     vectorized map with NO shuffle."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "text"]
     )
@@ -2827,7 +2835,7 @@ def q_value_histogram(sf_dir: str):
     bin id is one double division + floor on both sides — bit-identical."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
 
     def binned(batch: pa.Table) -> pa.Table:
@@ -2863,7 +2871,7 @@ def q_rollup_sales(sf_dir: str):
     sides (no NULL-vs-NULL ambiguity in the driver compare)."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
@@ -2951,7 +2959,7 @@ def q_order_fulfillment(sf_dir: str, n_parts: int | None = None):
     sum matches bit-for-bit."""
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def order_side(batch: pa.Table) -> pa.Table:
@@ -3032,7 +3040,7 @@ def q_distinct_users_per_type(sf_dir: str):
     type.  No per-key set materialization anywhere."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
     )
@@ -3065,7 +3073,7 @@ def q_long_docs(sf_dir: str):
     semantics = quantile_disc: element at 0-indexed rank ceil(q*n)-1."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
     )
@@ -3100,7 +3108,7 @@ def q_user_event_pivot(sf_dir: str):
     shuffle carries one row per (user x block).  Oracle: COUNT(*) FILTER."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
     )
@@ -3143,7 +3151,7 @@ def q_median_value_per_type(sf_dir: str):
     key x batch; driver reduces O(keys x blocks) rows), then only the
     target bin's rows are pulled per key (expected n_k/512).  Rank
     semantics = quantile_disc, same as value_quantiles."""
-    ray = _ray()
+    import ray
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
@@ -3242,7 +3250,7 @@ def q_view_only_hours(sf_dir: str):
     flag algebra without materializing either distinct set."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
 
     def flags(batch: pa.Table) -> pa.Table:
@@ -3298,7 +3306,7 @@ def q_revenue_by_region(sf_dir: str, join_mode: str | None = None):
     from ..stages.factjoin import attach_cust_nationkey
     from ..stages.util import shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = min(32, shuffle_blocks())
     region = pq.read_table(f"{sf_dir}/region.parquet")
     nation = pq.read_table(f"{sf_dir}/nation.parquet")
@@ -3417,7 +3425,7 @@ def q_doc_chunks(sf_dir: str):
     per-doc Python).  n_chunks = ceil(max(n_tokens - overlap, 1) / stride)
     so every token is covered and a doc shorter than one window still
     yields one chunk.  Exact integer arithmetic on both sides."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     overlap = CHUNK_TOKENS - CHUNK_STRIDE
 
@@ -3584,7 +3592,7 @@ def q_approx_distinct_users(sf_dir: str):
     the sketch is approximate vs COUNT(DISTINCT), but deterministic and
     therefore oracle-checkable (the ``cmsketch_word_counts`` treatment;
     pytest additionally pins relative error vs the exact count)."""
-    ray = _ray()
+    import ray
     m = 1 << HLL_P
 
     ds = ray.data.read_parquet(
@@ -3648,7 +3656,7 @@ def q_part_pair_counts(sf_dir: str, n_parts: int | None = None):
     shuffle on the ~unique order key anywhere."""
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def to_parts(batch: pa.Table) -> pa.Table:
@@ -3731,7 +3739,7 @@ def q_conversion_funnel(sf_dir: str):
     block — nothing scales with event volume."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     SENT = np.int64(2**62)
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "ts"]
@@ -3804,7 +3812,7 @@ def _sales_level0(sf_dir: str):
     one fact-table pass that ROLLUP and CUBE levels re-aggregate."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
@@ -3969,7 +3977,7 @@ def q_price_discount_corr(sf_dir: str):
     and derives corr.  The moment row is bit-exact vs the SQL HUGEINT
     sums; corr is reported as integer microunits so the driver's value
     hash is float-rounding-proof."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice", "l_discount"]
     )
@@ -4058,7 +4066,7 @@ def q_event_types_per_user(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     ds = ray.data.read_parquet(
@@ -4116,7 +4124,7 @@ def q_props_value_stats(sf_dir: str):
     but still counted (`n_events` vs `n_with_k`)."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "props"]
     )
@@ -4153,407 +4161,46 @@ SQL_PROPS_VALUE_STATS = r"""
 """
 
 
-def build_queries() -> dict:
-    from .queries_ext import build_queries_ext
-    from .queries_ext2 import build_queries_ext2
-    from .queries_ext3 import build_queries_ext3
-    from .queries_ext4 import build_queries_ext4
-    from .queries_ext5 import build_queries_ext5
-    from .queries_ext6 import build_queries_ext6
-    from .queries_ext7 import build_queries_ext7
-    from .queries_ext8 import build_queries_ext8
-    from .queries_ext9 import build_queries_ext9
-    from .queries_ext10 import build_queries_ext10
-    from .queries_ext11 import build_queries_ext11
-    from .queries_ext12 import build_queries_ext12
-    from .queries_ext13 import build_queries_ext13
-    from .queries_ext14 import build_queries_ext14
-    from .queries_ext15 import build_queries_ext15
-    from .queries_ext16 import build_queries_ext16
-    from .queries_ext17 import build_queries_ext17
-    from .queries_ext18 import build_queries_ext18
-    from .queries_ext19 import build_queries_ext19
-    from .queries_ext20 import build_queries_ext20
-    from .queries_ext21 import build_queries_ext21
-    from .queries_ext22 import build_queries_ext22
-    from .queries_ext23 import build_queries_ext23
-    from .queries_ext24 import build_queries_ext24
-    from .queries_ext25 import build_queries_ext25
-    from .queries_ext26 import build_queries_ext26
-    from .queries_ext27 import build_queries_ext27
-    from .queries_ext28 import build_queries_ext28
-    from .queries_ext29 import build_queries_ext29
-    from .queries_ext30 import build_queries_ext30
-    from .queries_ext31 import build_queries_ext31
-    from .queries_ext32 import build_queries_ext32
-    from .queries_ext33 import build_queries_ext33
-    from .queries_ext34 import build_queries_ext34
-    from .queries_ext35 import build_queries_ext35
-    from .queries_ext36 import build_queries_ext36
-    from .queries_ext37 import build_queries_ext37
-    from .queries_ext38 import build_queries_ext38
-    from .queries_ext39 import build_queries_ext39
-    from .queries_ext40 import build_queries_ext40
-    from .queries_ext41 import build_queries_ext41
-    from .queries_ext42 import build_queries_ext42
-    from .queries_ext43 import build_queries_ext43
-    from .queries_ext44 import build_queries_ext44
-    from .queries_ext45 import build_queries_ext45
-    from .queries_ext46 import build_queries_ext46
-    from .queries_ext47 import build_queries_ext47
-    from .queries_ext48 import build_queries_ext48
-    from .queries_ext49 import build_queries_ext49
-    from .queries_ext50 import build_queries_ext50
-    from .queries_ext51 import build_queries_ext51
-    from .queries_ext52 import build_queries_ext52
-    from .queries_ext53 import build_queries_ext53
-    from .queries_ext54 import build_queries_ext54
-    from .queries_ext55 import build_queries_ext55
-    from .queries_ext56 import build_queries_ext56
-    from .queries_ext57 import build_queries_ext57
-    from .queries_ext58 import build_queries_ext58
-    from .queries_ext59 import build_queries_ext59
-    from .queries_ext60 import build_queries_ext60
-    from .queries_ext61 import build_queries_ext61
-    from .queries_ext62 import build_queries_ext62
-    from .queries_ext63 import build_queries_ext63
-    from .queries_ext64 import build_queries_ext64
-    from .queries_ext65 import build_queries_ext65
-    from .queries_ext66 import build_queries_ext66
-    from .queries_ext67 import build_queries_ext67
-    from .queries_ext68 import build_queries_ext68
-    from .queries_ext69 import build_queries_ext69
-    from .queries_ext70 import build_queries_ext70
-    from .queries_ext71 import build_queries_ext71
-    from .queries_ext72 import build_queries_ext72
-    from .queries_ext73 import build_queries_ext73
-    from .queries_ext74 import build_queries_ext74
-    from .queries_ext75 import build_queries_ext75
-    from .queries_ext76 import build_queries_ext76
-    from .queries_ext77 import build_queries_ext77
-    from .queries_ext78 import build_queries_ext78
-    from .queries_ext79 import build_queries_ext79
-    from .queries_ext80 import build_queries_ext80
-    from .queries_ext81 import build_queries_ext81
-    from .queries_ext82 import build_queries_ext82
-    from .queries_ext83 import build_queries_ext83
-    from .queries_ext84 import build_queries_ext84
-    from .queries_ext85 import build_queries_ext85
-    from .queries_ext86 import build_queries_ext86
-    from .queries_ext87 import build_queries_ext87
-    from .queries_ext88 import build_queries_ext88
-    from .queries_ext89 import build_queries_ext89
-    from .queries_ext90 import build_queries_ext90
-    from .queries_ext91 import build_queries_ext91
-    from .queries_ext92 import build_queries_ext92
-    from .queries_ext93 import build_queries_ext93
-    from .queries_ext94 import build_queries_ext94
-    from .queries_ext95 import build_queries_ext95
-    from .queries_ext96 import build_queries_ext96
-    from .queries_ext97 import build_queries_ext97
-    from .queries_ext98 import build_queries_ext98
-    from .queries_ext99 import build_queries_ext99
-    from .queries_ext100 import build_queries_ext100
-    from .queries_ext101 import build_queries_ext101
-    from .queries_ext102 import build_queries_ext102
-    from .queries_ext103 import build_queries_ext103
-    from .queries_ext104 import build_queries_ext104
-    from .queries_ext105 import build_queries_ext105
-    from .queries_ext106 import build_queries_ext106
-    from .queries_ext107 import build_queries_ext107
-    from .queries_ext108 import build_queries_ext108
-    from .queries_ext109 import build_queries_ext109
-    from .queries_ext110 import build_queries_ext110
-    from .queries_ext111 import build_queries_ext111
-    from .queries_ext112 import build_queries_ext112
-    from .queries_ext113 import build_queries_ext113
-    from .queries_ext114 import build_queries_ext114
-    from .queries_ext115 import build_queries_ext115
-    from .queries_ext116 import build_queries_ext116
-    from .queries_ext117 import build_queries_ext117
-    from .queries_ext118 import build_queries_ext118
-    from .queries_ext119 import build_queries_ext119
-    from .queries_ext120 import build_queries_ext120
-    from .queries_ext121 import build_queries_ext121
-    from .queries_ext122 import build_queries_ext122
-    from .queries_ext123 import build_queries_ext123
-    from .queries_ext124 import build_queries_ext124
-    from .queries_ext125 import build_queries_ext125
-    from .queries_ext126 import build_queries_ext126
-    from .queries_ext127 import build_queries_ext127
-    from .queries_ext128 import build_queries_ext128
-    from .queries_ext129 import build_queries_ext129
-    from .queries_ext130 import build_queries_ext130
-    from .queries_ext131 import build_queries_ext131
-    from .queries_ext132 import build_queries_ext132
-    from .queries_ext133 import build_queries_ext133
-    from .queries_ext134 import build_queries_ext134
-    from .queries_ext135 import build_queries_ext135
-    from .queries_ext136 import build_queries_ext136
-    from .queries_ext137 import build_queries_ext137
-    from .queries_ext138 import build_queries_ext138
-    from .queries_ext139 import build_queries_ext139
-    from .queries_ext140 import build_queries_ext140
-    from .queries_ext141 import build_queries_ext141
-    from .queries_ext142 import build_queries_ext142
-    from .queries_ext143 import build_queries_ext143
-    from .queries_ext144 import build_queries_ext144
-    from .queries_ext145 import build_queries_ext145
-    from .queries_ext146 import build_queries_ext146
-    from .queries_ext147 import build_queries_ext147
-    from .queries_ext148 import build_queries_ext148
-    from .queries_ext149 import build_queries_ext149
-    from .queries_ext150 import build_queries_ext150
-    from .queries_ext151 import build_queries_ext151
-    from .queries_ext152 import build_queries_ext152
-    from .queries_ext153 import build_queries_ext153
-    from .queries_ext154 import build_queries_ext154
-    from .queries_ext155 import build_queries_ext155
-    from .queries_ext156 import build_queries_ext156
-    from .queries_ext157 import build_queries_ext157
-    from .queries_ext158 import build_queries_ext158
-    from .queries_ext159 import build_queries_ext159
-    from .queries_ext160 import build_queries_ext160
-    from .queries_ext161 import build_queries_ext161
-    from .queries_ext162 import build_queries_ext162
-    from .queries_ext163 import build_queries_ext163
-    from .queries_ext164 import build_queries_ext164
-    from .queries_ext165 import build_queries_ext165
-    from .queries_ext166 import build_queries_ext166
-    from .queries_ext167 import build_queries_ext167
-    from .queries_ext168 import build_queries_ext168
-    from .queries_ext169 import build_queries_ext169
-    from .queries_ext170 import build_queries_ext170
-    from .queries_ext171 import build_queries_ext171
-    from .queries_ext172 import build_queries_ext172
-    from .queries_ext173 import build_queries_ext173
-    from .queries_ext174 import build_queries_ext174
-    from .queries_ext175 import build_queries_ext175
-    from .queries_ext176 import build_queries_ext176
-    from .queries_ext177 import build_queries_ext177
-    from .queries_ext178 import build_queries_ext178
-    from .queries_ext179 import build_queries_ext179
-    from .queries_ext180 import build_queries_ext180
-    from .queries_ext181 import build_queries_ext181
-    from .queries_ext182 import build_queries_ext182
-    from .queries_ext183 import build_queries_ext183
-    from .queries_ext184 import build_queries_ext184
-    from .queries_ext185 import build_queries_ext185
-    from .queries_ext186 import build_queries_ext186
-    from .queries_ext187 import build_queries_ext187
-    from .queries_ext188 import build_queries_ext188
-    from .queries_ext189 import build_queries_ext189
-    from .queries_ext190 import build_queries_ext190
-    from .queries_ext191 import build_queries_ext191
-    from .queries_ext192 import build_queries_ext192
-    from .queries_ext193 import build_queries_ext193
-    from .queries_ext194 import build_queries_ext194
-    from .queries_ext195 import build_queries_ext195
-    from .queries_ext196 import build_queries_ext196
-    from .queries_ext197 import build_queries_ext197
-    from .queries_ext198 import build_queries_ext198
-    from .queries_ext199 import build_queries_ext199
+def _ext_modules() -> list[str]:
+    """Every ``queries_extN`` module of this package, in numeric order (the
+    bare ``queries_ext`` counts as 1): a new module that defines
+    ``build_queries_extN`` / ``build_oracles_extN`` is registered by
+    existing."""
+    names = [info.name for info in pkgutil.iter_modules([os.path.dirname(__file__)])
+             if re.fullmatch(r"queries_ext\d*", info.name)]
+    return sorted(names, key=lambda name: int(name[len("queries_ext"):] or 1))
 
-    return {
-        **build_queries_ext(),
-        **build_queries_ext2(),
-        **build_queries_ext3(),
-        **build_queries_ext4(),
-        **build_queries_ext5(),
-        **build_queries_ext6(),
-        **build_queries_ext7(),
-        **build_queries_ext8(),
-        **build_queries_ext9(),
-        **build_queries_ext10(),
-        **build_queries_ext11(),
-        **build_queries_ext12(),
-        **build_queries_ext13(),
-        **build_queries_ext14(),
-        **build_queries_ext15(),
-        **build_queries_ext16(),
-        **build_queries_ext17(),
-        **build_queries_ext18(),
-        **build_queries_ext19(),
-        **build_queries_ext20(),
-        **build_queries_ext21(),
-        **build_queries_ext22(),
-        **build_queries_ext23(),
-        **build_queries_ext24(),
-        **build_queries_ext25(),
-        **build_queries_ext26(),
-        **build_queries_ext27(),
-        **build_queries_ext28(),
-        **build_queries_ext29(),
-        **build_queries_ext30(),
-        **build_queries_ext31(),
-        **build_queries_ext32(),
-        **build_queries_ext33(),
-        **build_queries_ext34(),
-        **build_queries_ext35(),
-        **build_queries_ext36(),
-        **build_queries_ext37(),
-        **build_queries_ext38(),
-        **build_queries_ext39(),
-        **build_queries_ext40(),
-        **build_queries_ext41(),
-        **build_queries_ext42(),
-        **build_queries_ext43(),
-        **build_queries_ext44(),
-        **build_queries_ext45(),
-        **build_queries_ext46(),
-        **build_queries_ext47(),
-        **build_queries_ext48(),
-        **build_queries_ext49(),
-        **build_queries_ext50(),
-        **build_queries_ext51(),
-        **build_queries_ext52(),
-        **build_queries_ext53(),
-        **build_queries_ext54(),
-        **build_queries_ext55(),
-        **build_queries_ext56(),
-        **build_queries_ext57(),
-        **build_queries_ext58(),
-        **build_queries_ext59(),
-        **build_queries_ext60(),
-        **build_queries_ext61(),
-        **build_queries_ext62(),
-        **build_queries_ext63(),
-        **build_queries_ext64(),
-        **build_queries_ext65(),
-        **build_queries_ext66(),
-        **build_queries_ext67(),
-        **build_queries_ext68(),
-        **build_queries_ext69(),
-        **build_queries_ext70(),
-        **build_queries_ext71(),
-        **build_queries_ext72(),
-        **build_queries_ext73(),
-        **build_queries_ext74(),
-        **build_queries_ext75(),
-        **build_queries_ext76(),
-        **build_queries_ext77(),
-        **build_queries_ext78(),
-        **build_queries_ext79(),
-        **build_queries_ext80(),
-        **build_queries_ext81(),
-        **build_queries_ext82(),
-        **build_queries_ext83(),
-        **build_queries_ext84(),
-        **build_queries_ext85(),
-        **build_queries_ext86(),
-        **build_queries_ext87(),
-        **build_queries_ext88(),
-        **build_queries_ext89(),
-        **build_queries_ext90(),
-        **build_queries_ext91(),
-        **build_queries_ext92(),
-        **build_queries_ext93(),
-        **build_queries_ext94(),
-        **build_queries_ext95(),
-        **build_queries_ext96(),
-        **build_queries_ext97(),
-        **build_queries_ext98(),
-        **build_queries_ext99(),
-        **build_queries_ext100(),
-        **build_queries_ext101(),
-        **build_queries_ext102(),
-        **build_queries_ext103(),
-        **build_queries_ext104(),
-        **build_queries_ext105(),
-        **build_queries_ext106(),
-        **build_queries_ext107(),
-        **build_queries_ext108(),
-        **build_queries_ext109(),
-        **build_queries_ext110(),
-        **build_queries_ext111(),
-        **build_queries_ext112(),
-        **build_queries_ext113(),
-        **build_queries_ext114(),
-        **build_queries_ext115(),
-        **build_queries_ext116(),
-        **build_queries_ext117(),
-        **build_queries_ext118(),
-        **build_queries_ext119(),
-        **build_queries_ext120(),
-        **build_queries_ext121(),
-        **build_queries_ext122(),
-        **build_queries_ext123(),
-        **build_queries_ext124(),
-        **build_queries_ext125(),
-        **build_queries_ext126(),
-        **build_queries_ext127(),
-        **build_queries_ext128(),
-        **build_queries_ext129(),
-        **build_queries_ext130(),
-        **build_queries_ext131(),
-        **build_queries_ext132(),
-        **build_queries_ext133(),
-        **build_queries_ext134(),
-        **build_queries_ext135(),
-        **build_queries_ext136(),
-        **build_queries_ext137(),
-        **build_queries_ext138(),
-        **build_queries_ext139(),
-        **build_queries_ext140(),
-        **build_queries_ext141(),
-        **build_queries_ext142(),
-        **build_queries_ext143(),
-        **build_queries_ext144(),
-        **build_queries_ext145(),
-        **build_queries_ext146(),
-        **build_queries_ext147(),
-        **build_queries_ext148(),
-        **build_queries_ext149(),
-        **build_queries_ext150(),
-        **build_queries_ext151(),
-        **build_queries_ext152(),
-        **build_queries_ext153(),
-        **build_queries_ext154(),
-        **build_queries_ext155(),
-        **build_queries_ext156(),
-        **build_queries_ext157(),
-        **build_queries_ext158(),
-        **build_queries_ext159(),
-        **build_queries_ext160(),
-        **build_queries_ext161(),
-        **build_queries_ext162(),
-        **build_queries_ext163(),
-        **build_queries_ext164(),
-        **build_queries_ext165(),
-        **build_queries_ext166(),
-        **build_queries_ext167(),
-        **build_queries_ext168(),
-        **build_queries_ext169(),
-        **build_queries_ext170(),
-        **build_queries_ext171(),
-        **build_queries_ext172(),
-        **build_queries_ext173(),
-        **build_queries_ext174(),
-        **build_queries_ext175(),
-        **build_queries_ext176(),
-        **build_queries_ext177(),
-        **build_queries_ext178(),
-        **build_queries_ext179(),
-        **build_queries_ext180(),
-        **build_queries_ext181(),
-        **build_queries_ext182(),
-        **build_queries_ext183(),
-        **build_queries_ext184(),
-        **build_queries_ext185(),
-        **build_queries_ext186(),
-        **build_queries_ext187(),
-        **build_queries_ext188(),
-        **build_queries_ext189(),
-        **build_queries_ext190(),
-        **build_queries_ext191(),
-        **build_queries_ext192(),
-        **build_queries_ext193(),
-        **build_queries_ext194(),
-        **build_queries_ext195(),
-        **build_queries_ext196(),
-        **build_queries_ext197(),
-        **build_queries_ext198(),
-        **build_queries_ext199(),
+
+def _merge(parts) -> dict:
+    """Merge ``(source, entries)`` pairs in order; a name that two sources
+    register is an error, never a silent override."""
+    out: dict = {}
+    owner: dict[str, str] = {}
+    for source, entries in parts:
+        for name, value in entries.items():
+            if name in owner:
+                raise ValueError(
+                    f"{name!r} is registered by both {owner[name]} and {source}"
+                )
+            owner[name] = source
+            out[name] = value
+    return out
+
+
+def _registry(kind: str, own: dict) -> dict:
+    """``kind`` ("queries" or "oracles") of every ``queries_extN`` module,
+    from its ``build_<kind>_extN()``, then this module's ``own`` entries."""
+    parts = []
+    for name in _ext_modules():
+        mod = importlib.import_module(f".{name}", __package__)
+        build = getattr(mod, f"build_{kind}_{name.removeprefix('queries_')}")
+        parts.append((mod.__name__, build()))
+    parts.append((__name__, own))
+    return _merge(parts)
+
+
+def build_queries() -> dict:
+    return _registry("queries", {
         "label_dyadic": q_label_dyadic,
         "bbox_query": q_bbox_query,
         "label_summary": q_label_summary,
@@ -4616,410 +4263,11 @@ def build_queries() -> dict:
         "price_discount_corr": q_price_discount_corr,
         "event_types_per_user": q_event_types_per_user,
         "props_value_stats": q_props_value_stats,
-    }
+    })
 
 
 def build_oracles() -> dict:
-    from .queries_ext import build_oracles_ext
-    from .queries_ext2 import build_oracles_ext2
-    from .queries_ext3 import build_oracles_ext3
-    from .queries_ext4 import build_oracles_ext4
-    from .queries_ext5 import build_oracles_ext5
-    from .queries_ext6 import build_oracles_ext6
-    from .queries_ext7 import build_oracles_ext7
-    from .queries_ext8 import build_oracles_ext8
-    from .queries_ext9 import build_oracles_ext9
-    from .queries_ext10 import build_oracles_ext10
-    from .queries_ext11 import build_oracles_ext11
-    from .queries_ext12 import build_oracles_ext12
-    from .queries_ext13 import build_oracles_ext13
-    from .queries_ext14 import build_oracles_ext14
-    from .queries_ext15 import build_oracles_ext15
-    from .queries_ext16 import build_oracles_ext16
-    from .queries_ext17 import build_oracles_ext17
-    from .queries_ext18 import build_oracles_ext18
-    from .queries_ext19 import build_oracles_ext19
-    from .queries_ext20 import build_oracles_ext20
-    from .queries_ext21 import build_oracles_ext21
-    from .queries_ext22 import build_oracles_ext22
-    from .queries_ext23 import build_oracles_ext23
-    from .queries_ext24 import build_oracles_ext24
-    from .queries_ext25 import build_oracles_ext25
-    from .queries_ext26 import build_oracles_ext26
-    from .queries_ext27 import build_oracles_ext27
-    from .queries_ext28 import build_oracles_ext28
-    from .queries_ext29 import build_oracles_ext29
-    from .queries_ext30 import build_oracles_ext30
-    from .queries_ext31 import build_oracles_ext31
-    from .queries_ext32 import build_oracles_ext32
-    from .queries_ext33 import build_oracles_ext33
-    from .queries_ext34 import build_oracles_ext34
-    from .queries_ext35 import build_oracles_ext35
-    from .queries_ext36 import build_oracles_ext36
-    from .queries_ext37 import build_oracles_ext37
-    from .queries_ext38 import build_oracles_ext38
-    from .queries_ext39 import build_oracles_ext39
-    from .queries_ext40 import build_oracles_ext40
-    from .queries_ext41 import build_oracles_ext41
-    from .queries_ext42 import build_oracles_ext42
-    from .queries_ext43 import build_oracles_ext43
-    from .queries_ext44 import build_oracles_ext44
-    from .queries_ext45 import build_oracles_ext45
-    from .queries_ext46 import build_oracles_ext46
-    from .queries_ext47 import build_oracles_ext47
-    from .queries_ext48 import build_oracles_ext48
-    from .queries_ext49 import build_oracles_ext49
-    from .queries_ext50 import build_oracles_ext50
-    from .queries_ext51 import build_oracles_ext51
-    from .queries_ext52 import build_oracles_ext52
-    from .queries_ext53 import build_oracles_ext53
-    from .queries_ext54 import build_oracles_ext54
-    from .queries_ext55 import build_oracles_ext55
-    from .queries_ext56 import build_oracles_ext56
-    from .queries_ext57 import build_oracles_ext57
-    from .queries_ext58 import build_oracles_ext58
-    from .queries_ext59 import build_oracles_ext59
-    from .queries_ext60 import build_oracles_ext60
-    from .queries_ext61 import build_oracles_ext61
-    from .queries_ext62 import build_oracles_ext62
-    from .queries_ext63 import build_oracles_ext63
-    from .queries_ext64 import build_oracles_ext64
-    from .queries_ext65 import build_oracles_ext65
-    from .queries_ext66 import build_oracles_ext66
-    from .queries_ext67 import build_oracles_ext67
-    from .queries_ext68 import build_oracles_ext68
-    from .queries_ext69 import build_oracles_ext69
-    from .queries_ext70 import build_oracles_ext70
-    from .queries_ext71 import build_oracles_ext71
-    from .queries_ext72 import build_oracles_ext72
-    from .queries_ext73 import build_oracles_ext73
-    from .queries_ext74 import build_oracles_ext74
-    from .queries_ext75 import build_oracles_ext75
-    from .queries_ext76 import build_oracles_ext76
-    from .queries_ext77 import build_oracles_ext77
-    from .queries_ext78 import build_oracles_ext78
-    from .queries_ext79 import build_oracles_ext79
-    from .queries_ext80 import build_oracles_ext80
-    from .queries_ext81 import build_oracles_ext81
-    from .queries_ext82 import build_oracles_ext82
-    from .queries_ext83 import build_oracles_ext83
-    from .queries_ext84 import build_oracles_ext84
-    from .queries_ext85 import build_oracles_ext85
-    from .queries_ext86 import build_oracles_ext86
-    from .queries_ext87 import build_oracles_ext87
-    from .queries_ext88 import build_oracles_ext88
-    from .queries_ext89 import build_oracles_ext89
-    from .queries_ext90 import build_oracles_ext90
-    from .queries_ext91 import build_oracles_ext91
-    from .queries_ext92 import build_oracles_ext92
-    from .queries_ext93 import build_oracles_ext93
-    from .queries_ext94 import build_oracles_ext94
-    from .queries_ext95 import build_oracles_ext95
-    from .queries_ext96 import build_oracles_ext96
-    from .queries_ext97 import build_oracles_ext97
-    from .queries_ext98 import build_oracles_ext98
-    from .queries_ext99 import build_oracles_ext99
-    from .queries_ext100 import build_oracles_ext100
-    from .queries_ext101 import build_oracles_ext101
-    from .queries_ext102 import build_oracles_ext102
-    from .queries_ext103 import build_oracles_ext103
-    from .queries_ext104 import build_oracles_ext104
-    from .queries_ext105 import build_oracles_ext105
-    from .queries_ext106 import build_oracles_ext106
-    from .queries_ext107 import build_oracles_ext107
-    from .queries_ext108 import build_oracles_ext108
-    from .queries_ext109 import build_oracles_ext109
-    from .queries_ext110 import build_oracles_ext110
-    from .queries_ext111 import build_oracles_ext111
-    from .queries_ext112 import build_oracles_ext112
-    from .queries_ext113 import build_oracles_ext113
-    from .queries_ext114 import build_oracles_ext114
-    from .queries_ext115 import build_oracles_ext115
-    from .queries_ext116 import build_oracles_ext116
-    from .queries_ext117 import build_oracles_ext117
-    from .queries_ext118 import build_oracles_ext118
-    from .queries_ext119 import build_oracles_ext119
-    from .queries_ext120 import build_oracles_ext120
-    from .queries_ext121 import build_oracles_ext121
-    from .queries_ext122 import build_oracles_ext122
-    from .queries_ext123 import build_oracles_ext123
-    from .queries_ext124 import build_oracles_ext124
-    from .queries_ext125 import build_oracles_ext125
-    from .queries_ext126 import build_oracles_ext126
-    from .queries_ext127 import build_oracles_ext127
-    from .queries_ext128 import build_oracles_ext128
-    from .queries_ext129 import build_oracles_ext129
-    from .queries_ext130 import build_oracles_ext130
-    from .queries_ext131 import build_oracles_ext131
-    from .queries_ext132 import build_oracles_ext132
-    from .queries_ext133 import build_oracles_ext133
-    from .queries_ext134 import build_oracles_ext134
-    from .queries_ext135 import build_oracles_ext135
-    from .queries_ext136 import build_oracles_ext136
-    from .queries_ext137 import build_oracles_ext137
-    from .queries_ext138 import build_oracles_ext138
-    from .queries_ext139 import build_oracles_ext139
-    from .queries_ext140 import build_oracles_ext140
-    from .queries_ext141 import build_oracles_ext141
-    from .queries_ext142 import build_oracles_ext142
-    from .queries_ext143 import build_oracles_ext143
-    from .queries_ext144 import build_oracles_ext144
-    from .queries_ext145 import build_oracles_ext145
-    from .queries_ext146 import build_oracles_ext146
-    from .queries_ext147 import build_oracles_ext147
-    from .queries_ext148 import build_oracles_ext148
-    from .queries_ext149 import build_oracles_ext149
-    from .queries_ext150 import build_oracles_ext150
-    from .queries_ext151 import build_oracles_ext151
-    from .queries_ext152 import build_oracles_ext152
-    from .queries_ext153 import build_oracles_ext153
-    from .queries_ext154 import build_oracles_ext154
-    from .queries_ext155 import build_oracles_ext155
-    from .queries_ext156 import build_oracles_ext156
-    from .queries_ext157 import build_oracles_ext157
-    from .queries_ext158 import build_oracles_ext158
-    from .queries_ext159 import build_oracles_ext159
-    from .queries_ext160 import build_oracles_ext160
-    from .queries_ext161 import build_oracles_ext161
-    from .queries_ext162 import build_oracles_ext162
-    from .queries_ext163 import build_oracles_ext163
-    from .queries_ext164 import build_oracles_ext164
-    from .queries_ext165 import build_oracles_ext165
-    from .queries_ext166 import build_oracles_ext166
-    from .queries_ext167 import build_oracles_ext167
-    from .queries_ext168 import build_oracles_ext168
-    from .queries_ext169 import build_oracles_ext169
-    from .queries_ext170 import build_oracles_ext170
-    from .queries_ext171 import build_oracles_ext171
-    from .queries_ext172 import build_oracles_ext172
-    from .queries_ext173 import build_oracles_ext173
-    from .queries_ext174 import build_oracles_ext174
-    from .queries_ext175 import build_oracles_ext175
-    from .queries_ext176 import build_oracles_ext176
-    from .queries_ext177 import build_oracles_ext177
-    from .queries_ext178 import build_oracles_ext178
-    from .queries_ext179 import build_oracles_ext179
-    from .queries_ext180 import build_oracles_ext180
-    from .queries_ext181 import build_oracles_ext181
-    from .queries_ext182 import build_oracles_ext182
-    from .queries_ext183 import build_oracles_ext183
-    from .queries_ext184 import build_oracles_ext184
-    from .queries_ext185 import build_oracles_ext185
-    from .queries_ext186 import build_oracles_ext186
-    from .queries_ext187 import build_oracles_ext187
-    from .queries_ext188 import build_oracles_ext188
-    from .queries_ext189 import build_oracles_ext189
-    from .queries_ext190 import build_oracles_ext190
-    from .queries_ext191 import build_oracles_ext191
-    from .queries_ext192 import build_oracles_ext192
-    from .queries_ext193 import build_oracles_ext193
-    from .queries_ext194 import build_oracles_ext194
-    from .queries_ext195 import build_oracles_ext195
-    from .queries_ext196 import build_oracles_ext196
-    from .queries_ext197 import build_oracles_ext197
-    from .queries_ext198 import build_oracles_ext198
-    from .queries_ext199 import build_oracles_ext199
-
-    return {
-        **build_oracles_ext(),
-        **build_oracles_ext2(),
-        **build_oracles_ext3(),
-        **build_oracles_ext4(),
-        **build_oracles_ext5(),
-        **build_oracles_ext6(),
-        **build_oracles_ext7(),
-        **build_oracles_ext8(),
-        **build_oracles_ext9(),
-        **build_oracles_ext10(),
-        **build_oracles_ext11(),
-        **build_oracles_ext12(),
-        **build_oracles_ext13(),
-        **build_oracles_ext14(),
-        **build_oracles_ext15(),
-        **build_oracles_ext16(),
-        **build_oracles_ext17(),
-        **build_oracles_ext18(),
-        **build_oracles_ext19(),
-        **build_oracles_ext20(),
-        **build_oracles_ext21(),
-        **build_oracles_ext22(),
-        **build_oracles_ext23(),
-        **build_oracles_ext24(),
-        **build_oracles_ext25(),
-        **build_oracles_ext26(),
-        **build_oracles_ext27(),
-        **build_oracles_ext28(),
-        **build_oracles_ext29(),
-        **build_oracles_ext30(),
-        **build_oracles_ext31(),
-        **build_oracles_ext32(),
-        **build_oracles_ext33(),
-        **build_oracles_ext34(),
-        **build_oracles_ext35(),
-        **build_oracles_ext36(),
-        **build_oracles_ext37(),
-        **build_oracles_ext38(),
-        **build_oracles_ext39(),
-        **build_oracles_ext40(),
-        **build_oracles_ext41(),
-        **build_oracles_ext42(),
-        **build_oracles_ext43(),
-        **build_oracles_ext44(),
-        **build_oracles_ext45(),
-        **build_oracles_ext46(),
-        **build_oracles_ext47(),
-        **build_oracles_ext48(),
-        **build_oracles_ext49(),
-        **build_oracles_ext50(),
-        **build_oracles_ext51(),
-        **build_oracles_ext52(),
-        **build_oracles_ext53(),
-        **build_oracles_ext54(),
-        **build_oracles_ext55(),
-        **build_oracles_ext56(),
-        **build_oracles_ext57(),
-        **build_oracles_ext58(),
-        **build_oracles_ext59(),
-        **build_oracles_ext60(),
-        **build_oracles_ext61(),
-        **build_oracles_ext62(),
-        **build_oracles_ext63(),
-        **build_oracles_ext64(),
-        **build_oracles_ext65(),
-        **build_oracles_ext66(),
-        **build_oracles_ext67(),
-        **build_oracles_ext68(),
-        **build_oracles_ext69(),
-        **build_oracles_ext70(),
-        **build_oracles_ext71(),
-        **build_oracles_ext72(),
-        **build_oracles_ext73(),
-        **build_oracles_ext74(),
-        **build_oracles_ext75(),
-        **build_oracles_ext76(),
-        **build_oracles_ext77(),
-        **build_oracles_ext78(),
-        **build_oracles_ext79(),
-        **build_oracles_ext80(),
-        **build_oracles_ext81(),
-        **build_oracles_ext82(),
-        **build_oracles_ext83(),
-        **build_oracles_ext84(),
-        **build_oracles_ext85(),
-        **build_oracles_ext86(),
-        **build_oracles_ext87(),
-        **build_oracles_ext88(),
-        **build_oracles_ext89(),
-        **build_oracles_ext90(),
-        **build_oracles_ext91(),
-        **build_oracles_ext92(),
-        **build_oracles_ext93(),
-        **build_oracles_ext94(),
-        **build_oracles_ext95(),
-        **build_oracles_ext96(),
-        **build_oracles_ext97(),
-        **build_oracles_ext98(),
-        **build_oracles_ext99(),
-        **build_oracles_ext100(),
-        **build_oracles_ext101(),
-        **build_oracles_ext102(),
-        **build_oracles_ext103(),
-        **build_oracles_ext104(),
-        **build_oracles_ext105(),
-        **build_oracles_ext106(),
-        **build_oracles_ext107(),
-        **build_oracles_ext108(),
-        **build_oracles_ext109(),
-        **build_oracles_ext110(),
-        **build_oracles_ext111(),
-        **build_oracles_ext112(),
-        **build_oracles_ext113(),
-        **build_oracles_ext114(),
-        **build_oracles_ext115(),
-        **build_oracles_ext116(),
-        **build_oracles_ext117(),
-        **build_oracles_ext118(),
-        **build_oracles_ext119(),
-        **build_oracles_ext120(),
-        **build_oracles_ext121(),
-        **build_oracles_ext122(),
-        **build_oracles_ext123(),
-        **build_oracles_ext124(),
-        **build_oracles_ext125(),
-        **build_oracles_ext126(),
-        **build_oracles_ext127(),
-        **build_oracles_ext128(),
-        **build_oracles_ext129(),
-        **build_oracles_ext130(),
-        **build_oracles_ext131(),
-        **build_oracles_ext132(),
-        **build_oracles_ext133(),
-        **build_oracles_ext134(),
-        **build_oracles_ext135(),
-        **build_oracles_ext136(),
-        **build_oracles_ext137(),
-        **build_oracles_ext138(),
-        **build_oracles_ext139(),
-        **build_oracles_ext140(),
-        **build_oracles_ext141(),
-        **build_oracles_ext142(),
-        **build_oracles_ext143(),
-        **build_oracles_ext144(),
-        **build_oracles_ext145(),
-        **build_oracles_ext146(),
-        **build_oracles_ext147(),
-        **build_oracles_ext148(),
-        **build_oracles_ext149(),
-        **build_oracles_ext150(),
-        **build_oracles_ext151(),
-        **build_oracles_ext152(),
-        **build_oracles_ext153(),
-        **build_oracles_ext154(),
-        **build_oracles_ext155(),
-        **build_oracles_ext156(),
-        **build_oracles_ext157(),
-        **build_oracles_ext158(),
-        **build_oracles_ext159(),
-        **build_oracles_ext160(),
-        **build_oracles_ext161(),
-        **build_oracles_ext162(),
-        **build_oracles_ext163(),
-        **build_oracles_ext164(),
-        **build_oracles_ext165(),
-        **build_oracles_ext166(),
-        **build_oracles_ext167(),
-        **build_oracles_ext168(),
-        **build_oracles_ext169(),
-        **build_oracles_ext170(),
-        **build_oracles_ext171(),
-        **build_oracles_ext172(),
-        **build_oracles_ext173(),
-        **build_oracles_ext174(),
-        **build_oracles_ext175(),
-        **build_oracles_ext176(),
-        **build_oracles_ext177(),
-        **build_oracles_ext178(),
-        **build_oracles_ext179(),
-        **build_oracles_ext180(),
-        **build_oracles_ext181(),
-        **build_oracles_ext182(),
-        **build_oracles_ext183(),
-        **build_oracles_ext184(),
-        **build_oracles_ext185(),
-        **build_oracles_ext186(),
-        **build_oracles_ext187(),
-        **build_oracles_ext188(),
-        **build_oracles_ext189(),
-        **build_oracles_ext190(),
-        **build_oracles_ext191(),
-        **build_oracles_ext192(),
-        **build_oracles_ext193(),
-        **build_oracles_ext194(),
-        **build_oracles_ext195(),
-        **build_oracles_ext196(),
-        **build_oracles_ext197(),
-        **build_oracles_ext198(),
-        **build_oracles_ext199(),
+    return _registry("oracles", {
         "label_dyadic": _sql_label_dyadic(),
         "bbox_query": _sql_bbox_query(),
         "label_summary": SQL_LABEL_SUMMARY,
@@ -5089,4 +4337,4 @@ def build_oracles() -> dict:
         # exact-IVF: the triangle-bound pruning is lossless, so the
         # exhaustive integer top-k IS the expected output
         "ivf_topk": _sql_ivf_topk(),
-    }
+    })

@@ -18,15 +18,8 @@ import pyarrow.compute as pc
 from ..config import DEFAULT_TILE_RES, WORLD_MIN, WORLD_SIZE
 from ..geom.ops import convex_hull, ring_area, simplify_ring
 from ..sources import docs as docs_mod
+from ..sources.docs import DYADIC_CYCLE_IDX as DYADIC_IDX
 from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
-
-DYADIC_IDX = [FIXTURE_CYCLE.index(n) for n in DYADIC_FIXTURES]
-
-
-def _ray():
-    import ray
-
-    return ray
 
 
 # --------------------------------------------------------------------------
@@ -466,7 +459,7 @@ def q_user_first_last(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -578,7 +571,7 @@ def q_ngram_jaccard_pairs(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
@@ -714,7 +707,7 @@ def q_value_quantiles_cont(sf_dir: str):
     machinery as value_quantiles), and the interpolated value is emitted as
     an exact integer numerator over q_den (lo*(den-rem) + hi*rem, in cents)
     — no float interpolation anywhere, so the oracle matches bit-for-bit."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
 
     def cents(batch: pa.Table) -> pa.Table:

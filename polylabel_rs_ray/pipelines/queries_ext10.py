@@ -25,12 +25,6 @@ PAGE_LIMIT = 10
 OUTLIER_K = 3  # |x - median| > K * MAD
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # robust outlier filter
 # --------------------------------------------------------------------------
@@ -39,7 +33,7 @@ def _ray():
 def q_value_outliers(sf_dir: str):
     from .queries_ext8 import exact_median_int
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "value"]
     )
@@ -99,7 +93,7 @@ def q_value_page(sf_dir: str):
     those ranks, only that range's rows are collected (expected n/bins)
     and exactly ranked.  The total order is made unique by the id
     tiebreak, so the page is deterministic."""
-    ray = _ray()
+    import ray
     B = 4096
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "value"]

@@ -25,12 +25,6 @@ GRID_N = 16
 CELL = 8.0
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _interleave16(v: np.ndarray) -> np.ndarray:
     v = v.astype(np.uint64)
     v = (v | (v << np.uint64(8))) & np.uint64(0x00FF00FF)

@@ -23,16 +23,10 @@ import pyarrow.compute as pc
 HOUR_US = 3_600_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_missing_hours_audit(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def hourly(batch: pa.Table) -> pa.Table:
         hr = pc.cast(batch.column("ts"), pa.int64()).to_numpy() // HOUR_US
@@ -107,7 +101,7 @@ SELECT CAST((SELECT COUNT(*) FROM grid) AS BIGINT) AS n_hours_total,
 def q_supplier_hhi(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     per_supp = grouped_aggregate(
         ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",

@@ -32,11 +32,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-def _ray():
-    import ray
-
-    return ray
+from .queries import _ts_us
 
 
 _DAY_US = 86_400_000_000
@@ -52,14 +48,10 @@ Q4_HI = "1997-07-01"
 Q4_LATE_DAYS = 90
 
 
-def _ts_us(iso: str) -> int:
-    return int(np.datetime64(iso, "us").astype(np.int64))
-
-
 def q_forecast_revenue_q6(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     lo_us, hi_us = _ts_us(Q6_LO), _ts_us(Q6_HI)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -111,7 +103,7 @@ def q_order_priority_q4(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     lo_us, hi_us = _ts_us(Q4_LO), _ts_us(Q4_HI)
     late_us = Q4_LATE_DAYS * _DAY_US

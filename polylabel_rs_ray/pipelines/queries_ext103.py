@@ -26,11 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-def _ray():
-    import ray
-
-    return ray
+from .queries import _ts_us
 
 
 _DAY_US = 86_400_000_000
@@ -43,10 +39,6 @@ Q12_BUCKET_1 = 30   # days
 Q12_BUCKET_2 = 90
 
 
-def _ts_us(iso: str) -> int:
-    return int(np.datetime64(iso, "us").astype(np.int64))
-
-
 def q_returned_item_revenue_q10(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
@@ -55,7 +47,7 @@ def q_returned_item_revenue_q10(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     lo_us, hi_us = _ts_us(Q10_LO), _ts_us(Q10_HI)
 
@@ -181,7 +173,7 @@ def q_shipping_lag_q12(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     b1_us, b2_us = Q12_BUCKET_1 * _DAY_US, Q12_BUCKET_2 * _DAY_US
 

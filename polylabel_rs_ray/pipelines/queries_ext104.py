@@ -29,12 +29,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 Q8_REGION = "ASIA"
 Q8_PTYPE = "ECONOMY"
 Q8_NATIONKEY = 2  # NATION_2 sits in region ASIA (regionkey 2)
@@ -57,7 +51,7 @@ def q_market_share_q8(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     # broadcast side 1: ASIA custkeys (sorted array — the semi-join set)
@@ -271,7 +265,7 @@ def q_nation_profit_q9(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     part = pq.read_table(f"{sf_dir}/part.parquet",

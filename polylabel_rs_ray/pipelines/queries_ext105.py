@@ -36,12 +36,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 Q21_LATE_DAYS = 60
 Q21_STATUS = "F"
 
@@ -64,7 +58,7 @@ def q_order_waiting_q21(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     names = _supplier_names(sf_dir)
 
@@ -226,7 +220,7 @@ def q_dominant_part_suppliers_q20(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     names = _supplier_names(sf_dir)
 

@@ -40,12 +40,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 BFS_MAX_HOPS = 8
 
 
@@ -120,7 +114,7 @@ FROM bfs GROUP BY node ORDER BY part_node
 def q_qty_discount_spearman(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def cell_counts(batch: pa.Table) -> pa.Table:
         q = pc.cast(pc.round(batch.column("l_quantity")),

@@ -36,12 +36,6 @@ import pyarrow.compute as pc
 GEOHASH32 = "0123456789bcdefghjkmnpqrstuvwxyz"
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_geohash_cells(sf_dir: str):
     from ..config import DEFAULT_TILE_RES
 
@@ -122,7 +116,7 @@ def q_lang_histogram_intersection(sf_dir: str):
 
     from .queries_ext5 import _word_lists
 
-    ray = _ray()
+    import ray
 
     def lang_word_counts(batch: pa.Table) -> pa.Table:
         flat, counts, _ = _word_lists(batch)

@@ -34,19 +34,13 @@ import pyarrow.compute as pc
 TRIPLE_SHIFT = 21  # partkey < 2^21 per packed component (documented bound)
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_basket_triple_support(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def distinct_pairs(batch: pa.Table) -> pa.Table:
@@ -147,7 +141,7 @@ FROM s GROUP BY support ORDER BY support
 def q_customer_order_gini(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def cust_partial(batch: pa.Table) -> pa.Table:
         ck = batch.column("o_custkey").to_numpy().astype(np.int64)

@@ -35,12 +35,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 Q2_REGION = "EUROPE"
 Q2_PTYPE = "STANDARD"
 Q2_TOPK = 100
@@ -52,7 +46,7 @@ def q_cheapest_supplier_q2(sf_dir: str, n_parts: int | None = None):
 
     from ..stages.agg import hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     nat = pq.read_table(f"{sf_dir}/nation.parquet",
                         columns=["n_nationkey", "n_name", "n_regionkey"])
@@ -179,7 +173,7 @@ def q_segment_priority_independence(sf_dir: str,
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def key_orders(batch: pa.Table) -> pa.Table:

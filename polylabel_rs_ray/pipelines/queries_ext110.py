@@ -35,19 +35,13 @@ KS_LANG_A = "en"
 KS_LANG_B = "de"
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_trigram_novelty(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     from .queries_ext5 import _word_lists
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def shingle_pairs(batch: pa.Table) -> pa.Table:
@@ -157,7 +151,7 @@ ORDER BY sh.doc_id
 def q_doclen_ks_test(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def hist_partial(batch: pa.Table) -> pa.Table:
         lang = batch.column("lang").to_numpy(zero_copy_only=False)

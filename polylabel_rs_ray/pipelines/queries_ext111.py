@@ -32,12 +32,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _axis_fold(hist) -> dict[int, tuple[int, int]]:
     """hist: DataFrame(fixture, v_float, f) -> {fixture: (n, Σ pairwise
     |dv|)} folded in exact Python ints over the bounded histogram."""
@@ -166,7 +160,7 @@ def q_source_overlap_matrix(sf_dir: str, n_parts: int | None = None):
 
     from .queries_ext5 import _word_lists
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def shingle_pairs(batch: pa.Table) -> pa.Table:

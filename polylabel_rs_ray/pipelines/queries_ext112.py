@@ -36,12 +36,6 @@ import pyarrow.compute as pc
 DAY_US = 86_400_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # peak_concurrency
 # --------------------------------------------------------------------------
@@ -51,7 +45,7 @@ def q_peak_concurrency(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
     from ..stages.util import shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def interval_partials(batch: pa.Table) -> pa.Table:

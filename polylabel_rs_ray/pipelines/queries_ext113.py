@@ -34,12 +34,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # scd2_intervals
 # --------------------------------------------------------------------------
@@ -140,7 +134,7 @@ def q_theilsen_part_slope(sf_dir: str, n_parts: int | None = None):
     from .queries import _hash_part
     from .queries_ext3 import _P
 
-    ray = _ray()
+    import ray
     P = _P(n_parts)
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",

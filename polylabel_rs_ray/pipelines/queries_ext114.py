@@ -31,12 +31,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # dod_encoding_cost
 # --------------------------------------------------------------------------
@@ -161,7 +155,7 @@ _KEY_COMBOS = [
 def q_candidate_key_audit(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def projected(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -176,7 +170,7 @@ def q_candidate_key_audit(sf_dir: str, n_parts: int | None = None):
             "one": pa.array(np.ones(batch.num_rows, np.int64)),
         })
 
-    base = _ray().data.read_parquet(
+    base = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderstatus",
                  "o_orderpriority", "o_orderdate", "o_totalprice"],

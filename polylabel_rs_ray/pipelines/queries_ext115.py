@@ -33,12 +33,6 @@ import pyarrow.compute as pc
 MINPTS = 3
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # dbscan_tile_clusters
 # --------------------------------------------------------------------------
@@ -73,7 +67,7 @@ def _tile_hist(sf_dir: str):
 
 
 def q_dbscan_tile_clusters(sf_dir: str):
-    ray = _ray()
+    import ray
     n, hist = _tile_hist(sf_dir)
     core = hist[hist["c"] >= MINPTS]
     cells = {(int(r.ix), int(r.iy)): int(r.c) for r in core.itertuples()}
@@ -161,7 +155,7 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 def q_letter_frequency_matrix(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["lang", "text"])
 

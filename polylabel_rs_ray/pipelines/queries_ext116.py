@@ -47,12 +47,6 @@ _HOUR_US = 3_600_000_000
 _ORIGIN_US = 1_704_067_200_000_000  # 2024-01-01T00:00:00Z in microseconds
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # ams_f2_sketch
 # --------------------------------------------------------------------------
@@ -75,7 +69,7 @@ def q_ams_f2_sketch(sf_dir: str):
 
     from .queries_ext40 import _word_counts
 
-    ray = _ray()
+    import ray
     wc = _word_counts(sf_dir).materialize()  # vocabulary-sized, 2 consumers
 
     # sketch partials: (k, z) rows, collapsing map-side to <= AMS_K per block
@@ -159,7 +153,7 @@ def _hourly_counts(sf_dir: str) -> np.ndarray:
     """Zero-filled length-HAAR_N int64 vector of global hourly counts."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -185,7 +179,7 @@ def _hourly_counts(sf_dir: str) -> np.ndarray:
 
 
 def q_haar_hourly_energy(sf_dir: str):
-    ray = _ray()
+    import ray
     vec = _hourly_counts(sf_dir)
     levels, energies, ncoefs = [], [], []
     cur = vec

@@ -45,12 +45,6 @@ _HOUR_US = 3_600_000_000
 _ORIGIN_US = 1_704_067_200_000_000  # 2024-01-01T00:00:00Z
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # sliding_distinct_users
 # --------------------------------------------------------------------------
@@ -62,7 +56,7 @@ def q_sliding_distinct_users(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts"])
@@ -157,7 +151,7 @@ def _sql_sliding_distinct_users() -> str:
 def q_for_encoding_cost(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_id", "ts"])
 

@@ -41,12 +41,6 @@ from .queries_ext import DYADIC_IDX, _bbox_stage, _dyadic_rings_ds, \
     _norm_exterior
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # fixture_tile_iou
 # --------------------------------------------------------------------------
@@ -57,7 +51,7 @@ def q_fixture_tile_iou(sf_dir: str):
 
     from .queries_ext import _coverage_stage
 
-    ray = _ray()
+    import ray
     cov = _dyadic_rings_ds(sf_dir).map_batches(
         _bbox_stage, batch_format="pyarrow", zero_copy_batch=True
     ).map_batches(_coverage_stage, batch_format="pyarrow",

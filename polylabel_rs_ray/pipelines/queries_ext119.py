@@ -49,12 +49,6 @@ from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
 from .queries_ext import DYADIC_IDX, _dyadic_rings_ds
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # shared: fixture vertex tables embedded as SQL VALUES
 # --------------------------------------------------------------------------

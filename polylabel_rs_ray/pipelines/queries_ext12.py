@@ -18,26 +18,16 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .queries import _P
+
 HOP_US = 900_000_000
 WIN_HOPS = 4
-
-
-def _ray():
-    import ray
-
-    return ray
-
-
-def _P(n_parts: int | None) -> int:
-    from ..stages.util import shuffle_blocks
-
-    return int(n_parts or min(32, shuffle_blocks()))
 
 
 def q_sliding_window_users(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
 
     def fanout(batch: pa.Table) -> pa.Table:
@@ -82,7 +72,7 @@ def q_inverted_index(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle
     from .queries_ext5 import _word_lists
 
-    ray = _ray()
+    import ray
     P = _P(n_parts)
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 

@@ -47,17 +47,11 @@ HOUR_US = 3_600_000_000
 XCORR_LAGS = (0, 1, 2, 3)
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _bucket_counts(sf_dir: str, div_us: int, key: str):
     """Bounded (event_type, bucket) count histogram via map-side combine."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["ts", "event_type"])
 
@@ -86,7 +80,7 @@ def _bucket_counts(sf_dir: str, div_us: int, key: str):
 
 
 def q_mann_kendall_stats(sf_dir: str):
-    ray = _ray()
+    import ray
     hist = _bucket_counts(sf_dir, DAY_US, "day")
 
     types, ss, ns, v18 = [], [], [], []
@@ -148,7 +142,7 @@ LEFT JOIN pairs p ON p.event_type = s.event_type
 
 
 def q_type_hourly_crosscorr(sf_dir: str):
-    ray = _ray()
+    import ray
     hist = _bucket_counts(sf_dir, HOUR_US, "hour")
 
     types = sorted(hist["event_type"].unique())

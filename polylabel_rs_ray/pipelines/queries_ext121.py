@@ -50,12 +50,6 @@ PROBE_FX = [2 * k + 1 for k in range(N_PROBES)]         # × W / 16
 PROBE_FY = [(5 * k + 3) % 16 for k in range(N_PROBES)]  # × H / 16
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # pip_grid_audit
 # --------------------------------------------------------------------------
@@ -186,7 +180,7 @@ def q_elias_code_spectrum(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:

@@ -38,12 +38,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # rare_bigram_docs
 # --------------------------------------------------------------------------
@@ -53,7 +47,7 @@ def _bigram_count_table(sf_dir: str):
     """Bounded corpus bigram-count table via map-side combine."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["text"])
 
@@ -216,7 +210,7 @@ def _coverage_kernel(ids: np.ndarray, texts: list) -> pa.Table:
 
 
 def q_dup_trigram_coverage(sf_dir: str):
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
 

@@ -37,12 +37,6 @@ import pyarrow.compute as pc
 SESSION_GAP_US = 30 * 60 * 1_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # kruskal_rank_sums
 # --------------------------------------------------------------------------
@@ -51,7 +45,7 @@ def _ray():
 def q_kruskal_rank_sums(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_type", "value"])
 
@@ -123,7 +117,7 @@ def q_session_bounce_rate(sf_dir: str):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"])

@@ -34,19 +34,13 @@ import pyarrow as pa
 from .queries_ext120 import DAY_US, HOUR_US, _bucket_counts
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # hourly_peak_counts
 # --------------------------------------------------------------------------
 
 
 def q_hourly_peak_counts(sf_dir: str):
-    ray = _ray()
+    import ray
     hist = _bucket_counts(sf_dir, HOUR_US, "hour")
 
     types, npk, nh, mx = [], [], [], []
@@ -95,7 +89,7 @@ FROM lagged GROUP BY event_type
 
 
 def q_runs_test_daily(sf_dir: str):
-    ray = _ray()
+    import ray
     hist = _bucket_counts(sf_dir, DAY_US, "day")
 
     types, na, nb, nr, med = [], [], [], [], []

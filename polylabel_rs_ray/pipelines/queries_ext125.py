@@ -42,12 +42,6 @@ import pyarrow as pa
 from .queries_ext32 import _minmax, _quantize
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 _SQL_CODES = """
 WITH dims AS (
   SELECT vec_id,
@@ -146,7 +140,7 @@ class _ShardedNnScorer:
 def q_sq8_1nn_label_audit(sf_dir: str, n_shards: int | None = None):
     from ..functions.sim import embedding_matrix
 
-    ray = _ray()
+    import ray
     mn, mx = _minmax(sf_dir)
     span = np.where(mx > mn, mx - mn, 1.0)
 
@@ -223,7 +217,7 @@ def q_sq8_dim_profile(sf_dir: str):
     from ..stages.agg import grouped_aggregate
     from ..functions.sim import embedding_matrix
 
-    ray = _ray()
+    import ray
     mn, mx = _minmax(sf_dir)
     span = np.where(mx > mn, mx - mn, 1.0)
 

@@ -43,12 +43,6 @@ _VARINT_LADDER = " ".join(
 )
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # roaring_cost_estimate
 # --------------------------------------------------------------------------
@@ -57,7 +51,7 @@ def _ray():
 def q_roaring_cost_estimate(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_id", "event_type"])
 
@@ -137,7 +131,7 @@ def q_posting_list_cost(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import _key_hash
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",

@@ -45,12 +45,6 @@ from .queries_ext import DYADIC_IDX, _dyadic_rings_ds
 from .queries_ext119 import _sql_fixture_verts
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # taxicab_diameter_stats
 # --------------------------------------------------------------------------

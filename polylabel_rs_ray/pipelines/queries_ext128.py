@@ -41,12 +41,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _rev_cents_pct(batch: pa.Table) -> np.ndarray:
     """Exact integer cent·percent revenue: round(price·100)·(100−disc%)."""
     price = batch.column("l_extendedprice").to_numpy()
@@ -72,7 +66,7 @@ def q_customer_parttype_hhi(
     from ..stages.factjoin import attach_fact_value, attach_order_custkey
     from ..stages.util import shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = min(32, shuffle_blocks())
     # part TYPE domain is bounded (150 values) and discovered distributedly;
     # the partkey -> type-class attach itself goes through the size-gated
@@ -157,7 +151,7 @@ def q_brand_share_by_type(sf_dir: str, part_mode: str | None = None):
     from ..stages.factjoin import attach_fact_value
     from ..stages.util import shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = min(32, shuffle_blocks())
     # bounded domains (150 types x 25 brands) discovered distributedly;
     # the part attach is size-gated (stages/factjoin.py) with both class

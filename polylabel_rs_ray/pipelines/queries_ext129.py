@@ -42,12 +42,6 @@ from ..sources.fixtures import FIXTURE_CYCLE
 WINDOW_US = 3_600_000_000  # 1 hour
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # abandoned_view_counts
 # --------------------------------------------------------------------------
@@ -57,7 +51,7 @@ def q_abandoned_view_counts(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     ds = ray.data.read_parquet(

@@ -19,17 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-def _ray():
-    import ray
-
-    return ray
-
-
-def _P(n_parts: int | None) -> int:
-    from ..stages.util import shuffle_blocks
-
-    return int(n_parts or min(32, shuffle_blocks()))
+from .queries import _P
 
 
 # --------------------------------------------------------------------------
@@ -113,7 +103,7 @@ def q_orders_above_cust_avg(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = _P(n_parts)
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -218,7 +208,7 @@ def q_users_all_types(sf_dir: str):
     from ..stages.agg import grouped_aggregate
     from .queries import PIVOT_TYPES
 
-    ray = _ray()
+    import ray
     K = len(PIVOT_TYPES)
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]

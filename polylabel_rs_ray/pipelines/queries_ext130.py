@@ -37,12 +37,6 @@ import pyarrow.compute as pc
 WEEK_US = 7 * 86_400_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # users_every_week
 # --------------------------------------------------------------------------
@@ -51,7 +45,7 @@ def _ray():
 def q_users_every_week(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts"])
 
@@ -141,7 +135,7 @@ def q_customer_region_coverage(
     from ..stages.factjoin import attach_fact_value, attach_order_custkey
     from ..stages.util import shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = min(32, shuffle_blocks())
     # nation is a TRUE bounded dim (25 rows) — its nationkey -> regionkey
     # map closes over the side_val_fn; supplier scales at 10k rows/sf, so

@@ -41,12 +41,6 @@ STEP_WINDOW_US = 3_600_000_000  # 1 hour per funnel step
 FUNNEL_STEPS = ("view", "click", "purchase")
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # funnel_pattern_match
 # --------------------------------------------------------------------------
@@ -56,7 +50,7 @@ def q_funnel_pattern_match(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     ds = ray.data.read_parquet(
@@ -193,7 +187,7 @@ DAY_US = 86_400_000_000
 def q_customer_priority_drift(sf_dir: str):
     from ..stages.agg import distinct_values, grouped_aggregate
 
-    ray = _ray()
+    import ray
     # distributed distinct — never a driver column scan of the fact table
     pri = distinct_values(f"{sf_dir}/orders.parquet", "o_orderpriority")
     pidx = {p: i for i, p in enumerate(pri)}

@@ -39,12 +39,6 @@ import pyarrow.compute as pc
 QQ_DECILES = tuple(range(1, 10))
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # source_dedup_stats
 # --------------------------------------------------------------------------
@@ -53,7 +47,7 @@ def _ray():
 def q_source_dedup_stats(sf_dir: str):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["source", "text"])
 
@@ -112,7 +106,7 @@ FROM documents GROUP BY source
 def q_value_qq_distance(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_type", "value"])
 

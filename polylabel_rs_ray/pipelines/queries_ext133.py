@@ -34,17 +34,11 @@ import pyarrow.compute as pc
 DAY_US = 86_400_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _daily_order_revenue(sf_dir: str):
     """Bounded (day, revenue-cents) table via map-side combine."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                columns=["o_orderdate", "o_totalprice"])
 
@@ -77,7 +71,7 @@ def _daily_order_revenue(sf_dir: str):
 
 
 def q_max_revenue_window(sf_dir: str):
-    ray = _ray()
+    import ray
     days, rev = _daily_order_revenue(sf_dir)
     D = len(days)
     T = int(rev.sum())
@@ -143,7 +137,7 @@ LIMIT 1
 
 
 def q_revenue_drawdown(sf_dir: str):
-    ray = _ray()
+    import ray
     days, rev = _daily_order_revenue(sf_dir)
     cum = np.cumsum(rev)
     peak = np.maximum.accumulate(cum)

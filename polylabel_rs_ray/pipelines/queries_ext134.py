@@ -38,12 +38,6 @@ from .queries_ext120 import HOUR_US, _bucket_counts
 QQ_DECILES = tuple(range(1, 10))
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # balance_decile_order_stats
 # --------------------------------------------------------------------------
@@ -54,7 +48,7 @@ def q_balance_decile_order_stats(sf_dir: str, join_mode: str | None = None):
     from ..stages.factjoin import attach_fact_value
     from ..stages.util import shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = min(32, shuffle_blocks())
 
     # exact decile bounds via the DISTRIBUTED cents histogram: per-batch
@@ -182,7 +176,7 @@ LEFT JOIN o ON o.decile = g.decile
 
 
 def q_hourly_islands_per_type(sf_dir: str):
-    ray = _ray()
+    import ray
     hist = _bucket_counts(sf_dir, HOUR_US, "hour")
 
     types, ni, lg = [], [], []

@@ -39,12 +39,6 @@ DUR_BUCKET = 1000
 AMP_BUCKET = 100
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # audio_bucket_dedup
 # --------------------------------------------------------------------------

@@ -33,12 +33,6 @@ import pyarrow.compute as pc
 DAY_US = 86_400_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # day_rank_in_month
 # --------------------------------------------------------------------------
@@ -47,7 +41,7 @@ def _ray():
 def q_day_rank_in_month(sf_dir: str):
     from .queries_ext133 import _daily_order_revenue
 
-    ray = _ray()
+    import ray
     days, rev = _daily_order_revenue(sf_dir)
     # calendar month via numpy datetime64 (== date_trunc('month'))
     dt = (days * 86_400_000_000).astype("datetime64[us]")
@@ -97,7 +91,7 @@ FROM daily
 def q_moods_median_test(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def hist_of(table: str, col: str):
         ds = ray.data.read_parquet(f"{sf_dir}/{table}.parquet",

@@ -30,12 +30,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # part_vwap
 # --------------------------------------------------------------------------
@@ -44,7 +38,7 @@ def _ray():
 def q_part_vwap(sf_dir: str):
     from ..stages.agg import hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_extendedprice", "l_quantity"])
@@ -87,7 +81,7 @@ FROM lineitem GROUP BY l_partkey
 def q_linenumber_density_audit(sf_dir: str):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                                columns=["l_orderkey", "l_linenumber"])
 

@@ -36,18 +36,12 @@ LIFETIME_EDGES = (0, 7, 14, 21)   # bucket = #edges strictly below lifetime
 ACTIVITY_EDGES = (1, 4, 9, 19)    # bucket = #edges strictly below count
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _user_rollup(sf_dir: str):
     """Per-user (first_day, last_day, n_events, n_weekend) via one
     user-key hash aggregate."""
     from ..stages.agg import hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts"])
 
@@ -85,7 +79,7 @@ def _bucket(v: np.ndarray, edges: tuple) -> np.ndarray:
 
 
 def q_lifetime_activity_matrix(sf_dir: str):
-    ray = _ray()
+    import ray
     u = _user_rollup(sf_dir)
     life = (u["last_day"] - u["first_day"]).to_numpy().astype(np.int64)
     n = u["n_events"].to_numpy().astype(np.int64)
@@ -137,7 +131,7 @@ GROUP BY 1, 2
 
 
 def q_weekend_share_histogram(sf_dir: str):
-    ray = _ray()
+    import ray
     u = _user_rollup(sf_dir)
     n = u["n_events"].to_numpy().astype(np.int64)
     w = u["n_weekend"].to_numpy().astype(np.int64)

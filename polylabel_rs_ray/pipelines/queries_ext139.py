@@ -38,19 +38,13 @@ ROLL_WINDOW = 6
 EQ_LEVELS = 16
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # hourly_rolling_max
 # --------------------------------------------------------------------------
 
 
 def q_hourly_rolling_max(sf_dir: str):
-    ray = _ray()
+    import ray
     hist = _bucket_counts(sf_dir, HOUR_US, "hour")
 
     et_out, h_out, n_out, m_out = [], [], [], []
@@ -100,7 +94,7 @@ FROM hourly
 def q_tile_equalize(sf_dir: str):
     from .queries import q_tile_counts
 
-    ray = _ray()
+    import ray
     tc = q_tile_counts(sf_dir).to_pandas()  # bounded: 32x32 tile lattice
     tc = tc.sort_values(["n_points", "tile_id"]).reset_index(drop=True)
     n = tc["n_points"].to_numpy().astype(np.int64)

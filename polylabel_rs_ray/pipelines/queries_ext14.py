@@ -21,19 +21,13 @@ DAY_US = 86_400_000_000
 CONT_B = 512
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # per-group percentile_cont (exact, integer space)
 # --------------------------------------------------------------------------
 
 
 def q_median_cont_per_type(sf_dir: str):
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     )
@@ -172,7 +166,7 @@ EID_BITS = 40  # event ids fit comfortably; value_cents * 2^40 fits int64
 def q_top_event_per_user_day(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "value"]
     )

@@ -36,12 +36,6 @@ import pyarrow.compute as pc
 MOM_SHARDS = 32
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # median_of_medians_audit
 # --------------------------------------------------------------------------
@@ -50,7 +44,7 @@ def _ray():
 def q_median_of_medians_audit(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_id", "value"])
 
@@ -149,7 +143,7 @@ def q_simpsons_paradox_slices(sf_dir: str, supp_mode: str | None = None):
     from ..stages.factjoin import attach_fact_value
     from ..stages.util import shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = min(32, shuffle_blocks())
 
     def partials(batch: pa.Table) -> pa.Table:

@@ -39,12 +39,6 @@ TOP_PAIRS = 20
 N_RANGES = 16
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # common_neighbor_scores
 # --------------------------------------------------------------------------
@@ -53,7 +47,7 @@ def _ray():
 def q_common_neighbor_scores(sf_dir: str):
     from .queries import q_part_pair_counts
 
-    ray = _ray()
+    import ray
     # TWO consumers (top-pairs sweep + endpoint touch): materialize so the
     # lineitem pair exchange executes once; the distinct-pair table is
     # bounded by the part-key domain, not corpus rows
@@ -180,7 +174,7 @@ FROM top t
 def q_range_partition_audit(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
 
     # bounds: one bounded min/max aggregate (constant-size partials)

@@ -36,12 +36,6 @@ DAY_US = 86_400_000_000
 HOUR_US = 3_600_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # dow_hour_heatmap
 # --------------------------------------------------------------------------
@@ -50,7 +44,7 @@ def _ray():
 def q_dow_hour_heatmap(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
 
     def cells(batch: pa.Table) -> pa.Table:
@@ -126,7 +120,7 @@ FROM marg
 def q_name_key_consistency_audit(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def audit(table: str, key_col: str, name_col: str, prefix: str):
         ds = ray.data.read_parquet(f"{sf_dir}/{table}.parquet",

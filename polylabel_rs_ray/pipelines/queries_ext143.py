@@ -34,12 +34,6 @@ import pyarrow.compute as pc
 WEEK_US = 7 * 86_400_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # rotation_symmetry_audit
 # --------------------------------------------------------------------------
@@ -143,7 +137,7 @@ def _sql_rotation_symmetry_audit() -> str:
 def q_wow_retention(sf_dir: str):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts"])
     import pyarrow.parquet as pq
@@ -224,7 +218,7 @@ def q_wow_retention(sf_dir: str):
                 active[w] += n
                 if w + 1 < n_weeks and m >> (w + 1) & 1:
                     retained[w] += n
-    return _ray().data.from_arrow(pa.table({
+    return ray.data.from_arrow(pa.table({
         "week": pa.array(np.arange(w0, w1 + 1), type=pa.int64()),
         "n_active": pa.array(active, type=pa.int64()),
         "n_retained": pa.array(retained, type=pa.int64()),

@@ -37,12 +37,6 @@ SESSION_GAP_US = 30 * 60 * 1_000_000
 HOUR_US = 3_600_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # session_type_pairs
 # --------------------------------------------------------------------------
@@ -52,7 +46,7 @@ def q_session_type_pairs(sf_dir: str):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"])
@@ -129,7 +123,7 @@ GROUP BY 1, 2
 def q_rate_control_chart(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
 
     def hourly(batch: pa.Table) -> pa.Table:

@@ -35,12 +35,6 @@ import pyarrow.compute as pc
 HAAR_LEVELS = 5
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_haar_energy
 # --------------------------------------------------------------------------
@@ -51,7 +45,7 @@ def q_tile_haar_energy(sf_dir: str):
     from ..stages.cells import decode_cells
     from .queries import q_tile_counts
 
-    ray = _ray()
+    import ray
     tc = q_tile_counts(sf_dir).to_pandas()  # bounded 32x32
     n = 1 << DEFAULT_TILE_RES
     lat = np.zeros((n, n), dtype=np.int64)
@@ -129,7 +123,7 @@ def q_first_vs_modal_matrix(sf_dir: str):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"])

@@ -35,12 +35,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # balance_skewness_moments
 # --------------------------------------------------------------------------
@@ -49,7 +43,7 @@ def _ray():
 def q_balance_skewness_moments(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/supplier.parquet",
                                columns=["s_nationkey", "s_acctbal"])
 
@@ -129,7 +123,7 @@ FROM g
 def q_dup_group_size_histogram(sf_dir: str):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["text"])
 

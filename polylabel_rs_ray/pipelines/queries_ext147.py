@@ -33,12 +33,6 @@ import pyarrow.compute as pc
 DAY_US = 86_400_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # brand_leadership_flips
 # --------------------------------------------------------------------------
@@ -49,7 +43,7 @@ def q_brand_leadership_flips(sf_dir: str):
 
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_brand"])
     brands = sorted(set(part.column("p_brand").to_pylist()))
@@ -145,7 +139,7 @@ FROM lead_m
 def q_p90_order_exemplar(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                columns=["o_orderkey", "o_totalprice"])
 

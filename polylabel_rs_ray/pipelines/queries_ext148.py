@@ -35,12 +35,6 @@ from ..sources import docs as docs_mod
 from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_majority_fixture
 # --------------------------------------------------------------------------
@@ -51,7 +45,7 @@ def q_tile_majority_fixture(sf_dir: str):
     from ..stages.cells import encode_stage
     from .queries import _dyadic_labeled
 
-    ray = _ray()
+    import ray
     ds = encode_stage(_dyadic_labeled(sf_dir))
 
     def keyed(batch: pa.Table) -> pa.Table:
@@ -130,7 +124,7 @@ def q_offset_generator_audit(sf_dir: str):
     from ..stages.agg import grouped_aggregate
     from .queries import _dyadic_labeled
 
-    ray = _ray()
+    import ray
     # fixture-constant labels for the non-sentinel dyadic fixtures
     base: dict[int, tuple[float, float]] = {}
     for name in DYADIC_FIXTURES:

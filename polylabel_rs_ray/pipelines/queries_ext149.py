@@ -32,12 +32,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # word_length_histogram
 # --------------------------------------------------------------------------
@@ -46,7 +40,7 @@ def _ray():
 def q_word_length_histogram(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["text"])
 

@@ -24,20 +24,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .queries import _P
+
 SAMPLE_K = 3
 HLL_P = 12
-
-
-def _ray():
-    import ray
-
-    return ray
-
-
-def _P(n_parts: int | None) -> int:
-    from ..stages.util import shuffle_blocks
-
-    return int(n_parts or min(32, shuffle_blocks()))
 
 
 # --------------------------------------------------------------------------
@@ -49,7 +39,7 @@ def q_sample_per_lang(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = _P(n_parts)
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
 
@@ -144,7 +134,7 @@ def _hll_regs(ds, col_filter: str):
 def q_hll_type_overlap(sf_dir: str):
     from .queries import _hll_estimate_exact
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
     )
@@ -188,7 +178,7 @@ def q_orders_with_lineitems_bloom(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = _P(n_parts)
     li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"])
     n_keys = li.count()
@@ -200,8 +190,10 @@ def q_orders_with_lineitems_bloom(sf_dir: str, n_parts: int | None = None):
     )
 
     def probe(batch: pa.Table) -> pa.Table:
+        import ray
+
         key = batch.column("o_orderkey").to_numpy().astype(np.int64)
-        keep = bloom_contains(_ray().get(bloom_ref), key)
+        keep = bloom_contains(ray.get(bloom_ref), key)
         return pa.table({
             "part": pa.array(_hash_part(key[keep], P), type=pa.int64()),
             "o_orderkey": pa.array(key[keep], type=pa.int64()),

@@ -33,12 +33,6 @@ DAY_US = 86_400_000_000
 ENERGY_QUARTILES = (1, 2, 3)
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # sq8_energy_label_matrix
 # --------------------------------------------------------------------------
@@ -49,7 +43,7 @@ def q_sq8_energy_label_matrix(sf_dir: str):
     from ..stages.agg import grouped_aggregate
     from .queries_ext32 import _minmax, _quantize
 
-    ray = _ray()
+    import ray
     mn, mx = _minmax(sf_dir)
     span = np.where(mx > mn, mx - mn, 1.0)
 
@@ -169,7 +163,7 @@ GROUP BY 1, 2
 def q_weekend_order_premium(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                columns=["o_orderdate", "o_totalprice"])
 

@@ -41,12 +41,6 @@ TOK_PACK = 1 << 20  # tokens < 2^20: pack (doc_id, tokens) into one int64
 HALF_LIFE_CAP = 20  # weight = 2^(CAP - min(age, CAP))
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # prefix_dup_token_savings
 # --------------------------------------------------------------------------
@@ -55,7 +49,7 @@ def _ray():
 def q_prefix_dup_token_savings(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
 
@@ -132,7 +126,7 @@ HAVING COUNT(*) > 1
 def q_halflife_activity_score(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     path = f"{sf_dir}/events.parquet"
 
     # pass 1: global max day (O(1) aggregate)

@@ -41,12 +41,6 @@ TOP_K = 20
 ACF_LAGS = (1, 2, 3, 4, 5, 6, 7)
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # local_clustering_coeff
 # --------------------------------------------------------------------------
@@ -56,7 +50,7 @@ def q_local_clustering_coeff(sf_dir: str):
     from ..stages.agg import hash_grouped_aggregate
     from .queries import q_part_pair_counts
 
-    ray = _ray()
+    import ray
     edges = q_part_pair_counts(sf_dir).select_columns(["part_a", "part_b"])
 
     # degrees: one hash aggregate over unpivoted endpoints
@@ -179,7 +173,7 @@ FROM top t LEFT JOIN tri ON tri.v = t.v
 def q_daily_revenue_acf(sf_dir: str):
     from .queries_ext133 import _daily_order_revenue
 
-    ray = _ray()
+    import ray
     days, rev = _daily_order_revenue(sf_dir)
     # Python-int fold over the bounded observed-day series: Σxy at these
     # magnitudes (~6e21) exceeds int64, so the driver fold — like the SQL

@@ -39,12 +39,6 @@ import pyarrow.compute as pc
 NGRAM_CAP = 16
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # doclen_emd_matrix
 # --------------------------------------------------------------------------
@@ -53,7 +47,7 @@ def _ray():
 def q_doclen_emd_matrix(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["lang", "n_chars"])
 
@@ -142,7 +136,7 @@ GROUP BY 1, 2, 3, 4
 
 
 def q_longest_repeated_ngram(sf_dir: str):
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
 

@@ -42,12 +42,6 @@ MMR_K = 10
 QUERY_VEC_ID = 0
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # mmr_topk
 # --------------------------------------------------------------------------
@@ -57,7 +51,7 @@ def q_mmr_topk(sf_dir: str):
     from ..functions.sim import embedding_matrix
     from .queries_ext32 import _minmax, _quantize
 
-    ray = _ray()
+    import ray
     mn, mx = _minmax(sf_dir)
     span = np.where(mx > mn, mx - mn, 1.0)
     path = f"{sf_dir}/embeddings.parquet"
@@ -229,7 +223,7 @@ FROM ({finals})
 def q_order_cohort_ltv(sf_dir: str):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
     path = f"{sf_dir}/orders.parquet"
     ds = ray.data.read_parquet(path, columns=["o_custkey", "o_orderdate",
                                               "o_totalprice"])

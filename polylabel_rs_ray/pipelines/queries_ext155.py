@@ -39,12 +39,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # sq8_class_medoids
 # --------------------------------------------------------------------------
@@ -55,7 +49,7 @@ def q_sq8_class_medoids(sf_dir: str):
     from ..stages.agg import grouped_aggregate
     from .queries_ext32 import _minmax, _quantize
 
-    ray = _ray()
+    import ray
     mn, mx = _minmax(sf_dir)
     span = np.where(mx > mn, mx - mn, 1.0)
     path = f"{sf_dir}/embeddings.parquet"
@@ -180,7 +174,7 @@ FROM (
 def q_isotonic_price_size(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/part.parquet",
                                columns=["p_size", "p_retailprice"])
 

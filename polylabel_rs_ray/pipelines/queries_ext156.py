@@ -38,12 +38,6 @@ import numpy as np
 import pyarrow as pa
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _lattice(sf_dir: str) -> np.ndarray:
     """Distributed tile counts -> dense bounded (n x n) int64 lattice,
     indexed [ix, iy]."""
@@ -83,7 +77,7 @@ def _sql_grid_cte(tile_res: int | None = None) -> str:
 
 
 def q_tile_chebyshev_dt(sf_dir: str):
-    ray = _ray()
+    import ray
     lat = _lattice(sf_dir)
     n = lat.shape[0]
     inf = np.int64(4 * n)  # > any reachable king-move distance
@@ -140,7 +134,7 @@ GROUP BY 1, 2
 
 
 def q_tile_seam_dp(sf_dir: str):
-    ray = _ray()
+    import ray
     lat = _lattice(sf_dir)  # [ix, iy]
     n = lat.shape[0]
     w = lat.T  # [iy, ix]: rows are lattice rows, seam runs top->bottom

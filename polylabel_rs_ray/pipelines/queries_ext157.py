@@ -38,12 +38,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_sedt
 # --------------------------------------------------------------------------
@@ -54,7 +48,7 @@ _INF = np.int64(10**6)  # > max possible sedt 2*31^2 = 1922
 def q_tile_sedt(sf_dir: str):
     from .queries_ext156 import _lattice
 
-    ray = _ray()
+    import ray
     lat = _lattice(sf_dir)  # [ix, iy]
     n = lat.shape[0]
 
@@ -114,7 +108,7 @@ SCREEN_PATTERNS = (
 def q_phrase_screen_counts(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["text"])
 

@@ -44,12 +44,6 @@ RRF_K = 60
 RRF_TOPN = 20
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_visibility
 # --------------------------------------------------------------------------
@@ -58,7 +52,7 @@ def _ray():
 def q_tile_visibility(sf_dir: str):
     from .queries_ext156 import _lattice
 
-    ray = _ray()
+    import ray
     lat = _lattice(sf_dir)  # [ix, iy] counts
     n = lat.shape[0]
     ox, oy = np.nonzero(lat > 0)
@@ -157,7 +151,7 @@ FROM grid g
 def q_rrf_fusion(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_extendedprice", "l_discount", "l_quantity"])

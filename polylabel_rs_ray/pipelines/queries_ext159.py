@@ -49,12 +49,6 @@ DUR_US = 60_000_000  # 1-minute quantum; dur = DUR_US * (1 + event_id % 10)
 HOLE_RES = 6  # 64x64: finest lattice with non-trivial enclosure (see doc)
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_enclosed_holes
 # --------------------------------------------------------------------------
@@ -79,7 +73,7 @@ def _lattice_res(sf_dir: str, tile_res: int) -> np.ndarray:
 
 
 def q_tile_enclosed_holes(sf_dir: str):
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, HOLE_RES)  # [ix, iy]
     n = lat.shape[0]
     empty = lat == 0
@@ -145,7 +139,7 @@ LEFT JOIN reach r ON r.ix = e.ix AND r.iy = e.iy
 def q_activity_selection(sf_dir: str):
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts", "event_id"])
 

@@ -17,16 +17,10 @@ import pyarrow.compute as pc
 PROFILE_COLS = ("l_linenumber", "l_quantity", "l_partkey", "l_suppkey")
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_table_profile(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     cols = list(PROFILE_COLS)
     ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet", columns=cols)
 

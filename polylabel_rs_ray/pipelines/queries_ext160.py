@@ -40,12 +40,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_max_empty_square
 # --------------------------------------------------------------------------
@@ -54,7 +48,7 @@ def _ray():
 def q_tile_max_empty_square(sf_dir: str):
     from .queries_ext156 import _lattice
 
-    ray = _ray()
+    import ray
     lat = _lattice(sf_dir)  # [ix, iy]
     n = lat.shape[0]
     empty = (lat == 0).astype(np.int64)
@@ -106,7 +100,7 @@ GROUP BY 1, 2
 def q_lis_per_user(sf_dir: str):
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts", "event_id", "value"])
 

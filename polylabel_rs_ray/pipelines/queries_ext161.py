@@ -51,12 +51,6 @@ _MONDAY_EPOCH_DAYS = -3  # 1969-12-29 (a Monday) in days since 1970-01-01
 COVER_MAX_CHARS = 120  # set-cover candidate gate (see vocab_set_cover doc)
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # busday_ship_lag
 # --------------------------------------------------------------------------
@@ -67,7 +61,7 @@ def q_busday_ship_lag(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def order_side(batch: pa.Table) -> pa.Table:
@@ -172,7 +166,7 @@ FROM j GROUP BY 1, 2
 def q_vocab_set_cover(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     path = f"{sf_dir}/documents.parquet"
 
     # pass 1: the vocabulary over the FULL corpus (bounded <= 63 words)

@@ -44,12 +44,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # balance_dominance_counts
 # --------------------------------------------------------------------------
@@ -58,7 +52,7 @@ def _ray():
 def q_balance_dominance_counts(sf_dir: str):
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
 
     def cust_side(batch: pa.Table) -> pa.Table:
         cents = np.round(
@@ -146,7 +140,7 @@ def q_guarded_sequence_match(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def add_part(batch: pa.Table) -> pa.Table:

@@ -52,12 +52,6 @@ PREFIX_MAX_LEN = 4
 AUTOCOMPLETE_TOPK = 3
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # part_core_buckets
 # --------------------------------------------------------------------------
@@ -83,7 +77,7 @@ def _peel_to_core(a: np.ndarray, b: np.ndarray, alive: np.ndarray,
 def q_part_core_buckets(sf_dir: str):
     from .queries import q_part_pair_counts
 
-    ray = _ray()
+    import ray
     # distributed edge build; the distinct-pair table is bounded by the
     # part-key domain (not corpus size) — driver fold is legitimate
     edges = q_part_pair_counts(sf_dir).select_columns(
@@ -165,7 +159,7 @@ FROM s_base n""")
 def q_autocomplete_topk(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def words(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(

@@ -48,12 +48,6 @@ import pyarrow.compute as pc
 EMB_DIM = 64
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # half_revenue_item_count
 # --------------------------------------------------------------------------
@@ -63,7 +57,7 @@ def q_half_revenue_item_count(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -163,7 +157,7 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 def q_embedding_sign_hamming_hist(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     path = f"{sf_dir}/embeddings.parquet"
 
     def fingerprints(batch: pa.Table) -> pa.Table:

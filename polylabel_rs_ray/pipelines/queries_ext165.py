@@ -49,12 +49,6 @@ VOPT_PREBINS = 64
 VOPT_BUCKETS = 8
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_components
 # --------------------------------------------------------------------------
@@ -63,7 +57,7 @@ def _ray():
 def q_tile_components(sf_dir: str):
     from .queries_ext159 import _lattice_res
 
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, COMP_RES)  # [ix, iy]
     n = lat.shape[0]
     occ = lat > 0
@@ -132,7 +126,7 @@ JOIN csize s ON s.comp_id = m.comp_id
 def q_vopt_histogram_dp(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     path = f"{sf_dir}/events.parquet"
 
     # pass 1: global cents domain (one min/max reduce)

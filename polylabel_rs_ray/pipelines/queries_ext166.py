@@ -44,12 +44,6 @@ OCT_CENTER = 512.0  # exact integer center of the label-offset cloud
 OCT_SCALE = 32      # clears every dyadic fixture denominator (<= 32)
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # daily_revenue_cartesian
 # --------------------------------------------------------------------------
@@ -58,7 +52,7 @@ def _ray():
 def q_daily_revenue_cartesian(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         day = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()

@@ -44,12 +44,6 @@ KM_EVENT_FLAG = "R"
 MED_WINDOW = 7
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # km_risk_table
 # --------------------------------------------------------------------------
@@ -60,7 +54,7 @@ def q_km_risk_table(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def order_side(batch: pa.Table) -> pa.Table:
@@ -170,7 +164,7 @@ FROM g
 def q_daily_revenue_sliding_median(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         day = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()

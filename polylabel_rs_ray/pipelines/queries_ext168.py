@@ -44,12 +44,6 @@ import pyarrow.compute as pc
 WEEKEND_MODS = (2, 3)
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # hodges_lehmann_revenue
 # --------------------------------------------------------------------------
@@ -78,7 +72,7 @@ def _kth_pair_sum(c: np.ndarray, k: int) -> int:
 def q_hodges_lehmann_revenue(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         day = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()
@@ -136,7 +130,7 @@ FROM pairs
 def q_wilcoxon_signed_rank_weekend(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch.column("ts"), pa.int64()).to_numpy()

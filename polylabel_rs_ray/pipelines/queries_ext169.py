@@ -47,12 +47,6 @@ GEO_RES = 5
 BOS, EOS = "<s>", "</s>"
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_geodesic_dist
 # --------------------------------------------------------------------------
@@ -61,7 +55,7 @@ def _ray():
 def q_tile_geodesic_dist(sf_dir: str):
     from .queries_ext159 import _lattice_res
 
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, GEO_RES)
     n = lat.shape[0]
     occ = lat > 0
@@ -133,7 +127,7 @@ FROM cells c LEFT JOIN best b ON b.cell = c.id
 def q_kwic_context_matrix(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     path = f"{sf_dir}/documents.parquet"
 
     def words(batch: pa.Table) -> pa.Table:

@@ -17,16 +17,10 @@ import pyarrow.compute as pc
 DAY_US = 86_400_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_revenue_share_by_nation(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     import pyarrow.parquet as pq
 
     # dims are bounded: compose custkey -> nation name driver-side (the
@@ -48,8 +42,9 @@ def q_revenue_share_by_nation(sf_dir: str):
     )
 
     def keyed(batch: pa.Table) -> pa.Table:
-        r = _ray()
-        cks, cns = r.get(ck_ref), r.get(cn_ref)
+        import ray
+
+        cks, cns = ray.get(ck_ref), ray.get(cn_ref)
         cust_k = batch.column("o_custkey").to_numpy().astype(np.int64)
         nkey = cns[np.searchsorted(cks, cust_k)]
         return pa.table({
@@ -97,7 +92,7 @@ SQL_REVENUE_SHARE_BY_NATION = """
 def q_events_by_dow(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])
 
     def keyed(batch: pa.Table) -> pa.Table:

@@ -47,12 +47,6 @@ CHAIKIN_SCALE = 16384  # (4^2)^2 * headroom: clears squared /4 dyadics
 SRC_ORDER, SRC_SHIP = "order", "ship"
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # stream_alternation_runs
 # --------------------------------------------------------------------------
@@ -62,7 +56,7 @@ def q_stream_alternation_runs(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def order_side(batch: pa.Table) -> pa.Table:

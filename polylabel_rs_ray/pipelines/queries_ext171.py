@@ -40,12 +40,6 @@ import pyarrow.compute as pc
 MORPH_RES = 5
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_morph_open_close
 # --------------------------------------------------------------------------
@@ -78,7 +72,7 @@ def _dilate(m: np.ndarray) -> np.ndarray:
 def q_tile_morph_open_close(sf_dir: str):
     from .queries_ext159 import _lattice_res
 
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, MORPH_RES)
     occ = lat > 0
     opened = _dilate(_erode(occ))
@@ -165,7 +159,7 @@ def q_user_turning_points(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def add_part(batch: pa.Table) -> pa.Table:

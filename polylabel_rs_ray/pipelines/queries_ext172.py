@@ -43,12 +43,6 @@ DECODE_CAP = 20
 BOS, EOS = "<s>", "</s>"
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_geodesic_voronoi
 # --------------------------------------------------------------------------
@@ -77,7 +71,7 @@ def _bfs_field(occ: np.ndarray, sx: int, sy: int) -> np.ndarray:
 def q_tile_geodesic_voronoi(sf_dir: str):
     from .queries_ext159 import _lattice_res
 
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, VOR_RES)
     n = lat.shape[0]
     occ = lat > 0
@@ -153,7 +147,7 @@ LEFT JOIN pick p ON p.cell = c.id AND p.rn = 1
 def q_greedy_bigram_decode(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def bigrams(batch: pa.Table) -> pa.Table:
         split = pc.split_pattern(batch.column("text"), " ")

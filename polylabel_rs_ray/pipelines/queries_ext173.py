@@ -42,12 +42,6 @@ SKEL_ROUNDS = 16
 LUHN_DIGITS = 12
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_skeleton
 # --------------------------------------------------------------------------
@@ -96,7 +90,7 @@ def _zhang_suen(m: np.ndarray) -> tuple[np.ndarray, int]:
 def q_tile_skeleton(sf_dir: str):
     from .queries_ext159 import _lattice_res
 
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, SKEL_RES)
     occ = lat > 0
     skel, rounds = _zhang_suen(occ.copy())
@@ -171,7 +165,7 @@ WHERE o0.v = 1""")
 
 
 def q_luhn_check_digits(sf_dir: str):
-    ray = _ray()
+    import ray
 
     def stage(batch: pa.Table) -> pa.Table:
         k = batch.column("o_orderkey").to_numpy().astype(np.int64)

@@ -41,12 +41,6 @@ import pyarrow.compute as pc
 BURN_NUM, BURN_DEN = 37, 100
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # secretary_stopping
 # --------------------------------------------------------------------------
@@ -56,7 +50,7 @@ def q_secretary_stopping(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def add_part(batch: pa.Table) -> pa.Table:
@@ -178,7 +172,7 @@ def q_trade_asymmetry_matrix(sf_dir: str, n_parts: int | None = None):
     from .queries import _hash_part
     from .queries_ext60 import _attach_inner
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet",

@@ -54,12 +54,6 @@ def _lcm_1_to(n: int) -> int:
 RBO_LCM = _lcm_1_to(RBO_DEPTH)
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # sfe_code_lengths
 # --------------------------------------------------------------------------
@@ -68,7 +62,7 @@ def _ray():
 def q_sfe_code_lengths(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def words(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(pc.split_pattern(batch.column("text"), " "))
@@ -130,7 +124,7 @@ FROM freq f, tot t
 def q_rank_biased_overlap(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     # distributed top-D by each ranking via packed min-keys: rank A by
     # (price cents DESC, partkey ASC) -> key = (MAXC - cents) * 2^21 + pk

@@ -53,12 +53,6 @@ ALLEN_NAMES = [
 ]
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # marching_squares_cases
 # --------------------------------------------------------------------------
@@ -67,7 +61,7 @@ def _ray():
 def q_marching_squares_cases(sf_dir: str):
     from .queries_ext159 import _lattice_res
 
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, MS_RES)
     occ = (lat > 0).astype(np.int64)
     case = (occ[:-1, :-1]          # bit 1: bottom-left (x, y)
@@ -147,7 +141,7 @@ def _classify_allen(s1, e1, s2, e2) -> np.ndarray:
 def q_allen_relation_histogram(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         day = (pc.cast(batch.column("ts"), pa.int64()).to_numpy()

@@ -40,12 +40,6 @@ import pyarrow.compute as pc
 EULER_RES = 6
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # lattice_euler_char
 # --------------------------------------------------------------------------
@@ -54,7 +48,7 @@ def _ray():
 def q_lattice_euler_char(sf_dir: str):
     from .queries_ext159 import _lattice_res
 
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, EULER_RES)
     n = lat.shape[0]
     occ = lat > 0
@@ -113,7 +107,7 @@ SELECT (SELECT CAST(COUNT(*) AS BIGINT) FROM occ) AS n_cells,
 def q_user_bitonic_len(sf_dir: str):
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "value"])

@@ -44,12 +44,6 @@ EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
 QT_RES = 5
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # markov_stationary_exact
 # --------------------------------------------------------------------------
@@ -82,7 +76,7 @@ def q_markov_stationary_exact(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def add_part(batch: pa.Table) -> pa.Table:
@@ -200,7 +194,7 @@ FROM m""")
 def q_quadtree_leaf_census(sf_dir: str):
     from .queries_ext159 import _lattice_res
 
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, QT_RES)
     n = lat.shape[0]
     occ = (lat > 0).astype(np.int64)

@@ -42,12 +42,6 @@ WEEKEND_MODS = (2, 3)
 HOURS = 24
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # optimal_bst_table
 # --------------------------------------------------------------------------
@@ -56,7 +50,7 @@ def _ray():
 def q_optimal_bst_table(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -150,7 +144,7 @@ FROM ({sel})""")
 def q_hourly_transport_plan(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch.column("ts"), pa.int64()).to_numpy()

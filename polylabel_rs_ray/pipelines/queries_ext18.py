@@ -23,19 +23,13 @@ import pyarrow.compute as pc
 WM_BINS = 4096
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # weighted median
 # --------------------------------------------------------------------------
 
 
 def q_weighted_median_price(sf_dir: str):
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice", "l_quantity"]
     )
@@ -124,7 +118,7 @@ SQL_WEIGHTED_MEDIAN_PRICE = """
 
 
 def q_price_discount_slope_by_flag(sf_dir: str):
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_extendedprice", "l_discount"],

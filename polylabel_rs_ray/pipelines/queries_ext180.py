@@ -40,12 +40,6 @@ RECT_FIXTURE_IDX = 0  # l_shape in FIXTURE_CYCLE
 RECT_W = 4            # l_shape bbox is [0,4]^2
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # rect_union_area
 # --------------------------------------------------------------------------
@@ -55,7 +49,7 @@ def q_rect_union_area(sf_dir: str):
     from ..sources import docs as docs_mod
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     NF = docs_mod.N_FIXTURES
 
     def offsets(batch: pa.Table) -> pa.Table:
@@ -156,7 +150,7 @@ FROM seg
 def q_region_adjacency_graph(sf_dir: str):
     from .queries_ext165 import q_tile_components
 
-    ray = _ray()
+    import ray
     comp = q_tile_components(sf_dir).to_pandas()  # bounded lattice cells
     by = {}
     for r in comp.itertuples():

@@ -38,12 +38,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # aho_corasick_links
 # --------------------------------------------------------------------------
@@ -52,7 +46,7 @@ def _ray():
 def q_aho_corasick_links(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def words(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(pc.split_pattern(batch.column("text"), " "))
@@ -133,7 +127,7 @@ FROM nodes n JOIN fails f ON f.p = n.p
 def q_fenwick_nodes(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         day = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()

@@ -38,12 +38,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # doc_suffix_array
 # --------------------------------------------------------------------------
@@ -96,7 +90,7 @@ def _kasai_lcp(s: str, sa: np.ndarray) -> np.ndarray:
 def q_doc_suffix_array(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def pick(batch: pa.Table) -> pa.Table:
         d = batch.column("doc_id").to_numpy().astype(np.int64)
@@ -163,7 +157,7 @@ def q_skiplist_level_histogram(sf_dir: str):
 
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def levels(batch: pa.Table) -> pa.Table:
         k = batch.column("o_orderkey").to_numpy().astype(np.int64)

@@ -37,12 +37,6 @@ import pyarrow.compute as pc
 RICE_MAX_K = 15
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # doc_bwt
 # --------------------------------------------------------------------------
@@ -51,7 +45,7 @@ def _ray():
 def _anchor_text(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def pick(batch: pa.Table) -> pa.Table:
         d = batch.column("doc_id").to_numpy().astype(np.int64)
@@ -74,7 +68,7 @@ def _anchor_text(sf_dir: str):
 
 
 def q_doc_bwt(sf_dir: str):
-    ray = _ray()
+    import ray
     s = _anchor_text(sf_dir)
     L = len(s)
     doubled = s + s
@@ -109,7 +103,7 @@ FROM rot
 def q_rice_param_scan(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         day = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()

@@ -37,12 +37,6 @@ HOUGH_MIN = 3
 HOUGH_DIRS = ("h", "v", "diag", "anti")
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_hough_peaks
 # --------------------------------------------------------------------------
@@ -51,7 +45,7 @@ def _ray():
 def q_tile_hough_peaks(sf_dir: str):
     from .queries_ext159 import _lattice_res
 
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, HOUGH_RES)
     occ = lat > 0
     ox, oy = np.nonzero(occ)
@@ -109,7 +103,7 @@ FROM (
 def q_zigzag_varint_cost(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         day = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()

@@ -37,12 +37,6 @@ PERC_RES = 5
 PERC_MAX_T = 8
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_percolation_scan
 # --------------------------------------------------------------------------
@@ -65,7 +59,7 @@ def _floods(open_: np.ndarray, seed_mask: np.ndarray) -> np.ndarray:
 def q_tile_percolation_scan(sf_dir: str):
     from .queries_ext159 import _lattice_res
 
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, PERC_RES)
     n = lat.shape[0]
     ts, opens, lr, tb = [], [], [], []
@@ -143,7 +137,7 @@ def q_user_h_index(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def prep(batch: pa.Table) -> pa.Table:

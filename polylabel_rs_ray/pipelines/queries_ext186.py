@@ -37,12 +37,6 @@ import pyarrow.compute as pc
 DOM_FIXTURE_IDX = 0  # l_shape
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # label_dominance_counts
 # --------------------------------------------------------------------------
@@ -52,7 +46,7 @@ def q_label_dominance_counts(sf_dir: str):
     from ..sources import docs as docs_mod
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     NF = docs_mod.N_FIXTURES
 
     def offsets(batch: pa.Table) -> pa.Table:
@@ -140,7 +134,7 @@ FROM pts a
 def q_vocab_borders(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def words(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(pc.split_pattern(batch.column("text"), " "))

@@ -31,12 +31,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # doc_z_function
 # --------------------------------------------------------------------------
@@ -59,7 +53,7 @@ def _z_array(s: str) -> np.ndarray:
 def q_doc_z_function(sf_dir: str):
     from .queries_ext183 import _anchor_text
 
-    ray = _ray()
+    import ray
     s = _anchor_text(sf_dir)
     z = _z_array(s)
     return ray.data.from_arrow(pa.table({
@@ -94,7 +88,7 @@ FROM pos
 def q_rmq_sparse_table(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         day = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()

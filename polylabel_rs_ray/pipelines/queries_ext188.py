@@ -42,12 +42,6 @@ LPT_JOBS = 60
 LPT_MACHINES = 7
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # doc_lyndon_factors
 # --------------------------------------------------------------------------
@@ -74,7 +68,7 @@ def _duval(s: str) -> list[tuple[int, int]]:
 def q_doc_lyndon_factors(sf_dir: str):
     from .queries_ext183 import _anchor_text
 
-    ray = _ray()
+    import ray
     s = _anchor_text(sf_dir)
     factors = _duval(s)
     return ray.data.from_arrow(pa.table({
@@ -128,7 +122,7 @@ def _top_jobs(sf_dir: str) -> list[int]:
 
     from ..stages.agg import grouped_aggregate  # noqa: F401
 
-    ray = _ray()
+    import ray
     MAXC = np.int64(1) << 41
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -156,7 +150,7 @@ def _top_jobs(sf_dir: str) -> list[int]:
 
 
 def q_lpt_schedule(sf_dir: str):
-    ray = _ray()
+    import ray
     jobs = _top_jobs(sf_dir)
     heap = [(0, m) for m in range(LPT_MACHINES)]
     heapq.heapify(heap)

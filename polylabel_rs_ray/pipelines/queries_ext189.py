@@ -46,19 +46,13 @@ FFD_JOBS = 40
 FFD_BINS = 12
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # lru_stack_distances
 # --------------------------------------------------------------------------
 
 
 def q_lru_stack_distances(sf_dir: str):
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         okey = batch.column("l_orderkey").to_numpy().astype(np.int64)
@@ -148,7 +142,7 @@ GROUP BY 1
 def q_ffd_bin_packing(sf_dir: str):
     from .queries_ext188 import _top_jobs
 
-    ray = _ray()
+    import ray
     jobs_all = _top_jobs(sf_dir)  # desc cents, LPT_JOBS=60 of them
     jobs = jobs_all[:FFD_JOBS]
     cap = 4 * jobs[0]

@@ -25,12 +25,6 @@ DATE_LO = "1996-01-01"
 DATE_HI = "1998-01-01"
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _zinterleave4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Morton interleave of two 4-bit values (a=even bits, b=odd bits)."""
     out = np.zeros_like(a)
@@ -63,7 +57,7 @@ def _zorder_checkpoint(sf_dir: str) -> str:
     ckpt = _labeled_checkpoint_dir(sf_dir)[: -len("labeled")] + "orders_zorder"
 
     def write(tmp: str) -> None:
-        ray = _ray()
+        import ray
         ds = ray.data.read_parquet(
             f"{sf_dir}/orders.parquet",
             columns=["o_orderkey", "o_orderdate", "o_totalprice"],
@@ -96,7 +90,7 @@ def _zorder_checkpoint(sf_dir: str) -> str:
 def q_zorder_pruned_read(sf_dir: str):
     import os
 
-    ray = _ray()
+    import ray
     ckpt = _zorder_checkpoint(sf_dir)
 
     import pandas as pd

@@ -39,12 +39,6 @@ KNN_K = 3
 SPF_PROBE_MAX = 100  # probe primes < 100; larger factors -> bucket 0
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_knn3_profile
 # --------------------------------------------------------------------------
@@ -53,7 +47,7 @@ def _ray():
 def q_tile_knn3_profile(sf_dir: str):
     from .queries_ext159 import _lattice_res
 
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, KNN_RES)
     ox, oy = np.nonzero(lat > 0)
     ox = ox.astype(np.int64)
@@ -96,7 +90,7 @@ FROM pairs WHERE rn = {KNN_K}
 def q_orderkey_spf_histogram(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     # sieve of Eratosthenes once for the probe primes
     limit = SPF_PROBE_MAX

@@ -33,12 +33,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # vocab_edit_medoid
 # --------------------------------------------------------------------------
@@ -60,7 +54,7 @@ def _lev(a: str, b: str) -> int:
 def q_vocab_edit_medoid(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def words(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(pc.split_pattern(batch.column("text"), " "))
@@ -114,7 +108,7 @@ FROM tot
 def q_anchor_pair_lcs(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def pick(batch: pa.Table) -> pa.Table:
         d = batch.column("doc_id").to_numpy().astype(np.int64)

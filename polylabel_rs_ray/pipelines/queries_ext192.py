@@ -37,12 +37,6 @@ import pyarrow.compute as pc
 ABC_A_NUM, ABC_B_NUM, ABC_DEN = 7, 9, 10
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # abc_classification
 # --------------------------------------------------------------------------
@@ -51,7 +45,7 @@ def _ray():
 def q_abc_classification(sf_dir: str):
     from ..stages.agg import hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         cents = pc.cast(
@@ -123,7 +117,7 @@ GRAD_RES = 5
 def q_tile_gradient_histogram(sf_dir: str):
     from .queries_ext159 import _lattice_res
 
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, GRAD_RES)
     dx = lat[1:, :] - lat[:-1, :]
     dy = lat[:, 1:] - lat[:, :-1]

@@ -36,12 +36,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # bipartite_joint_degrees
 # --------------------------------------------------------------------------
@@ -50,7 +44,7 @@ def _ray():
 def q_bipartite_joint_degrees(sf_dir: str):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -155,7 +149,7 @@ GROUP BY 1, 2
 def q_above_median_longest_run(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         day = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()

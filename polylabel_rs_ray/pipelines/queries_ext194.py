@@ -36,12 +36,6 @@ import pyarrow.compute as pc
 FAC_RES = 5
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_facility_location
 # --------------------------------------------------------------------------
@@ -50,7 +44,7 @@ def _ray():
 def q_tile_facility_location(sf_dir: str):
     from .queries_ext159 import _lattice_res
 
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, FAC_RES)
     n = lat.shape[0]
     ox, oy = np.nonzero(lat > 0)
@@ -105,7 +99,7 @@ SELECT objective, ix, iy, CAST(value AS BIGINT) AS value FROM (
 def q_bullwhip_moments(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def o_prep(batch: pa.Table) -> pa.Table:
         wk = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()

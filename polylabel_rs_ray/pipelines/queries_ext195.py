@@ -35,16 +35,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _daily_cents(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         day = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()
@@ -72,7 +66,7 @@ def _daily_cents(sf_dir: str):
 
 
 def q_revenue_two_center(sf_dir: str):
-    ray = _ray()
+    import ray
     daily = _daily_cents(sf_dir)
     v = np.unique(daily["cents"].to_numpy().astype(np.int64))
     n = len(v)
@@ -126,7 +120,7 @@ WHERE rn = 1
 
 
 def q_interarrival_geometric_mle(sf_dir: str):
-    ray = _ray()
+    import ray
     daily = _daily_cents(sf_dir)
     days = daily["day"].to_numpy().astype(np.int64)
     gaps = np.diff(days) - 1

@@ -37,12 +37,6 @@ FEI_M1, FEI_M2 = 2654435761, 40503
 FEI_BUCKETS = 64
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # orderkey_crc8_histogram
 # --------------------------------------------------------------------------
@@ -65,7 +59,7 @@ _CRC8 = _crc8_table()
 def q_orderkey_crc8_histogram(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def crc(batch: pa.Table) -> pa.Table:
         k = batch.column("o_orderkey").to_numpy().astype(np.int64)
@@ -141,7 +135,7 @@ def _feistel(k: np.ndarray) -> np.ndarray:
 def q_feistel_shuffle_audit(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         k = batch.column("o_orderkey").to_numpy().astype(np.int64)

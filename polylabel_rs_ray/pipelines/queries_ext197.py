@@ -36,12 +36,6 @@ KAD_RES = 5
 JOSEPHUS_K = 7
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # max_sum_submatrix
 # --------------------------------------------------------------------------
@@ -50,7 +44,7 @@ def _ray():
 def q_max_sum_submatrix(sf_dir: str):
     from .queries_ext159 import _lattice_res
 
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, KAD_RES).astype(np.int64)
     n = lat.shape[0]
     total = int(lat.sum())
@@ -136,7 +130,7 @@ WHERE rn = 1
 def q_josephus_survivor(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table({

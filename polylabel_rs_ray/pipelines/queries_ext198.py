@@ -35,12 +35,6 @@ import pyarrow.compute as pc
 COLLATZ_MOD = 997
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # continued_fraction_coeffs
 # --------------------------------------------------------------------------
@@ -49,7 +43,7 @@ def _ray():
 def q_continued_fraction_coeffs(sf_dir: str):
     from .queries_ext195 import q_interarrival_geometric_mle
 
-    ray = _ray()
+    import ray
     mle = q_interarrival_geometric_mle(sf_dir).to_pandas().iloc[0]
     num, den = int(mle["p_num"]), int(mle["p_den"])
     coeffs = []
@@ -96,7 +90,7 @@ FROM euclid WHERE b <> 0
 def q_collatz_residue_profile(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         k = batch.column("o_orderkey").to_numpy().astype(np.int64)

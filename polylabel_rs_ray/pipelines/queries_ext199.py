@@ -31,12 +31,6 @@ import pyarrow.compute as pc
 PER_RES = 5
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # tile_perimeter_census
 # --------------------------------------------------------------------------
@@ -45,7 +39,7 @@ def _ray():
 def q_tile_perimeter_census(sf_dir: str):
     from .queries_ext159 import _lattice_res
 
-    ray = _ray()
+    import ray
     lat = _lattice_res(sf_dir, PER_RES)
     n = lat.shape[0]
     occ = lat > 0
@@ -102,7 +96,7 @@ FROM marks
 def q_orderkey_digital_root(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def prep(batch: pa.Table) -> pa.Table:
         k = batch.column("o_orderkey").to_numpy().astype(np.int64)

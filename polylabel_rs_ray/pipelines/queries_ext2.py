@@ -30,6 +30,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .queries import _P, _hash_part
+
 HOUR_US = 3_600_000_000
 CONTAM_NGRAM = 8  # benchmark-overlap shingle width (tokens)
 CONTAM_BENCH_MOD = 97  # doc_id % MOD == 0 -> "benchmark" doc (~1%)
@@ -39,24 +41,6 @@ NTILE_N = 10
 NTILE_BUCKET_CENTS = 100  # histogram bucket width for the range partitioner
 BIG_SPENDER_MIN = 400_000.0  # o_totalprice threshold for the semi join
 PATH_TOP_K = 20
-
-
-def _ray():
-    import ray
-
-    return ray
-
-
-def _P(n_parts: int | None) -> int:
-    from ..stages.util import shuffle_blocks
-
-    return int(n_parts or min(32, shuffle_blocks()))
-
-
-def _hash_part(ids: np.ndarray, n_parts: int) -> np.ndarray:
-    from .queries import _hash_part as hp
-
-    return hp(ids, n_parts)
 
 
 # --------------------------------------------------------------------------
@@ -103,7 +87,7 @@ def tokenized_docs(sf_dir: str):
         ckpt = _labeled_checkpoint_dir(sf_dir, "tokenized")
 
         def write(tmp: str) -> None:
-            ray = _ray()
+            import ray
 
             def tok(batch: pa.Table) -> pa.Table:
                 flat, off = tokens_flat(batch.column("text"))
@@ -120,7 +104,9 @@ def tokenized_docs(sf_dir: str):
             ).write_parquet(tmp)
 
         _publish_checkpoint(ckpt, write)
-        ds = _ray().data.read_parquet(ckpt)
+        import ray
+
+        ds = ray.data.read_parquet(ckpt)
         _TOKENIZED_CACHE[sf_dir] = ds
     return ds
 
@@ -177,7 +163,7 @@ def q_contamination_check(sf_dir: str):
     so its distinct 8-grams are reduced batch-wise and broadcast once inside
     the stage function; the training corpus streams through one map_batches
     doing a vectorized ``is_in`` membership test — no shuffle at all."""
-    ray = _ray()
+    import ray
 
     bench_ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
@@ -261,7 +247,7 @@ def q_time_window_avg(sf_dir: str, n_parts: int | None = None):
     avg is one double division with identical operands on both sides."""
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     P = _P(n_parts)
 
     ds = ray.data.read_parquet(
@@ -347,7 +333,7 @@ def q_priority_rank(sf_dir: str, n_parts: int | None = None):
     task.  All-integer outputs, so the SQL window oracle is exact."""
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     P = _P(n_parts)
 
     ds = ray.data.read_parquet(
@@ -427,7 +413,7 @@ def q_ntile_values(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     P = _P(n_parts)
 
     ds = ray.data.read_parquet(
@@ -614,7 +600,7 @@ def q_tfidf_top_terms_dist(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     P = _P(n_parts)
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
@@ -779,7 +765,7 @@ def q_user_hour_gapfill(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     P = _P(n_parts)
 
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
@@ -886,7 +872,7 @@ def q_big_spenders(sf_dir: str, n_parts: int | None = None):
     the build side may be arbitrarily large."""
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     P = _P(n_parts)
 
     cust = ray.data.read_parquet(
@@ -977,7 +963,7 @@ def q_event_path_trigrams(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     P = _P(n_parts)
 
     ds = ray.data.read_parquet(

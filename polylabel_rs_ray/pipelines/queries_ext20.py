@@ -10,11 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-
-def _P(n_parts: int | None) -> int:
-    from ..stages.util import shuffle_blocks
-
-    return int(n_parts or min(32, shuffle_blocks()))
+from .queries import _P
 
 
 def q_user_inactivity_gaps(sf_dir: str, n_parts: int | None = None):

@@ -23,16 +23,10 @@ import pyarrow.compute as pc
 RARE_MIN_FREQ = 3  # a token is "common" iff corpus freq >= this
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_rare_token_stats(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )

@@ -28,19 +28,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .queries import _P
+
 NGRAM_N = 3
-
-
-def _ray():
-    import ray
-
-    return ray
-
-
-def _P(n_parts: int | None) -> int:
-    from ..stages.util import shuffle_blocks
-
-    return int(n_parts or min(32, shuffle_blocks()))
 
 
 def q_cross_doc_ngram_dup(sf_dir: str, n_parts: int | None = None):
@@ -48,7 +38,7 @@ def q_cross_doc_ngram_dup(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle
     from .queries_ext5 import _word_lists
 
-    ray = _ray()
+    import ray
     P = _P(n_parts)
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]

@@ -25,7 +25,10 @@ tile server precomputes).  ONE pass, ONE exchange: each doc emits its
 (res, ancestor_tile) chain — morton parents are bit-shifts
 (stages/cells.py::cell_parent) — and the map-side combine collapses the
 4 rows/doc to <= 4 * n_tiles rows per block before the single
-(res, tile_id) groupby.  No per-level rescan, no driver rollup.
+(res, tile_id) groupby.  No per-level rescan, no driver rollup.  Not
+registered: the ``tile_pyramid`` name is ``queries.q_tile_pyramid`` (three
+levels), which always shadowed this one; only tests/test_ext25_ops.py
+calls it.
 """
 
 from __future__ import annotations
@@ -42,12 +45,6 @@ BM25_K = 3  # top terms kept per document
 SEMDEDUP_TAU = 0.30  # cosine threshold (data margin >= 8.6e-6 at sf<=0.1)
 
 PYRAMID_MIN_RES = 2  # rollup DEFAULT_TILE_RES..PYRAMID_MIN_RES inclusive
-
-
-def _ray():
-    import ray
-
-    return ray
 
 
 # --------------------------------------------------------------------------
@@ -211,7 +208,7 @@ SQL_BM25_TOP_TERMS = rf"""
 
 
 def q_semantic_dedup(sf_dir: str):
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label", "embedding"]
     )
@@ -328,7 +325,6 @@ def build_queries_ext25() -> dict:
     return {
         "bm25_top_terms": q_bm25_top_terms,
         "semantic_dedup": q_semantic_dedup,
-        "tile_pyramid": q_tile_pyramid,
     }
 
 
@@ -336,5 +332,4 @@ def build_oracles_ext25() -> dict:
     return {
         "bm25_top_terms": SQL_BM25_TOP_TERMS,
         "semantic_dedup": SQL_SEMANTIC_DEDUP,
-        "tile_pyramid": _sql_tile_pyramid(),
     }

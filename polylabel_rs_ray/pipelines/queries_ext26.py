@@ -30,12 +30,6 @@ import pyarrow.compute as pc
 FEATURE_DIM = 256  # hashing-trick bucket count
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # feature hashing
 # --------------------------------------------------------------------------
@@ -48,7 +42,7 @@ def _md5_low64(term: str) -> int:
 def q_feature_hash(sf_dir: str):
     from .queries_ext2 import tokens_flat
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )

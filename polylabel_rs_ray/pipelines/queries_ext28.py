@@ -37,18 +37,12 @@ import numpy as np
 import pyarrow as pa
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_triangle_parts(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import hash_grouped_aggregate
     from ..stages.util import shuffle_blocks
     from .queries import q_part_pair_counts
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     # 1. distinct co-purchase edges (part_a < part_b), distributed build;

@@ -28,18 +28,12 @@ import numpy as np
 import pyarrow as pa
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_bbox_union_area(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
     from .queries import _hash_part
     from .queries_ext import _bbox_stage, _dyadic_rings_ds
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     boxes = _dyadic_rings_ds(sf_dir).map_batches(

@@ -17,31 +17,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .queries import _P, _hash_part
+
 HOUR_US = 3_600_000_000
-
-
-def _ray():
-    import ray
-
-    return ray
-
-
-def _P(n_parts: int | None) -> int:
-    from ..stages.util import shuffle_blocks
-
-    return int(n_parts or min(32, shuffle_blocks()))
-
-
-def _hash_part(ids: np.ndarray, n_parts: int) -> np.ndarray:
-    from .queries import _hash_part as hp
-
-    return hp(ids, n_parts)
 
 
 def _user_sorted_stream(sf_dir: str, P: int):
     """events hash-partitioned by user, ready for per-partition ordered
     scans — the shared front of every sequence operator here."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type"]
     )
@@ -205,7 +189,7 @@ def q_adoption_curve(sf_dir: str):
     the final cumsum is constant-size no matter the corpus."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
 
     def hours(batch: pa.Table) -> pa.Table:

@@ -36,18 +36,12 @@ import pyarrow.compute as pc
 INSERT_OFFSET = 100_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_merge_upsert_orders(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import shuffle_blocks
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",

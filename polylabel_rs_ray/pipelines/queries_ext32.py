@@ -37,18 +37,12 @@ N_QUERIES = 4
 K = 5
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _minmax(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
     """Distributed per-dimension min/max: 64-row partials per batch, bounded
     O(dim x blocks) driver fold (deployment: table stats from metadata)."""
     from ..functions.sim import embedding_matrix
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["embedding"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -108,7 +102,7 @@ def q_sq8_topk(sf_dir: str, n_queries: int = N_QUERIES, k: int = K):
     from ..functions.sim import embedding_matrix
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     mn, mx = _minmax(sf_dir)
     span = np.where(mx > mn, mx - mn, 1.0)
 

@@ -36,12 +36,6 @@ import pyarrow.compute as pc
 PHASH_RES = 8
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _signature(resized: np.ndarray) -> int:
     """(8,8,3) uint8 -> 12-bit packed 4-bit-per-channel mean signature."""
     px = resized.shape[0] * resized.shape[1]

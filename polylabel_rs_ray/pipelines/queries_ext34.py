@@ -37,17 +37,11 @@ EOW = "</w>"
 SEP = "\x1f"
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _word_freq_table(sf_dir: str):
     """Corpus -> distinct (word, cnt) Dataset via one hash exchange."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -209,7 +203,7 @@ def train_bpe(sf_dir: str, n_merges: int = N_MERGES) -> list[tuple[str, str, int
 
 
 def q_bpe_merges(sf_dir: str, n_merges: int = N_MERGES):
-    ray = _ray()
+    import ray
     merges = train_bpe(sf_dir, n_merges)
     t = pa.table({
         "rank": pa.array(np.arange(1, len(merges) + 1), type=pa.int64()),

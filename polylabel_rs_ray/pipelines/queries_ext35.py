@@ -24,12 +24,6 @@ import pyarrow.compute as pc
 US_PER_HOUR = 3_600_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # promo_revenue
 # --------------------------------------------------------------------------
@@ -40,7 +34,7 @@ def q_promo_revenue(sf_dir: str):
 
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"])
     pk = part.column("p_partkey").to_numpy().astype(np.int64)
     promo = pc.equal(part.column("p_type"), "PROMO").to_numpy(zero_copy_only=False)
@@ -121,7 +115,7 @@ def q_ohlc_user_hour(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",

@@ -27,12 +27,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _attach(group: pa.Table, key: str) -> pa.Table:
     """Within one co-partition: attach the (unique-key) dim side's payload
     columns to the fact side via one searchsorted.  A column belongs to the
@@ -70,7 +64,7 @@ def q_denormalized_sales(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     # --- broadcast dims (bounded domains) --------------------------------

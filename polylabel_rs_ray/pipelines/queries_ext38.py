@@ -25,19 +25,13 @@ import pyarrow as pa
 K_ANON = 10
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_k_anonymity_audit(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]

@@ -39,12 +39,6 @@ JITTER_US = 7_200_000_000  # +-2 h arrival jitter
 LATE_US = 3_600_000_000    # 1 h allowed lateness
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _akey_batch(event_ids: np.ndarray, tu: np.ndarray) -> np.ndarray:
     """Deterministic arrival key: event time + md5-derived jitter.  The
     per-row md5 is the SQL-replayability convention (bounded: one digest
@@ -66,7 +60,7 @@ def q_late_event_audit(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "event_type"]

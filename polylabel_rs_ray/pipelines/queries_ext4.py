@@ -29,21 +29,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .queries import _P
+
 HOP_US = 900_000_000  # 15 min
 WIN_HOPS = 4  # window width = 4 hops = 1 h
 DAY_US = 86_400_000_000
-
-
-def _ray():
-    import ray
-
-    return ray
-
-
-def _P(n_parts: int | None) -> int:
-    from ..stages.util import shuffle_blocks
-
-    return int(n_parts or min(32, shuffle_blocks()))
 
 
 # --------------------------------------------------------------------------
@@ -79,7 +69,7 @@ def q_skyline_parts(sf_dir: str):
     number of distinct sizes), then one exact pass over the candidate
     union — candidates are O(skyline x blocks), tiny at any scale, so
     the final single-partition pass is not a bottleneck."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_size", "p_retailprice"]
     )
@@ -133,7 +123,7 @@ def q_mode_event_type(sf_dir: str):
     from .queries import PIVOT_TYPES
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     types = sorted(PIVOT_TYPES)
     K = len(types)
     type_arr = pa.array(types, type=pa.string())
@@ -207,7 +197,7 @@ def q_percent_rank_values(sf_dir: str):
     same exact-int double division the oracle performs -> bit-equal."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
 
     def cents(batch: pa.Table) -> pa.Table:
@@ -263,7 +253,7 @@ def q_sliding_window_counts(sf_dir: str):
     aggregate on the window start."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])
 
     def fanout(batch: pa.Table) -> pa.Table:
@@ -310,7 +300,7 @@ def q_cohort_retention(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = _P(n_parts)
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
 
@@ -404,7 +394,7 @@ def q_nation_balance(sf_dir: str):
     naturally, no join operator and no second shuffle."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_nationkey"])
     supp = ray.data.read_parquet(f"{sf_dir}/supplier.parquet", columns=["s_nationkey"])
 

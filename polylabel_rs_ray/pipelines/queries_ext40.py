@@ -35,12 +35,6 @@ CM_W = 1024
 TOP_K = 50
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _cm_buckets(words: list[str]) -> np.ndarray:
     """(len(words), CM_D) bucket ids via md5_number_lower(j ':' word)."""
     out = np.empty((len(words), CM_D), dtype=np.int64)
@@ -56,7 +50,7 @@ def _cm_buckets(words: list[str]) -> np.ndarray:
 def _word_counts(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -80,7 +74,7 @@ def _word_counts(sf_dir: str):
 def q_cmsketch_word_counts(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     wc = _word_counts(sf_dir).materialize()  # vocabulary-sized, 2 consumers
 
     # global top-50 by (count DESC, word ASC): per-block partials, driver fold

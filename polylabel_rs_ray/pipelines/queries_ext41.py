@@ -28,14 +28,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-N_GRID = None  # resolved from DEFAULT_TILE_RES at call time
-
-
-def _ray():
-    import ray
-
-    return ray
-
 
 def _grid_params():
     from ..config import DEFAULT_TILE_RES, WORLD_MIN, WORLD_SIZE
@@ -49,7 +41,7 @@ def q_morans_i_tiles(sf_dir: str):
 
     from .queries import _dyadic_labeled
 
-    ray = _ray()
+    import ray
     n, wmin, ts = _grid_params()
 
     def bins(batch: pa.Table) -> pa.Table:

@@ -29,12 +29,6 @@ import pyarrow.compute as pc
 CUT_DELTA = 16
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 class SceneCutDetector:
     """Actor-pool stage: video spans -> (n_frames, n_cuts, first/last mean
     luma) from fully decoded real streams."""

@@ -27,19 +27,13 @@ import pyarrow.compute as pc
 TOP_PAIRS = 20
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_part_pair_lift(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def to_parts(batch: pa.Table) -> pa.Table:

@@ -28,12 +28,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def auc_from_hist(p: np.ndarray, ng: np.ndarray) -> tuple[int, int, int, float]:
     """(P, N, num2, auc) from per-score pos/neg counts sorted by score
     ascending — the Mann-Whitney identity with half-credit ties."""
@@ -50,7 +44,7 @@ def q_quality_auc(sf_dir: str):
     from ..functions.text import quality_batch
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["text", "lang"]
     )

@@ -30,16 +30,10 @@ import pyarrow.compute as pc
 BIN_W = 25.0  # the repo histogram convention (HIST_BIN_WIDTH)
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_value_drift_bins(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])
 
     def trange(batch: pa.Table) -> pa.Table:

@@ -23,12 +23,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 class RmsExtractor:
     """Actor-pool stage: audio spans -> exact loudness moments."""
 

@@ -21,18 +21,12 @@ import numpy as np
 import pyarrow as pa
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_type_diversity_per_user(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]

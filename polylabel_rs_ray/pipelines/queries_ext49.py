@@ -23,18 +23,12 @@ import pyarrow as pa
 GRAM_DIMS = 8
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_embedding_gram(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
     from .queries_ext32 import _minmax, _quantize
 
-    ray = _ray()
+    import ray
     mn, mx = _minmax(sf_dir)
     span = np.where(mx > mn, mx - mn, 1.0)
     d = GRAM_DIMS

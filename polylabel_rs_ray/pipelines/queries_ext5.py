@@ -28,22 +28,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .queries import _P
+
 EDIT_BUCKET = 8  # n_chars blocking bucket width
 EDIT_MAX_DIST = 8  # report pairs with levenshtein <= this
 MG_CAPACITY = 256  # per-block Misra-Gries summary size
 HH_TOPK = 10
-
-
-def _ray():
-    import ray
-
-    return ray
-
-
-def _P(n_parts: int | None) -> int:
-    from ..stages.util import shuffle_blocks
-
-    return int(n_parts or min(32, shuffle_blocks()))
 
 
 def _word_lists(batch: pa.Table):
@@ -69,7 +59,7 @@ def q_gopher_signals(sf_dir: str):
     counts from run lengths of a (doc, code) lexsort, bigram tops from a
     (doc, c1, c2) lexsort of in-order adjacent code pairs.  No shuffle;
     integers only so the oracle is bit-exact."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def signals(batch: pa.Table) -> pa.Table:
@@ -229,7 +219,7 @@ def q_edit_distance_dups(sf_dir: str, n_parts: int | None = None):
     never all-pairs over the corpus."""
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = _P(n_parts)
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang", "n_chars"]
@@ -431,7 +421,7 @@ def q_scrub_props(sf_dir: str):
     """Redaction map: digit runs in the event props payload masked with
     one arrow regex-replace kernel — the shape of any PII scrubbing
     stage (emails/phones/SSNs are the same kernel with other patterns)."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "props"])
 
     def scrub(batch: pa.Table) -> pa.Table:

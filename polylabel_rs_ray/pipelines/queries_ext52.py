@@ -20,12 +20,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_quadkey_tiles(sf_dir: str):
     from ..config import DEFAULT_TILE_RES
 

@@ -21,19 +21,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_type_transition_matrix(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -103,7 +97,7 @@ def q_type_transition_matrix(sf_dir: str, n_parts: int | None = None):
             counts["n"].to_numpy().astype(np.float64) / row_n.to_numpy().astype(np.float64),
             type=pa.float64()),
     })
-    return _ray().data.from_arrow(t)
+    return ray.data.from_arrow(t)
 
 
 SQL_TYPE_TRANSITION_MATRIX = """

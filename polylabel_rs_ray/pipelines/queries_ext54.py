@@ -22,12 +22,6 @@ import pyarrow.compute as pc
 TOP_TERMS = 5
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_degree_histogram(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
@@ -84,7 +78,7 @@ FROM deg GROUP BY degree
 def q_top_terms_per_lang(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["lang", "text"]
     )
@@ -142,7 +136,7 @@ def q_top_terms_per_lang(sf_dir: str):
         "word": pa.array(tops["word"].tolist(), type=pa.string()),
         "n": pa.array(tops["n"].to_numpy().astype(np.int64), type=pa.int64()),
     })
-    return _ray().data.from_arrow(t)
+    return ray.data.from_arrow(t)
 
 
 SQL_TOP_TERMS_PER_LANG = f"""

@@ -28,12 +28,6 @@ K1 = 1.2
 B = 0.75
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_bm25_search(sf_dir: str):
     import pyarrow.parquet as pq
 
@@ -41,7 +35,7 @@ def q_bm25_search(sf_dir: str):
 
     from .queries_ext2 import tokenized_docs, toks_flat_from_batch
 
-    ray = _ray()
+    import ray
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
     # shared tokenization checkpoint (reused across the BM25/TF-IDF family)
     ds = tokenized_docs(sf_dir)

@@ -27,16 +27,10 @@ Z_FENCE = 3.0
 MAD_FENCE = 5
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_value_zscores(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
     )
@@ -83,7 +77,7 @@ def q_value_zscores(sf_dir: str):
         mean = float(sm) / float(n)
         sd = math.sqrt(float(n * sq - sm * sm)) / float(n)
         mean_sd[r.event_type] = (mean, sd)
-    ref = _ray().put(mean_sd)
+    ref = ray.put(mean_sd)
 
     def zscore(batch: pa.Table) -> pa.Table:
         import ray as _r
@@ -136,7 +130,7 @@ FROM e JOIN st USING (event_type)
 def q_anomalous_days(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
 
     def daily(batch: pa.Table) -> pa.Table:

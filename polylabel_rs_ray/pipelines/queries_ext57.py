@@ -25,12 +25,6 @@ DAY_US = 86_400_000_000
 WINDOW_DAYS = 7
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # convexity_stats
 # --------------------------------------------------------------------------
@@ -143,7 +137,7 @@ def _sql_convexity_stats() -> str:
 def q_daily_revenue_7d(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
     )

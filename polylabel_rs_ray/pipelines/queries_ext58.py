@@ -26,12 +26,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _arm_of(uids: np.ndarray) -> np.ndarray:
     # md5 low-8-bytes little-endian of the decimal user id — the repo's
     # SQL-replayable hash convention (bounded: one digest per user row of
@@ -50,7 +44,7 @@ def _arm_of(uids: np.ndarray) -> np.ndarray:
 def q_ab_test_purchase_rates(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
     )

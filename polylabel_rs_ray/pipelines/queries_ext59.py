@@ -20,18 +20,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_discount_revenue_q19(sf_dir: str):
     import pyarrow.parquet as pq
 
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     part = pq.read_table(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_type", "p_size"]
     )

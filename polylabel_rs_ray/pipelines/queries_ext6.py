@@ -54,12 +54,6 @@ PR_TOPK = 20
 PR_DENSE_MAX_NODES = 4_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _pr_hash_part(ids: np.ndarray, n_parts: int) -> np.ndarray:
     """Same splitmix-style mix the dedup partitioner uses — decorrelates
     the partition from arithmetic structure in the node ids."""
@@ -285,7 +279,7 @@ def pagerank_over_pairs(edges, node_ids: np.ndarray,
     aligned with ``node_ids``.  The O(V) array exists only HERE, after the
     distributed computation finishes — nothing inside the iteration loop
     holds or broadcasts it."""
-    ray = _ray()
+    import ray
     nodes = ray.data.from_arrow(
         pa.table({"node": pa.array(np.asarray(node_ids, dtype=np.int64))})
     )
@@ -307,7 +301,7 @@ def pagerank_dense(edges, node_ids: np.ndarray,
     single dense length-V partial inflow vector and the reduce is an
     O(blocks) driver sum — the histogram-reduce pattern, no shuffle.
     Returns the final rank vector aligned with node_ids."""
-    ray = _ray()
+    import ray
     V = len(node_ids)
     ids_ref = ray.put(node_ids)
 
@@ -368,7 +362,7 @@ def q_pagerank_parts(sf_dir: str, force_path: str | None = None):
 
     from .queries import q_part_pair_counts
 
-    ray = _ray()
+    import ray
     dense_max = int(os.environ.get("GRAFT_PR_DENSE_MAX", PR_DENSE_MAX_NODES))
     v_total = pq.read_metadata(f"{sf_dir}/part.parquet").num_rows
     use_dense = force_path != "keyed" and (force_path == "dense"

@@ -28,11 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-def _ray():
-    import ray
-
-    return ray
+from .queries import _ts_us
 
 
 # Cut date shared by both Q3 predicates (orders before, shipments after).
@@ -44,10 +40,6 @@ Q5_HI = "1998-01-01"
 Q5_REGION = "ASIA"
 
 _DAY_US = 86_400_000_000
-
-
-def _ts_us(iso: str) -> int:
-    return int(np.datetime64(iso, "us").astype(np.int64))
 
 
 def _attach_inner(group: pa.Table, key: str) -> pa.Table:
@@ -96,7 +88,7 @@ def q_shipping_priority_q3(sf_dir: str, n_parts: int | None = None,
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     cut_us = _ts_us(Q3_CUT)
 
@@ -207,7 +199,7 @@ def q_local_supplier_volume_q5(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     lo_us, hi_us = _ts_us(Q5_LO), _ts_us(Q5_HI)
 

@@ -26,12 +26,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # Q13's "not like special requests" analogue on this schema.
 Q13_EXCLUDE_PRIORITY = "1-URGENT"
 # Q22 dormancy cutoff: customers with no orders on/after this date.
@@ -43,7 +37,7 @@ def q_customer_order_distribution_q13(sf_dir: str):
 
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
     total_customers = pq.read_metadata(f"{sf_dir}/customer.parquet").num_rows
 
     ds = ray.data.read_parquet(
@@ -125,7 +119,7 @@ def q_global_sales_opportunity_q22(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     # pass 0 — global scalar as an exact integer pair (sum_cents, n_pos):

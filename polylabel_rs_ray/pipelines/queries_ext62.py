@@ -27,12 +27,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 Q17_TYPE = "ECONOMY"
 Q18_MIN_QTY = 180
 
@@ -42,7 +36,7 @@ def q_small_qty_revenue_q17(sf_dir: str):
 
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_type"])
     keep = pc.equal(part.column("p_type"), Q17_TYPE).to_numpy(
@@ -135,7 +129,7 @@ def q_large_volume_customers_q18(sf_dir: str, n_parts: int | None = None):
     from .queries import _hash_part
     from .queries_ext60 import _attach_inner
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     # per-order quantity sums (groups ~ orders -> high-cardinality exchange)

@@ -28,12 +28,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # Q11: a part is "important" if its revenue exceeds NUM/DEN x the
 # average per-part revenue.
 Q11_NUM, Q11_DEN = 5, 4
@@ -64,7 +58,7 @@ def _rev_partial(key_src: str, key_out: str):
 def q_important_parts_q11(sf_dir: str):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
     # part keys are dim-bounded but still ~20k groups at sf0.1 — the hash
     # exchange beats the native sort-aggregate well before groups ~ rows
     per_part = hash_grouped_aggregate(
@@ -127,7 +121,7 @@ def q_top_supplier_q15(sf_dir: str):
 
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     lo = int(np.datetime64(Q15_LO, "us").astype(np.int64))
     hi = int(np.datetime64(Q15_HI, "us").astype(np.int64))
 

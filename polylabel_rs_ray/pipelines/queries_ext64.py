@@ -26,12 +26,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 Q16_EXCLUDE_BRAND = "Brand#13"
 Q16_SIZES = (1, 5, 10, 15, 20, 25)
 Q7_NATION_A = "NATION_3"
@@ -47,7 +41,7 @@ def q_parts_supplier_counts_q16(sf_dir: str):
 
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_brand", "p_type", "p_size"])
@@ -161,7 +155,7 @@ def q_nation_trade_volume_q7(sf_dir: str, n_parts: int | None = None):
     from .queries import _hash_part
     from .queries_ext60 import _attach_inner
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
     lo = int(np.datetime64(Q7_LO, "us").astype(np.int64))
     hi = int(np.datetime64(Q7_HI, "us").astype(np.int64))

@@ -29,12 +29,6 @@ import pyarrow as pa
 HEX_SIZE = 16.0
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # clip_stats
 # --------------------------------------------------------------------------

@@ -27,12 +27,6 @@ import pyarrow.compute as pc
 PMI_MIN_COUNT = 5
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # ring_audit
 # --------------------------------------------------------------------------
@@ -162,7 +156,7 @@ def _sql_ring_audit() -> str:
 def q_pmi_bigrams(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     # pass 1: unigram counts — vocabulary-bounded, broadcast back
     def unigram_counts(batch: pa.Table) -> pa.Table:

@@ -25,18 +25,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_user_lag1_moments(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:
@@ -113,7 +107,7 @@ FROM seq GROUP BY user_id
 def q_ols_price_model(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def moments(batch: pa.Table) -> pa.Table:
         x1 = pc.cast(pc.round(batch.column("l_quantity")), pa.int64()).to_numpy()

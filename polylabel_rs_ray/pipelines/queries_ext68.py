@@ -28,18 +28,12 @@ import pyarrow.compute as pc
 WINDOW_US = 15 * 60 * 1_000_000  # 15-minute activity window
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_user_activity_coverage(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:
@@ -122,7 +116,7 @@ FROM isl GROUP BY user_id
 def q_nb_word_counts(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def counts(batch: pa.Table) -> pa.Table:
         langs: list[str] = []

@@ -27,18 +27,12 @@ import pyarrow.compute as pc
 DAY_US = 86_400_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_user_time_weighted_value(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:
@@ -109,7 +103,7 @@ FROM seq GROUP BY user_id
 def q_daily_cusum_changepoint(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def daily(batch: pa.Table) -> pa.Table:
         day = pc.cast(batch.column("ts"), pa.int64()).to_numpy() // DAY_US

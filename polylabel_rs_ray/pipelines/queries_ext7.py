@@ -30,12 +30,6 @@ SKETCH_NBLK = 64  # deterministic blocks: blk = event_id % SKETCH_NBLK
 SKETCH_QS = (0.01, 0.25, 0.5, 0.75, 0.99)
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # deterministic weighted sampling (A-Res)
 # --------------------------------------------------------------------------
@@ -58,7 +52,7 @@ def q_weighted_sample(sf_dir: str):
     better), u reproducible from md5 — both sides compute the identical
     double expression.  Each block forwards only its top-k priorities;
     the final reduce sees k x blocks rows."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"]
     )
@@ -121,7 +115,7 @@ def q_embedding_norms(sf_dir: str):
     each float to round(x*1e6) BIGINT, square, reduce per row with one
     reduceat over the flat list buffer.  Integer arithmetic end-to-end,
     so the oracle match is exact regardless of summation order."""
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label", "embedding"]
     )
@@ -194,7 +188,7 @@ def q_value_quantile_sketch(sf_dir: str):
     scales with the corpus so a block still sorts in one task."""
     from ..stages.util import coalesce_for_shuffle
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_id", "value"])
 

@@ -28,18 +28,12 @@ DAY_US = 86_400_000_000
 TILE_SIDE = 32.0
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_typeset_containment_pairs(sf_dir: str):
     from ..stages.agg import (
         distinct_values, grouped_aggregate, hash_grouped_aggregate,
     )
 
-    ray = _ray()
+    import ray
 
     # bounded type domain, alphabetical bit order (mirrored in SQL) —
     # discovered by the distributed distinct, never a driver column scan

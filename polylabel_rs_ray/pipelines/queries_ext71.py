@@ -28,18 +28,12 @@ TWO64 = 1 << 64
 AUDIT_P = 32
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_partition_skew_audit(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
 
     def keyed(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy().astype(np.int64)
@@ -103,7 +97,7 @@ def q_label_centroid_offset(sf_dir: str):
     from .queries import labeled_docs
     from .queries_ext import DYADIC_IDX
 
-    ray = _ray()
+    import ray
 
     # labels already exact for the dyadic set; recompute centroid per doc
     # from the same rings and difference them

@@ -32,18 +32,12 @@ GOLD_B_INT = 0xC2B2AE3D27D4EB4F
 TWO64 = 1 << 64
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_audience_overlap_matrix(sf_dir: str):
     from ..stages.agg import (
         distinct_values, grouped_aggregate, hash_grouped_aggregate,
     )
 
-    ray = _ray()
+    import ray
     # distributed distinct — never a driver column scan of the fact table
     types = distinct_values(f"{sf_dir}/events.parquet", "event_type")
     bit_of = {t: i for i, t in enumerate(types)}
@@ -129,7 +123,7 @@ def q_bloom_fp_audit(sf_dir: str):
     from ..functions.bloom import bloom_contains, build_bloom
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     # build over DISTINCT lineitem orderkeys at the audit's small bit budget
     def okeys(batch: pa.Table) -> pa.Table:

@@ -29,12 +29,6 @@ DAY_US = 86_400_000_000
 IN_EPS = 1e-9  # absolute containment slack shared by engine and twin
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --- shared circle formulas (the ONLY code twin and engine both use) ------
 
 def _circle_from_two(p, q):
@@ -175,7 +169,7 @@ def _sql_bounding_circle_stats() -> str:
 def q_cumulative_unique_users(sf_dir: str):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def keyed(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy().astype(np.int64)

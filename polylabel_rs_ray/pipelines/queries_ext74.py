@@ -38,16 +38,10 @@ MWL_LO, MWL_HI = 4.3, 4.7  # mean word length band
 UNIQ_NUM, UNIQ_DEN = 2, 5  # unique-word ratio floor 2/5 (rational compare)
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_ivm_daily_revenue(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def partials(batch: pa.Table) -> pa.Table:
         k = batch.column("o_orderkey").to_numpy().astype(np.int64)
@@ -121,7 +115,7 @@ FROM merged GROUP BY day
 def q_filter_funnel(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def stage(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()

@@ -23,19 +23,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_type_dwell_times(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:
@@ -119,7 +113,7 @@ def q_nation_revenue_share(sf_dir: str, n_parts: int | None = None):
     from .queries import _hash_part
     from .queries_ext60 import _attach_inner
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet")

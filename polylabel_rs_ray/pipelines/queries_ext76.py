@@ -28,12 +28,6 @@ import pyarrow as pa
 STR_NODE_CAP = 16
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # str_pack_audit
 # --------------------------------------------------------------------------

@@ -29,18 +29,12 @@ BURST_WINDOW_US = 7 * DAY_US
 QI_CHAR_BUCKET = 100
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_order_burst_pairs(sf_dir: str, n_parts: int | None = None):
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:
@@ -123,7 +117,7 @@ def q_l_diversity_audit(sf_dir: str):
         distinct_values, grouped_aggregate, hash_grouped_aggregate,
     )
 
-    ray = _ray()
+    import ray
 
     # bounded QI domain: lang x char-bucket; sensitive attribute: source.
     # The domains are bounded but the column is not — discover them with

@@ -28,12 +28,6 @@ import pyarrow.compute as pc
 RLE_PARTS = 32
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # returnflag_rle_stats
 # --------------------------------------------------------------------------
@@ -42,7 +36,7 @@ def _ray():
 def q_returnflag_rle_stats(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
-    ray = _ray()
+    import ray
     P = int(n_parts or RLE_PARTS)
 
     # arithmetic range partition on orderkey (contiguous in the clustered

@@ -34,12 +34,6 @@ HILBERT_N = 16  # order-4 curve: 16 x 16 grid
 HILBERT_CELL = 8.0
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # kmv_distinct_sketch
 # --------------------------------------------------------------------------
@@ -48,7 +42,7 @@ def _ray():
 def q_kmv_distinct_sketch(sf_dir: str):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def hashed(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy().astype(np.int64)

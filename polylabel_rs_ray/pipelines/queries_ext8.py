@@ -28,12 +28,6 @@ TOPK_DIMS = 5
 MAD_BINS = 4096
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # conversion latency
 # --------------------------------------------------------------------------
@@ -42,7 +36,7 @@ def _ray():
 def q_user_conversion_latency(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
     )
@@ -98,7 +92,7 @@ SQL_USER_CONVERSION_LATENCY = """
 
 
 def q_top_k_dims(sf_dir: str):
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
@@ -217,7 +211,7 @@ def exact_median_int(ds, col: str) -> int:
 
 
 def q_value_mad(sf_dir: str):
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
 
     def cents(batch: pa.Table) -> pa.Table:

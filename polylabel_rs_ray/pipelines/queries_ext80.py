@@ -28,12 +28,6 @@ import pyarrow.compute as pc
 QUOTA_SLOTS = 100
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # star_shaped_audit
 # --------------------------------------------------------------------------
@@ -156,7 +150,7 @@ def q_nation_quota_allocation(sf_dir: str):
 
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     counts = grouped_aggregate(
         ray.data.read_parquet(f"{sf_dir}/customer.parquet",

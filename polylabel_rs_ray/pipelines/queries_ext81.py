@@ -27,18 +27,12 @@ RIPLEY_RADII = (8, 16, 32)
 COOC_WINDOW = 5
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_ripley_k_counts(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
     from .queries import _dyadic_labeled
 
-    ray = _ray()
+    import ray
 
     # dim-scale point set: broadcast once, each batch tests its rows
     # against the full set (ordered pairs, self excluded by doc_num)
@@ -89,7 +83,7 @@ def _sql_ripley_k_counts() -> str:
 def q_cooccurrence_window_counts(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     # pass 1: the two most frequent words (bounded vocabulary)
     def unigrams(batch: pa.Table) -> pa.Table:

@@ -53,16 +53,10 @@ def _owner_of(keys: np.ndarray, ring_pos: np.ndarray,
     return np.array([ring_owner[i] for i in idx], dtype=object)
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_consistent_hash_audit(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     old_shards = [f"shard_{i}" for i in range(RING_SHARDS)]
     new_shards = old_shards + [NEW_SHARD]
     old_pos, old_own = _ring_points(old_shards)
@@ -162,7 +156,7 @@ def q_varint_size_estimate(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:

@@ -25,12 +25,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 DICT_COLS = (
     ("events", "event_type"),
     ("documents", "lang"),
@@ -41,7 +35,7 @@ DICT_COLS = (
 def q_dict_encoding_estimate(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     frames = []
     import pandas as pd
 

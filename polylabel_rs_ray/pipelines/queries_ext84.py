@@ -29,17 +29,11 @@ DAY_US = 86_400_000_000
 WEEK_US = 7 * DAY_US
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _weekly_counts(sf_dir: str):
     """Bounded (week, n_orders) table, zero-filled over the full range."""
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def weekly(batch: pa.Table) -> pa.Table:
         wk = pc.cast(batch.column("o_orderdate"),

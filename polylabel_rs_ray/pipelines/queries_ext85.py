@@ -31,12 +31,6 @@ PAD_LEAF_SEED = "pad"
 GRID_N = 4  # 4x4 coverage grid
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # doc_merkle_root
 # --------------------------------------------------------------------------
@@ -47,7 +41,7 @@ def _md5_hex(s: str) -> str:
 
 
 def q_doc_merkle_root(sf_dir: str):
-    ray = _ray()
+    import ray
 
     def leaves(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy().astype(np.int64)

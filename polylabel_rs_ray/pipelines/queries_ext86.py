@@ -27,12 +27,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # picks_theorem_audit
 # --------------------------------------------------------------------------
@@ -193,7 +187,7 @@ def _sql_picks_theorem_audit() -> str:
 def q_hapax_stats(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def counts(batch: pa.Table) -> pa.Table:
         srcs: list[str] = []

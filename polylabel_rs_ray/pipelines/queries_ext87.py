@@ -28,12 +28,6 @@ YOY_YEAR_A = 1996
 YOY_YEAR_B = 1997
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # yoy_sign_test
 # --------------------------------------------------------------------------
@@ -42,7 +36,7 @@ def _ray():
 def q_yoy_sign_test(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     lo_a = int(np.datetime64(f"{YOY_YEAR_A}-01-01", "us").astype(np.int64))
     hi_a = int(np.datetime64(f"{YOY_YEAR_A + 1}-01-01", "us").astype(np.int64))
     lo_b = int(np.datetime64(f"{YOY_YEAR_B}-01-01", "us").astype(np.int64))

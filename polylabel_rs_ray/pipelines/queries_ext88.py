@@ -28,12 +28,6 @@ import pyarrow.compute as pc
 DAY_US = 86_400_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # nn_distance_histogram
 # --------------------------------------------------------------------------
@@ -104,7 +98,7 @@ def _sql_nn_distance_histogram() -> str:
 def q_order_backlog_sim(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def daily(batch: pa.Table) -> pa.Table:
         day = pc.cast(batch.column("o_orderdate"),

@@ -26,12 +26,6 @@ import pyarrow.compute as pc
 PARETO_NUM, PARETO_DEN = 4, 5  # coverage threshold 4/5
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # (child_table, child_key, parent_table, parent_key)
 FK_RELATIONS = (
     ("orders", "o_custkey", "customer", "c_custkey"),
@@ -48,7 +42,7 @@ def q_fk_orphan_audit(sf_dir: str):
 
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     import pandas as pd
 
     rows = []
@@ -104,7 +98,7 @@ def _sql_fk_orphan_audit() -> str:
 def q_pareto_point(sf_dir: str):
     from ..stages.agg import hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def rev(batch: pa.Table) -> pa.Table:
         cents = pc.cast(

@@ -19,12 +19,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def _emb_matrix(batch: pa.Table):
     emb = batch.column("embedding")
     if isinstance(emb, pa.ChunkedArray):
@@ -47,7 +41,7 @@ def _emb_matrix(batch: pa.Table):
 def q_label_centroids(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"]
     )
@@ -115,7 +109,7 @@ def centroid_matrix(sf_dir: str):
 
 
 def q_vq_assign(sf_dir: str):
-    ray = _ray()
+    import ray
     labels, C = centroid_matrix(sf_dir)
     C_ref = ray.put(C)
     lab_ref = ray.put(labels)
@@ -124,8 +118,10 @@ def q_vq_assign(sf_dir: str):
     )
 
     def assign(batch: pa.Table) -> pa.Table:
-        C = _ray().get(C_ref)
-        labels = _ray().get(lab_ref)
+        import ray
+
+        C = ray.get(C_ref)
+        labels = ray.get(lab_ref)
         q, d = _emb_matrix(batch)
         vid = batch.column("vec_id").to_numpy().astype(np.int64)
         if len(vid) == 0:

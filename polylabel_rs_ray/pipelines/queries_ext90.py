@@ -25,16 +25,10 @@ import pyarrow.compute as pc
 HEX_NEIGHBORS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_monthly_revenue(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def monthly(batch: pa.Table) -> pa.Table:
         ts = batch.column("o_orderdate").to_numpy().astype("datetime64[us]")

@@ -25,12 +25,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_nation_rank_concordance(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
@@ -38,7 +32,7 @@ def q_nation_rank_concordance(sf_dir: str, n_parts: int | None = None):
     from .queries import _hash_part
     from .queries_ext60 import _attach_inner
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     # revenue per nation: orders x customer co-partitioned on custkey

@@ -26,12 +26,6 @@ import pyarrow.compute as pc
 RATE_WINDOW_US = 3_600_000_000  # 1 hour
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_order_reconciliation(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
@@ -39,7 +33,7 @@ def q_order_reconciliation(sf_dir: str, n_parts: int | None = None):
     from .queries import _hash_part
     from .queries_ext60 import _attach_inner
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def li_cols(batch: pa.Table) -> pa.Table:
@@ -158,7 +152,7 @@ def q_rate_limit_audit(sf_dir: str, n_parts: int | None = None):
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:

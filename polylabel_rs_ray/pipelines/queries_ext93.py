@@ -24,12 +24,6 @@ import pyarrow.compute as pc
 DAY_US = 86_400_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # --------------------------------------------------------------------------
 # onion_depth
 # --------------------------------------------------------------------------
@@ -139,7 +133,7 @@ def _sql_onion_depth() -> str:
 def q_daily_fano_factor(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def daily(batch: pa.Table) -> pa.Table:
         day = pc.cast(batch.column("ts"), pa.int64()).to_numpy() // DAY_US

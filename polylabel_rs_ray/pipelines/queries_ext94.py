@@ -25,12 +25,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_spatial_center_stats(sf_dir: str):
     from .queries import _dyadic_labeled
 
@@ -85,7 +79,7 @@ def _sql_spatial_center_stats() -> str:
 def q_benford_audit(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def digits(batch: pa.Table) -> pa.Table:
         cents = pc.cast(

@@ -27,19 +27,13 @@ DUP_WINDOW_US = 30 * 86_400_000_000  # 30 days
 LCP_MAX = 16  # ladder depth; vocabulary words are short
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_duplicate_shipment_audit(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     from .queries import _hash_part
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:
@@ -143,7 +137,7 @@ FROM (SELECT 1)
 def q_vocab_front_coding(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def words(batch: pa.Table) -> pa.Table:
         ws: list[str] = []

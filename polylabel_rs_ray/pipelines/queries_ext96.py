@@ -29,16 +29,10 @@ import pyarrow.compute as pc
 CV_PARTS = 16
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_part_graph_assortativity(sf_dir: str):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     # edges: distinct part pairs sharing an order (pairs inside map_groups —
     # map_batches slices can split an order)
@@ -159,7 +153,7 @@ JOIN deg db ON e.pb_ = db.p
 def q_interarrival_cv2(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
-    ray = _ray()
+    import ray
     P = int(n_parts or CV_PARTS)
 
     # arithmetic time-range partitions (contiguous in event time) — bounds

@@ -27,12 +27,6 @@ DAY_US = 86_400_000_000
 FD_CHAR_BUCKET = 100
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 # (fd name, x extractor in engine handled below, SQL x expression, y column)
 FDS = (
     ("char_bucket->lang", "bucket", f"n_chars // {FD_CHAR_BUCKET}", "lang"),
@@ -44,7 +38,7 @@ FDS = (
 def q_fd_violation_audit(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def counts(batch: pa.Table) -> pa.Table:
         bucket = (batch.column("n_chars").to_numpy().astype(np.int64)
@@ -136,7 +130,7 @@ def _sql_fd_violation_audit() -> str:
 def q_dow_seasonality_stats(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def daily(batch: pa.Table) -> pa.Table:
         day = pc.cast(batch.column("o_orderdate"),

@@ -26,16 +26,10 @@ WINSOR_HI_NUM, WINSOR_HI_DEN = 19, 20  # p95
 BLOCK_CHAR_BUCKET = 100
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_winsorized_value_stats(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def hist_stage(batch: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(batch.column("value"), 100.0)),
@@ -122,7 +116,7 @@ GROUP BY v.event_type
 def q_blocking_efficiency(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
 
     def keyed(batch: pa.Table) -> pa.Table:
         bucket = (batch.column("n_chars").to_numpy().astype(np.int64)

@@ -25,12 +25,6 @@ DAY_US = 86_400_000_000
 GROWTH_FRACTIONS = ((1, 10), (1, 2), (1, 1))  # 10%, 50%, 100%
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def q_supplier_leadtime_stats(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.util import coalesce_for_shuffle, shuffle_blocks
@@ -38,7 +32,7 @@ def q_supplier_leadtime_stats(sf_dir: str, n_parts: int | None = None):
     from .queries import _hash_part
     from .queries_ext60 import _attach_inner
 
-    ray = _ray()
+    import ray
     P = int(n_parts or min(32, shuffle_blocks()))
 
     def key_li(batch: pa.Table) -> pa.Table:
@@ -128,7 +122,7 @@ def q_vocab_growth_curve(sf_dir: str):
 
     from ..stages.agg import grouped_aggregate
 
-    ray = _ray()
+    import ray
     n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
 
     def first_doc(batch: pa.Table) -> pa.Table:

@@ -32,16 +32,6 @@ from ..geom.kernel import normalize_ring
 
 SPAN_KINDS = ["text", "image", "audio", "video"]
 
-SPANS_TYPE = pa.list_(
-    pa.struct(
-        [
-            ("kind", pa.string()),
-            ("text", pa.string()),
-            ("media_ref", pa.string()),
-            ("offset", pa.int32()),
-        ]
-    )
-)
 RINGS_TYPE = pa.list_(pa.list_(pa.list_(pa.float64(), 2)))
 
 

@@ -36,12 +36,6 @@ ORDERS_BROADCAST_MAX_ROWS = 5_000_000
 FACT_BROADCAST_MAX_ROWS = 5_000_000
 
 
-def _ray():
-    import ray
-
-    return ray
-
-
 def attach_fact_value(
     sf_dir: str,
     side_table: str,
@@ -75,7 +69,7 @@ def attach_fact_value(
     from ..stages.util import coalesce_for_shuffle
     from ..pipelines.queries import _hash_part
 
-    ray = _ray()
+    import ray
     path = f"{sf_dir}/{side_table}.parquet"
     n_side = pq.ParquetFile(path).metadata.num_rows
     if mode is None:

@@ -40,14 +40,31 @@ def test_every_query_documented_in_coverage():
 
 def test_registry_builds_without_ray():
     # the driver imports __ray_entry__ and calls queries()/oracle_sql()
-    # BEFORE any pipeline runs; building the dicts must not touch Ray
+    # BEFORE any pipeline runs; building the dicts must not import Ray
+    # (a fresh interpreter: this pytest process has Ray loaded already)
+    import subprocess
     import sys
 
-    from polylabel_rs_ray.pipelines.queries import build_oracles, build_queries
-
-    n_q = len(build_queries())
-    n_o = len(build_oracles())
+    code = (
+        "import sys\n"
+        "from polylabel_rs_ray.pipelines.queries import build_oracles, build_queries\n"
+        "print(len(build_queries()), len(build_oracles()), 'ray' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], cwd=REPO, check=True,
+                         capture_output=True, text=True).stdout.split()
+    n_q, n_o, ray_loaded = int(out[0]), int(out[1]), out[2]
     assert n_q >= 109 and n_o >= 97, (n_q, n_o)
+    assert ray_loaded == "False"
+
+
+def test_registry_rejects_a_name_registered_twice():
+    import pytest
+
+    from polylabel_rs_ray.pipelines.queries import _merge
+
+    assert list(_merge([("a", {"x": 1}), ("b", {"y": 2})])) == ["x", "y"]
+    with pytest.raises(ValueError, match="'x' is registered by both a and b"):
+        _merge([("a", {"x": 1}), ("b", {"y": 2, "x": 3})])
 
 
 def test_rows_only_set_is_the_documented_one():

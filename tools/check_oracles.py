@@ -11,7 +11,10 @@ name, rows sorted, values hashed).  Usage:
 The --json artifact mirrors the driver's CORRECTNESS_r{N}.json row shape
 (rows_match / schema_match / hash_match / engine_rows / oracle_rows / err,
 plus mode: "oracle" | "rows-only") so a committed full-registry sweep is
-directly comparable with the driver's sampled gate.
+directly comparable with the driver's sampled gate.  Each row also keeps
+the value hashes themselves (ray_hash / oracle_hash; a rows-only query
+gets a ray_hash when its columns sort), so two commits' sweeps can be
+compared row by row.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from pathlib import Path
 
 import duckdb
 import pandas as pd
@@ -67,7 +71,7 @@ def main(sf_dir: str, only: list[str] | None = None,
     import ray
 
     ray.init(address="local", num_cpus=8, include_dashboard=False, ignore_reinit_error=True)
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
@@ -93,7 +97,7 @@ def main(sf_dir: str, only: list[str] | None = None,
         row = {"mode": "oracle" if name in oracles else "rows-only",
                "rows_match": None, "schema_match": None, "hash_match": None,
                "engine_rows": None, "oracle_rows": None, "err": None,
-               "secs": None}
+               "secs": None, "ray_hash": None, "oracle_hash": None}
         report[name] = row
         if name not in oracles:
             # rows-only check (driver's weaker path): no canonicalization —
@@ -107,6 +111,10 @@ def main(sf_dir: str, only: list[str] | None = None,
                 continue
             row["engine_rows"] = len(raw)
             row["secs"] = round(time.time() - t0, 2)
+            try:
+                row["ray_hash"] = value_hash(canonical(raw))
+            except (TypeError, ValueError):  # array/struct cells do not sort
+                pass
             print(f"ok?  {name}: rows={len(raw)} (no oracle, rows-only) [{row['secs']}s]")
             continue
         try:
@@ -126,7 +134,8 @@ def main(sf_dir: str, only: list[str] | None = None,
             continue
         row.update(engine_rows=len(got), oracle_rows=len(exp), secs=round(dt, 2),
                    rows_match=len(got) == len(exp),
-                   schema_match=list(got.columns) == list(exp.columns))
+                   schema_match=list(got.columns) == list(exp.columns),
+                   ray_hash=value_hash(got), oracle_hash=value_hash(exp))
         problems = []
         if len(got) != len(exp):
             problems.append(f"rows {len(got)} != {len(exp)}")
@@ -135,7 +144,7 @@ def main(sf_dir: str, only: list[str] | None = None,
             row["hash_match"] = False
         else:
             row["hash_match"] = (len(got) == len(exp)
-                                 and value_hash(got) == value_hash(exp))
+                                 and row["ray_hash"] == row["oracle_hash"])
             if not row["hash_match"] and len(got) == len(exp):
                 problems.append("value hash mismatch")
                 for col in got.columns:
