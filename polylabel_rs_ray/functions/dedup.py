@@ -1,5 +1,4 @@
-"""Deduplication kernels: exact hash, MinHash+LSH, SimHash, n-gram Jaccard,
-embedding-cosine near-dup.
+"""Deduplication kernels: exact hash, MinHash+LSH, SimHash, n-gram Jaccard.
 
 Scale notes (100 TB design):
 * signatures are computed in stateless ``map_batches`` tasks;
@@ -208,23 +207,3 @@ def simhash64_batch(texts: list[str | None]) -> np.ndarray:
 
 def hamming64(a: int, b: int) -> int:
     return bin(a ^ b).count("1")
-
-
-# --- embedding cosine near-dup --------------------------------------------
-
-def cosine_near_dup_pairs(
-    vecs: np.ndarray, ids: np.ndarray, threshold: float
-) -> list[tuple[int, int, float]]:
-    """All pairs with cosine similarity >= threshold (brute force — the
-    verification step after LSH bucketing at scale)."""
-    norms = np.linalg.norm(vecs, axis=1)
-    norms[norms == 0] = 1.0
-    unit = vecs / norms[:, None]
-    sim = unit @ unit.T
-    out = []
-    n = len(ids)
-    iu, ju = np.triu_indices(n, k=1)
-    hit = sim[iu, ju] >= threshold
-    for i, j, s in zip(iu[hit], ju[hit], sim[iu, ju][hit]):
-        out.append((int(ids[i]), int(ids[j]), float(s)))
-    return out

@@ -15,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..stages.util import group_map
+
 
 def _unit(m: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(m, axis=1)
@@ -88,11 +90,7 @@ def ann_topk_pipeline(sf_dir: str, n_queries: int = 3, k: int = 5):
     def reduce_group(group: pa.Table) -> pa.Table:
         return topk_reduce(group, k)
 
-    from ..stages.util import coalesce_for_shuffle
-
-    return coalesce_for_shuffle(scored, 8).groupby("query_id").map_groups(
-        reduce_group, batch_format="pyarrow"
-    )
+    return group_map(scored, "query_id", reduce_group)
 
 
 class IvfScorer:
@@ -213,11 +211,7 @@ def ivf_topk_pipeline(sf_dir: str, n_queries: int = 3, k: int = 5,
     def reduce_group(group: pa.Table) -> pa.Table:
         return topk_reduce(group, k)
 
-    from ..stages.util import coalesce_for_shuffle
-
-    return coalesce_for_shuffle(scored, 8).groupby("query_id").map_groups(
-        reduce_group, batch_format="pyarrow"
-    )
+    return group_map(scored, "query_id", reduce_group)
 
 
 class IvfSq8Scorer:
@@ -396,8 +390,4 @@ def ivf_topk_exact_pipeline(sf_dir: str, n_queries: int = 3, k: int = 5,
             "d2": pa.array(d[order], type=pa.int64()),
         })
 
-    from ..stages.util import coalesce_for_shuffle
-
-    return coalesce_for_shuffle(scored, 8).groupby("query_id").map_groups(
-        reduce_group, batch_format="pyarrow"
-    )
+    return group_map(scored, "query_id", reduce_group)

@@ -3,7 +3,7 @@
     read interleaved docs (doc_id-pruned read, deterministic synthesis)
       -> map_batches(label_batch)            stateless tasks, Arrow zero-copy
       -> map_batches(append_cell_columns)    stateless tasks
-      -> groupby(tile_id).map_groups(render) THE shuffle
+      -> group_map(tile_id, render)          THE shuffle
       -> tile rows (raster + vector payloads)
 
 Every stage streams; nothing materializes the whole dataset.  The label

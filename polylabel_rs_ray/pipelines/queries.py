@@ -33,6 +33,9 @@ from ..sources import docs as docs_mod
 from ..sources.docs import DYADIC_CYCLE_IDX as DYADIC_IDX
 from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
 from ..stages.label import label_batch, label_points
+from ..stages.util import (
+    group_map, hash_exchange, hash_part, n_partitions, shuffle_blocks,
+)
 
 
 # --------------------------------------------------------------------------
@@ -43,11 +46,13 @@ _LABELED_CACHE: dict[str, object] = {}
 
 
 def _labeled_checkpoint_dir(sf_dir: str, name: str = "labeled") -> str:
-    """Deterministic checkpoint path keyed by source identity (path + mtime +
-    size of documents.parquet) and by ``run.code_digest()`` of the code that
-    computes the labels — the lineage fingerprint that invalidates the
-    checkpoint if the input or the kernel changes.  ``name`` selects the
-    derived artifact ("labeled" label columns, "tokenized" token lists, ...)."""
+    """Deterministic checkpoint path ``polylabel_ckpt/<source>/<fp>/<name>``:
+    ``<source>`` keys the source directory, ``<fp>`` its identity (path +
+    mtime + size of documents.parquet) and ``run.code_digest()`` of the
+    code that computes the labels — the lineage fingerprint that
+    invalidates the checkpoint if the input or the kernel changes.
+    ``name`` selects the derived artifact ("labeled" label columns,
+    "tokenized" token lists, ...)."""
     import os
     import tempfile
     from hashlib import sha256
@@ -59,13 +64,16 @@ def _labeled_checkpoint_dir(sf_dir: str, name: str = "labeled") -> str:
         stamp = f"{sf_dir}|{os.path.getmtime(src)}|{os.path.getsize(src)}"
     except OSError:
         stamp = sf_dir
+    source = sha256(sf_dir.encode()).hexdigest()[:16]
     fp = sha256(f"{stamp}|{run.code_digest()}".encode()).hexdigest()[:16]
-    return os.path.join(tempfile.gettempdir(), "polylabel_ckpt", fp, name)
+    return os.path.join(tempfile.gettempdir(), "polylabel_ckpt", source, fp, name)
 
 
 def _publish_checkpoint(ckpt: str, write_fn) -> None:
     """Write-once atomic-rename publish: ``write_fn(tmp_dir)`` writes the
-    parquet, then a rename makes it visible; a losing racer cleans up."""
+    parquet, then a rename makes it visible; a losing racer cleans up.
+    After a publish the source's trees for other fingerprints are stale,
+    and are deleted."""
     import os
     import shutil
 
@@ -78,6 +86,11 @@ def _publish_checkpoint(ckpt: str, write_fn) -> None:
         os.rename(tmp, ckpt)
     except OSError:
         shutil.rmtree(tmp, ignore_errors=True)
+    fp_dir = os.path.dirname(ckpt)
+    source_dir = os.path.dirname(fp_dir)
+    for other in os.listdir(source_dir):
+        if other != os.path.basename(fp_dir):
+            shutil.rmtree(os.path.join(source_dir, other), ignore_errors=True)
 
 
 def labeled_docs(sf_dir: str):
@@ -891,11 +904,7 @@ def q_sessionize(sf_dir: str):
             "session_end_us": pa.array(ts[ends - 1], type=pa.int64()),
         })
 
-    from ..stages.util import coalesce_for_shuffle
-
-    return coalesce_for_shuffle(ds).groupby("user_id").map_groups(
-        sessions, batch_format="pyarrow"
-    )
+    return group_map(ds, "user_id", sessions)
 
 
 SQL_SESSIONIZE = """
@@ -928,10 +937,7 @@ def q_asof_purchase_view(sf_dir: str, n_parts: int | None = None):
     purchase resolves with a single vectorized searchsorted over packed
     (user, ts) keys.  Inner semantics (purchases with no prior view drop),
     matching DuckDB's ASOF JOIN oracle."""
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type"]
@@ -945,7 +951,6 @@ def q_asof_purchase_view(sf_dir: str, n_parts: int | None = None):
         ts_us = b.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
         is_p = pc.equal(b.column("event_type"), "purchase")
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "ts_us": pa.array(ts_us, type=pa.int64()),
             "event_id": b.column("event_id"),
@@ -993,11 +998,9 @@ def q_asof_purchase_view(sf_dir: str, n_parts: int | None = None):
             "view_ts_us": pa.array(view_ts, type=pa.int64()),
         })
 
-    return (
-        coalesce_for_shuffle(ds.map_batches(keyed, batch_format="pyarrow",
-                                            zero_copy_batch=True))
-        .groupby("part")
-        .map_groups(asof_group, batch_format="pyarrow")
+    return hash_exchange(
+        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id", asof_group, n_parts,
     )
 
 
@@ -1018,18 +1021,11 @@ def q_top_orders_per_customer(sf_dir: str, k: int = 3, n_parts: int | None = Non
     ranks every customer's orders in a single vectorized lexsort + segment
     sweep (groupby(custkey).map_groups would pay ~0.2 s per group at 100k+
     customers — this pays it once per partition)."""
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderkey", "o_totalprice"]
     )
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        cust = batch.column("o_custkey").to_numpy().astype(np.int64)
-        return batch.append_column("part", pa.array(_hash_part(cust, P), type=pa.int64()))
 
     def topk_group(group: pa.Table) -> pa.Table:
         cust = group.column("o_custkey").to_numpy().astype(np.int64)
@@ -1049,12 +1045,7 @@ def q_top_orders_per_customer(sf_dir: str, k: int = 3, n_parts: int | None = Non
             "o_totalprice": pa.array(price[sel], type=pa.float64()),
         })
 
-    return (
-        coalesce_for_shuffle(ds.map_batches(keyed, batch_format="pyarrow",
-                                            zero_copy_batch=True))
-        .groupby("part")
-        .map_groups(topk_group, batch_format="pyarrow")
-    )
+    return hash_exchange(ds, "o_custkey", topk_group, n_parts)
 
 
 SQL_TOP_ORDERS_PER_CUSTOMER = """
@@ -1558,22 +1549,6 @@ def _minhasher():
     return _MINHASHER
 
 
-GOLD64 = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _hash_part(ids: np.ndarray, n_parts: int) -> np.ndarray:
-    """Deterministic hash partitioner for int64 ids — the shared partitioner
-    every stage that must co-locate rows by doc_id agrees on."""
-    u = np.asarray(ids).astype(np.uint64)
-    return ((u * GOLD64) >> np.uint64(33)).astype(np.int64) % n_parts
-
-
-def _P(n_parts: int | None) -> int:
-    from ..stages.util import shuffle_blocks
-
-    return int(n_parts or min(32, shuffle_blocks()))
-
-
 def _ts_us(iso: str) -> int:
     return int(np.datetime64(iso, "us").astype(np.int64))
 
@@ -1652,7 +1627,7 @@ def q_minhash_near_dup(
          -> exact-Jaccard verify inside the group
 
     Partitioning assumption: candidate pairs and document texts share the
-    `_hash_part(doc_id)` partitioner, so each verify group holds 1/P of the
+    `hash_part(doc_id)` partitioner, so each verify group holds 1/P of the
     corpus plus exactly the pairs that need those texts.  Global pair dedup
     falls out of pass B: every copy of a pair (any bucket, any candidate
     partition) has the same doc_b, so all copies land in one group.
@@ -1664,10 +1639,9 @@ def q_minhash_near_dup(
         jaccard_pct_exact,
         shingle_strs,
     )
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
     ds = _corpus_with_planted_dups(sf_dir)
 
     def sign_band(batch: pa.Table) -> pa.Table:
@@ -1685,11 +1659,7 @@ def q_minhash_near_dup(
         })
 
     banded = ds.map_batches(sign_band, batch_format="pyarrow", zero_copy_batch=True)
-    cands = (
-        coalesce_for_shuffle(banded)
-        .groupby("part")
-        .map_groups(_bucket_candidate_pairs, batch_format="pyarrow")
-    )
+    cands = group_map(banded, "part", _bucket_candidate_pairs)
 
     return verify_candidate_pairs(
         cands, ds, sf_dir, threshold, P,
@@ -1729,7 +1699,6 @@ def verify_candidate_pairs(
     so an LSH/hash collision upstream can only add candidates, never flip
     a verified pair."""
     from ..functions.dedup import jaccard_pct_exact, shingle_strs
-    from ..stages.util import coalesce_for_shuffle
 
     import ray
     import pyarrow.parquet as pq
@@ -1830,7 +1799,7 @@ def verify_candidate_pairs(
             ids = ids[keep]
         n = len(ids)
         return pa.table({
-            "part": pa.array(_hash_part(ids, P), type=pa.int64()),
+            "part": pa.array(hash_part(ids, P), type=pa.int64()),
             "doc_a": pa.array(ids, type=pa.int64()),
             "doc_b": pa.nulls(n, pa.int64()),
             "text": batch.column("text"),
@@ -1839,18 +1808,20 @@ def verify_candidate_pairs(
     def pairs_keyed_by_b(batch: pa.Table) -> pa.Table:
         b = batch.column("doc_b").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(b, P), type=pa.int64()),
+            "part": pa.array(hash_part(b, P), type=pa.int64()),
             "doc_a": batch.column("doc_a"),
             "doc_b": batch.column("doc_b"),
             "text": pa.nulls(len(b), pa.string()),
         })
+
+    docs_keyed_ds = ds.map_batches(docs_keyed, batch_format="pyarrow",
+                                   zero_copy_batch=True)
 
     def attach_text_b(group: pa.Table) -> pa.Table:
         is_pair = pc.is_valid(group.column("doc_b"))
         pairs = group.filter(is_pair)
         docs = group.filter(pc.invert(is_pair))
         out_schema = {
-            "part": pa.array([], type=pa.int64()),
             "doc_a": pa.array([], type=pa.int64()),
             "doc_b": pa.array([], type=pa.int64()),
             "text": pa.array([], type=pa.string()),
@@ -1865,20 +1836,14 @@ def verify_candidate_pairs(
         _, idx = np.unique(key, return_index=True)
         A, B = A[idx], B[idx]
         return pa.table({
-            "part": pa.array(_hash_part(A, P), type=pa.int64()),
             "doc_a": pa.array(A, type=pa.int64()),
             "doc_b": pa.array(B, type=pa.int64()),
             "text": pa.array([lut.get(int(b)) for b in B], type=pa.string()),
         })
 
-    with_b = (
-        coalesce_for_shuffle(ds.map_batches(docs_keyed, batch_format="pyarrow",
-                                            zero_copy_batch=True).union(
-            cands.map_batches(pairs_keyed_by_b, batch_format="pyarrow",
-                              zero_copy_batch=True)))
-        .groupby("part")
-        .map_groups(attach_text_b, batch_format="pyarrow")
-    )
+    pairs_b = cands.map_batches(pairs_keyed_by_b, batch_format="pyarrow",
+                                zero_copy_batch=True)
+    with_b = group_map(docs_keyed_ds.union(pairs_b), "part", attach_text_b)
 
     def verify_group(group: pa.Table) -> pa.Table:
         is_pair = pc.is_valid(group.column("doc_b"))
@@ -1910,12 +1875,8 @@ def verify_candidate_pairs(
             "jaccard_pct": pa.array(jj, type=pa.int64()),
         })
 
-    return (
-        with_b.union(ds.map_batches(docs_keyed, batch_format="pyarrow",
-                                    zero_copy_batch=True))
-        .groupby("part")
-        .map_groups(verify_group, batch_format="pyarrow")
-    )
+    docs_a = docs_keyed_ds.drop_columns(["part"])
+    return hash_exchange(with_b.union(docs_a), "doc_a", verify_group, P)
 
 
 TOP_BIGRAMS_K = 20
@@ -2032,11 +1993,10 @@ def q_token_packing(sf_dir: str, n_parts: int | None = None):
     bucket the doc's pack STARTS in (window-function-reproducible, hence the
     SQL oracle)."""
     import pyarrow.parquet as pq
-    from ..stages.util import shuffle_blocks
 
     import ray
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
     rng = max(1, -(-n_docs // P))  # ceil
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
@@ -2073,7 +2033,7 @@ def q_token_packing(sf_dir: str, n_parts: int | None = None):
             "pack_id": pa.array(pack, type=pa.int64()),
         })
 
-    return toked.groupby("part").map_groups(cumsum_part, batch_format="pyarrow")
+    return group_map(toked, "part", cumsum_part)
 
 
 SQL_TOKEN_PACKING = rf"""
@@ -2107,7 +2067,6 @@ def q_dedup_clusters(sf_dir: str, n_parts: int | None = None):
     components; pytest additionally pins equality with a driver-side
     union-find at sf0.001."""
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import shuffle_blocks
 
     import ray
 
@@ -2136,7 +2095,7 @@ def q_dedup_clusters(sf_dir: str, n_parts: int | None = None):
         src = np.concatenate([a, b])
         dst = np.concatenate([b, a])
         return pa.table({
-            "part": pa.array(_hash_part(src, P), type=pa.int64()),
+            "part": pa.array(hash_part(src, P), type=pa.int64()),
             "src": pa.array(src, type=pa.int64()),
             "dst": pa.array(dst, type=pa.int64()),
         })
@@ -2151,7 +2110,7 @@ def q_dedup_clusters(sf_dir: str, n_parts: int | None = None):
         b = batch.column("doc_b").to_numpy().astype(np.int64)
         node = np.unique(np.concatenate([a, b]))
         return pa.table({
-            "part": pa.array(_hash_part(node, P), type=pa.int64()),
+            "part": pa.array(hash_part(node, P), type=pa.int64()),
             "node": pa.array(node, type=pa.int64()),
             "label": pa.array(node, type=pa.int64()),
         })
@@ -2190,7 +2149,7 @@ def q_dedup_clusters(sf_dir: str, n_parts: int | None = None):
             src_label = lut_labels[idx]  # every edge src has a label row here
             # messages: dst inherits src's label; re-key by hash(dst)
             return pa.table({
-                "part": pa.array(_hash_part(dst, P), type=pa.int64()),
+                "part": pa.array(hash_part(dst, P), type=pa.int64()),
                 "node": pa.array(dst, type=pa.int64()),
                 "label": pa.array(src_label, type=pa.int64()),
             })
@@ -2211,14 +2170,12 @@ def q_dedup_clusters(sf_dir: str, n_parts: int | None = None):
                 "dst": pa.nulls(batch.num_rows, pa.int64()),
             })
 
-        msgs = (
+        msgs = group_map(
             edges.map_batches(edges_as_rows, batch_format="pyarrow",
                               zero_copy_batch=True)
             .union(labels.map_batches(labels_as_rows, batch_format="pyarrow",
-                                      zero_copy_batch=True))
-            .repartition(P)
-            .groupby("part")
-            .map_groups(attach, batch_format="pyarrow")
+                                      zero_copy_batch=True)),
+            "part", attach,
         )
         labels = grouped_aggregate(
             msgs.union(labels), ["part", "node"], [("min", "label", "label")]
@@ -2300,10 +2257,8 @@ def q_embedding_near_dup(sf_dir: str, threshold: float = 0.98, n_parts: int | No
     tiny: only near-dup candidates).  Planted duplicates (vec_id +
     DUP_OFFSET, tiny noise) pin recall in pytest."""
     from ..functions.sim import _unit, embedding_matrix
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
     import pyarrow.parquet as pq
 
     # corpus size from parquet METADATA (no data read) -> plane count; the
@@ -2346,7 +2301,6 @@ def q_embedding_near_dup(sf_dir: str, threshold: float = 0.98, n_parts: int | No
             emb = emb.combine_chunks()
         take_idx = np.repeat(np.arange(n, dtype=np.int64), EMB_BANDS)
         return pa.table({
-            "part": pa.array(_hash_part(flat_keys, P), type=pa.int64()),
             "bkey": pa.array(flat_keys, type=pa.int64()),
             "vec_id": pa.array(np.repeat(ids, EMB_BANDS), type=pa.int64()),
             "embedding": emb.take(pa.array(take_idx)),
@@ -2391,11 +2345,7 @@ def q_embedding_near_dup(sf_dir: str, threshold: float = 0.98, n_parts: int | No
             "cos_pct": pa.array(cp_a, type=pa.int64()),
         })
 
-    pairs = (
-        coalesce_for_shuffle(bucketed)
-        .groupby("part")
-        .map_groups(verify_part, batch_format="pyarrow")
-    )
+    pairs = hash_exchange(bucketed, "bkey", verify_part, n_parts)
     # OR-construction dedup: the same pair can surface from several bands
     from ..stages.agg import grouped_aggregate
 
@@ -2561,10 +2511,7 @@ def q_rolling_user_stats(sf_dir: str, n_parts: int | None = None):
     no per-group task, no global sort.  Every output is an exact copy /
     comparison of input doubles (no reassociated arithmetic), so the SQL
     window oracle matches bit-for-bit."""
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "value"]
@@ -2574,7 +2521,6 @@ def q_rolling_user_stats(sf_dir: str, n_parts: int | None = None):
         uid = batch.column("user_id").to_numpy().astype(np.int64)
         ts_us = batch.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "ts_us": pa.array(ts_us, type=pa.int64()),
             "event_id": batch.column("event_id"),
@@ -2609,11 +2555,9 @@ def q_rolling_user_stats(sf_dir: str, n_parts: int | None = None):
             "roll_n": pa.array(np.minimum(pos + 1, ROLL_PRECEDING + 1), type=pa.int64()),
         })
 
-    return (
-        coalesce_for_shuffle(ds.map_batches(keyed, batch_format="pyarrow",
-                                            zero_copy_batch=True))
-        .groupby("part")
-        .map_groups(windows, batch_format="pyarrow")
+    return hash_exchange(
+        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id", windows, n_parts,
     )
 
 
@@ -2641,10 +2585,7 @@ def q_attribution_counts(sf_dir: str, n_parts: int | None = None):
     vectorized searchsorteds over packed (user, ts) keys — the
     bounded-interval sibling of the as-of join (left semantics: zero-view
     purchases stay, the index difference is already their count)."""
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type"]
@@ -2656,7 +2597,6 @@ def q_attribution_counts(sf_dir: str, n_parts: int | None = None):
         uid = b.column("user_id").to_numpy().astype(np.int64)
         ts_us = b.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "ts_us": pa.array(ts_us, type=pa.int64()),
             "event_id": b.column("event_id"),
@@ -2698,11 +2638,9 @@ def q_attribution_counts(sf_dir: str, n_parts: int | None = None):
             "n_views_1h": pa.array(hi - lo, type=pa.int64()),
         })
 
-    return (
-        coalesce_for_shuffle(ds.map_batches(keyed, batch_format="pyarrow",
-                                            zero_copy_batch=True))
-        .groupby("part")
-        .map_groups(count_group, batch_format="pyarrow")
+    return hash_exchange(
+        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id", count_group, n_parts,
     )
 
 
@@ -2957,15 +2895,12 @@ def q_order_fulfillment(sf_dir: str, n_parts: int | None = None):
     searchsorted — same shape as the as-of join.  sum_qty sums integral
     doubles (quantities), exact in fp under any association, so the SQL
     sum matches bit-for-bit."""
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
 
     def order_side(batch: pa.Table) -> pa.Table:
         key = batch.column("o_orderkey").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(key, P), type=pa.int64()),
             "key": pa.array(key, type=pa.int64()),
             "o_totalprice": batch.column("o_totalprice"),
             "qty": pa.nulls(batch.num_rows, pa.float64()),
@@ -2974,7 +2909,6 @@ def q_order_fulfillment(sf_dir: str, n_parts: int | None = None):
     def line_side(batch: pa.Table) -> pa.Table:
         key = batch.column("l_orderkey").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(key, P), type=pa.int64()),
             "key": pa.array(key, type=pa.int64()),
             "o_totalprice": pa.nulls(batch.num_rows, pa.float64()),
             "qty": batch.column("l_quantity"),
@@ -3016,11 +2950,7 @@ def q_order_fulfillment(sf_dir: str, n_parts: int | None = None):
             "sum_qty": pa.array(sum_qty, type=pa.float64()),
         })
 
-    return (
-        coalesce_for_shuffle(orders.union(lines))
-        .groupby("part")
-        .map_groups(join_group, batch_format="pyarrow")
-    )
+    return hash_exchange(orders.union(lines), "key", join_group, P)
 
 
 SQL_ORDER_FULFILLMENT = """
@@ -3304,10 +3234,9 @@ def q_revenue_by_region(sf_dir: str, join_mode: str | None = None):
 
     from ..stages.agg import grouped_aggregate
     from ..stages.factjoin import attach_cust_nationkey
-    from ..stages.util import shuffle_blocks
 
     import ray
-    P = min(32, shuffle_blocks())
+    P = n_partitions(None)
     region = pq.read_table(f"{sf_dir}/region.parquet")
     nation = pq.read_table(f"{sf_dir}/nation.parquet")
     nkey = nation.column("n_nationkey").to_numpy().astype(np.int64)
@@ -3558,27 +3487,6 @@ def _sql_hll_est(where: str) -> str:
     )"""
 
 
-def _hll_mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer — a well-distributed 64-bit hash, vectorized."""
-    z = x.astype(np.uint64)
-    z = (z + np.uint64(0x9E3779B97F4A7C15)) * np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def _leading_zeros64(w: np.ndarray) -> np.ndarray:
-    """Vectorized count-leading-zeros for uint64 (6 binary-search steps)."""
-    w = w.copy()
-    lz = np.zeros(len(w), dtype=np.int64)
-    for sh in (32, 16, 8, 4, 2, 1):
-        zero_top = (w >> np.uint64(64 - sh)) == 0
-        lz += np.where(zero_top, sh, 0)
-        w = np.where(zero_top, w << np.uint64(sh), w)
-    return np.where(w == 0, 64, lz)
-
-
 def q_approx_distinct_users(sf_dir: str):
     """Mergeable-sketch aggregation (HyperLogLog): per-batch PARTIAL
     sketches (4096 registers per key) merge with elementwise max through
@@ -3624,10 +3532,9 @@ def q_approx_distinct_users(sf_dir: str):
                                      type=pa.int64()),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .map_groups(merge_estimate, batch_format="pyarrow")
+    return group_map(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "event_type", merge_estimate,
     )
 
 
@@ -3654,15 +3561,11 @@ def q_part_pair_counts(sf_dir: str, n_parts: int | None = None):
     rows/order — so pair volume is ~O(rows)), then a map-side-combined
     groupby on (part_a, part_b) counts pairs globally.  No O(rows) sort
     shuffle on the ~unique order key anywhere."""
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def to_parts(batch: pa.Table) -> pa.Table:
         key = batch.column("l_orderkey").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(key, P), type=pa.int64()),
             "okey": pa.array(key, type=pa.int64()),
             "pkey": batch.column("l_partkey"),
         })
@@ -3706,11 +3609,7 @@ def q_part_pair_counts(sf_dir: str, n_parts: int | None = None):
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     ).map_batches(to_parts, batch_format="pyarrow", zero_copy_batch=True)
-    pairs = (
-        coalesce_for_shuffle(ds)
-        .groupby("part")
-        .map_groups(pairs_in_partition, batch_format="pyarrow")
-    )
+    pairs = hash_exchange(ds, "okey", pairs_in_partition, n_parts)
     # pair keys are ~unique (groups ~ rows): the hash-partitioned aggregate
     # (one Arrow C++ group_by per partition) replaces the native sort-based
     # aggregate, which is pathological at this cardinality (18 s -> ~1 s at
@@ -4024,10 +3923,9 @@ def q_price_discount_corr(sf_dir: str):
             "corr_micro": pa.array([corr_micro], type=pa.int64()),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_k")
-        .map_groups(final, batch_format="pyarrow")
+    return group_map(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "_k", final,
     )
 
 
@@ -4064,10 +3962,8 @@ def q_event_types_per_user(sf_dir: str, n_parts: int | None = None):
     emits its users' joined strings from one lexsort — no per-user task,
     no global sort."""
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
@@ -4075,14 +3971,6 @@ def q_event_types_per_user(sf_dir: str, n_parts: int | None = None):
     pairs = grouped_aggregate(ds, ["user_id", "event_type"],
                               [("count", None, "_n")],
                               high_cardinality=True)
-
-    def to_parts(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy().astype(np.int64)
-        return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
-            "user_id": batch.column("user_id"),
-            "event_type": batch.column("event_type"),
-        })
 
     def join_types(group: pa.Table) -> pa.Table:
         uid = group.column("user_id").to_numpy().astype(np.int64)
@@ -4099,12 +3987,8 @@ def q_event_types_per_user(sf_dir: str, n_parts: int | None = None):
             "types": pa.array(joined, type=pa.string()),
         })
 
-    return (
-        coalesce_for_shuffle(
-            pairs.map_batches(to_parts, batch_format="pyarrow",
-                              zero_copy_batch=True))
-        .groupby("part")
-        .map_groups(join_types, batch_format="pyarrow")
+    return hash_exchange(
+        pairs.select_columns(["user_id", "event_type"]), "user_id", join_types, n_parts,
     )
 
 

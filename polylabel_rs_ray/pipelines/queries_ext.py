@@ -20,6 +20,7 @@ from ..geom.ops import convex_hull, ring_area, simplify_ring
 from ..sources import docs as docs_mod
 from ..sources.docs import DYADIC_CYCLE_IDX as DYADIC_IDX
 from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
+from ..stages.util import group_map, hash_exchange, hash_part, n_partitions
 
 
 # --------------------------------------------------------------------------
@@ -455,12 +456,7 @@ def q_user_first_last(sf_dir: str, n_parts: int | None = None):
     boundaries), the shuffle carries O(users x blocks) candidate rows, and
     each hash partition finishes its users with the same segment sweep —
     no per-user task, no global sort."""
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "ts", "user_id", "event_type"],
@@ -477,7 +473,6 @@ def q_user_first_last(sf_dir: str, n_parts: int | None = None):
         ends = np.r_[starts[1:], len(uid)]
         lasts = ends - 1
         return pa.table({
-            "part": pa.array(_hash_part(uid[starts], P), type=pa.int64()),
             "user_id": pa.array(uid[starts], type=pa.int64()),
             "f_ts": pa.array(ts[starts], type=pa.int64()),
             "f_eid": pa.array(eid[starts], type=pa.int64()),
@@ -522,12 +517,9 @@ def q_user_first_last(sf_dir: str, n_parts: int | None = None):
             "n_events": pa.array(n_tot, type=pa.int64()),
         })
 
-    return (
-        coalesce_for_shuffle(
-            ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("part")
-        .map_groups(finish, batch_format="pyarrow")
+    return hash_exchange(
+        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id", finish, n_parts,
     )
 
 
@@ -567,12 +559,8 @@ def q_ngram_jaccard_pairs(sf_dir: str, n_parts: int | None = None):
     sets are dictionary-encoded once and all set sizes/intersections come
     from two np.unique passes over integer keys (no per-pair Python set
     work)."""
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
@@ -580,7 +568,7 @@ def q_ngram_jaccard_pairs(sf_dir: str, n_parts: int | None = None):
     def to_parts(batch: pa.Table) -> pa.Table:
         did = batch.column("doc_id").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(did // 2, P), type=pa.int64()),
+            "part": pa.array(hash_part(did // 2, P), type=pa.int64()),
             "doc_id": pa.array(did, type=pa.int64()),
             "text": batch.column("text"),
         })
@@ -644,12 +632,9 @@ def q_ngram_jaccard_pairs(sf_dir: str, n_parts: int | None = None):
             "jaccard": pa.array(jac, type=pa.float64()),
         })
 
-    return (
-        coalesce_for_shuffle(
-            ds.map_batches(to_parts, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("part")
-        .map_groups(pair_jaccard, batch_format="pyarrow")
+    return group_map(
+        ds.map_batches(to_parts, batch_format="pyarrow", zero_copy_batch=True),
+        "part", pair_jaccard,
     )
 
 

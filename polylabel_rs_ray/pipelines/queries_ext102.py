@@ -33,6 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .queries import _ts_us
+from ..stages.util import hash_exchange
 
 
 _DAY_US = 86_400_000_000
@@ -99,12 +100,8 @@ WHERE l_shipdate >= TIMESTAMP '{Q6_LO}'
 
 def q_order_priority_q4(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
     lo_us, hi_us = _ts_us(Q4_LO), _ts_us(Q4_HI)
     late_us = Q4_LATE_DAYS * _DAY_US
     # no lineitem shipped before window_lo + 90d can satisfy the EXISTS
@@ -123,7 +120,6 @@ def q_order_priority_q4(sf_dir: str, n_parts: int | None = None):
         prio_id = pc.cast(prio.filter(pa.array(m)), pa.int64()).to_numpy() \
             if n else np.empty(0, np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(okey[m], P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "o_orderkey": pa.array(okey[m], type=pa.int64()),
             "ship_us": pa.array(date_us[m], type=pa.int64()),  # order date
@@ -143,7 +139,6 @@ def q_order_priority_q4(sf_dir: str, n_parts: int | None = None):
         ok = agg.column("o_orderkey").to_numpy().astype(np.int64)
         n = len(ok)
         return pa.table({
-            "part": pa.array(_hash_part(ok, P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "o_orderkey": agg.column("o_orderkey"),
             "ship_us": agg.column("ship_us_max"),
@@ -187,12 +182,7 @@ def q_order_priority_q4(sf_dir: str, n_parts: int | None = None):
         columns=["l_orderkey", "l_shipdate"],
     ).map_batches(key_lineitem, batch_format="pyarrow", zero_copy_batch=True)
 
-    partials = (
-        coalesce_for_shuffle(li.union(od))
-        .groupby("part")
-        .map_groups(lambda g: late_counts(g.drop_columns(["part"])),
-                    batch_format="pyarrow")
-    )
+    partials = hash_exchange(li.union(od), "o_orderkey", late_counts, n_parts)
     summed = grouped_aggregate(
         partials, ["prio_id"], [("sum", "order_count", "order_count")],
     )

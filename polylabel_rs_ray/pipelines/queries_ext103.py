@@ -27,6 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .queries import _ts_us
+from ..stages.util import hash_exchange
 
 
 _DAY_US = 86_400_000_000
@@ -43,12 +44,8 @@ def q_returned_item_revenue_q10(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
     from ..stages.agg import hash_grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
     lo_us, hi_us = _ts_us(Q10_LO), _ts_us(Q10_HI)
 
     def key_orders(batch: pa.Table) -> pa.Table:
@@ -58,7 +55,6 @@ def q_returned_item_revenue_q10(sf_dir: str, n_parts: int | None = None):
         m = (date_us >= lo_us) & (date_us < hi_us)
         n = int(m.sum())
         return pa.table({
-            "part": pa.array(_hash_part(okey[m], P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "o_orderkey": pa.array(okey[m], type=pa.int64()),
             "payload": pa.array(custk[m], type=pa.int64()),
@@ -83,7 +79,6 @@ def q_returned_item_revenue_q10(sf_dir: str, n_parts: int | None = None):
         ok = g.column("o_orderkey").to_numpy().astype(np.int64)
         n = len(ok)
         return pa.table({
-            "part": pa.array(_hash_part(ok, P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "o_orderkey": g.column("o_orderkey"),
             "payload": g.column("payload_sum"),
@@ -126,10 +121,7 @@ def q_returned_item_revenue_q10(sf_dir: str, n_parts: int | None = None):
     ).map_batches(key_lineitem, batch_format="pyarrow", zero_copy_batch=True)
 
     per_cust = hash_grouped_aggregate(
-        coalesce_for_shuffle(li.union(od))
-        .groupby("part")
-        .map_groups(lambda g: cust_revenue(g.drop_columns(["part"])),
-                    batch_format="pyarrow"),
+        hash_exchange(li.union(od), "o_orderkey", cust_revenue, n_parts),
         ["c_custkey"], [("sum", "revenue_micro", "revenue_micro")],
     )
     top = per_cust.sort(["revenue_micro", "c_custkey"],
@@ -169,12 +161,8 @@ LIMIT {Q10_TOPN}
 
 def q_shipping_lag_q12(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
     b1_us, b2_us = Q12_BUCKET_1 * _DAY_US, Q12_BUCKET_2 * _DAY_US
 
     def key_orders(batch: pa.Table) -> pa.Table:
@@ -189,7 +177,6 @@ def q_shipping_lag_q12(sf_dir: str, n_parts: int | None = None):
         # and < 2^62; crit rides in the low bit (date_us is a multiple of
         # _DAY_US so bit 0 is free).
         return pa.table({
-            "part": pa.array(_hash_part(okey, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "o_orderkey": pa.array(okey, type=pa.int64()),
             "v": pa.array(date_us | crit, type=pa.int64()),
@@ -200,7 +187,6 @@ def q_shipping_lag_q12(sf_dir: str, n_parts: int | None = None):
         ship = pc.cast(batch.column("l_shipdate"), pa.int64()).to_numpy()
         n = len(okey)
         return pa.table({
-            "part": pa.array(_hash_part(okey, P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "o_orderkey": pa.array(okey, type=pa.int64()),
             "v": pa.array(ship, type=pa.int64()),
@@ -253,10 +239,7 @@ def q_shipping_lag_q12(sf_dir: str, n_parts: int | None = None):
     ).map_batches(key_lineitem, batch_format="pyarrow", zero_copy_batch=True)
 
     return grouped_aggregate(
-        coalesce_for_shuffle(li.union(od))
-        .groupby("part")
-        .map_groups(lambda g: lag_counts(g.drop_columns(["part"])),
-                    batch_format="pyarrow"),
+        hash_exchange(li.union(od), "o_orderkey", lag_counts, n_parts),
         ["lag_bucket"],
         [("sum", "critical_lines", "critical_lines"),
          ("sum", "other_lines", "other_lines")],

@@ -28,6 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange, n_partitions
+
 
 Q8_REGION = "ASIA"
 Q8_PTYPE = "ECONOMY"
@@ -47,12 +49,9 @@ def q_market_share_q8(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
 
     # broadcast side 1: ASIA custkeys (sorted array — the semi-join set)
     nat = pq.read_table(f"{sf_dir}/nation.parquet",
@@ -101,7 +100,6 @@ def q_market_share_q8(sf_dir: str, n_parts: int | None = None):
         years = _years_from_us(date_us[m])
         n = int(m.sum())
         return pa.table({
-            "part": pa.array(_hash_part(okey[m], P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "o_orderkey": pa.array(okey[m], type=pa.int64()),
             "a": pa.array(years, type=pa.int64()),
@@ -133,9 +131,6 @@ def q_market_share_q8(sf_dir: str, n_parts: int | None = None):
         }).group_by(["o_orderkey"]).aggregate([("a", "sum"), ("b", "sum")])
         n = len(g)
         return pa.table({
-            "part": pa.array(
-                _hash_part(g.column("o_orderkey").to_numpy().astype(np.int64),
-                           P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "o_orderkey": g.column("o_orderkey"),
             "a": g.column("a_sum"),
@@ -206,10 +201,7 @@ def q_market_share_q8(sf_dir: str, n_parts: int | None = None):
     ).map_batches(key_lineitem, batch_format="pyarrow", zero_copy_batch=True)
 
     summed = grouped_aggregate(
-        coalesce_for_shuffle(li.union(od))
-        .groupby("part")
-        .map_groups(lambda g: year_partials(g.drop_columns(["part"])),
-                    batch_format="pyarrow"),
+        hash_exchange(li.union(od), "o_orderkey", year_partials, P),
         ["o_year"],
         [("sum", "nation_micro", "nation_micro"),
          ("sum", "total_micro", "total_micro")],
@@ -261,12 +253,8 @@ def q_nation_profit_q9(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_retailprice"])
@@ -295,7 +283,6 @@ def q_nation_profit_q9(sf_dir: str, n_parts: int | None = None):
         date_us = pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()
         n = len(okey)
         return pa.table({
-            "part": pa.array(_hash_part(okey, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "o_orderkey": pa.array(okey, type=pa.int64()),
             "a": pa.array(_years_from_us(date_us), type=pa.int64()),
@@ -330,9 +317,6 @@ def q_nation_profit_q9(sf_dir: str, n_parts: int | None = None):
         }).group_by(["o_orderkey", "a"]).aggregate([("b", "sum")])
         n = len(g)
         return pa.table({
-            "part": pa.array(
-                _hash_part(g.column("o_orderkey").to_numpy().astype(np.int64),
-                           P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "o_orderkey": g.column("o_orderkey"),
             "a": g.column("a"),
@@ -384,11 +368,7 @@ def q_nation_profit_q9(sf_dir: str, n_parts: int | None = None):
     ).map_batches(key_lineitem, batch_format="pyarrow", zero_copy_batch=True)
 
     summed = grouped_aggregate(
-        coalesce_for_shuffle(li.union(od))
-        .groupby("part")
-        .map_groups(
-            lambda g: nation_year_partials(g.drop_columns(["part"])),
-            batch_format="pyarrow"),
+        hash_exchange(li.union(od), "o_orderkey", nation_year_partials, n_parts),
         ["n_nationkey", "o_year"],
         [("sum", "profit_micro", "profit_micro")],
     )

@@ -35,6 +35,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange, n_partitions
+
 
 Q21_LATE_DAYS = 60
 Q21_STATUS = "F"
@@ -54,12 +56,9 @@ def _supplier_names(sf_dir: str) -> dict[int, str]:
 
 def q_order_waiting_q21(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
     names = _supplier_names(sf_dir)
 
     def key_orders(batch: pa.Table) -> pa.Table:
@@ -69,7 +68,6 @@ def q_order_waiting_q21(sf_dir: str, n_parts: int | None = None):
         date_us = pc.cast(t.column("o_orderdate"), pa.int64()).to_numpy()
         n = len(okey)
         return pa.table({
-            "part": pa.array(_hash_part(okey, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "o_orderkey": pa.array(okey, type=pa.int64()),
             "a": pa.array(date_us, type=pa.int64()),
@@ -88,9 +86,6 @@ def q_order_waiting_q21(sf_dir: str, n_parts: int | None = None):
         }).group_by(["o_orderkey", "a"]).aggregate([("b", "max")])
         n = len(g)
         return pa.table({
-            "part": pa.array(
-                _hash_part(g.column("o_orderkey").to_numpy().astype(np.int64),
-                           P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "o_orderkey": g.column("o_orderkey"),
             "a": g.column("a"),
@@ -166,11 +161,7 @@ def q_order_waiting_q21(sf_dir: str, n_parts: int | None = None):
     ).map_batches(key_lineitem, batch_format="pyarrow", zero_copy_batch=True)
 
     summed = grouped_aggregate(
-        coalesce_for_shuffle(li.union(od))
-        .groupby("part")
-        .map_groups(
-            lambda g: lone_late_partials(g.drop_columns(["part"])),
-            batch_format="pyarrow"),
+        hash_exchange(li.union(od), "o_orderkey", lone_late_partials, P),
         ["s_suppkey"],
         [("sum", "numwait", "numwait")],
     )
@@ -216,12 +207,8 @@ ORDER BY numwait DESC, s.s_name
 
 def q_dominant_part_suppliers_q20(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
     names = _supplier_names(sf_dir)
 
     def key_lineitem(batch: pa.Table) -> pa.Table:
@@ -235,9 +222,6 @@ def q_dominant_part_suppliers_q20(sf_dir: str, n_parts: int | None = None):
             "qty": pa.array(qty, type=pa.int64()),
         }).group_by(["l_partkey", "l_suppkey"]).aggregate([("qty", "sum")])
         return pa.table({
-            "part": pa.array(
-                _hash_part(g.column("l_partkey").to_numpy().astype(np.int64),
-                           P), type=pa.int64()),
             "l_partkey": g.column("l_partkey"),
             "l_suppkey": g.column("l_suppkey"),
             "qty": g.column("qty_sum"),
@@ -281,11 +265,7 @@ def q_dominant_part_suppliers_q20(sf_dir: str, n_parts: int | None = None):
     ).map_batches(key_lineitem, batch_format="pyarrow", zero_copy_batch=True)
 
     summed = grouped_aggregate(
-        coalesce_for_shuffle(li)
-        .groupby("part")
-        .map_groups(
-            lambda g: dominant_partials(g.drop_columns(["part"])),
-            batch_format="pyarrow"),
+        hash_exchange(li, "l_partkey", dominant_partials, n_parts),
         ["s_suppkey"],
         [("sum", "n_dominant_parts", "n_dominant_parts")],
     )

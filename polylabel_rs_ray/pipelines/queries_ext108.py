@@ -31,27 +31,19 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 TRIPLE_SHIFT = 21  # partkey < 2^21 per packed component (documented bound)
 
 
 def q_basket_triple_support(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def distinct_pairs(batch: pa.Table) -> pa.Table:
-        g = batch.select(["l_orderkey", "l_partkey"]).group_by(
+        return batch.select(["l_orderkey", "l_partkey"]).group_by(
             ["l_orderkey", "l_partkey"]).aggregate([])
-        ok = g.column("l_orderkey").to_numpy().astype(np.int64)
-        return pa.table({
-            "part": pa.array(_hash_part(ok, P), type=pa.int64()),
-            "l_orderkey": g.column("l_orderkey"),
-            "l_partkey": g.column("l_partkey"),
-        })
 
     def triples(group: pa.Table) -> pa.Table:
         g = group.group_by(["l_orderkey", "l_partkey"]).aggregate([])
@@ -92,10 +84,7 @@ def q_basket_triple_support(sf_dir: str, n_parts: int | None = None):
                   zero_copy_batch=True)
 
     supports = hash_grouped_aggregate(
-        coalesce_for_shuffle(ds)
-        .groupby("part")
-        .map_groups(lambda g: triples(g.drop_columns(["part"])),
-                    batch_format="pyarrow"),
+        hash_exchange(ds, "l_orderkey", triples, n_parts),
         ["triple"], [("sum", "one", "support")],
     )  # ~unique triple keys -> integer hash exchange
 

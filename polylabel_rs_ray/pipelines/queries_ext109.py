@@ -34,6 +34,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 
 Q2_REGION = "EUROPE"
 Q2_PTYPE = "STANDARD"
@@ -169,18 +171,13 @@ LIMIT {Q2_TOPK}
 def q_segment_priority_independence(sf_dir: str,
                                     n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def key_orders(batch: pa.Table) -> pa.Table:
         ck = batch.column("o_custkey").to_numpy().astype(np.int64)
         n = len(ck)
         return pa.table({
-            "part": pa.array(_hash_part(ck, P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "c_custkey": pa.array(ck, type=pa.int64()),
             "label": batch.column("o_orderpriority"),
@@ -190,7 +187,6 @@ def q_segment_priority_independence(sf_dir: str,
         ck = batch.column("c_custkey").to_numpy().astype(np.int64)
         n = len(ck)
         return pa.table({
-            "part": pa.array(_hash_part(ck, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "c_custkey": pa.array(ck, type=pa.int64()),
             "label": batch.column("c_mktsegment"),
@@ -235,10 +231,7 @@ def q_segment_priority_independence(sf_dir: str,
     ).map_batches(key_customer, batch_format="pyarrow", zero_copy_batch=True)
 
     cells = grouped_aggregate(
-        coalesce_for_shuffle(od.union(cu))
-        .groupby("part")
-        .map_groups(lambda g: cell_partials(g.drop_columns(["part"])),
-                    batch_format="pyarrow"),
+        hash_exchange(od.union(cu), "c_custkey", cell_partials, n_parts),
         ["segment", "priority"],
         [("sum", "observed", "observed")],
     ).to_pandas()  # bounded: 5 segments x 5 priorities

@@ -31,18 +31,19 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map, n_partitions
+
 KS_LANG_A = "en"
 KS_LANG_B = "de"
 
 
 def q_trigram_novelty(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     from .queries_ext5 import _word_lists
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
 
     def shingle_pairs(batch: pa.Table) -> pa.Table:
         flat, counts, doc_idx = _word_lists(batch)
@@ -101,12 +102,10 @@ def q_trigram_novelty(sf_dir: str, n_parts: int | None = None):
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
     per_doc = grouped_aggregate(
-        coalesce_for_shuffle(
-            ds.map_batches(shingle_pairs, batch_format="pyarrow",
-                           zero_copy_batch=True))
-        .groupby("part")
-        .map_groups(lambda g: doc_partials(g.drop_columns(["part"])),
-                    batch_format="pyarrow"),
+        group_map(
+            ds.map_batches(shingle_pairs, batch_format="pyarrow", zero_copy_batch=True),
+            "part", lambda g: doc_partials(g.drop_columns(["part"])),
+        ),
         ["doc_id"],
         [("sum", "n_shingles", "n_shingles"),
          ("sum", "n_unique", "n_unique")],

@@ -31,6 +31,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map, n_partitions
+
 
 def _axis_fold(hist) -> dict[int, tuple[int, int]]:
     """hist: DataFrame(fixture, v_float, f) -> {fixture: (n, Σ pairwise
@@ -156,12 +158,11 @@ ORDER BY fixture_idx
 
 def q_source_overlap_matrix(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     from .queries_ext5 import _word_lists
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
 
     def shingle_pairs(batch: pa.Table) -> pa.Table:
         flat, counts, doc_idx = _word_lists(batch)
@@ -235,12 +236,10 @@ def q_source_overlap_matrix(sf_dir: str, n_parts: int | None = None):
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["source", "text"])
     return grouped_aggregate(
-        coalesce_for_shuffle(
-            ds.map_batches(shingle_pairs, batch_format="pyarrow",
-                           zero_copy_batch=True))
-        .groupby("part")
-        .map_groups(lambda g: pair_partials(g.drop_columns(["part"])),
-                    batch_format="pyarrow"),
+        group_map(
+            ds.map_batches(shingle_pairs, batch_format="pyarrow", zero_copy_batch=True),
+            "part", lambda g: pair_partials(g.drop_columns(["part"])),
+        ),
         ["source_a", "source_b"], [("sum", "shared", "shared")],
     ).sort(["source_a", "source_b"])
 

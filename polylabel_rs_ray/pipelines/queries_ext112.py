@@ -33,6 +33,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map, n_partitions
+
 DAY_US = 86_400_000_000
 
 
@@ -43,10 +45,9 @@ DAY_US = 86_400_000_000
 
 def q_peak_concurrency(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
-    from ..stages.util import shuffle_blocks
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
 
     def interval_partials(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch.column("ts"), pa.int64()).to_numpy()
@@ -114,10 +115,10 @@ def q_peak_concurrency(sf_dir: str, n_parts: int | None = None):
             "n_points": pa.array([len(t)], type=pa.int64()),
         })
 
-    parts = intervals.map_batches(
-        delta_rows, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("part").map_groups(local_scan, batch_format="pyarrow") \
-        .to_pandas()  # bounded: P rows
+    parts = group_map(
+        intervals.map_batches(delta_rows, batch_format="pyarrow", zero_copy_batch=True),
+        "part", local_scan,
+    ).to_pandas()  # bounded: P rows
     parts = parts.sort_values("part").reset_index(drop=True)
     offsets = parts["total"].cumsum().shift(fill_value=0)
     gmax = (parts["local_max"] + offsets).astype(int)

@@ -33,6 +33,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 
 # --------------------------------------------------------------------------
 # scd2_intervals
@@ -40,9 +42,7 @@ import pyarrow.compute as pc
 
 
 def q_scd2_intervals(sf_dir: str, n_parts: int | None = None):
-    from .queries_ext3 import _P, _user_sorted_stream
-
-    P = _P(n_parts)
+    from .queries_ext3 import _user_sorted_stream
 
     def intervals(group: pa.Table) -> pa.Table:
         uid = group.column("user_id").to_numpy().astype(np.int64)
@@ -82,11 +82,7 @@ def q_scd2_intervals(sf_dir: str, n_parts: int | None = None):
             "run_events": pa.array(lens.astype(np.int64), type=pa.int64()),
         })
 
-    return (
-        _user_sorted_stream(sf_dir, P)
-        .groupby("part")
-        .map_groups(intervals, batch_format="pyarrow")
-    )
+    return hash_exchange(_user_sorted_stream(sf_dir), "user_id", intervals, n_parts)
 
 
 SQL_SCD2_INTERVALS = """
@@ -129,13 +125,7 @@ def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def q_theilsen_part_slope(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import coalesce_for_shuffle
-
-    from .queries import _hash_part
-    from .queries_ext3 import _P
-
     import ray
-    P = _P(n_parts)
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_orderkey", "l_linenumber",
@@ -145,7 +135,6 @@ def q_theilsen_part_slope(sf_dir: str, n_parts: int | None = None):
     def keyed(batch: pa.Table) -> pa.Table:
         pk = batch.column("l_partkey").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(pk, P), type=pa.int64()),
             "pk": pa.array(pk, type=pa.int64()),
             "ok": batch.column("l_orderkey"),
             "ln": pc.cast(batch.column("l_linenumber"), pa.int64()),
@@ -188,12 +177,9 @@ def q_theilsen_part_slope(sf_dir: str, n_parts: int | None = None):
             "ts_slope": pa.array(out_slope, type=pa.float64()),
         })
 
-    return (
-        coalesce_for_shuffle(
-            ds.map_batches(keyed, batch_format="pyarrow",
-                           zero_copy_batch=True))
-        .groupby("part")
-        .map_groups(slopes, batch_format="pyarrow")
+    return hash_exchange(
+        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        "pk", slopes, n_parts,
     )
 
 

@@ -30,6 +30,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 
 # --------------------------------------------------------------------------
 # dod_encoding_cost
@@ -49,9 +51,7 @@ def _dod_bucket(dod: np.ndarray) -> np.ndarray:
 
 
 def q_dod_encoding_cost(sf_dir: str, n_parts: int | None = None):
-    from .queries_ext3 import _P, _user_sorted_stream
-
-    P = _P(n_parts)
+    from .queries_ext3 import _user_sorted_stream
 
     def encode(group: pa.Table) -> pa.Table:
         uid = group.column("user_id").to_numpy().astype(np.int64)
@@ -85,11 +85,7 @@ def q_dod_encoding_cost(sf_dir: str, n_parts: int | None = None):
         return pa.table({c: pa.array(out[c], type=pa.int64())
                          for c in cols})
 
-    return (
-        _user_sorted_stream(sf_dir, P)
-        .groupby("part")
-        .map_groups(encode, batch_format="pyarrow")
-    )
+    return hash_exchange(_user_sorted_stream(sf_dir), "user_id", encode, n_parts)
 
 
 SQL_DOD_ENCODING_COST = """

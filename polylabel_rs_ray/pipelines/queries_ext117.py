@@ -38,6 +38,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 WINDOW_H = 24
 N_HOURS = 720
 FOR_BLOCK = 1024
@@ -52,12 +54,8 @@ _ORIGIN_US = 1_704_067_200_000_000  # 2024-01-01T00:00:00Z
 
 def q_sliding_distinct_users(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts"])
 
@@ -68,13 +66,7 @@ def q_sliding_distinct_users(sf_dir: str, n_parts: int | None = None):
         # map-side distinct (user, hour) collapse before the exchange
         t = pa.table({"user_id": pa.array(uid, type=pa.int64()),
                       "idx": pa.array(idx, type=pa.int64())})
-        out = t.group_by(["user_id", "idx"]).aggregate([])
-        uid2 = out.column("user_id").to_numpy().astype(np.int64)
-        return pa.table({
-            "part": pa.array(_hash_part(uid2, P), type=pa.int64()),
-            "user_id": out.column("user_id"),
-            "idx": out.column("idx"),
-        })
+        return t.group_by(["user_id", "idx"]).aggregate([])
 
     def deltas(group: pa.Table) -> pa.Table:
         uid = group.column("user_id").to_numpy().astype(np.int64)
@@ -106,11 +98,8 @@ def q_sliding_distinct_users(sf_dir: str, n_parts: int | None = None):
         return pa.table({"h": out.column("h"),
                          "d": pc.cast(out.column("d_sum"), pa.int64())})
 
-    keyed_ds = coalesce_for_shuffle(
-        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True), P
-    )
-    delta_ds = keyed_ds.groupby("part").map_groups(
-        deltas, batch_format="pyarrow")
+    keyed_ds = ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
+    delta_ds = hash_exchange(keyed_ds, "user_id", deltas, n_parts)
     agg = grouped_aggregate(
         delta_ds, ["h"], [("sum", "d", "d")],
     ).to_pandas()  # bounded: <= 2 * N_HOURS + spill rows

@@ -18,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .queries import _P
+from ..stages.util import group_map, n_partitions
 
 HOP_US = 900_000_000
 WIN_HOPS = 4
@@ -69,11 +69,10 @@ def q_inverted_index(sf_dir: str, n_parts: int | None = None):
     joins each word's postings with one ``binary_join`` over a ListArray
     view — no per-word Python anywhere."""
     from ..stages.agg import _key_hash
-    from ..stages.util import coalesce_for_shuffle
     from .queries_ext5 import _word_lists
 
     import ray
-    P = _P(n_parts)
+    P = n_partitions(n_parts)
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def word_doc(batch: pa.Table) -> pa.Table:
@@ -117,12 +116,9 @@ def q_inverted_index(sf_dir: str, n_parts: int | None = None):
             "postings": pc.binary_join(lists, ","),
         })
 
-    return (
-        coalesce_for_shuffle(
-            ds.map_batches(word_doc, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("part")
-        .map_groups(join_postings, batch_format="pyarrow")
+    return group_map(
+        ds.map_batches(word_doc, batch_format="pyarrow", zero_copy_batch=True),
+        "part", join_postings,
     )
 
 

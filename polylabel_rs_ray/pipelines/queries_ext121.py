@@ -44,6 +44,7 @@ import pyarrow.compute as pc
 from ..sources import docs as docs_mod
 from .queries_ext import DYADIC_IDX, _dyadic_rings_ds
 from .queries_ext119 import _sql_fixture_verts
+from ..stages.util import hash_exchange
 
 N_PROBES = 8
 PROBE_FX = [2 * k + 1 for k in range(N_PROBES)]         # × W / 16
@@ -177,16 +178,12 @@ def _bitlen(v: np.ndarray) -> np.ndarray:
 
 def q_elias_code_spectrum(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "ts_us": pc.cast(batch.column("ts"), pa.int64()),
             "event_id": pc.cast(batch.column("event_id"), pa.int64()),
@@ -219,12 +216,7 @@ def q_elias_code_spectrum(sf_dir: str, n_parts: int | None = None):
     ).map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
 
     return grouped_aggregate(
-        coalesce_for_shuffle(ds)
-        .groupby("part")
-        .map_groups(
-            lambda g: per_partition(g.drop_columns(["part"])),
-            batch_format="pyarrow",
-        ),
+        hash_exchange(ds, "user_id", per_partition, n_parts),
         ["bitlen"],
         [("sum", "n_deltas", "n_deltas"), ("sum", "gamma_bits", "gamma_bits"),
          ("sum", "delta_bits", "delta_bits")],

@@ -34,6 +34,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map
+
 SESSION_GAP_US = 30 * 60 * 1_000_000
 
 
@@ -115,7 +117,6 @@ GROUP BY tc.event_type
 
 def q_session_bounce_rate(sf_dir: str):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle
 
     import ray
     ds = ray.data.read_parquet(
@@ -149,9 +150,7 @@ def q_session_bounce_rate(sf_dir: str):
             "n_events": pc.cast(out.column("n_ev_sum"), pa.int64()),
         })
 
-    per_user = coalesce_for_shuffle(ds).groupby("user_id").map_groups(
-        lambda g: sessions(g.drop_columns(["user_id"])),
-        batch_format="pyarrow")
+    per_user = group_map(ds, "user_id", lambda g: sessions(g.drop_columns(["user_id"])))
     return grouped_aggregate(
         per_user, ["entry_type"],
         [("sum", "n_sessions", "n_sessions"),

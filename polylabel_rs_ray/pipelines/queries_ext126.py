@@ -34,6 +34,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map, n_partitions
+
 ROARING_BREAK_EVEN = 4096
 ROARING_BITMAP_BYTES = 8192
 ROARING_HEADER_BYTES = 16
@@ -129,10 +131,9 @@ def _varint_bytes(v: np.ndarray) -> np.ndarray:
 
 def q_posting_list_cost(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import _key_hash
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
@@ -184,11 +185,10 @@ def q_posting_list_cost(sf_dir: str, n_parts: int | None = None):
                                      type=pa.int64()),
         })
 
-    return coalesce_for_shuffle(
-        ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-    ).groupby("part").map_groups(
-        lambda g: per_partition(g.drop_columns(["part"])),
-        batch_format="pyarrow")
+    return group_map(
+        ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True),
+        "part", lambda g: per_partition(g.drop_columns(["part"])),
+    )
 
 
 SQL_POSTING_LIST_COST = rf"""

@@ -40,6 +40,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import n_partitions
+
 
 def _rev_cents_pct(batch: pa.Table) -> np.ndarray:
     """Exact integer cent·percent revenue: round(price·100)·(100−disc%)."""
@@ -64,10 +66,9 @@ def q_customer_parttype_hhi(
         distinct_values, grouped_aggregate, hash_grouped_aggregate,
     )
     from ..stages.factjoin import attach_fact_value, attach_order_custkey
-    from ..stages.util import shuffle_blocks
 
     import ray
-    P = min(32, shuffle_blocks())
+    P = n_partitions(None)
     # part TYPE domain is bounded (150 values) and discovered distributedly;
     # the partkey -> type-class attach itself goes through the size-gated
     # fact join (part scales at 200k rows/sf — a dim at sf1, a fact at 100x)
@@ -149,10 +150,9 @@ FROM ct GROUP BY c_custkey
 def q_brand_share_by_type(sf_dir: str, part_mode: str | None = None):
     from ..stages.agg import distinct_values, grouped_aggregate
     from ..stages.factjoin import attach_fact_value
-    from ..stages.util import shuffle_blocks
 
     import ray
-    P = min(32, shuffle_blocks())
+    P = n_partitions(None)
     # bounded domains (150 types x 25 brands) discovered distributedly;
     # the part attach is size-gated (stages/factjoin.py) with both class
     # ids packed into ONE int64 side value (tc * B + bc)

@@ -38,6 +38,7 @@ from ..sources import docs as docs_mod
 from .queries_ext import _dyadic_rings_ds, _norm_exterior
 from .queries_ext118 import _fixture_norm_ext, _next_dyadic
 from ..sources.fixtures import FIXTURE_CYCLE
+from ..stages.util import hash_exchange
 
 WINDOW_US = 3_600_000_000  # 1 hour
 
@@ -48,11 +49,7 @@ WINDOW_US = 3_600_000_000  # 1 hour
 
 
 def q_abandoned_view_counts(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -64,7 +61,6 @@ def q_abandoned_view_counts(sf_dir: str, n_parts: int | None = None):
         b = batch.filter(keep)
         uid = b.column("user_id").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "ts_us": pc.cast(b.column("ts"), pa.int64()),
             "is_view": pc.cast(pc.equal(b.column("event_type"), "view"),
@@ -109,11 +105,10 @@ def q_abandoned_view_counts(sf_dir: str, n_parts: int | None = None):
             "n_abandoned": pc.cast(out.column("ab_sum"), pa.int64()),
         })
 
-    return coalesce_for_shuffle(
-        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-    ).groupby("part").map_groups(
-        lambda g: per_partition(g.drop_columns(["part"])),
-        batch_format="pyarrow")
+    return hash_exchange(
+        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id", per_partition, n_parts,
+    )
 
 
 SQL_ABANDONED_VIEW_COUNTS = """

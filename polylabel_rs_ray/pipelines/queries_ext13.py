@@ -19,8 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .queries import _P
-
+from ..stages.util import hash_exchange
 
 # --------------------------------------------------------------------------
 # GROUPING SETS
@@ -57,8 +56,6 @@ SQL_GROUPING_SETS_SALES = """
 def q_user_second_event(sf_dir: str, n_parts: int | None = None):
     from .queries_ext3 import _user_sorted_stream
 
-    P = _P(n_parts)
-
     def second(group: pa.Table) -> pa.Table:
         uid = group.column("user_id").to_numpy().astype(np.int64)
         ts = group.column("ts_us").to_numpy().astype(np.int64)
@@ -77,11 +74,7 @@ def q_user_second_event(sf_dir: str, n_parts: int | None = None):
             "event_type": et.take(pa.array(pick)),
         })
 
-    return (
-        _user_sorted_stream(sf_dir, P)
-        .groupby("part")
-        .map_groups(second, batch_format="pyarrow")
-    )
+    return hash_exchange(_user_sorted_stream(sf_dir), "user_id", second, n_parts)
 
 
 SQL_USER_SECOND_EVENT = """
@@ -100,11 +93,8 @@ SQL_USER_SECOND_EVENT = """
 
 def q_orders_above_cust_avg(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle
-    from .queries import _hash_part
 
     import ray
-    P = _P(n_parts)
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_totalprice"],
@@ -113,7 +103,6 @@ def q_orders_above_cust_avg(sf_dir: str, n_parts: int | None = None):
     def cents(batch: pa.Table) -> pa.Table:
         cust = batch.column("o_custkey").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(cust, P), type=pa.int64()),
             "o_orderkey": pc.cast(batch.column("o_orderkey"), pa.int64()),
             "o_custkey": pa.array(cust, type=pa.int64()),
             "price_cents": pc.cast(
@@ -125,7 +114,7 @@ def q_orders_above_cust_avg(sf_dir: str, n_parts: int | None = None):
     keyed = ds.map_batches(cents, batch_format="pyarrow", zero_copy_batch=True)
     sums = grouped_aggregate(
         keyed,
-        ["part", "o_custkey"],
+        ["o_custkey"],
         [("sum", "price_cents", "sum_cents"), ("count", None, "n_orders")],
         high_cardinality=True,  # one group per customer
     )
@@ -135,7 +124,6 @@ def q_orders_above_cust_avg(sf_dir: str, n_parts: int | None = None):
             n = batch.num_rows
             if side == 0:
                 return pa.table({
-                    "part": batch.column("part"),
                     "o_custkey": batch.column("o_custkey"),
                     "o_orderkey": batch.column("o_orderkey"),
                     "price_cents": batch.column("price_cents"),
@@ -144,7 +132,6 @@ def q_orders_above_cust_avg(sf_dir: str, n_parts: int | None = None):
                     "side": pa.array(np.zeros(n, np.int64)),
                 })
             return pa.table({
-                "part": batch.column("part"),
                 "o_custkey": batch.column("o_custkey"),
                 "o_orderkey": pa.array(np.zeros(n, np.int64)),
                 "price_cents": pa.array(np.zeros(n, np.int64)),
@@ -178,11 +165,7 @@ def q_orders_above_cust_avg(sf_dir: str, n_parts: int | None = None):
             "price_cents": pa.array(price[keep], type=pa.int64()),
         })
 
-    return (
-        coalesce_for_shuffle(unioned)
-        .groupby("part")
-        .map_groups(attach, batch_format="pyarrow")
-    )
+    return hash_exchange(unioned, "o_custkey", attach, n_parts)
 
 
 SQL_ORDERS_ABOVE_CUST_AVG = """

@@ -34,6 +34,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import n_partitions
+
 WEEK_US = 7 * 86_400_000_000
 
 
@@ -133,10 +135,9 @@ def q_customer_region_coverage(
 
     from ..stages.agg import grouped_aggregate
     from ..stages.factjoin import attach_fact_value, attach_order_custkey
-    from ..stages.util import shuffle_blocks
 
     import ray
-    P = min(32, shuffle_blocks())
+    P = n_partitions(None)
     # nation is a TRUE bounded dim (25 rows) — its nationkey -> regionkey
     # map closes over the side_val_fn; supplier scales at 10k rows/sf, so
     # its suppkey -> region attach goes through the size-gated fact join

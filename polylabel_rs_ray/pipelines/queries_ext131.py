@@ -37,6 +37,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 STEP_WINDOW_US = 3_600_000_000  # 1 hour per funnel step
 FUNNEL_STEPS = ("view", "click", "purchase")
 
@@ -47,11 +49,7 @@ FUNNEL_STEPS = ("view", "click", "purchase")
 
 
 def q_funnel_pattern_match(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -66,7 +64,6 @@ def q_funnel_pattern_match(sf_dir: str, n_parts: int | None = None):
             [FUNNEL_STEPS.index(t) for t in
              b.column("event_type").to_pylist()], dtype=np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "ts_us": pc.cast(b.column("ts"), pa.int64()),
             "step": pa.array(step, type=pa.int64()),
@@ -138,11 +135,10 @@ def q_funnel_pattern_match(sf_dir: str, n_parts: int | None = None):
             "purchase_ts": pa.array(purchase_ts, type=pa.int64()),
         })
 
-    return coalesce_for_shuffle(
-        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-    ).groupby("part").map_groups(
-        lambda g: per_partition(g.drop_columns(["part"])),
-        batch_format="pyarrow")
+    return hash_exchange(
+        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id", per_partition, n_parts,
+    )
 
 
 SQL_FUNNEL_PATTERN_MATCH = """

@@ -34,6 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .queries_ext120 import HOUR_US, _bucket_counts
+from ..stages.util import n_partitions
 
 QQ_DECILES = tuple(range(1, 10))
 
@@ -46,10 +47,9 @@ QQ_DECILES = tuple(range(1, 10))
 def q_balance_decile_order_stats(sf_dir: str, join_mode: str | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.factjoin import attach_fact_value
-    from ..stages.util import shuffle_blocks
 
     import ray
-    P = min(32, shuffle_blocks())
+    P = n_partitions(None)
 
     # exact decile bounds via the DISTRIBUTED cents histogram: per-batch
     # (cents, count) partials, one bounded aggregate (|distinct cents| <=

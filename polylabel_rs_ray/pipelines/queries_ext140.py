@@ -33,6 +33,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import n_partitions
+
 MOM_SHARDS = 32
 
 
@@ -141,10 +143,9 @@ SELECT CAST((SELECT m FROM exact) AS BIGINT) AS exact_median_cents,
 def q_simpsons_paradox_slices(sf_dir: str, supp_mode: str | None = None):
     from ..stages.agg import grouped_aggregate
     from ..stages.factjoin import attach_fact_value
-    from ..stages.util import shuffle_blocks
 
     import ray
-    P = min(32, shuffle_blocks())
+    P = n_partitions(None)
 
     def partials(batch: pa.Table) -> pa.Table:
         x = batch.column("l_quantity").to_numpy().astype(np.int64)

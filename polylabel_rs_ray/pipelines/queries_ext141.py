@@ -35,6 +35,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange, n_partitions
+
 TOP_PAIRS = 20
 N_RANGES = 16
 
@@ -86,10 +88,8 @@ def q_common_neighbor_scores(sf_dir: str):
     # to any hub's degree — the driver only ever sees the bounded
     # TOP_PAIRS-row aggregate.
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-    from .queries import _hash_part
 
-    P = min(32, shuffle_blocks())
+    P = n_partitions(None)
 
     def touch(batch: pa.Table) -> pa.Table:
         eps = ray.get(ep)
@@ -101,7 +101,6 @@ def q_common_neighbor_scores(sf_dir: str):
         v = np.concatenate([b[ka], a[kb]])
         u = np.concatenate([a[ka], b[kb]])
         return pa.table({
-            "part": pa.array(_hash_part(v, P), type=pa.int64()),
             "v": pa.array(v, type=pa.int64()),
             "u": pa.array(u, type=pa.int64()),
         })
@@ -124,12 +123,10 @@ def q_common_neighbor_scores(sf_dir: str):
         })
 
     agg = grouped_aggregate(
-        coalesce_for_shuffle(
-            pairs.map_batches(touch, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        ).groupby("part").map_groups(
-            lambda g: pair_partials(g.drop_columns(["part"])),
-            batch_format="pyarrow"),
+        hash_exchange(
+            pairs.map_batches(touch, batch_format="pyarrow", zero_copy_batch=True),
+            "v", pair_partials, P,
+        ),
         ["pair_idx"], [("sum", "cn", "cn")],
     ).to_pandas().set_index("pair_idx")["cn"]  # bounded: TOP_PAIRS rows
     common = [int(agg.get(i, 0)) for i in range(len(top_a))]

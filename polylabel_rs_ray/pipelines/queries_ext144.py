@@ -33,6 +33,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map
+
 SESSION_GAP_US = 30 * 60 * 1_000_000
 HOUR_US = 3_600_000_000
 
@@ -44,7 +46,6 @@ HOUR_US = 3_600_000_000
 
 def q_session_type_pairs(sf_dir: str):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle
 
     import ray
     ds = ray.data.read_parquet(
@@ -80,9 +81,7 @@ def q_session_type_pairs(sf_dir: str):
             "n_sessions": pc.cast(out.column("type_a_count"), pa.int64()),
         })
 
-    per_user = coalesce_for_shuffle(ds).groupby("user_id").map_groups(
-        lambda g: pairs(g.drop_columns(["user_id"])),
-        batch_format="pyarrow")
+    per_user = group_map(ds, "user_id", lambda g: pairs(g.drop_columns(["user_id"])))
     return grouped_aggregate(
         per_user, ["type_a", "type_b"],
         [("sum", "n_sessions", "n_sessions")],

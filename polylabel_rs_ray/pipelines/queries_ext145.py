@@ -32,6 +32,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map
+
 HAAR_LEVELS = 5
 
 
@@ -121,7 +123,6 @@ def _sql_tile_haar_energy() -> str:
 
 def q_first_vs_modal_matrix(sf_dir: str):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle
 
     import ray
     ds = ray.data.read_parquet(
@@ -143,9 +144,7 @@ def q_first_vs_modal_matrix(sf_dir: str):
             "one": pa.array([1], type=pa.int64()),
         })
 
-    per = coalesce_for_shuffle(ds).groupby("user_id").map_groups(
-        lambda g: per_user(g.drop_columns(["user_id"])),
-        batch_format="pyarrow")
+    per = group_map(ds, "user_id", lambda g: per_user(g.drop_columns(["user_id"])))
     return grouped_aggregate(
         per, ["first_type", "mode_type"], [("sum", "one", "n_users")],
     )

@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .queries import _P
+from ..stages.util import group_map, hash_exchange, hash_part, n_partitions
 
 SAMPLE_K = 3
 HLL_P = 12
@@ -36,11 +36,8 @@ HLL_P = 12
 
 
 def q_sample_per_lang(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import coalesce_for_shuffle
-    from .queries import _hash_part
-
     import ray
-    P = _P(n_parts)
+    P = n_partitions(n_parts)
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
 
     def keyed(batch: pa.Table) -> pa.Table:
@@ -61,7 +58,7 @@ def q_sample_per_lang(sf_dir: str, n_parts: int | None = None):
         )
         lh = lut[d.indices.to_numpy()]
         return pa.table({
-            "part": pa.array(_hash_part(lh, P), type=pa.int64()),
+            "part": pa.array(hash_part(lh, P), type=pa.int64()),
             "lang": lang,
             "doc_id": pa.array(did, type=pa.int64()),
             "prio": pa.array(prio, type=pa.int64()),
@@ -83,12 +80,9 @@ def q_sample_per_lang(sf_dir: str, n_parts: int | None = None):
             "doc_id": pa.array(did[take], type=pa.int64()),
         })
 
-    return (
-        coalesce_for_shuffle(
-            ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("part")
-        .map_groups(pick, batch_format="pyarrow")
+    return group_map(
+        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        "part", pick,
     )
 
 
@@ -175,11 +169,8 @@ def _sql_hll_type_overlap() -> str:
 def q_orders_with_lineitems_bloom(sf_dir: str, n_parts: int | None = None):
     from ..functions.bloom import bloom_contains, bloom_size_bits, build_bloom
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle
-    from .queries import _hash_part
 
     import ray
-    P = _P(n_parts)
     li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"])
     n_keys = li.count()
     bloom = build_bloom(li, ["l_orderkey"], bloom_size_bits(n_keys))
@@ -195,7 +186,6 @@ def q_orders_with_lineitems_bloom(sf_dir: str, n_parts: int | None = None):
         key = batch.column("o_orderkey").to_numpy().astype(np.int64)
         keep = bloom_contains(ray.get(bloom_ref), key)
         return pa.table({
-            "part": pa.array(_hash_part(key[keep], P), type=pa.int64()),
             "o_orderkey": pa.array(key[keep], type=pa.int64()),
             "price_cents": pc.cast(
                 pc.round(pc.multiply(batch.column("o_totalprice"), 100.0)), pa.int64()
@@ -206,7 +196,6 @@ def q_orders_with_lineitems_bloom(sf_dir: str, n_parts: int | None = None):
     def build_side(batch: pa.Table) -> pa.Table:
         key = batch.column("l_orderkey").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(key, P), type=pa.int64()),
             "o_orderkey": pa.array(key, type=pa.int64()),
             "price_cents": pa.array(np.zeros(len(key), np.int64)),
             "present": pa.array(np.ones(len(key), np.int64)),
@@ -229,11 +218,7 @@ def q_orders_with_lineitems_bloom(sf_dir: str, n_parts: int | None = None):
             "price_cents": pa.array(price[hit], type=pa.int64()),
         })
 
-    return (
-        coalesce_for_shuffle(unioned)
-        .groupby("part")
-        .map_groups(resolve, batch_format="pyarrow")
-    )
+    return hash_exchange(unioned, "o_orderkey", resolve, n_parts)
 
 
 SQL_ORDERS_WITH_LINEITEMS_BLOOM = """

@@ -45,6 +45,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map
+
 DUR_US = 60_000_000  # 1-minute quantum; dur = DUR_US * (1 + event_id % 10)
 HOLE_RES = 6  # 64x64: finest lattice with non-trivial enclosure (see doc)
 
@@ -137,8 +139,6 @@ LEFT JOIN reach r ON r.ix = e.ix AND r.iy = e.iy
 
 
 def q_activity_selection(sf_dir: str):
-    from ..stages.util import coalesce_for_shuffle
-
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts", "event_id"])
@@ -161,8 +161,7 @@ def q_activity_selection(sf_dir: str):
             "max_nonoverlap": pa.array([cnt], type=pa.int64()),
         })
 
-    return coalesce_for_shuffle(ds).groupby("user_id").map_groups(
-        per_user, batch_format="pyarrow")
+    return group_map(ds, "user_id", per_user)
 
 
 SQL_ACTIVITY_SELECTION = f"""

@@ -39,6 +39,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map
+
 
 # --------------------------------------------------------------------------
 # tile_max_empty_square
@@ -98,8 +100,6 @@ GROUP BY 1, 2
 
 
 def q_lis_per_user(sf_dir: str):
-    from ..stages.util import coalesce_for_shuffle
-
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts", "event_id", "value"])
@@ -123,8 +123,7 @@ def q_lis_per_user(sf_dir: str):
             "lis_len": pa.array([len(tails)], type=pa.int64()),
         })
 
-    return coalesce_for_shuffle(ds).groupby("user_id").map_groups(
-        per_user, batch_format="pyarrow")
+    return group_map(ds, "user_id", per_user)
 
 
 SQL_LIS_PER_USER = """

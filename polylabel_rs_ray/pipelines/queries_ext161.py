@@ -47,6 +47,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 _MONDAY_EPOCH_DAYS = -3  # 1969-12-29 (a Monday) in days since 1970-01-01
 COVER_MAX_CHARS = 120  # set-cover candidate gate (see vocab_set_cover doc)
 
@@ -58,18 +60,14 @@ COVER_MAX_CHARS = 120  # set-cover candidate gate (see vocab_set_cover doc)
 
 def q_busday_ship_lag(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def order_side(batch: pa.Table) -> pa.Table:
         key = batch.column("o_orderkey").to_numpy().astype(np.int64)
         odays = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()
                  // 86_400_000_000)
         return pa.table({
-            "part": pa.array(_hash_part(key, P), type=pa.int64()),
             "key": pa.array(key, type=pa.int64()),
             "odays": pa.array(odays, type=pa.int64()),
             "sdays": pa.nulls(batch.num_rows, pa.int64()),
@@ -81,7 +79,6 @@ def q_busday_ship_lag(sf_dir: str, n_parts: int | None = None):
         sdays = (pc.cast(batch.column("l_shipdate"), pa.int64()).to_numpy()
                  // 86_400_000_000)
         return pa.table({
-            "part": pa.array(_hash_part(key, P), type=pa.int64()),
             "key": pa.array(key, type=pa.int64()),
             "odays": pa.nulls(batch.num_rows, pa.int64()),
             "sdays": pa.array(sdays, type=pa.int64()),
@@ -134,8 +131,7 @@ def q_busday_ship_lag(sf_dir: str, n_parts: int | None = None):
         })
 
     both = orders.union(lines)
-    per = coalesce_for_shuffle(both).groupby("part").map_groups(
-        join_group, batch_format="pyarrow")
+    per = hash_exchange(both, "key", join_group, n_parts)
     return grouped_aggregate(
         per, ["o_orderpriority", "lag_busdays"], [("sum", "n", "n")],
     )

@@ -43,6 +43,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map, hash_exchange
+
 
 # --------------------------------------------------------------------------
 # balance_dominance_counts
@@ -50,8 +52,6 @@ import pyarrow.compute as pc
 
 
 def q_balance_dominance_counts(sf_dir: str):
-    from ..stages.util import coalesce_for_shuffle
-
     import ray
 
     def cust_side(batch: pa.Table) -> pa.Table:
@@ -104,8 +104,7 @@ def q_balance_dominance_counts(sf_dir: str):
         })
 
     both = cust.union(supp)
-    return coalesce_for_shuffle(both).groupby("nationkey").map_groups(
-        per_nation, batch_format="pyarrow")
+    return group_map(both, "nationkey", per_nation)
 
 
 SQL_BALANCE_DOMINANCE_COUNTS = """
@@ -137,21 +136,12 @@ GUARD_TARGET = "purchase"
 
 
 def q_guarded_sequence_match(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy().astype(np.int64)
-        return batch.append_column(
-            "part", pa.array(_hash_part(uid, P), type=pa.int64()))
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"],
-    ).map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
+    )
 
     def per_part(group: pa.Table) -> pa.Table:
         uid = group.column("user_id").to_numpy().astype(np.int64)
@@ -200,8 +190,7 @@ def q_guarded_sequence_match(sf_dir: str, n_parts: int | None = None):
             "first_match_rn": pa.array(first_rn, type=pa.int64()),
         })
 
-    return coalesce_for_shuffle(ds).groupby("part").map_groups(
-        per_part, batch_format="pyarrow")
+    return hash_exchange(ds, "user_id", per_part, n_parts)
 
 
 SQL_GUARDED_SEQUENCE_MATCH = f"""

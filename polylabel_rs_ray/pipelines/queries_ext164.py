@@ -45,6 +45,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 EMB_DIM = 64
 
 
@@ -54,11 +56,7 @@ EMB_DIM = 64
 
 
 def q_half_revenue_item_count(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def prep(batch: pa.Table) -> pa.Table:
         key = batch.column("l_orderkey").to_numpy().astype(np.int64)
@@ -66,7 +64,6 @@ def q_half_revenue_item_count(sf_dir: str, n_parts: int | None = None):
             batch.column("l_extendedprice").to_numpy() * 100.0
         ).astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(key, P), type=pa.int64()),
             "okey": pa.array(key, type=pa.int64()),
             "cents": pa.array(cents, type=pa.int64()),
         })
@@ -103,8 +100,7 @@ def q_half_revenue_item_count(sf_dir: str, n_parts: int | None = None):
             "min_items_half": pa.array(min_k, type=pa.int64()),
         })
 
-    return coalesce_for_shuffle(ds).groupby("part").map_groups(
-        per_part, batch_format="pyarrow")
+    return hash_exchange(ds, "okey", per_part, n_parts)
 
 
 SQL_HALF_REVENUE_ITEM_COUNT = """

@@ -43,6 +43,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map, n_partitions
+
 CHAIKIN_SCALE = 16384  # (4^2)^2 * headroom: clears squared /4 dyadics
 SRC_ORDER, SRC_SHIP = "order", "ship"
 
@@ -54,10 +56,9 @@ SRC_ORDER, SRC_SHIP = "order", "ship"
 
 def q_stream_alternation_runs(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
 
     def order_side(batch: pa.Table) -> pa.Table:
         day = (pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy()
@@ -114,8 +115,8 @@ def q_stream_alternation_runs(sf_dir: str, n_parts: int | None = None):
         return batch.append_column(
             "part", pa.array(part, type=pa.int64()))
 
-    parted = coalesce_for_shuffle(merged.map_batches(
-        to_parts, batch_format="pyarrow", zero_copy_batch=True))
+    parted = merged.map_batches(
+        to_parts, batch_format="pyarrow", zero_copy_batch=True)
 
     def rle_summary(group: pa.Table) -> pa.Table:
         part = int(group.column("part")[0].as_py())
@@ -155,8 +156,7 @@ def q_stream_alternation_runs(sf_dir: str, n_parts: int | None = None):
             "n_ships": pa.array([int((sp == 1).sum())], type=pa.int64()),
         })
 
-    summ = parted.groupby("part").map_groups(
-        rle_summary, batch_format="pyarrow").to_pandas()  # <= P rows
+    summ = group_map(parted, "part", rle_summary).to_pandas()  # <= P rows
     summ = summ.sort_values("part").reset_index(drop=True)
 
     n_runs = np.zeros(2, dtype=np.int64)

@@ -37,6 +37,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 MORPH_RES = 5
 
 
@@ -156,21 +158,12 @@ JOIN di d ON d.ix = a.ix AND d.iy = a.iy
 
 
 def q_user_turning_points(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy().astype(np.int64)
-        return batch.append_column(
-            "part", pa.array(_hash_part(uid, P), type=pa.int64()))
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "value"],
-    ).map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
+    )
 
     def per_part(group: pa.Table) -> pa.Table:
         uid = group.column("user_id").to_numpy().astype(np.int64)
@@ -208,8 +201,7 @@ def q_user_turning_points(sf_dir: str, n_parts: int | None = None):
                 type=pa.int64()),
         })
 
-    return coalesce_for_shuffle(ds).groupby("part").map_groups(
-        per_part, batch_format="pyarrow")
+    return hash_exchange(ds, "user_id", per_part, n_parts)
 
 
 SQL_USER_TURNING_POINTS = """

@@ -38,6 +38,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 BURN_NUM, BURN_DEN = 37, 100
 
 
@@ -47,21 +49,12 @@ BURN_NUM, BURN_DEN = 37, 100
 
 
 def q_secretary_stopping(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy().astype(np.int64)
-        return batch.append_column(
-            "part", pa.array(_hash_part(uid, P), type=pa.int64()))
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "value"],
-    ).map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
+    )
 
     def per_part(group: pa.Table) -> pa.Table:
         uid = group.column("user_id").to_numpy().astype(np.int64)
@@ -117,8 +110,7 @@ def q_secretary_stopping(sf_dir: str, n_parts: int | None = None):
                 (stop_cents == seg_max).astype(np.int64)),
         })
 
-    return coalesce_for_shuffle(ds).groupby("part").map_groups(
-        per_part, batch_format="pyarrow")
+    return hash_exchange(ds, "user_id", per_part, n_parts)
 
 
 SQL_SECRETARY_STOPPING = f"""
@@ -168,12 +160,9 @@ def q_trade_asymmetry_matrix(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-    from .queries import _hash_part
     from .queries_ext60 import _attach_inner
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet",
                            columns=["n_nationkey", "n_name"])
@@ -194,7 +183,6 @@ def q_trade_asymmetry_matrix(sf_dir: str, n_parts: int | None = None):
         custk = batch.column("o_custkey").to_numpy().astype(np.int64)
         n = len(okey)
         return pa.table({
-            "part": pa.array(_hash_part(custk, P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "c_custkey": pa.array(custk, type=pa.int64()),
             "o_orderkey": pa.array(okey, type=pa.int64()),
@@ -206,7 +194,6 @@ def q_trade_asymmetry_matrix(sf_dir: str, n_parts: int | None = None):
         cnk = batch.column("c_nationkey").to_numpy().astype(np.int64)
         n = len(custk)
         return pa.table({
-            "part": pa.array(_hash_part(custk, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "c_custkey": pa.array(custk, type=pa.int64()),
             "o_orderkey": pa.nulls(n, type=pa.int64()),
@@ -219,20 +206,14 @@ def q_trade_asymmetry_matrix(sf_dir: str, n_parts: int | None = None):
     cu = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     ).map_batches(key_cust, batch_format="pyarrow", zero_copy_batch=True)
-    pass1 = (
-        coalesce_for_shuffle(od.union(cu))
-        .groupby("part")
-        .map_groups(
-            lambda g: _attach_inner(g.drop_columns(["part"]), "c_custkey"),
-            batch_format="pyarrow",
-        )
+    pass1 = hash_exchange(
+        od.union(cu), "c_custkey", lambda g: _attach_inner(g, "c_custkey"), n_parts,
     )
 
     def rekey_orders(batch: pa.Table) -> pa.Table:
         okey = batch.column("o_orderkey").to_numpy().astype(np.int64)
         n = len(okey)
         return pa.table({
-            "part": pa.array(_hash_part(okey, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "o_orderkey": pa.array(okey, type=pa.int64()),
             "c_nationkey": batch.column("c_nationkey"),
@@ -250,7 +231,6 @@ def q_trade_asymmetry_matrix(sf_dir: str, n_parts: int | None = None):
             pa.int64()).to_numpy()
         n = len(okey)
         return pa.table({
-            "part": pa.array(_hash_part(okey, P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "o_orderkey": pa.array(okey, type=pa.int64()),
             "c_nationkey": pa.nulls(n, type=pa.int64()),
@@ -265,16 +245,10 @@ def q_trade_asymmetry_matrix(sf_dir: str, n_parts: int | None = None):
                  "l_discount"],
     ).map_batches(key_lineitem, batch_format="pyarrow", zero_copy_batch=True)
 
-    pass2 = (
-        coalesce_for_shuffle(
-            li.union(pass1.map_batches(rekey_orders, batch_format="pyarrow",
-                                       zero_copy_batch=True))
-        )
-        .groupby("part")
-        .map_groups(
-            lambda g: _attach_inner(g.drop_columns(["part"]), "o_orderkey"),
-            batch_format="pyarrow",
-        )
+    pass2 = hash_exchange(
+        li.union(pass1.map_batches(rekey_orders, batch_format="pyarrow",
+                                   zero_copy_batch=True)),
+        "o_orderkey", lambda g: _attach_inner(g, "o_orderkey"), n_parts,
     )
 
     def directed(batch: pa.Table) -> pa.Table:

@@ -42,6 +42,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map
+
 MS_RES = 5
 # segments contributed per marching-squares case
 MS_SEGMENTS = {0: 0, 15: 0, 5: 2, 10: 2}
@@ -181,8 +183,7 @@ def q_allen_relation_histogram(sf_dir: str):
             "n": pc.cast(g.column("one_sum"), pa.int64()),
         })
 
-    per = spans.groupby("user_id").map_groups(
-        pairs, batch_format="pyarrow")
+    per = group_map(spans, "user_id", pairs)
     return grouped_aggregate(per, ["relation"], [("sum", "n", "n")])
 
 

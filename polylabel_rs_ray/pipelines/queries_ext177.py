@@ -37,6 +37,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map
+
 EULER_RES = 6
 
 
@@ -105,8 +107,6 @@ SELECT (SELECT CAST(COUNT(*) AS BIGINT) FROM occ) AS n_cells,
 
 
 def q_user_bitonic_len(sf_dir: str):
-    from ..stages.util import coalesce_for_shuffle
-
     import ray
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -146,8 +146,7 @@ def q_user_bitonic_len(sf_dir: str):
             "bitonic_len": pa.array([bitonic], type=pa.int64()),
         })
 
-    return coalesce_for_shuffle(ds).groupby("user_id").map_groups(
-        per_user, batch_format="pyarrow")
+    return group_map(ds, "user_id", per_user)
 
 
 SQL_USER_BITONIC_LEN = """

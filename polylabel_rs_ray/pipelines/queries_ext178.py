@@ -40,6 +40,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
 QT_RES = 5
 
@@ -73,21 +75,13 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 def q_markov_stationary_exact(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy().astype(np.int64)
-        return batch.append_column(
-            "part", pa.array(_hash_part(uid, P), type=pa.int64()))
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"],
-    ).map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
+    )
 
     def pairs(group: pa.Table) -> pa.Table:
         uid = group.column("user_id").to_numpy().astype(np.int64)
@@ -110,8 +104,7 @@ def q_markov_stationary_exact(sf_dir: str, n_parts: int | None = None):
         })
 
     cnt = grouped_aggregate(
-        coalesce_for_shuffle(ds).groupby("part").map_groups(
-            pairs, batch_format="pyarrow"),
+        hash_exchange(ds, "user_id", pairs, n_parts),
         ["src_t", "dst_t"], [("sum", "n", "n")],
     ).to_pandas()  # bounded 5x5
 

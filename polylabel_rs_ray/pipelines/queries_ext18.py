@@ -20,6 +20,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map
+
 WM_BINS = 4096
 
 
@@ -170,10 +172,9 @@ def q_price_discount_slope_by_flag(sf_dir: str):
             "slope_micro": pa.array([slope_micro], type=pa.int64()),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_returnflag")
-        .map_groups(final, batch_format="pyarrow")
+    return group_map(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "l_returnflag", final,
     )
 
 

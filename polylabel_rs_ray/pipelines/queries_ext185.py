@@ -33,6 +33,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 PERC_RES = 5
 PERC_MAX_T = 8
 
@@ -134,11 +136,8 @@ FROM ({' UNION ALL '.join(selects)})""")
 
 def q_user_h_index(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def prep(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy().astype(np.int64)
@@ -158,11 +157,6 @@ def q_user_h_index(sf_dir: str, n_parts: int | None = None):
         ["user_id", "day"], [("sum", "one", "n")],
         high_cardinality=True,
     )
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy().astype(np.int64)
-        return batch.append_column(
-            "part", pa.array(_hash_part(uid, P), type=pa.int64()))
 
     def per_part(group: pa.Table) -> pa.Table:
         uid = group.column("user_id").to_numpy().astype(np.int64)
@@ -185,10 +179,7 @@ def q_user_h_index(sf_dir: str, n_parts: int | None = None):
             "h_index": pa.array(h, type=pa.int64()),
         })
 
-    return coalesce_for_shuffle(
-        per_day.map_batches(add_part, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    ).groupby("part").map_groups(per_part, batch_format="pyarrow")
+    return hash_exchange(per_day, "user_id", per_part, n_parts)
 
 
 SQL_USER_H_INDEX = """

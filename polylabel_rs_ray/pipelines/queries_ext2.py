@@ -30,7 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .queries import _P, _hash_part
+from ..stages.util import group_map, hash_exchange, hash_part, n_partitions
 
 HOUR_US = 3_600_000_000
 CONTAM_NGRAM = 8  # benchmark-overlap shingle width (tokens)
@@ -245,10 +245,7 @@ def q_time_window_avg(sf_dir: str, n_parts: int | None = None):
     every window's [start, end) — no per-user loop.  Sums run in integer
     cents (association-free), so the SQL window oracle is bit-exact; the
     avg is one double division with identical operands on both sides."""
-    from ..stages.util import coalesce_for_shuffle
-
     import ray
-    P = _P(n_parts)
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "value"]
@@ -259,7 +256,6 @@ def q_time_window_avg(sf_dir: str, n_parts: int | None = None):
         ts_us = batch.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
         cents = pc.cast(pc.round(pc.multiply(batch.column("value"), 100.0)), pa.int64())
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "ts_us": pa.array(ts_us, type=pa.int64()),
             "event_id": batch.column("event_id"),
@@ -297,12 +293,9 @@ def q_time_window_avg(sf_dir: str, n_parts: int | None = None):
             ),
         })
 
-    return (
-        coalesce_for_shuffle(
-            ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("part")
-        .map_groups(windows, batch_format="pyarrow")
+    return hash_exchange(
+        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id", windows, n_parts,
     )
 
 
@@ -331,21 +324,12 @@ def q_priority_rank(sf_dir: str, n_parts: int | None = None):
     out of one lexsort + run-boundary flags (RANK = run start offset
     within its customer segment, DENSE_RANK = run count) — no per-group
     task.  All-integer outputs, so the SQL window oracle is exact."""
-    from ..stages.util import coalesce_for_shuffle
-
     import ray
-    P = _P(n_parts)
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderpriority"],
     )
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        cust = batch.column("o_custkey").to_numpy().astype(np.int64)
-        return batch.append_column(
-            "part", pa.array(_hash_part(cust, P), type=pa.int64())
-        )
 
     def ranks(group: pa.Table) -> pa.Table:
         cust = group.column("o_custkey").to_numpy().astype(np.int64)
@@ -374,13 +358,7 @@ def q_priority_rank(sf_dir: str, n_parts: int | None = None):
             "drnk": pa.array(drnk, type=pa.int64()),
         })
 
-    return (
-        coalesce_for_shuffle(
-            ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("part")
-        .map_groups(ranks, batch_format="pyarrow")
-    )
+    return hash_exchange(ds, "o_custkey", ranks, n_parts)
 
 
 SQL_PRIORITY_RANK = """
@@ -411,10 +389,9 @@ def q_ntile_values(sf_dir: str, n_parts: int | None = None):
 
     Rank and tile are pure integer arithmetic -> exact SQL oracle."""
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle
 
     import ray
-    P = _P(n_parts)
+    P = n_partitions(n_parts)
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "value"]
@@ -474,12 +451,9 @@ def q_ntile_values(sf_dir: str, n_parts: int | None = None):
             "tile": pa.array(tile, type=pa.int64()),
         })
 
-    return (
-        coalesce_for_shuffle(
-            bk.map_batches(ranged, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("part")
-        .map_groups(tiles, batch_format="pyarrow")
+    return group_map(
+        bk.map_batches(ranged, batch_format="pyarrow", zero_copy_batch=True),
+        "part", tiles,
     )
 
 
@@ -598,10 +572,9 @@ def q_tfidf_top_terms_dist(sf_dir: str, n_parts: int | None = None):
 
     from ..functions.dedup import _tok8_array
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle
 
     import ray
-    P = _P(n_parts)
+    P = n_partitions(n_parts)
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
     # ONE tokenization pass shared by both sides (fingerprinted checkpoint)
@@ -621,7 +594,7 @@ def q_tfidf_top_terms_dist(sf_dir: str, n_parts: int | None = None):
         })
 
     def _term_part(terms: np.ndarray) -> np.ndarray:
-        return _hash_part(_tok8_array(list(terms)).view(np.int64), P)
+        return hash_part(_tok8_array(list(terms)).view(np.int64), P)
 
     df_side = grouped_aggregate(
         ds.map_batches(df_partials, batch_format="pyarrow", zero_copy_batch=True),
@@ -672,7 +645,6 @@ def q_tfidf_top_terms_dist(sf_dir: str, n_parts: int | None = None):
         pdid, pterm, ptf = did[~is_df], term[~is_df], tf[~is_df]
         if len(vterm) == 0 or len(pdid) == 0:
             return pa.table({
-                "part": pa.array([], type=pa.int64()),
                 "doc_id": pa.array([], type=pa.int64()),
                 "term": pa.array([], type=pa.string()),
                 "tf": pa.array([], type=pa.int64()),
@@ -683,7 +655,6 @@ def q_tfidf_top_terms_dist(sf_dir: str, n_parts: int | None = None):
         hit = vterm[idx] == pterm
         pdid, pterm, ptf, pdf = pdid[hit], pterm[hit], ptf[hit], vdf[idx[hit]]
         return pa.table({
-            "part": pa.array(_hash_part(pdid, P), type=pa.int64()),
             "doc_id": pa.array(pdid, type=pa.int64()),
             "term": pa.array(pterm, type=pa.string()),
             "tf": pa.array(ptf, type=pa.int64()),
@@ -712,12 +683,9 @@ def q_tfidf_top_terms_dist(sf_dir: str, n_parts: int | None = None):
             "score": pa.array(score[k], type=pa.float64()),
         })
 
-    return (
-        coalesce_for_shuffle(tf_side.union(df_side))
-        .groupby("part")
-        .map_groups(join_by_term, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(topk_by_doc, batch_format="pyarrow")
+    return hash_exchange(
+        group_map(tf_side.union(df_side), "part", join_by_term),
+        "doc_id", topk_by_doc, P,
     )
 
 
@@ -763,10 +731,8 @@ def q_user_hour_gapfill(sf_dir: str, n_parts: int | None = None):
     + a searchsorted join against the partition's own counts — the dense
     ranges never exist as a shuffled dataset.  All integers -> exact."""
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle
 
     import ray
-    P = _P(n_parts)
 
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
 
@@ -787,12 +753,6 @@ def q_user_hour_gapfill(sf_dir: str, n_parts: int | None = None):
         [("count", None, "n")],
         high_cardinality=True,  # (user, hour) pairs ~ rows
     )
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy().astype(np.int64)
-        return batch.append_column(
-            "part", pa.array(_hash_part(uid, P), type=pa.int64())
-        )
 
     def gapfill(group: pa.Table) -> pa.Table:
         uid = group.column("user_id").to_numpy().astype(np.int64)
@@ -832,13 +792,7 @@ def q_user_hour_gapfill(sf_dir: str, n_parts: int | None = None):
             "n_events": pa.array(out_n, type=pa.int64()),
         })
 
-    return (
-        coalesce_for_shuffle(
-            counts.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("part")
-        .map_groups(gapfill, batch_format="pyarrow")
-    )
+    return hash_exchange(counts, "user_id", gapfill, n_parts)
 
 
 SQL_USER_HOUR_GAPFILL = """
@@ -870,10 +824,7 @@ def q_big_spenders(sf_dir: str, n_parts: int | None = None):
     partition emits its customer rows whose key appears in its build keys
     (sorted-array membership).  No driver-side key set, no broadcast —
     the build side may be arbitrarily large."""
-    from ..stages.util import coalesce_for_shuffle
-
     import ray
-    P = _P(n_parts)
 
     cust = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name", "c_acctbal"]
@@ -885,7 +836,6 @@ def q_big_spenders(sf_dir: str, n_parts: int | None = None):
     def cust_side(batch: pa.Table) -> pa.Table:
         key = batch.column("c_custkey").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(key, P), type=pa.int64()),
             "key": pa.array(key, type=pa.int64()),
             "c_name": batch.column("c_name"),
             "c_acctbal": batch.column("c_acctbal"),
@@ -895,10 +845,8 @@ def q_big_spenders(sf_dir: str, n_parts: int | None = None):
     def build_side(batch: pa.Table) -> pa.Table:
         m = pc.greater(batch.column("o_totalprice"), BIG_SPENDER_MIN)
         key = pc.unique(batch.filter(m).column("o_custkey"))
-        key_np = key.to_numpy().astype(np.int64)
-        n = len(key_np)
+        n = len(key)
         return pa.table({
-            "part": pa.array(_hash_part(key_np, P), type=pa.int64()),
             "key": pc.cast(key, pa.int64()),
             "c_name": pa.array([None] * n, type=pa.string()),
             "c_acctbal": pa.array([None] * n, type=pa.float64()),
@@ -929,11 +877,7 @@ def q_big_spenders(sf_dir: str, n_parts: int | None = None):
             "c_acctbal": out.column("c_acctbal"),
         })
 
-    return (
-        coalesce_for_shuffle(both).groupby("part").map_groups(
-            semi, batch_format="pyarrow"
-        )
-    )
+    return hash_exchange(both, "key", semi, n_parts)
 
 
 SQL_BIG_SPENDERS = f"""
@@ -961,10 +905,8 @@ def q_event_path_trigrams(sf_dir: str, n_parts: int | None = None):
     groupby sums globally, and a per-block partial top-k caps the final
     sort at k×blocks rows."""
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle
 
     import ray
-    P = _P(n_parts)
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type"]
@@ -974,7 +916,6 @@ def q_event_path_trigrams(sf_dir: str, n_parts: int | None = None):
         uid = batch.column("user_id").to_numpy().astype(np.int64)
         ts_us = batch.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "ts_us": pa.array(ts_us, type=pa.int64()),
             "event_id": batch.column("event_id"),
@@ -1010,11 +951,10 @@ def q_event_path_trigrams(sf_dir: str, n_parts: int | None = None):
         })
 
     counts = grouped_aggregate(
-        coalesce_for_shuffle(
-            ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("part")
-        .map_groups(tri_counts, batch_format="pyarrow"),
+        hash_exchange(
+            ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+            "user_id", tri_counts, n_parts,
+        ),
         ["path"],
         [("sum", "n", "n")],
     )

@@ -10,13 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .queries import _P
-
+from ..stages.util import hash_exchange
 
 def q_user_inactivity_gaps(sf_dir: str, n_parts: int | None = None):
     from .queries_ext3 import _user_sorted_stream
-
-    P = _P(n_parts)
 
     def gaps(group: pa.Table) -> pa.Table:
         uid = group.column("user_id").to_numpy().astype(np.int64)
@@ -41,11 +38,7 @@ def q_user_inactivity_gaps(sf_dir: str, n_parts: int | None = None):
             "n_events": pa.array(lens, type=pa.int64()),
         })
 
-    return (
-        _user_sorted_stream(sf_dir, P)
-        .groupby("part")
-        .map_groups(gaps, batch_format="pyarrow")
-    )
+    return hash_exchange(_user_sorted_stream(sf_dir), "user_id", gaps, n_parts)
 
 
 SQL_USER_INACTIVITY_GAPS = """

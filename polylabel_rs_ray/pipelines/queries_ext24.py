@@ -28,18 +28,17 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .queries import _P
+from ..stages.util import group_map, n_partitions
 
 NGRAM_N = 3
 
 
 def q_cross_doc_ngram_dup(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import _key_hash, grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle
     from .queries_ext5 import _word_lists
 
     import ray
-    P = _P(n_parts)
+    P = n_partitions(n_parts)
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
@@ -98,12 +97,9 @@ def q_cross_doc_ngram_dup(sf_dir: str, n_parts: int | None = None):
             "n_dup": pa.array(n_dup, type=pa.int64()),
         })
 
-    partials = (
-        coalesce_for_shuffle(
-            ds.map_batches(tri_doc, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("__tpart")
-        .map_groups(doc_partials, batch_format="pyarrow")
+    partials = group_map(
+        ds.map_batches(tri_doc, batch_format="pyarrow", zero_copy_batch=True),
+        "__tpart", doc_partials,
     )
 
     totals = grouped_aggregate(

@@ -37,6 +37,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map
+
 BM25_K1 = 1.2
 BM25_B = 0.75
 BM25_DF_MIN = 5  # vocabulary floor: term must appear in >= BM25_DF_MIN docs
@@ -238,7 +240,7 @@ def q_semantic_dedup(sf_dir: str):
             "dup_of": pa.array(dup_of, type=pa.int64()),
         })
 
-    return ds.groupby("label").map_groups(per_cluster, batch_format="pyarrow")
+    return group_map(ds, "label", per_cluster)
 
 
 SQL_SEMANTIC_DEDUP = f"""

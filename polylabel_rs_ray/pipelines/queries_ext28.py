@@ -36,14 +36,15 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..stages.util import n_partitions
+
 
 def q_triangle_parts(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import hash_grouped_aggregate
-    from ..stages.util import shuffle_blocks
     from .queries import q_part_pair_counts
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
 
     # 1. distinct co-purchase edges (part_a < part_b), distributed build;
     # the edge list is the broadcast index, so it lands on the driver once

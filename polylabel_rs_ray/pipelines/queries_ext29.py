@@ -27,14 +27,14 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..stages.util import group_map, hash_part, n_partitions
+
 
 def q_bbox_union_area(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-    from .queries import _hash_part
     from .queries_ext import _bbox_stage, _dyadic_rings_ds
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
 
     boxes = _dyadic_rings_ds(sf_dir).map_batches(
         _bbox_stage, batch_format="pyarrow", zero_copy_batch=True
@@ -84,7 +84,7 @@ def q_bbox_union_area(sf_dir: str, n_parts: int | None = None):
         slab = (np.arange(total) - np.repeat(csum[:-1], cnt)
                 + np.repeat(i0, cnt))
         return pa.table({
-            "__part": pa.array(_hash_part(slab, P), type=pa.int64()),
+            "__part": pa.array(hash_part(slab, P), type=pa.int64()),
             "slab": pa.array(slab, type=pa.int64()),
             "by0": pa.array(np.repeat(by0, cnt), type=pa.float64()),
             "by1": pa.array(np.repeat(by1, cnt), type=pa.float64()),
@@ -130,11 +130,7 @@ def q_bbox_union_area(sf_dir: str, n_parts: int | None = None):
         })
 
     inc = boxes.map_batches(incidences, batch_format="pyarrow", zero_copy_batch=True)
-    return (
-        coalesce_for_shuffle(inc)
-        .groupby("__part")
-        .map_groups(union_per_slab, batch_format="pyarrow")
-    )
+    return group_map(inc, "__part", union_per_slab)
 
 
 def _sql_bbox_union_area() -> str:

@@ -17,13 +17,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .queries import _P, _hash_part
+from ..stages.util import hash_exchange
 
 HOUR_US = 3_600_000_000
 
 
-def _user_sorted_stream(sf_dir: str, P: int):
-    """events hash-partitioned by user, ready for per-partition ordered
+def _user_sorted_stream(sf_dir: str):
+    """events keyed by user, ready to hash-partition for per-partition ordered
     scans — the shared front of every sequence operator here."""
     import ray
     ds = ray.data.read_parquet(
@@ -34,18 +34,13 @@ def _user_sorted_stream(sf_dir: str, P: int):
         uid = batch.column("user_id").to_numpy().astype(np.int64)
         ts_us = batch.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "ts_us": pa.array(ts_us, type=pa.int64()),
             "event_id": batch.column("event_id"),
             "event_type": batch.column("event_type"),
         })
 
-    from ..stages.util import coalesce_for_shuffle
-
-    return coalesce_for_shuffle(
-        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _sorted_group(group: pa.Table):
@@ -79,7 +74,6 @@ def q_type_streaks(sf_dir: str, n_parts: int | None = None):
     trick.  Users are partition-confined, so one lexsort + boundary flags
     resolve every island; a per-partition arrow group_by finishes (user,
     type) locally — no second shuffle.  All integers -> exact oracle."""
-    P = _P(n_parts)
 
     def streaks(group: pa.Table) -> pa.Table:
         uid, eid, et, new_run = _sorted_group(group)
@@ -108,11 +102,7 @@ def q_type_streaks(sf_dir: str, n_parts: int | None = None):
             "n_streaks": pc.cast(out.column("len_count"), pa.int64()),
         })
 
-    return (
-        _user_sorted_stream(sf_dir, P)
-        .groupby("part")
-        .map_groups(streaks, batch_format="pyarrow")
-    )
+    return hash_exchange(_user_sorted_stream(sf_dir), "user_id", streaks, n_parts)
 
 
 SQL_TYPE_STREAKS = """
@@ -145,7 +135,6 @@ def q_compress_stream(sf_dir: str, n_parts: int | None = None):
     every same-type run per user (the stream-compaction step of event
     ingestion).  Same partition-confined lexsort as ``type_streaks``;
     the survivors are just the run-boundary rows."""
-    P = _P(n_parts)
 
     def compress(group: pa.Table) -> pa.Table:
         uid, eid, et, new_run = _sorted_group(group)
@@ -156,11 +145,7 @@ def q_compress_stream(sf_dir: str, n_parts: int | None = None):
             "event_type": et.take(pa.array(keep)),
         })
 
-    return (
-        _user_sorted_stream(sf_dir, P)
-        .groupby("part")
-        .map_groups(compress, batch_format="pyarrow")
-    )
+    return hash_exchange(_user_sorted_stream(sf_dir), "user_id", compress, n_parts)
 
 
 SQL_COMPRESS_STREAM = """

@@ -16,7 +16,7 @@ Scale shape — the shape MERGE must have at 100 TB:
 
 * base + delta are unioned in ONE stateless fanout map (at deployment
   the delta is simply a second ``read_parquet``; no driver work),
-* rows co-partition by ``hash(key) % P`` (the shared ``_hash_part``
+* rows co-partition by ``hash(key) % P`` (the shared ``hash_part``
   partitioner) — the ONLY exchange,
 * within each partition the latest-wins pick is one ``np.lexsort`` over
   ``(version, key)`` plus a run-boundary take — no per-key Python, no
@@ -33,16 +33,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 INSERT_OFFSET = 100_000_000
 
 
 def q_merge_upsert_orders(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import shuffle_blocks
-
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderstatus", "o_totalprice"],
@@ -83,7 +80,6 @@ def q_merge_upsert_orders(sf_dir: str, n_parts: int | None = None):
             ]
         )
         return pa.table({
-            "part": pa.array(_hash_part(keys, P), type=pa.int64()),
             "o_orderkey": pa.array(keys, type=pa.int64()),
             "o_orderstatus": status,
             "price_cents": pa.array(prices, type=pa.int64()),
@@ -97,16 +93,16 @@ def q_merge_upsert_orders(sf_dir: str, n_parts: int | None = None):
         k = group.column("o_orderkey").to_numpy().astype(np.int64)
         v = group.column("src_version").to_numpy().astype(np.int64)
         if len(k) == 0:
-            return group.drop_columns(["part", "is_delete"])
+            return group.drop_columns(["is_delete"])
         order = np.lexsort((v, k))
         ks = k[order]
         last = np.nonzero(np.diff(ks) != 0)[0]
         sel = order[np.concatenate([last, [len(ks) - 1]])]
         dels = group.column("is_delete").to_numpy().astype(np.int64)[sel]
         taken = group.take(pa.array(sel[dels == 0], type=pa.int64()))
-        return taken.drop_columns(["part", "is_delete"])
+        return taken.drop_columns(["is_delete"])
 
-    return keyed.groupby("part").map_groups(latest_wins, batch_format="pyarrow")
+    return hash_exchange(keyed, "o_orderkey", latest_wins, n_parts)
 
 
 SQL_MERGE_UPSERT_ORDERS = f"""

@@ -33,6 +33,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..stages.util import group_map
+
 N_QUERIES = 4
 K = 5
 
@@ -100,7 +102,6 @@ def q_sq8_topk(sf_dir: str, n_queries: int = N_QUERIES, k: int = K):
     import pyarrow.parquet as pq
 
     from ..functions.sim import embedding_matrix
-    from ..stages.util import coalesce_for_shuffle
 
     import ray
     mn, mx = _minmax(sf_dir)
@@ -131,9 +132,7 @@ def q_sq8_topk(sf_dir: str, n_queries: int = N_QUERIES, k: int = K):
             "d2": pa.array(d[order], type=pa.int64()),
         })
 
-    return coalesce_for_shuffle(scored, 8).groupby("query_id").map_groups(
-        reduce_group, batch_format="pyarrow"
-    )
+    return group_map(scored, "query_id", reduce_group)
 
 
 SQL_SQ8_TOPK = f"""

@@ -33,6 +33,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 PHASH_RES = 8
 
 
@@ -73,11 +75,6 @@ class PhashSigner:
 def q_image_phash_dups(sf_dir: str, n_parts: int | None = None):
     from ..sources.docs import read_docs
     from ..stages.media import explode_media_spans
-    from ..stages.util import shuffle_blocks
-
-    from .queries import _hash_part
-
-    P = int(n_parts or min(32, shuffle_blocks()))
     signed = (
         read_docs(sf_dir)
         .map_batches(explode_media_spans, batch_format="pyarrow",
@@ -89,15 +86,6 @@ def q_image_phash_dups(sf_dir: str, n_parts: int | None = None):
             batch_size=256,
         )
     )
-
-    def to_parts(batch: pa.Table) -> pa.Table:
-        sig = batch.column("sig").to_numpy().astype(np.int64)
-        return batch.append_column(
-            "part", pa.array(_hash_part(sig, P), type=pa.int64())
-        )
-
-    keyed = signed.map_batches(to_parts, batch_format="pyarrow",
-                               zero_copy_batch=True)
 
     def group_stats(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
@@ -129,10 +117,7 @@ def q_image_phash_dups(sf_dir: str, n_parts: int | None = None):
             ),
         })
 
-    return keyed.groupby("part").map_groups(
-        lambda gr: group_stats(gr.drop_columns(["part"])),
-        batch_format="pyarrow",
-    )
+    return hash_exchange(signed, "sig", group_stats, n_parts)
 
 
 SQL_IMAGE_PHASH_DUPS = r"""

@@ -21,6 +21,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 US_PER_HOUR = 3_600_000_000
 
 
@@ -111,12 +113,7 @@ FROM j
 
 
 def q_ohlc_user_hour(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import shuffle_blocks
-
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "value", "event_id"],
@@ -125,7 +122,6 @@ def q_ohlc_user_hour(sf_dir: str, n_parts: int | None = None):
     def to_parts(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "tu": pc.cast(batch.column("ts"), pa.int64()),
             "value": batch.column("value"),
@@ -167,9 +163,7 @@ def q_ohlc_user_hour(sf_dir: str, n_parts: int | None = None):
             "n_events": pa.array(ends - starts + 1, type=pa.int64()),
         })
 
-    return keyed.groupby("part").map_groups(
-        lambda g: bars(g.drop_columns(["part"])), batch_format="pyarrow"
-    )
+    return hash_exchange(keyed, "user_id", bars, n_parts)
 
 
 SQL_OHLC_USER_HOUR = f"""

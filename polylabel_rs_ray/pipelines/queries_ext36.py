@@ -56,6 +56,8 @@ import logging
 import numpy as np
 import pyarrow as pa
 
+from ..stages.util import group_map, hash_exchange, n_partitions
+
 log = logging.getLogger(__name__)
 
 TAU = 0.5
@@ -80,9 +82,8 @@ def q_jaccard_join_exact(
 ):
     from ..functions.dedup import shingle_strs
     from ..stages.agg import _key_hash, grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    from .queries import DUP_EVERY, _corpus_with_planted_dups, _hash_part
+    from .queries import DUP_EVERY, _corpus_with_planted_dups
 
     # ---- scale gate (see module docstring): past the vocabulary-derived
     # bound the exact PPJoin's candidate volume is quadratic in the corpus;
@@ -107,7 +108,7 @@ def q_jaccard_join_exact(
             sf_dir, threshold=tau, n_parts=n_parts, verify_mode=verify_mode
         )
 
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
 
     def explode(batch: pa.Table) -> pa.Table:
         # candidate generation runs on 64-bit hashed shingle keys (polars'
@@ -171,23 +172,12 @@ def q_jaccard_join_exact(
             "df": pa.array(df, type=pa.int64()),
         })
 
-    with_df = (
-        coalesce_for_shuffle(
-            shingles.map_batches(key_g, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-        )
-        .groupby("part")
-        .map_groups(lambda gr: attach_df(gr.drop_columns(["part"])),
-                    batch_format="pyarrow")
+    with_df = group_map(
+        shingles.map_batches(key_g, batch_format="pyarrow", zero_copy_batch=True),
+        "part", lambda gr: attach_df(gr.drop_columns(["part"])),
     )
 
     # exchange 3: per-doc prefix selection (rarest-first order)
-    def key_doc(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy().astype(np.int64)
-        return batch.append_column(
-            "part", pa.array(_hash_part(ids, P), type=pa.int64())
-        )
-
     def prefix_rows(group: pa.Table) -> pa.Table:
         ids = group.column("doc_id").to_numpy().astype(np.int64)
         g = group.column("g").to_numpy().astype(np.int64)
@@ -215,15 +205,7 @@ def q_jaccard_join_exact(
             "p": pa.array(rank[keep], type=pa.int64()),
         })
 
-    prefixes = (
-        coalesce_for_shuffle(
-            with_df.map_batches(key_doc, batch_format="pyarrow",
-                                zero_copy_batch=True)
-        )
-        .groupby("part")
-        .map_groups(lambda gr: prefix_rows(gr.drop_columns(["part"])),
-                    batch_format="pyarrow")
-    )
+    prefixes = hash_exchange(with_df, "doc_id", prefix_rows, P)
 
     # exchange 4: candidate pairs from shared prefix shingles
     def key_g2(batch: pa.Table) -> pa.Table:
@@ -281,14 +263,9 @@ def q_jaccard_join_exact(
             "doc_b": pa.array(np.concatenate(pb_list), type=pa.int64()),
         })
 
-    cands = (
-        coalesce_for_shuffle(
-            prefixes.map_batches(key_g2, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-        )
-        .groupby("part")
-        .map_groups(lambda gr: bucket_pairs(gr.drop_columns(["part"])),
-                    batch_format="pyarrow")
+    cands = group_map(
+        prefixes.map_batches(key_g2, batch_format="pyarrow", zero_copy_batch=True),
+        "part", lambda gr: bucket_pairs(gr.drop_columns(["part"])),
     )
 
     # global pair dedup (pair keys are ~unique -> the high-cardinality hash

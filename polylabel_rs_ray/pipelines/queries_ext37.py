@@ -26,6 +26,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange, n_partitions
+
 
 def _attach(group: pa.Table, key: str) -> pa.Table:
     """Within one co-partition: attach the (unique-key) dim side's payload
@@ -60,12 +62,8 @@ def _attach(group: pa.Table, key: str) -> pa.Table:
 def q_denormalized_sales(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
 
     # --- broadcast dims (bounded domains) --------------------------------
     nation = pq.read_table(f"{sf_dir}/nation.parquet")
@@ -114,7 +112,6 @@ def q_denormalized_sales(sf_dir: str, n_parts: int | None = None):
         n = batch.num_rows
         okey = batch.column("l_orderkey").to_numpy().astype(np.int64)
         cols = {
-            "part": pa.array(_hash_part(okey, P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "l_orderkey": pa.array(okey, type=pa.int64()),
             "l_linenumber": pc.cast(batch.column("l_linenumber"), pa.int64()),
@@ -137,7 +134,6 @@ def q_denormalized_sales(sf_dir: str, n_parts: int | None = None):
         n = batch.num_rows
         okey = batch.column("o_orderkey").to_numpy().astype(np.int64)
         cols = {
-            "part": pa.array(_hash_part(okey, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "l_orderkey": pa.array(okey, type=pa.int64()),
         }
@@ -161,24 +157,14 @@ def q_denormalized_sales(sf_dir: str, n_parts: int | None = None):
         columns=["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
     ).map_batches(key_orders, batch_format="pyarrow", zero_copy_batch=True)
 
-    pass1 = (
-        coalesce_for_shuffle(li.union(od))
-        .groupby("part")
-        .map_groups(
-            lambda g: _attach(g.drop_columns(["part"]), "l_orderkey"),
-            batch_format="pyarrow",
-        )
+    pass1 = hash_exchange(
+        li.union(od), "l_orderkey", lambda g: _attach(g, "l_orderkey"), P,
     )
 
     # --- join pass 2: + customer on custkey -------------------------------
     def rekey_cust(batch: pa.Table) -> pa.Table:
-        ck = batch.column("o_custkey").to_numpy().astype(np.int64)
         n = batch.num_rows
-        return (
-            batch.append_column("part",
-                                pa.array(_hash_part(ck, P), type=pa.int64()))
-            .append_column("__side", pa.array(np.zeros(n, np.int64)))
-        )
+        return batch.append_column("__side", pa.array(np.zeros(n, np.int64)))
 
     def key_cust(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -189,28 +175,18 @@ def q_denormalized_sales(sf_dir: str, n_parts: int | None = None):
         cols["o_custkey"] = pa.array(ck, type=pa.int64())
         cols["c_mktsegment"] = batch.column("c_mktsegment")
         cols["c_nationkey"] = pc.cast(batch.column("c_nationkey"), pa.int64())
-        t = pa.table(cols)
-        return (
-            t.append_column("part",
-                            pa.array(_hash_part(ck, P), type=pa.int64()))
-            .append_column("__side", pa.array(np.ones(n, np.int64)))
-        )
+        cols["__side"] = pa.array(np.ones(n, np.int64))
+        return pa.table(cols)
 
     cust = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet",
         columns=["c_custkey", "c_mktsegment", "c_nationkey"],
     ).map_batches(key_cust, batch_format="pyarrow", zero_copy_batch=True)
 
-    pass2 = (
-        coalesce_for_shuffle(
-            pass1.map_batches(rekey_cust, batch_format="pyarrow",
-                              zero_copy_batch=True).union(cust)
-        )
-        .groupby("part")
-        .map_groups(
-            lambda g: _attach(g.drop_columns(["part"]), "o_custkey"),
-            batch_format="pyarrow",
-        )
+    pass2 = hash_exchange(
+        pass1.map_batches(rekey_cust, batch_format="pyarrow",
+                          zero_copy_batch=True).union(cust),
+        "o_custkey", lambda g: _attach(g, "o_custkey"), P,
     )
 
     # --- broadcast attach: nation/region/part/supplier --------------------

@@ -22,17 +22,15 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..stages.util import hash_exchange
+
 K_ANON = 10
 
 
 def q_k_anonymity_audit(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
     )
@@ -40,7 +38,6 @@ def q_k_anonymity_audit(sf_dir: str, n_parts: int | None = None):
     def keyed(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "event_type": batch.column("event_type"),
         })
@@ -76,12 +73,10 @@ def q_k_anonymity_audit(sf_dir: str, n_parts: int | None = None):
         })
 
     users = (
-        coalesce_for_shuffle(
-            ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
+        hash_exchange(
+            ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+            "user_id", user_qi, n_parts,
         )
-        .groupby("part")
-        .map_groups(lambda g: user_qi(g.drop_columns(["part"])),
-                    batch_format="pyarrow")
         .materialize()  # checkpoint: class pass + flag pass share one run
     )
 

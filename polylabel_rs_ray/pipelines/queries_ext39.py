@@ -35,6 +35,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map, n_partitions
+
 JITTER_US = 7_200_000_000  # +-2 h arrival jitter
 LATE_US = 3_600_000_000    # 1 h allowed lateness
 
@@ -58,10 +60,9 @@ def _akey_batch(event_ids: np.ndarray, tu: np.ndarray) -> np.ndarray:
 
 def q_late_event_audit(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "event_type"]
     )
@@ -99,8 +100,8 @@ def q_late_event_audit(sf_dir: str, n_parts: int | None = None):
         part = np.clip((a - amin) * P // span, 0, P - 1)
         return batch.append_column("part", pa.array(part, type=pa.int64()))
 
-    parted = coalesce_for_shuffle(
-        keyed.map_batches(to_parts, batch_format="pyarrow", zero_copy_batch=True)
+    parted = keyed.map_batches(
+        to_parts, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()  # two consumers: the prefix table and the audit pass
 
     # P-row reduce -> exclusive prefix max of event time per partition
@@ -140,7 +141,7 @@ def q_late_event_audit(sf_dir: str, n_parts: int | None = None):
             "n_total": pc.cast(out.column("one_sum"), pa.int64()),
         })
 
-    partials = parted.groupby("part").map_groups(audit, batch_format="pyarrow")
+    partials = group_map(parted, "part", audit)
     return grouped_aggregate(
         partials, ["event_type"],
         [("sum", "n_late", "n_late"), ("sum", "n_total", "n_total")],

@@ -29,7 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .queries import _P
+from ..stages.util import hash_exchange
 
 HOP_US = 900_000_000  # 15 min
 WIN_HOPS = 4  # window width = 4 hops = 1 h
@@ -298,10 +298,8 @@ def q_cohort_retention(sf_dir: str, n_parts: int | None = None):
     (searchsorted within each partition); the matrix itself is a final
     O(days^2)-sized aggregate."""
     from ..stages.agg import grouped_aggregate
-    from .queries import _hash_part
 
     import ray
-    P = _P(n_parts)
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
 
     def days(batch: pa.Table) -> pa.Table:
@@ -327,7 +325,6 @@ def q_cohort_retention(sf_dir: str, n_parts: int | None = None):
             uid = batch.column("user_id").to_numpy().astype(np.int64)
             day_col = "day" if side == 0 else "cohort_day"
             return pa.table({
-                "part": pa.array(_hash_part(uid, P), type=pa.int64()),
                 "user_id": pa.array(uid, type=pa.int64()),
                 "day": pc.cast(batch.column(day_col), pa.int64()),
                 "side": pa.array(np.full(len(uid), side, dtype=np.int64)),
@@ -356,13 +353,7 @@ def q_cohort_retention(sf_dir: str, n_parts: int | None = None):
             "day_offset": pa.array(off, type=pa.int64()),
         })
 
-    from ..stages.util import coalesce_for_shuffle
-
-    joined = (
-        coalesce_for_shuffle(unioned)
-        .groupby("part")
-        .map_groups(attach, batch_format="pyarrow")
-    )
+    joined = hash_exchange(unioned, "user_id", attach, n_parts)
     return grouped_aggregate(
         joined, ["cohort_day", "day_offset"], [("count", None, "n_users")]
     )

@@ -21,15 +21,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 
 def q_snapshot_diff(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
     from .queries_ext31 import INSERT_OFFSET
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def base_side(batch: pa.Table) -> pa.Table:
         k = batch.column("o_orderkey").to_numpy().astype(np.int64)
@@ -37,7 +35,6 @@ def q_snapshot_diff(sf_dir: str, n_parts: int | None = None):
             pc.round(pc.multiply(batch.column("o_totalprice"), 100.0)), pa.int64()
         )
         return pa.table({
-            "part": pa.array(_hash_part(k, P), type=pa.int64()),
             "k": pa.array(k, type=pa.int64()),
             "status": batch.column("o_orderstatus"),
             "price_cents": cents,
@@ -67,7 +64,6 @@ def q_snapshot_diff(sf_dir: str, n_parts: int | None = None):
             pa.array(["N"] * int(ins_m.sum()), type=pa.string()),
         ])
         return pa.table({
-            "part": pa.array(_hash_part(keys, P), type=pa.int64()),
             "k": pa.array(keys, type=pa.int64()),
             "status": statuses,
             "price_cents": pa.array(prices, type=pa.int64()),
@@ -138,12 +134,7 @@ def q_snapshot_diff(sf_dir: str, n_parts: int | None = None):
             "new_price_cents": pa.array(out_price, type=pa.int64()),
         })
 
-    return (
-        coalesce_for_shuffle(unioned)
-        .groupby("part")
-        .map_groups(lambda g: classify(g.drop_columns(["part"])),
-                    batch_format="pyarrow")
-    )
+    return hash_exchange(unioned, "k", classify, n_parts)
 
 
 def _sql_snapshot_diff() -> str:

@@ -24,22 +24,19 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 TOP_PAIRS = 20
 
 
 def q_part_pair_lift(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def to_parts(batch: pa.Table) -> pa.Table:
         key = batch.column("l_orderkey").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(key, P), type=pa.int64()),
             "okey": pa.array(key, type=pa.int64()),
             "pkey": pc.cast(batch.column("l_partkey"), pa.int64()),
         })
@@ -47,7 +44,7 @@ def q_part_pair_lift(sf_dir: str, n_parts: int | None = None):
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     ).map_batches(to_parts, batch_format="pyarrow", zero_copy_batch=True)
-    parted = coalesce_for_shuffle(ds).materialize()  # 3 consumers below
+    parted = ds.materialize()  # 2 consumers below
 
     def basket_rows(group: pa.Table) -> pa.Table:
         """DISTINCT (order, part) rows of one partition + first-of-order
@@ -72,9 +69,8 @@ def q_part_pair_lift(sf_dir: str, n_parts: int | None = None):
             "first": pa.array(first, type=pa.int64()),
         })
 
-    baskets = parted.groupby("part").map_groups(
-        lambda g: basket_rows(g.drop_columns(["part"])), batch_format="pyarrow"
-    ).materialize()  # distinct basket rows, partitioned by order
+    # distinct basket rows, partitioned by order
+    baskets = hash_exchange(parted, "okey", basket_rows, n_parts).materialize()
 
     # per-part basket counts (bounded part domain) and total basket count
     # (both are row counters — safe under any block slicing)
@@ -133,10 +129,7 @@ def q_part_pair_lift(sf_dir: str, n_parts: int | None = None):
         })
 
     pairs = grouped_aggregate(
-        parted.groupby("part").map_groups(
-            lambda g: pairs_in_partition(g.drop_columns(["part"])),
-            batch_format="pyarrow",
-        ),
+        hash_exchange(parted, "okey", pairs_in_partition, n_parts),
         ["part_a", "part_b"], [("sum", "cab", "cab")],
         high_cardinality=True,
     )

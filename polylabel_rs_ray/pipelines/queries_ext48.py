@@ -20,14 +20,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..stages.util import hash_exchange
+
 
 def q_type_diversity_per_user(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
     )
@@ -35,7 +32,6 @@ def q_type_diversity_per_user(sf_dir: str, n_parts: int | None = None):
     def keyed(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "event_type": batch.column("event_type"),
         })
@@ -75,13 +71,9 @@ def q_type_diversity_per_user(sf_dir: str, n_parts: int | None = None):
                 type=pa.float64()),
         })
 
-    return (
-        coalesce_for_shuffle(
-            ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("part")
-        .map_groups(lambda g: diversity(g.drop_columns(["part"])),
-                    batch_format="pyarrow")
+    return hash_exchange(
+        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id", diversity, n_parts,
     )
 
 

@@ -28,7 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .queries import _P
+from ..stages.util import hash_exchange
 
 EDIT_BUCKET = 8  # n_chars blocking bucket width
 EDIT_MAX_DIST = 8  # report pairs with levenshtein <= this
@@ -217,10 +217,7 @@ def q_edit_distance_dups(sf_dir: str, n_parts: int | None = None):
     vectorized (triu indices) and ONE cross-pair DP resolves every
     distance.  Work is bounded by the blocking (sum of block-size^2),
     never all-pairs over the corpus."""
-    from .queries import _hash_part
-
     import ray
-    P = _P(n_parts)
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang", "n_chars"]
     )
@@ -237,7 +234,6 @@ def q_edit_distance_dups(sf_dir: str, n_parts: int | None = None):
         bucket = lang_h * np.int64(1_000_003) + nb
         ascii_ok = pc.match_substring_regex(batch.column("text"), r"^[ -~]*$")
         out = pa.table({
-            "part": pa.array(_hash_part(bucket, P), type=pa.int64()),
             "bucket": pa.array(bucket, type=pa.int64()),
             "doc_id": pc.cast(batch.column("doc_id"), pa.int64()),
             "text": batch.column("text"),
@@ -311,14 +307,9 @@ def q_edit_distance_dups(sf_dir: str, n_parts: int | None = None):
             "dist": pa.array(dist, type=pa.int64()),
         })
 
-    from ..stages.util import coalesce_for_shuffle
-
-    return (
-        coalesce_for_shuffle(
-            ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("part")
-        .map_groups(pairs, batch_format="pyarrow")
+    return hash_exchange(
+        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        "bucket", pairs, n_parts,
     )
 
 

@@ -20,15 +20,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 
 def q_type_transition_matrix(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"],
@@ -37,7 +35,6 @@ def q_type_transition_matrix(sf_dir: str, n_parts: int | None = None):
     def keyed(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "tu": pc.cast(batch.column("ts"), pa.int64()),
             "event_id": pc.cast(batch.column("event_id"), pa.int64()),
@@ -77,12 +74,10 @@ def q_type_transition_matrix(sf_dir: str, n_parts: int | None = None):
         })
 
     counts = grouped_aggregate(
-        coalesce_for_shuffle(
-            ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("part")
-        .map_groups(lambda g: transitions(g.drop_columns(["part"])),
-                    batch_format="pyarrow"),
+        hash_exchange(
+            ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+            "user_id", transitions, n_parts,
+        ),
         ["prev_type", "next_type"], [("sum", "n", "n")],
     ).to_pandas()  # bounded: |types|^2 rows
 

@@ -46,6 +46,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map, n_partitions
+
 PR_DAMPING = 0.85
 PR_ITERS = 8
 PR_TOPK = 20
@@ -71,9 +73,8 @@ def pagerank_dataset(edges, nodes, damping: float = PR_DAMPING,
     covering the full domain (isolated nodes included — they hold
     teleport-only rank).  Returns a Dataset of (node, rank) rows."""
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
     V = nodes.count()
 
     # --- one-time prep: directed edge table keyed by h(src) ---------------
@@ -92,8 +93,8 @@ def pagerank_dataset(edges, nodes, damping: float = PR_DAMPING,
             "rod": pa.nulls(len(src), pa.float64()),
         })
 
-    directed = coalesce_for_shuffle(
-        edges.map_batches(to_directed, batch_format="pyarrow", zero_copy_batch=True)
+    directed = edges.map_batches(
+        to_directed, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()  # aggregated pair graph: small vs the fact table
 
     # weighted degree per node: one map-side-combined groupby
@@ -138,13 +139,12 @@ def pagerank_dataset(edges, nodes, damping: float = PR_DAMPING,
         })
 
     state = (
-        coalesce_for_shuffle(
+        group_map(
             nodes.map_batches(nodes_keyed, batch_format="pyarrow", zero_copy_batch=True)
             .union(wdeg.map_batches(wdeg_keyed, batch_format="pyarrow",
-                                    zero_copy_batch=True))
+                                    zero_copy_batch=True)),
+            "part", init_state,
         )
-        .groupby("part")
-        .map_groups(init_state, batch_format="pyarrow")
         .repartition(P)
         .materialize()
     )
@@ -203,13 +203,10 @@ def pagerank_dataset(edges, nodes, damping: float = PR_DAMPING,
                 "contrib": pa.array(acc, type=pa.float64()),
             })
 
-        contrib_rows = (
-            directed.union(
-                state.map_batches(rod_rows, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-            )
-            .groupby("part")
-            .map_groups(contribs, batch_format="pyarrow")
+        contrib_rows = group_map(
+            directed.union(state.map_batches(rod_rows, batch_format="pyarrow",
+                                             zero_copy_batch=True)),
+            "part", contribs,
         )
 
         # --- rank update: co-partitioned merge of state + contribs --------
@@ -253,13 +250,14 @@ def pagerank_dataset(edges, nodes, damping: float = PR_DAMPING,
             })
 
         state = (
-            state.map_batches(state_for_update, batch_format="pyarrow",
-                              zero_copy_batch=True)
-            .union(contrib_rows.map_batches(contrib_for_update,
-                                            batch_format="pyarrow",
-                                            zero_copy_batch=True))
-            .groupby("part")
-            .map_groups(update, batch_format="pyarrow")
+            group_map(
+                state.map_batches(state_for_update, batch_format="pyarrow",
+                                  zero_copy_batch=True)
+                .union(contrib_rows.map_batches(
+                    contrib_for_update, batch_format="pyarrow",
+                    zero_copy_batch=True)),
+                "part", update,
+            )
             # cap state at P blocks: without this, blocks(state') =
             # 2*blocks(state) + blocks(directed) through the two unions, so
             # block count — and sort-shuffle O(in x out) exchange work —

@@ -29,6 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .queries import _ts_us
+from ..stages.util import hash_exchange, n_partitions
 
 
 # Cut date shared by both Q3 predicates (orders before, shipments after).
@@ -84,12 +85,9 @@ def q_shipping_priority_q3(sf_dir: str, n_parts: int | None = None,
                            join_mode: str | None = None):
     from ..stages.agg import hash_grouped_aggregate
     from ..stages.factjoin import attach_fact_value
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
     cut_us = _ts_us(Q3_CUT)
 
     # semi-join side: the segment membership flag attaches to orders
@@ -119,7 +117,6 @@ def q_shipping_priority_q3(sf_dir: str, n_parts: int | None = None,
         m = in_seg & (date_us < cut_us)
         n = int(m.sum())
         return pa.table({
-            "part": pa.array(_hash_part(okey[m], P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "o_orderkey": pa.array(okey[m], type=pa.int64()),
             "revenue_micro": pa.nulls(n, type=pa.int64()),
@@ -138,7 +135,6 @@ def q_shipping_priority_q3(sf_dir: str, n_parts: int | None = None,
         m = ship_us > cut_us
         n = int(m.sum())
         return pa.table({
-            "part": pa.array(_hash_part(okey[m], P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "o_orderkey": pa.array(okey[m], type=pa.int64()),
             "revenue_micro": pa.array(cents[m] * (100 - disc[m]),
@@ -153,13 +149,8 @@ def q_shipping_priority_q3(sf_dir: str, n_parts: int | None = None,
         columns=["l_orderkey", "l_shipdate", "l_extendedprice", "l_discount"],
     ).map_batches(key_lineitem, batch_format="pyarrow", zero_copy_batch=True)
 
-    joined = (
-        coalesce_for_shuffle(li.union(od))
-        .groupby("part")
-        .map_groups(
-            lambda g: _attach_inner(g.drop_columns(["part"]), "o_orderkey"),
-            batch_format="pyarrow",
-        )
+    joined = hash_exchange(
+        li.union(od), "o_orderkey", lambda g: _attach_inner(g, "o_orderkey"), P,
     )
 
     per_order = hash_grouped_aggregate(
@@ -195,12 +186,8 @@ def q_local_supplier_volume_q5(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
     lo_us, hi_us = _ts_us(Q5_LO), _ts_us(Q5_HI)
 
     # bounded dims, broadcast once: supplier -> nationkey; nations in region
@@ -230,7 +217,6 @@ def q_local_supplier_volume_q5(sf_dir: str, n_parts: int | None = None):
         m = (date_us >= lo_us) & (date_us < hi_us)
         n = int(m.sum())
         return pa.table({
-            "part": pa.array(_hash_part(custk[m], P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "c_custkey": pa.array(custk[m], type=pa.int64()),
             "o_orderkey": pa.array(okey[m], type=pa.int64()),
@@ -241,7 +227,6 @@ def q_local_supplier_volume_q5(sf_dir: str, n_parts: int | None = None):
         custk = batch.column("c_custkey").to_numpy().astype(np.int64)
         n = len(custk)
         return pa.table({
-            "part": pa.array(_hash_part(custk, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "c_custkey": pa.array(custk, type=pa.int64()),
             "o_orderkey": pa.nulls(n, type=pa.int64()),
@@ -257,13 +242,8 @@ def q_local_supplier_volume_q5(sf_dir: str, n_parts: int | None = None):
         columns=["c_custkey", "c_nationkey"],
     ).map_batches(key_cust, batch_format="pyarrow", zero_copy_batch=True)
 
-    pass1 = (
-        coalesce_for_shuffle(od.union(cu))
-        .groupby("part")
-        .map_groups(
-            lambda g: _attach_inner(g.drop_columns(["part"]), "c_custkey"),
-            batch_format="pyarrow",
-        )
+    pass1 = hash_exchange(
+        od.union(cu), "c_custkey", lambda g: _attach_inner(g, "c_custkey"), n_parts,
     )
 
     # pass 2 (co-partition on orderkey): lineitem x (order -> cust nation)
@@ -271,7 +251,6 @@ def q_local_supplier_volume_q5(sf_dir: str, n_parts: int | None = None):
         okey = batch.column("o_orderkey").to_numpy().astype(np.int64)
         n = len(okey)
         return pa.table({
-            "part": pa.array(_hash_part(okey, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "o_orderkey": pa.array(okey, type=pa.int64()),
             "c_nationkey": batch.column("c_nationkey"),
@@ -289,7 +268,6 @@ def q_local_supplier_volume_q5(sf_dir: str, n_parts: int | None = None):
             pa.int64()).to_numpy()
         n = len(okey)
         return pa.table({
-            "part": pa.array(_hash_part(okey, P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "o_orderkey": pa.array(okey, type=pa.int64()),
             "c_nationkey": pa.nulls(n, type=pa.int64()),
@@ -302,16 +280,10 @@ def q_local_supplier_volume_q5(sf_dir: str, n_parts: int | None = None):
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     ).map_batches(key_lineitem, batch_format="pyarrow", zero_copy_batch=True)
 
-    pass2 = (
-        coalesce_for_shuffle(
-            li.union(pass1.map_batches(rekey_orders, batch_format="pyarrow",
-                                       zero_copy_batch=True))
-        )
-        .groupby("part")
-        .map_groups(
-            lambda g: _attach_inner(g.drop_columns(["part"]), "o_orderkey"),
-            batch_format="pyarrow",
-        )
+    pass2 = hash_exchange(
+        li.union(pass1.map_batches(rekey_orders, batch_format="pyarrow",
+                                   zero_copy_batch=True)),
+        "o_orderkey", lambda g: _attach_inner(g, "o_orderkey"), n_parts,
     )
 
     # local-supplier filter + bounded groupby: supplier nation == customer

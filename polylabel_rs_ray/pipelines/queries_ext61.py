@@ -25,6 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 
 # Q13's "not like special requests" analogue on this schema.
 Q13_EXCLUDE_PRIORITY = "1-URGENT"
@@ -115,12 +117,8 @@ def q_global_sales_opportunity_q22(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     # pass 0 — global scalar as an exact integer pair (sum_cents, n_pos):
     # a one-row aggregate, then the threshold is the cross-multiply
@@ -159,7 +157,6 @@ def q_global_sales_opportunity_q22(sf_dir: str, n_parts: int | None = None):
         m = cents * n_pos > sum_cents
         n = int(m.sum())
         return pa.table({
-            "part": pa.array(_hash_part(ck[m], P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "c_custkey": pa.array(ck[m], type=pa.int64()),
             "acctbal_cents": pa.array(cents[m], type=pa.int64()),
@@ -175,7 +172,6 @@ def q_global_sales_opportunity_q22(sf_dir: str, n_parts: int | None = None):
         ck = np.unique(recent)
         n = len(ck)
         return pa.table({
-            "part": pa.array(_hash_part(ck, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "c_custkey": pa.array(ck, type=pa.int64()),
             "acctbal_cents": pa.nulls(n, type=pa.int64()),
@@ -190,13 +186,8 @@ def q_global_sales_opportunity_q22(sf_dir: str, n_parts: int | None = None):
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate"]
     ).map_batches(key_orders, batch_format="pyarrow", zero_copy_batch=True)
 
-    lonely = (
-        coalesce_for_shuffle(cu.union(od))
-        .groupby("part")
-        .map_groups(
-            lambda g: _anti_join(g.drop_columns(["part"]), "c_custkey"),
-            batch_format="pyarrow",
-        )
+    lonely = hash_exchange(
+        cu.union(od), "c_custkey", lambda g: _anti_join(g, "c_custkey"), n_parts,
     )
 
     agg = grouped_aggregate(

@@ -26,6 +26,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange, n_partitions
+
 
 Q17_TYPE = "ECONOMY"
 Q18_MIN_QTY = 180
@@ -124,13 +126,11 @@ WHERE CAST(ROUND(l.l_quantity) AS BIGINT) * 5 * st.cnt < st.sum_qty
 
 def q_large_volume_customers_q18(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import hash_grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    from .queries import _hash_part
     from .queries_ext60 import _attach_inner
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
 
     # per-order quantity sums (groups ~ orders -> high-cardinality exchange)
     def qty_cols(batch: pa.Table) -> pa.Table:
@@ -158,7 +158,6 @@ def q_large_volume_customers_q18(sf_dir: str, n_parts: int | None = None):
         okey = batch.column("o_orderkey").to_numpy().astype(np.int64)
         n = len(okey)
         return pa.table({
-            "part": pa.array(_hash_part(okey, P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "o_orderkey": pa.array(okey, type=pa.int64()),
             "total_qty": batch.column("total_qty"),
@@ -171,7 +170,6 @@ def q_large_volume_customers_q18(sf_dir: str, n_parts: int | None = None):
         okey = batch.column("o_orderkey").to_numpy().astype(np.int64)
         n = len(okey)
         return pa.table({
-            "part": pa.array(_hash_part(okey, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "o_orderkey": pa.array(okey, type=pa.int64()),
             "total_qty": pa.nulls(n, type=pa.int64()),
@@ -187,26 +185,17 @@ def q_large_volume_customers_q18(sf_dir: str, n_parts: int | None = None):
         columns=["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"],
     ).map_batches(key_orders, batch_format="pyarrow", zero_copy_batch=True)
 
-    pass1 = (
-        coalesce_for_shuffle(
-            per_order.map_batches(key_sums, batch_format="pyarrow",
-                                  zero_copy_batch=True).union(od)
-        )
-        .groupby("part")
-        .map_groups(
-            lambda g: _attach_inner(g.drop_columns(["part"]), "o_orderkey"),
-            batch_format="pyarrow",
-        )
+    pass1 = hash_exchange(
+        per_order.map_batches(key_sums, batch_format="pyarrow",
+                              zero_copy_batch=True).union(od),
+        "o_orderkey", lambda g: _attach_inner(g, "o_orderkey"), P,
     )
 
     # join-back pass 2 (custkey): x customer for the name
     def rekey_facts(batch: pa.Table) -> pa.Table:
-        ck = batch.column("o_custkey").to_numpy().astype(np.int64)
-        n = len(ck)
+        n = batch.num_rows
         return (
-            batch.append_column("part", pa.array(_hash_part(ck, P),
-                                                 type=pa.int64()))
-            .append_column("__side", pa.array(np.zeros(n, np.int64)))
+            batch.append_column("__side", pa.array(np.zeros(n, np.int64)))
             .append_column("c_name", pa.nulls(n, type=pa.string()))
         )
 
@@ -219,7 +208,6 @@ def q_large_volume_customers_q18(sf_dir: str, n_parts: int | None = None):
             "o_custkey": pa.array(ck, type=pa.int64()),
             "totalprice_cents": pa.nulls(n, type=pa.int64()),
             "order_date_us": pa.nulls(n, type=pa.int64()),
-            "part": pa.array(_hash_part(ck, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "c_name": batch.column("c_name"),
         })
@@ -228,16 +216,10 @@ def q_large_volume_customers_q18(sf_dir: str, n_parts: int | None = None):
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
     ).map_batches(key_cust, batch_format="pyarrow", zero_copy_batch=True)
 
-    pass2 = (
-        coalesce_for_shuffle(
-            pass1.map_batches(rekey_facts, batch_format="pyarrow",
-                              zero_copy_batch=True).union(cu)
-        )
-        .groupby("part")
-        .map_groups(
-            lambda g: _attach_inner(g.drop_columns(["part"]), "o_custkey"),
-            batch_format="pyarrow",
-        )
+    pass2 = hash_exchange(
+        pass1.map_batches(rekey_facts, batch_format="pyarrow",
+                          zero_copy_batch=True).union(cu),
+        "o_custkey", lambda g: _attach_inner(g, "o_custkey"), P,
     )
     return pass2.select_columns(
         ["c_name", "o_custkey", "o_orderkey", "order_date_us",

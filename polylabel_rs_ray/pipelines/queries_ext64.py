@@ -25,6 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 
 Q16_EXCLUDE_BRAND = "Brand#13"
 Q16_SIZES = (1, 5, 10, 15, 20, 25)
@@ -150,13 +152,10 @@ def q_nation_trade_volume_q7(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    from .queries import _hash_part
     from .queries_ext60 import _attach_inner
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
     lo = int(np.datetime64(Q7_LO, "us").astype(np.int64))
     hi = int(np.datetime64(Q7_HI, "us").astype(np.int64))
 
@@ -188,7 +187,6 @@ def q_nation_trade_volume_q7(sf_dir: str, n_parts: int | None = None):
         custk = batch.column("o_custkey").to_numpy().astype(np.int64)
         n = len(okey)
         return pa.table({
-            "part": pa.array(_hash_part(custk, P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "c_custkey": pa.array(custk, type=pa.int64()),
             "o_orderkey": pa.array(okey, type=pa.int64()),
@@ -201,7 +199,6 @@ def q_nation_trade_volume_q7(sf_dir: str, n_parts: int | None = None):
         m = (cnk == key_a) | (cnk == key_b)
         n = int(m.sum())
         return pa.table({
-            "part": pa.array(_hash_part(custk[m], P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "c_custkey": pa.array(custk[m], type=pa.int64()),
             "o_orderkey": pa.nulls(n, type=pa.int64()),
@@ -215,13 +212,8 @@ def q_nation_trade_volume_q7(sf_dir: str, n_parts: int | None = None):
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     ).map_batches(key_cust, batch_format="pyarrow", zero_copy_batch=True)
 
-    pass1 = (
-        coalesce_for_shuffle(od.union(cu))
-        .groupby("part")
-        .map_groups(
-            lambda g: _attach_inner(g.drop_columns(["part"]), "c_custkey"),
-            batch_format="pyarrow",
-        )
+    pass1 = hash_exchange(
+        od.union(cu), "c_custkey", lambda g: _attach_inner(g, "c_custkey"), n_parts,
     )
 
     # pass 2 (orderkey): windowed lineitem x pass1
@@ -229,7 +221,6 @@ def q_nation_trade_volume_q7(sf_dir: str, n_parts: int | None = None):
         okey = batch.column("o_orderkey").to_numpy().astype(np.int64)
         n = len(okey)
         return pa.table({
-            "part": pa.array(_hash_part(okey, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "o_orderkey": pa.array(okey, type=pa.int64()),
             "c_nationkey": batch.column("c_nationkey"),
@@ -251,7 +242,6 @@ def q_nation_trade_volume_q7(sf_dir: str, n_parts: int | None = None):
         suppk = batch.column("l_suppkey").to_numpy().astype(np.int64)[m]
         n = len(okey)
         return pa.table({
-            "part": pa.array(_hash_part(okey, P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "o_orderkey": pa.array(okey, type=pa.int64()),
             "c_nationkey": pa.nulls(n, type=pa.int64()),
@@ -266,16 +256,10 @@ def q_nation_trade_volume_q7(sf_dir: str, n_parts: int | None = None):
                  "l_discount"],
     ).map_batches(key_lineitem, batch_format="pyarrow", zero_copy_batch=True)
 
-    pass2 = (
-        coalesce_for_shuffle(
-            li.union(pass1.map_batches(rekey_orders, batch_format="pyarrow",
-                                       zero_copy_batch=True))
-        )
-        .groupby("part")
-        .map_groups(
-            lambda g: _attach_inner(g.drop_columns(["part"]), "o_orderkey"),
-            batch_format="pyarrow",
-        )
+    pass2 = hash_exchange(
+        li.union(pass1.map_batches(rekey_orders, batch_format="pyarrow",
+                                   zero_copy_batch=True)),
+        "o_orderkey", lambda g: _attach_inner(g, "o_orderkey"), n_parts,
     )
 
     # broadcast supplier nation; keep the two cross directions; bucket year

@@ -24,19 +24,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 
 def q_user_lag1_moments(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "ts_us": pc.cast(batch.column("ts"), pa.int64()),
             "event_id": pc.cast(batch.column("event_id"), pa.int64()),
@@ -77,14 +73,7 @@ def q_user_lag1_moments(sf_dir: str, n_parts: int | None = None):
         columns=["event_id", "ts", "user_id", "value"],
     ).map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
 
-    return (
-        coalesce_for_shuffle(ds)
-        .groupby("part")
-        .map_groups(
-            lambda g: per_partition(g.drop_columns(["part"])),
-            batch_format="pyarrow",
-        )
-    )
+    return hash_exchange(ds, "user_id", per_partition, n_parts)
 
 
 SQL_USER_LAG1_MOMENTS = """

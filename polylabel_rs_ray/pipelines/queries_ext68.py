@@ -25,21 +25,17 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 WINDOW_US = 15 * 60 * 1_000_000  # 15-minute activity window
 
 
 def q_user_activity_coverage(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "s": pc.cast(batch.column("ts"), pa.int64()),
         })
@@ -73,14 +69,7 @@ def q_user_activity_coverage(sf_dir: str, n_parts: int | None = None):
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     ).map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
 
-    return (
-        coalesce_for_shuffle(ds)
-        .groupby("part")
-        .map_groups(
-            lambda g: per_partition(g.drop_columns(["part"])),
-            batch_format="pyarrow",
-        )
-    )
+    return hash_exchange(ds, "user_id", per_partition, n_parts)
 
 
 SQL_USER_ACTIVITY_COVERAGE = f"""

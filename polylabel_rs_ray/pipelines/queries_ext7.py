@@ -24,6 +24,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map
+
 WS_K = 100  # weighted-sample size
 SKETCH_B = 512  # representatives per block
 SKETCH_NBLK = 64  # deterministic blocks: blk = event_id % SKETCH_NBLK
@@ -186,8 +188,6 @@ def q_value_quantile_sketch(sf_dir: str):
     The price is one hash exchange of the (blk, cents) pairs instead of
     the layout-dependent zero-shuffle form; at deployment SKETCH_NBLK
     scales with the corpus so a block still sorts in one task."""
-    from ..stages.util import coalesce_for_shuffle
-
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_id", "value"])
@@ -208,11 +208,10 @@ def q_value_quantile_sketch(sf_dir: str):
         })
 
     merged = (
-        coalesce_for_shuffle(
-            ds.map_batches(key, batch_format="pyarrow", zero_copy_batch=True)
+        group_map(
+            ds.map_batches(key, batch_format="pyarrow", zero_copy_batch=True),
+            "blk", sketch_group,
         )
-        .groupby("blk")
-        .map_groups(sketch_group, batch_format="pyarrow")
         .to_pandas()  # <= SKETCH_NBLK x SKETCH_B rows — bounded
     )
     v = merged["v"].to_numpy()

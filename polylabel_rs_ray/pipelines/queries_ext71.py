@@ -3,7 +3,7 @@ label-placement quality.
 
 ``partition_skew_audit`` — the engine auditing itself: the SAME
 splitmix hash every co-partitioned stage uses (``(u * GOLD) >> 33 %
-P``, queries.py::_hash_part) is replayed over events.user_id, and the
+P``, stages/util.py::hash_part) is replayed over events.user_id, and the
 audit reports per-partition row counts (empty partitions included)
 plus the exact Gini coefficient of the partition loads as the integer
 rational ``(Σ_i Σ_j |x_i - x_j|, 2 P Σx)``.  The SQL oracle replays
@@ -23,6 +23,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_part
+
 GOLD_INT = 0x9E3779B97F4A7C15
 TWO64 = 1 << 64
 AUDIT_P = 32
@@ -31,14 +33,12 @@ AUDIT_P = 32
 def q_partition_skew_audit(sf_dir: str):
     from ..stages.agg import grouped_aggregate
 
-    from .queries import _hash_part
-
     import ray
 
     def keyed(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, AUDIT_P), type=pa.int64()),
+            "part": pa.array(hash_part(uid, AUDIT_P), type=pa.int64()),
         })
 
     hist = grouped_aggregate(

@@ -22,20 +22,17 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 
 def q_type_dwell_times(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "ts_us": pc.cast(batch.column("ts"), pa.int64()),
             "event_id": pc.cast(batch.column("event_id"), pa.int64()),
@@ -72,14 +69,7 @@ def q_type_dwell_times(sf_dir: str, n_parts: int | None = None):
         columns=["event_id", "ts", "user_id", "event_type"],
     ).map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
 
-    seq = (
-        coalesce_for_shuffle(ds)
-        .groupby("part")
-        .map_groups(
-            lambda g: per_partition(g.drop_columns(["part"])),
-            batch_format="pyarrow",
-        )
-    )
+    seq = hash_exchange(ds, "user_id", per_partition, n_parts)
     return grouped_aggregate(
         seq,
         ["event_type"],
@@ -108,13 +98,10 @@ def q_nation_revenue_share(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    from .queries import _hash_part
     from .queries_ext60 import _attach_inner
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet")
     region = pq.read_table(f"{sf_dir}/region.parquet")
@@ -134,7 +121,6 @@ def q_nation_revenue_share(sf_dir: str, n_parts: int | None = None):
             pa.int64())
         n = len(ck)
         return pa.table({
-            "part": pa.array(_hash_part(ck, P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "c_custkey": pa.array(ck, type=pa.int64()),
             "cents": cents,
@@ -145,7 +131,6 @@ def q_nation_revenue_share(sf_dir: str, n_parts: int | None = None):
         ck = batch.column("c_custkey").to_numpy().astype(np.int64)
         n = len(ck)
         return pa.table({
-            "part": pa.array(_hash_part(ck, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "c_custkey": pa.array(ck, type=pa.int64()),
             "cents": pa.nulls(n, type=pa.int64()),
@@ -159,13 +144,8 @@ def q_nation_revenue_share(sf_dir: str, n_parts: int | None = None):
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     ).map_batches(key_cust, batch_format="pyarrow", zero_copy_batch=True)
 
-    joined = (
-        coalesce_for_shuffle(od.union(cu))
-        .groupby("part")
-        .map_groups(
-            lambda g: _attach_inner(g.drop_columns(["part"]), "c_custkey"),
-            batch_format="pyarrow",
-        )
+    joined = hash_exchange(
+        od.union(cu), "c_custkey", lambda g: _attach_inner(g, "c_custkey"), n_parts,
     )
 
     per_nation = grouped_aggregate(

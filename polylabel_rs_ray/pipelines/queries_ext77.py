@@ -24,23 +24,19 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 DAY_US = 86_400_000_000
 BURST_WINDOW_US = 7 * DAY_US
 QI_CHAR_BUCKET = 100
 
 
 def q_order_burst_pairs(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:
         ck = batch.column("o_custkey").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(ck, P), type=pa.int64()),
             "c_custkey": pa.array(ck, type=pa.int64()),
             "t": pc.cast(batch.column("o_orderdate"), pa.int64()),
             "okey": pc.cast(batch.column("o_orderkey"), pa.int64()),
@@ -83,14 +79,7 @@ def q_order_burst_pairs(sf_dir: str, n_parts: int | None = None):
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
     ).map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
 
-    return (
-        coalesce_for_shuffle(ds)
-        .groupby("part")
-        .map_groups(
-            lambda g: per_partition(g.drop_columns(["part"])),
-            batch_format="pyarrow",
-        )
-    )
+    return hash_exchange(ds, "c_custkey", per_partition, n_parts)
 
 
 SQL_ORDER_BURST_PAIRS = f"""

@@ -25,6 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map
+
 RLE_PARTS = 32
 
 
@@ -88,13 +90,12 @@ def q_returnflag_rle_stats(sf_dir: str, n_parts: int | None = None):
             "max_run": pa.array([int(run_lens.max())], type=pa.int64()),
         })
 
-    parts = (
-        ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                              columns=["l_orderkey", "l_linenumber",
-                                       "l_returnflag"])
-        .map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(summarize, batch_format="pyarrow")
+    li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
+                               columns=["l_orderkey", "l_linenumber",
+                                        "l_returnflag"])
+    parts = group_map(
+        li.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        "part", summarize,
     ).to_pandas().sort_values("part")  # P constant-size summaries
 
     import pandas as pd

@@ -26,6 +26,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 MASK63 = (1 << 63) - 1
 RING_SHARDS = 8
 RING_VNODES = 4
@@ -152,17 +154,12 @@ def _sql_consistent_hash_audit() -> str:
 
 def q_varint_size_estimate(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "ts_us": pc.cast(batch.column("ts"), pa.int64()),
             "event_id": pc.cast(batch.column("event_id"), pa.int64()),
@@ -200,12 +197,7 @@ def q_varint_size_estimate(sf_dir: str, n_parts: int | None = None):
     ).map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
 
     agg = grouped_aggregate(
-        coalesce_for_shuffle(ds)
-        .groupby("part")
-        .map_groups(
-            lambda g: per_partition(g.drop_columns(["part"])),
-            batch_format="pyarrow",
-        ),
+        hash_exchange(ds, "user_id", per_partition, n_parts),
         ["k"],
         [("sum", "n_users", "n_users"), ("sum", "n_deltas", "n_deltas"),
          ("sum", "delta_bytes", "delta_bytes")],

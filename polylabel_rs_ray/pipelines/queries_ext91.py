@@ -24,23 +24,21 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 
 def q_nation_rank_concordance(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    from .queries import _hash_part
     from .queries_ext60 import _attach_inner
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     # revenue per nation: orders x customer co-partitioned on custkey
     def key_orders(batch: pa.Table) -> pa.Table:
         ck = batch.column("o_custkey").to_numpy().astype(np.int64)
         n = len(ck)
         return pa.table({
-            "part": pa.array(_hash_part(ck, P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "c_custkey": pa.array(ck, type=pa.int64()),
             "cents": pc.cast(
@@ -53,7 +51,6 @@ def q_nation_rank_concordance(sf_dir: str, n_parts: int | None = None):
         ck = batch.column("c_custkey").to_numpy().astype(np.int64)
         n = len(ck)
         return pa.table({
-            "part": pa.array(_hash_part(ck, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "c_custkey": pa.array(ck, type=pa.int64()),
             "cents": pa.nulls(n, type=pa.int64()),
@@ -67,13 +64,8 @@ def q_nation_rank_concordance(sf_dir: str, n_parts: int | None = None):
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     ).map_batches(key_cust, batch_format="pyarrow", zero_copy_batch=True)
 
-    joined = (
-        coalesce_for_shuffle(od.union(cu))
-        .groupby("part")
-        .map_groups(
-            lambda g: _attach_inner(g.drop_columns(["part"]), "c_custkey"),
-            batch_format="pyarrow",
-        )
+    joined = hash_exchange(
+        od.union(cu), "c_custkey", lambda g: _attach_inner(g, "c_custkey"), n_parts,
     )
     rev = grouped_aggregate(
         joined.select_columns(["c_nationkey", "cents"]),

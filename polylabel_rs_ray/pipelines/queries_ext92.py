@@ -23,18 +23,17 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 RATE_WINDOW_US = 3_600_000_000  # 1 hour
 
 
 def q_order_reconciliation(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    from .queries import _hash_part
     from .queries_ext60 import _attach_inner
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def li_cols(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -56,7 +55,6 @@ def q_order_reconciliation(sf_dir: str, n_parts: int | None = None):
         k = batch.column("o_orderkey").to_numpy().astype(np.int64)
         n = len(k)
         return pa.table({
-            "part": pa.array(_hash_part(k, P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "o_orderkey": pa.array(k, type=pa.int64()),
             "li_cents": batch.column("li_cents"),
@@ -67,7 +65,6 @@ def q_order_reconciliation(sf_dir: str, n_parts: int | None = None):
         k = batch.column("o_orderkey").to_numpy().astype(np.int64)
         n = len(k)
         return pa.table({
-            "part": pa.array(_hash_part(k, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "o_orderkey": pa.array(k, type=pa.int64()),
             "li_cents": pa.nulls(n, type=pa.int64()),
@@ -80,16 +77,10 @@ def q_order_reconciliation(sf_dir: str, n_parts: int | None = None):
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"]
     ).map_batches(key_orders, batch_format="pyarrow", zero_copy_batch=True)
 
-    joined = (
-        coalesce_for_shuffle(
-            per_order.map_batches(key_sums, batch_format="pyarrow",
-                                  zero_copy_batch=True).union(od)
-        )
-        .groupby("part")
-        .map_groups(
-            lambda g: _attach_inner(g.drop_columns(["part"]), "o_orderkey"),
-            batch_format="pyarrow",
-        )
+    joined = hash_exchange(
+        per_order.map_batches(key_sums, batch_format="pyarrow",
+                              zero_copy_batch=True).union(od),
+        "o_orderkey", lambda g: _attach_inner(g, "o_orderkey"), n_parts,
     )
 
     def audit(batch: pa.Table) -> pa.Table:
@@ -148,17 +139,11 @@ FROM j
 
 
 def q_rate_limit_audit(sf_dir: str, n_parts: int | None = None):
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
-
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(uid, P), type=pa.int64()),
             "user_id": pa.array(uid, type=pa.int64()),
             "t": pc.cast(batch.column("ts"), pa.int64()),
         })
@@ -189,14 +174,7 @@ def q_rate_limit_audit(sf_dir: str, n_parts: int | None = None):
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     ).map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
 
-    return (
-        coalesce_for_shuffle(ds)
-        .groupby("part")
-        .map_groups(
-            lambda g: per_partition(g.drop_columns(["part"])),
-            batch_format="pyarrow",
-        )
-    )
+    return hash_exchange(ds, "user_id", per_partition, n_parts)
 
 
 SQL_RATE_LIMIT_AUDIT = f"""

@@ -23,23 +23,20 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 DUP_WINDOW_US = 30 * 86_400_000_000  # 30 days
 LCP_MAX = 16  # ladder depth; vocabulary words are short
 
 
 def q_duplicate_shipment_audit(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
-
-    from .queries import _hash_part
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def keyed(batch: pa.Table) -> pa.Table:
         pk = batch.column("l_partkey").to_numpy().astype(np.int64)
         return pa.table({
-            "part": pa.array(_hash_part(pk, P), type=pa.int64()),
             "pk": pa.array(pk, type=pa.int64()),
             "sk": pc.cast(batch.column("l_suppkey"), pa.int64()),
             "q": pc.cast(pc.round(batch.column("l_quantity")), pa.int64()),
@@ -93,12 +90,7 @@ def q_duplicate_shipment_audit(sf_dir: str, n_parts: int | None = None):
     ).map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
 
     return grouped_aggregate(
-        coalesce_for_shuffle(ds)
-        .groupby("part")
-        .map_groups(
-            lambda g: per_partition(g.drop_columns(["part"])),
-            batch_format="pyarrow",
-        ),
+        hash_exchange(ds, "pk", per_partition, n_parts),
         ["g"],
         [("sum", "n_pairs", "n_pairs"),
          ("sum", "n_parts_affected", "n_parts_affected"),

@@ -26,6 +26,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import group_map, hash_exchange
+
 CV_PARTS = 16
 
 
@@ -66,19 +68,8 @@ def q_part_graph_assortativity(sf_dir: str):
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     )
 
-    def key_by_order(batch: pa.Table) -> pa.Table:
-        from .queries import _hash_part
-
-        k = batch.column("l_orderkey").to_numpy().astype(np.int64)
-        return batch.append_column(
-            "part", pa.array(_hash_part(k, 32), type=pa.int64()))
-
     edges = hash_grouped_aggregate(
-        ds.map_batches(key_by_order, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(lambda g: pairs_per_order(g.drop_columns(["part"])),
-                    batch_format="pyarrow"),
+        hash_exchange(ds, "l_orderkey", pairs_per_order, 32),
         ["a", "b"],
         [("count", None, "_n")],
     ).materialize()  # TWO consumers (deg_tbl + moments): without this the
@@ -206,12 +197,11 @@ def q_interarrival_cv2(sf_dir: str, n_parts: int | None = None):
             "n_events": pa.array(rows["n_events"], type=pa.int64()),
         })
 
-    parts = (
-        ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                              columns=["ts", "event_type"])
-        .map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(summarize, batch_format="pyarrow")
+    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                               columns=["ts", "event_type"])
+    parts = group_map(
+        ev.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        "part", summarize,
     ).to_pandas().sort_values(["event_type", "part"])
 
     import pandas as pd

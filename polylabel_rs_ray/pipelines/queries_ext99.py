@@ -21,25 +21,23 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.util import hash_exchange
+
 DAY_US = 86_400_000_000
 GROWTH_FRACTIONS = ((1, 10), (1, 2), (1, 1))  # 10%, 50%, 100%
 
 
 def q_supplier_leadtime_stats(sf_dir: str, n_parts: int | None = None):
     from ..stages.agg import grouped_aggregate
-    from ..stages.util import coalesce_for_shuffle, shuffle_blocks
 
-    from .queries import _hash_part
     from .queries_ext60 import _attach_inner
 
     import ray
-    P = int(n_parts or min(32, shuffle_blocks()))
 
     def key_li(batch: pa.Table) -> pa.Table:
         k = batch.column("l_orderkey").to_numpy().astype(np.int64)
         n = len(k)
         return pa.table({
-            "part": pa.array(_hash_part(k, P), type=pa.int64()),
             "__side": pa.array(np.zeros(n, np.int64)),
             "o_orderkey": pa.array(k, type=pa.int64()),
             "l_suppkey": pc.cast(batch.column("l_suppkey"), pa.int64()),
@@ -51,7 +49,6 @@ def q_supplier_leadtime_stats(sf_dir: str, n_parts: int | None = None):
         k = batch.column("o_orderkey").to_numpy().astype(np.int64)
         n = len(k)
         return pa.table({
-            "part": pa.array(_hash_part(k, P), type=pa.int64()),
             "__side": pa.array(np.ones(n, np.int64)),
             "o_orderkey": pa.array(k, type=pa.int64()),
             "l_suppkey": pa.nulls(n, type=pa.int64()),
@@ -67,13 +64,8 @@ def q_supplier_leadtime_stats(sf_dir: str, n_parts: int | None = None):
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderdate"]
     ).map_batches(key_orders, batch_format="pyarrow", zero_copy_batch=True)
 
-    joined = (
-        coalesce_for_shuffle(li.union(od))
-        .groupby("part")
-        .map_groups(
-            lambda g: _attach_inner(g.drop_columns(["part"]), "o_orderkey"),
-            batch_format="pyarrow",
-        )
+    joined = hash_exchange(
+        li.union(od), "o_orderkey", lambda g: _attach_inner(g, "o_orderkey"), n_parts,
     )
 
     def leadtime(batch: pa.Table) -> pa.Table:

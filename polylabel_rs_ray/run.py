@@ -8,8 +8,9 @@ chain, ``stages.label.labeled_rows`` over ``sources.docs.range_docs``
 (synthesize -> label -> cell-encode), into a per-partition parquet +
 lineage manifest; the flagship runs the same chain over ``read_docs``.  A
 re-run skips partitions whose manifest matches the input fingerprint.
-Phase 2: tile rendering over the labeled output (the groupby(tile_id)
-shuffle), written beside it.
+Phase 2: tile rendering over exactly this run's partitions (the
+``group_map`` on tile_id), committed beside them like a partition and
+skipped when its manifest matches.
 
 On a multi-node deployment this module is the ``ray job submit`` entry;
 partition count scales with cluster size and doc-id ranges shard the input
@@ -32,18 +33,20 @@ _PKG = os.path.dirname(os.path.abspath(__file__))
 
 @functools.cache
 def code_digest(root: str = _PKG) -> str:
-    """Digest of the source and data under ``root`` (this package) that
-    compute a partition's rows: the kernel and its C search loop, the label
-    and cell stages, and the doc and fixture sources.  Partition
+    """Digest of every source and data file under ``root``'s ``geom/``,
+    ``stages/`` and ``sources/`` (build output and bytecode skipped): the
+    code that computes partition and tile rows.  Partition and tile
     descriptions carry it, so a code change makes every checkpointed
-    partition stale.  Computed once per process."""
+    output stale.  Computed once per process."""
     h = sha256()
-    for rel in ("geom/kernel.py", "geom/polylabel.c", "stages/label.py",
-                "stages/cells.py", "sources/docs.py", "sources/fixtures.py",
-                "sources/fixture_data.npz"):
-        h.update(rel.encode())
-        with open(os.path.join(root, rel), "rb") as f:
-            h.update(f.read())
+    for top in ("geom", "stages", "sources"):
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = sorted(set(dirnames) - {"_build", "__pycache__"})
+            for name in sorted(filenames):
+                path = os.path.join(dirpath, name)
+                h.update(os.path.relpath(path, root).encode())
+                with open(path, "rb") as f:
+                    h.update(f.read())
     return h.hexdigest()[:16]
 
 
@@ -96,21 +99,32 @@ def run(out_dir: str, n_docs: int, n_parts: int, *, tiles: bool = False,
     t0 = time.time()
     summary = run_partitioned(out_dir, parts, run_label_partition)
     summary["label_wall_s"] = time.time() - t0
-
     if tiles:
-        import ray
+        summary["tiles_skipped"] = run_tiles(out_dir, parts)
+        summary["tiles_dir"] = os.path.join(out_dir, "tiles", "data")
+    return write_summary(out_dir, n_parts, summary)
 
-        from .stages.tiles import render_tiles
 
-        ds = ray.data.read_parquet(
-            [os.path.join(out_dir, d, "data.parquet") for d in sorted(os.listdir(out_dir))
-             if d.startswith("part-")],
-            columns=["tile_id", "label_x", "label_y"],
-        )
-        tile_out = os.path.join(out_dir, "tiles")
-        render_tiles(ds).write_parquet(tile_out)
-        summary["tiles_dir"] = tile_out
-    return write_summary(out_dir, summary)
+def run_tiles(out_dir: str, parts: list[dict]) -> bool:
+    """Render the tiles of exactly this run's partitions into
+    ``out_dir/tiles``, committed like a partition.  Its fingerprint covers
+    the partitions' fingerprints and ``code_digest()``; returns True when a
+    complete matching output was already there and nothing ran."""
+    import ray
+
+    from .stages.tiles import render_tiles
+    from .state.manifest import commit_dir, input_fingerprint, partition_dir
+
+    desc = {"kind": "tiles", "code": code_digest(),
+            "partitions": [input_fingerprint(d) for d in parts]}
+    files = [os.path.join(partition_dir(out_dir, i), "data.parquet")
+             for i in range(len(parts))]
+
+    def write(tmp: str) -> None:
+        ds = ray.data.read_parquet(files, columns=["tile_id", "label_x", "label_y"])
+        render_tiles(ds).write_parquet(tmp)
+
+    return commit_dir(os.path.join(out_dir, "tiles"), desc, write)
 
 
 def main() -> None:

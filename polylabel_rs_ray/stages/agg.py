@@ -20,6 +20,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .util import coalesce_for_shuffle, group_map, n_partitions
+
 _PARTIAL_FUNCS = {"sum": "sum", "count": "count", "min": "min", "max": "max"}
 
 
@@ -82,11 +84,7 @@ def grouped_aggregate(ds, keys: list[str], specs: list[tuple],
             cols[name] = out.column(field.name)
         return pa.table(cols)
 
-    from .util import coalesce_for_shuffle
-
-    partial = coalesce_for_shuffle(
-        ds.map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    partial = ds.map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
 
     if high_cardinality:
         final_func = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
@@ -104,7 +102,7 @@ def grouped_aggregate(ds, keys: list[str], specs: list[tuple],
                 final_aggs.append(Min(name, alias_name=name))
             elif func == "max":
                 final_aggs.append(Max(name, alias_name=name))
-        reduced = partial.groupby(keys).aggregate(*final_aggs)
+        reduced = coalesce_for_shuffle(partial).groupby(keys).aggregate(*final_aggs)
 
     def finalize(batch: pa.Table) -> pa.Table:
         cols = {k: batch.column(k) for k in keys}
@@ -153,9 +151,7 @@ def _hash_exchange(ds, keys: list[str], aggs: list[tuple],
     ``cast_to`` unless it is None."""
     import numpy as np
 
-    from .util import coalesce_for_shuffle, shuffle_blocks
-
-    P = int(n_parts or min(32, shuffle_blocks()))
+    P = n_partitions(n_parts)
     agg_spec = [(col, func) for col, func, _alias, _cast in aggs]
 
     def add_part(batch: pa.Table) -> pa.Table:
@@ -170,13 +166,8 @@ def _hash_exchange(ds, keys: list[str], aggs: list[tuple],
             cols[alias] = c if cast_to is None else pc.cast(c, cast_to)
         return pa.table(cols)
 
-    return (
-        coalesce_for_shuffle(
-            ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("__gpart")
-        .map_groups(agg_partition, batch_format="pyarrow")
-    )
+    tagged = ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
+    return group_map(tagged, "__gpart", agg_partition)
 
 
 def hash_grouped_aggregate(ds, keys: list[str], specs: list[tuple],

@@ -32,6 +32,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .util import hash_exchange
+
 ORDERS_BROADCAST_MAX_ROWS = 5_000_000
 FACT_BROADCAST_MAX_ROWS = 5_000_000
 
@@ -65,9 +67,6 @@ def attach_fact_value(
     (a discovered domain), never fact-scaled.
     """
     import pyarrow.parquet as pq
-
-    from ..stages.util import coalesce_for_shuffle
-    from ..pipelines.queries import _hash_part
 
     import ray
     path = f"{sf_dir}/{side_table}.parquet"
@@ -130,7 +129,6 @@ def attach_fact_value(
     def key_fact(batch: pa.Table) -> pa.Table:
         fk = batch.column("key").to_numpy().astype(np.int64)
         cols = {
-            "part": pa.array(_hash_part(fk, P), type=pa.int64()),
             "__side": pa.array(np.zeros(len(fk), np.int64)),
             "key": pa.array(fk, type=pa.int64()),
             out_col: pa.nulls(len(fk), pa.int64()),
@@ -142,7 +140,6 @@ def attach_fact_value(
     def key_side(batch: pa.Table) -> pa.Table:
         sk = batch.column(side_key).to_numpy().astype(np.int64)
         cols = {
-            "part": pa.array(_hash_part(sk, P), type=pa.int64()),
             "__side": pa.array(np.ones(len(sk), np.int64)),
             "key": pa.array(sk, type=pa.int64()),
             out_col: pa.array(derive(batch), type=pa.int64()),
@@ -177,12 +174,7 @@ def attach_fact_value(
             cols[name] = fact_tbl.column(name)
         return pa.table(cols)
 
-    return (
-        coalesce_for_shuffle(fact.union(sd))
-        .groupby("part")
-        .map_groups(lambda g: join_group(g.drop_columns(["part"])),
-                    batch_format="pyarrow")
-    )
+    return hash_exchange(fact.union(sd), "key", join_group, P)
 
 
 def attach_order_custkey(

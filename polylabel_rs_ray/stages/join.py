@@ -32,6 +32,7 @@ import pyarrow as pa
 from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES, WORLD_MIN, WORLD_SIZE
 from ..geom.kernel import pack_polygons, signed_distance
 from .cells import cover_bbox, decode_cells, encode_cells, grid_coords
+from .util import group_map
 
 N_ZONES = 40
 
@@ -202,10 +203,7 @@ def copartitioned_zone_join(points_ds, cell_res: int = DEFAULT_CELL_RES,
         cols["zone_id"] = pa.array(zz[hit], type=pa.int64())
         return pa.table(cols)
 
-    from .util import coalesce_for_shuffle
-
-    both = coalesce_for_shuffle(pts.union(zones_ds))
-    return both.groupby("cell_id").map_groups(join_cell, batch_format="pyarrow")
+    return group_map(pts.union(zones_ds), "cell_id", join_cell)
 
 
 class KnnTiles:

@@ -74,6 +74,12 @@ class MediaFeaturizer:
             raise ValueError(decode)
         self.decode = decode
         self.extra_decoders = list(extra_decoders or [])
+        for magic, _fn in self.extra_decoders:
+            # b"" would match every payload and shadow the builtins; a
+            # non-bytes magic would never match
+            if not isinstance(magic, bytes) or not magic:
+                raise ValueError(
+                    f"extra decoder magic must be non-empty bytes, got {magic!r}")
         if decode == "real":
             from ..functions.codecs import synth_media
 

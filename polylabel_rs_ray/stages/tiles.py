@@ -2,7 +2,7 @@
 (clipped zone geometry + points) payloads.
 
 This is the wide stage: rows are grouped by ``tile_id``
-(``ds.groupby("tile_id").map_groups(...)`` — the one all-to-all shuffle in
+(``group_map(ds, "tile_id", ...)`` — the one all-to-all shuffle in
 the flagship pipeline) and each group renders independently.  A tile row
 carries every point of its tile, so a hot tile is listed and sorted in one
 place whichever way the rows reach it; splitting it over sub-groups and
@@ -21,7 +21,7 @@ import pyarrow as pa
 
 from .cells import cell_bounds
 from .join import zone_table
-from .util import coalesce_for_shuffle
+from .util import group_map
 
 
 class TileRenderer:
@@ -77,6 +77,4 @@ def render_tiles(ds, raster_px: int = 64):
     def render_tile_group(group: pa.Table) -> pa.Table:
         return renderer(group)
 
-    return coalesce_for_shuffle(ds).groupby("tile_id").map_groups(
-        render_tile_group, batch_format="pyarrow"
-    )
+    return group_map(ds, "tile_id", render_tile_group)

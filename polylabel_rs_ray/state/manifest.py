@@ -10,7 +10,10 @@ lineage + metrics".  Output layout:
                            wall_s, written_at_unix, schema}
       part-00001/
         ...
-      _RUN_SUMMARY.json   aggregated metrics (written by the driver side)
+      tiles/              optional tile output (``commit_dir``)
+        data/             Ray's parquet files
+        MANIFEST.json     {input_fingerprint, input, data_file, files, ...}
+      _RUN_SUMMARY.json   this run's partitions, aggregated
 
 A restart calls ``pending_partitions`` first and processes only partitions
 whose manifest is missing or whose input fingerprint changed — each
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 from hashlib import sha256
 
@@ -46,15 +50,26 @@ def manifest_path(out_dir: str, idx: int) -> str:
     return os.path.join(partition_dir(out_dir, idx), MANIFEST_NAME)
 
 
-def is_complete(out_dir: str, idx: int, fingerprint: str) -> bool:
+def _write_json(path: str, obj: dict, **kw) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        json.dump(obj, f, **kw)
+    os.replace(tmp, path)
+
+
+def _is_committed(unit_dir: str, fingerprint: str) -> bool:
     try:
-        with open(manifest_path(out_dir, idx)) as f:
+        with open(os.path.join(unit_dir, MANIFEST_NAME)) as f:
             m = json.load(f)
         return m.get("input_fingerprint") == fingerprint and os.path.exists(
-            os.path.join(partition_dir(out_dir, idx), m["data_file"])
+            os.path.join(unit_dir, m["data_file"])
         )
     except (FileNotFoundError, json.JSONDecodeError, KeyError):
         return False
+
+
+def is_complete(out_dir: str, idx: int, fingerprint: str) -> bool:
+    return _is_committed(partition_dir(out_dir, idx), fingerprint)
 
 
 def pending_partitions(out_dir: str, parts: list[dict]) -> list[int]:
@@ -91,30 +106,51 @@ def write_partition(
         "schema": [f"{f.name}:{f.type}" for f in table.schema],
         "metrics": metrics or {},
     }
-    tmp = manifest_path(out_dir, idx) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, manifest_path(out_dir, idx))
+    _write_json(manifest_path(out_dir, idx), manifest)
     return manifest
 
 
-def write_summary(out_dir: str, extra: dict | None = None) -> dict:
-    """Aggregate every partition manifest into the run summary."""
-    parts = []
-    for name in sorted(os.listdir(out_dir)):
-        mp = os.path.join(out_dir, name, MANIFEST_NAME)
-        if os.path.exists(mp):
-            with open(mp) as f:
-                parts.append(json.load(f))
+def commit_dir(unit_dir: str, desc: dict, write_fn) -> bool:
+    """Commit a multi-file output the way a partition is committed, as
+    ``unit_dir/{data/, MANIFEST.json}``: ``write_fn(data_dir)`` writes into
+    a temp dir, the dir is renamed into place, and the manifest is written
+    last, so a crash at any point leaves nothing that reads as complete.
+    Returns True, writing nothing, when ``unit_dir`` is already complete
+    for ``desc``."""
+    fp = input_fingerprint(desc)
+    if _is_committed(unit_dir, fp):
+        return True
+    tmp = unit_dir + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    write_fn(os.path.join(tmp, "data"))
+    shutil.rmtree(unit_dir, ignore_errors=True)
+    os.rename(tmp, unit_dir)
+    _write_json(os.path.join(unit_dir, MANIFEST_NAME), {
+        "input_fingerprint": fp,
+        "input": desc,
+        "data_file": "data",
+        "files": sorted(os.listdir(os.path.join(unit_dir, "data"))),
+        "written_at_unix": time.time(),
+    })
+    return False
+
+
+def write_summary(out_dir: str, n_parts: int, extra: dict | None = None) -> dict:
+    """Aggregate the manifests of exactly this run's partitions, indices
+    ``0 .. n_parts - 1``, into the run summary; partitions a different run
+    left behind in ``out_dir`` are not counted."""
+    manifests = []
+    for i in range(n_parts):
+        with open(manifest_path(out_dir, i)) as f:
+            manifests.append(json.load(f))
     summary = {
-        "partitions": len(parts),
-        "rows": sum(p["rows"] for p in parts),
-        "bytes": sum(p["bytes"] for p in parts),
-        "wall_s_total": sum(p["wall_s"] for p in parts),
+        "partitions": len(manifests),
+        "rows": sum(m["rows"] for m in manifests),
+        "bytes": sum(m["bytes"] for m in manifests),
+        "wall_s_total": sum(m["wall_s"] for m in manifests),
         **(extra or {}),
     }
-    with open(os.path.join(out_dir, SUMMARY_NAME), "w") as f:
-        json.dump(summary, f, indent=1)
+    _write_json(os.path.join(out_dir, SUMMARY_NAME), summary, indent=1)
     return summary
 
 
@@ -128,4 +164,5 @@ def run_partitioned(out_dir: str, parts: list[dict], run_one) -> dict:
         t0 = time.time()
         table = run_one(parts[i])
         write_partition(out_dir, i, table, parts[i], time.time() - t0)
-    return write_summary(out_dir, {"resumed_skipped": len(parts) - len(pending)})
+    return write_summary(out_dir, len(parts),
+                         {"resumed_skipped": len(parts) - len(pending)})

@@ -242,3 +242,20 @@ def test_decoder_swap_seam(ray_session):
     ppm = np.asarray(
         f2(_span_batch("image", ["media://5/1"])).column("features").to_pylist())
     assert ppm[0, 0] == 1.0  # the PPM branch's kind tag
+
+
+def test_decoder_magic_must_be_nonempty_bytes():
+    """An empty magic would match every payload and shadow the builtin
+    codecs; a non-bytes magic would never match.  Both are rejected when
+    the stage is built, not discovered from wrong features later."""
+    import pytest
+
+    from polylabel_rs_ray.stages.media import MediaFeaturizer
+
+    def decode(data):
+        return np.zeros(1)
+
+    for magic in (b"", "\xff\xd8\xff", None):
+        with pytest.raises(ValueError):
+            MediaFeaturizer(decode="real", extra_decoders=[(magic, decode)])
+    MediaFeaturizer(decode="real", extra_decoders=[(b"\xff\xd8\xff", decode)])

@@ -47,14 +47,14 @@ def test_skew_audit_mass_and_gini_range(ray_session, con):
 
 
 def test_sql_hash_replay_matches_engine_hash():
-    """The HUGEINT SQL expression reproduces _hash_part bit-for-bit."""
-    from polylabel_rs_ray.pipelines.queries import _hash_part
+    """The HUGEINT SQL expression reproduces hash_part bit-for-bit."""
+    from polylabel_rs_ray.stages.util import hash_part
     from polylabel_rs_ray.pipelines.queries_ext71 import (
         AUDIT_P, GOLD_INT, TWO64,
     )
 
     ids = np.array([0, 1, 7, 123456, 999999937], dtype=np.int64)
-    eng = _hash_part(ids, AUDIT_P)
+    eng = hash_part(ids, AUDIT_P)
     con = duckdb.connect()
     sql = con.execute(
         f"SELECT CAST(((CAST(i AS HUGEINT) * {GOLD_INT}) % {TWO64})"

@@ -140,12 +140,24 @@ def test_f32_api_dtype_roundtrip():
 def test_labeled_checkpoint_fingerprint_invalidation(tmp_path, monkeypatch):
     """Checkpoint lineage: same source -> same path; touched source
     (mtime change) or new code (``run.code_digest()``) -> different path
-    (stale checkpoint never reused)."""
+    (stale checkpoint never reused), and publishing the new one deletes
+    the stale tree."""
     import os
     import shutil
+    import tempfile
 
     from polylabel_rs_ray import run
-    from polylabel_rs_ray.pipelines.queries import _labeled_checkpoint_dir
+    from polylabel_rs_ray.pipelines.queries import (
+        _labeled_checkpoint_dir,
+        _publish_checkpoint,
+    )
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    os.makedirs(tempfile.tempdir)
+
+    def publish(ckpt):
+        _publish_checkpoint(ckpt, lambda tmp: os.makedirs(tmp))
+        assert os.path.isdir(ckpt)
 
     src = tmp_path / "documents.parquet"
     shutil.copy("/root/testdata/sf0.001/documents.parquet", src)
@@ -155,8 +167,12 @@ def test_labeled_checkpoint_fingerprint_invalidation(tmp_path, monkeypatch):
     os.utime(src, (1_700_000_000, 1_700_000_000))
     p3 = _labeled_checkpoint_dir(str(tmp_path))
     assert p3 != p1
+    publish(p3)
     monkeypatch.setattr(run, "code_digest", lambda: "0" * 16)
-    assert _labeled_checkpoint_dir(str(tmp_path)) != p3
+    p4 = _labeled_checkpoint_dir(str(tmp_path))
+    assert p4 != p3
+    publish(p4)
+    assert not os.path.exists(os.path.dirname(p3))  # stale tree deleted
 
 
 def test_read_table_format_fallbacks(ray_session, tmp_path):

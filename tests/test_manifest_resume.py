@@ -172,28 +172,66 @@ def test_code_digest_change_makes_every_partition_stale(tmp_path, monkeypatch):
     assert pending_partitions(out, changed) == [0, 1, 2, 3]
 
 
-def _copy_digest_inputs(src_root, dst_root, c_suffix=b""):
+def _copy_digest_inputs(src_root, dst_root, edit="geom/polylabel.c", suffix=b""):
     import shutil
 
-    for rel in ("geom/kernel.py", "geom/polylabel.c", "stages/label.py",
-                "stages/cells.py", "sources/docs.py", "sources/fixtures.py",
-                "sources/fixture_data.npz"):
-        os.makedirs(os.path.join(dst_root, os.path.dirname(rel)), exist_ok=True)
-        shutil.copyfile(os.path.join(src_root, rel), os.path.join(dst_root, rel))
-    with open(os.path.join(dst_root, "geom/polylabel.c"), "ab") as f:
-        f.write(c_suffix)
+    for top in ("geom", "stages", "sources"):
+        shutil.copytree(os.path.join(src_root, top), os.path.join(dst_root, top),
+                        ignore=shutil.ignore_patterns("_build", "__pycache__"))
+    with open(os.path.join(dst_root, edit), "ab") as f:
+        f.write(suffix)
 
 
 def test_code_digest_covers_the_c_source(tmp_path):
     """Changing only the compiled kernel's source changes the digest, so
-    checkpoints written by the old search are re-run."""
+    checkpoints written by the old search are re-run; so does an edit to
+    ``stages/tiles.py``, so committed tiles are rendered again."""
     from polylabel_rs_ray import run as run_mod
 
     same, edited = str(tmp_path / "same"), str(tmp_path / "edited")
+    tiles = str(tmp_path / "tiles")
     _copy_digest_inputs(run_mod._PKG, same)
-    _copy_digest_inputs(run_mod._PKG, edited, c_suffix=b"/* edited */\n")
+    _copy_digest_inputs(run_mod._PKG, edited, suffix=b"/* edited */\n")
+    _copy_digest_inputs(run_mod._PKG, tiles, "stages/tiles.py", b"# edited\n")
     assert run_mod.code_digest(same) == run_mod.code_digest()
     assert run_mod.code_digest(edited) != run_mod.code_digest()
+    assert run_mod.code_digest(tiles) != run_mod.code_digest()
+
+
+def _tile_counts(summary):
+    """(rows, distinct tile ids, points) of a run's tile output."""
+    t = pq.read_table(summary["tiles_dir"])
+    return (t.num_rows, len(set(t.column("tile_id").to_pylist())),
+            int(t.column("n_points").to_pandas().sum()))
+
+
+def test_rerun_keeps_one_copy_of_the_tiles(ray_session, tmp_path):
+    """A second run into the same output dir finds the tiles committed for
+    the same partitions and code and leaves them alone: one row per tile,
+    every point once."""
+    from polylabel_rs_ray.run import run
+
+    out = str(tmp_path / "rerun")
+    first = run(out, n_docs=180, n_parts=2, tiles=True)
+    again = run(out, n_docs=180, n_parts=2, tiles=True)
+    rows, ids, points = _tile_counts(again)
+    assert rows == ids and points == 180
+    assert _tile_counts(first) == (rows, ids, points)
+    assert again["tiles_skipped"] is True
+
+
+def test_stale_partitions_are_not_counted(ray_session, tmp_path):
+    """A run with fewer partitions than an earlier run into the same dir
+    sums and renders exactly its own partitions, not the leftovers."""
+    from polylabel_rs_ray.run import run
+
+    out = str(tmp_path / "shrink")
+    run(out, n_docs=180, n_parts=4)
+    s = run(out, n_docs=180, n_parts=2, tiles=True)
+    assert (s["partitions"], s["rows"]) == (2, 180)
+    with open(os.path.join(out, "_RUN_SUMMARY.json")) as f:
+        assert json.load(f)["rows"] == 180
+    assert _tile_counts(s)[2] == 180
 
 
 def test_partition_leaves_global_data_context(ray_session, monkeypatch):
