@@ -79,16 +79,6 @@ def minhash_signature(sh: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return v.min(axis=1).astype(np.uint32)
 
 
-def band_hashes(sig: np.ndarray) -> np.ndarray:
-    """(LSH_BANDS,) int64 bucket keys: band index mixed with the band rows."""
-    rows = sig.reshape(LSH_BANDS, LSH_ROWS).astype(np.uint64)
-    h = np.uint64(1469598103934665603)
-    for r in range(LSH_ROWS):
-        h = (h ^ rows[:, r]) * np.uint64(1099511628211)
-    band_idx = np.arange(LSH_BANDS, dtype=np.uint64)
-    return ((h ^ (band_idx << np.uint64(56))) >> np.uint64(1)).astype(np.int64)
-
-
 def jaccard(sh_a: np.ndarray, sh_b: np.ndarray) -> float:
     sa, sb = set(sh_a.tolist()), set(sh_b.tolist())
     if not sa and not sb:
@@ -149,8 +139,8 @@ class MinHasher:
 
 
 def band_hashes_batch(sigs: np.ndarray) -> np.ndarray:
-    """(n, LSH_BANDS) int64 bucket keys for a batch of signatures —
-    vectorized form of ``band_hashes`` (identical values)."""
+    """(n, LSH_BANDS) int64 bucket keys for a batch of signatures: each
+    band index mixed with its band's rows."""
     rows = sigs.reshape(len(sigs), LSH_BANDS, LSH_ROWS).astype(np.uint64)
     h = np.full((len(sigs), LSH_BANDS), np.uint64(1469598103934665603), dtype=np.uint64)
     for r in range(LSH_ROWS):
@@ -176,11 +166,6 @@ def _tok8_array(tokens: list[str]) -> np.ndarray:
             th[t] = h
         out[i] = h
     return out
-
-
-def simhash64(text: str) -> int:
-    """64-bit SimHash over whitespace tokens (md5 token hashes)."""
-    return int(simhash64_batch([text])[0])
 
 
 def simhash64_batch(texts: list[str | None]) -> np.ndarray:

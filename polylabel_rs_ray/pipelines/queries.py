@@ -670,7 +670,6 @@ def _sql_render_tiles() -> str:
 def q_pricing_summary(sf_dir: str):
     """Groupby-aggregate with map-side-friendly exact arithmetic (cents)."""
     import ray
-    from ray.data.aggregate import Count, Mean, Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -767,7 +766,6 @@ SQL_CUSTOMERS_PER_NATION = """
 
 def q_events_by_type(sf_dir: str):
     import ray
-    from ray.data.aggregate import Count, Sum
 
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
 
@@ -828,7 +826,6 @@ def md5_batch(texts: pa.ChunkedArray | pa.Array) -> pa.Array:
 def q_exact_dedup(sf_dir: str):
     """Exact dedup: content-hash partition, keep first doc per hash."""
     import ray
-    from ray.data.aggregate import Count, Min
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -845,7 +842,6 @@ def q_exact_dedup(sf_dir: str):
         ds.map_batches(hash_stage, batch_format="pyarrow", zero_copy_batch=True),
         ["text_hash"],
         [("min", "doc_id", "keep_doc_id"), ("count", None, "dup_count")],
-        high_cardinality=True,
     )
 
 
@@ -859,7 +855,6 @@ SQL_EXACT_DEDUP = """
 
 def q_lang_counts(sf_dir: str):
     import ray
-    from ray.data.aggregate import Count, Sum
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"])
     from ..stages.agg import grouped_aggregate
@@ -1177,7 +1172,6 @@ def q_orders_without_lineitems(sf_dir: str):
         orders.union(lines),
         ["o_orderkey"],
         [("max", "is_order", "has_order"), ("max", "is_line", "has_line")],
-        high_cardinality=True,  # order keys are ~unique
     )
 
     def anti(batch: pa.Table) -> pa.Table:
@@ -2688,7 +2682,6 @@ def q_canonical_docs(sf_dir: str):
         ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True),
         ["text_hash"],
         [("max", "key", "best_key"), ("count", None, "dup_count")],
-        high_cardinality=True,  # content hashes are ~unique
     )
 
     def unpack(batch: pa.Table) -> pa.Table:
@@ -2976,7 +2969,6 @@ def q_distinct_users_per_type(sf_dir: str):
     )
     level1 = grouped_aggregate(
         ds, ["event_type", "user_id"], [("count", None, "n")],
-        high_cardinality=True,  # pair keys ~ rows
     )
     return grouped_aggregate(
         level1, ["event_type"],
@@ -3610,14 +3602,10 @@ def q_part_pair_counts(sf_dir: str, n_parts: int | None = None):
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     ).map_batches(to_parts, batch_format="pyarrow", zero_copy_batch=True)
     pairs = hash_exchange(ds, "okey", pairs_in_partition, n_parts)
-    # pair keys are ~unique (groups ~ rows): the hash-partitioned aggregate
-    # (one Arrow C++ group_by per partition) replaces the native sort-based
-    # aggregate, which is pathological at this cardinality (18 s -> ~1 s at
-    # sf0.1; see stages/agg.py::hash_grouped_aggregate)
-    from ..stages.agg import hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
-    return hash_grouped_aggregate(pairs, ["part_a", "part_b"],
-                                  [("sum", "n_pairs", "n_pairs")])
+    return grouped_aggregate(pairs, ["part_a", "part_b"],
+                             [("sum", "n_pairs", "n_pairs")])
 
 
 SQL_PART_PAIR_COUNTS = """
@@ -3659,7 +3647,6 @@ def q_conversion_funnel(sf_dir: str):
         ["user_id"],
         [("min", "t_view", "tv"), ("min", "t_click", "tc"),
          ("min", "t_purchase", "tp")],
-        high_cardinality=True,  # one group per user
     )
 
     def count_partial(batch: pa.Table) -> pa.Table:
@@ -3969,8 +3956,7 @@ def q_event_types_per_user(sf_dir: str, n_parts: int | None = None):
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
     )
     pairs = grouped_aggregate(ds, ["user_id", "event_type"],
-                              [("count", None, "_n")],
-                              high_cardinality=True)
+                              [("count", None, "_n")])
 
     def join_types(group: pa.Table) -> pa.Table:
         uid = group.column("user_id").to_numpy().astype(np.int64)

@@ -43,7 +43,7 @@ Q12_BUCKET_2 = 90
 def q_returned_item_revenue_q10(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
     lo_us, hi_us = _ts_us(Q10_LO), _ts_us(Q10_HI)
@@ -120,7 +120,7 @@ def q_returned_item_revenue_q10(sf_dir: str, n_parts: int | None = None):
                  "l_discount"],
     ).map_batches(key_lineitem, batch_format="pyarrow", zero_copy_batch=True)
 
-    per_cust = hash_grouped_aggregate(
+    per_cust = grouped_aggregate(
         hash_exchange(li.union(od), "o_orderkey", cust_revenue, n_parts),
         ["c_custkey"], [("sum", "revenue_micro", "revenue_micro")],
     )

@@ -37,7 +37,7 @@ TRIPLE_SHIFT = 21  # partkey < 2^21 per packed component (documented bound)
 
 
 def q_basket_triple_support(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
 
@@ -83,7 +83,7 @@ def q_basket_triple_support(sf_dir: str, n_parts: int | None = None):
     ).map_batches(distinct_pairs, batch_format="pyarrow",
                   zero_copy_batch=True)
 
-    supports = hash_grouped_aggregate(
+    supports = grouped_aggregate(
         hash_exchange(ds, "l_orderkey", triples, n_parts),
         ["triple"], [("sum", "one", "support")],
     )  # ~unique triple keys -> integer hash exchange
@@ -128,7 +128,7 @@ FROM s GROUP BY support ORDER BY support
 
 
 def q_customer_order_gini(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
 
@@ -140,7 +140,7 @@ def q_customer_order_gini(sf_dir: str, n_parts: int | None = None):
             "n": pa.array(c.astype(np.int64), type=pa.int64()),
         })
 
-    counts = hash_grouped_aggregate(
+    counts = grouped_aggregate(
         ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                               columns=["o_custkey"])
         .map_batches(cust_partial, batch_format="pyarrow",

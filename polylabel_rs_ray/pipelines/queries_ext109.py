@@ -46,7 +46,7 @@ PACK_SHIFT = 20  # suppkey < 2^20; cents < 2^43 (documented bounds)
 def q_cheapest_supplier_q2(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
 
@@ -105,7 +105,7 @@ def q_cheapest_supplier_q2(sf_dir: str, n_parts: int | None = None):
             "packed": g.column("packed_min"),
         })
 
-    best = hash_grouped_aggregate(
+    best = grouped_aggregate(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_partkey", "l_suppkey", "l_extendedprice"],

@@ -109,7 +109,6 @@ def q_trigram_novelty(sf_dir: str, n_parts: int | None = None):
         ["doc_id"],
         [("sum", "n_shingles", "n_shingles"),
          ("sum", "n_unique", "n_unique")],
-        high_cardinality=True,
     )
 
     def finish(batch: pa.Table) -> pa.Table:

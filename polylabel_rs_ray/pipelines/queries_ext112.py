@@ -44,7 +44,7 @@ DAY_US = 86_400_000_000
 
 
 def q_peak_concurrency(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
     P = n_partitions(n_parts)
@@ -66,7 +66,7 @@ def q_peak_concurrency(sf_dir: str, n_parts: int | None = None):
             "s": g.column("s_min"), "e": g.column("e_max"),
         })
 
-    intervals = hash_grouped_aggregate(
+    intervals = grouped_aggregate(
         ray.data.read_parquet(f"{sf_dir}/events.parquet",
                               columns=["ts", "user_id"])
         .map_batches(interval_partials, batch_format="pyarrow",

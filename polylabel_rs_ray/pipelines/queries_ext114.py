@@ -149,7 +149,7 @@ _KEY_COMBOS = [
 
 
 def q_candidate_key_audit(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
 
@@ -175,7 +175,7 @@ def q_candidate_key_audit(sf_dir: str, n_parts: int | None = None):
     rows = {"combo": [], "n_rows": [], "n_distinct": [], "max_mult": [],
             "is_key": []}
     for name, cols, _sql in _KEY_COMBOS:
-        groups = hash_grouped_aggregate(
+        groups = grouped_aggregate(
             base.select_columns(cols + ["one"]), cols,
             [("sum", "one", "mult")], n_parts=n_parts)
 

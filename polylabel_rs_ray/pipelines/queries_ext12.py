@@ -45,7 +45,6 @@ def q_sliding_window_users(sf_dir: str):
         ds.map_batches(fanout, batch_format="pyarrow", zero_copy_batch=True),
         ["ws_us", "user_id"],
         [("count", None, "_n")],
-        high_cardinality=True,  # (window, user) pairs ~ fanned-out rows
     )
     return grouped_aggregate(pairs, ["ws_us"], [("count", None, "n_users")])
 
@@ -63,8 +62,7 @@ def q_inverted_index(sf_dir: str, n_parts: int | None = None):
     """ONE hash exchange on mix(word) % P: every copy of a word lands in
     the same partition, so global pair dedup + posting assembly happen
     there (the old shape paid a second shuffle for a ~unique-key pair
-    aggregate first — the pathological case hash_grouped_aggregate exists
-    for).  The map side dedupes (word, doc) per block (Arrow C++
+    aggregate first).  The map side dedupes (word, doc) per block (Arrow C++
     group_by), the reduce side dedupes across blocks, sorts once, and
     joins each word's postings with one ``binary_join`` over a ListArray
     view — no per-word Python anywhere."""

@@ -62,9 +62,7 @@ def q_customer_parttype_hhi(
     join_mode: str | None = None,
     part_mode: str | None = None,
 ):
-    from ..stages.agg import (
-        distinct_values, grouped_aggregate, hash_grouped_aggregate,
-    )
+    from ..stages.agg import distinct_values, grouped_aggregate
     from ..stages.factjoin import attach_fact_value, attach_order_custkey
 
     import ray
@@ -100,7 +98,7 @@ def q_customer_parttype_hhi(
         return batch.append_column(
             "one", pa.array(np.ones(batch.num_rows, dtype=np.int64)))
 
-    ct = hash_grouped_aggregate(
+    ct = grouped_aggregate(
         joined.map_batches(ones, batch_format="pyarrow", zero_copy_batch=True),
         ["c", "t"], [("sum", "one", "n")],
     )
@@ -114,14 +112,12 @@ def q_customer_parttype_hhi(
             "n_types": pa.array(np.ones(len(n), dtype=np.int64)),
         })
 
-    # customer-grain final fold (~150k keys at sf1): hash-exchange
-    # aggregate, not the native sort-aggregate (groups ~ rows here)
+    # customer-grain final fold (~150k keys at sf1)
     return grouped_aggregate(
         ct.map_batches(fold, batch_format="pyarrow", zero_copy_batch=True),
         ["c_custkey"],
         [("sum", "n_items", "n_items"), ("sum", "sumsq", "sumsq"),
          ("sum", "n_types", "n_types")],
-        high_cardinality=True,
     )
 
 

@@ -116,7 +116,6 @@ def q_orders_above_cust_avg(sf_dir: str, n_parts: int | None = None):
         keyed,
         ["o_custkey"],
         [("sum", "price_cents", "sum_cents"), ("count", None, "n_orders")],
-        high_cardinality=True,  # one group per customer
     )
 
     def tag(side: int):

@@ -180,13 +180,10 @@ def q_customer_region_coverage(
             "one": pa.array(np.ones(out.num_rows, dtype=np.int64)),
         })
 
-    # customer-grain keys (~150k x 5 at sf1): groups ~ rows after the
-    # map-side combine, so take the hash-exchange aggregate — the native
-    # sort-aggregate measured ~10 s/task here (505 s remote total at sf1)
+    # customer-grain keys (~150k x 5 at sf1)
     cr = grouped_aggregate(
         joined.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True),
         ["c", "r"], [("count", None, "n")],
-        high_cardinality=True,
     )
 
     n_regions_total = len(set(rk.tolist()))
@@ -203,7 +200,6 @@ def q_customer_region_coverage(
         cr.map_batches(mask, batch_format="pyarrow", zero_copy_batch=True),
         ["c_custkey"],
         [("sum", "bit", "region_mask"), ("sum", "one", "n_regions")],
-        high_cardinality=True,
     )
 
     def finish(batch: pa.Table) -> pa.Table:

@@ -211,7 +211,6 @@ def q_customer_priority_drift(sf_dir: str):
         ds.map_batches(pack, batch_format="pyarrow", zero_copy_batch=True),
         ["c_custkey"],
         [("min", "packed", "first_p"), ("max", "packed", "last_p")],
-        high_cardinality=True,  # customer-grain keys: groups ~ rows here
     )
 
     pri_arr = pa.array(pri, type=pa.string())

@@ -45,7 +45,7 @@ QQ_DECILES = tuple(range(1, 10))
 
 
 def q_source_dedup_stats(sf_dir: str):
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",

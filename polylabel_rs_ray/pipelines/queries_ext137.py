@@ -6,8 +6,7 @@ integer rationals: ``vwap_num = Σ round(price·100)·qty`` and
 ``vwap_den = Σ qty`` (quantities are integral doubles; the division
 never happens engine-side, the repo's rational-output discipline for
 cross-engine float safety), plus the lineitem count.  One integer-key
-hash exchange (``hash_grouped_aggregate`` — partkey is ~unique-scale,
-the pathological case for sort-based aggregation).
+hash exchange (``grouped_aggregate``).
 
 ``linenumber_density_audit`` — the data-quality contract "line
 numbers within an order are dense 1..n": per order, n_lines vs
@@ -36,7 +35,7 @@ import pyarrow.compute as pc
 
 
 def q_part_vwap(sf_dir: str):
-    from ..stages.agg import hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(
@@ -55,7 +54,7 @@ def q_part_vwap(sf_dir: str):
             "one": pa.array(np.ones(len(qty), dtype=np.int64)),
         })
 
-    return hash_grouped_aggregate(
+    return grouped_aggregate(
         ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True),
         ["p_partkey"],
         [("sum", "vwap_num", "vwap_num"), ("sum", "vwap_den", "vwap_den"),
@@ -79,7 +78,7 @@ FROM lineitem GROUP BY l_partkey
 
 
 def q_linenumber_density_audit(sf_dir: str):
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
@@ -94,7 +93,7 @@ def q_linenumber_density_audit(sf_dir: str):
             "one": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
         })
 
-    per_order = hash_grouped_aggregate(
+    per_order = grouped_aggregate(
         ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True),
         ["k"],
         [("max", "ln_max", "ln_max"), ("min", "ln_min", "ln_min"),

@@ -39,7 +39,7 @@ ACTIVITY_EDGES = (1, 4, 9, 19)    # bucket = #edges strictly below count
 def _user_rollup(sf_dir: str):
     """Per-user (first_day, last_day, n_events, n_weekend) via one
     user-key hash aggregate."""
-    from ..stages.agg import hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -58,7 +58,7 @@ def _user_rollup(sf_dir: str):
             "wk": pa.array(wk, type=pa.int64()),
         })
 
-    return hash_grouped_aggregate(
+    return grouped_aggregate(
         ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True),
         ["k"],
         [("min", "first_day", "first_day"), ("max", "last_day", "last_day"),

@@ -135,7 +135,7 @@ def _sql_rotation_symmetry_audit() -> str:
 
 
 def q_wow_retention(sf_dir: str):
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -174,7 +174,7 @@ def q_wow_retention(sf_dir: str):
         })
 
     # distinct (user, bit) across blocks, then Σ bits == the OR mask
-    ub = hash_grouped_aggregate(
+    ub = grouped_aggregate(
         ds.map_batches(masks, batch_format="pyarrow", zero_copy_batch=True)
           .map_batches(lambda t: pa.table({
               "k": t.column("k"), "mask": t.column("mask"),
@@ -189,7 +189,7 @@ def q_wow_retention(sf_dir: str):
             "mask": batch.column("mask"),
         })
 
-    per_user = hash_grouped_aggregate(
+    per_user = grouped_aggregate(
         ub.map_batches(fold, batch_format="pyarrow", zero_copy_batch=True),
         ["k"], [("sum", "mask", "mask")],
     )

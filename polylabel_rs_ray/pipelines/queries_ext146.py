@@ -121,7 +121,7 @@ FROM g
 
 
 def q_dup_group_size_histogram(sf_dir: str):
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -139,7 +139,7 @@ def q_dup_group_size_histogram(sf_dir: str):
             "n": pc.cast(out.column("h_count"), pa.int64()),
         })
 
-    per_fp = hash_grouped_aggregate(
+    per_fp = grouped_aggregate(
         ds.map_batches(fingerprint, batch_format="pyarrow",
                        zero_copy_batch=True),
         ["h"], [("sum", "n", "n")],

@@ -156,8 +156,6 @@ def q_p90_order_exemplar(sf_dir: str):
     hist = grouped_aggregate(
         ds.map_batches(cents, batch_format="pyarrow", zero_copy_batch=True),
         ["c"], [("sum", "n", "n")],
-        high_cardinality=True,  # cent prices are near-unique per order —
-        # groups ~ rows, the native sort-aggregate's pathological case
     ).to_pandas().sort_values("c")  # bounded by the distinct price domain
 
     c = hist["c"].to_numpy().astype(np.int64)

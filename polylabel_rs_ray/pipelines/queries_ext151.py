@@ -78,7 +78,6 @@ def q_prefix_dup_token_savings(sf_dir: str):
         ["pfx"],
         [("sum", "one", "n_docs"), ("sum", "tok", "sum_tok"),
          ("min", "packed", "min_packed")],
-        high_cardinality=True,
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -158,7 +157,6 @@ def q_halflife_activity_score(sf_dir: str):
         ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True),
         ["user_id"],
         [("count", None, "n_events"), ("sum", "s", "score_scaled")],
-        high_cardinality=True,
     )
 
 

@@ -47,7 +47,7 @@ ACF_LAGS = (1, 2, 3, 4, 5, 6, 7)
 
 
 def q_local_clustering_coeff(sf_dir: str):
-    from ..stages.agg import hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
     from .queries import q_part_pair_counts
 
     import ray
@@ -62,7 +62,7 @@ def q_local_clustering_coeff(sf_dir: str):
             "one": pa.array(np.ones(len(a) + len(b), dtype=np.int64)),
         })
 
-    deg = hash_grouped_aggregate(
+    deg = grouped_aggregate(
         edges.map_batches(endpoints, batch_format="pyarrow",
                           zero_copy_batch=True),
         ["part_key"], [("sum", "one", "deg")],
@@ -107,7 +107,7 @@ def q_local_clustering_coeff(sf_dir: str):
             "n": pa.array(cnt, type=pa.int64()),
         })
 
-    tri = hash_grouped_aggregate(
+    tri = grouped_aggregate(
         edges.map_batches(closure, batch_format="pyarrow",
                           zero_copy_batch=True),
         ["part_key"], [("sum", "n", "n_tri")],

@@ -221,7 +221,7 @@ FROM ({finals})
 
 
 def q_order_cohort_ltv(sf_dir: str):
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
     path = f"{sf_dir}/orders.parquet"
@@ -242,7 +242,7 @@ def q_order_cohort_ltv(sf_dir: str):
 
     om = ds.map_batches(months, batch_format="pyarrow", zero_copy_batch=True)
 
-    coh = hash_grouped_aggregate(
+    coh = grouped_aggregate(
         om.select_columns(["custkey", "m"]),
         ["custkey"], [("min", "m", "cm")],
     ).to_pandas().sort_values("custkey")  # small side; broadcast below

@@ -131,7 +131,6 @@ def q_phrase_screen_counts(sf_dir: str):
         ds.map_batches(screen, batch_format="pyarrow", zero_copy_batch=True),
         ["pattern"],
         [("sum", "n_docs", "n_docs"), ("sum", "total_hits", "total_hits")],
-        high_cardinality=False,
     )
 
 

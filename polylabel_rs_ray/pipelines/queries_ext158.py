@@ -173,7 +173,6 @@ def q_rrf_fusion(sf_dir: str):
     agg = grouped_aggregate(
         ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
         ["p"], [("sum", "rev", "rev"), ("sum", "qty", "qty")],
-        high_cardinality=True,
     ).to_pandas()  # bounded: part dimension
 
     p = agg["p"].to_numpy().astype(np.int64)

@@ -61,7 +61,6 @@ def q_table_profile(sf_dir: str):
         ds.map_batches(melt, batch_format="pyarrow", zero_copy_batch=True),
         ["col_id", "value"],
         [("count", None, "_n")],
-        high_cardinality=True,  # (column, value) pairs ~ distinct values
     )
     ndv = grouped_aggregate(pairs, ["col_id"], [("count", None, "n_distinct")]).to_pandas()
     ndv_map = dict(zip(ndv["col_id"], ndv["n_distinct"]))

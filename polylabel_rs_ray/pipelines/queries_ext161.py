@@ -206,7 +206,6 @@ def q_vocab_set_cover(sf_dir: str):
             path, columns=["doc_id", "text", "n_chars"]).map_batches(
             masks, batch_format="pyarrow", zero_copy_batch=True),
         ["mask"], [("min", "doc_id", "doc_id")],
-        high_cardinality=True,
     ).to_pandas()
 
     mask_arr = dm["mask"].to_numpy().astype(np.int64)

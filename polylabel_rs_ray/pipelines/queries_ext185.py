@@ -155,7 +155,6 @@ def q_user_h_index(sf_dir: str, n_parts: int | None = None):
             columns=["user_id", "ts"]).map_batches(
             prep, batch_format="pyarrow", zero_copy_batch=True),
         ["user_id", "day"], [("sum", "one", "n")],
-        high_cardinality=True,
     )
 
     def per_part(group: pa.Table) -> pa.Table:

@@ -43,7 +43,7 @@ ABC_A_NUM, ABC_B_NUM, ABC_DEN = 7, 9, 10
 
 
 def q_abc_classification(sf_dir: str):
-    from ..stages.agg import hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
 
@@ -56,7 +56,7 @@ def q_abc_classification(sf_dir: str):
             "cents": cents,
         })
 
-    per_part = hash_grouped_aggregate(
+    per_part = grouped_aggregate(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_partkey", "l_extendedprice"]).map_batches(

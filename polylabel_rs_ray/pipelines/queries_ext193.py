@@ -42,7 +42,7 @@ import pyarrow.compute as pc
 
 
 def q_bipartite_joint_degrees(sf_dir: str):
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
 
@@ -52,7 +52,7 @@ def q_bipartite_joint_degrees(sf_dir: str):
             "supp_key": batch.column("l_suppkey"),
         })
 
-    edges = hash_grouped_aggregate(
+    edges = grouped_aggregate(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_partkey", "l_suppkey"]).map_batches(
@@ -72,7 +72,6 @@ def q_bipartite_joint_degrees(sf_dir: str):
         edges.map_batches(endpoints, batch_format="pyarrow",
                           zero_copy_batch=True),
         ["part_key"], [("sum", "one", "deg")],
-        high_cardinality=True,  # part-domain keys: groups ~ rows here
     ).to_pandas()  # bounded: part domain
 
     def sendpoints(batch: pa.Table) -> pa.Table:

@@ -751,7 +751,6 @@ def q_user_hour_gapfill(sf_dir: str, n_parts: int | None = None):
         ds.map_batches(hours, batch_format="pyarrow", zero_copy_batch=True),
         ["user_id", "hr"],
         [("count", None, "n")],
-        high_cardinality=True,  # (user, hour) pairs ~ rows
     )
 
     def gapfill(group: pa.Table) -> pa.Table:

@@ -47,7 +47,6 @@ def q_rare_token_stats(sf_dir: str):
         ds.map_batches(tok_counts, batch_format="pyarrow", zero_copy_batch=True),
         ["word"],
         [("sum", "n", "n")],
-        high_cardinality=True,
     )
 
     # common vocabulary: freq >= T.  |common| <= total_tokens / T by

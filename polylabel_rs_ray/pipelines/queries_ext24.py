@@ -15,8 +15,7 @@ unbounded duplicated-trigram set):
 2. exchange 1 on the trigram hash: every copy of a trigram lands in one
    partition, so doc frequency (distinct docs per trigram) is exact
    there; each partition emits per-doc partials (n_tri, n_dup).
-3. exchange 2: a high-cardinality per-doc sum of the partials (doc keys
-   ~ rows — the hash exchange, not the native sort aggregate).
+3. exchange 2: a per-doc ``grouped_aggregate`` sum of the partials.
 
 The fraction is the double division of the two exact integers — the
 oracle performs the identical division, so values hash-equal.
@@ -106,7 +105,6 @@ def q_cross_doc_ngram_dup(sf_dir: str, n_parts: int | None = None):
         partials,
         ["doc_id"],
         [("sum", "n_tri", "n_tri"), ("sum", "n_dup", "n_dup")],
-        high_cardinality=True,  # doc keys ~ rows
     )
 
     def finalize(batch: pa.Table) -> pa.Table:

@@ -1,6 +1,5 @@
-"""Round-3 extension operators, batch 25: BM25 term scoring, SemDeDup-style
-semantic dedup over clustered embeddings, and a multi-resolution tile
-pyramid rollup.
+"""Round-3 extension operators, batch 25: BM25 term scoring and
+SemDeDup-style semantic dedup over clustered embeddings.
 
 ``bm25_top_terms`` — Okapi BM25 (rational-idf variant, no transcendental
 ops so the DuckDB oracle replays the arithmetic bit-exactly): per-doc
@@ -18,17 +17,6 @@ k-means/IVF assignment, cf. functions/sim.py::ivf_topk).  Scale shape:
 the SemDeDup design constraint (clusters are SIZE-CAPPED by the
 clustering step; for uncapped corpora the LSH-banded ``embedding_near_dup``
 is the scale path).  No broadcast, no driver materialization.
-
-``tile_pyramid`` — label-point counts at every zoom level from
-DEFAULT_TILE_RES up to PYRAMID_MIN_RES (the slippy-map/S2 rollup every
-tile server precomputes).  ONE pass, ONE exchange: each doc emits its
-(res, ancestor_tile) chain — morton parents are bit-shifts
-(stages/cells.py::cell_parent) — and the map-side combine collapses the
-4 rows/doc to <= 4 * n_tiles rows per block before the single
-(res, tile_id) groupby.  No per-level rescan, no driver rollup.  Not
-registered: the ``tile_pyramid`` name is ``queries.q_tile_pyramid`` (three
-levels), which always shadowed this one; only tests/test_ext25_ops.py
-calls it.
 """
 
 from __future__ import annotations
@@ -45,8 +33,6 @@ BM25_DF_MIN = 5  # vocabulary floor: term must appear in >= BM25_DF_MIN docs
 BM25_K = 3  # top terms kept per document
 
 SEMDEDUP_TAU = 0.30  # cosine threshold (data margin >= 8.6e-6 at sf<=0.1)
-
-PYRAMID_MIN_RES = 2  # rollup DEFAULT_TILE_RES..PYRAMID_MIN_RES inclusive
 
 
 # --------------------------------------------------------------------------
@@ -261,66 +247,6 @@ SQL_SEMANTIC_DEDUP = f"""
            CAST(COALESCE(p.dup_of, -1) AS BIGINT) AS dup_of
     FROM e LEFT JOIN pairs p ON e.vec_id = p.vid
 """
-
-
-# --------------------------------------------------------------------------
-# tile pyramid rollup
-# --------------------------------------------------------------------------
-
-
-def q_tile_pyramid(sf_dir: str):
-    from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
-    from ..stages.agg import grouped_aggregate
-    from ..stages.cells import append_cell_columns, cell_parent
-    from .queries import _dyadic_labeled
-
-    n_levels = DEFAULT_TILE_RES - PYRAMID_MIN_RES + 1
-
-    def explode_pyramid(batch: pa.Table) -> pa.Table:
-        enc = append_cell_columns(
-            batch, cell_res=DEFAULT_CELL_RES, tile_res=DEFAULT_TILE_RES
-        )
-        tid = enc.column("tile_id").to_numpy()
-        n = len(tid)
-        res_col = np.repeat(
-            np.arange(DEFAULT_TILE_RES, PYRAMID_MIN_RES - 1, -1, dtype=np.int64), n
-        )
-        tiles = np.concatenate(
-            [cell_parent(tid, r)
-             for r in range(DEFAULT_TILE_RES, PYRAMID_MIN_RES - 1, -1)]
-        ) if n else np.empty(0, dtype=np.int64)
-        if n == 0:
-            res_col = np.empty(0, dtype=np.int64)
-        return pa.table({
-            "res": pa.array(res_col, type=pa.int64()),
-            "tile_id": pa.array(tiles, type=pa.int64()),
-        })
-
-    ds = _dyadic_labeled(sf_dir).map_batches(
-        explode_pyramid, batch_format="pyarrow", zero_copy_batch=True
-    )
-    # one exchange; map-side combine collapses each block to <= n_levels *
-    # n_tiles rows first, so the 4-rows-per-doc fanout never leaves a worker
-    assert n_levels >= 1
-    return grouped_aggregate(
-        ds, ["res", "tile_id"], [("count", None, "n_points")]
-    )
-
-
-def _sql_tile_pyramid() -> str:
-    from ..config import DEFAULT_TILE_RES
-    from ..stages.cells import sql_cell_id_expr
-    from .queries import _sql_dyadic_labels_cte
-
-    parts = []
-    for res in range(DEFAULT_TILE_RES, PYRAMID_MIN_RES - 1, -1):
-        tile = sql_cell_id_expr("label_x", "label_y", res)
-        parts.append(
-            f"SELECT CAST({res} AS BIGINT) AS res, {tile} AS tile_id, "
-            f"CAST(COUNT(*) AS BIGINT) AS n_points FROM labels GROUP BY 2"
-        )
-    body = " UNION ALL ".join(parts)
-    return f"WITH labels AS ({_sql_dyadic_labels_cte()}) {body}"
 
 
 def build_queries_ext25() -> dict:

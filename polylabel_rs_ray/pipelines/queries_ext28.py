@@ -40,7 +40,7 @@ from ..stages.util import n_partitions
 
 
 def q_triangle_parts(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
     from .queries import q_part_pair_counts
 
     import ray
@@ -130,7 +130,7 @@ def q_triangle_parts(sf_dir: str, n_parts: int | None = None):
     partials = ds.map_batches(
         count_wedges, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
-    return hash_grouped_aggregate(partials, ["part_key"], [("sum", "n", "n_tri")])
+    return grouped_aggregate(partials, ["part_key"], [("sum", "n", "n_tri")])
 
 
 SQL_TRIANGLE_PARTS = """

@@ -58,7 +58,7 @@ def _word_freq_table(sf_dir: str):
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
     return grouped_aggregate(
-        partials, ["word"], [("sum", "cnt", "cnt")], high_cardinality=True
+        partials, ["word"], [("sum", "cnt", "cnt")]
     )
 
 
@@ -119,7 +119,7 @@ def _best_pair(word_table) -> tuple[str, int] | None:
         _pair_partials, batch_format="pyarrow", zero_copy_batch=True
     )
     counts = grouped_aggregate(
-        pairs, ["pair"], [("sum", "w", "w")], high_cardinality=True
+        pairs, ["pair"], [("sum", "w", "w")]
     )
 
     def block_top(batch: pa.Table) -> pa.Table:

@@ -268,13 +268,10 @@ def q_jaccard_join_exact(
         "part", lambda gr: bucket_pairs(gr.drop_columns(["part"])),
     )
 
-    # global pair dedup (pair keys are ~unique -> the high-cardinality hash
-    # exchange; the native sort-aggregate measured 71 s of remote time
-    # here), merged into a few blocks so the broadcast verify pays the
+    # global pair dedup, merged into a few blocks so the broadcast verify pays the
     # corpus deserialize once per task, not once per micro-block
     cands = grouped_aggregate(
         cands, ["doc_a", "doc_b"], [("count", None, "_n")],
-        high_cardinality=True,
     ).select_columns(["doc_a", "doc_b"]).repartition(4)
 
     # exact verify: the corpus-size-gated stage shared with minhash —

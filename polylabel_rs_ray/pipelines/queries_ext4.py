@@ -315,10 +315,8 @@ def q_cohort_retention(sf_dir: str, n_parts: int | None = None):
 
     daily = ds.map_batches(days, batch_format="pyarrow", zero_copy_batch=True)
     # distinct (user, day) pairs — one per user-active-day
-    active = grouped_aggregate(daily, ["user_id", "day"], [("count", None, "__n")],
-                               high_cardinality=True)
-    cohort = grouped_aggregate(daily, ["user_id"], [("min", "day", "cohort_day")],
-                               high_cardinality=True)
+    active = grouped_aggregate(daily, ["user_id", "day"], [("count", None, "__n")])
+    cohort = grouped_aggregate(daily, ["user_id"], [("min", "day", "cohort_day")])
 
     def tag(side: int):
         def f(batch: pa.Table) -> pa.Table:

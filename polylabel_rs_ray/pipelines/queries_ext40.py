@@ -67,7 +67,7 @@ def _word_counts(sf_dir: str):
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
     return grouped_aggregate(
-        partials, ["word"], [("sum", "cnt", "cnt")], high_cardinality=True
+        partials, ["word"], [("sum", "cnt", "cnt")]
     )
 
 

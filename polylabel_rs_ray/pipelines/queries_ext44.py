@@ -76,7 +76,6 @@ def q_part_pair_lift(sf_dir: str, n_parts: int | None = None):
     # (both are row counters — safe under any block slicing)
     pc_counts = grouped_aggregate(
         baskets, ["pkey"], [("count", None, "c")],
-        high_cardinality=True,  # part-domain keys: groups ~ rows here
     ).to_pandas()  # bounded: one row per part
     part_c = dict(zip(pc_counts["pkey"].astype(int), pc_counts["c"].astype(int)))
     n_baskets = int(
@@ -131,7 +130,6 @@ def q_part_pair_lift(sf_dir: str, n_parts: int | None = None):
     pairs = grouped_aggregate(
         hash_exchange(parted, "okey", pairs_in_partition, n_parts),
         ["part_a", "part_b"], [("sum", "cab", "cab")],
-        high_cardinality=True,
     )
 
     def block_top(batch: pa.Table) -> pa.Table:

@@ -73,7 +73,6 @@ def q_user_rfm_segments(sf_dir: str):
         ["user_id"],
         [("max", "last_tu", "last_tu"), ("sum", "n", "n"),
          ("sum", "spend", "spend")],
-        high_cardinality=True,
     ).materialize()  # two consumers: cohort sizes + the labeled output
 
     def segment(batch: pa.Table) -> pa.Table:

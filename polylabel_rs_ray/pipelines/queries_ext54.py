@@ -41,7 +41,6 @@ def q_degree_histogram(sf_dir: str):
         edges.map_batches(endpoints, batch_format="pyarrow",
                           zero_copy_batch=True),
         ["node"], [("sum", "one", "degree")],
-        high_cardinality=True,  # part-domain keys: groups ~ rows here
     )  # bounded: one row per part
 
     def to_hist(batch: pa.Table) -> pa.Table:
@@ -104,7 +103,7 @@ def q_top_terms_per_lang(sf_dir: str):
 
     counts = grouped_aggregate(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["lang", "word"], [("sum", "n", "n")], high_cardinality=True,
+        ["lang", "word"], [("sum", "n", "n")],
     )
 
     def block_top(batch: pa.Table) -> pa.Table:

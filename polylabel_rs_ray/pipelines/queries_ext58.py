@@ -62,7 +62,7 @@ def q_ab_test_purchase_rates(sf_dir: str):
 
     users = grouped_aggregate(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["user_id"], [("max", "conv", "conv")], high_cardinality=True,
+        ["user_id"], [("max", "conv", "conv")],
     )
 
     def arm_rollup(batch: pa.Table) -> pa.Table:

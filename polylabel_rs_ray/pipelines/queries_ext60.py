@@ -8,8 +8,7 @@ The canonical "both join sides are filtered facts" shape: the
 customer side reduces to a broadcast key SET (a semi-join filter — the
 same small-side-keys-only trade the bloom join makes), while
 orders x lineitem is fact x fact and goes through ONE co-partitioned
-hash exchange on orderkey.  The per-order aggregate keys are ~unique,
-so the final combine uses ``hash_grouped_aggregate``.
+hash exchange on orderkey, then the per-order ``grouped_aggregate``.
 
 ``local_supplier_volume_q5`` — the Q5 star: region -> nation ->
 supplier broadcast dims, customer attached through a co-partitioned
@@ -83,7 +82,7 @@ def _attach_inner(group: pa.Table, key: str) -> pa.Table:
 
 def q_shipping_priority_q3(sf_dir: str, n_parts: int | None = None,
                            join_mode: str | None = None):
-    from ..stages.agg import hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
     from ..stages.factjoin import attach_fact_value
 
     import ray
@@ -153,7 +152,7 @@ def q_shipping_priority_q3(sf_dir: str, n_parts: int | None = None,
         li.union(od), "o_orderkey", lambda g: _attach_inner(g, "o_orderkey"), P,
     )
 
-    per_order = hash_grouped_aggregate(
+    per_order = grouped_aggregate(
         joined,
         ["o_orderkey"],
         [("sum", "revenue_micro", "revenue_micro"),

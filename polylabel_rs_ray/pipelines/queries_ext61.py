@@ -37,7 +37,7 @@ Q22_CUTOFF = "2000-01-01"
 def q_customer_order_distribution_q13(sf_dir: str):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
     total_customers = pq.read_metadata(f"{sf_dir}/customer.parquet").num_rows
@@ -54,7 +54,7 @@ def q_customer_order_distribution_q13(sf_dir: str):
                                  pa.int64()),
         })
 
-    per_cust = hash_grouped_aggregate(
+    per_cust = grouped_aggregate(
         ds.map_batches(filt, batch_format="pyarrow", zero_copy_batch=True),
         ["c_custkey"],
         [("count", None, "c_count")],

@@ -125,7 +125,7 @@ WHERE CAST(ROUND(l.l_quantity) AS BIGINT) * 5 * st.cnt < st.sum_qty
 
 
 def q_large_volume_customers_q18(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     from .queries_ext60 import _attach_inner
 
@@ -144,7 +144,7 @@ def q_large_volume_customers_q18(sf_dir: str, n_parts: int | None = None):
         return batch.filter(pc.greater(batch.column("total_qty"),
                                        Q18_MIN_QTY))
 
-    per_order = hash_grouped_aggregate(
+    per_order = grouped_aggregate(
         ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                               columns=["l_orderkey", "l_quantity"])
         .map_batches(qty_cols, batch_format="pyarrow", zero_copy_batch=True),

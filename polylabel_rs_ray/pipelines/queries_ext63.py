@@ -56,12 +56,10 @@ def _rev_partial(key_src: str, key_out: str):
 
 
 def q_important_parts_q11(sf_dir: str):
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
-    # part keys are dim-bounded but still ~20k groups at sf0.1 — the hash
-    # exchange beats the native sort-aggregate well before groups ~ rows
-    per_part = hash_grouped_aggregate(
+    per_part = grouped_aggregate(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_partkey", "l_extendedprice", "l_discount"],

@@ -41,7 +41,7 @@ _YEAR_ANCHORS_US = None
 def q_parts_supplier_counts_q16(sf_dir: str):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
 
@@ -77,7 +77,7 @@ def q_parts_supplier_counts_q16(sf_dir: str):
             "l_suppkey": pa.array(sk[keep], type=pa.int64()),
         })
 
-    pairs = hash_grouped_aggregate(
+    pairs = grouped_aggregate(
         ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                               columns=["l_partkey", "l_suppkey"])
         .map_batches(pair_cols, batch_format="pyarrow", zero_copy_batch=True),
@@ -106,7 +106,7 @@ def q_parts_supplier_counts_q16(sf_dir: str):
             "l_suppkey": batch.column("l_suppkey"),
         })
 
-    class_supp = hash_grouped_aggregate(
+    class_supp = grouped_aggregate(
         pairs.map_batches(attach_class, batch_format="pyarrow",
                           zero_copy_batch=True),
         ["class_id", "l_suppkey"],

@@ -29,9 +29,7 @@ TILE_SIDE = 32.0
 
 
 def q_typeset_containment_pairs(sf_dir: str):
-    from ..stages.agg import (
-        distinct_values, grouped_aggregate, hash_grouped_aggregate,
-    )
+    from ..stages.agg import distinct_values, grouped_aggregate
 
     import ray
 
@@ -55,14 +53,14 @@ def q_typeset_containment_pairs(sf_dir: str):
 
     # OR-fold via sum-of-distinct-bits: dedup (ud, single-bit mask) rows,
     # then SUM per ud == bitwise OR exactly (each bit appears once)
-    dedup = hash_grouped_aggregate(
+    dedup = grouped_aggregate(
         ray.data.read_parquet(f"{sf_dir}/events.parquet",
                               columns=["user_id", "ts", "event_type"])
         .map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
         ["ud", "mask"],
         [("count", None, "_n")],
     )
-    per_ud = hash_grouped_aggregate(
+    per_ud = grouped_aggregate(
         dedup.select_columns(["ud", "mask"]),
         ["ud"],
         [("sum", "mask", "mask")],  # distinct single-bit rows -> OR == sum

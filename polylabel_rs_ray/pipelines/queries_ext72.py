@@ -33,9 +33,7 @@ TWO64 = 1 << 64
 
 
 def q_audience_overlap_matrix(sf_dir: str):
-    from ..stages.agg import (
-        distinct_values, grouped_aggregate, hash_grouped_aggregate,
-    )
+    from ..stages.agg import distinct_values, grouped_aggregate
 
     import ray
     # distributed distinct — never a driver column scan of the fact table
@@ -52,14 +50,14 @@ def q_audience_overlap_matrix(sf_dir: str):
             "mask": pa.array(bits, type=pa.int64()),
         })
 
-    dedup = hash_grouped_aggregate(
+    dedup = grouped_aggregate(
         ray.data.read_parquet(f"{sf_dir}/events.parquet",
                               columns=["user_id", "event_type"])
         .map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
         ["user_id", "mask"],
         [("count", None, "_n")],
     )
-    per_user = hash_grouped_aggregate(
+    per_user = grouped_aggregate(
         dedup.select_columns(["user_id", "mask"]),
         ["user_id"],
         [("sum", "mask", "mask")],  # distinct single-bit rows -> OR == sum
@@ -158,9 +156,7 @@ def q_bloom_fp_audit(sf_dir: str):
     # exact truth: distinct lineitem orderkeys (referential: all are
     # orders) — per-block uniques can overlap across blocks, so the global
     # distinct goes through the int-key hash exchange
-    from ..stages.agg import hash_grouped_aggregate
-
-    n_with_exact = hash_grouped_aggregate(
+    n_with_exact = grouped_aggregate(
         build_ds, ["k"], [("count", None, "_n")],
     ).count()
 

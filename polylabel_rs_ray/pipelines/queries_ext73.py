@@ -167,7 +167,7 @@ def _sql_bounding_circle_stats() -> str:
 
 
 def q_cumulative_unique_users(sf_dir: str):
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
 
@@ -179,7 +179,7 @@ def q_cumulative_unique_users(sf_dir: str):
             "day": pa.array(day, type=pa.int64()),
         })
 
-    first_seen = hash_grouped_aggregate(
+    first_seen = grouped_aggregate(
         ray.data.read_parquet(f"{sf_dir}/events.parquet",
                               columns=["user_id", "ts"])
         .map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),

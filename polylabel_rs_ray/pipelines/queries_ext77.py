@@ -102,9 +102,7 @@ FROM pairs GROUP BY o_custkey
 
 
 def q_l_diversity_audit(sf_dir: str):
-    from ..stages.agg import (
-        distinct_values, grouped_aggregate, hash_grouped_aggregate,
-    )
+    from ..stages.agg import distinct_values, grouped_aggregate
 
     import ray
 
@@ -132,7 +130,7 @@ def q_l_diversity_audit(sf_dir: str):
 
     # distinct (class, source) via the int hash exchange, then per-class
     # distinct-source counts; class sizes fold separately
-    dedup = hash_grouped_aggregate(
+    dedup = grouped_aggregate(
         ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                               columns=["lang", "source", "n_chars"])
         .map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),

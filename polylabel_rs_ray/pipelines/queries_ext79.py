@@ -40,7 +40,7 @@ HILBERT_CELL = 8.0
 
 
 def q_kmv_distinct_sketch(sf_dir: str):
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
 
@@ -74,7 +74,7 @@ def q_kmv_distinct_sketch(sf_dir: str):
                            type=pa.int64()),
         })
 
-    n_exact = hash_grouped_aggregate(
+    n_exact = grouped_aggregate(
         ray.data.read_parquet(f"{sf_dir}/events.parquet",
                               columns=["user_id", "ts"])
         .map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),

@@ -92,9 +92,9 @@ def q_consistent_hash_audit(sf_dir: str):
         uid = np.unique(batch.column("user_id").to_numpy().astype(np.int64))
         return pa.table({"user_id": pa.array(uid, type=pa.int64())})
 
-    from ..stages.agg import hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
-    users = hash_grouped_aggregate(
+    users = grouped_aggregate(
         ray.data.read_parquet(f"{sf_dir}/events.parquet",
                               columns=["user_id"])
         .map_batches(distinct_users, batch_format="pyarrow",

@@ -96,7 +96,7 @@ def _sql_fk_orphan_audit() -> str:
 
 
 def q_pareto_point(sf_dir: str):
-    from ..stages.agg import hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
 
@@ -112,7 +112,7 @@ def q_pareto_point(sf_dir: str):
             "revenue_micro": pa.array(cents * (100 - disc), type=pa.int64()),
         })
 
-    per_part = hash_grouped_aggregate(
+    per_part = grouped_aggregate(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_partkey", "l_extendedprice", "l_discount"],

@@ -29,7 +29,7 @@ RATE_WINDOW_US = 3_600_000_000  # 1 hour
 
 
 def q_order_reconciliation(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     from .queries_ext60 import _attach_inner
 
@@ -43,7 +43,7 @@ def q_order_reconciliation(sf_dir: str, n_parts: int | None = None):
                 pa.int64()),
         })
 
-    per_order = hash_grouped_aggregate(
+    per_order = grouped_aggregate(
         ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                               columns=["l_orderkey", "l_extendedprice"])
         .map_batches(li_cols, batch_format="pyarrow", zero_copy_batch=True),

@@ -32,7 +32,7 @@ CV_PARTS = 16
 
 
 def q_part_graph_assortativity(sf_dir: str):
-    from ..stages.agg import grouped_aggregate, hash_grouped_aggregate
+    from ..stages.agg import grouped_aggregate
 
     import ray
 
@@ -68,7 +68,7 @@ def q_part_graph_assortativity(sf_dir: str):
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     )
 
-    edges = hash_grouped_aggregate(
+    edges = grouped_aggregate(
         hash_exchange(ds, "l_orderkey", pairs_per_order, 32),
         ["a", "b"],
         [("count", None, "_n")],
@@ -76,8 +76,7 @@ def q_part_graph_assortativity(sf_dir: str):
     # whole lineitem pair exchange executes twice; the distinct-edge table
     # is bounded by the part-key domain, not corpus rows (sf1: 15 s -> 7 s)
 
-    # degrees over the bounded part domain (200k keys at sf1 — groups ~
-    # rows after combine, so hash-exchange, not the native sort-aggregate)
+    # degrees over the bounded part domain (200k keys at sf1)
     deg_tbl = grouped_aggregate(
         edges.map_batches(
             lambda t: pa.table({
@@ -88,7 +87,6 @@ def q_part_graph_assortativity(sf_dir: str):
                     ]), type=pa.int64()),
             }), batch_format="pyarrow", zero_copy_batch=True),
         ["p"], [("count", None, "deg")],
-        high_cardinality=True,
     ).to_pandas()
     dk = deg_tbl["p"].to_numpy().astype(np.int64)
     order = np.argsort(dk)

@@ -10,7 +10,8 @@ lineage manifest; the flagship runs the same chain over ``read_docs``.  A
 re-run skips partitions whose manifest matches the input fingerprint.
 Phase 2: tile rendering over exactly this run's partitions (the
 ``group_map`` on tile_id), committed beside them like a partition and
-skipped when its manifest matches.
+skipped when its manifest matches.  Once the run summary is written, the
+partitions an earlier run with more partitions left behind are deleted.
 
 On a multi-node deployment this module is the ``ray job submit`` entry;
 partition count scales with cluster size and doc-id ranges shard the input
@@ -91,7 +92,7 @@ def run_label_partition(desc: dict) -> pa.Table:
 def run(out_dir: str, n_docs: int, n_parts: int, *, tiles: bool = False,
         cell_res: int | None = None, tile_res: int | None = None) -> dict:
     from .config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
-    from .state.manifest import run_partitioned, write_summary
+    from .state.manifest import remove_partitions_from, run_partitioned, write_summary
 
     cell_res = cell_res or DEFAULT_CELL_RES
     tile_res = tile_res or DEFAULT_TILE_RES
@@ -102,7 +103,9 @@ def run(out_dir: str, n_docs: int, n_parts: int, *, tiles: bool = False,
     if tiles:
         summary["tiles_skipped"] = run_tiles(out_dir, parts)
         summary["tiles_dir"] = os.path.join(out_dir, "tiles", "data")
-    return write_summary(out_dir, n_parts, summary)
+    summary = write_summary(out_dir, n_parts, summary)
+    remove_partitions_from(out_dir, n_parts)
+    return summary
 
 
 def run_tiles(out_dir: str, parts: list[dict]) -> bool:

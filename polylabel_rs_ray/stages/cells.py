@@ -93,14 +93,6 @@ def cell_parent(cid: np.ndarray, parent_res: int) -> np.ndarray:
     return encode_cells(ix >> shift, iy >> shift, parent_res)
 
 
-def cell_center(cid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ix, iy, res = decode_cells(cid)
-    sizes = WORLD_SIZE / (2.0 ** res)
-    cx = WORLD_MIN + (ix + 0.5) * sizes
-    cy = WORLD_MIN + (iy + 0.5) * sizes
-    return cx, cy
-
-
 def cell_bounds(cid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     ix, iy, res = decode_cells(cid)
     sizes = WORLD_SIZE / (2.0 ** res)
@@ -118,27 +110,6 @@ def cover_bbox(minx: float, miny: float, maxx: float, maxy: float, res: int) -> 
     gy = np.arange(iy0, iy1 + 1, dtype=np.int64)
     mx, my = np.meshgrid(gx, gy, indexing="ij")
     return encode_cells(mx.ravel(), my.ravel(), res)
-
-
-def neighbor_ring(ix: int, iy: int, res: int, k: int) -> np.ndarray:
-    """Cells exactly k rings away from (ix, iy) (k=0 -> the cell itself),
-    clipped at the world edge — the expanding-ring search used for kNN
-    tile assignment."""
-    n = 1 << res
-    if k == 0:
-        return encode_cells(np.array([ix]), np.array([iy]), res)
-    xs, ys = [], []
-    for dx in range(-k, k + 1):
-        for dy in range(-k, k + 1):
-            if max(abs(dx), abs(dy)) != k:
-                continue
-            x, y = ix + dx, iy + dy
-            if 0 <= x < n and 0 <= y < n:
-                xs.append(x)
-                ys.append(y)
-    if not xs:
-        return np.empty(0, dtype=np.int64)
-    return encode_cells(np.array(xs), np.array(ys), res)
 
 
 def sql_cell_id_expr(x_expr: str, y_expr: str, res: int) -> str:

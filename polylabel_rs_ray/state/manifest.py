@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import time
 from hashlib import sha256
@@ -152,6 +153,17 @@ def write_summary(out_dir: str, n_parts: int, extra: dict | None = None) -> dict
     }
     _write_json(os.path.join(out_dir, SUMMARY_NAME), summary, indent=1)
     return summary
+
+
+def remove_partitions_from(out_dir: str, n_parts: int) -> None:
+    """Delete the partitions with index ``n_parts`` or above that an
+    earlier, larger run left in ``out_dir``.  A crash part-way leaves a
+    partition without its data or its manifest, which never reads as
+    complete."""
+    for name in os.listdir(out_dir):
+        m = re.fullmatch(r"part-(\d+)", name)
+        if m and int(m.group(1)) >= n_parts:
+            shutil.rmtree(os.path.join(out_dir, name))
 
 
 def run_partitioned(out_dir: str, parts: list[dict], run_one) -> dict:

@@ -8,14 +8,12 @@ from polylabel_rs_ray.config import WORLD_MIN, WORLD_SIZE
 from polylabel_rs_ray.stages.cells import (
     append_cell_columns,
     cell_bounds,
-    cell_center,
     cell_id,
     cell_parent,
     cover_bbox,
     decode_cells,
     encode_cells,
     grid_coords,
-    neighbor_ring,
     sql_cell_id_expr,
 )
 
@@ -50,8 +48,6 @@ def test_center_bounds():
     x0, y0, x1, y1 = cell_bounds(cid)
     assert ((x0 <= x) & (x < x1)).all()
     assert ((y0 <= y) & (y < y1)).all()
-    cx, cy = cell_center(cid)
-    assert ((x0 < cx) & (cx < x1)).all()
 
 
 def test_cover_bbox():
@@ -60,16 +56,6 @@ def test_cover_bbox():
     # every cell intersects the bbox
     x0, y0, x1, y1 = cell_bounds(cells)
     assert (x1 > 0).all() and (x0 < 100).all() and (y1 > 0).all() and (y0 < 40).all()
-
-
-def test_neighbor_ring():
-    r0 = neighbor_ring(10, 10, 8, 0)
-    assert len(r0) == 1
-    r1 = neighbor_ring(10, 10, 8, 1)
-    assert len(r1) == 8
-    r2 = neighbor_ring(10, 10, 8, 2)
-    assert len(r2) == 16
-    assert len(neighbor_ring(0, 0, 8, 1)) == 3  # clipped at world edge
 
 
 def test_encoder_stage_matches_functions():

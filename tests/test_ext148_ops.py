@@ -40,8 +40,8 @@ def test_majority_reconciles_with_tile_counts(ray_session):
         q_tile_majority_fixture,
     )
 
-    d = q_tile_majority_fixture(SF).to_pandas().set_index("tile_id")
-    tc = q_tile_counts(SF).to_pandas().set_index("tile_id")
+    d = q_tile_majority_fixture(SF).to_pandas().set_index("tile_id").sort_index()
+    tc = q_tile_counts(SF).to_pandas().set_index("tile_id").sort_index()
     assert set(d.index) == set(tc.index)
     assert (d["n_points"] == tc["n_points"]).all()
     assert (d["winner_n"] >= 1).all()

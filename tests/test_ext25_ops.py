@@ -1,7 +1,6 @@
-"""Extension batch 25: BM25 scoring, semantic dedup, tile pyramid."""
+"""Extension batch 25: BM25 scoring, semantic dedup."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -67,28 +66,3 @@ def test_semantic_dedup_cluster_isolation(ray_session):
     dup = a[a["is_dup"] == 1]
     assert all(lab[v] == l for v, l in zip(dup["dup_of"], dup["label"]))
 
-
-def test_tile_pyramid_matches_duckdb(ray_session, con):
-    from polylabel_rs_ray.pipelines.queries_ext25 import (
-        PYRAMID_MIN_RES, _sql_tile_pyramid, q_tile_pyramid,
-    )
-    from polylabel_rs_ray.config import DEFAULT_TILE_RES
-
-    a = _cmp(q_tile_pyramid(SF), con, _sql_tile_pyramid())
-    # every level partitions the same point set: per-res totals all equal
-    totals = a.groupby("res")["n_points"].sum()
-    assert set(totals.index) == set(range(PYRAMID_MIN_RES, DEFAULT_TILE_RES + 1))
-    assert totals.nunique() == 1
-    # morton parent relation: each level-r tile's count equals the sum of
-    # its children at level r+1 (parent id == child morton >> 2)
-    from polylabel_rs_ray.stages.cells import cell_parent
-
-    for r in range(PYRAMID_MIN_RES, DEFAULT_TILE_RES):
-        child = a[a["res"] == r + 1]
-        rolled = {}
-        par = cell_parent(child["tile_id"].to_numpy(), r)
-        for p, n in zip(par, child["n_points"]):
-            rolled[p] = rolled.get(p, 0) + n
-        parent = dict(zip(a.loc[a["res"] == r, "tile_id"],
-                          a.loc[a["res"] == r, "n_points"]))
-        assert rolled == parent

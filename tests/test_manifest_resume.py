@@ -222,13 +222,16 @@ def test_rerun_keeps_one_copy_of_the_tiles(ray_session, tmp_path):
 
 def test_stale_partitions_are_not_counted(ray_session, tmp_path):
     """A run with fewer partitions than an earlier run into the same dir
-    sums and renders exactly its own partitions, not the leftovers."""
+    sums and renders exactly its own partitions, not the leftovers, and
+    deletes the leftovers."""
     from polylabel_rs_ray.run import run
 
     out = str(tmp_path / "shrink")
     run(out, n_docs=180, n_parts=4)
     s = run(out, n_docs=180, n_parts=2, tiles=True)
     assert (s["partitions"], s["rows"]) == (2, 180)
+    assert sorted(n for n in os.listdir(out) if n.startswith("part-")) == [
+        "part-00000", "part-00001"]
     with open(os.path.join(out, "_RUN_SUMMARY.json")) as f:
         assert json.load(f)["rows"] == 180
     assert _tile_counts(s)[2] == 180

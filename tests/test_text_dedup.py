@@ -6,12 +6,12 @@ import pytest
 
 from polylabel_rs_ray.functions.dedup import (
     MinHasher,
-    band_hashes,
+    band_hashes_batch,
     hamming64,
     jaccard,
     minhash_signature,
     shingles,
-    simhash64,
+    simhash64_batch,
 )
 from polylabel_rs_ray.functions.text import (
     fingerprint_one,
@@ -63,18 +63,20 @@ def test_minhash_jaccard_approximation():
     est = (siga == sigb).mean()
     assert abs(est - true_j) < 0.25
     # identical docs share every band; distinct docs share none (w.h.p.)
-    assert (band_hashes(siga) == band_hashes(mh.signature(a))).all()
     other = mh.signature("completely different words everywhere entirely unrelated")
-    assert not (band_hashes(siga) == band_hashes(other)).any()
+    bands = band_hashes_batch(np.stack([siga, mh.signature(a), other]))
+    assert (bands[0] == bands[1]).all()
+    assert not (bands[0] == bands[2]).any()
 
 
 def test_simhash_near_dup_close():
     a = "the quick brown fox jumps over the lazy dog " * 3
     b = a.replace("dog", "cat")
     c = "totally unrelated content about databases and query engines"
-    assert hamming64(simhash64(a), simhash64(b)) < hamming64(simhash64(a), simhash64(c))
-    assert simhash64(a) == simhash64(a)
-    assert simhash64(a) >= 0  # int64-safe
+    ha, hb, hc, ha2 = (int(h) for h in simhash64_batch([a, b, c, a]))
+    assert hamming64(ha, hb) < hamming64(ha, hc)
+    assert ha == ha2
+    assert ha >= 0  # int64-safe
 
 
 def test_minhash_pipeline_finds_planted_dups(ray_session):
