@@ -23,19 +23,24 @@ import importlib
 import os
 import pkgutil
 import re
+import tempfile
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import run
 from ..geom.kernel import polylabel_one
 from ..sources import docs as docs_mod
 from ..sources.docs import DYADIC_CYCLE_IDX as DYADIC_IDX
 from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
-from ..stages.label import label_batch, label_points
+from ..stages.label import label_points
 from ..stages.util import (
     group_map, hash_exchange, hash_part, n_partitions, shuffle_blocks,
 )
+from ..state.manifest import commit_dir
+
+REGISTRY_DIRS = run.ENGINE_DIRS + ("pipelines", "functions")
 
 
 # --------------------------------------------------------------------------
@@ -45,52 +50,27 @@ from ..stages.util import (
 _LABELED_CACHE: dict[str, object] = {}
 
 
-def _labeled_checkpoint_dir(sf_dir: str, name: str = "labeled") -> str:
-    """Deterministic checkpoint path ``polylabel_ckpt/<source>/<fp>/<name>``:
-    ``<source>`` keys the source directory, ``<fp>`` its identity (path +
-    mtime + size of documents.parquet) and ``run.code_digest()`` of the
-    code that computes the labels — the lineage fingerprint that
-    invalidates the checkpoint if the input or the kernel changes.
-    ``name`` selects the derived artifact ("labeled" label columns,
-    "tokenized" token lists, ...)."""
-    import os
-    import tempfile
-    from hashlib import sha256
-
-    from .. import run
-
-    src = os.path.join(sf_dir, "documents.parquet")
-    try:
-        stamp = f"{sf_dir}|{os.path.getmtime(src)}|{os.path.getsize(src)}"
-    except OSError:
-        stamp = sf_dir
-    source = sha256(sf_dir.encode()).hexdigest()[:16]
-    fp = sha256(f"{stamp}|{run.code_digest()}".encode()).hexdigest()[:16]
-    return os.path.join(tempfile.gettempdir(), "polylabel_ckpt", source, fp, name)
-
-
-def _publish_checkpoint(ckpt: str, write_fn) -> None:
-    """Write-once atomic-rename publish: ``write_fn(tmp_dir)`` writes the
-    parquet, then a rename makes it visible; a losing racer cleans up.
-    After a publish the source's trees for other fingerprints are stale,
-    and are deleted."""
-    import os
-    import shutil
-
-    if os.path.isdir(ckpt):
-        return
-    tmp = f"{ckpt}.tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    write_fn(tmp)
-    try:
-        os.rename(tmp, ckpt)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-    fp_dir = os.path.dirname(ckpt)
-    source_dir = os.path.dirname(fp_dir)
-    for other in os.listdir(source_dir):
-        if other != os.path.basename(fp_dir):
-            shutil.rmtree(os.path.join(source_dir, other), ignore_errors=True)
+def _checkpoint(sf_dir: str, name: str, inputs: list[str], write_fn,
+                dirs: tuple[str, ...] = REGISTRY_DIRS) -> str:
+    """Commit the registry checkpoint ``$TMPDIR/polylabel_ckpt/<source>/<name>``
+    through ``state.manifest.commit_dir`` and return its ``data/`` path;
+    ``write_fn(path)`` writes the rows.  ``<source>`` keys ``sf_dir``.  The
+    manifest's fingerprint covers the mtime and size of each of the
+    ``inputs`` files in ``sf_dir`` and ``run.code_digest`` of ``dirs``, the
+    code that computes the rows, so a touched input or a code edit makes
+    the next call write the unit afresh."""
+    stamps = {}
+    for f in inputs:
+        path = os.path.join(sf_dir, f)
+        try:
+            stamps[f] = [os.path.getmtime(path), os.path.getsize(path)]
+        except OSError:
+            stamps[f] = None
+    desc = {"source": sf_dir, "inputs": stamps, "code": run.code_digest(dirs=dirs)}
+    unit = os.path.join(tempfile.gettempdir(), "polylabel_ckpt",
+                        hashlib.sha256(sf_dir.encode()).hexdigest()[:16], name)
+    commit_dir(unit, desc, write_fn)
+    return os.path.join(unit, "data")
 
 
 def labeled_docs(sf_dir: str):
@@ -104,9 +84,10 @@ def labeled_docs(sf_dir: str):
     labeled dataset in cluster memory, and a later run reuses it for free."""
     ds = _LABELED_CACHE.get(sf_dir)
     if ds is None:
-        ckpt = _labeled_checkpoint_dir(sf_dir)
-        _publish_checkpoint(
-            ckpt, lambda tmp: label_points(docs_mod.read_docs(sf_dir)).write_parquet(tmp)
+        ckpt = _checkpoint(
+            sf_dir, "labeled", ["documents.parquet"],
+            lambda path: label_points(docs_mod.read_docs(sf_dir)).write_parquet(path),
+            run.ENGINE_DIRS,
         )
         import ray
 
@@ -189,11 +170,11 @@ def spatial_partitioned_docs(sf_dir: str) -> str:
             "ptile": pa.array(pt, type=pa.int64()),
         })
 
-    ckpt = _labeled_checkpoint_dir(sf_dir) + "_spatial"
-    _publish_checkpoint(ckpt, lambda tmp: labeled_docs(sf_dir).map_batches(
-        add_ptile, batch_format="pyarrow", zero_copy_batch=True,
-    ).write_parquet(tmp, partition_cols=["ptile"]))
-    return ckpt
+    return _checkpoint(
+        sf_dir, "labeled_spatial", ["documents.parquet"],
+        lambda path: labeled_docs(sf_dir).map_batches(
+            add_ptile, batch_format="pyarrow", zero_copy_batch=True,
+        ).write_parquet(path, partition_cols=["ptile"]))
 
 
 def q_bbox_query(sf_dir: str):
@@ -478,15 +459,6 @@ def _sql_zone_join() -> str:
         f"SELECT doc_num, zone_id FROM labels, {sql_zone_values()} "
         f"WHERE label_x BETWEEN zx0 AND zx1 AND label_y BETWEEN zy0 AND zy1"
     )
-
-
-def q_zone_join_copartitioned(sf_dir: str):
-    """Same join, large-large shape: both sides keyed by cell_id through one
-    groupby shuffle (no broadcast).  Must equal q_zone_join row-for-row —
-    the oracle SQL is identical."""
-    from ..stages.join import copartitioned_zone_join
-
-    return copartitioned_zone_join(_dyadic_labeled(sf_dir))
 
 
 def q_events_windowed(sf_dir: str):
@@ -2069,12 +2041,11 @@ def q_dedup_clusters(sf_dir: str, n_parts: int | None = None):
     # streamed back for each propagation round / later run — when minhash
     # and clustering are benched together, the expensive verify pipeline
     # runs once, and the graph lives on disk instead of pinned in memory
-    ckpt = _labeled_checkpoint_dir(sf_dir)[: -len("labeled")] + "minhash_pairs"
-    _publish_checkpoint(
-        ckpt,
-        lambda tmp: q_minhash_near_dup(sf_dir)
+    ckpt = _checkpoint(
+        sf_dir, "minhash_pairs", ["documents.parquet"],
+        lambda path: q_minhash_near_dup(sf_dir)
         .select_columns(["doc_a", "doc_b"])
-        .write_parquet(tmp),
+        .write_parquet(path),
     )
     pairs = ray.data.read_parquet(ckpt)
     # partition width sized to the GRAPH (usually tiny vs the corpus):
@@ -4078,7 +4049,6 @@ def build_queries() -> dict:
         "cell_encode": q_cell_encode,
         "labeled_output": q_labeled_output,
         "zone_join": q_zone_join,
-        "zone_join_copartitioned": q_zone_join_copartitioned,
         "events_windowed": q_events_windowed,
         "sessionize": q_sessionize,
         "asof_purchase_view": q_asof_purchase_view,
@@ -4144,7 +4114,6 @@ def build_oracles() -> dict:
         "span_integrity": SQL_SPAN_INTEGRITY,
         "cell_encode": _sql_cell_encode(),
         "zone_join": _sql_zone_join(),
-        "zone_join_copartitioned": _sql_zone_join(),
         "events_windowed": SQL_EVENTS_WINDOWED,
         "sessionize": SQL_SESSIONIZE,
         "top_bigrams": SQL_TOP_BIGRAMS,

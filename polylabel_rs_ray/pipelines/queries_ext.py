@@ -123,9 +123,7 @@ def _sql_dyadic_bbox_cte() -> str:
 
 class _BboxZoneOverlap:
     """Broadcast rectangle-overlap join: doc bbox x zone rect.  The zone
-    side is small (shipped inside the stage callable); for a large zone side this
-    composes with the cell-cover co-partitioning of
-    ``stages/join.py::copartitioned_zone_join`` instead of a broadcast."""
+    side is small (shipped inside the stage callable)."""
 
     def __init__(self):
         from ..stages.join import zone_table

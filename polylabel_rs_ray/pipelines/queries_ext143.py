@@ -140,7 +140,6 @@ def q_wow_retention(sf_dir: str):
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts"])
-    import pyarrow.parquet as pq
 
     # global week origin: one bounded min fold off the source read
     def wmin(batch: pa.Table) -> pa.Table:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 TOP_K = 20
 ACF_LAGS = (1, 2, 3, 4, 5, 6, 7)

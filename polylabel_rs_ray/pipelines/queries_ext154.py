@@ -22,9 +22,8 @@ months-since-epoch ints via ``datetime64[M]`` == SQL EXTRACT arithmetic)
 and the month offset since acquisition, with exact cent revenue.  Pass 1
 reduces per-customer first-month (hash aggregate); the bounded
 (custkey → cohort) map is broadcast via ``ray.put`` (small side; the
-10^12-row path co-partitions both sides on custkey hash, the
-zone_join_copartitioned pattern); pass 2 is one map-side-combined
-aggregate into the bounded (cohort × offset) triangle.
+10^12-row path co-partitions both sides on custkey hash); pass 2 is one
+map-side-combined aggregate into the bounded (cohort × offset) triangle.
 
 Reference anchors: similarity + calendar families (SURVEY.md §2.4);
 siblings: sq8_topk (integer ADC scoring), cohort_retention

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 PROFILE_COLS = ("l_linenumber", "l_quantity", "l_partkey", "l_suppkey")
 

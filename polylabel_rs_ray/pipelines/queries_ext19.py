@@ -50,13 +50,9 @@ def _buckets(price_c: np.ndarray, days: np.ndarray):
 
 
 def _zorder_checkpoint(sf_dir: str) -> str:
-    import os
+    from .queries import _checkpoint
 
-    from .queries import _labeled_checkpoint_dir, _publish_checkpoint
-
-    ckpt = _labeled_checkpoint_dir(sf_dir)[: -len("labeled")] + "orders_zorder"
-
-    def write(tmp: str) -> None:
+    def write(path: str) -> None:
         import ray
         ds = ray.data.read_parquet(
             f"{sf_dir}/orders.parquet",
@@ -80,11 +76,10 @@ def _zorder_checkpoint(sf_dir: str) -> str:
             })
 
         ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-            tmp, partition_cols=["zb"]
+            path, partition_cols=["zb"]
         )
 
-    _publish_checkpoint(ckpt, write)
-    return ckpt
+    return _checkpoint(sf_dir, "orders_zorder", ["orders.parquet"], write)
 
 
 def q_zorder_pruned_read(sf_dir: str):

@@ -75,18 +75,16 @@ _TOKENIZED_CACHE: dict[str, object] = {}
 
 def tokenized_docs(sf_dir: str):
     """Documents with their ``\\S+`` token LIST — ONE tokenization pass,
-    checkpointed as fingerprinted partitioned parquet (the ``labeled_docs``
-    discipline, queries.py:50-101) and shared by the BM25/TF-IDF family.
+    checkpointed as fingerprinted partitioned parquet (``queries._checkpoint``,
+    like ``labeled_docs``) and shared by the BM25/TF-IDF family.
     Each consumer streams (doc_id, toks) back and recovers the flat-token
     + offsets view zero-copy via ``toks_flat_from_batch`` instead of
     re-tokenizing the corpus once per pass."""
     ds = _TOKENIZED_CACHE.get(sf_dir)
     if ds is None:
-        from .queries import _labeled_checkpoint_dir, _publish_checkpoint
+        from .queries import _checkpoint
 
-        ckpt = _labeled_checkpoint_dir(sf_dir, "tokenized")
-
-        def write(tmp: str) -> None:
+        def write(path: str) -> None:
             import ray
 
             def tok(batch: pa.Table) -> pa.Table:
@@ -101,9 +99,9 @@ def tokenized_docs(sf_dir: str):
                 f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
             ).map_batches(
                 tok, batch_format="pyarrow", zero_copy_batch=True
-            ).write_parquet(tmp)
+            ).write_parquet(path)
 
-        _publish_checkpoint(ckpt, write)
+        ckpt = _checkpoint(sf_dir, "tokenized", ["documents.parquet"], write)
         import ray
 
         ds = ray.data.read_parquet(ckpt)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 DAY_US = 86_400_000_000
 AUDIT_M_BITS = 4096  # deliberately small so false positives are non-trivial

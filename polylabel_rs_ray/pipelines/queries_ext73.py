@@ -192,8 +192,6 @@ def q_cumulative_unique_users(sf_dir: str):
         ["first_day"], [("count", None, "new_users")],
     ).to_pandas().sort_values("first_day")  # bounded: calendar days
 
-    import pandas as pd
-
     hist["cum_users"] = hist["new_users"].cumsum()
     out = hist.rename(columns={"first_day": "day"}).reset_index(drop=True)
     for c in ("day", "new_users", "cum_users"):

@@ -144,8 +144,6 @@ def q_l_diversity_audit(sf_dir: str):
          ("sum", "class_size_part", "class_size")],
     ).to_pandas()  # bounded: QI classes
 
-    import pandas as pd
-
     per_class["lang"] = [langs[int(c) // 1_000_000]
                          for c in per_class["cls"]]
     per_class["char_bucket"] = (per_class["cls"] % 1_000_000).astype("int64")

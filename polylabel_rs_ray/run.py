@@ -30,17 +30,18 @@ import pyarrow as pa
 
 
 _PKG = os.path.dirname(os.path.abspath(__file__))
+ENGINE_DIRS = ("geom", "stages", "sources")
 
 
 @functools.cache
-def code_digest(root: str = _PKG) -> str:
-    """Digest of every source and data file under ``root``'s ``geom/``,
-    ``stages/`` and ``sources/`` (build output and bytecode skipped): the
-    code that computes partition and tile rows.  Partition and tile
-    descriptions carry it, so a code change makes every checkpointed
-    output stale.  Computed once per process."""
+def code_digest(root: str = _PKG, dirs: tuple[str, ...] = ENGINE_DIRS) -> str:
+    """Digest of every source and data file under ``root``'s ``dirs``
+    (build output and bytecode skipped).  The default, ``geom/``,
+    ``stages/`` and ``sources/``, is the code that computes partition and
+    tile rows; their descriptions carry it, so a code change makes every
+    checkpointed output stale.  Computed once per process and ``dirs``."""
     h = sha256()
-    for top in ("geom", "stages", "sources"):
+    for top in dirs:
         for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
             dirnames[:] = sorted(set(dirnames) - {"_build", "__pycache__"})
             for name in sorted(filenames):
@@ -127,7 +128,7 @@ def run_tiles(out_dir: str, parts: list[dict]) -> bool:
         ds = ray.data.read_parquet(files, columns=["tile_id", "label_x", "label_y"])
         render_tiles(ds).write_parquet(tmp)
 
-    return commit_dir(os.path.join(out_dir, "tiles"), desc, write)
+    return commit_dir(os.path.join(out_dir, "tiles"), desc, write) is None
 
 
 def main() -> None:

@@ -28,7 +28,6 @@ import numpy as np
 import pyarrow as pa
 
 from .fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
-from ..geom.kernel import normalize_ring
 
 SPAN_KINDS = ["text", "image", "audio", "video"]
 

@@ -8,9 +8,6 @@ Patterns (SURVEY.md §2.3 joins, §7 step 4):
   candidate-zone index once in ``__init__`` (the H3/S2-style cell
   prefilter) and every task reads that one copy, then exact containment
   runs the same even-odd parity kernel the labeler uses (lib.rs:218-222).
-  For a large polygon side the same stage composes with
-  ``groupby(cell_id).map_groups`` co-partitioning instead of a broadcast
-  — see ``pipelines/flagship.py``.
 * **kNN label->tile** — tile centers form a regular grid, so the
   k-nearest-tile search scans the 5x5 neighbor-ring candidate set
   (provably a superset of the true top-3: any ring>=3 center is farther
@@ -31,8 +28,7 @@ import pyarrow as pa
 
 from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES, WORLD_MIN, WORLD_SIZE
 from ..geom.kernel import pack_polygons, signed_distance
-from .cells import cover_bbox, decode_cells, encode_cells, grid_coords
-from .util import group_map
+from .cells import cover_bbox, encode_cells, grid_coords
 
 N_ZONES = 40
 
@@ -122,88 +118,6 @@ class ZoneJoin:
         zones_a = zones_a[hit]
         out = batch.select(self.keep_cols).take(pa.array(rows_a))
         return out.append_column("zone_id", pa.array(zones_a, type=pa.int64()))
-
-
-def copartitioned_zone_join(points_ds, cell_res: int = DEFAULT_CELL_RES,
-                            keep_cols: tuple = ("doc_num",)):
-    """Large-large variant of the PIP join: no broadcast — both sides are
-    keyed by cell_id and co-partitioned through ONE groupby shuffle.
-
-      zones  --flat_map--> (cell_id, zone_id) covering rows
-      points --map------->(cell_id, point)   rows
-      union --groupby(cell_id).map_groups--> exact parity test per cell
-
-    Each point is tested exactly once (in its own cell), so results equal
-    the broadcast path row-for-row.  The zone side here is the same small
-    deterministic table (so the oracle stays valid); the shape is what a
-    billion-polygon side would use, with hot cells salted upstream."""
-    import ray
-
-    z = zone_table()
-    cover_rows = {"cell_id": [], "zone_id": []}
-    for j in range(N_ZONES):
-        for cid in cover_bbox(z["x0"][j], z["y0"][j], z["x1"][j], z["y1"][j], cell_res):
-            cover_rows["cell_id"].append(int(cid))
-            cover_rows["zone_id"].append(j)
-    keep = list(keep_cols)
-    nz = len(cover_rows["zone_id"])
-    zcols = {
-        "cell_id": pa.array(cover_rows["cell_id"], type=pa.int64()),
-        "zone_id": pa.array(cover_rows["zone_id"], type=pa.int64()),
-        "side": pa.array(["zone"] * nz, type=pa.string()),
-        "label_x": pa.array(np.full(nz, np.nan), type=pa.float64()),
-        "label_y": pa.array(np.full(nz, np.nan), type=pa.float64()),
-    }
-    for c in keep:
-        zcols[c] = pa.array(np.full(nz, -1), type=pa.int64())
-    zones_ds = ray.data.from_arrow(pa.table(zcols))
-
-    def key_points(batch: pa.Table) -> pa.Table:
-        px = batch.column("label_x").to_numpy()
-        py = batch.column("label_y").to_numpy()
-        ix, iy = grid_coords(px, py, cell_res)
-        cid = encode_cells(ix, iy, cell_res)
-        cols = {
-            "cell_id": pa.array(cid, type=pa.int64()),
-            "zone_id": pa.array(np.full(len(px), -1), type=pa.int64()),
-            "side": pa.array(["point"] * len(px), type=pa.string()),
-            "label_x": batch.column("label_x"),
-            "label_y": batch.column("label_y"),
-        }
-        for c in keep:
-            cols[c] = batch.column(c)
-        return pa.table(cols)
-
-    pts = points_ds.map_batches(key_points, batch_format="pyarrow", zero_copy_batch=True)
-
-    zones = pack_polygons([zone_rings(z, j) for j in range(N_ZONES)])
-
-    def join_cell(group: pa.Table) -> pa.Table:
-        side = np.asarray(group.column("side").to_pylist())
-        zmask = side == "zone"
-        zone_ids = group.column("zone_id").to_numpy()[zmask]
-        empty = pa.table({
-            **{c: pa.array([], type=pa.int64()) for c in keep},
-            "zone_id": pa.array([], type=pa.int64()),
-        })
-        if len(zone_ids) == 0 or zmask.all():
-            return empty
-        pidx = np.flatnonzero(~zmask)
-        px = group.column("label_x").to_numpy()[pidx]
-        py = group.column("label_y").to_numpy()[pidx]
-        P, Z = len(pidx), len(zone_ids)
-        pp = np.repeat(np.arange(P), Z)
-        zz = np.tile(zone_ids, P)
-        d = signed_distance(px[pp], py[pp], zz, zones)
-        hit = d > 0
-        cols = {}
-        for c in keep:
-            vals = group.column(c).to_numpy(zero_copy_only=False)[pidx]
-            cols[c] = pa.array(vals[pp[hit]], type=pa.int64())
-        cols["zone_id"] = pa.array(zz[hit], type=pa.int64())
-        return pa.table(cols)
-
-    return group_map(pts.union(zones_ds), "cell_id", join_cell)
 
 
 class KnnTiles:

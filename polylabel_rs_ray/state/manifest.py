@@ -1,24 +1,33 @@
 """Resumable partitioned output: per-partition Parquet + lineage manifest.
 
 North-rule requirement: "resumable from checkpoint with per-partition
-lineage + metrics".  Output layout:
+lineage + metrics".  Every output is a unit committed by ``commit_dir``:
 
     out_dir/
       part-00000/
         data.parquet
-        MANIFEST.json     {partition, input_fingerprint, rows, bytes,
-                           wall_s, written_at_unix, schema}
+        MANIFEST.json     {partition, input_fingerprint, input, data_file,
+                           rows, bytes, wall_s, written_at_unix, schema,
+                           metrics}
       part-00001/
         ...
-      tiles/              optional tile output (``commit_dir``)
+      tiles/              optional tile output
         data/             Ray's parquet files
-        MANIFEST.json     {input_fingerprint, input, data_file, files, ...}
+        MANIFEST.json     {input_fingerprint, input, data_file, written_at_unix}
       _RUN_SUMMARY.json   this run's partitions, aggregated
 
-A restart calls ``pending_partitions`` first and processes only partitions
-whose manifest is missing or whose input fingerprint changed — each
-partition is an independent unit of work, so a crashed run never repeats
-finished work and never produces one giant file."""
+The query registry's checkpoints are units of the same shape, one per
+source and name: ``$TMPDIR/polylabel_ckpt/<source>/<name>/{data/,
+MANIFEST.json}``.
+
+One commit rule: the unit's data and manifest are written into a fresh
+temp dir beside it (``<name>.tmp-XXXXXXXX``), a stale unit is removed,
+and one rename publishes both.  A crash at any point leaves nothing that
+reads as complete (at most a temp dir, which is never read), and two
+commits of one unit never share a temp dir.  A restart calls
+``pending_partitions`` first and processes only partitions whose manifest
+is missing or whose input fingerprint changed, so a crashed run never
+repeats finished work and never produces one giant file."""
 
 from __future__ import annotations
 
@@ -26,6 +35,7 @@ import json
 import os
 import re
 import shutil
+import tempfile
 import time
 from hashlib import sha256
 
@@ -41,8 +51,8 @@ def partition_dir(out_dir: str, idx: int) -> str:
 
 
 def input_fingerprint(desc: dict) -> str:
-    """Stable fingerprint of a partition's input description (paths, row
-    ranges, config) — the lineage key deciding whether a finished partition
+    """Stable fingerprint of a unit's input description (paths, row
+    ranges, config) — the lineage key deciding whether a finished unit
     can be skipped on resume."""
     return sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()[:24]
 
@@ -84,56 +94,52 @@ def pending_partitions(out_dir: str, parts: list[dict]) -> list[int]:
 def write_partition(
     out_dir: str, idx: int, table: pa.Table, desc: dict, wall_s: float,
     metrics: dict | None = None,
-) -> dict:
-    """Write one partition's data + manifest atomically: each file goes to
-    a temp name and is renamed into place, data first and manifest last,
-    so a crash mid-write leaves neither a torn ``data.parquet`` nor a
-    'complete' partition."""
-    pdir = partition_dir(out_dir, idx)
-    os.makedirs(pdir, exist_ok=True)
-    data_file = "data.parquet"
-    tmp = os.path.join(pdir, data_file + ".tmp")
-    pq.write_table(table, tmp)
-    os.replace(tmp, os.path.join(pdir, data_file))
-    manifest = {
-        "partition": idx,
-        "input_fingerprint": input_fingerprint(desc),
-        "input": desc,
-        "data_file": data_file,
-        "rows": table.num_rows,
-        "bytes": table.nbytes,
-        "wall_s": wall_s,
-        "written_at_unix": time.time(),
-        "schema": [f"{f.name}:{f.type}" for f in table.schema],
-        "metrics": metrics or {},
-    }
-    _write_json(manifest_path(out_dir, idx), manifest)
-    return manifest
+) -> dict | None:
+    """Commit one partition as ``part-NNNNN/{data.parquet, MANIFEST.json}``;
+    returns its manifest, or None when it was already complete."""
+    return commit_dir(
+        partition_dir(out_dir, idx), desc,
+        lambda path: pq.write_table(table, path), "data.parquet",
+        partition=idx,
+        rows=table.num_rows,
+        bytes=table.nbytes,
+        wall_s=wall_s,
+        schema=[f"{f.name}:{f.type}" for f in table.schema],
+        metrics=metrics or {},
+    )
 
 
-def commit_dir(unit_dir: str, desc: dict, write_fn) -> bool:
-    """Commit a multi-file output the way a partition is committed, as
-    ``unit_dir/{data/, MANIFEST.json}``: ``write_fn(data_dir)`` writes into
-    a temp dir, the dir is renamed into place, and the manifest is written
-    last, so a crash at any point leaves nothing that reads as complete.
-    Returns True, writing nothing, when ``unit_dir`` is already complete
-    for ``desc``."""
+def commit_dir(unit_dir: str, desc: dict, write_fn, data_file: str = "data",
+               **fields) -> dict | None:
+    """Commit one output unit as ``unit_dir/{<data_file>, MANIFEST.json}``:
+    ``write_fn(path)`` writes the data into a fresh temp dir beside the
+    unit, the manifest (lineage, ``fields``) follows it there, a stale unit
+    is removed, and one rename publishes both.  Returns the manifest, or
+    None, writing nothing, when ``unit_dir`` is already complete for
+    ``desc``.  Of two racing commits of one input, the first to finish
+    is kept."""
     fp = input_fingerprint(desc)
     if _is_committed(unit_dir, fp):
-        return True
-    tmp = unit_dir + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    write_fn(os.path.join(tmp, "data"))
-    shutil.rmtree(unit_dir, ignore_errors=True)
-    os.rename(tmp, unit_dir)
-    _write_json(os.path.join(unit_dir, MANIFEST_NAME), {
-        "input_fingerprint": fp,
-        "input": desc,
-        "data_file": "data",
-        "files": sorted(os.listdir(os.path.join(unit_dir, "data"))),
-        "written_at_unix": time.time(),
-    })
-    return False
+        return None
+    parent, name = os.path.split(os.path.abspath(unit_dir))
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=f"{name}.tmp-", dir=parent)
+    try:
+        write_fn(os.path.join(tmp, data_file))
+        manifest = {"input_fingerprint": fp, "input": desc, "data_file": data_file,
+                    **fields, "written_at_unix": time.time()}
+        with open(os.path.join(tmp, MANIFEST_NAME), "w") as f:
+            json.dump(manifest, f)
+        if not _is_committed(unit_dir, fp):
+            shutil.rmtree(unit_dir, ignore_errors=True)
+            try:
+                os.rename(tmp, unit_dir)
+            except OSError:
+                if not _is_committed(unit_dir, fp):
+                    raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return manifest
 
 
 def write_summary(out_dir: str, n_parts: int, extra: dict | None = None) -> dict:

@@ -127,23 +127,3 @@ def test_one_hot_tile_matches_renderer(ray_session):
     assert got.raster[0] == want.raster[0]
     assert list(got.points_x[0]) == list(want.points_x[0])
     assert list(got.points_y[0]) == list(want.points_y[0])
-
-
-def test_copartitioned_join_equals_broadcast(ray_session):
-    import ray
-
-    from polylabel_rs_ray.stages.join import ZoneJoin, copartitioned_zone_join
-
-    rng = np.random.default_rng(5)
-    x = rng.uniform(-100, 1200, 4000)
-    y = rng.uniform(-100, 1200, 4000)
-    t = pa.table({
-        "doc_num": pa.array(np.arange(4000), type=pa.int64()),
-        "label_x": pa.array(x),
-        "label_y": pa.array(y),
-    })
-    broadcast = ZoneJoin()(t)
-    cop = copartitioned_zone_join(ray.data.from_arrow(t)).to_pandas()
-    a = set(zip(broadcast.column("doc_num").to_pylist(), broadcast.column("zone_id").to_pylist()))
-    b = set(zip(cop.doc_num, cop.zone_id))
-    assert a == b and len(a) > 200

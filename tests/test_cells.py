@@ -4,7 +4,6 @@ import duckdb
 import numpy as np
 import pyarrow as pa
 
-from polylabel_rs_ray.config import WORLD_MIN, WORLD_SIZE
 from polylabel_rs_ray.stages.cells import (
     append_cell_columns,
     cell_bounds,
@@ -13,7 +12,6 @@ from polylabel_rs_ray.stages.cells import (
     cover_bbox,
     decode_cells,
     encode_cells,
-    grid_coords,
     sql_cell_id_expr,
 )
 

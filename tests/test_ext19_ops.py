@@ -5,8 +5,6 @@ import os
 
 import duckdb
 import numpy as np
-import pyarrow as pa
-import pytest
 
 SF = "/root/testdata/sf0.001"
 
@@ -61,3 +59,33 @@ def test_zinterleave_bijective():
     z = _zinterleave4(a, b)
     assert len(np.unique(z)) == len(z)  # bijection on the 8-bit domain
     assert z.max() == (1 << (2 * ZBITS)) - 1
+
+
+def test_zorder_checkpoint_follows_orders(ray_session, tmp_path, monkeypatch):
+    """The z-order checkpoint is keyed by the orders table it reads: an
+    unchanged table reuses it, a touched one makes it commit again."""
+    import shutil
+    import tempfile
+
+    import ray
+
+    from polylabel_rs_ray.pipelines.queries_ext19 import _zorder_checkpoint
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    os.makedirs(tempfile.tempdir)
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    shutil.copy(os.path.join(SF, "orders.parquet"), sf / "orders.parquet")
+    writes = []
+    real = ray.data.Dataset.write_parquet
+
+    def counting(self, path, *a, **kw):
+        writes.append(path)
+        return real(self, path, *a, **kw)
+
+    monkeypatch.setattr(ray.data.Dataset, "write_parquet", counting)
+    ckpt = _zorder_checkpoint(str(sf))
+    assert _zorder_checkpoint(str(sf)) == ckpt and len(writes) == 1
+    os.utime(sf / "orders.parquet", (1_700_000_000, 1_700_000_000))
+    assert _zorder_checkpoint(str(sf)) == ckpt and len(writes) == 2
+    assert any(p.startswith("zb=") for p in os.listdir(ckpt))

@@ -138,41 +138,41 @@ def test_f32_api_dtype_roundtrip():
 
 
 def test_labeled_checkpoint_fingerprint_invalidation(tmp_path, monkeypatch):
-    """Checkpoint lineage: same source -> same path; touched source
-    (mtime change) or new code (``run.code_digest()``) -> different path
-    (stale checkpoint never reused), and publishing the new one deletes
-    the stale tree."""
+    """Checkpoint lineage: the same source reuses its unit; a touched
+    source (mtime change) or new code (``run.code_digest()``) rewrites it
+    in place, so a stale checkpoint is never reused and each source and
+    name keeps one tree."""
     import os
     import shutil
     import tempfile
 
     from polylabel_rs_ray import run
-    from polylabel_rs_ray.pipelines.queries import (
-        _labeled_checkpoint_dir,
-        _publish_checkpoint,
-    )
+    from polylabel_rs_ray.pipelines.queries import _checkpoint
 
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     os.makedirs(tempfile.tempdir)
+    writes = []
 
-    def publish(ckpt):
-        _publish_checkpoint(ckpt, lambda tmp: os.makedirs(tmp))
-        assert os.path.isdir(ckpt)
+    def write(path):
+        os.makedirs(path)
+        writes.append(path)
+
+    def checkpoint():
+        return _checkpoint(str(tmp_path), "labeled", ["documents.parquet"], write,
+                           run.ENGINE_DIRS)
 
     src = tmp_path / "documents.parquet"
     shutil.copy("/root/testdata/sf0.001/documents.parquet", src)
-    p1 = _labeled_checkpoint_dir(str(tmp_path))
-    p2 = _labeled_checkpoint_dir(str(tmp_path))
-    assert p1 == p2
+    p1 = checkpoint()
+    assert checkpoint() == p1 and len(writes) == 1
     os.utime(src, (1_700_000_000, 1_700_000_000))
-    p3 = _labeled_checkpoint_dir(str(tmp_path))
-    assert p3 != p1
-    publish(p3)
-    monkeypatch.setattr(run, "code_digest", lambda: "0" * 16)
-    p4 = _labeled_checkpoint_dir(str(tmp_path))
-    assert p4 != p3
-    publish(p4)
-    assert not os.path.exists(os.path.dirname(p3))  # stale tree deleted
+    assert checkpoint() == p1 and len(writes) == 2
+    monkeypatch.setattr(run, "code_digest", lambda **kw: "0" * 16)
+    assert checkpoint() == p1 and len(writes) == 3
+    assert os.path.isdir(p1)
+    root = os.path.join(tempfile.tempdir, "polylabel_ckpt")
+    (source,) = os.listdir(root)
+    assert os.listdir(os.path.join(root, source)) == ["labeled"]
 
 
 def test_read_table_format_fallbacks(ray_session, tmp_path):

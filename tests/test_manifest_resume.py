@@ -4,7 +4,9 @@ import json
 import os
 
 import pyarrow.parquet as pq
+import pytest
 
+from polylabel_rs_ray.state import manifest
 from polylabel_rs_ray.state.manifest import (
     input_fingerprint,
     is_complete,
@@ -154,6 +156,93 @@ def test_torn_data_write_leaves_partition_pending(tmp_path, monkeypatch):
         pass
     assert pq.read_table(data).num_rows == 8
     assert manifest.pending_partitions(out, [desc]) == [0]
+
+
+def _unit(kind, tmp_path):
+    """(unit dir, its data path, commit(desc)) for a partition (a file
+    unit) or a multi-file unit like the tiles (a dir unit); the data holds
+    ``desc["rows"]`` rows."""
+    out = str(tmp_path / "out")
+    if kind == "file":
+        unit = manifest.partition_dir(out, 0)
+        return unit, os.path.join(unit, "data.parquet"), lambda desc: (
+            manifest.write_partition(out, 0, _table(desc["rows"]), desc, 0.0))
+
+    def write(path, desc):
+        os.makedirs(path)
+        pq.write_table(_table(desc["rows"] - 1), os.path.join(path, "0.parquet"))
+        pq.write_table(_table(1), os.path.join(path, "1.parquet"))
+
+    unit = os.path.join(out, "tiles")
+    return unit, os.path.join(unit, "data"), lambda desc: manifest.commit_dir(
+        unit, desc, lambda path: write(path, desc))
+
+
+def _committed(unit, desc):
+    return manifest._is_committed(unit, input_fingerprint(desc))
+
+
+@pytest.mark.parametrize("kind", ["file", "dir"])
+@pytest.mark.parametrize("crash_at", ["write", "remove", "rename"])
+def test_crashed_commit_reads_as_incomplete(tmp_path, monkeypatch, kind, crash_at):
+    """A commit that dies in its write function, at the stale unit's
+    removal or at the rename leaves nothing that reads as complete and no
+    temp dir; the earlier unit stays complete and readable up to the
+    rename."""
+    import shutil
+
+    unit, data, commit = _unit(kind, tmp_path)
+    old, new = {"rows": 8}, {"rows": 9}
+    commit(old)
+
+    def crash(*a, **kw):
+        raise OSError("crash")
+
+    real_rmtree = shutil.rmtree
+    if crash_at == "write":
+        monkeypatch.setattr(manifest.pq, "write_table", crash)
+    elif crash_at == "remove":
+        monkeypatch.setattr(manifest.shutil, "rmtree", lambda path, **kw: (
+            crash() if path == unit else real_rmtree(path, **kw)))
+    else:
+        monkeypatch.setattr(manifest.os, "rename", crash)
+    with pytest.raises(OSError, match="crash"):
+        commit(new)
+    monkeypatch.undo()
+
+    assert not _committed(unit, new)
+    if crash_at == "rename":
+        assert not os.path.exists(unit)
+    else:
+        assert _committed(unit, old) and pq.read_table(data).num_rows == 8
+    assert os.listdir(os.path.dirname(unit)) == ([] if crash_at == "rename"
+                                                 else [os.path.basename(unit)])
+    commit(new)
+    assert _committed(unit, new) and pq.read_table(data).num_rows == 9
+
+
+@pytest.mark.parametrize("kind", ["file", "dir"])
+def test_racing_commits_leave_one_unit(tmp_path, monkeypatch, kind):
+    """A second commit of the same unit that runs and finishes while the
+    first one is still writing (a racing process) leaves one complete unit
+    and no temp dir."""
+    unit, data, commit = _unit(kind, tmp_path)
+    desc = {"rows": 8}
+    real = manifest.pq.write_table
+    raced = []
+
+    def racing(*a, **kw):
+        if not raced:
+            raced.append(True)
+            commit(desc)
+            assert _committed(unit, desc)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(manifest.pq, "write_table", racing)
+    commit(desc)
+    assert raced and _committed(unit, desc)
+    assert pq.read_table(data).num_rows == 8
+    assert os.listdir(os.path.dirname(unit)) == [os.path.basename(unit)]
 
 
 def test_code_digest_change_makes_every_partition_stale(tmp_path, monkeypatch):

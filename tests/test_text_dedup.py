@@ -2,14 +2,12 @@
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 from polylabel_rs_ray.functions.dedup import (
     MinHasher,
     band_hashes_batch,
     hamming64,
     jaccard,
-    minhash_signature,
     shingles,
     simhash64_batch,
 )
