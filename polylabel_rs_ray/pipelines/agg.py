@@ -1,10 +1,13 @@
-"""Grouped aggregation: map-side combine, then one hash exchange.
+"""The registry's keyed exchange and grouped aggregation.
 
-For algebraic aggregates (sum/count/min/max/mean) the shape is GeoBlocks'
-pre-aggregate-then-merge:
+``hash_exchange`` is the one keyed exchange: it tags each row with a
+hash of its key columns mod P and hands each partition's rows to ``fn``
+through the engine's ``stages.util.group_map``.  ``grouped_aggregate``
+runs on it with GeoBlocks' pre-aggregate-then-merge shape for algebraic
+aggregates (sum/count/min/max/mean):
 
     map_batches(per-batch pyarrow group_by)   # combine inside each batch
-      -> hash exchange on mix(keys) % P        # |groups| x |blocks| rows
+      -> hash_exchange on mix(keys) % P        # |groups| x |blocks| rows
       -> one pyarrow group_by per partition    # merge the partials
 
 which shrinks the shuffle from O(rows) to O(groups x blocks) and merges
@@ -23,7 +26,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .util import group_map, n_partitions
+from ..stages.util import group_map, shuffle_blocks
+
+GOLD64 = np.uint64(0x9E3779B97F4A7C15)
+_TAG = "__xpart"
 
 _MERGE_FUNC = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
 
@@ -92,14 +98,24 @@ def grouped_aggregate(ds, keys: list[str], specs: list[tuple],
         return pa.table(cols)
 
     partial = ds.map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
-    return _hash_exchange(partial, keys, merge, n_parts)
+    return hash_exchange(partial, keys, merge, n_parts)
+
+
+def hash_part(ids: np.ndarray, n_parts: int) -> np.ndarray:
+    """Deterministic hash partitioner for int64 ids, for call sites that
+    tag their own ``part`` column (and oracle SQL that replays it)."""
+    u = np.asarray(ids).astype(np.uint64)
+    return ((u * GOLD64) >> np.uint64(33)).astype(np.int64) % n_parts
+
+
+def n_partitions(n_parts: int | None) -> int:
+    return int(n_parts or min(32, shuffle_blocks()))
 
 
 def _key_hash(batch: pa.Table, keys: list[str]):
     """Deterministic vectorized uint64 hash of the key columns: splitmix
     mixing for integer columns, polars' fixed-seed Rust hash for strings
     (Python's ``hash()`` is per-process salted — never use it here)."""
-    GOLD = np.uint64(0x9E3779B97F4A7C15)
     h = np.zeros(batch.num_rows, dtype=np.uint64)
     for k in keys:
         col = batch.column(k)
@@ -111,22 +127,40 @@ def _key_hash(batch: pa.Table, keys: list[str]):
             v = pl.from_arrow(
                 col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
             ).hash(seed=0).to_numpy().astype(np.uint64)
-        h = (h * GOLD) ^ ((v * GOLD) >> np.uint64(29))
+        h = (h * GOLD64) ^ ((v * GOLD64) >> np.uint64(29))
     return h
 
 
-def _hash_exchange(ds, keys: list[str], fn, n_parts: int | None = None):
-    """Hash-partition rows on mix(keys) % ``n_partitions(n_parts)`` and
-    apply ``fn`` to each partition's rows as one Arrow table; every row of
-    one key reaches the same call, without the partition tag."""
+def hash_exchange(ds, keys: str | list[str], fn, n_parts: int | None = None):
+    """Hash-partition rows on their key into ``n_partitions(n_parts)``
+    partitions and apply ``fn`` to each partition's rows as one Arrow
+    table; every row of one key reaches the same call, without the
+    partition tag.  ``keys`` is one column name or a list of them.  A
+    single integer key is partitioned by ``hash_part``, any other key by
+    mix(keys) % P."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
     P = n_partitions(n_parts)
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        part = (_key_hash(batch, keys) % np.uint64(P)).astype(np.int64)
-        return batch.append_column("__gpart", pa.array(part, type=pa.int64()))
+    def tag(batch: pa.Table) -> pa.Table:
+        col = batch.column(keys[0])
+        if len(keys) == 1 and pa.types.is_integer(col.type):
+            part = hash_part(col.to_numpy(), P)
+        else:
+            part = (_key_hash(batch, keys) % np.uint64(P)).astype(np.int64)
+        return batch.append_column(_TAG, pa.array(part, type=pa.int64()))
 
-    tagged = ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-    return group_map(tagged, "__gpart", lambda g: fn(g.drop_columns(["__gpart"])))
+    tagged = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
+    out = group_map(tagged, _TAG, lambda g: fn(g.drop_columns([_TAG])))
+    # On a 1-CPU Ray, Ray Data's per-operator CPU reservation stalls a
+    # union whose first input is an exchange and whose second reads
+    # parquet: read_parquet(customer).repartition(8)
+    # .union(read_parquet(supplier)).count() was still running at 40 s,
+    # and finished in 2-3 s with the reservation off on the first input.
+    # The union runs under its first input's context, so the flag is set
+    # on this Dataset's own context (shared with the Datasets it derives
+    # from), never on the process-global one.
+    out.context.op_resource_reservation_enabled = False
+    return out
 
 
 def distinct_values(path: str, col: str) -> list:

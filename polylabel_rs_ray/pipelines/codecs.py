@@ -9,7 +9,7 @@ need none of them:
 - **Y4M (YUV4MPEG2)** video: ASCII stream header + per-frame ``FRAME\\n``
   markers + raw planes (``Cmono`` = one grayscale plane per frame).
 
-These give ``stages/media.py`` a genuine ``decode="real"`` path — header
+These give ``pipelines/media.py`` a genuine ``decode="real"`` path — header
 parsing, dimension/rate/frame-count extraction, and pixel/sample math all
 operate on actual encoded bytes — while staying inside the sandbox's
 dependency budget.  On a deployment with PIL/ffmpeg available the same

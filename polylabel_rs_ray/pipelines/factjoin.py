@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .util import hash_exchange
+from .agg import hash_exchange
 
 ORDERS_BROADCAST_MAX_ROWS = 5_000_000
 FACT_BROADCAST_MAX_ROWS = 5_000_000

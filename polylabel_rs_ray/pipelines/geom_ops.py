@@ -1,7 +1,7 @@
 """Per-polygon geometry kernels beyond the label search: convex hull and
 Douglas-Peucker simplification.
 
-Like ``polylabel_batch`` (kernel.py), these are per-row kernels applied
+Like ``polylabel_batch`` (geom/kernel.py), these are per-row kernels applied
 inside ``map_batches`` — the per-polygon loop mirrors the reference's
 one-call-per-polygon shape (lib.rs:336), with the inner work vectorized
 (sorted-array sweeps / whole-segment distance evaluations in numpy).

@@ -7,7 +7,7 @@ Two decode modes per stage:
   payloads derived from the media_ref hash — schema-identical to real
   decode with zero content-store I/O.
 - ``decode="real"``: ACTUAL format decode via the pure-numpy/stdlib codecs
-  in ``functions/codecs.py`` (PPM images, RIFF/WAV PCM16 audio, YUV4MPEG2
+  in ``pipelines/codecs.py`` (PPM images, RIFF/WAV PCM16 audio, YUV4MPEG2
   video) — header parsing, dimension/rate/frame extraction, box-filter
   resampling, duration-derived chunking.  Payload bytes come from the
   ``fetch(ref, kind) -> bytes`` hook (defaults to the deterministic
@@ -55,7 +55,7 @@ class MediaFeaturizer:
     """map_batches stage: media_ref -> feature vector.
 
     ``decode="real"`` fetches the payload and genuinely decodes it
-    (functions/codecs.py: PPM / WAV / Y4M by magic-byte sniff), emitting
+    (pipelines/codecs.py: PPM / WAV / Y4M by magic-byte sniff), emitting
     content-derived features — dims, means, dynamic range — normalized to
     [0, 1].  ``decode="fake"`` derives MEDIA_FEATURE_DIM floats in [0, 1)
     from blake2b(media_ref) — deterministic, schema-identical, no I/O.
@@ -81,12 +81,12 @@ class MediaFeaturizer:
                 raise ValueError(
                     f"extra decoder magic must be non-empty bytes, got {magic!r}")
         if decode == "real":
-            from ..functions.codecs import synth_media
+            from .codecs import synth_media
 
             self.fetch = fetch or synth_media
 
     def _featurize_real(self, ref: str, kind: str) -> np.ndarray:
-        from ..functions import codecs
+        from . import codecs
 
         data = self.fetch(ref, kind)
         for magic, decode_fn in self.extra_decoders:
@@ -149,7 +149,7 @@ class FrameSampler:
     """map_batches stage: video span -> N sampled frame rows, resized.
 
     ``decode="real"`` fetches and parses an ACTUAL YUV4MPEG2 stream
-    (functions/codecs.py), samples ``n_frames`` evenly across the decoded
+    (pipelines/codecs.py), samples ``n_frames`` evenly across the decoded
     frame count (source index ``(j * total) // n_frames``), box-resizes
     each mono frame to width x height and replicates to RGB; the
     ``src_frame``/``n_src_frames`` metadata columns carry the real stream
@@ -170,7 +170,7 @@ class FrameSampler:
         self.height = height
         self.decode = decode
         if decode == "real":
-            from ..functions.codecs import synth_media
+            from .codecs import synth_media
 
             self.fetch = fetch or synth_media
 
@@ -182,7 +182,7 @@ class FrameSampler:
 
     def _sample_real(self, ref: str) -> tuple[list[bytes], list[int], int]:
         """-> (rgb payloads, source frame indices, total decoded frames)."""
-        from ..functions import codecs
+        from . import codecs
 
         frames, _fps = codecs.decode_y4m(self.fetch(ref, "video"))
         total = len(frames)
@@ -235,7 +235,7 @@ class ImageResizer:
     """map_batches stage: image span -> one fixed-WxH RGB payload row.
 
     ``decode="real"`` fetches and decodes an ACTUAL PPM payload
-    (functions/codecs.py), reads the original dimensions from the parsed
+    (pipelines/codecs.py), reads the original dimensions from the parsed
     header, and box-filter-resizes to width x height (deterministic
     integer mean, pinned against brute force in tests/test_codecs.py).
     ``decode="fake"`` synthesizes a deterministic width*height*3 payload
@@ -251,7 +251,7 @@ class ImageResizer:
         self.height = height
         self.decode = decode
         if decode == "real":
-            from ..functions.codecs import synth_media
+            from .codecs import synth_media
 
             self.fetch = fetch or synth_media
 
@@ -266,7 +266,7 @@ class ImageResizer:
         refs = imgs.column("media_ref").to_pylist()
         n = imgs.num_rows
         if self.decode == "real":
-            from ..functions import codecs
+            from . import codecs
 
             payloads, ow, oh = [], np.empty(n, np.int64), np.empty(n, np.int64)
             for i, r in enumerate(refs):
@@ -308,7 +308,7 @@ class AudioChunker:
 
     Completes the media trio (image featurize / video frame-sample /
     audio chunk).  ``decode="real"`` fetches and decodes an ACTUAL
-    RIFF/WAV PCM16 payload (functions/codecs.py): the chunk count is
+    RIFF/WAV PCM16 payload (pipelines/codecs.py): the chunk count is
     duration-derived — ``ceil(decoded_samples / chunk_samples)`` at the
     DECODED sample rate — and chunk payloads are real waveform slices
     (last chunk zero-padded to the fixed size).  ``decode="fake"``
@@ -327,7 +327,7 @@ class AudioChunker:
         self.max_chunks = max_chunks
         self.decode = decode
         if decode == "real":
-            from ..functions.codecs import synth_media
+            from .codecs import synth_media
 
             self.fetch = fetch or synth_media
 
@@ -349,7 +349,7 @@ class AudioChunker:
         """Real path: -> (chunk payloads, decoded sample_rate, decoded
         total samples).  Chunk length re-derives from the DECODED rate so
         chunks always span chunk_s seconds of real audio."""
-        from ..functions import codecs
+        from . import codecs
 
         pcm, rate = codecs.decode_wav(self.fetch(ref, "audio"))
         n_samples = int(rate * self.chunk_s)

@@ -30,17 +30,20 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import run
+from ..config import WORLD_MIN, WORLD_SIZE
 from ..geom.kernel import polylabel_one
 from ..sources import docs as docs_mod
 from ..sources.docs import DYADIC_CYCLE_IDX as DYADIC_IDX
 from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
+from ..sources.table import table_path
+from ..stages.cells import _RES_SHIFT
+from ..stages.join import N_ZONES, zone_table
 from ..stages.label import label_points
-from ..stages.util import (
-    group_map, hash_exchange, hash_part, n_partitions, shuffle_blocks,
-)
+from ..stages.util import group_map, shuffle_blocks
 from ..state.manifest import commit_dir
+from .agg import hash_exchange, hash_part, n_partitions
 
-REGISTRY_DIRS = run.ENGINE_DIRS + ("pipelines", "functions")
+REGISTRY_DIRS = run.ENGINE_DIRS + ("pipelines",)
 
 
 # --------------------------------------------------------------------------
@@ -55,17 +58,21 @@ def _checkpoint(sf_dir: str, name: str, inputs: list[str], write_fn,
     """Commit the registry checkpoint ``$TMPDIR/polylabel_ckpt/<source>/<name>``
     through ``state.manifest.commit_dir`` and return its ``data/`` path;
     ``write_fn(path)`` writes the rows.  ``<source>`` keys ``sf_dir``.  The
-    manifest's fingerprint covers the mtime and size of each of the
-    ``inputs`` files in ``sf_dir`` and ``run.code_digest`` of ``dirs``, the
-    code that computes the rows, so a touched input or a code edit makes
-    the next call write the unit afresh."""
+    manifest's fingerprint covers the mtime and size of each file of the
+    ``inputs`` (paths in ``sf_dir``; a directory, such as a Lance dataset,
+    stands for the files under it) and ``run.code_digest`` of ``dirs``,
+    the code that computes the rows, so a touched input or a code edit
+    makes the next call write the unit afresh."""
     stamps = {}
     for f in inputs:
         path = os.path.join(sf_dir, f)
-        try:
-            stamps[f] = [os.path.getmtime(path), os.path.getsize(path)]
-        except OSError:
-            stamps[f] = None
+        files = sorted(os.path.join(d, n) for d, _, ns in os.walk(path) for n in ns)
+        for fp in files or [path]:
+            try:
+                stamp = [os.path.getmtime(fp), os.path.getsize(fp)]
+            except OSError:
+                stamp = None
+            stamps[os.path.relpath(fp, sf_dir)] = stamp
     desc = {"source": sf_dir, "inputs": stamps, "code": run.code_digest(dirs=dirs)}
     unit = os.path.join(tempfile.gettempdir(), "polylabel_ckpt",
                         hashlib.sha256(sf_dir.encode()).hexdigest()[:16], name)
@@ -85,7 +92,7 @@ def labeled_docs(sf_dir: str):
     ds = _LABELED_CACHE.get(sf_dir)
     if ds is None:
         ckpt = _checkpoint(
-            sf_dir, "labeled", ["documents.parquet"],
+            sf_dir, "labeled", [table_path(sf_dir, "documents")],
             lambda path: label_points(docs_mod.read_docs(sf_dir)).write_parquet(path),
             run.ENGINE_DIRS,
         )
@@ -171,7 +178,7 @@ def spatial_partitioned_docs(sf_dir: str) -> str:
         })
 
     return _checkpoint(
-        sf_dir, "labeled_spatial", ["documents.parquet"],
+        sf_dir, "labeled_spatial", [table_path(sf_dir, "documents")],
         lambda path: labeled_docs(sf_dir).map_batches(
             add_ptile, batch_format="pyarrow", zero_copy_batch=True,
         ).write_parquet(path, partition_cols=["ptile"]))
@@ -238,7 +245,7 @@ def q_label_summary(sf_dir: str):
             "ok": pc.cast(ok, pa.int64()),
         })
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     return grouped_aggregate(
         ds.map_batches(summarize, batch_format="pyarrow", zero_copy_batch=True),
@@ -286,6 +293,41 @@ SQL_SPAN_INTEGRITY = """
 # --------------------------------------------------------------------------
 # spatial join / cells / tiles
 # --------------------------------------------------------------------------
+
+def sql_cell_id_expr(x_expr: str, y_expr: str, res: int) -> str:
+    """DuckDB SQL computing the same int64 cell id as
+    ``stages.cells.grid_coords`` + ``encode_cells`` — used by the oracle
+    queries.  Expands the morton interleave bit-by-bit."""
+    n = 1 << res
+    cell = WORLD_SIZE / n
+    ix = (
+        f"LEAST({n - 1}, GREATEST(0, CAST(FLOOR(({x_expr} - ({WORLD_MIN!r})) / {cell!r}) AS BIGINT)))"
+    )
+    iy = (
+        f"LEAST({n - 1}, GREATEST(0, CAST(FLOOR(({y_expr} - ({WORLD_MIN!r})) / {cell!r}) AS BIGINT)))"
+    )
+    return sql_morton_expr(ix, iy, res)
+
+
+def sql_morton_expr(ix_expr: str, iy_expr: str, res: int) -> str:
+    """DuckDB expression: int64 cell id from integer grid exprs."""
+    terms = []
+    for b in range(res):
+        terms.append(f"((({ix_expr} >> {b}) & 1) << {2 * b})")
+        terms.append(f"((({iy_expr} >> {b}) & 1) << {2 * b + 1})")
+    morton = " | ".join(terms)
+    return f"CAST((CAST({res} AS BIGINT) << {_RES_SHIFT}) | ({morton}) AS BIGINT)"
+
+
+def sql_zone_values() -> str:
+    """``stages.join.zone_table()`` as a DuckDB VALUES list."""
+    z = zone_table()
+    rows = ", ".join(
+        f"({int(z['zone_id'][j])}, {z['x0'][j]!r}, {z['y0'][j]!r}, {z['x1'][j]!r}, {z['y1'][j]!r})"
+        for j in range(N_ZONES)
+    )
+    return f"(VALUES {rows}) AS zones(zone_id, zx0, zy0, zx1, zy1)"
+
 
 def _sql_dyadic_labels_cte() -> str:
     """CTE body: doc_num, label_x, label_y for the dyadic-fixture rows
@@ -382,7 +424,6 @@ def _sql_labeled_output() -> str:
     (sources/docs.py::spans_for_doc_ids) with the SAME canonical string +
     md5_number_lower, labels/cells from the dyadic-fixture CTE."""
     from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
-    from ..stages.cells import sql_cell_id_expr
 
     cell = sql_cell_id_expr("l.label_x", "l.label_y", DEFAULT_CELL_RES)
     tile = sql_cell_id_expr("l.label_x", "l.label_y", DEFAULT_TILE_RES)
@@ -430,7 +471,6 @@ def q_cell_encode(sf_dir: str):
 
 def _sql_cell_encode() -> str:
     from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
-    from ..stages.cells import sql_cell_id_expr
 
     cell = sql_cell_id_expr("label_x", "label_y", DEFAULT_CELL_RES)
     tile = sql_cell_id_expr("label_x", "label_y", DEFAULT_TILE_RES)
@@ -452,8 +492,6 @@ def q_zone_join(sf_dir: str):
 
 
 def _sql_zone_join() -> str:
-    from ..stages.join import sql_zone_values
-
     return (
         f"WITH labels AS ({_sql_dyadic_labels_cte()}) "
         f"SELECT doc_num, zone_id FROM labels, {sql_zone_values()} "
@@ -478,7 +516,7 @@ def q_events_windowed(sf_dir: str):
             "value_cents": pc.cast(pc.round(pc.multiply(batch.column("value"), 100.0)), pa.int64()),
         })
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     return grouped_aggregate(
         ds.map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True),
@@ -507,7 +545,6 @@ def q_knn_tiles(sf_dir: str):
 
 def _sql_knn_tiles() -> str:
     from ..config import DEFAULT_TILE_RES, WORLD_MIN, WORLD_SIZE
-    from ..stages.cells import sql_morton_expr
 
     n = 1 << DEFAULT_TILE_RES
     size = WORLD_SIZE / n
@@ -543,14 +580,13 @@ def q_tile_counts(sf_dir: str):
     from ..stages.cells import encode_stage
 
     ds = encode_stage(_dyadic_labeled(sf_dir))
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     return grouped_aggregate(ds, ["tile_id"], [("count", None, "n_points")])
 
 
 def _sql_tile_counts() -> str:
     from ..config import DEFAULT_TILE_RES
-    from ..stages.cells import sql_cell_id_expr
 
     tile = sql_cell_id_expr("label_x", "label_y", DEFAULT_TILE_RES)
     return (
@@ -585,8 +621,6 @@ def _sql_render_tiles() -> str:
     size 128 and raster 64 px are powers of two, labels and offsets are
     dyadic, so FLOOR-division replays numpy's truncation bit-exactly)."""
     from ..config import DEFAULT_TILE_RES, WORLD_MIN, WORLD_SIZE
-    from ..stages.cells import sql_cell_id_expr
-    from ..stages.join import sql_zone_values
 
     n = 1 << DEFAULT_TILE_RES
     ts = WORLD_SIZE / n  # 128.0
@@ -657,7 +691,7 @@ def q_pricing_summary(sf_dir: str):
             "price_cents": cents,
         })
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     return grouped_aggregate(
         ds.map_batches(to_cents, batch_format="pyarrow", zero_copy_batch=True),
@@ -720,7 +754,7 @@ def q_customers_per_nation(sf_dir: str):
 
     ds = ray.data.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_nationkey"])
     fn = AttachNation(nation)
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     return grouped_aggregate(
         ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True),
@@ -747,7 +781,7 @@ def q_events_by_type(sf_dir: str):
             "value_cents": pc.cast(pc.round(pc.multiply(batch.column("value"), 100.0)), pa.int64()),
         })
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     return grouped_aggregate(
         ds.map_batches(to_cents, batch_format="pyarrow", zero_copy_batch=True),
@@ -807,7 +841,7 @@ def q_exact_dedup(sf_dir: str):
             "doc_id": batch.column("doc_id"),
         })
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     # content hashes are ~unique: hash-partitioned final exchange
     return grouped_aggregate(
@@ -829,7 +863,7 @@ def q_lang_counts(sf_dir: str):
     import ray
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"])
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     return grouped_aggregate(
         ds, ["lang"], [("count", None, "n_docs"), ("sum", "n_chars", "total_chars")]
@@ -1138,7 +1172,7 @@ def q_orders_without_lineitems(sf_dir: str):
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"]
     ).map_batches(tag(0, 1, "l_orderkey"), batch_format="pyarrow", zero_copy_batch=True)
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     flags = grouped_aggregate(
         orders.union(lines),
@@ -1170,7 +1204,7 @@ def q_distinct_sources(sf_dir: str):
         # map-side distinct before the tiny global distinct
         return pa.table({"source": pa.array(sorted(set(batch.column("source").to_pylist())))})
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     return grouped_aggregate(
         ds.map_batches(dedup_batch, batch_format="pyarrow", zero_copy_batch=True),
@@ -1187,7 +1221,7 @@ SQL_DISTINCT_SOURCES = "SELECT DISTINCT source FROM documents"
 # --------------------------------------------------------------------------
 
 def q_quality_scores(sf_dir: str):
-    from ..functions.text import quality_batch
+    from .text import quality_batch
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
@@ -1219,7 +1253,7 @@ SQL_QUALITY_SCORES = r"""
 
 
 def q_bpe_tokens(sf_dir: str):
-    from ..functions.text import token_counts_batch
+    from .text import token_counts_batch
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
@@ -1243,7 +1277,7 @@ SQL_BPE_TOKENS = r"""
 def q_lang_id(sf_dir: str):
     """Heuristic language ID vs the table's lang column (oracle-backed: the
     stopword-vote + CJK-share heuristic is replayed in pure SQL)."""
-    from ..functions.text import lang_id_batch
+    from .text import lang_id_batch
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
@@ -1268,10 +1302,10 @@ def _sql_lang_hits(words: tuple) -> str:
 
 
 def _sql_lang_id() -> str:
-    """SQL replay of functions/text.py::lang_id_one: CJK codepoint share
+    """SQL replay of pipelines/text.py::lang_id_one: CJK codepoint share
     first, then stopword argmax with ties to the earliest profile in
     insertion order (en, fr, de, es), 'und' when no stopword hits."""
-    from ..functions.text import _LANG_PROFILES
+    from .text import _LANG_PROFILES
 
     en = _sql_lang_hits(tuple(sorted(_LANG_PROFILES["en"])))
     fr = _sql_lang_hits(tuple(sorted(_LANG_PROFILES["fr"])))
@@ -1304,7 +1338,7 @@ def q_fingerprints(sf_dir: str):
     fold mod 2^61-1 is replayed with a DuckDB list_reduce over HUGEINTs;
     exact because the corpus is ASCII, where ord(char) == utf-8 byte —
     guarded by the ascii flag column on both sides)."""
-    from ..functions.text import fingerprint_batch
+    from .text import fingerprint_batch
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
@@ -1398,7 +1432,7 @@ def _sql_planted_corpus() -> str:
 def _sql_shingle_cte() -> str:
     """(doc_id, g) distinct word-3-gram shingle STRINGS over the planted
     corpus — the exact sets the engine's verify stage uses
-    (functions/dedup.py::shingle_strs)."""
+    (pipelines/dedup.py::shingle_strs)."""
     return f"""
         corpus AS ({_sql_planted_corpus()}),
         w AS (
@@ -1474,7 +1508,7 @@ def _sql_dedup_clusters() -> str:
     """
 
 
-# SQL replay of functions/dedup.py::simhash64_batch over the planted corpus:
+# SQL replay of pipelines/dedup.py::simhash64_batch over the planted corpus:
 # token hash = md5 low 8 bytes LE (md5_number_lower), per-bit +-1 majority
 # over whitespace-lowercase tokens, packed and shifted >> 1 for int64.
 def _sql_simhash() -> str:
@@ -1509,7 +1543,7 @@ _MINHASHER = None
 def _minhasher():
     global _MINHASHER
     if _MINHASHER is None:
-        from ..functions.dedup import MinHasher
+        from .dedup import MinHasher
 
         _MINHASHER = MinHasher()
     return _MINHASHER
@@ -1599,7 +1633,7 @@ def q_minhash_near_dup(
     partition) has the same doc_b, so all copies land in one group.
     Rows-only oracle (pytest pins planted-pair recall and the partitioned
     path's equality with the single-partition path)."""
-    from ..functions.dedup import (
+    from .dedup import (
         LSH_BANDS,
         band_hashes_batch,
         jaccard_pct_exact,
@@ -1664,7 +1698,7 @@ def verify_candidate_pairs(
     from (doc_id, text) — both paths recompute exact shingle sets from it,
     so an LSH/hash collision upstream can only add candidates, never flip
     a verified pair."""
-    from ..functions.dedup import jaccard_pct_exact, shingle_strs
+    from .dedup import jaccard_pct_exact, shingle_strs
 
     import ray
     import pyarrow.parquet as pq
@@ -1690,7 +1724,7 @@ def verify_candidate_pairs(
         # groupby over the 16-byte pair rows does it before any Jaccard
         # work is spent.
         if not pre_deduped:
-            from ..stages.agg import grouped_aggregate
+            from .agg import grouped_aggregate
 
             cands = grouped_aggregate(
                 cands, ["doc_a", "doc_b"], [("count", None, "_nbands")]
@@ -1746,7 +1780,7 @@ def verify_candidate_pairs(
         use_bloom = n_docs > 5_000_000
     bloom_ref = None
     if use_bloom:
-        from ..functions.bloom import bloom_size_bits, build_bloom
+        from .bloom import bloom_size_bits, build_bloom
 
         cands = cands.materialize()  # pair table: tiny vs the corpus
         n_pairs = cands.count()
@@ -1758,7 +1792,7 @@ def verify_candidate_pairs(
     def docs_keyed(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy().astype(np.int64)
         if bloom_ref is not None:
-            from ..functions.bloom import bloom_contains
+            from .bloom import bloom_contains
 
             keep = bloom_contains(ray.get(bloom_ref), ids)
             batch = batch.filter(pa.array(keep))
@@ -1873,7 +1907,7 @@ def q_top_bigrams(sf_dir: str):
             "n": pc.cast(out.column("bigram_count"), pa.int64()),
         })
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     counts = grouped_aggregate(
         ds.map_batches(bigram_counts, batch_format="pyarrow", zero_copy_batch=True),
@@ -1978,7 +2012,7 @@ def q_token_packing(sf_dir: str, n_parts: int | None = None):
 
     toked = ds.map_batches(tokens, batch_format="pyarrow", zero_copy_batch=True)
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     # tiny reduce: P rows -> driver-side exclusive prefix per partition
     sums = grouped_aggregate(toked, ["part"], [("sum", "n_tokens", "s")]).to_pandas()
@@ -2032,7 +2066,7 @@ def q_dedup_clusters(sf_dir: str, n_parts: int | None = None):
     CTE over the exhaustive set-similarity pair join replays the
     components; pytest additionally pins equality with a driver-side
     union-find at sf0.001."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -2160,7 +2194,7 @@ def q_simhash(sf_dir: str):
     md5 token hashes are DuckDB's md5_number_lower, so SQL replays the
     per-bit majority exactly.  Vectorized per batch, elastic stateless
     tasks (no concurrency cap)."""
-    from ..functions.dedup import simhash64_batch
+    from .dedup import simhash64_batch
 
     ds = _corpus_with_planted_dups(sf_dir)
 
@@ -2221,7 +2255,7 @@ def q_embedding_near_dup(sf_dir: str, threshold: float = 0.98, n_parts: int | No
     pairs are deduped by a final (vec_a, vec_b) groupby-max (pair table is
     tiny: only near-dup candidates).  Planted duplicates (vec_id +
     DUP_OFFSET, tiny noise) pin recall in pytest."""
-    from ..functions.sim import _unit, embedding_matrix
+    from .sim import _unit, embedding_matrix
 
     import ray
     import pyarrow.parquet as pq
@@ -2312,7 +2346,7 @@ def q_embedding_near_dup(sf_dir: str, threshold: float = 0.98, n_parts: int | No
 
     pairs = hash_exchange(bucketed, "bkey", verify_part, n_parts)
     # OR-construction dedup: the same pair can surface from several bands
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     return grouped_aggregate(pairs, ["vec_a", "vec_b"], [("max", "cos_pct", "cos_pct")])
 
@@ -2360,7 +2394,7 @@ def _sql_embedding_near_dup(threshold: float = 0.98) -> str:
 def q_ann_topk(sf_dir: str):
     """Exact cosine top-k (ranks only; scores differ from the SQL oracle's
     op order by ulps, ranks don't)."""
-    from ..functions.sim import ann_topk_pipeline
+    from .sim import ann_topk_pipeline
 
     ds = ann_topk_pipeline(sf_dir, n_queries=3, k=5)
     return ds.select_columns(["query_id", "rank", "vec_id"])
@@ -2392,9 +2426,9 @@ IVF_K = 5
 
 def q_ivf_topk(sf_dir: str):
     """IVF top-k, EXACT via the triangle-bound cell pruning + integer SQ8
-    ADC metric (functions/sim.py::ivf_topk_exact_pipeline) — oracle'd by
+    ADC metric (pipelines/sim.py::ivf_topk_exact_pipeline) — oracle'd by
     the exhaustive integer top-k (the sq8_topk SQL shape)."""
-    from ..functions.sim import ivf_topk_exact_pipeline
+    from .sim import ivf_topk_exact_pipeline
 
     return ivf_topk_exact_pipeline(sf_dir, n_queries=IVF_N_QUERIES, k=IVF_K)
 
@@ -2438,9 +2472,9 @@ def _sql_ivf_topk() -> str:
 def q_media_kind_counts(sf_dir: str):
     """Multimodal plumbing: explode media spans, featurize (stubbed decode),
     roll up counts per kind."""
-    from ..stages.media import media_pipeline
+    from .media import media_pipeline
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     ds = media_pipeline(sf_dir)
     return grouped_aggregate(ds, ["kind"], [("count", None, "n_media")])
@@ -2631,7 +2665,7 @@ def q_canonical_docs(sf_dir: str):
     into one int64 max-key that flows through the map-side-combined
     groupby, so no per-group sort and the shuffle carries
     O(groups x blocks) rows.  The ROW_NUMBER()=1 oracle replays it."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(
@@ -2735,7 +2769,7 @@ def q_value_histogram(sf_dir: str):
     """Fixed-width binned aggregation (histogram): bin = floor(value/25),
     count + exact min/max per bin via the map-side-combined groupby.  The
     bin id is one double division + floor on both sides — bit-identical."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
@@ -2771,7 +2805,7 @@ def q_rollup_sales(sf_dir: str):
     Integer-cents and integral-double sums keep every level bit-exact
     under reassociation; grouped-out columns take the 'ALL' marker on both
     sides (no NULL-vs-NULL ambiguity in the driver compare)."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(
@@ -2932,7 +2966,7 @@ def q_distinct_users_per_type(sf_dir: str):
     groupby (the shuffle carries unique pairs per block, not rows), the
     second level counts the distinct pairs and sums the row counts per
     type.  No per-key set materialization anywhere."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(
@@ -2964,7 +2998,7 @@ def q_long_docs(sf_dir: str):
     column — the histogram IS exact; driver reduces O(distinct values)
     rows), the threshold broadcasts into a stateless filter map.  Rank
     semantics = quantile_disc: element at 0-indexed rank ceil(q*n)-1."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(
@@ -2999,7 +3033,7 @@ def q_user_event_pivot(sf_dir: str):
     (vectorized equality -> int indicator columns), so the groupby is a
     plain map-side-combined sum — no per-type scan, no post-join, and the
     shuffle carries one row per (user x block).  Oracle: COUNT(*) FILTER."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(
@@ -3141,7 +3175,7 @@ def q_view_only_hours(sf_dir: str):
     through the map-side-combined groupby to one (saw_view, saw_purchase)
     row per hour bucket — EXCEPT/INTERSECT/UNION all fall out of the same
     flag algebra without materializing either distinct set."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
@@ -3189,14 +3223,14 @@ def q_revenue_by_region(sf_dir: str, join_mode: str | None = None):
     class: nation/region are bounded dims (a 25-entry nationkey→r_name
     lookup broadcast into the stage closure), while CUSTOMER is a
     fact-scaled table — it attaches through the size-gated broadcast /
-    co-partitioned exchange (stages/factjoin.attach_cust_nationkey; modes
+    co-partitioned exchange (pipelines/factjoin.attach_cust_nationkey; modes
     pinned equal in tests/test_queries.py).  One pass over orders below
     the gate, one custkey exchange above it; the final shuffle is never
     wider than |regions| x blocks."""
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
-    from ..stages.factjoin import attach_cust_nationkey
+    from .agg import grouped_aggregate
+    from .factjoin import attach_cust_nationkey
 
     import ray
     P = n_partitions(None)
@@ -3268,8 +3302,8 @@ def q_video_frame_stats(sf_dir: str):
     combine.  Oracle-backed: span synthesis is pure doc_id arithmetic
     (spans_for_doc_ids) and the fake frame payload size is the constant
     width*height*3, so SQL replays counts and bytes exactly."""
-    from ..stages.agg import grouped_aggregate
-    from ..stages.media import frame_pipeline
+    from .agg import grouped_aggregate
+    from .media import frame_pipeline
 
     frames = frame_pipeline(sf_dir)
 
@@ -3567,13 +3601,13 @@ def q_part_pair_counts(sf_dir: str, n_parts: int | None = None):
             "n_pairs": pc.cast(t.column("part_a_count"), pa.int64()),
         })
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     ).map_batches(to_parts, batch_format="pyarrow", zero_copy_batch=True)
     pairs = hash_exchange(ds, "okey", pairs_in_partition, n_parts)
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     return grouped_aggregate(pairs, ["part_a", "part_b"],
                              [("sum", "n_pairs", "n_pairs")])
@@ -3595,7 +3629,7 @@ def q_conversion_funnel(sf_dir: str):
     min() is null-free), (2) a constant-size count reduce over the per-user
     rows.  The shuffle carries one row per (user x block), then one row per
     block — nothing scales with event volume."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     SENT = np.int64(2**62)
@@ -3667,7 +3701,7 @@ SQL_CONVERSION_FUNNEL = """
 def _sales_level0(sf_dir: str):
     """Shared finest-level (returnflag x linestatus) sales aggregate — the
     one fact-table pass that ROLLUP and CUBE levels re-aggregate."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(
@@ -3702,7 +3736,7 @@ _SALES_RESPEC = [("sum", "sum_qty", "sum_qty"),
 def _sales_mask_level(level0, keep: list[str]):
     """Re-aggregate the finest sales level with the non-kept dimension(s)
     masked to the 'ALL' marker."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     dims = ["l_returnflag", "l_linestatus"]
 
@@ -3772,8 +3806,8 @@ def q_tile_pyramid(sf_dir: str):
     z -> z-1 pyramid build: every level after the finest costs
     O(tiles), not O(points)."""
     from ..config import DEFAULT_TILE_RES
-    from ..stages.agg import grouped_aggregate
     from ..stages.cells import cell_parent, encode_stage
+    from .agg import grouped_aggregate
 
     ds = encode_stage(_dyadic_labeled(sf_dir))
     level = grouped_aggregate(
@@ -3811,7 +3845,6 @@ def q_tile_pyramid(sf_dir: str):
 
 def _sql_tile_pyramid() -> str:
     from ..config import DEFAULT_TILE_RES
-    from ..stages.cells import sql_cell_id_expr
 
     selects = []
     for res in range(DEFAULT_TILE_RES, DEFAULT_TILE_RES - 3, -1):
@@ -3919,7 +3952,7 @@ def q_event_types_per_user(sf_dir: str, n_parts: int | None = None):
     per block), then pairs co-partition by hash(user) and each partition
     emits its users' joined strings from one lexsort — no per-user task,
     no global sort."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -3963,7 +3996,7 @@ def q_props_value_stats(sf_dir: str):
     map-side-combined groupby per event type.  The parse is a stateless
     stage; unparseable rows become NULL and are excluded from the k-stats
     but still counted (`n_events` vs `n_with_k`)."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(

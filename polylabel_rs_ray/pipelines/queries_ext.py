@@ -16,11 +16,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import DEFAULT_TILE_RES, WORLD_MIN, WORLD_SIZE
-from ..geom.ops import convex_hull, ring_area, simplify_ring
 from ..sources import docs as docs_mod
 from ..sources.docs import DYADIC_CYCLE_IDX as DYADIC_IDX
 from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
-from ..stages.util import group_map, hash_exchange, hash_part, n_partitions
+from ..stages.util import group_map
+from .agg import hash_exchange, hash_part, n_partitions
+from .geom_ops import convex_hull, ring_area, simplify_ring
 
 
 # --------------------------------------------------------------------------
@@ -169,7 +170,7 @@ def q_bbox_overlap_join(sf_dir: str):
 
 
 def _sql_bbox_overlap_join() -> str:
-    from ..stages.join import sql_zone_values
+    from .queries import sql_zone_values
 
     return f"""
         WITH boxes AS ({_sql_dyadic_bbox_cte()})
@@ -222,7 +223,7 @@ def q_nearest_zone(sf_dir: str):
 
 
 def _sql_nearest_zone() -> str:
-    from ..stages.join import sql_zone_values
+    from .queries import sql_zone_values
 
     from .queries import _sql_dyadic_labels_cte
 
@@ -308,7 +309,7 @@ def q_doc_tile_coverage(sf_dir: str):
 
 
 def _sql_doc_tile_coverage() -> str:
-    from ..stages.cells import sql_morton_expr
+    from .queries import sql_morton_expr
 
     n = 1 << DEFAULT_TILE_RES
     s = _TILE_SIZE

@@ -185,9 +185,9 @@ SQL_VALUE_PAGE = f"""
 
 
 def q_image_resize_stats(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
-    from ..stages.media import ImageResizer, explode_media_spans
     from ..sources.docs import read_docs
+    from .agg import grouped_aggregate
+    from .media import ImageResizer, explode_media_spans
 
     ds = read_docs(sf_dir)
     media = ds.map_batches(

@@ -35,7 +35,7 @@ def _interleave16(v: np.ndarray) -> np.ndarray:
 
 
 def q_curve_locality_compare(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries import _dyadic_labeled
     from .queries_ext79 import hilbert_xy2d

@@ -24,7 +24,7 @@ HOUR_US = 3_600_000_000
 
 
 def q_missing_hours_audit(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -99,7 +99,7 @@ SELECT CAST((SELECT COUNT(*) FROM grid) AS BIGINT) AS n_hours_total,
 
 
 def q_supplier_hhi(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

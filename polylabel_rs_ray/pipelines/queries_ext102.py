@@ -32,8 +32,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .agg import hash_exchange
 from .queries import _ts_us
-from ..stages.util import hash_exchange
 
 
 _DAY_US = 86_400_000_000
@@ -50,7 +50,7 @@ Q4_LATE_DAYS = 90
 
 
 def q_forecast_revenue_q6(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     lo_us, hi_us = _ts_us(Q6_LO), _ts_us(Q6_HI)
@@ -99,7 +99,7 @@ WHERE l_shipdate >= TIMESTAMP '{Q6_LO}'
 
 
 def q_order_priority_q4(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     lo_us, hi_us = _ts_us(Q4_LO), _ts_us(Q4_HI)

@@ -26,8 +26,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .agg import hash_exchange
 from .queries import _ts_us
-from ..stages.util import hash_exchange
 
 
 _DAY_US = 86_400_000_000
@@ -43,7 +43,7 @@ Q12_BUCKET_2 = 90
 def q_returned_item_revenue_q10(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     lo_us, hi_us = _ts_us(Q10_LO), _ts_us(Q10_HI)
@@ -160,7 +160,7 @@ LIMIT {Q10_TOPN}
 
 
 def q_shipping_lag_q12(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     b1_us, b2_us = Q12_BUCKET_1 * _DAY_US, Q12_BUCKET_2 * _DAY_US

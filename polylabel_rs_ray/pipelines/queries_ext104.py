@@ -28,7 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange, n_partitions
+from .agg import hash_exchange, n_partitions
 
 
 Q8_REGION = "ASIA"
@@ -48,7 +48,7 @@ def _years_from_us(date_us: np.ndarray) -> np.ndarray:
 def q_market_share_q8(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     P = n_partitions(n_parts)
@@ -66,7 +66,7 @@ def q_market_share_q8(sf_dir: str, n_parts: int | None = None):
     asia_nations = np.sort(nk[nrk == region_key])
     # the region membership flag attaches to orders through the
     # size-gated broadcast / co-partitioned customer join (customer is
-    # fact-scaled; stages/factjoin.attach_fact_value) — never a driver
+    # fact-scaled; pipelines/factjoin.attach_fact_value) — never a driver
     # scan of the whole customer table
 
     # broadcast side 2: ECONOMY partkeys
@@ -172,7 +172,7 @@ def q_market_share_q8(sf_dir: str, n_parts: int | None = None):
             "total_micro": g.column("total_micro_sum"),
         })
 
-    from ..stages.factjoin import attach_fact_value
+    from .factjoin import attach_fact_value
 
     def orders_fact(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -252,7 +252,7 @@ FROM x GROUP BY o_year ORDER BY o_year
 def q_nation_profit_q9(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

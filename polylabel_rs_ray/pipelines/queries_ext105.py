@@ -35,7 +35,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange, n_partitions
+from .agg import hash_exchange, n_partitions
 
 
 Q21_LATE_DAYS = 60
@@ -55,7 +55,7 @@ def _supplier_names(sf_dir: str) -> dict[int, str]:
 
 
 def q_order_waiting_q21(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     P = n_partitions(n_parts)
@@ -206,7 +206,7 @@ ORDER BY numwait DESC, s.s_name
 
 
 def q_dominant_part_suppliers_q20(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     names = _supplier_names(sf_dir)

@@ -112,7 +112,7 @@ FROM bfs GROUP BY node ORDER BY part_node
 
 
 def q_qty_discount_spearman(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

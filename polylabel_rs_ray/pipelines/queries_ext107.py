@@ -74,7 +74,7 @@ def q_geohash_cells(sf_dir: str):
 
 def _sql_geohash_cells() -> str:
     from ..config import DEFAULT_TILE_RES
-    from ..stages.cells import sql_cell_id_expr
+    from .queries import sql_cell_id_expr
 
     from .queries import _sql_dyadic_labels_cte
 
@@ -112,7 +112,7 @@ FROM bits
 
 
 def q_lang_histogram_intersection(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries_ext5 import _word_lists
 

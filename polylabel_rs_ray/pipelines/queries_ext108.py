@@ -29,15 +29,14 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 TRIPLE_SHIFT = 21  # partkey < 2^21 per packed component (documented bound)
 
 
 def q_basket_triple_support(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -128,7 +127,7 @@ FROM s GROUP BY support ORDER BY support
 
 
 def q_customer_order_gini(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -34,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 
 Q2_REGION = "EUROPE"
@@ -46,7 +46,7 @@ PACK_SHIFT = 20  # suppkey < 2^20; cents < 2^43 (documented bounds)
 def q_cheapest_supplier_q2(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -170,7 +170,7 @@ LIMIT {Q2_TOPK}
 
 def q_segment_priority_independence(sf_dir: str,
                                     n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

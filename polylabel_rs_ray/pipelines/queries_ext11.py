@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..geom.ops import ring_diameter_sq, ring_perimeter
 from ..sources import docs as docs_mod
 from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
+from .geom_ops import ring_diameter_sq, ring_perimeter
 from .queries_ext import DYADIC_IDX, _dyadic_rings_ds, _norm_exterior
 
 

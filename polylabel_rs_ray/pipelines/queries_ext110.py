@@ -31,14 +31,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import group_map, n_partitions
+from ..stages.util import group_map
+from .agg import n_partitions
 
 KS_LANG_A = "en"
 KS_LANG_B = "de"
 
 
 def q_trigram_novelty(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries_ext5 import _word_lists
 
@@ -147,7 +148,7 @@ ORDER BY sh.doc_id
 
 
 def q_doclen_ks_test(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

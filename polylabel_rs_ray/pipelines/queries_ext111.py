@@ -31,7 +31,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import group_map, n_partitions
+from ..stages.util import group_map
+from .agg import n_partitions
 
 
 def _axis_fold(hist) -> dict[int, tuple[int, int]]:
@@ -56,7 +57,7 @@ def _axis_fold(hist) -> dict[int, tuple[int, int]]:
 
 def q_label_dispersion(sf_dir: str):
     from ..sources import docs as docs_mod
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries import q_label_dyadic
 
@@ -157,7 +158,7 @@ ORDER BY fixture_idx
 
 
 def q_source_overlap_matrix(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries_ext5 import _word_lists
 

@@ -33,7 +33,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import group_map, n_partitions
+from ..stages.util import group_map
+from .agg import n_partitions
 
 DAY_US = 86_400_000_000
 
@@ -44,7 +45,7 @@ DAY_US = 86_400_000_000
 
 
 def q_peak_concurrency(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     P = n_partitions(n_parts)
@@ -198,9 +199,9 @@ def _min_area_rect(hull: list) -> tuple[float, float]:
 
 
 def q_min_area_rect_stats(sf_dir: str):
-    from ..geom.ops import convex_hull
     from ..sources import docs as docs_mod
     from ..stages.label import rings_to_numpy
+    from .geom_ops import convex_hull
 
     from .queries_ext import _dyadic_rings_ds, _norm_exterior
 

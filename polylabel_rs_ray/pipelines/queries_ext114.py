@@ -30,7 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 
 # --------------------------------------------------------------------------
@@ -149,7 +149,7 @@ _KEY_COMBOS = [
 
 
 def q_candidate_key_audit(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -39,7 +39,7 @@ MINPTS = 3
 
 
 def _tile_hist(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries import _dyadic_labeled
     from .queries_ext41 import _grid_params
@@ -153,7 +153,7 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def q_letter_frequency_matrix(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",

@@ -65,7 +65,7 @@ def _ams_signs(words: list[str]) -> np.ndarray:
 
 
 def q_ams_f2_sketch(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries_ext40 import _word_counts
 
@@ -151,7 +151,7 @@ def _sql_ams_f2_sketch() -> str:
 
 def _hourly_counts(sf_dir: str) -> np.ndarray:
     """Zero-filled length-HAAR_N int64 vector of global hourly counts."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])

@@ -38,7 +38,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 WINDOW_H = 24
 N_HOURS = 720
@@ -53,7 +53,7 @@ _ORIGIN_US = 1_704_067_200_000_000  # 2024-01-01T00:00:00Z
 
 
 def q_sliding_distinct_users(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -138,7 +138,7 @@ def _sql_sliding_distinct_users() -> str:
 
 
 def q_for_encoding_cost(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",

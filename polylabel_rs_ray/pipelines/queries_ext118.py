@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..sources import docs as docs_mod
-from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
+from ..sources.fixtures import FIXTURE_CYCLE, FIXTURES
 from .queries_ext import DYADIC_IDX, _bbox_stage, _dyadic_rings_ds, \
     _norm_exterior
 
@@ -47,7 +46,7 @@ from .queries_ext import DYADIC_IDX, _bbox_stage, _dyadic_rings_ds, \
 
 
 def q_fixture_tile_iou(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries_ext import _coverage_stage
 

@@ -18,14 +18,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import group_map, n_partitions
+from ..stages.util import group_map
+from .agg import n_partitions
 
 HOP_US = 900_000_000
 WIN_HOPS = 4
 
 
 def q_sliding_window_users(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
@@ -66,7 +67,7 @@ def q_inverted_index(sf_dir: str, n_parts: int | None = None):
     group_by), the reduce side dedupes across blocks, sorts once, and
     joins each word's postings with one ``binary_join`` over a ListArray
     view — no per-word Python anywhere."""
-    from ..stages.agg import _key_hash
+    from .agg import _key_hash
     from .queries_ext5 import _word_lists
 
     import ray

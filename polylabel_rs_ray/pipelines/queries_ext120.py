@@ -49,7 +49,7 @@ XCORR_LAGS = (0, 1, 2, 3)
 
 def _bucket_counts(sf_dir: str, div_us: int, key: str):
     """Bounded (event_type, bucket) count histogram via map-side combine."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",

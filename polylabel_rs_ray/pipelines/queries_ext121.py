@@ -42,9 +42,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources import docs as docs_mod
+from .agg import hash_exchange
 from .queries_ext import DYADIC_IDX, _dyadic_rings_ds
 from .queries_ext119 import _sql_fixture_verts
-from ..stages.util import hash_exchange
 
 N_PROBES = 8
 PROBE_FX = [2 * k + 1 for k in range(N_PROBES)]         # × W / 16
@@ -177,7 +177,7 @@ def _bitlen(v: np.ndarray) -> np.ndarray:
 
 
 def q_elias_code_spectrum(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -45,7 +45,7 @@ import pyarrow.compute as pc
 
 def _bigram_count_table(sf_dir: str):
     """Bounded corpus bigram-count table via map-side combine."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",

@@ -45,7 +45,7 @@ SESSION_GAP_US = 30 * 60 * 1_000_000
 
 
 def q_kruskal_rank_sums(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -116,7 +116,7 @@ GROUP BY tc.event_type
 
 
 def q_session_bounce_rate(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(

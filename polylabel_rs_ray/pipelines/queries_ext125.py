@@ -103,7 +103,7 @@ class _ShardedNnScorer:
         return self._shards
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.sim import embedding_matrix
+        from .sim import embedding_matrix
 
         qc = _quantize(embedding_matrix(batch), self.mn, self.span)
         qids = batch.column("vec_id").to_numpy().astype(np.int64)
@@ -138,7 +138,7 @@ class _ShardedNnScorer:
 
 
 def q_sq8_1nn_label_audit(sf_dir: str, n_shards: int | None = None):
-    from ..functions.sim import embedding_matrix
+    from .sim import embedding_matrix
 
     import ray
     mn, mx = _minmax(sf_dir)
@@ -214,8 +214,8 @@ JOIN embeddings eb ON eb.vec_id = n.nn_id
 
 
 def q_sq8_dim_profile(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
-    from ..functions.sim import embedding_matrix
+    from .agg import grouped_aggregate
+    from .sim import embedding_matrix
 
     import ray
     mn, mx = _minmax(sf_dir)

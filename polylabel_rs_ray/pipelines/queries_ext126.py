@@ -34,7 +34,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import group_map, n_partitions
+from ..stages.util import group_map
+from .agg import n_partitions
 
 ROARING_BREAK_EVEN = 4096
 ROARING_BITMAP_BYTES = 8192
@@ -51,7 +52,7 @@ _VARINT_LADDER = " ".join(
 
 
 def q_roaring_cost_estimate(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -130,7 +131,7 @@ def _varint_bytes(v: np.ndarray) -> np.ndarray:
 
 
 def q_posting_list_cost(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import _key_hash
+    from .agg import _key_hash
 
     import ray
     P = n_partitions(n_parts)

@@ -107,7 +107,7 @@ def _sql_taxicab_diameter_stats() -> str:
 def q_lang_centroid_affinity(sf_dir: str):
     import ray
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     ds0 = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                 columns=["lang", "text"])

@@ -7,9 +7,9 @@ numerators: n = lineitems, sumsq = Σ n_t² over the customer's
 per-type counts (HHI = sumsq/n², emitted as the two integers so no
 float division crosses the oracle boundary), plus the distinct type
 count.  Shape: the part TYPE domain (bounded, 150 values) is discovered
-distributedly (stages/agg.distinct_values), the partkey -> type-class
+distributedly (pipelines/agg.distinct_values), the partkey -> type-class
 attach AND the orders FACT attach both go through the size-gated
-broadcast / co-partitioned exchange (stages/factjoin.attach_fact_value
+broadcast / co-partitioned exchange (pipelines/factjoin.attach_fact_value
 / attach_order_custkey — part scales at 200k rows/sf, a dim at sf1 but
 a fact at 100x; modes pinned equal in pytest), then a (custkey,
 type-class) hash aggregate whose bounded per-customer fan-in (≤150
@@ -40,7 +40,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import n_partitions
+from .agg import n_partitions
 
 
 def _rev_cents_pct(batch: pa.Table) -> np.ndarray:
@@ -62,8 +62,8 @@ def q_customer_parttype_hhi(
     join_mode: str | None = None,
     part_mode: str | None = None,
 ):
-    from ..stages.agg import distinct_values, grouped_aggregate
-    from ..stages.factjoin import attach_fact_value, attach_order_custkey
+    from .agg import distinct_values, grouped_aggregate
+    from .factjoin import attach_fact_value, attach_order_custkey
 
     import ray
     P = n_partitions(None)
@@ -91,7 +91,7 @@ def q_customer_parttype_hhi(
     )
 
     # orders attach: size-gated broadcast / co-partitioned exchange
-    # (orders is a fact, not a dim — stages/factjoin.py)
+    # (orders is a fact, not a dim — pipelines/factjoin.py)
     joined = attach_order_custkey(sf_dir, fact, ["t"], P, mode=join_mode)
 
     def ones(batch: pa.Table) -> pa.Table:
@@ -144,13 +144,13 @@ FROM ct GROUP BY c_custkey
 
 
 def q_brand_share_by_type(sf_dir: str, part_mode: str | None = None):
-    from ..stages.agg import distinct_values, grouped_aggregate
-    from ..stages.factjoin import attach_fact_value
+    from .agg import distinct_values, grouped_aggregate
+    from .factjoin import attach_fact_value
 
     import ray
     P = n_partitions(None)
     # bounded domains (150 types x 25 brands) discovered distributedly;
-    # the part attach is size-gated (stages/factjoin.py) with both class
+    # the part attach is size-gated (pipelines/factjoin.py) with both class
     # ids packed into ONE int64 side value (tc * B + bc)
     types = distinct_values(f"{sf_dir}/part.parquet", "p_type")
     brands = distinct_values(f"{sf_dir}/part.parquet", "p_brand")

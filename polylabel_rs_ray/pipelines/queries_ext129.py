@@ -35,10 +35,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources import docs as docs_mod
+from ..sources.fixtures import FIXTURE_CYCLE
+from .agg import hash_exchange
 from .queries_ext import _dyadic_rings_ds, _norm_exterior
 from .queries_ext118 import _fixture_norm_ext, _next_dyadic
-from ..sources.fixtures import FIXTURE_CYCLE
-from ..stages.util import hash_exchange
 
 WINDOW_US = 3_600_000_000  # 1 hour
 

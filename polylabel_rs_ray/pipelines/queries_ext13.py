@@ -19,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 # --------------------------------------------------------------------------
 # GROUPING SETS
@@ -92,7 +92,7 @@ SQL_USER_SECOND_EVENT = """
 
 
 def q_orders_above_cust_avg(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(
@@ -187,7 +187,7 @@ SQL_ORDERS_ABOVE_CUST_AVG = """
 
 
 def q_users_all_types(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
     from .queries import PIVOT_TYPES
 
     import ray

@@ -17,7 +17,7 @@ lineitems touch (lineitem → orders (orderkey→cust) → supplier →
 nation → region), and the has-all-regions flag.  supplier/nation/
 region broadcast once (tiny bounded dims); the orders FACT attaches
 through the size-gated broadcast/co-partitioned exchange
-(stages/factjoin.attach_order_custkey — modes pinned equal in pytest);
+(pipelines/factjoin.attach_order_custkey — modes pinned equal in pytest);
 distinct (cust, region) collapses map-side, the mask is
 Σ 2^region over the distinct pairs.  Oracle: joins + bit_or /
 COUNT(DISTINCT).
@@ -34,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import n_partitions
+from .agg import n_partitions
 
 WEEK_US = 7 * 86_400_000_000
 
@@ -45,7 +45,7 @@ WEEK_US = 7 * 86_400_000_000
 
 
 def q_users_every_week(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -133,15 +133,15 @@ def q_customer_region_coverage(
 ):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
-    from ..stages.factjoin import attach_fact_value, attach_order_custkey
+    from .agg import grouped_aggregate
+    from .factjoin import attach_fact_value, attach_order_custkey
 
     import ray
     P = n_partitions(None)
     # nation is a TRUE bounded dim (25 rows) — its nationkey -> regionkey
     # map closes over the side_val_fn; supplier scales at 10k rows/sf, so
     # its suppkey -> region attach goes through the size-gated fact join
-    # (stages/factjoin.py), as does the orders attach below
+    # (pipelines/factjoin.py), as does the orders attach below
     nat = pq.read_table(f"{sf_dir}/nation.parquet",
                         columns=["n_nationkey", "n_regionkey"])
     nk = nat.column("n_nationkey").to_numpy().astype(np.int64)

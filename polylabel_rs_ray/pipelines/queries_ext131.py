@@ -37,7 +37,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 STEP_WINDOW_US = 3_600_000_000  # 1 hour per funnel step
 FUNNEL_STEPS = ("view", "click", "purchase")
@@ -181,7 +181,7 @@ DAY_US = 86_400_000_000
 
 
 def q_customer_priority_drift(sf_dir: str):
-    from ..stages.agg import distinct_values, grouped_aggregate
+    from .agg import distinct_values, grouped_aggregate
 
     import ray
     # distributed distinct — never a driver column scan of the fact table

@@ -45,7 +45,7 @@ QQ_DECILES = tuple(range(1, 10))
 
 
 def q_source_dedup_stats(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -104,7 +104,7 @@ FROM documents GROUP BY source
 
 
 def q_value_qq_distance(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",

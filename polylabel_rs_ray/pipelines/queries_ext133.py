@@ -36,7 +36,7 @@ DAY_US = 86_400_000_000
 
 def _daily_order_revenue(sf_dir: str):
     """Bounded (day, revenue-cents) table via map-side combine."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",

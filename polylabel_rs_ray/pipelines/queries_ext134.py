@@ -10,7 +10,7 @@ orders, exact revenue cents.  Shape: the decile boundaries come from
 a DISTRIBUTED cents histogram (bounded by the 1.1M-value acctbal
 domain, never O(customers)); the customer balance attaches to orders
 through the size-gated broadcast / co-partitioned fact join
-(stages/factjoin.attach_fact_value — modes pinned equal in pytest);
+(pipelines/factjoin.attach_fact_value — modes pinned equal in pytest);
 one hash aggregate over orders.  Oracle: the same ROW_NUMBER boundary
 extraction + a boundary-count join.
 
@@ -33,8 +33,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .agg import n_partitions
 from .queries_ext120 import HOUR_US, _bucket_counts
-from ..stages.util import n_partitions
 
 QQ_DECILES = tuple(range(1, 10))
 
@@ -45,8 +45,8 @@ QQ_DECILES = tuple(range(1, 10))
 
 
 def q_balance_decile_order_stats(sf_dir: str, join_mode: str | None = None):
-    from ..stages.agg import grouped_aggregate
-    from ..stages.factjoin import attach_fact_value
+    from .agg import grouped_aggregate
+    from .factjoin import attach_fact_value
 
     import ray
     P = n_partitions(None)

@@ -48,7 +48,7 @@ class AudioBucketer:
     """Actor-pool stage: audio spans -> (duration, loudness) buckets."""
 
     def __init__(self, fetch=None):
-        from ..functions import codecs
+        from . import codecs
 
         self.codecs = codecs
         self.fetch = fetch or codecs.synth_media
@@ -79,8 +79,8 @@ class AudioBucketer:
 
 def q_audio_bucket_dedup(sf_dir: str):
     from ..sources.docs import read_docs
-    from ..stages.agg import grouped_aggregate
-    from ..stages.media import explode_media_spans
+    from .agg import grouped_aggregate
+    from .media import explode_media_spans
 
     buckets = grouped_aggregate(
         read_docs(sf_dir)
@@ -125,7 +125,7 @@ class BrightnessSloper:
     """Actor-pool stage: video spans -> exact luma trend statistics."""
 
     def __init__(self, fetch=None):
-        from ..functions import codecs
+        from . import codecs
 
         self.codecs = codecs
         self.fetch = fetch or codecs.synth_media
@@ -160,7 +160,7 @@ class BrightnessSloper:
 
 def q_video_brightness_slope(sf_dir: str):
     from ..sources.docs import read_docs
-    from ..stages.media import explode_media_spans
+    from .media import explode_media_spans
 
     return (
         read_docs(sf_dir)

@@ -89,7 +89,7 @@ FROM daily
 
 
 def q_moods_median_test(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -35,7 +35,7 @@ import pyarrow.compute as pc
 
 
 def q_part_vwap(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(
@@ -78,7 +78,7 @@ FROM lineitem GROUP BY l_partkey
 
 
 def q_linenumber_density_audit(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",

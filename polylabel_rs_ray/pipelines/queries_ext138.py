@@ -39,7 +39,7 @@ ACTIVITY_EDGES = (1, 4, 9, 19)    # bucket = #edges strictly below count
 def _user_rollup(sf_dir: str):
     """Per-user (first_day, last_day, n_events, n_weekend) via one
     user-key hash aggregate."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",

@@ -164,7 +164,7 @@ EID_BITS = 40  # event ids fit comfortably; value_cents * 2^40 fits int64
 
 
 def q_top_event_per_user_day(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(

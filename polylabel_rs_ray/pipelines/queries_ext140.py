@@ -33,7 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import n_partitions
+from .agg import n_partitions
 
 MOM_SHARDS = 32
 
@@ -44,7 +44,7 @@ MOM_SHARDS = 32
 
 
 def q_median_of_medians_audit(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -141,8 +141,8 @@ SELECT CAST((SELECT m FROM exact) AS BIGINT) AS exact_median_cents,
 
 
 def q_simpsons_paradox_slices(sf_dir: str, supp_mode: str | None = None):
-    from ..stages.agg import grouped_aggregate
-    from ..stages.factjoin import attach_fact_value
+    from .agg import grouped_aggregate
+    from .factjoin import attach_fact_value
 
     import ray
     P = n_partitions(None)

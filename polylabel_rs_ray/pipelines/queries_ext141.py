@@ -35,7 +35,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange, n_partitions
+from .agg import hash_exchange, n_partitions
 
 TOP_PAIRS = 20
 N_RANGES = 16
@@ -87,7 +87,7 @@ def q_common_neighbor_scores(sf_dir: str):
     # emits per-pair PARTIAL counts.  No driver structure proportional
     # to any hub's degree — the driver only ever sees the bounded
     # TOP_PAIRS-row aggregate.
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     P = n_partitions(None)
 
@@ -169,7 +169,7 @@ FROM top t
 
 
 def q_range_partition_audit(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])

@@ -42,7 +42,7 @@ HOUR_US = 3_600_000_000
 
 
 def q_dow_hour_heatmap(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
@@ -118,7 +118,7 @@ FROM marg
 
 
 def q_name_key_consistency_audit(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -135,7 +135,7 @@ def _sql_rotation_symmetry_audit() -> str:
 
 
 def q_wow_retention(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",

@@ -45,7 +45,7 @@ HOUR_US = 3_600_000_000
 
 
 def q_session_type_pairs(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(
@@ -120,7 +120,7 @@ GROUP BY 1, 2
 
 
 def q_rate_control_chart(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])

@@ -122,7 +122,7 @@ def _sql_tile_haar_energy() -> str:
 
 
 def q_first_vs_modal_matrix(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(

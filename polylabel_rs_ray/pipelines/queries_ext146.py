@@ -41,7 +41,7 @@ import pyarrow.compute as pc
 
 
 def q_balance_skewness_moments(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/supplier.parquet",
@@ -121,7 +121,7 @@ FROM g
 
 
 def q_dup_group_size_histogram(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",

@@ -41,7 +41,7 @@ DAY_US = 86_400_000_000
 def q_brand_leadership_flips(sf_dir: str):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     part = pq.read_table(f"{sf_dir}/part.parquet",
@@ -137,7 +137,7 @@ FROM lead_m
 
 
 def q_p90_order_exemplar(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",

@@ -41,8 +41,8 @@ from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
 
 
 def q_tile_majority_fixture(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
     from ..stages.cells import encode_stage
+    from .agg import grouped_aggregate
     from .queries import _dyadic_labeled
 
     import ray
@@ -86,7 +86,7 @@ def q_tile_majority_fixture(sf_dir: str):
 
 def _sql_tile_majority_fixture() -> str:
     from ..config import DEFAULT_TILE_RES
-    from ..stages.cells import sql_cell_id_expr
+    from .queries import sql_cell_id_expr
     from .queries import _sql_dyadic_labels_cte
 
     tile = sql_cell_id_expr("label_x", "label_y", DEFAULT_TILE_RES)
@@ -121,7 +121,7 @@ def _sql_tile_majority_fixture() -> str:
 
 def q_offset_generator_audit(sf_dir: str):
     from ..geom.kernel import polylabel_one
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
     from .queries import _dyadic_labeled
 
     import ray

@@ -38,7 +38,7 @@ import pyarrow.compute as pc
 
 
 def q_word_length_histogram(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",

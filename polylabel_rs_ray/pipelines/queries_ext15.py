@@ -24,7 +24,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import group_map, hash_exchange, hash_part, n_partitions
+from ..stages.util import group_map
+from .agg import hash_exchange, hash_part, n_partitions
 
 SAMPLE_K = 3
 HLL_P = 12
@@ -167,8 +168,7 @@ def _sql_hll_type_overlap() -> str:
 
 
 def q_orders_with_lineitems_bloom(sf_dir: str, n_parts: int | None = None):
-    from ..functions.bloom import bloom_contains, bloom_size_bits, build_bloom
-    from ..stages.agg import grouped_aggregate
+    from .bloom import bloom_contains, bloom_size_bits, build_bloom
 
     import ray
     li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"])

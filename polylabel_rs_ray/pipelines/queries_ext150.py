@@ -39,9 +39,9 @@ ENERGY_QUARTILES = (1, 2, 3)
 
 
 def q_sq8_energy_label_matrix(sf_dir: str):
-    from ..functions.sim import embedding_matrix
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
     from .queries_ext32 import _minmax, _quantize
+    from .sim import embedding_matrix
 
     import ray
     mn, mx = _minmax(sf_dir)
@@ -161,7 +161,7 @@ GROUP BY 1, 2
 
 
 def q_weekend_order_premium(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",

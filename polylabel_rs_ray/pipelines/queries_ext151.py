@@ -47,7 +47,7 @@ HALF_LIFE_CAP = 20  # weight = 2^(CAP - min(age, CAP))
 
 
 def q_prefix_dup_token_savings(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -123,7 +123,7 @@ HAVING COUNT(*) > 1
 
 
 def q_halflife_activity_score(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     path = f"{sf_dir}/events.parquet"

@@ -46,7 +46,7 @@ ACF_LAGS = (1, 2, 3, 4, 5, 6, 7)
 
 
 def q_local_clustering_coeff(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
     from .queries import q_part_pair_counts
 
     import ray

@@ -45,7 +45,7 @@ NGRAM_CAP = 16
 
 
 def q_doclen_emd_matrix(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",

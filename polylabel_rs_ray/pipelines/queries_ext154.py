@@ -47,8 +47,8 @@ QUERY_VEC_ID = 0
 
 
 def q_mmr_topk(sf_dir: str):
-    from ..functions.sim import embedding_matrix
     from .queries_ext32 import _minmax, _quantize
+    from .sim import embedding_matrix
 
     import ray
     mn, mx = _minmax(sf_dir)
@@ -220,7 +220,7 @@ FROM ({finals})
 
 
 def q_order_cohort_ltv(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     path = f"{sf_dir}/orders.parquet"

@@ -45,9 +45,9 @@ import pyarrow.compute as pc
 
 
 def q_sq8_class_medoids(sf_dir: str):
-    from ..functions.sim import embedding_matrix
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
     from .queries_ext32 import _minmax, _quantize
+    from .sim import embedding_matrix
 
     import ray
     mn, mx = _minmax(sf_dir)
@@ -172,7 +172,7 @@ FROM (
 
 
 def q_isotonic_price_size(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/part.parquet",

@@ -106,7 +106,7 @@ SCREEN_PATTERNS = (
 
 
 def q_phrase_screen_counts(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",

@@ -149,7 +149,7 @@ FROM grid g
 
 
 def q_rrf_fusion(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(

@@ -59,8 +59,8 @@ HOLE_RES = 6  # 64x64: finest lattice with non-trivial enclosure (see doc)
 def _lattice_res(sf_dir: str, tile_res: int) -> np.ndarray:
     """Distributed tile counts at an arbitrary resolution -> dense
     bounded (n x n) int64 lattice, indexed [ix, iy]."""
-    from ..stages.agg import grouped_aggregate
     from ..stages.cells import decode_cells, encode_stage
+    from .agg import grouped_aggregate
     from .queries import _dyadic_labeled
 
     ds = encode_stage(_dyadic_labeled(sf_dir), tile_res=tile_res)

@@ -17,7 +17,7 @@ PROFILE_COLS = ("l_linenumber", "l_quantity", "l_partkey", "l_suppkey")
 
 
 def q_table_profile(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     cols = list(PROFILE_COLS)

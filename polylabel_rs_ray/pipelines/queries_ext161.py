@@ -47,7 +47,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 _MONDAY_EPOCH_DAYS = -3  # 1969-12-29 (a Monday) in days since 1970-01-01
 COVER_MAX_CHARS = 120  # set-cover candidate gate (see vocab_set_cover doc)
@@ -59,7 +59,7 @@ COVER_MAX_CHARS = 120  # set-cover candidate gate (see vocab_set_cover doc)
 
 
 def q_busday_ship_lag(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -160,7 +160,7 @@ FROM j GROUP BY 1, 2
 
 
 def q_vocab_set_cover(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     path = f"{sf_dir}/documents.parquet"

@@ -43,7 +43,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import group_map, hash_exchange
+from ..stages.util import group_map
+from .agg import hash_exchange
 
 
 # --------------------------------------------------------------------------

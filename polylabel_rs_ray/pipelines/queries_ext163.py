@@ -157,7 +157,7 @@ FROM s_base n""")
 
 
 def q_autocomplete_topk(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

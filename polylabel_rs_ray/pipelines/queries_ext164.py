@@ -45,7 +45,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 EMB_DIM = 64
 
@@ -151,7 +151,7 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 
 
 def q_embedding_sign_hamming_hist(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     path = f"{sf_dir}/embeddings.parquet"

@@ -124,7 +124,7 @@ JOIN csize s ON s.comp_id = m.comp_id
 
 
 def q_vopt_histogram_dp(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     path = f"{sf_dir}/events.parquet"

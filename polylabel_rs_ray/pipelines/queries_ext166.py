@@ -50,7 +50,7 @@ OCT_SCALE = 32      # clears every dyadic fixture denominator (<= 32)
 
 
 def q_daily_revenue_cartesian(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -167,7 +167,7 @@ LEFT JOIN daily dr ON dr.day = g.r
 
 
 def q_label_octant_stats(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
     from .queries import _dyadic_labeled
 
     def stage(batch: pa.Table) -> pa.Table:

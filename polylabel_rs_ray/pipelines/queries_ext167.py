@@ -40,7 +40,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 KM_EVENT_FLAG = "R"
 MED_WINDOW = 7
@@ -52,7 +52,7 @@ MED_WINDOW = 7
 
 
 def q_km_risk_table(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -158,7 +158,7 @@ FROM g
 
 
 def q_daily_revenue_sliding_median(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -70,7 +70,7 @@ def _kth_pair_sum(c: np.ndarray, k: int) -> int:
 
 
 def q_hodges_lehmann_revenue(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -128,7 +128,7 @@ FROM pairs
 
 
 def q_wilcoxon_signed_rank_weekend(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -125,7 +125,7 @@ FROM cells c LEFT JOIN best b ON b.cell = c.id
 
 
 def q_kwic_context_matrix(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     path = f"{sf_dir}/documents.parquet"

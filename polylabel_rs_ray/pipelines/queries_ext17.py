@@ -18,7 +18,7 @@ DAY_US = 86_400_000_000
 
 
 def q_revenue_share_by_nation(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     import pyarrow.parquet as pq
@@ -90,7 +90,7 @@ SQL_REVENUE_SHARE_BY_NATION = """
 
 
 def q_events_by_dow(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])

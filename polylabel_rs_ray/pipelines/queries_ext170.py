@@ -43,7 +43,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import group_map, n_partitions
+from ..stages.util import group_map
+from .agg import n_partitions
 
 CHAIKIN_SCALE = 16384  # (4^2)^2 * headroom: clears squared /4 dyadics
 SRC_ORDER, SRC_SHIP = "order", "ship"
@@ -55,7 +56,7 @@ SRC_ORDER, SRC_SHIP = "order", "ship"
 
 
 def q_stream_alternation_runs(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     P = n_partitions(n_parts)

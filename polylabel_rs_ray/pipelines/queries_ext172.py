@@ -145,7 +145,7 @@ LEFT JOIN pick p ON p.cell = c.id AND p.rn = 1
 
 
 def q_greedy_bigram_decode(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 SKEL_RES = 6
 SKEL_ROUNDS = 16

@@ -38,7 +38,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 BURN_NUM, BURN_DEN = 37, 100
 
@@ -159,7 +159,7 @@ JOIN seq sv ON sv.user_id = m.user_id
 def q_trade_asymmetry_matrix(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
     from .queries_ext60 import _attach_inner
 
     import ray

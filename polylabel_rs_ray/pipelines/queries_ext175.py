@@ -60,7 +60,7 @@ RBO_LCM = _lcm_1_to(RBO_DEPTH)
 
 
 def q_sfe_code_lengths(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -122,7 +122,7 @@ FROM freq f, tot t
 
 
 def q_rank_biased_overlap(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

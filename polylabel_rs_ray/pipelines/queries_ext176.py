@@ -141,7 +141,7 @@ def _classify_allen(s1, e1, s2, e2) -> np.ndarray:
 
 
 def q_allen_relation_histogram(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -40,7 +40,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
 QT_RES = 5
@@ -74,7 +74,7 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 
 def q_markov_stationary_exact(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

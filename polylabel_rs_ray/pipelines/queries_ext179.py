@@ -48,7 +48,7 @@ HOURS = 24
 
 
 def q_optimal_bst_table(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -142,7 +142,7 @@ FROM ({sel})""")
 
 
 def q_hourly_transport_plan(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 RECT_FIXTURE_IDX = 0  # l_shape in FIXTURE_CYCLE
 RECT_W = 4            # l_shape bbox is [0,4]^2
@@ -47,7 +46,7 @@ RECT_W = 4            # l_shape bbox is [0,4]^2
 
 def q_rect_union_area(sf_dir: str):
     from ..sources import docs as docs_mod
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     NF = docs_mod.N_FIXTURES

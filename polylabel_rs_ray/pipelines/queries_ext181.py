@@ -44,7 +44,7 @@ import pyarrow.compute as pc
 
 
 def q_aho_corasick_links(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -125,7 +125,7 @@ FROM nodes n JOIN fails f ON f.p = n.p
 
 
 def q_fenwick_nodes(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

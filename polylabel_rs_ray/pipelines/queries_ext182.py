@@ -88,7 +88,7 @@ def _kasai_lcp(s: str, sa: np.ndarray) -> np.ndarray:
 
 
 def q_doc_suffix_array(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -155,7 +155,7 @@ LEFT JOIN ranked b ON b.rank = a.rank - 1
 def q_skiplist_level_histogram(sf_dir: str):
     import hashlib
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

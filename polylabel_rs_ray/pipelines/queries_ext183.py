@@ -43,7 +43,7 @@ RICE_MAX_K = 15
 
 
 def _anchor_text(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -101,7 +101,7 @@ FROM rot
 
 
 def q_rice_param_scan(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

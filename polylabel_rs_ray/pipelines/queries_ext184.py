@@ -101,7 +101,7 @@ FROM (
 
 
 def q_zigzag_varint_cost(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -33,7 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 PERC_RES = 5
 PERC_MAX_T = 8
@@ -135,7 +135,7 @@ FROM ({' UNION ALL '.join(selects)})""")
 
 
 def q_user_h_index(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -44,7 +44,7 @@ DOM_FIXTURE_IDX = 0  # l_shape
 
 def q_label_dominance_counts(sf_dir: str):
     from ..sources import docs as docs_mod
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     NF = docs_mod.N_FIXTURES
@@ -132,7 +132,7 @@ FROM pts a
 
 
 def q_vocab_borders(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

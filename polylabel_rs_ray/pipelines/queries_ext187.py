@@ -86,7 +86,7 @@ FROM pos
 
 
 def q_rmq_sparse_table(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -36,7 +36,6 @@ import heapq
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 LPT_JOBS = 60
 LPT_MACHINES = 7
@@ -120,7 +119,7 @@ def _top_jobs(sf_dir: str) -> list[int]:
     distributed packed top-k (ext175 pattern)."""
     import numpy as np
 
-    from ..stages.agg import grouped_aggregate  # noqa: F401
+    from .agg import grouped_aggregate  # noqa: F401
 
     import ray
     MAXC = np.int64(1) << 41

@@ -88,7 +88,7 @@ FROM pairs WHERE rn = {KNN_K}
 
 
 def q_orderkey_spf_histogram(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

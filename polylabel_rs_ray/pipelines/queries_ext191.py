@@ -52,7 +52,7 @@ def _lev(a: str, b: str) -> int:
 
 
 def q_vocab_edit_medoid(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -106,7 +106,7 @@ FROM tot
 
 
 def q_anchor_pair_lcs(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -43,7 +43,7 @@ ABC_A_NUM, ABC_B_NUM, ABC_DEN = 7, 9, 10
 
 
 def q_abc_classification(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

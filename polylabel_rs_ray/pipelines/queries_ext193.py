@@ -42,7 +42,7 @@ import pyarrow.compute as pc
 
 
 def q_bipartite_joint_degrees(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -146,7 +146,7 @@ GROUP BY 1, 2
 
 
 def q_above_median_longest_run(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

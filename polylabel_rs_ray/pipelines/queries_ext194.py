@@ -97,7 +97,7 @@ SELECT objective, ix, iy, CAST(value AS BIGINT) AS value FROM (
 
 
 def q_bullwhip_moments(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -36,7 +36,7 @@ import pyarrow.compute as pc
 
 
 def _daily_cents(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -57,7 +57,7 @@ _CRC8 = _crc8_table()
 
 
 def q_orderkey_crc8_histogram(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -133,7 +133,7 @@ def _feistel(k: np.ndarray) -> np.ndarray:
 
 
 def q_feistel_shuffle_audit(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

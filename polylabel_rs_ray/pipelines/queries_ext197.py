@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 KAD_RES = 5
 JOSEPHUS_K = 7
@@ -128,7 +127,7 @@ WHERE rn = 1
 
 
 def q_josephus_survivor(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

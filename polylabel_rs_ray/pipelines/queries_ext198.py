@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 COLLATZ_MOD = 997
 
@@ -88,7 +87,7 @@ FROM euclid WHERE b <> 0
 
 
 def q_collatz_residue_profile(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

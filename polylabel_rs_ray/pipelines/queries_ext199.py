@@ -94,7 +94,7 @@ FROM marks
 
 
 def q_orderkey_digital_root(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

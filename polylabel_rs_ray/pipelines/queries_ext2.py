@@ -30,7 +30,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import group_map, hash_exchange, hash_part, n_partitions
+from ..stages.util import group_map
+from .agg import hash_exchange, hash_part, n_partitions
 
 HOUR_US = 3_600_000_000
 CONTAM_NGRAM = 8  # benchmark-overlap shingle width (tokens)
@@ -386,7 +387,7 @@ def q_ntile_values(sf_dir: str, n_parts: int | None = None):
        bucket, hence a range, so cross-range order is total).
 
     Rank and tile are pure integer arithmetic -> exact SQL oracle."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     P = n_partitions(n_parts)
@@ -481,7 +482,7 @@ def q_tfidf_top_terms(sf_dir: str):
     Docs are single rows, so per-doc tf needs no shuffle at all."""
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
@@ -568,8 +569,8 @@ def q_tfidf_top_terms_dist(sf_dir: str, n_parts: int | None = None):
     shuffles.  Pinned equal to the broadcast path by pytest."""
     import pyarrow.parquet as pq
 
-    from ..functions.dedup import _tok8_array
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
+    from .dedup import _tok8_array
 
     import ray
     P = n_partitions(n_parts)
@@ -728,7 +729,7 @@ def q_user_hour_gapfill(sf_dir: str, n_parts: int | None = None):
     fan-out to missing hours happens per hash partition with repeat/arange
     + a searchsorted join against the partition's own counts — the dense
     ranges never exist as a shuffled dataset.  All integers -> exact."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -901,7 +902,7 @@ def q_event_path_trigrams(sf_dir: str, n_parts: int | None = None):
     build all trigrams, an arrow group_by combines map-side, a small key
     groupby sums globally, and a per-block partial top-k caps the final
     sort at k×blocks rows."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

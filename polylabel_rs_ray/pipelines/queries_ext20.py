@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 def q_user_inactivity_gaps(sf_dir: str, n_parts: int | None = None):
     from .queries_ext3 import _user_sorted_stream

@@ -2,7 +2,7 @@
 
 Unlike the bulk media stats queries (fake decode — zero-I/O hash payloads),
 these three run the media stages with ``decode="real"``: payload bytes are
-fetched from the deterministic content store (``functions/codecs.py::
+fetched from the deterministic content store (``pipelines/codecs.py::
 synth_media`` — actual PPM / RIFF-WAV / YUV4MPEG2 encodings) and genuinely
 parsed: dimensions come from the PPM header, chunk counts from the decoded
 WAV sample count (duration-derived), frame geometry from the Y4M stream.
@@ -23,7 +23,7 @@ import pyarrow.compute as pc
 
 def _media_rows(sf_dir: str):
     from ..sources.docs import read_docs
-    from ..stages.media import explode_media_spans
+    from .media import explode_media_spans
 
     return read_docs(sf_dir).map_batches(
         explode_media_spans, batch_format="pyarrow", zero_copy_batch=True
@@ -39,7 +39,7 @@ def q_image_decode_stats(sf_dir: str):
     """image spans -> fetch PPM -> decode (header-parsed dims) -> 64x64 box
     resize -> per-image channel means from the RESIZED payload.  Small
     batches (decoded images are O(orig_w*orig_h*3) heap each)."""
-    from ..stages.media import ImageResizer
+    from .media import ImageResizer
 
     resized = _media_rows(sf_dir).map_batches(
         ImageResizer(width=IMG_OUT_W, height=IMG_OUT_H, decode="real"),
@@ -78,7 +78,7 @@ def q_image_decode_stats(sf_dir: str):
 # SQL replay: span j of doc i is an image iff (doc_id+j)%4 = 1; the content
 # store synthesizes a solid-color PPM of (16 + m%49) x (16 + m//49%49) with
 # color (m%256, m//256%256, m//65536%256), m = md5_number_lower(media_ref)
-# (functions/codecs.py::synth_media).  The engine's means come from the
+# (pipelines/codecs.py::synth_media).  The engine's means come from the
 # RESIZED payload — box-resizing a solid image is the same solid, so the
 # oracle proves decode+resize ran, value-exactly.
 SQL_IMAGE_DECODE_STATS = r"""
@@ -109,8 +109,8 @@ def q_audio_decode_stats(sf_dir: str):
     """audio spans -> fetch WAV -> decode (RIFF-parsed rate + samples) ->
     duration-derived 0.5 s chunks -> per-clip rollup (chunk count, decoded
     rate/length, peak amplitude from the real chunk payloads)."""
-    from ..stages.agg import grouped_aggregate
-    from ..stages.media import AudioChunker
+    from .agg import grouped_aggregate
+    from .media import AudioChunker
 
     chunks = _media_rows(sf_dir).map_batches(
         AudioChunker(chunk_s=AUD_CHUNK_S, decode="real"),
@@ -174,7 +174,7 @@ def q_video_decode_stats(sf_dir: str):
     """video spans -> fetch Y4M -> decode (stream-parsed frame count) ->
     sample 4 frames evenly -> box-resize to 32x18 RGB -> per-frame stats
     (source index, decoded frame count, luma mean from the real payload)."""
-    from ..stages.media import FrameSampler
+    from .media import FrameSampler
 
     frames = _media_rows(sf_dir).map_batches(
         FrameSampler(n_frames=VID_N_FRAMES, width=VID_OUT_W,

@@ -24,7 +24,7 @@ RARE_MIN_FREQ = 3  # a token is "common" iff corpus freq >= this
 
 
 def q_rare_token_stats(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(

@@ -18,8 +18,8 @@ import pyarrow.compute as pc
 
 
 def q_doc_media_profile(sf_dir: str):
-    from ..functions.codecs import synth_media
     from ..sources.docs import read_docs
+    from .codecs import synth_media
 
     def profile(batch: pa.Table) -> pa.Table:
         spans = batch.column("spans")
@@ -54,7 +54,7 @@ def q_doc_media_profile(sf_dir: str):
     )
 
 
-# SQL replay of the ENCODED payload sizes (functions/codecs.py):
+# SQL replay of the ENCODED payload sizes (pipelines/codecs.py):
 #   PPM  : 'P6\n' + str(w) + ' ' + str(h) + '\n255\n' + w*h*3
 #        = 9 + len(str(w)) + len(str(h)) + w*h*3
 #   WAV  : 44-byte canonical RIFF header + 2 bytes/sample

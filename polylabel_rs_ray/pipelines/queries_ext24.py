@@ -27,13 +27,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import group_map, n_partitions
+from ..stages.util import group_map
+from .agg import n_partitions
 
 NGRAM_N = 3
 
 
 def q_cross_doc_ngram_dup(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import _key_hash, grouped_aggregate
+    from .agg import _key_hash, grouped_aggregate
     from .queries_ext5 import _word_lists
 
     import ray

@@ -12,7 +12,7 @@ semantic near-duplicate pruning: within each embedding cluster, a vector
 is a duplicate iff some LOWER-vec_id vector of the same cluster has
 cosine similarity >= TAU; the keeper is the smallest such vec_id.
 Cluster = the table's ``label`` column (in a full pipeline this is the
-k-means/IVF assignment, cf. functions/sim.py::ivf_topk).  Scale shape:
+k-means/IVF assignment, cf. pipelines/sim.py::ivf_topk).  Scale shape:
 ``groupby(label).map_groups`` — per-cluster work is O(m^2) dense numpy,
 the SemDeDup design constraint (clusters are SIZE-CAPPED by the
 clustering step; for uncapped corpora the LSH-banded ``embedding_near_dup``
@@ -47,7 +47,7 @@ def q_bm25_top_terms(sf_dir: str):
     match log-idf BM25 exactly (log is monotone)."""
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
     from .queries_ext2 import tokenized_docs, toks_flat_from_batch
 
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows

@@ -98,8 +98,8 @@ _OFFSETS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
 
 def q_tile_heat_smooth(sf_dir: str):
     from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
-    from ..stages.agg import grouped_aggregate
     from ..stages.cells import append_cell_columns, decode_cells, encode_cells
+    from .agg import grouped_aggregate
     from .queries import _dyadic_labeled
 
     n = 1 << DEFAULT_TILE_RES
@@ -149,7 +149,7 @@ def q_tile_heat_smooth(sf_dir: str):
 
 def _sql_tile_heat_smooth() -> str:
     from ..config import DEFAULT_TILE_RES, WORLD_MIN, WORLD_SIZE
-    from ..stages.cells import sql_morton_expr
+    from .queries import sql_morton_expr
     from .queries import _sql_dyadic_labels_cte
 
     n = 1 << DEFAULT_TILE_RES

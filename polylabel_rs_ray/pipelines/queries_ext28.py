@@ -36,11 +36,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..stages.util import n_partitions
+from .agg import n_partitions
 
 
 def q_triangle_parts(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
     from .queries import q_part_pair_counts
 
     import ray

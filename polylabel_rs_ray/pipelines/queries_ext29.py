@@ -27,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..stages.util import group_map, hash_part, n_partitions
+from ..stages.util import group_map
+from .agg import hash_part, n_partitions
 
 
 def q_bbox_union_area(sf_dir: str, n_parts: int | None = None):
@@ -45,7 +46,7 @@ def q_bbox_union_area(sf_dir: str, n_parts: int | None = None):
     # distinct runs DISTRIBUTED (per-block unique + one small exchange) so
     # the driver only ever holds the ~8k boundary values, never a per-doc
     # column.
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     def edge_xs(batch: pa.Table) -> pa.Table:
         u = np.unique(np.concatenate([

@@ -17,7 +17,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 HOUR_US = 3_600_000_000
 
@@ -172,7 +172,7 @@ def q_adoption_curve(sf_dir: str):
     O(hours) table on the driver — the only full-data work is two
     streaming aggregates.  The hour domain is bounded (calendar time), so
     the final cumsum is constant-size no matter the corpus."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])

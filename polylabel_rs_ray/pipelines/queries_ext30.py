@@ -2,7 +2,7 @@
 
 ``tile_png_stats`` — the tile render pipeline with REAL PNG payloads:
 each tile's uint32 point-density raster is encoded as a spec-compliant
-PNG (pure-stdlib codec, ``functions/png.py``), then decoded BACK and the
+PNG (pure-stdlib codec, ``pipelines/png.py``), then decoded BACK and the
 per-tile integer statistics are computed from the decoded pixels.  The
 DuckDB oracle recomputes the same statistics straight from the label
 points, so a value-exact match proves the whole render -> PNG encode ->
@@ -21,9 +21,9 @@ import pyarrow as pa
 
 
 def q_tile_png_stats(sf_dir: str):
-    from ..functions.png import decode_count_grid, encode_count_grid
     from ..stages.cells import encode_stage
     from ..stages.tiles import render_tiles
+    from .png import decode_count_grid, encode_count_grid
     from .queries import _dyadic_labeled
 
     ds = encode_stage(_dyadic_labeled(sf_dir))
@@ -61,7 +61,7 @@ def _sql_tile_png_stats() -> str:
     """Replay of the per-pixel binning (same exact dyadic arithmetic as
     the ``render_tiles`` oracle) aggregated to per-tile decoded stats."""
     from ..config import DEFAULT_TILE_RES, WORLD_MIN, WORLD_SIZE
-    from ..stages.cells import sql_cell_id_expr
+    from .queries import sql_cell_id_expr
     from .queries import _sql_label_dyadic
 
     n = 1 << DEFAULT_TILE_RES

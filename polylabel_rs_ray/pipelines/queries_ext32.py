@@ -42,7 +42,7 @@ K = 5
 def _minmax(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
     """Distributed per-dimension min/max: 64-row partials per batch, bounded
     O(dim x blocks) driver fold (deployment: table stats from metadata)."""
-    from ..functions.sim import embedding_matrix
+    from .sim import embedding_matrix
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["embedding"])
@@ -82,7 +82,7 @@ class Sq8Scorer:
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.sim import embedding_matrix
+        from .sim import embedding_matrix
 
         vc = _quantize(embedding_matrix(batch), self.mn, self.span)  # (B, dim)
         vids = batch.column("vec_id").to_numpy().astype(np.int64)
@@ -101,7 +101,7 @@ class Sq8Scorer:
 def q_sq8_topk(sf_dir: str, n_queries: int = N_QUERIES, k: int = K):
     import pyarrow.parquet as pq
 
-    from ..functions.sim import embedding_matrix
+    from .sim import embedding_matrix
 
     import ray
     mn, mx = _minmax(sf_dir)

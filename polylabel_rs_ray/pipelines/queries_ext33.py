@@ -33,7 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 PHASH_RES = 8
 
@@ -52,7 +52,7 @@ class PhashSigner:
     fetch + PPM decode + 8x8 box resize (payload work per batch)."""
 
     def __init__(self, fetch=None):
-        from ..functions import codecs
+        from . import codecs
 
         self.codecs = codecs
         self.fetch = fetch or codecs.synth_media
@@ -74,7 +74,7 @@ class PhashSigner:
 
 def q_image_phash_dups(sf_dir: str, n_parts: int | None = None):
     from ..sources.docs import read_docs
-    from ..stages.media import explode_media_spans
+    from .media import explode_media_spans
     signed = (
         read_docs(sf_dir)
         .map_batches(explode_media_spans, batch_format="pyarrow",

@@ -39,7 +39,7 @@ SEP = "\x1f"
 
 def _word_freq_table(sf_dir: str):
     """Corpus -> distinct (word, cnt) Dataset via one hash exchange."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
@@ -113,7 +113,7 @@ def _pair_partials(batch: pa.Table) -> pa.Table:
 def _best_pair(word_table) -> tuple[str, int] | None:
     """Global (count DESC, pair ASC) argmax: exchange-aggregated pair counts,
     per-block top-1, bounded driver fold."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     pairs = word_table.map_batches(
         _pair_partials, batch_format="pyarrow", zero_copy_batch=True

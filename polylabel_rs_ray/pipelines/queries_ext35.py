@@ -21,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 US_PER_HOUR = 3_600_000_000
 
@@ -34,7 +34,7 @@ US_PER_HOUR = 3_600_000_000
 def q_promo_revenue(sf_dir: str):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"])

@@ -56,7 +56,8 @@ import logging
 import numpy as np
 import pyarrow as pa
 
-from ..stages.util import group_map, hash_exchange, n_partitions
+from ..stages.util import group_map
+from .agg import hash_exchange, n_partitions
 
 log = logging.getLogger(__name__)
 
@@ -80,8 +81,8 @@ def q_jaccard_join_exact(
     verify_mode: str | None = None,
     force_exact: bool = False,
 ):
-    from ..functions.dedup import shingle_strs
-    from ..stages.agg import _key_hash, grouped_aggregate
+    from .agg import _key_hash, grouped_aggregate
+    from .dedup import shingle_strs
 
     from .queries import DUP_EVERY, _corpus_with_planted_dups
 

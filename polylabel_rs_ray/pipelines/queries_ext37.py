@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange, n_partitions
+from .agg import hash_exchange, n_partitions
 
 
 def _attach(group: pa.Table, key: str) -> pa.Table:

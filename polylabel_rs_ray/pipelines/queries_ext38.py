@@ -22,13 +22,13 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 K_ANON = 10
 
 
 def q_k_anonymity_audit(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(

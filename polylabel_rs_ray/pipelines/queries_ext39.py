@@ -35,7 +35,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import group_map, n_partitions
+from ..stages.util import group_map
+from .agg import n_partitions
 
 JITTER_US = 7_200_000_000  # +-2 h arrival jitter
 LATE_US = 3_600_000_000    # 1 h allowed lateness
@@ -59,7 +60,7 @@ def _akey_batch(event_ids: np.ndarray, tu: np.ndarray) -> np.ndarray:
 
 
 def q_late_event_audit(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     P = n_partitions(n_parts)

@@ -29,7 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 HOP_US = 900_000_000  # 15 min
 WIN_HOPS = 4  # window width = 4 hops = 1 h
@@ -120,8 +120,8 @@ def q_mode_event_type(sf_dir: str):
     aggregate, then the mode is a second aggregate over a packed
     (count, reversed-type-rank) int64 key — max(pack) decodes to
     (max count, smallest type).  No per-group task, two small shuffles."""
+    from .agg import grouped_aggregate
     from .queries import PIVOT_TYPES
-    from ..stages.agg import grouped_aggregate
 
     import ray
     types = sorted(PIVOT_TYPES)
@@ -195,7 +195,7 @@ def q_percent_rank_values(sf_dir: str):
     domain is bounded by the value range, not the row count, so the
     driver step stays constant-size as data grows.  The division is the
     same exact-int double division the oracle performs -> bit-equal."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
@@ -251,7 +251,7 @@ def q_sliding_window_counts(sf_dir: str):
     width/hop = 4 windows, so the fan-out is a fixed-factor vectorized
     repeat inside map_batches (no self-join), followed by one grouped
     aggregate on the window start."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])
@@ -297,7 +297,7 @@ def q_cohort_retention(sf_dir: str, n_parts: int | None = None):
     the cohort attach is a co-partitioned hash join on user_id
     (searchsorted within each partition); the matrix itself is a final
     O(days^2)-sized aggregate."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
@@ -381,7 +381,7 @@ def q_nation_balance(sf_dir: str):
     each side streams through with indicator columns (its own count 1,
     the other side 0) into ONE shared groupby — absent sides zero-fill
     naturally, no join operator and no second shuffle."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_nationkey"])

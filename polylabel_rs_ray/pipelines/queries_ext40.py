@@ -48,7 +48,7 @@ def _cm_buckets(words: list[str]) -> np.ndarray:
 
 
 def _word_counts(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
@@ -72,7 +72,7 @@ def _word_counts(sf_dir: str):
 
 
 def q_cmsketch_word_counts(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     wc = _word_counts(sf_dir).materialize()  # vocabulary-sized, 2 consumers

@@ -37,7 +37,7 @@ def _grid_params():
 
 
 def q_morans_i_tiles(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries import _dyadic_labeled
 

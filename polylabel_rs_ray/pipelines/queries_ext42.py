@@ -34,7 +34,7 @@ class SceneCutDetector:
     luma) from fully decoded real streams."""
 
     def __init__(self, fetch=None):
-        from ..functions import codecs
+        from . import codecs
 
         self.codecs = codecs
         self.fetch = fetch or codecs.synth_media
@@ -69,7 +69,7 @@ class SceneCutDetector:
 
 def q_video_scene_cuts(sf_dir: str):
     from ..sources.docs import read_docs
-    from ..stages.media import explode_media_spans
+    from .media import explode_media_spans
 
     return (
         read_docs(sf_dir)

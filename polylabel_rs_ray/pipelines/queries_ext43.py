@@ -21,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 
 def q_snapshot_diff(sf_dir: str, n_parts: int | None = None):

@@ -41,8 +41,8 @@ def auc_from_hist(p: np.ndarray, ng: np.ndarray) -> tuple[int, int, int, float]:
 
 
 def q_quality_auc(sf_dir: str):
-    from ..functions.text import quality_batch
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
+    from .text import quality_batch
 
     import ray
     ds = ray.data.read_parquet(
@@ -116,7 +116,7 @@ FROM c
 
 
 def q_lang_confusion(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries import q_lang_id
 

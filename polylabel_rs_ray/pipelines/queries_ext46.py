@@ -31,7 +31,7 @@ BIN_W = 25.0  # the repo histogram convention (HIST_BIN_WIDTH)
 
 
 def q_value_drift_bins(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])

@@ -27,7 +27,7 @@ class RmsExtractor:
     """Actor-pool stage: audio spans -> exact loudness moments."""
 
     def __init__(self, fetch=None):
-        from ..functions import codecs
+        from . import codecs
 
         self.codecs = codecs
         self.fetch = fetch or codecs.synth_media
@@ -62,7 +62,7 @@ class RmsExtractor:
 
 def q_audio_rms_stats(sf_dir: str):
     from ..sources.docs import read_docs
-    from ..stages.media import explode_media_spans
+    from .media import explode_media_spans
 
     return (
         read_docs(sf_dir)

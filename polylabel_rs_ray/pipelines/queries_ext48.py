@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 
 def q_type_diversity_per_user(sf_dir: str, n_parts: int | None = None):

@@ -24,7 +24,7 @@ GRAM_DIMS = 8
 
 
 def q_embedding_gram(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries_ext32 import _minmax, _quantize
 
@@ -35,7 +35,7 @@ def q_embedding_gram(sf_dir: str):
     iu = np.triu_indices(d)
 
     def partial(batch: pa.Table) -> pa.Table:
-        from ..functions.sim import embedding_matrix
+        from .sim import embedding_matrix
 
         codes = _quantize(embedding_matrix(batch), mn, span)[:, :d]  # (B, d)
         gram = codes.T @ codes  # (d, d) int64 — constant-size partial

@@ -28,7 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 EDIT_BUCKET = 8  # n_chars blocking bucket width
 EDIT_MAX_DIST = 8  # report pairs with levenshtein <= this
@@ -344,7 +344,7 @@ def q_heavy_hitter_words(sf_dir: str):
     (asserted by the oracle every round).  Both streamed passes consume
     the SHARED ``tokenized_docs`` checkpoint (one corpus tokenization
     for the whole word-statistics family)."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
     from .queries_ext2 import tokenized_docs, toks_flat_from_batch
 
     ds = tokenized_docs(sf_dir)

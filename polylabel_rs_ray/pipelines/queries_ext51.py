@@ -24,7 +24,7 @@ DAY_US = 86_400_000_000
 
 
 def q_user_rfm_segments(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(

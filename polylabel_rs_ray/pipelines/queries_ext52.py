@@ -49,7 +49,7 @@ def q_quadkey_tiles(sf_dir: str):
 
 def _sql_quadkey_tiles() -> str:
     from ..config import DEFAULT_TILE_RES
-    from ..stages.cells import sql_cell_id_expr
+    from .queries import sql_cell_id_expr
 
     from .queries import _sql_dyadic_labels_cte
 

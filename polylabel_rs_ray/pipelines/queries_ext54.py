@@ -23,7 +23,7 @@ TOP_TERMS = 5
 
 
 def q_degree_histogram(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries import q_part_pair_counts
 
@@ -75,7 +75,7 @@ FROM deg GROUP BY degree
 
 
 def q_top_terms_per_lang(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(

@@ -31,7 +31,7 @@ B = 0.75
 def q_bm25_search(sf_dir: str):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries_ext2 import tokenized_docs, toks_flat_from_batch
 

@@ -28,7 +28,7 @@ MAD_FENCE = 5
 
 
 def q_value_zscores(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(
@@ -128,7 +128,7 @@ FROM e JOIN st USING (event_type)
 
 
 def q_anomalous_days(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])

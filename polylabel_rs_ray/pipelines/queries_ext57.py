@@ -31,9 +31,9 @@ WINDOW_DAYS = 7
 
 
 def q_convexity_stats(sf_dir: str):
-    from ..geom.ops import convex_hull, ring_area
     from ..sources import docs as docs_mod
     from ..stages.label import rings_to_numpy
+    from .geom_ops import convex_hull, ring_area
 
     from .queries_ext import _dyadic_rings_ds, _norm_exterior
 
@@ -62,7 +62,7 @@ def q_convexity_stats(sf_dir: str):
 
 def _independent_hull_area(ext: np.ndarray) -> float:
     """Oracle twin: sequential pure-Python monotone chain + shoelace,
-    sharing no code with geom/ops under test."""
+    sharing no code with pipelines/geom_ops under test."""
     pts = sorted({(float(x), float(y)) for x, y in ext})
     if len(pts) < 3:
         return 0.0
@@ -135,7 +135,7 @@ def _sql_convexity_stats() -> str:
 
 
 def q_daily_revenue_7d(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(

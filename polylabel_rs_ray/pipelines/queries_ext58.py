@@ -42,7 +42,7 @@ def _arm_of(uids: np.ndarray) -> np.ndarray:
 
 
 def q_ab_test_purchase_rates(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(

@@ -23,7 +23,7 @@ import pyarrow.compute as pc
 def q_discount_revenue_q19(sf_dir: str):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     part = pq.read_table(

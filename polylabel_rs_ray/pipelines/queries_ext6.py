@@ -46,7 +46,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import group_map, n_partitions
+from ..stages.util import group_map
+from .agg import n_partitions
 
 PR_DAMPING = 0.85
 PR_ITERS = 8
@@ -72,7 +73,7 @@ def pagerank_dataset(edges, nodes, damping: float = PR_DAMPING,
     treated as undirected; ``nodes`` is a Dataset with one ``node`` column
     covering the full domain (isolated nodes included — they hold
     teleport-only rank).  Returns a Dataset of (node, rank) rows."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     P = n_partitions(n_parts)
     V = nodes.count()
@@ -410,8 +411,8 @@ def q_pagerank_parts(sf_dir: str, force_path: str | None = None):
 
 
 def q_audio_chunk_stats(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
-    from ..stages.media import audio_pipeline
+    from .agg import grouped_aggregate
+    from .media import audio_pipeline
 
     chunks = audio_pipeline(sf_dir)
 

@@ -27,8 +27,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .agg import hash_exchange, n_partitions
 from .queries import _ts_us
-from ..stages.util import hash_exchange, n_partitions
 
 
 # Cut date shared by both Q3 predicates (orders before, shipments after).
@@ -82,8 +82,8 @@ def _attach_inner(group: pa.Table, key: str) -> pa.Table:
 
 def q_shipping_priority_q3(sf_dir: str, n_parts: int | None = None,
                            join_mode: str | None = None):
-    from ..stages.agg import grouped_aggregate
-    from ..stages.factjoin import attach_fact_value
+    from .agg import grouped_aggregate
+    from .factjoin import attach_fact_value
 
     import ray
     P = n_partitions(n_parts)
@@ -91,7 +91,7 @@ def q_shipping_priority_q3(sf_dir: str, n_parts: int | None = None,
 
     # semi-join side: the segment membership flag attaches to orders
     # through the size-gated broadcast / co-partitioned customer join
-    # (customer is fact-scaled; stages/factjoin.attach_fact_value)
+    # (customer is fact-scaled; pipelines/factjoin.attach_fact_value)
     def orders_fact(batch: pa.Table) -> pa.Table:
         return pa.table({
             "key": pc.cast(batch.column("o_custkey"), pa.int64()),
@@ -184,7 +184,7 @@ LIMIT 10
 def q_local_supplier_volume_q5(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     lo_us, hi_us = _ts_us(Q5_LO), _ts_us(Q5_HI)

@@ -25,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 
 # Q13's "not like special requests" analogue on this schema.
@@ -37,7 +37,7 @@ Q22_CUTOFF = "2000-01-01"
 def q_customer_order_distribution_q13(sf_dir: str):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     total_customers = pq.read_metadata(f"{sf_dir}/customer.parquet").num_rows
@@ -116,7 +116,7 @@ def _anti_join(group: pa.Table, key: str) -> pa.Table:
 def q_global_sales_opportunity_q22(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

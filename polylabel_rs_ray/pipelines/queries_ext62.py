@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange, n_partitions
+from .agg import hash_exchange, n_partitions
 
 
 Q17_TYPE = "ECONOMY"
@@ -36,7 +36,7 @@ Q18_MIN_QTY = 180
 def q_small_qty_revenue_q17(sf_dir: str):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     part = pq.read_table(f"{sf_dir}/part.parquet",
@@ -125,7 +125,7 @@ WHERE CAST(ROUND(l.l_quantity) AS BIGINT) * 5 * st.cnt < st.sum_qty
 
 
 def q_large_volume_customers_q18(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries_ext60 import _attach_inner
 

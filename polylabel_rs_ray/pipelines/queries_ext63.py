@@ -56,7 +56,7 @@ def _rev_partial(key_src: str, key_out: str):
 
 
 def q_important_parts_q11(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     per_part = grouped_aggregate(
@@ -117,7 +117,7 @@ WHERE CAST(pr.revenue_micro AS HUGEINT) * g.n * {Q11_DEN} > {Q11_NUM} * g.total
 def q_top_supplier_q15(sf_dir: str):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     lo = int(np.datetime64(Q15_LO, "us").astype(np.int64))

@@ -25,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 
 Q16_EXCLUDE_BRAND = "Brand#13"
@@ -41,7 +41,7 @@ _YEAR_ANCHORS_US = None
 def q_parts_supplier_counts_q16(sf_dir: str):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -151,7 +151,7 @@ GROUP BY p.p_brand, p.p_type, p.p_size
 def q_nation_trade_volume_q7(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries_ext60 import _attach_inner
 

@@ -219,7 +219,7 @@ def _hex_axial(x: np.ndarray, y: np.ndarray):
 
 
 def q_hex_bins(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries import _dyadic_labeled
 

@@ -154,7 +154,7 @@ def _sql_ring_audit() -> str:
 
 
 def q_pmi_bigrams(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

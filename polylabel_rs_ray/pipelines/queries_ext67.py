@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 
 def q_user_lag1_moments(sf_dir: str, n_parts: int | None = None):
@@ -94,7 +94,7 @@ FROM seq GROUP BY user_id
 
 
 def q_ols_price_model(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

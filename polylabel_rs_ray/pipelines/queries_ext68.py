@@ -25,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 WINDOW_US = 15 * 60 * 1_000_000  # 15-minute activity window
 
@@ -103,7 +103,7 @@ FROM isl GROUP BY user_id
 
 
 def q_nb_word_counts(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

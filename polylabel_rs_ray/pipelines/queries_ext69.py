@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 DAY_US = 86_400_000_000
 
@@ -90,7 +90,7 @@ FROM seq GROUP BY user_id
 
 
 def q_daily_cusum_changepoint(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -29,7 +29,7 @@ TILE_SIDE = 32.0
 
 
 def q_typeset_containment_pairs(sf_dir: str):
-    from ..stages.agg import distinct_values, grouped_aggregate
+    from .agg import distinct_values, grouped_aggregate
 
     import ray
 
@@ -115,7 +115,7 @@ FROM hist a JOIN hist b
 
 
 def q_tile_local_maxima(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries import _dyadic_labeled
 

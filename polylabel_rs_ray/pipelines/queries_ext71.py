@@ -3,7 +3,7 @@ label-placement quality.
 
 ``partition_skew_audit`` — the engine auditing itself: the SAME
 splitmix hash every co-partitioned stage uses (``(u * GOLD) >> 33 %
-P``, stages/util.py::hash_part) is replayed over events.user_id, and the
+P``, pipelines/agg.py::hash_part) is replayed over events.user_id, and the
 audit reports per-partition row counts (empty partitions included)
 plus the exact Gini coefficient of the partition loads as the integer
 rational ``(Σ_i Σ_j |x_i - x_j|, 2 P Σx)``.  The SQL oracle replays
@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ..stages.util import hash_part
+from .agg import hash_part
 
 GOLD_INT = 0x9E3779B97F4A7C15
 TWO64 = 1 << 64
@@ -31,7 +30,7 @@ AUDIT_P = 32
 
 
 def q_partition_skew_audit(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -94,7 +93,6 @@ def q_label_centroid_offset(sf_dir: str):
     from ..sources import docs as docs_mod
     from ..stages.label import rings_to_numpy
 
-    from .queries import labeled_docs
     from .queries_ext import DYADIC_IDX
 
     import ray

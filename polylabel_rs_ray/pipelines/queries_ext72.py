@@ -11,7 +11,7 @@ broadcasts, and every pair statistic is a driver fold over at most
 
 ``bloom_fp_audit`` — the engine auditing its own probabilistic
 structure: the EXACT false-positive count of the bloom semi-join
-filter (functions/bloom.py) at a deliberately small bit budget.
+filter (pipelines/bloom.py) at a deliberately small bit budget.
 The two splitmix probe positions are replayed in HUGEINT SQL, the
 "bit is set" relation becomes a semi-join against the distinct
 positions the build side sets, and the audit reports
@@ -32,7 +32,7 @@ TWO64 = 1 << 64
 
 
 def q_audience_overlap_matrix(sf_dir: str):
-    from ..stages.agg import distinct_values, grouped_aggregate
+    from .agg import distinct_values, grouped_aggregate
 
     import ray
     # distributed distinct — never a driver column scan of the fact table
@@ -117,8 +117,8 @@ FROM stats
 
 
 def q_bloom_fp_audit(sf_dir: str):
-    from ..functions.bloom import bloom_contains, build_bloom
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
+    from .bloom import bloom_contains, build_bloom
 
     import ray
 

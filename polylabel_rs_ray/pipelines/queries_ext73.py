@@ -167,7 +167,7 @@ def _sql_bounding_circle_stats() -> str:
 
 
 def q_cumulative_unique_users(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

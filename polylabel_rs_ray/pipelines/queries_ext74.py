@@ -39,7 +39,7 @@ UNIQ_NUM, UNIQ_DEN = 2, 5  # unique-word ratio floor 2/5 (rational compare)
 
 
 def q_ivm_daily_revenue(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -113,7 +113,7 @@ FROM merged GROUP BY day
 
 
 def q_filter_funnel(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

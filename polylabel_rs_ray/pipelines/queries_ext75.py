@@ -22,11 +22,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 
 def q_type_dwell_times(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -97,7 +97,7 @@ FROM seq GROUP BY event_type
 def q_nation_revenue_share(sf_dir: str, n_parts: int | None = None):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries_ext60 import _attach_inner
 
@@ -153,8 +153,6 @@ def q_nation_revenue_share(sf_dir: str, n_parts: int | None = None):
         ["c_nationkey"],
         [("sum", "cents", "revenue_cents")],
     ).to_pandas()  # bounded: 25 nations
-
-    import pandas as pd
 
     per_nation["n_name"] = [n_info[int(k)][0]
                             for k in per_nation["c_nationkey"]]

@@ -41,8 +41,6 @@ def q_str_pack_audit(sf_dir: str):
     pts = _dyadic_labeled(sf_dir).to_pandas()
     import math
 
-    import pandas as pd
-
     n = len(pts)
     b = STR_NODE_CAP
     n_strips = max(1, math.ceil(math.sqrt(n / b)))

@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 DAY_US = 86_400_000_000
 BURST_WINDOW_US = 7 * DAY_US
@@ -102,7 +102,7 @@ FROM pairs GROUP BY o_custkey
 
 
 def q_l_diversity_audit(sf_dir: str):
-    from ..stages.agg import distinct_values, grouped_aggregate
+    from .agg import distinct_values, grouped_aggregate
 
     import ray
 

@@ -40,7 +40,7 @@ HILBERT_CELL = 8.0
 
 
 def q_kmv_distinct_sketch(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -137,7 +137,7 @@ def hilbert_xy2d(x: np.ndarray, y: np.ndarray, n: int = HILBERT_N):
 
 
 def q_hilbert_cells(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries import _dyadic_labeled
 

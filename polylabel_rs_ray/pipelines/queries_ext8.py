@@ -34,7 +34,7 @@ MAD_BINS = 4096
 
 
 def q_user_conversion_latency(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(
@@ -253,7 +253,7 @@ SQL_VALUE_MAD = """
 
 
 def q_vocab_ids(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
     from .queries_ext2 import tokenized_docs, toks_flat_from_batch
 
     ds = tokenized_docs(sf_dir)  # shared one-pass tokenization checkpoint

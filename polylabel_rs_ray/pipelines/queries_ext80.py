@@ -146,9 +146,7 @@ def _sql_star_shaped_audit() -> str:
 
 
 def q_nation_quota_allocation(sf_dir: str):
-    import pyarrow.parquet as pq
-
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

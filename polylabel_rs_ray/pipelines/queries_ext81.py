@@ -28,7 +28,7 @@ COOC_WINDOW = 5
 
 
 def q_ripley_k_counts(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries import _dyadic_labeled
 
@@ -81,7 +81,7 @@ def _sql_ripley_k_counts() -> str:
 
 
 def q_cooccurrence_window_counts(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

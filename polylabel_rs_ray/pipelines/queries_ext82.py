@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 MASK63 = (1 << 63) - 1
 RING_SHARDS = 8
@@ -56,7 +56,7 @@ def _owner_of(keys: np.ndarray, ring_pos: np.ndarray,
 
 
 def q_consistent_hash_audit(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     old_shards = [f"shard_{i}" for i in range(RING_SHARDS)]
@@ -92,7 +92,7 @@ def q_consistent_hash_audit(sf_dir: str):
         uid = np.unique(batch.column("user_id").to_numpy().astype(np.int64))
         return pa.table({"user_id": pa.array(uid, type=pa.int64())})
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     users = grouped_aggregate(
         ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -153,7 +153,7 @@ def _sql_consistent_hash_audit() -> str:
 
 
 def q_varint_size_estimate(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

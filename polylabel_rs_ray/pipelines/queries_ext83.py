@@ -33,7 +33,7 @@ DICT_COLS = (
 
 
 def q_dict_encoding_estimate(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     frames = []

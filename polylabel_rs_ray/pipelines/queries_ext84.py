@@ -31,7 +31,7 @@ WEEK_US = 7 * DAY_US
 
 def _weekly_counts(sf_dir: str):
     """Bounded (week, n_orders) table, zero-filled over the full range."""
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

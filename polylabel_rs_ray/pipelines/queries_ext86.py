@@ -185,7 +185,7 @@ def _sql_picks_theorem_audit() -> str:
 
 
 def q_hapax_stats(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -214,8 +214,6 @@ def q_hapax_stats(sf_dir: str):
         .map_batches(counts, batch_format="pyarrow", zero_copy_batch=True),
         ["source", "word"], [("sum", "c", "c")],
     ).to_pandas()  # bounded: source x vocabulary
-
-    import pandas as pd
 
     g = sw.groupby("source").agg(
         n_tokens=("c", "sum"),

@@ -34,7 +34,7 @@ YOY_YEAR_B = 1997
 
 
 def q_yoy_sign_test(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     lo_a = int(np.datetime64(f"{YOY_YEAR_A}-01-01", "us").astype(np.int64))
@@ -135,7 +135,7 @@ FROM ab
 
 
 def _chain_hull(pts: list) -> list:
-    """Monotone chain (twin-independent from geom.ops.convex_hull)."""
+    """Monotone chain (twin-independent from geom_ops.convex_hull)."""
     pts = sorted(set(pts))
     if len(pts) <= 2:
         return pts
@@ -188,9 +188,9 @@ def _min_width_sq(hull: list) -> tuple[float, float]:
 
 
 def q_min_width_stats(sf_dir: str):
-    from ..geom.ops import convex_hull
     from ..sources import docs as docs_mod
     from ..stages.label import rings_to_numpy
+    from .geom_ops import convex_hull
 
     from .queries_ext import _dyadic_rings_ds, _norm_exterior
 

@@ -34,7 +34,7 @@ DAY_US = 86_400_000_000
 
 
 def q_nn_distance_histogram(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries import _dyadic_labeled
 
@@ -96,7 +96,7 @@ def _sql_nn_distance_histogram() -> str:
 
 
 def q_order_backlog_sim(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

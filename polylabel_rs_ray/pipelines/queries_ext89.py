@@ -40,7 +40,7 @@ FK_RELATIONS = (
 def q_fk_orphan_audit(sf_dir: str):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     import pandas as pd
@@ -96,7 +96,7 @@ def _sql_fk_orphan_audit() -> str:
 
 
 def q_pareto_point(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 
 def _emb_matrix(batch: pa.Table):
@@ -39,7 +38,7 @@ def _emb_matrix(batch: pa.Table):
 
 
 def q_label_centroids(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     ds = ray.data.read_parquet(

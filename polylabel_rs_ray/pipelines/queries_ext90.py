@@ -26,7 +26,7 @@ HEX_NEIGHBORS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
 
 
 def q_monthly_revenue(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -65,7 +65,7 @@ FROM orders GROUP BY 1
 
 
 def q_hex_ring_smooth(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries import _dyadic_labeled
     from .queries_ext65 import _hex_axial

@@ -23,13 +23,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 RATE_WINDOW_US = 3_600_000_000  # 1 hour
 
 
 def q_order_reconciliation(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries_ext60 import _attach_inner
 

@@ -50,7 +50,7 @@ def _peel(points: set, hull_fn) -> tuple[int, int, int]:
 
 
 def _engine_hull(pts: list) -> list:
-    from ..geom.ops import convex_hull
+    from .geom_ops import convex_hull
 
     arr = convex_hull(np.asarray(pts, dtype=np.float64))
     return [(float(x), float(y)) for x, y in arr]
@@ -131,7 +131,7 @@ def _sql_onion_depth() -> str:
 
 
 def q_daily_fano_factor(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -77,7 +77,7 @@ def _sql_spatial_center_stats() -> str:
 
 
 def q_benford_audit(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

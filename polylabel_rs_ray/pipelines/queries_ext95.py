@@ -23,14 +23,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 DUP_WINDOW_US = 30 * 86_400_000_000  # 30 days
 LCP_MAX = 16  # ladder depth; vocabulary words are short
 
 
 def q_duplicate_shipment_audit(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -127,7 +127,7 @@ FROM (SELECT 1)
 
 
 def q_vocab_front_coding(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

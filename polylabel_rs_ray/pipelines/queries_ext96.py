@@ -26,13 +26,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import group_map, hash_exchange
+from ..stages.util import group_map
+from .agg import hash_exchange
 
 CV_PARTS = 16
 
 
 def q_part_graph_assortativity(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -36,7 +36,7 @@ FDS = (
 
 
 def q_fd_violation_audit(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -128,7 +128,7 @@ def _sql_fd_violation_audit() -> str:
 
 
 def q_dow_seasonality_stats(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -27,7 +27,7 @@ BLOCK_CHAR_BUCKET = 100
 
 
 def q_winsorized_value_stats(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 
@@ -114,7 +114,7 @@ GROUP BY v.event_type
 
 
 def q_blocking_efficiency(sf_dir: str):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
 

@@ -21,14 +21,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import hash_exchange
+from .agg import hash_exchange
 
 DAY_US = 86_400_000_000
 GROWTH_FRACTIONS = ((1, 10), (1, 2), (1, 1))  # 10%, 50%, 100%
 
 
 def q_supplier_leadtime_stats(sf_dir: str, n_parts: int | None = None):
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     from .queries_ext60 import _attach_inner
 
@@ -112,7 +112,7 @@ FROM j GROUP BY s_suppkey
 def q_vocab_growth_curve(sf_dir: str):
     import pyarrow.parquet as pq
 
-    from ..stages.agg import grouped_aggregate
+    from .agg import grouped_aggregate
 
     import ray
     n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows

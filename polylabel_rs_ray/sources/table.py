@@ -1,11 +1,12 @@
 """Table source abstraction: Lance first (per BASELINE.json ``input_hint``),
 Parquet fallback.
 
-``pylance`` is not installed in this sandbox, so ``read_table`` resolves the
-format at call time: a ``<name>.lance`` dataset directory is read via
-``ray.data.read_lance`` when the library exists, else ``<name>.parquet`` via
-``ray.data.read_parquet`` — same logical schema, same downstream pipeline.
-Column pruning is always pushed to the read."""
+``pylance`` is an optional dependency, so ``table_path`` resolves the
+format at call time: a ``<name>.lance`` dataset directory when the library
+exists, else ``<name>.parquet`` — same logical schema, same downstream
+pipeline.  ``read_table`` reads what it resolves, and the registry's
+checkpoints stamp the same path.  Column pruning is always pushed to the
+read."""
 
 from __future__ import annotations
 
@@ -21,31 +22,25 @@ def have_lance() -> bool:
         return False
 
 
-def read_table(base_dir: str, name: str, columns: list[str] | None = None, **kwargs):
-    """Ray Dataset over ``{base_dir}/{name}.{lance|parquet|csv|jsonl}``,
-    first match wins.  Lance/Parquet push column pruning into the read
-    (only the requested columns leave storage); CSV/JSONL are row-oriented
-    formats with no column pushdown — the projection there is a
-    ``select_columns`` immediately after the read, which Ray fuses into
-    the read tasks (rows still parse fully once; prefer columnar formats
-    at scale)."""
-    import ray
-
+def table_path(base_dir: str, name: str) -> str:
+    """``{base_dir}/{name}.lance`` when it exists and Lance is installed,
+    else ``{base_dir}/{name}.parquet``; raises FileNotFoundError when the
+    table is missing."""
     lance_path = os.path.join(base_dir, f"{name}.lance")
     if os.path.exists(lance_path) and have_lance():
-        return ray.data.read_lance(lance_path, columns=columns, **kwargs)
+        return lance_path
     parquet_path = os.path.join(base_dir, f"{name}.parquet")
     if os.path.exists(parquet_path):
-        return ray.data.read_parquet(parquet_path, columns=columns, **kwargs)
-    csv_path = os.path.join(base_dir, f"{name}.csv")
-    if os.path.exists(csv_path):
-        ds = ray.data.read_csv(csv_path, **kwargs)
-        return ds.select_columns(columns) if columns else ds
-    for suffix in ("jsonl", "json"):
-        json_path = os.path.join(base_dir, f"{name}.{suffix}")
-        if os.path.exists(json_path):
-            ds = ray.data.read_json(json_path, **kwargs)
-            return ds.select_columns(columns) if columns else ds
-    raise FileNotFoundError(
-        f"no {name}.(lance|parquet|csv|jsonl|json) under {base_dir}"
-    )
+        return parquet_path
+    raise FileNotFoundError(f"no {name}.(lance|parquet) under {base_dir}")
+
+
+def read_table(base_dir: str, name: str, columns: list[str] | None = None, **kwargs):
+    """Ray Dataset over ``table_path(base_dir, name)``, with the column
+    pruning pushed into the read (only the requested columns leave
+    storage)."""
+    import ray
+
+    path = table_path(base_dir, name)
+    read = ray.data.read_lance if path.endswith(".lance") else ray.data.read_parquet
+    return read(path, columns=columns, **kwargs)

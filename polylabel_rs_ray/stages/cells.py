@@ -112,30 +112,6 @@ def cover_bbox(minx: float, miny: float, maxx: float, maxy: float, res: int) -> 
     return encode_cells(mx.ravel(), my.ravel(), res)
 
 
-def sql_cell_id_expr(x_expr: str, y_expr: str, res: int) -> str:
-    """DuckDB SQL computing the same int64 cell id as ``cell_id`` — used by
-    the oracle queries.  Expands the morton interleave bit-by-bit."""
-    n = 1 << res
-    cell = WORLD_SIZE / n
-    ix = (
-        f"LEAST({n - 1}, GREATEST(0, CAST(FLOOR(({x_expr} - ({WORLD_MIN!r})) / {cell!r}) AS BIGINT)))"
-    )
-    iy = (
-        f"LEAST({n - 1}, GREATEST(0, CAST(FLOOR(({y_expr} - ({WORLD_MIN!r})) / {cell!r}) AS BIGINT)))"
-    )
-    return sql_morton_expr(ix, iy, res)
-
-
-def sql_morton_expr(ix_expr: str, iy_expr: str, res: int) -> str:
-    """DuckDB expression: int64 cell id from integer grid exprs."""
-    terms = []
-    for b in range(res):
-        terms.append(f"((({ix_expr} >> {b}) & 1) << {2 * b})")
-        terms.append(f"((({iy_expr} >> {b}) & 1) << {2 * b + 1})")
-    morton = " | ".join(terms)
-    return f"CAST((CAST({res} AS BIGINT) << {_RES_SHIFT}) | ({morton}) AS BIGINT)"
-
-
 def append_cell_columns(
     batch: pa.Table,
     cell_res: int = DEFAULT_CELL_RES,

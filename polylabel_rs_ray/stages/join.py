@@ -49,16 +49,6 @@ def zone_rings(z: dict[str, np.ndarray], j: int) -> list[np.ndarray]:
     return [np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)])]
 
 
-def sql_zone_values() -> str:
-    """The zones table as a DuckDB VALUES list (oracle side)."""
-    z = zone_table()
-    rows = ", ".join(
-        f"({int(z['zone_id'][j])}, {z['x0'][j]!r}, {z['y0'][j]!r}, {z['x1'][j]!r}, {z['y1'][j]!r})"
-        for j in range(N_ZONES)
-    )
-    return f"(VALUES {rows}) AS zones(zone_id, zx0, zy0, zx1, zy1)"
-
-
 class ZoneJoin:
     """map_batches stage: rows with (label_x, label_y) -> (row, zone_id)
     pairs for every zone containing the label point.  Rows matching no zone

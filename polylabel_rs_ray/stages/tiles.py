@@ -8,7 +8,7 @@ carries every point of its tile, so a hot tile is listed and sorted in one
 place whichever way the rows reach it; splitting it over sub-groups and
 merging the partial rows again only adds a second pass.  Raster
 payloads are raw little-endian uint32 grids here; real spec-compliant
-PNG encoding of the grids lives in ``functions/png.py`` (pure-stdlib
+PNG encoding of the grids lives in ``pipelines/png.py`` (pure-stdlib
 codec) and runs as a downstream stateless map — see the
 ``tile_png_stats`` query.  Vector payloads are the tile-clipped zone
 rectangles plus the points, serialized as plain float64 arrays.

@@ -1,4 +1,6 @@
-"""The exchange: every groupby shuffle in the package goes through here.
+"""The exchange: ``group_map`` is the engine's one groupby shuffle, and
+every exchange in the package goes through it (the registry's keyed
+exchange, ``pipelines/agg.py::hash_exchange``, is built on it).
 
 Ray Data's sort-based shuffle (sort / groupby / map_groups) launches
 O(input_blocks x output_blocks) exchange work; feeding it hundreds of tiny
@@ -6,15 +8,9 @@ blocks (the right granularity for the skewed label kernel) multiplies
 scheduling overhead ~25x (measured: 120k-row sort 18.7s from 400 blocks vs
 0.75s from 64).  ``coalesce_for_shuffle`` repartitions narrow intermediate
 data down to ~one block per CPU before any wide operation, and
-``group_map`` / ``hash_exchange`` always apply it."""
+``group_map`` always applies it."""
 
 from __future__ import annotations
-
-import numpy as np
-import pyarrow as pa
-
-GOLD64 = np.uint64(0x9E3779B97F4A7C15)
-_TAG = "__xpart"
 
 
 def cluster_cpus() -> int:
@@ -37,32 +33,7 @@ def coalesce_for_shuffle(ds):
     return ds.repartition(shuffle_blocks())
 
 
-def hash_part(ids: np.ndarray, n_parts: int) -> np.ndarray:
-    """Deterministic hash partitioner for int64 ids — the shared partitioner
-    every stage that must co-locate rows by doc_id agrees on."""
-    u = np.asarray(ids).astype(np.uint64)
-    return ((u * GOLD64) >> np.uint64(33)).astype(np.int64) % n_parts
-
-
-def n_partitions(n_parts: int | None) -> int:
-    return int(n_parts or min(32, shuffle_blocks()))
-
-
 def group_map(ds, key, fn):
     """Apply ``fn`` to each group of rows sharing ``key`` (Arrow tables)."""
     return coalesce_for_shuffle(ds).groupby(key).map_groups(
         fn, batch_format="pyarrow")
-
-
-def hash_exchange(ds, key: str, fn, n_parts: int | None = None):
-    """Hash-partition rows on the integer column ``key`` into
-    ``n_partitions(n_parts)`` partitions and apply ``fn`` to each
-    partition's rows; every row of one key reaches the same call."""
-    P = n_partitions(n_parts)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        ids = batch.column(key).to_numpy()
-        return batch.append_column(_TAG, pa.array(hash_part(ids, P), type=pa.int64()))
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-    return group_map(tagged, _TAG, lambda g: fn(g.drop_columns([_TAG])))

@@ -4,6 +4,7 @@ import duckdb
 import numpy as np
 import pyarrow as pa
 
+from polylabel_rs_ray.pipelines.queries import sql_cell_id_expr
 from polylabel_rs_ray.stages.cells import (
     append_cell_columns,
     cell_bounds,
@@ -12,7 +13,6 @@ from polylabel_rs_ray.stages.cells import (
     cover_bbox,
     decode_cells,
     encode_cells,
-    sql_cell_id_expr,
 )
 
 RNG = np.random.default_rng(7)

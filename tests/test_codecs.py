@@ -7,7 +7,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from polylabel_rs_ray.functions.codecs import (
+from polylabel_rs_ray.pipelines.codecs import (
     box_resize,
     decode_ppm,
     decode_wav,
@@ -115,7 +115,7 @@ def _span_batch(kind: str, refs: list[str]) -> pa.Table:
 def test_audio_chunker_real_duration_derived():
     """Real chunk count comes from the DECODED sample count, not the ref
     hash (the fake path's stand-in)."""
-    from polylabel_rs_ray.stages.media import AudioChunker
+    from polylabel_rs_ray.pipelines.media import AudioChunker
 
     def fetch(ref, kind):
         n = {"a": 4000, "b": 4001, "c": 12000}[ref]
@@ -134,7 +134,7 @@ def test_audio_chunker_real_duration_derived():
 
 
 def test_image_resizer_real_dims_from_header():
-    from polylabel_rs_ray.stages.media import ImageResizer
+    from polylabel_rs_ray.pipelines.media import ImageResizer
 
     grad = (np.arange(40 * 30 * 3, dtype=np.int64) % 256).astype(np.uint8)
     img = grad.reshape(30, 40, 3)
@@ -149,7 +149,7 @@ def test_image_resizer_real_dims_from_header():
 
 
 def test_frame_sampler_real_even_sampling():
-    from polylabel_rs_ray.stages.media import FrameSampler
+    from polylabel_rs_ray.pipelines.media import FrameSampler
 
     frames = np.stack([np.full((16, 24), v, np.uint8) for v in (10, 20, 30, 40, 50, 60, 70)])
     fs = FrameSampler(n_frames=4, width=32, height=18, decode="real",
@@ -163,7 +163,7 @@ def test_frame_sampler_real_even_sampling():
 
 
 def test_media_featurizer_real_sniffs_all_three():
-    from polylabel_rs_ray.stages.media import MediaFeaturizer
+    from polylabel_rs_ray.pipelines.media import MediaFeaturizer
 
     feats = {}
 
@@ -199,7 +199,7 @@ def test_decoder_swap_seam(ray_session):
     deployment configures."""
     import ray
 
-    from polylabel_rs_ray.stages.media import MEDIA_FEATURE_DIM, MediaFeaturizer
+    from polylabel_rs_ray.pipelines.media import MEDIA_FEATURE_DIM, MediaFeaturizer
 
     JPEG_MAGIC = b"\xff\xd8\xff"
 
@@ -250,7 +250,7 @@ def test_decoder_magic_must_be_nonempty_bytes():
     the stage is built, not discovered from wrong features later."""
     import pytest
 
-    from polylabel_rs_ray.stages.media import MediaFeaturizer
+    from polylabel_rs_ray.pipelines.media import MediaFeaturizer
 
     def decode(data):
         return np.zeros(1)

@@ -1,4 +1,5 @@
-"""The exchange helpers in ``stages/util.py``."""
+"""The registry's keyed exchange and grouped aggregate in
+``pipelines/agg.py``, both built on the engine's ``stages.util.group_map``."""
 
 import uuid
 
@@ -13,7 +14,7 @@ def test_hash_exchange_routes_each_key_to_one_call(ray_session, n_parts):
     arrives exactly once, and ``fn`` never sees the partition tag."""
     import ray
 
-    from polylabel_rs_ray.stages.util import hash_exchange, hash_part
+    from polylabel_rs_ray.pipelines.agg import hash_exchange, hash_part
 
     n = 300
     rows = pa.table({
@@ -35,7 +36,7 @@ def test_hash_exchange_routes_each_key_to_one_call(ray_session, n_parts):
     assert sorted(out["row"]) == list(range(n))
     assert set(out["seen"]) == {"k,row"}
     assert (out.groupby("k")["call"].nunique() == 1).all()
-    # one call per non-empty partition of the shared partitioner
+    # one integer key: one call per non-empty partition of ``hash_part``
     assert out["call"].nunique() == len(set(hash_part(out["k"].to_numpy(), n_parts)))
 
 
@@ -58,7 +59,7 @@ def test_grouped_aggregate_matches_one_arrow_group_by(ray_session, case, n_parts
     group_by over the whole input, for every spec kind."""
     import ray
 
-    from polylabel_rs_ray.stages.agg import grouped_aggregate
+    from polylabel_rs_ray.pipelines.agg import grouped_aggregate
 
     t, keys = _agg_input(case)
     specs = [("count", None, "n"), ("sum", "v", "s_v"), ("mean", "v", "m_v"),

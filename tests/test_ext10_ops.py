@@ -69,7 +69,7 @@ def test_value_page_matches_duckdb(ray_session, con):
 
 def test_image_resizer_plumbing(ray_session):
     from polylabel_rs_ray.pipelines.queries_ext10 import q_image_resize_stats
-    from polylabel_rs_ray.stages.media import ImageResizer
+    from polylabel_rs_ray.pipelines.media import ImageResizer
 
     stats = q_image_resize_stats(SF).to_pandas()
     assert len(stats) > 0

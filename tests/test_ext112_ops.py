@@ -74,7 +74,7 @@ def test_rect_contains_hull_area(ray_session):
     asserted (incomparable); hull-area containment is the sound pin."""
     import numpy as np
 
-    from polylabel_rs_ray.geom.ops import convex_hull
+    from polylabel_rs_ray.pipelines.geom_ops import convex_hull
     from polylabel_rs_ray.pipelines.queries_ext import (
         _dyadic_rings_ds, _norm_exterior,
     )

@@ -27,7 +27,7 @@ def test_diameter_stats_match_duckdb(ray_session):
 
 
 def test_diameter_kernel_properties():
-    from polylabel_rs_ray.geom.ops import ring_diameter_sq, ring_perimeter
+    from polylabel_rs_ray.pipelines.geom_ops import ring_diameter_sq, ring_perimeter
 
     rng = np.random.default_rng(9)
     for _ in range(20):

@@ -38,7 +38,7 @@ def test_1nn_brute_twin(ray_session):
     keys): same quantization, full distance matrix, lexsort argmin."""
     import pyarrow.parquet as pq
 
-    from polylabel_rs_ray.functions.sim import embedding_matrix
+    from polylabel_rs_ray.pipelines.sim import embedding_matrix
     from polylabel_rs_ray.pipelines.queries_ext125 import (
         q_sq8_1nn_label_audit,
     )

@@ -84,7 +84,7 @@ def test_regions_mask_identities(ray_session):
 
 
 def test_region_coverage_join_modes_agree(ray_session):
-    """The size-gated orders attach (stages/factjoin.attach_order_custkey)
+    """The size-gated orders attach (pipelines/factjoin.attach_order_custkey)
     is mode-invariant: broadcast == co-partitioned exchange."""
     from polylabel_rs_ray.pipelines.queries_ext130 import q_customer_region_coverage
 
@@ -96,7 +96,7 @@ def test_region_coverage_join_modes_agree(ray_session):
 
 def test_supplier_attach_modes_agree(ray_session):
     """The supplier attach routes through the size-gated
-    stages/factjoin.attach_fact_value (VERDICT r4 finding #2), with the
+    pipelines/factjoin.attach_fact_value (VERDICT r4 finding #2), with the
     bounded nation->region map closed over the side derivation: broadcast
     == co-partitioned exchange."""
     from polylabel_rs_ray.pipelines.queries_ext130 import q_customer_region_coverage

@@ -39,7 +39,7 @@ def test_audio_buckets_store_twin(ray_session):
 
     import pandas as pd
 
-    from polylabel_rs_ray.functions.codecs import (
+    from polylabel_rs_ray.pipelines.codecs import (
         AMP_RANGE, AUD_BASE, AUD_RANGE, ref_key,
     )
     from polylabel_rs_ray.pipelines.queries_ext135 import (

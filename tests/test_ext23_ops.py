@@ -8,7 +8,7 @@ SF = "/root/testdata/sf0.001"
 def test_doc_media_profile_consistent_with_explode(ray_session):
     from polylabel_rs_ray.pipelines.queries_ext23 import q_doc_media_profile
     from polylabel_rs_ray.sources.docs import read_docs
-    from polylabel_rs_ray.stages.media import explode_media_spans
+    from polylabel_rs_ray.pipelines.media import explode_media_spans
 
     prof = q_doc_media_profile(SF).to_pandas().set_index("doc_num")
     media = read_docs(SF).map_batches(

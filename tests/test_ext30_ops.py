@@ -22,7 +22,7 @@ CASES = [
 
 @pytest.mark.parametrize("filt", ["none", "sub", "up", "average", "paeth"])
 def test_png_round_trip_all_layouts_all_filters(filt):
-    from polylabel_rs_ray.functions.png import decode_png, encode_png
+    from polylabel_rs_ray.pipelines.png import decode_png, encode_png
 
     for arr in CASES:
         out = decode_png(encode_png(arr, filter=filt))
@@ -34,7 +34,7 @@ def test_png_structure_and_determinism():
     import struct
     import zlib
 
-    from polylabel_rs_ray.functions.png import SIGNATURE, encode_png
+    from polylabel_rs_ray.pipelines.png import SIGNATURE, encode_png
 
     arr = RNG.integers(0, 256, (16, 16), dtype=np.uint8)
     data = encode_png(arr)
@@ -59,7 +59,7 @@ def test_png_structure_and_determinism():
 
 
 def test_png_rejects_garbage():
-    from polylabel_rs_ray.functions.png import decode_png, encode_png
+    from polylabel_rs_ray.pipelines.png import decode_png, encode_png
 
     with pytest.raises(ValueError):
         decode_png(b"not a png at all")
@@ -72,7 +72,7 @@ def test_png_rejects_garbage():
 
 
 def test_count_grid_gray16_vs_rgba8_gate_and_exactness():
-    from polylabel_rs_ray.functions.png import decode_count_grid, encode_count_grid
+    from polylabel_rs_ray.pipelines.png import decode_count_grid, encode_count_grid
 
     g = RNG.integers(0, 3000, (64, 64)).astype(np.uint32)
     png, mode = encode_count_grid(g)

@@ -55,7 +55,7 @@ def test_sq8_quantization_brute_force(ray_session):
     neighbour of each query, excluding self, is within the SQ8 top-k)."""
     import pyarrow.parquet as pq
 
-    from polylabel_rs_ray.functions.sim import embedding_matrix
+    from polylabel_rs_ray.pipelines.sim import embedding_matrix
     from polylabel_rs_ray.pipelines.queries_ext32 import (
         _minmax, _quantize, q_sq8_topk,
     )

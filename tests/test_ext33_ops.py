@@ -49,7 +49,7 @@ def test_image_phash_group_invariants(ray_session):
 def test_signature_from_real_decode(ray_session):
     """The signature equals the 4-bit-quantized store color — i.e. the
     decode+resize chain, not the ref hash, produced it."""
-    from polylabel_rs_ray.functions import codecs
+    from polylabel_rs_ray.pipelines import codecs
     from polylabel_rs_ray.pipelines.queries_ext33 import (
         PHASH_RES, _signature, q_image_phash_dups,
     )

@@ -46,7 +46,7 @@ def test_prefix_filter_is_complete_vs_brute_force(ray_session):
     (the prefix-filter completeness theorem, checked empirically)."""
     import pyarrow.parquet as pq
 
-    from polylabel_rs_ray.functions.dedup import jaccard_pct_exact, shingle_strs
+    from polylabel_rs_ray.pipelines.dedup import jaccard_pct_exact, shingle_strs
     from polylabel_rs_ray.pipelines.queries import (
         DUP_EVERY, DUP_OFFSET, mutate_text,
     )

@@ -39,7 +39,7 @@ def test_scene_cut_detector_on_synthetic_stream(ray_session):
     exactly the >CUT_DELTA jumps, from decoded bytes."""
     import pyarrow as pa
 
-    from polylabel_rs_ray.functions import codecs
+    from polylabel_rs_ray.pipelines import codecs
     from polylabel_rs_ray.pipelines.queries_ext42 import SceneCutDetector
 
     frames = np.stack([

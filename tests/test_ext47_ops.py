@@ -37,7 +37,7 @@ def test_rms_extractor_on_synthetic_wave(ray_session):
     bytes, not the ref hash."""
     import pyarrow as pa
 
-    from polylabel_rs_ray.functions import codecs
+    from polylabel_rs_ray.pipelines import codecs
     from polylabel_rs_ray.pipelines.queries_ext47 import RmsExtractor
 
     pcm = np.array([3, -4, 0, 12, -7], dtype=np.int16)

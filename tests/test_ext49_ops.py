@@ -36,7 +36,7 @@ def test_embedding_gram_brute_force(ray_session):
     distributed partial-sum, and the matrix is PSD as a Gram must be."""
     import pyarrow.parquet as pq
 
-    from polylabel_rs_ray.functions.sim import embedding_matrix
+    from polylabel_rs_ray.pipelines.sim import embedding_matrix
     from polylabel_rs_ray.pipelines.queries_ext32 import _minmax, _quantize
     from polylabel_rs_ray.pipelines.queries_ext49 import (
         GRAM_DIMS, q_embedding_gram,

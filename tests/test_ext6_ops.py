@@ -92,7 +92,7 @@ def test_pagerank_conserves_mass(ray_session):
 
 def test_audio_chunk_stats_plumbing(ray_session):
     from polylabel_rs_ray.pipelines.queries_ext6 import q_audio_chunk_stats
-    from polylabel_rs_ray.stages.media import AudioChunker
+    from polylabel_rs_ray.pipelines.media import AudioChunker
 
     stats = q_audio_chunk_stats(SF).to_pandas()
     assert len(stats) > 0
@@ -103,7 +103,7 @@ def test_audio_chunk_stats_plumbing(ray_session):
 
 
 def test_audio_chunker_deterministic_and_bounded():
-    from polylabel_rs_ray.stages.media import AudioChunker
+    from polylabel_rs_ray.pipelines.media import AudioChunker
 
     ch = AudioChunker()
     batch = pa.table({

@@ -48,7 +48,7 @@ def test_skew_audit_mass_and_gini_range(ray_session, con):
 
 def test_sql_hash_replay_matches_engine_hash():
     """The HUGEINT SQL expression reproduces hash_part bit-for-bit."""
-    from polylabel_rs_ray.stages.util import hash_part
+    from polylabel_rs_ray.pipelines.agg import hash_part
     from polylabel_rs_ray.pipelines.queries_ext71 import (
         AUDIT_P, GOLD_INT, TWO64,
     )

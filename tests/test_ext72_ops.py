@@ -77,7 +77,7 @@ def test_bloom_no_false_negatives(ray_session):
 
 def test_bloom_sql_hash_matches_engine():
     """The HUGEINT probe-position expressions reproduce _hash_pair."""
-    from polylabel_rs_ray.functions.bloom import _hash_pair
+    from polylabel_rs_ray.pipelines.bloom import _hash_pair
     from polylabel_rs_ray.pipelines.queries_ext72 import (
         AUDIT_M_BITS, GOLD_A_INT, GOLD_B_INT, TWO64,
     )

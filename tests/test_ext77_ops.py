@@ -87,7 +87,7 @@ def test_distinct_values_matches_driver_scan(ray_session):
     driver-scan result on every column it replaced a scan for."""
     import pyarrow.parquet as pq
 
-    from polylabel_rs_ray.stages.agg import distinct_values
+    from polylabel_rs_ray.pipelines.agg import distinct_values
 
     for path, col in [
         (f"{SF}/events.parquet", "event_type"),

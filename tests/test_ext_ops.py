@@ -144,7 +144,7 @@ def _hull_contains(hull: np.ndarray, pts: np.ndarray, tol: float = 1e-9) -> bool
 
 
 def test_convex_hull_properties():
-    from polylabel_rs_ray.geom.ops import convex_hull, ring_area
+    from polylabel_rs_ray.pipelines.geom_ops import convex_hull, ring_area
     from polylabel_rs_ray.sources.fixtures import FIXTURES
 
     for name, fx in FIXTURES.items():
@@ -166,7 +166,7 @@ def test_convex_hull_properties():
 
 
 def test_convex_hull_degenerate():
-    from polylabel_rs_ray.geom.ops import convex_hull
+    from polylabel_rs_ray.pipelines.geom_ops import convex_hull
 
     col = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     h = convex_hull(col)
@@ -177,7 +177,7 @@ def test_convex_hull_degenerate():
 
 
 def test_douglas_peucker_properties():
-    from polylabel_rs_ray.geom.ops import _seg_dists, douglas_peucker_mask, simplify_ring
+    from polylabel_rs_ray.pipelines.geom_ops import _seg_dists, douglas_peucker_mask, simplify_ring
     from polylabel_rs_ray.sources.fixtures import FIXTURES
 
     def check(pts, eps):

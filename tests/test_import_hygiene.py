@@ -1,7 +1,9 @@
 """Import rules for the engine (``geom/``, ``stages/``, ``sources/``,
 ``state/``, ``run.py``, ``api.py``, ``geojson_cli.py``, ``config.py``),
 checked on the source with ``ast``: the engine never imports the query
-registry under ``pipelines/``, and it has no unused import."""
+registry under ``pipelines/``, every module ``run.code_digest()`` hashes
+is code the chain runs, and no module of the package has an unused
+import."""
 
 import ast
 import os
@@ -27,6 +29,13 @@ def _engine_files():
 
 
 FILES = sorted(os.path.relpath(p, ROOT) for p in _engine_files())
+REGISTRY_FILES = sorted(
+    os.path.relpath(os.path.join(d, f), ROOT)
+    for d, dirnames, filenames in os.walk(os.path.join(ROOT, "pipelines"))
+    if "__pycache__" not in d for f in filenames if f.endswith(".py"))
+# the chain's entry points: the CLI runner, the API, the GeoJSON CLI and
+# the public stages perfbench drives
+CHAIN_ROOTS = ("run.py", "api.py", "geojson_cli.py", "stages/label.py", "stages/tiles.py")
 
 
 def _source(rel):
@@ -55,13 +64,48 @@ def test_engine_does_not_import_pipelines(rel):
     assert bad == [], f"{rel} imports the registry: {bad}"
 
 
-@pytest.mark.parametrize("rel", FILES)
-def test_engine_has_no_unused_import(rel):
-    """Every name an import binds is read somewhere in its module, or is
-    listed in ``__all__``.  Exempt: ``__init__.py`` re-exports and an
-    import marked ``# noqa: F401`` (an availability probe)."""
+def _module_file(name):
+    """``rel`` path of the package module ``name``, or None."""
+    if not name.startswith(f"{PKG}."):
+        return None
+    rel = os.path.join(*name.split(".")[1:])
+    for cand in (rel + ".py", os.path.join(rel, "__init__.py")):
+        if os.path.isfile(os.path.join(ROOT, cand)):
+            return cand
+    return None
+
+
+def test_engine_digest_covers_only_chain_code():
+    """Every ``.py`` under ``run.ENGINE_DIRS`` (the dirs ``code_digest()``
+    hashes, so an edit there relabels every checkpoint) is reachable by
+    imports, function-level ones included, from the chain's entry points."""
+    from polylabel_rs_ray import run
+
+    seen, todo = set(), list(CHAIN_ROOTS)
+    while todo:
+        rel = todo.pop()
+        if rel in seen:
+            continue
+        seen.add(rel)
+        parts = os.path.dirname(rel).split(os.sep)
+        for i in range(1, len(parts) + 1):  # importing a module runs its packages
+            if parts[0]:
+                todo.append(os.path.join(*parts[:i], "__init__.py"))
+        for mod in _imported_modules(rel, ast.parse(_source(rel), rel)):
+            f = _module_file(mod)
+            if f is not None:
+                todo.append(f)
+    digested = [f for f in FILES if f.split(os.sep)[0] in run.ENGINE_DIRS]
+    unreached = [f for f in digested if f not in seen]
+    assert unreached == [], f"hashed by code_digest() but not run by the chain: {unreached}"
+
+
+def _unused_imports(rel):
+    """Names an import binds in ``rel`` that its module never reads and
+    does not list in ``__all__``.  Exempt: ``__init__.py`` re-exports and
+    an import marked ``# noqa: F401`` (an availability probe)."""
     if os.path.basename(rel) == "__init__.py":
-        return
+        return []
     src = _source(rel)
     tree = ast.parse(src, rel)
     lines = src.splitlines()
@@ -78,6 +122,19 @@ def test_engine_has_no_unused_import(rel):
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
-    unused = sorted(f"{name} (line {line})" for name, line in bound.items()
-                    if name not in used)
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("rel", FILES)
+def test_engine_has_no_unused_import(rel):
+    """Every name an import binds is read somewhere in its module."""
+    unused = _unused_imports(rel)
+    assert unused == [], f"{rel}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("rel", REGISTRY_FILES)
+def test_registry_has_no_unused_import(rel):
+    """The same rule for every module of the query registry."""
+    unused = _unused_imports(rel)
     assert unused == [], f"{rel}: unused imports {unused}"

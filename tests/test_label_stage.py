@@ -176,34 +176,47 @@ def test_labeled_checkpoint_fingerprint_invalidation(tmp_path, monkeypatch):
 
 
 def test_read_table_format_fallbacks(ray_session, tmp_path):
-    """read_table resolves lance -> parquet -> csv -> jsonl; row-oriented
-    formats project via select_columns (no pushdown) but yield the same
-    logical table."""
-    import pyarrow as pa
-    import pyarrow.csv as pacsv
-    import pyarrow.parquet as pq
-
+    """read_table reads only Lance or Parquet: a table in neither format
+    is missing."""
     from polylabel_rs_ray.sources.table import read_table
-
-    src = pq.read_table(
-        "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "lang"]
-    )
-    want = sorted(zip(src.column("doc_id").to_pylist(), src.column("lang").to_pylist()))
-
-    pacsv.write_csv(src, str(tmp_path / "docs_csv.csv"))
-    with open(tmp_path / "docs_jsonl.jsonl", "w") as f:
-        for d, l in zip(src.column("doc_id").to_pylist(), src.column("lang").to_pylist()):
-            f.write('{"doc_id": %d, "lang": "%s"}\n' % (d, l))
-
-    for name in ("docs_csv", "docs_jsonl"):
-        df = read_table(str(tmp_path), name, columns=["doc_id", "lang"]).to_pandas()
-        got = sorted(zip(df["doc_id"], df["lang"]))
-        assert got == want, name
-
-    import pytest
 
     with pytest.raises(FileNotFoundError):
         read_table(str(tmp_path), "missing_table")
+
+
+def test_labeled_checkpoint_stamps_the_lance_table(tmp_path, monkeypatch):
+    """With Lance available, the documents table is the ``documents.lance``
+    dataset dir, so the ``labeled`` stamp covers its files: touching one
+    makes the unit commit again."""
+    import os
+    import tempfile
+
+    from polylabel_rs_ray import run
+    from polylabel_rs_ray.pipelines.queries import _checkpoint
+    from polylabel_rs_ray.sources import table
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    os.makedirs(tempfile.tempdir)
+    monkeypatch.setattr(table, "have_lance", lambda: True)
+    (tmp_path / "documents.parquet").write_bytes(b"parquet")
+    frag = tmp_path / "documents.lance" / "data" / "0.lance"
+    frag.parent.mkdir(parents=True)
+    frag.write_bytes(b"lance")
+    writes = []
+
+    def write(path):
+        os.makedirs(path)
+        writes.append(path)
+
+    def checkpoint():
+        return _checkpoint(str(tmp_path), "labeled",
+                           [table.table_path(str(tmp_path), "documents")], write,
+                           run.ENGINE_DIRS)
+
+    p1 = checkpoint()
+    assert checkpoint() == p1 and len(writes) == 1
+    os.utime(frag, (1_700_000_000, 1_700_000_000))
+    assert checkpoint() == p1 and len(writes) == 2
 
 
 def test_read_table_lance_dispatch(ray_session, tmp_path, monkeypatch):

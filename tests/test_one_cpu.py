@@ -1,8 +1,11 @@
-"""Every map stage runs as a stateless task, so queries that used to sit in
-an actor pool finish on a 1-CPU Ray and still equal their DuckDB oracles.
+"""Queries that used to hang on a 1-CPU Ray finish there and still equal
+their DuckDB oracles: every map stage runs as a stateless task, so none
+sits in an actor pool, and the keyed exchange turns off Ray Data's
+per-operator CPU reservation on its output, so a union that starts with
+an exchange does not stall.
 
 The queries run in a subprocess with its own ``num_cpus=1`` session (the
-tier-1 session has 4 CPUs, where an idle actor never starves a shuffle).
+tier-1 session has 4 CPUs, where neither hang shows).
 """
 
 import json
@@ -14,6 +17,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 QUERIES = ("zone_join", "knn_tiles", "ann_topk", "video_frame_stats")
+# each unions a hash_exchange output, first, with a branch that reads parquet
+UNION_QUERIES = ("cohort_retention", "large_volume_customers_q18",
+                 "order_reconciliation", "name_key_consistency_audit")
 TIMEOUT_S = 300
 
 SCRIPT = """
@@ -42,9 +48,9 @@ print("RESULT " + json.dumps(out))
 """
 
 
-def test_former_actor_queries_finish_on_one_cpu():
+def _check_on_one_cpu(queries):
     proc = subprocess.Popen(
-        [sys.executable, "-c", SCRIPT, *QUERIES], cwd=REPO,
+        [sys.executable, "-c", SCRIPT, *queries], cwd=REPO,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True,
     )
@@ -57,8 +63,16 @@ def test_former_actor_queries_finish_on_one_cpu():
     assert proc.returncode == 0, stderr[-4000:]
     line = next(x for x in stdout.splitlines() if x.startswith("RESULT "))
     res = json.loads(line[len("RESULT "):])
-    assert set(res) == set(QUERIES)
+    assert set(res) == set(queries)
     for name, r in res.items():
         assert r["rows"][0] == r["rows"][1] > 0, (name, r)
         assert r["cols"], name
         assert r["hash"][0] == r["hash"][1], (name, r)
+
+
+def test_former_actor_queries_finish_on_one_cpu():
+    _check_on_one_cpu(QUERIES)
+
+
+def test_exchange_unions_finish_on_one_cpu():
+    _check_on_one_cpu(UNION_QUERIES)

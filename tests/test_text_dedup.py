@@ -3,7 +3,7 @@
 import numpy as np
 import pyarrow as pa
 
-from polylabel_rs_ray.functions.dedup import (
+from polylabel_rs_ray.pipelines.dedup import (
     MinHasher,
     band_hashes_batch,
     hamming64,
@@ -11,7 +11,7 @@ from polylabel_rs_ray.functions.dedup import (
     shingles,
     simhash64_batch,
 )
-from polylabel_rs_ray.functions.text import (
+from polylabel_rs_ray.pipelines.text import (
     fingerprint_one,
     lang_id_one,
     quality_batch,
@@ -134,7 +134,7 @@ def test_ann_vs_ivf_recall(ray_session):
 
 
 def test_media_pipeline(ray_session):
-    from polylabel_rs_ray.stages.media import MEDIA_FEATURE_DIM, MediaFeaturizer, media_pipeline
+    from polylabel_rs_ray.pipelines.media import MEDIA_FEATURE_DIM, MediaFeaturizer, media_pipeline
 
     df = media_pipeline(SF).to_pandas()
     assert (df.kind != "text").all()
@@ -150,7 +150,7 @@ def test_media_pipeline(ray_session):
     assert real[0] == 1.0 and 0 < real[1] <= 1 and 0 < real[2] <= 1
 
 def test_frame_sampler_pipeline(ray_session):
-    from polylabel_rs_ray.stages.media import FrameSampler, frame_pipeline, explode_media_spans
+    from polylabel_rs_ray.pipelines.media import FrameSampler, frame_pipeline, explode_media_spans
     from polylabel_rs_ray.sources.docs import read_docs
     from polylabel_rs_ray.pipelines.queries import q_video_frame_stats
 
@@ -290,7 +290,7 @@ def test_top_bigrams_match_duckdb(ray_session):
     assert len(d) == 20 and d.equals(o)
 
 def test_bloom_no_false_negatives():
-    from polylabel_rs_ray.functions.bloom import (
+    from polylabel_rs_ray.pipelines.bloom import (
         bloom_contains,
         bloom_size_bits,
         _hash_pair,

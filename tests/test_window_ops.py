@@ -192,7 +192,7 @@ def test_doc_chunks_match_duckdb(ray_session):
 
 
 def test_revenue_by_region_join_modes_agree(ray_session):
-    """The size-gated customer attach (stages/factjoin.attach_cust_nationkey)
+    """The size-gated customer attach (pipelines/factjoin.attach_cust_nationkey)
     is mode-invariant: broadcast == co-partitioned exchange."""
     from polylabel_rs_ray.pipelines.queries import q_revenue_by_region
 

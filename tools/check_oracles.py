@@ -20,6 +20,7 @@ compared row by row.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -70,7 +71,8 @@ def main(sf_dir: str, only: list[str] | None = None,
          json_out: str | None = None) -> int:
     import ray
 
-    ray.init(address="local", num_cpus=8, include_dashboard=False, ignore_reinit_error=True)
+    ray.init(address="local", num_cpus=os.cpu_count(), include_dashboard=False,
+             ignore_reinit_error=True)
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     import __ray_entry__ as entrymod
 
