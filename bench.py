@@ -27,6 +27,23 @@ import time
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 BENCH_DOCS = int(os.environ.get("GRAFT_BENCH_DOCS", "120000"))
+# the representative query set run_queries times
+BENCH_QUERIES = (
+    "label_summary",
+    "label_dyadic",
+    "cell_encode",
+    "zone_join",
+    "knn_tiles",
+    "render_tiles",
+    "pricing_summary",
+    "top_orders",
+    "events_by_type",
+    "exact_dedup",
+    "minhash_near_dup",
+    "ann_topk",
+    "quality_scores",
+    "pagerank_parts",
+)
 
 
 def headline(num_cpus: int) -> dict:
@@ -67,31 +84,10 @@ def run_queries(sf_dir: str) -> dict:
     """Time a representative query set over the sf dir."""
     import __ray_entry__ as entrymod
 
-    names = [
-        "label_summary",
-        "label_dyadic",
-        "cell_encode",
-        "zone_join",
-        "knn_tiles",
-        "render_tiles",
-        "pricing_summary",
-        "top_orders",
-        "events_by_type",
-        "exact_dedup",
-        "minhash_near_dup",
-        "ann_topk",
-        "quality_scores",
-        "media_kind_counts",
-        # round-3 additions: real media decode trio + scale-safe pagerank
-        "image_decode_stats",
-        "audio_decode_stats",
-        "video_decode_stats",
-        "pagerank_parts",
-    ]
     qs = entrymod.queries()
     gate = float(os.environ.get("GRAFT_LOAD_GATE", "2.0"))
     out = {}
-    for name in names:
+    for name in BENCH_QUERIES:
         # brief per-query quiet gate: co-tenant load storms otherwise land
         # on whichever query is running and masquerade as a regression
         t_end = time.time() + 45

@@ -487,7 +487,7 @@ def q_zone_join(sf_dir: str):
     from ..stages.join import ZoneJoin
 
     ds = _dyadic_labeled(sf_dir)
-    return ds.map_batches(ZoneJoin(keep_cols=("doc_num",)),
+    return ds.map_batches(ZoneJoin(),
                           batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -539,7 +539,7 @@ def q_knn_tiles(sf_dir: str):
     from ..stages.join import KnnTiles
 
     ds = _dyadic_labeled(sf_dir)
-    return ds.map_batches(KnnTiles(k=3, keep_cols=("doc_num",)),
+    return ds.map_batches(KnnTiles(),
                           batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -1217,7 +1217,7 @@ SQL_DISTINCT_SOURCES = "SELECT DISTINCT source FROM documents"
 
 
 # --------------------------------------------------------------------------
-# training-data ops: quality, langid, fingerprint, dedup, similarity, media
+# training-data ops: quality, langid, fingerprint, dedup, similarity
 # --------------------------------------------------------------------------
 
 def q_quality_scores(sf_dir: str):
@@ -2469,27 +2469,6 @@ def _sql_ivf_topk() -> str:
     """
 
 
-def q_media_kind_counts(sf_dir: str):
-    """Multimodal plumbing: explode media spans, featurize (stubbed decode),
-    roll up counts per kind."""
-    from .media import media_pipeline
-
-    from .agg import grouped_aggregate
-
-    ds = media_pipeline(sf_dir)
-    return grouped_aggregate(ds, ["kind"], [("count", None, "n_media")])
-
-
-SQL_MEDIA_KIND_COUNTS = """
-    SELECT CASE (doc_id + g.j) % 4 WHEN 1 THEN 'image' WHEN 2 THEN 'audio'
-                                   ELSE 'video' END AS kind,
-           CAST(COUNT(*) AS BIGINT) AS n_media
-    FROM documents CROSS JOIN generate_series(0, 7) AS g(j)
-    WHERE g.j <= doc_id % 8 AND (doc_id + g.j) % 4 != 0
-    GROUP BY 1
-"""
-
-
 # --------------------------------------------------------------------------
 # registry
 # --------------------------------------------------------------------------
@@ -3295,51 +3274,6 @@ SQL_REVENUE_BY_REGION = """
 """
 
 
-def q_video_frame_stats(sf_dir: str):
-    """Frame-sampling plumbing end-to-end: docs -> media-span explode ->
-    FrameSampler map stage (sample + resize, fake decode per the stub
-    policy) -> per-doc frame count and payload bytes through the map-side
-    combine.  Oracle-backed: span synthesis is pure doc_id arithmetic
-    (spans_for_doc_ids) and the fake frame payload size is the constant
-    width*height*3, so SQL replays counts and bytes exactly."""
-    from .agg import grouped_aggregate
-    from .media import frame_pipeline
-
-    frames = frame_pipeline(sf_dir)
-
-    def sizes(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_num": batch.column("doc_num"),
-            "frame_bytes": pc.cast(
-                pc.binary_length(batch.column("frame")), pa.int64()
-            ),
-        })
-
-    return grouped_aggregate(
-        frames.map_batches(sizes, batch_format="pyarrow", zero_copy_batch=True),
-        ["doc_num"],
-        [("count", None, "n_frames"), ("sum", "frame_bytes", "total_bytes")],
-    )
-
-
-# SQL replay of the span synthesis (sources/docs.py::spans_for_doc_ids):
-# doc i carries doc_id%8+1 spans, span j has kind (doc_id+j)%4
-# (0=text 1=image 2=audio 3=video); FrameSampler emits n_frames=4 frames of
-# width*height*3 = 32*18*3 = 1728 bytes per video span.
-SQL_VIDEO_FRAME_STATS = r"""
-    WITH sp AS (
-      SELECT doc_id,
-             len(list_filter(range(doc_id % 8 + 1), j -> (doc_id + j) % 4 = 3))
-               AS n_video
-      FROM documents
-    )
-    SELECT doc_id AS doc_num,
-           CAST(n_video * 4 AS BIGINT) AS n_frames,
-           CAST(n_video * 4 * 1728 AS BIGINT) AS total_bytes
-    FROM sp WHERE n_video > 0
-"""
-
-
 CHUNK_TOKENS = 64
 CHUNK_STRIDE = 48  # 16-token overlap between consecutive chunks
 
@@ -4112,7 +4046,6 @@ def build_queries() -> dict:
         "embedding_near_dup": q_embedding_near_dup,
         "ann_topk": q_ann_topk,
         "ivf_topk": q_ivf_topk,
-        "media_kind_counts": q_media_kind_counts,
         "rolling_user_stats": q_rolling_user_stats,
         "attribution_counts": q_attribution_counts,
         "canonical_docs": q_canonical_docs,
@@ -4127,7 +4060,6 @@ def build_queries() -> dict:
         "approx_distinct_users": q_approx_distinct_users,
         "view_only_hours": q_view_only_hours,
         "revenue_by_region": q_revenue_by_region,
-        "video_frame_stats": q_video_frame_stats,
         "doc_chunks": q_doc_chunks,
         "part_pair_counts": q_part_pair_counts,
         "conversion_funnel": q_conversion_funnel,
@@ -4171,7 +4103,6 @@ def build_oracles() -> dict:
         "quality_scores": SQL_QUALITY_SCORES,
         "bpe_tokens": SQL_BPE_TOKENS,
         "ann_topk": SQL_ANN_TOPK,
-        "media_kind_counts": SQL_MEDIA_KIND_COUNTS,
         "lang_id": _sql_lang_id(),
         "fingerprints": SQL_FINGERPRINTS,
         "rolling_user_stats": SQL_ROLLING_USER_STATS,
@@ -4200,7 +4131,6 @@ def build_oracles() -> dict:
         "price_discount_corr": SQL_PRICE_DISCOUNT_CORR,
         "event_types_per_user": SQL_EVENT_TYPES_PER_USER,
         "props_value_stats": SQL_PROPS_VALUE_STATS,
-        "video_frame_stats": SQL_VIDEO_FRAME_STATS,
         # two-algorithms-one-ground-truth oracle (the jaccard_join_exact
         # precedent): the exhaustive all-pairs cosine sweep — LSH banding
         # must find exactly the >= 0.98 pairs on this data (pinned green

@@ -1,4 +1,4 @@
-"""Round-2 extension operators, batch 11: data-cleaning + paging + media.
+"""Round-2 extension operators, batch 11: data-cleaning + paging.
 
 * ``value_outliers`` — robust (median/MAD) outlier filter: events whose
   |value - median| > 3 * MAD, with both statistics computed exactly by
@@ -8,11 +8,7 @@
   WITHOUT a global sort: the integer histogram locates the bins holding
   ranks [k, k+m), only those bins' rows are collected and ranked
   exactly (expected n/bins rows), with a deterministic (value, id)
-  total order.
-* ``image_resize_stats`` — image resize plumbing (map stage:
-  image spans -> fixed-WxH RGB payload rows, decode stubbed per the
-  media policy), completing decode / feature-extract / RESIZE /
-  frame-sample / chunk over the media span kinds."""
+  total order."""
 
 from __future__ import annotations
 
@@ -179,68 +175,15 @@ SQL_VALUE_PAGE = f"""
 """
 
 
-# --------------------------------------------------------------------------
-# image resize plumbing
-# --------------------------------------------------------------------------
-
-
-def q_image_resize_stats(sf_dir: str):
-    from ..sources.docs import read_docs
-    from .agg import grouped_aggregate
-    from .media import ImageResizer, explode_media_spans
-
-    ds = read_docs(sf_dir)
-    media = ds.map_batches(
-        explode_media_spans, batch_format="pyarrow", zero_copy_batch=True
-    )
-    imgs = media.map_batches(
-        ImageResizer(decode="fake"),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=256,
-    )
-
-    def sizes(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_num": batch.column("doc_num"),
-            "rgb_bytes": pc.cast(pc.binary_length(batch.column("rgb")), pa.int64()),
-        })
-
-    return grouped_aggregate(
-        imgs.map_batches(sizes, batch_format="pyarrow", zero_copy_batch=True),
-        ["doc_num"],
-        [("count", None, "n_images"), ("sum", "rgb_bytes", "total_bytes")],
-    )
-
-
 def build_queries_ext10() -> dict:
     return {
         "value_outliers": q_value_outliers,
         "value_page": q_value_page,
-        "image_resize_stats": q_image_resize_stats,
     }
-
-
-# SQL replay of the span synthesis (sources/docs.py::spans_for_doc_ids):
-# span j of doc i has kind (doc_id+j)%4, 1 = image; ImageResizer emits one
-# width*height*3 = 64*64*3 = 12288-byte RGB payload per image span.
-SQL_IMAGE_RESIZE_STATS = r"""
-    WITH sp AS (
-      SELECT doc_id,
-             len(list_filter(range(doc_id % 8 + 1), j -> (doc_id + j) % 4 = 1))
-               AS n_img
-      FROM documents
-    )
-    SELECT doc_id AS doc_num,
-           CAST(n_img AS BIGINT) AS n_images,
-           CAST(n_img * 12288 AS BIGINT) AS total_bytes
-    FROM sp WHERE n_img > 0
-"""
 
 
 def build_oracles_ext10() -> dict:
     return {
         "value_outliers": SQL_VALUE_OUTLIERS,
         "value_page": SQL_VALUE_PAGE,
-        "image_resize_stats": SQL_IMAGE_RESIZE_STATS,
     }

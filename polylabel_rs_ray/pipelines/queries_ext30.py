@@ -6,8 +6,7 @@ PNG (pure-stdlib codec, ``pipelines/png.py``), then decoded BACK and the
 per-tile integer statistics are computed from the decoded pixels.  The
 DuckDB oracle recomputes the same statistics straight from the label
 points, so a value-exact match proves the whole render -> PNG encode ->
-PNG decode chain is lossless end-to-end (the raster path equivalent of
-the media trio's decode-stats queries).
+PNG decode chain is lossless end-to-end.
 
 Scale shape: identical to ``render_tiles`` — one groupby(tile_id)
 exchange, then a stateless per-tile map (PNG encode is per-tile local

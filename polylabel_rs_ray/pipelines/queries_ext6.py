@@ -1,4 +1,4 @@
-"""Round-2 extension operators, batch 7: iterative graph + audio plumbing.
+"""Round-2 extension operators, batch 7: iterative graph.
 
 * ``pagerank_parts`` — weighted PageRank over the part co-occurrence
   graph (the edges of ``part_pair_counts``), SCALE-SAFE: the rank vector
@@ -32,13 +32,7 @@
   histogram-reduce path instead: ranks broadcast via ``ray.put`` once per
   iteration, each edge block emits ONE dense length-V partial inflow, the
   reduce is an O(blocks) driver sum, no shuffle at all.  Equivalence of
-  the two engine paths is pytest-pinned (test_ext6_ops).
-* ``audio_chunk_stats`` — audio-decode plumbing end-to-end: docs ->
-  media-span explode -> AudioChunker map stage (fixed-duration PCM
-  chunks, fake decode per the stub policy) -> per-doc chunk count and
-  payload bytes.  Oracle-backed: span synthesis is pure doc_id
-  arithmetic and the chunk count is md5-derived, which DuckDB's
-  md5_number_lower replays exactly."""
+  the two engine paths is pytest-pinned (test_ext6_ops)."""
 
 from __future__ import annotations
 
@@ -410,52 +404,12 @@ def q_pagerank_parts(sf_dir: str, force_path: str | None = None):
     )
 
 
-def q_audio_chunk_stats(sf_dir: str):
-    from .agg import grouped_aggregate
-    from .media import audio_pipeline
-
-    chunks = audio_pipeline(sf_dir)
-
-    def sizes(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_num": batch.column("doc_num"),
-            "pcm_bytes": pc.cast(pc.binary_length(batch.column("pcm")), pa.int64()),
-        })
-
-    return grouped_aggregate(
-        chunks.map_batches(sizes, batch_format="pyarrow", zero_copy_batch=True),
-        ["doc_num"],
-        [("count", None, "n_chunks"), ("sum", "pcm_bytes", "total_bytes")],
-    )
-
-
 def build_queries_ext6() -> dict:
     return {
         "pagerank_parts": q_pagerank_parts,
-        "audio_chunk_stats": q_audio_chunk_stats,
     }
-
-
-# SQL replay of the span synthesis + AudioChunker fake decode: span j of
-# doc i has kind (doc_id+j)%4, 2 = audio, media_ref 'media://{doc}/{j}';
-# chunk count per clip = 1 + md5-low-8-bytes-LE(ref) % max_chunks — exactly
-# DuckDB's md5_number_lower — and each chunk is n_samples*2 = 8000 bytes.
-SQL_AUDIO_CHUNK_STATS = r"""
-    WITH sp AS (
-      SELECT doc_id, unnest(range(doc_id % 8 + 1)) AS j FROM documents
-    ), au AS (
-      SELECT doc_id,
-             1 + CAST(md5_number_lower('media://' || doc_id || '/' || j) % 4
-                      AS BIGINT) AS nc
-      FROM sp WHERE (doc_id + j) % 4 = 2
-    )
-    SELECT doc_id AS doc_num,
-           CAST(SUM(nc) AS BIGINT) AS n_chunks,
-           CAST(SUM(nc) * 8000 AS BIGINT) AS total_bytes
-    FROM au GROUP BY doc_id
-"""
 
 
 def build_oracles_ext6() -> dict:
     # pagerank_parts stays rows-only: iterative float algorithm
-    return {"audio_chunk_stats": SQL_AUDIO_CHUNK_STATS}
+    return {}

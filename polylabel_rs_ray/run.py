@@ -90,14 +90,11 @@ def run_label_partition(desc: dict) -> pa.Table:
     return pa.concat_tables(ray.get(ds.materialize().to_arrow_refs())).sort_by("doc_num")
 
 
-def run(out_dir: str, n_docs: int, n_parts: int, *, tiles: bool = False,
-        cell_res: int | None = None, tile_res: int | None = None) -> dict:
+def run(out_dir: str, n_docs: int, n_parts: int, *, tiles: bool = False) -> dict:
     from .config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
     from .state.manifest import remove_partitions_from, run_partitioned, write_summary
 
-    cell_res = cell_res or DEFAULT_CELL_RES
-    tile_res = tile_res or DEFAULT_TILE_RES
-    parts = build_partition_descs(n_docs, n_parts, cell_res, tile_res)
+    parts = build_partition_descs(n_docs, n_parts, DEFAULT_CELL_RES, DEFAULT_TILE_RES)
     t0 = time.time()
     summary = run_partitioned(out_dir, parts, run_label_partition)
     summary["label_wall_s"] = time.time() - t0

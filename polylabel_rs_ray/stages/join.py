@@ -31,6 +31,7 @@ from ..geom.kernel import pack_polygons, signed_distance
 from .cells import cover_bbox, encode_cells, grid_coords
 
 N_ZONES = 40
+KNN_K = 3  # tile centers per label point
 
 
 def zone_table() -> dict[str, np.ndarray]:
@@ -55,16 +56,15 @@ class ZoneJoin:
     are dropped (inner-join semantics).
 
     Built once in ``__init__`` and shipped with the stage: cell_id ->
-    candidate zone ids, from each zone's bbox covering at ``cell_res``."""
+    candidate zone ids, from each zone's bbox covering at
+    ``DEFAULT_CELL_RES``."""
 
-    def __init__(self, cell_res: int = DEFAULT_CELL_RES, keep_cols: tuple = ("doc_num",)):
-        self.cell_res = cell_res
-        self.keep_cols = list(keep_cols)
+    def __init__(self):
         z = zone_table()
-        self.z = z
         index: dict[int, list[int]] = {}
         for j in range(N_ZONES):
-            for cid in cover_bbox(z["x0"][j], z["y0"][j], z["x1"][j], z["y1"][j], cell_res):
+            for cid in cover_bbox(z["x0"][j], z["y0"][j], z["x1"][j], z["y1"][j],
+                                  DEFAULT_CELL_RES):
                 index.setdefault(int(cid), []).append(j)
         # CSR layout (cell_id -> zone-id span) so per-batch candidate
         # expansion is pure searchsorted + repeat/gather, no Python loop
@@ -84,8 +84,8 @@ class ZoneJoin:
     def __call__(self, batch: pa.Table) -> pa.Table:
         px = batch.column("label_x").to_numpy()
         py = batch.column("label_y").to_numpy()
-        ix, iy = grid_coords(px, py, self.cell_res)
-        cid = encode_cells(ix, iy, self.cell_res)
+        ix, iy = grid_coords(px, py, DEFAULT_CELL_RES)
+        cid = encode_cells(ix, iy, DEFAULT_CELL_RES)
 
         # CSR candidate expansion: one searchsorted + repeat/gather
         ncells = len(self.csr_cells)
@@ -95,7 +95,7 @@ class ZoneJoin:
         cnt = np.where(found, self.csr_off[pos_c + 1] - self.csr_off[pos_c], 0)
         total = int(cnt.sum())
         if total == 0:
-            out = batch.select(self.keep_cols).slice(0, 0)
+            out = batch.select(["doc_num"]).slice(0, 0)
             return out.append_column("zone_id", pa.array([], type=pa.int64()))
 
         rows_a = np.repeat(np.arange(len(px), dtype=np.int64), cnt)
@@ -106,19 +106,16 @@ class ZoneJoin:
         hit = d > 0  # strictly inside (no boundary cases by construction)
         rows_a = rows_a[hit]
         zones_a = zones_a[hit]
-        out = batch.select(self.keep_cols).take(pa.array(rows_a))
+        out = batch.select(["doc_num"]).take(pa.array(rows_a))
         return out.append_column("zone_id", pa.array(zones_a, type=pa.int64()))
 
 
 class KnnTiles:
-    """map_batches stage: k nearest tile centers per label point via the
-    neighbor-ring candidate set; appends rank (1-based), tile_id, dist2."""
+    """map_batches stage: the ``KNN_K`` nearest tile centers per label point
+    via the neighbor-ring candidate set; appends rank (1-based), tile_id,
+    dist2."""
 
-    def __init__(self, tile_res: int = DEFAULT_TILE_RES, k: int = 3,
-                 keep_cols: tuple = ("doc_num",)):
-        self.tile_res = tile_res
-        self.k = k
-        self.keep_cols = list(keep_cols)
+    def __init__(self):
         # relative 5x5 candidate offsets, built once with the stage
         d = np.arange(-2, 3, dtype=np.int64)
         ox, oy = np.meshgrid(d, d, indexing="ij")
@@ -128,9 +125,9 @@ class KnnTiles:
     def __call__(self, batch: pa.Table) -> pa.Table:
         px = batch.column("label_x").to_numpy()
         py = batch.column("label_y").to_numpy()
-        n = 1 << self.tile_res
+        n = 1 << DEFAULT_TILE_RES
         size = WORLD_SIZE / n
-        ix, iy = grid_coords(px, py, self.tile_res)
+        ix, iy = grid_coords(px, py, DEFAULT_TILE_RES)
         cx = ix[:, None] + self.ox[None, :]
         cy = iy[:, None] + self.oy[None, :]
         valid = (cx >= 0) & (cx < n) & (cy >= 0) & (cy < n)
@@ -139,16 +136,16 @@ class KnnTiles:
         dist2 = (px[:, None] - ccx) ** 2 + (py[:, None] - ccy) ** 2
         dist2 = np.where(valid, dist2, np.inf)
         tid = encode_cells(
-            np.clip(cx, 0, n - 1).ravel(), np.clip(cy, 0, n - 1).ravel(), self.tile_res
+            np.clip(cx, 0, n - 1).ravel(), np.clip(cy, 0, n - 1).ravel(), DEFAULT_TILE_RES
         ).reshape(dist2.shape)
         # rank by (dist2, tile_id) — deterministic under exact-dyadic ties
-        order = np.lexsort((tid, dist2), axis=-1)[:, : self.k]
+        order = np.lexsort((tid, dist2), axis=-1)[:, :KNN_K]
         P = len(px)
-        rows = np.repeat(np.arange(P), self.k)
+        rows = np.repeat(np.arange(P), KNN_K)
         sel_t = np.take_along_axis(tid, order, axis=1).ravel()
         sel_d = np.take_along_axis(dist2, order, axis=1).ravel()
-        ranks = np.tile(np.arange(1, self.k + 1), P)
-        out = batch.select(self.keep_cols).take(pa.array(rows))
+        ranks = np.tile(np.arange(1, KNN_K + 1), P)
+        out = batch.select(["doc_num"]).take(pa.array(rows))
         return (
             out.append_column("knn_rank", pa.array(ranks, type=pa.int64()))
             .append_column("tile_id", pa.array(sel_t, type=pa.int64()))

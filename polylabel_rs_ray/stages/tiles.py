@@ -69,10 +69,10 @@ class TileRenderer:
         )
 
 
-def render_tiles(ds, raster_px: int = 64):
+def render_tiles(ds):
     """Dataset with (tile_id, label_x, label_y) -> one row per tile.  Tile
     bounds come from each ``tile_id`` itself (``cell_bounds``)."""
-    renderer = TileRenderer(raster_px=raster_px)
+    renderer = TileRenderer()
 
     def render_tile_group(group: pa.Table) -> pa.Table:
         return renderer(group)

@@ -1,5 +1,5 @@
 """Extension operators batch 11 (queries_ext10): robust outliers, deep
-paging, image-resize plumbing."""
+paging."""
 
 import duckdb
 import numpy as np
@@ -65,27 +65,3 @@ def test_value_page_matches_duckdb(ray_session, con):
         f"ORDER BY value DESC, event_id LIMIT 1 OFFSET {PAGE_OFFSET - 1}"
     ).fetchone()[0]
     assert (p["value_cents"] <= kth).all()
-
-
-def test_image_resizer_plumbing(ray_session):
-    from polylabel_rs_ray.pipelines.queries_ext10 import q_image_resize_stats
-    from polylabel_rs_ray.pipelines.media import ImageResizer
-
-    stats = q_image_resize_stats(SF).to_pandas()
-    assert len(stats) > 0
-    r = ImageResizer()
-    assert (stats["total_bytes"] == stats["n_images"] * r.width * r.height * 3).all()
-
-    batch = pa.table({
-        "doc_num": pa.array([1, 2], type=pa.int64()),
-        "span_offset": pa.array([0, 1], type=pa.int64()),
-        "kind": pa.array(["image", "audio"]),
-        "media_ref": pa.array(["m/x.png", "m/y.wav"]),
-    })
-    out1, out2 = r(batch), r(batch)
-    assert out1.equals(out2) and out1.num_rows == 1  # deterministic, image-only
-    assert (np.asarray(out1.column("orig_width")) >= 64).all()
-    # decode="real" parses actual PPM headers from the content store
-    real = ImageResizer(decode="real")(batch.slice(0, 1))
-    assert real.num_rows == 1
-    assert 16 <= real.column("orig_width").to_pylist()[0] <= 64

@@ -1,7 +1,6 @@
 """Extension batch 115: grid DBSCAN clusters + letter frequency matrix."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -1,7 +1,6 @@
 """Extension batch 117: sliding distinct users + FOR encoding cost."""
 
 import duckdb
-import numpy as np
 import pandas as pd
 import pytest
 

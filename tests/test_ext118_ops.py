@@ -45,7 +45,6 @@ def test_iou_set_algebra(ray_session):
     # recover per-fixture sizes from any two rows sharing the fixture
     # via |A| + |B| = inter + union, and check consistency across rows
     sizes = {}
-    import itertools
     rows = {(r.fix_a, r.fix_b): (r.inter_tiles, r.union_tiles)
             for r in d.itertuples()}
     fixtures = sorted(set(d["fix_a"]) | set(d["fix_b"]))

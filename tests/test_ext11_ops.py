@@ -3,8 +3,6 @@ diameter/perimeter kernels and the dyadic-constant oracle."""
 
 import duckdb
 import numpy as np
-import pyarrow as pa
-import pytest
 
 SF = "/root/testdata/sf0.001"
 

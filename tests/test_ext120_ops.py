@@ -1,7 +1,6 @@
 """Extension batch 120: Mann-Kendall trend + hourly cross-correlation."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

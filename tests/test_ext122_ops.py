@@ -1,7 +1,6 @@
 """Extension batch 122: rare-bigram scoring + duplicate-trigram coverage."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -1,7 +1,6 @@
 """Extension batch 126: Roaring container costs + posting-list costs."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -2,7 +2,6 @@
 vertex distance to the next fixture."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

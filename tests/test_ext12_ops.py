@@ -2,7 +2,6 @@
 inverted index."""
 
 import duckdb
-import numpy as np
 import pyarrow as pa
 import pytest
 

@@ -1,7 +1,6 @@
 """Extension batch 130: relational division — weekly + region coverage."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

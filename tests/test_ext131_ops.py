@@ -1,7 +1,6 @@
 """Extension batch 131: funnel pattern matching + priority drift."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

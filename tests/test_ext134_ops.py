@@ -1,7 +1,6 @@
 """Extension batch 134: balance-decile lift table + hourly islands."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -1,7 +1,6 @@
 """Extension batch 137: part VWAP rationals + linenumber density."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

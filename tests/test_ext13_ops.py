@@ -1,7 +1,6 @@
 """Extension operators batch 14 (queries_ext13): relational completeness."""
 
 import duckdb
-import numpy as np
 import pyarrow as pa
 import pytest
 

@@ -1,7 +1,6 @@
 """Extension batch 140: median-of-medians audit + Simpson slices."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

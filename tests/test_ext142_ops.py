@@ -1,7 +1,6 @@
 """Extension batch 142: DOW×hour heat map + name/key audit."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -1,7 +1,6 @@
 """Extension batch 143: rotational symmetry + WoW retention."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

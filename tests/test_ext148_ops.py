@@ -1,7 +1,6 @@
 """Extension batch 148: majority raster + offset-generator audit."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

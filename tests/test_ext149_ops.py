@@ -1,7 +1,6 @@
 """Extension batch 149: word-length spectrum + tile clearance."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

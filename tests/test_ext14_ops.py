@@ -2,7 +2,6 @@
 and composite-key argmax."""
 
 import duckdb
-import numpy as np
 import pyarrow as pa
 import pytest
 

@@ -1,7 +1,6 @@
 """Extension batch 150: SQ8 energy-label matrix + weekend premium."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

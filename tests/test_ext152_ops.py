@@ -1,7 +1,6 @@
 """Extension batch 152: local clustering coefficients + revenue ACF."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -2,7 +2,6 @@
 HLL set algebra, bloom-prefiltered semi join."""
 
 import duckdb
-import numpy as np
 import pyarrow as pa
 import pytest
 

@@ -1,7 +1,6 @@
 """Extension batch 162: balance dominance counts + guarded sequence match."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

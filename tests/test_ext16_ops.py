@@ -1,8 +1,6 @@
 """Extension operators batch 17 (queries_ext16): one-pass table profiler."""
 
 import duckdb
-import pyarrow as pa
-import pytest
 
 SF = "/root/testdata/sf0.001"
 

@@ -94,8 +94,7 @@ def test_chaikin_properties(ray_session):
     from polylabel_rs_ray.pipelines.queries_ext170 import (
         CHAIKIN_SCALE, _chaikin_cycle, q_chaikin_smooth_stats,
     )
-    from polylabel_rs_ray.pipelines.queries import DYADIC_FIXTURES, \
-        FIXTURE_CYCLE
+    from polylabel_rs_ray.pipelines.queries import FIXTURE_CYCLE
     from polylabel_rs_ray.sources.fixtures import FIXTURES
 
     d = q_chaikin_smooth_stats(SF).to_pandas()

@@ -1,7 +1,6 @@
 """Extension batch 174: secretary stopping + trade asymmetry matrix."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -1,7 +1,6 @@
 """Extension batch 176: marching squares + Allen relation histogram."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -2,7 +2,6 @@
 calendar-function parity."""
 
 import duckdb
-import numpy as np
 import pyarrow as pa
 import pytest
 

@@ -1,7 +1,6 @@
 """Extension batch 182: document suffix array + skip-list levels."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

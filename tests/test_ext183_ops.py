@@ -1,7 +1,6 @@
 """Extension batch 183: Burrows-Wheeler transform + Rice parameter scan."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -78,7 +77,7 @@ def test_rice_cost_definition(ray_session, con):
     """Scalar recount of the bit costs per k and the argmin flag; the
     best k beats 64-bit fixed width."""
     from polylabel_rs_ray.pipelines.queries_ext183 import (
-        RICE_MAX_K, q_rice_param_scan,
+        q_rice_param_scan,
     )
 
     d = q_rice_param_scan(SF).to_pandas().sort_values("k")

@@ -40,7 +40,7 @@ def test_percolation_monotonicity_and_bfs_twin(ray_session):
 
     from polylabel_rs_ray.pipelines.queries_ext159 import _lattice_res
     from polylabel_rs_ray.pipelines.queries_ext185 import (
-        PERC_MAX_T, PERC_RES, q_tile_percolation_scan,
+        PERC_RES, q_tile_percolation_scan,
     )
 
     d = q_tile_percolation_scan(SF).to_pandas().sort_values("t")

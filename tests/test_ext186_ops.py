@@ -79,9 +79,6 @@ def test_borders_definition(ray_session):
         assert w == (w[:p] * (L // p + 1))[:L]
 
     # classic vectors through the same KMP code path
-    from polylabel_rs_ray.pipelines.queries_ext186 import (
-        q_vocab_borders as _,
-    )
 
     def kmp_border(w):
         pi = [0] * len(w)

@@ -1,7 +1,6 @@
 """Extension batch 188: Lyndon factorization + LPT scheduling."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -51,7 +51,6 @@ def test_weighted_median_matches_duckdb(ray_session, con):
 
 def test_weighted_median_brute_force_small(ray_session):
     # weighted median on a crafted tiny table == brute-force expansion
-    import ray
     from polylabel_rs_ray.pipelines import queries_ext18 as m
     import pyarrow.parquet as pq
     import tempfile, os

@@ -1,7 +1,6 @@
 """Extension batch 191: vocab edit medoid + anchor-pair LCS."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

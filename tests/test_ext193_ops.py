@@ -1,7 +1,6 @@
 """Extension batch 193: bipartite joint degrees + above-median runs."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

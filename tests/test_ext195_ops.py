@@ -4,7 +4,6 @@ from fractions import Fraction
 from math import gcd
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -1,8 +1,6 @@
 """Extension operators batch 21 (queries_ext20): inactivity gaps."""
 
 import duckdb
-import pyarrow as pa
-import pytest
 
 SF = "/root/testdata/sf0.001"
 

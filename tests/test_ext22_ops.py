@@ -1,7 +1,5 @@
 """Extension batch 22: rare-token quality scoring vs brute force."""
 
-import numpy as np
-import pandas as pd
 
 SF = "/root/testdata/sf0.001"
 

@@ -1,7 +1,6 @@
 """Extension batch 26: feature hashing, tile heat smoothing."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

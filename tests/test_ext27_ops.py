@@ -1,7 +1,6 @@
 """Extension batch 27: interval overlap counting (range join)."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

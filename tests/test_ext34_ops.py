@@ -3,7 +3,6 @@
 from collections import Counter
 
 import duckdb
-import pytest
 
 SF = "/root/testdata/sf0.001"
 
@@ -68,7 +67,6 @@ def test_bpe_merges_match_reference(ray_session):
 def test_bpe_greedy_overlap_rule(ray_session):
     """'a a a' with pair (a,a) merges left-to-right to ('aa','a'), never
     ('a','aa') — the run-parity vectorization implements exactly that."""
-    import numpy as np
     import pyarrow as pa
 
     from polylabel_rs_ray.pipelines.queries_ext34 import _apply_merge

@@ -1,7 +1,6 @@
 """Extension batch 35: promo revenue ratio + OHLC resampling."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -1,7 +1,6 @@
 """Extension batch 36: PPJoin-style exact similarity join."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

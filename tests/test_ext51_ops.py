@@ -1,7 +1,6 @@
 """Extension batches 51-52: RFM segmentation + quadkey tiles."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

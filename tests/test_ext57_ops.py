@@ -1,7 +1,6 @@
 """Extension batch 57: convexity ratio + trailing-window revenue."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -3,7 +3,6 @@
 import hashlib
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -1,7 +1,6 @@
 """Extension batch 60: TPC-H Q3/Q5 join shapes."""
 
 import duckdb
-import numpy as np
 import pyarrow as pa
 import pytest
 

@@ -1,7 +1,6 @@
 """Extension batch 61: TPC-H Q13/Q22 shapes (outer-join histogram, anti-join)."""
 
 import duckdb
-import numpy as np
 import pyarrow as pa
 import pytest
 

@@ -1,7 +1,6 @@
 """Extension batch 68: interval-union coverage + Naive Bayes counts."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -1,9 +1,8 @@
 """Extension operators batch 7 (queries_ext6): iterative PageRank pinned
-against a dense numpy power iteration; audio-chunk plumbing invariants."""
+against a dense numpy power iteration."""
 
 import duckdb
 import numpy as np
-import pyarrow as pa
 
 SF = "/root/testdata/sf0.001"
 
@@ -88,36 +87,3 @@ def test_pagerank_conserves_mass(ray_session):
     r = pagerank_over_pairs(edges, node_ids, iters=3)
     assert abs(r.sum() - 1.0) < 1e-9
     assert (r > 0).all()
-
-
-def test_audio_chunk_stats_plumbing(ray_session):
-    from polylabel_rs_ray.pipelines.queries_ext6 import q_audio_chunk_stats
-    from polylabel_rs_ray.pipelines.media import AudioChunker
-
-    stats = q_audio_chunk_stats(SF).to_pandas()
-    assert len(stats) > 0
-    ch = AudioChunker()
-    # payload bytes = n_chunks x n_samples x 2 exactly
-    assert (stats["total_bytes"] == stats["n_chunks"] * ch.n_samples * 2).all()
-    assert stats["n_chunks"].between(1, 8 * ch.max_chunks).all()
-
-
-def test_audio_chunker_deterministic_and_bounded():
-    from polylabel_rs_ray.pipelines.media import AudioChunker
-
-    ch = AudioChunker()
-    batch = pa.table({
-        "doc_num": pa.array([1, 2, 3], type=pa.int64()),
-        "span_offset": pa.array([0, 1, 2], type=pa.int64()),
-        "kind": pa.array(["audio", "video", "audio"]),
-        "media_ref": pa.array(["m/a.wav", "m/b.mp4", "m/c.wav"]),
-    })
-    out1, out2 = ch(batch), ch(batch)
-    assert out1.equals(out2)  # deterministic
-    assert set(out1.column("doc_num").to_pylist()) == {1, 3}  # audio only
-    assert all(len(p) == ch.n_samples * 2 for p in out1.column("pcm").to_pylist())
-    # decode="real" parses an actual RIFF/WAV payload from the content
-    # store; chunk count is duration-derived (decoded samples / chunk size)
-    real = AudioChunker(decode="real", chunk_s=0.5)(batch.slice(0, 1))
-    total = real.column("total_samples").to_pylist()[0]
-    assert real.num_rows == -(-total // 4000)  # ceil at the decoded 8 kHz

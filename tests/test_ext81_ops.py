@@ -1,7 +1,6 @@
 """Extension batch 81: Ripley's K pair counts + skip-window co-occurrence."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -36,8 +36,6 @@ def test_merkle_matches_duckdb(ray_session, con):
 def test_merkle_detects_any_leaf_change():
     """Changing a single leaf changes the root (avalanche through the
     fold) — the property the checkpoint verification relies on."""
-    import hashlib
-
     from polylabel_rs_ray.pipelines.queries_ext85 import (
         MERKLE_SLOTS, PAD_LEAF_SEED, _md5_hex,
     )

@@ -1,7 +1,6 @@
 """Extension batch 87: YoY sign test + minimum-width bounding strip."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"

@@ -55,8 +55,6 @@ def test_spatial_ext_ops_match_duckdb(ray_session, con):
 
     cov = _compare(q_doc_tile_coverage, _sql_doc_tile_coverage(), con)
     # rasterization invariant: per-doc tile coverage sums to the bbox area
-    import duckdb as _d
-
     from polylabel_rs_ray.pipelines.queries_ext import _sql_dyadic_bbox_cte
 
     boxes = con.execute(

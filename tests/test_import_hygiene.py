@@ -2,8 +2,8 @@
 ``state/``, ``run.py``, ``api.py``, ``geojson_cli.py``, ``config.py``),
 checked on the source with ``ast``: the engine never imports the query
 registry under ``pipelines/``, every module ``run.code_digest()`` hashes
-is code the chain runs, and no module of the package has an unused
-import."""
+is code the chain runs, and no module of the package or of its tests
+has an unused import."""
 
 import ast
 import os
@@ -138,3 +138,11 @@ def test_registry_has_no_unused_import(rel):
     """The same rule for every module of the query registry."""
     unused = _unused_imports(rel)
     assert unused == [], f"{rel}: unused imports {unused}"
+
+
+def test_tests_have_no_unused_import():
+    """The same rule for every test module, all offenders in one failure."""
+    tests = os.path.join(os.path.dirname(ROOT), "tests")
+    unused = {f: u for f in sorted(os.listdir(tests)) if f.endswith(".py")
+              for u in [_unused_imports(os.path.join("..", "tests", f))] if u}
+    assert unused == {}, f"unused imports in tests/: {unused}"

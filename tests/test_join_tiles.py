@@ -44,7 +44,7 @@ def test_zone_join_empty_batch():
 def test_knn_matches_bruteforce_all_tiles():
     px = np.concatenate([RNG.uniform(-150, 1200, 500), [0.0, 0.5625]])
     py = np.concatenate([RNG.uniform(-150, 1200, 500), [0.0, 0.5625]])
-    out = KnnTiles(k=3)(_batch(px, py))
+    out = KnnTiles()(_batch(px, py))
     got = {}
     for r in out.to_pylist():
         got.setdefault(r["doc_num"], []).append((r["knn_rank"], r["tile_id"], r["dist2"]))

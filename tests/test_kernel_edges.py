@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from polylabel_rs_ray.geom.kernel import MAX_POPS, polylabel_batch, polylabel_one
+from polylabel_rs_ray.geom.kernel import polylabel_batch, polylabel_one
 
 
 def test_zero_tolerance_converges_or_guards():

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-QUERIES = ("zone_join", "knn_tiles", "ann_topk", "video_frame_stats")
+QUERIES = ("zone_join", "knn_tiles", "ann_topk")
 # each unions a hash_exchange output, first, with a branch that reads parquet
 UNION_QUERIES = ("cohort_retention", "large_volume_customers_q18",
                  "order_reconciliation", "name_key_consistency_audit")

@@ -38,6 +38,26 @@ def test_every_query_documented_in_coverage():
     assert not missing, sorted(missing)
 
 
+def test_coverage_states_the_registry_size():
+    from polylabel_rs_ray.pipelines.queries import build_oracles, build_queries
+
+    text = (REPO / "COVERAGE.md").read_text()
+    m = re.findall(r"^Registry: (\d+) queries, (\d+) DuckDB oracles, (\d+) rows-only\.$",
+                   text, re.M)
+    assert len(m) == 1, m
+    qs, os_ = build_queries(), build_oracles()
+    assert tuple(map(int, m[0])) == (len(qs), len(os_), len(set(qs) - set(os_)))
+
+
+def test_bench_queries_are_registered():
+    # bench.py reads only environment variables on import, so no Ray here
+    import bench
+    from polylabel_rs_ray.pipelines.queries import build_queries
+
+    missing = set(bench.BENCH_QUERIES) - set(build_queries())
+    assert not missing, sorted(missing)
+
+
 def test_registry_builds_without_ray():
     # the driver imports __ray_entry__ and calls queries()/oracle_sql()
     # BEFORE any pipeline runs; building the dicts must not import Ray

@@ -133,50 +133,6 @@ def test_ann_vs_ivf_recall(ray_session):
     assert len(eset & aset) / len(eset) >= 0.6
 
 
-def test_media_pipeline(ray_session):
-    from polylabel_rs_ray.pipelines.media import MEDIA_FEATURE_DIM, MediaFeaturizer, media_pipeline
-
-    df = media_pipeline(SF).to_pandas()
-    assert (df.kind != "text").all()
-    assert df.features.map(len).eq(MEDIA_FEATURE_DIM).all()
-    # deterministic features
-    f = MediaFeaturizer()
-    t = pa.table({"media_ref": pa.array(["media://1/0"]), "kind": pa.array(["image"])})
-    a = f(t).column("features").to_pylist()[0]
-    b = f(t).column("features").to_pylist()[0]
-    assert a == b
-    # decode="real" genuinely decodes (PPM via the synthetic content store)
-    real = MediaFeaturizer(decode="real")._featurize("media://1/0", "image")
-    assert real[0] == 1.0 and 0 < real[1] <= 1 and 0 < real[2] <= 1
-
-def test_frame_sampler_pipeline(ray_session):
-    from polylabel_rs_ray.pipelines.media import FrameSampler, frame_pipeline, explode_media_spans
-    from polylabel_rs_ray.sources.docs import read_docs
-    from polylabel_rs_ray.pipelines.queries import q_video_frame_stats
-
-    frames = frame_pipeline(SF, n_frames=3).to_pandas()
-    # one row per (video span, frame); payloads are resized RGB bytes
-    media = read_docs(SF).map_batches(
-        explode_media_spans, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()
-    n_videos = (media.kind == "video").sum()
-    assert len(frames) == 3 * n_videos > 0
-    assert frames.frame.map(len).eq(32 * 18 * 3).all()
-    assert frames.frame_idx.between(0, 2).all()
-    # deterministic payloads
-    fs = FrameSampler(n_frames=1)
-    assert fs._frame("media://1/0", 0) == fs._frame("media://1/0", 0)
-    assert fs._frame("media://1/0", 0) != fs._frame("media://1/0", 1)
-    # decode="real" parses an actual Y4M stream from the content store
-    payloads, src, total = FrameSampler(decode="real")._sample_real("media://1/2")
-    assert len(payloads) == 4 and len(src) == 4 and total >= 2
-    assert all(len(p) == 32 * 18 * 3 for p in payloads)
-    # the registered rows-only query aggregates per doc
-    stats = q_video_frame_stats(SF).to_pandas()
-    assert stats.n_frames.sum() == 4 * n_videos  # default n_frames=4
-    assert (stats.total_bytes == stats.n_frames * 32 * 18 * 3).all()
-
-
 def test_minhash_partitioned_equals_single_task(ray_session):
     """The bucket-hash-partitioned candidate/verify path must produce the
     exact pair set of the 1-partition path (global dedup via pass-B key)."""
