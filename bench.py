@@ -40,7 +40,6 @@ BENCH_QUERIES = (
     "events_by_type",
     "exact_dedup",
     "minhash_near_dup",
-    "ann_topk",
     "quality_scores",
     "pagerank_parts",
 )

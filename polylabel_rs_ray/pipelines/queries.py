@@ -2209,266 +2209,6 @@ def q_simhash(sf_dir: str):
     return ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
 
 
-EMB_BANDS = 4  # OR across bands (recall), AND within a band's planes (precision)
-
-
-def emb_planes_for(n: int) -> int:
-    """Planes per band scaled with corpus size: 2^planes ~ 16n buckets keeps
-    the expected random-collision pair count per band ~n/16 (LINEAR in n),
-    where any fixed plane count degrades to O(n^2 / 2^planes).  Capped at 40
-    so band keys pack into (band << 48) | bucket."""
-    return int(min(40, max(12, np.ceil(np.log2(max(n, 2))) + 4)))
-
-
-_EMB_PLANES_CACHE: dict[tuple[int, int], "np.ndarray"] = {}
-
-
-def _emb_planes(dim: int, planes_per_band: int) -> "np.ndarray":
-    """Hyperplane matrix for AND/OR banding, built ONCE per worker process
-    per (dim, planes) and reused across every batch (the per-batch rng +
-    standard_normal construction was per-batch state setup of exactly the
-    kind a stage constructor exists for; a module cache gives the same
-    amortization inside a plain function stage).
-    Deterministic from the seed, so every worker builds the identical
-    banding without coordination."""
-    key = (dim, planes_per_band)
-    m = _EMB_PLANES_CACHE.get(key)
-    if m is None:
-        m = np.random.default_rng(123).standard_normal(
-            (EMB_BANDS * planes_per_band, dim)
-        )
-        _EMB_PLANES_CACHE[key] = m
-    return m
-
-
-def q_embedding_near_dup(sf_dir: str, threshold: float = 0.98, n_parts: int | None = None):
-    """Embedding-cosine near-dup via AND/OR hyperplane banding: a vector
-    lands in EMB_BANDS buckets (one per band of ``emb_planes_for(n)`` sign
-    bits); two vectors are candidates iff they share a FULL band (AND of the
-    planes), and any of the 4 bands suffices (OR).  The plane count scales
-    with corpus size so expected candidate pairs grow LINEARLY in n, unlike
-    a single flat 256-bucket code whose all-pairs verify is O(n^2/256).
-
-    Verification is exact cosine inside (band,bucket) segments, grouped by a
-    bucket-hash partition (one map_groups task per partition, vectorized
-    segment sweep inside — not one task per bucket).  Cross-band duplicate
-    pairs are deduped by a final (vec_a, vec_b) groupby-max (pair table is
-    tiny: only near-dup candidates).  Planted duplicates (vec_id +
-    DUP_OFFSET, tiny noise) pin recall in pytest."""
-    from .sim import _unit, embedding_matrix
-
-    import ray
-    import pyarrow.parquet as pq
-
-    # corpus size from parquet METADATA (no data read) -> plane count; the
-    # planted stage roughly doubles every-7th row, hence the *8/7
-    n_est = pq.ParquetFile(f"{sf_dir}/embeddings.parquet").metadata.num_rows * 8 // 7
-    planes_per_band = emb_planes_for(n_est)
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-
-    def plant(batch: pa.Table) -> pa.Table:
-        m = embedding_matrix(batch)
-        ids = batch.column("vec_id").to_numpy().astype(np.int64)
-        mask = ids % DUP_EVERY == 0
-        dup = m[mask] * 1.0001 + 1e-6  # near-identical direction
-        allm = np.vstack([m, dup])
-        allids = np.concatenate([ids, ids[mask] + DUP_OFFSET])
-        flat = pa.array(allm.astype(np.float32).ravel(), type=pa.float32())
-        col = pa.FixedSizeListArray.from_arrays(flat, m.shape[1])
-        return pa.table({
-            "vec_id": pa.array(allids, type=pa.int64()),
-            "embedding": col,
-        })
-
-    planted = ds.map_batches(plant, batch_format="pyarrow", zero_copy_batch=True)
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        m = embedding_matrix(batch)
-        n, dim = m.shape
-        R = planes_per_band
-        planes = _emb_planes(dim, R)
-        signs = (m @ planes.T) > 0  # (n, BANDS*R)
-        weights = (np.int64(1) << np.arange(R, dtype=np.int64))
-        keys = np.empty((n, EMB_BANDS), dtype=np.int64)
-        for b in range(EMB_BANDS):
-            bucket = signs[:, b * R : (b + 1) * R] @ weights
-            keys[:, b] = (np.int64(b) << np.int64(48)) | bucket
-        flat_keys = keys.ravel()  # row-major: vector i's bands are contiguous
-        ids = batch.column("vec_id").to_numpy().astype(np.int64)
-        emb = batch.column("embedding")
-        if isinstance(emb, pa.ChunkedArray):
-            emb = emb.combine_chunks()
-        take_idx = np.repeat(np.arange(n, dtype=np.int64), EMB_BANDS)
-        return pa.table({
-            "bkey": pa.array(flat_keys, type=pa.int64()),
-            "vec_id": pa.array(np.repeat(ids, EMB_BANDS), type=pa.int64()),
-            "embedding": emb.take(pa.array(take_idx)),
-        })
-
-    bucketed = planted.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-
-    def verify_part(group: pa.Table) -> pa.Table:
-        keys = group.column("bkey").to_numpy()
-        ids = group.column("vec_id").to_numpy().astype(np.int64)
-        va, vb, cp = [], [], []
-        if len(keys) > 1:
-            m = _unit(embedding_matrix(group))
-            order = np.argsort(keys, kind="stable")
-            keys_s = keys[order]
-            starts = np.flatnonzero(np.r_[True, keys_s[1:] != keys_s[:-1]])
-            ends = np.r_[starts[1:], len(keys_s)]
-            for s, e in zip(starts, ends):
-                if e - s < 2:
-                    continue
-                seg = order[s:e]
-                u = m[seg]
-                sim = u @ u.T
-                iu, ju = np.triu_indices(len(seg), k=1)
-                hit = sim[iu, ju] >= threshold
-                if not hit.any():
-                    continue
-                a = ids[seg[iu[hit]]]
-                b = ids[seg[ju[hit]]]
-                lo, hi = np.minimum(a, b), np.maximum(a, b)
-                keep = lo != hi  # same vec_id via two bands is not a pair
-                va.append(lo[keep])
-                vb.append(hi[keep])
-                cp.append(np.round(sim[iu, ju][hit][keep] * 100).astype(np.int64))
-        if va:
-            va_a, vb_a, cp_a = np.concatenate(va), np.concatenate(vb), np.concatenate(cp)
-        else:
-            va_a = vb_a = cp_a = np.empty(0, dtype=np.int64)
-        return pa.table({
-            "vec_a": pa.array(va_a, type=pa.int64()),
-            "vec_b": pa.array(vb_a, type=pa.int64()),
-            "cos_pct": pa.array(cp_a, type=pa.int64()),
-        })
-
-    pairs = hash_exchange(bucketed, "bkey", verify_part, n_parts)
-    # OR-construction dedup: the same pair can surface from several bands
-    from .agg import grouped_aggregate
-
-    return grouped_aggregate(pairs, ["vec_a", "vec_b"], [("max", "cos_pct", "cos_pct")])
-
-
-def _sql_embedding_near_dup(threshold: float = 0.98) -> str:
-    """Exhaustive all-pairs cosine ground truth for ``embedding_near_dup``
-    (two algorithms, one oracle — the jaccard_join_exact discipline): SQL
-    replays the deterministic planting (float64 mutate -> float32 store ->
-    float64 read, the exact engine cast chain) and sweeps every pair, so
-    the banded-LSH pipeline is held to the complete >= threshold set.  The
-    verification metric on both sides is float64 cosine; cos_pct rounding
-    is boundary-safe on this data (planted sims ~1.0, random 64-dim sims
-    ~N(0, 1/8) never reach 0.98).
-
-    VALIDITY CONDITION (data-generator-coupled, like every planting
-    oracle here): exact set equality holds because the similarity
-    distribution is bimodal — planted pairs sit near 1.0, everything
-    else far below threshold — so no true pair can sit close enough to
-    the banding recall boundary to miss every band.  If the testdata
-    generator ever changes (new seed, dims, or a planting that lands
-    borderline pairs in (0.95, 0.98)), re-derive this margin before
-    trusting a spurious failure: the engine could then legitimately
-    band-miss a borderline true pair the exhaustive sweep finds."""
-    return f"""
-    WITH base AS (
-      SELECT vec_id, CAST(embedding AS DOUBLE[]) AS e FROM embeddings
-    ), planted AS (
-      SELECT vec_id + {DUP_OFFSET} AS vec_id,
-             CAST(list_transform(CAST(embedding AS DOUBLE[]),
-                  x -> CAST(CAST(x * 1.0001 + 1e-6 AS FLOAT) AS DOUBLE))
-                  AS DOUBLE[]) AS e
-      FROM embeddings WHERE vec_id % {DUP_EVERY} = 0
-    ), allv AS (
-      SELECT * FROM base UNION ALL SELECT * FROM planted
-    ), pairs AS (
-      SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
-             list_cosine_similarity(a.e, b.e) AS sim
-      FROM allv a JOIN allv b ON a.vec_id < b.vec_id
-    )
-    SELECT vec_a, vec_b, CAST(ROUND(sim * 100) AS BIGINT) AS cos_pct
-    FROM pairs WHERE sim >= {threshold}
-    """
-
-
-def q_ann_topk(sf_dir: str):
-    """Exact cosine top-k (ranks only; scores differ from the SQL oracle's
-    op order by ulps, ranks don't)."""
-    from .sim import ann_topk_pipeline
-
-    ds = ann_topk_pipeline(sf_dir, n_queries=3, k=5)
-    return ds.select_columns(["query_id", "rank", "vec_id"])
-
-
-SQL_ANN_TOPK = """
-    WITH q AS (
-        SELECT vec_id AS query_id, embedding AS qv FROM embeddings WHERE vec_id < 3
-    ),
-    scored AS (
-        SELECT q.query_id, e.vec_id,
-               list_cosine_similarity(q.qv, e.embedding) AS score
-        FROM q CROSS JOIN embeddings e
-    ),
-    ranked AS (
-        SELECT query_id, vec_id,
-               ROW_NUMBER() OVER (PARTITION BY query_id ORDER BY score DESC, vec_id)
-                   AS rank
-        FROM scored
-    )
-    SELECT query_id, CAST(rank AS BIGINT) AS rank, vec_id
-    FROM ranked WHERE rank <= 5
-"""
-
-
-IVF_N_QUERIES = 3
-IVF_K = 5
-
-
-def q_ivf_topk(sf_dir: str):
-    """IVF top-k, EXACT via the triangle-bound cell pruning + integer SQ8
-    ADC metric (pipelines/sim.py::ivf_topk_exact_pipeline) — oracle'd by
-    the exhaustive integer top-k (the sq8_topk SQL shape)."""
-    from .sim import ivf_topk_exact_pipeline
-
-    return ivf_topk_exact_pipeline(sf_dir, n_queries=IVF_N_QUERIES, k=IVF_K)
-
-
-def _sql_ivf_topk() -> str:
-    """Exhaustive integer-ADC top-k ground truth: the exact-IVF pipeline
-    must return precisely this (its cell pruning is provably lossless)."""
-    return f"""
-    WITH dims AS (
-      SELECT vec_id,
-             generate_subscripts(embedding, 1) AS d,
-             CAST(UNNEST(embedding) AS DOUBLE) AS x
-      FROM embeddings
-    ), stats AS (
-      SELECT d, MIN(x) AS mn,
-             CASE WHEN MAX(x) > MIN(x) THEN MAX(x) - MIN(x) ELSE 1.0 END AS span
-      FROM dims GROUP BY d
-    ), codes AS (
-      SELECT v.vec_id, v.d,
-             LEAST(255, GREATEST(0,
-                 CAST(FLOOR(((v.x - s.mn) * 255.0) / s.span) AS BIGINT))) AS code
-      FROM dims v JOIN stats s USING (d)
-    ), qcodes AS (
-      SELECT * FROM codes WHERE vec_id < {IVF_N_QUERIES}
-    ), dist AS (
-      SELECT q.vec_id AS query_id, c.vec_id,
-             SUM((q.code - c.code) * (q.code - c.code)) AS d2
-      FROM qcodes q JOIN codes c ON q.d = c.d
-      GROUP BY q.vec_id, c.vec_id
-    ), ranked AS (
-      SELECT query_id, vec_id, CAST(d2 AS BIGINT) AS d2,
-             ROW_NUMBER() OVER (PARTITION BY query_id
-                                ORDER BY d2, vec_id) AS rank
-      FROM dist
-    )
-    SELECT query_id, CAST(rank AS BIGINT) AS rank, vec_id, d2
-    FROM ranked WHERE rank <= {IVF_K}
-    """
-
-
 # --------------------------------------------------------------------------
 # registry
 # --------------------------------------------------------------------------
@@ -4043,9 +3783,6 @@ def build_queries() -> dict:
         "fingerprints": q_fingerprints,
         "minhash_near_dup": q_minhash_near_dup,
         "simhash": q_simhash,
-        "embedding_near_dup": q_embedding_near_dup,
-        "ann_topk": q_ann_topk,
-        "ivf_topk": q_ivf_topk,
         "rolling_user_stats": q_rolling_user_stats,
         "attribution_counts": q_attribution_counts,
         "canonical_docs": q_canonical_docs,
@@ -4102,7 +3839,6 @@ def build_oracles() -> dict:
         "lang_counts": SQL_LANG_COUNTS,
         "quality_scores": SQL_QUALITY_SCORES,
         "bpe_tokens": SQL_BPE_TOKENS,
-        "ann_topk": SQL_ANN_TOPK,
         "lang_id": _sql_lang_id(),
         "fingerprints": SQL_FINGERPRINTS,
         "rolling_user_stats": SQL_ROLLING_USER_STATS,
@@ -4131,12 +3867,4 @@ def build_oracles() -> dict:
         "price_discount_corr": SQL_PRICE_DISCOUNT_CORR,
         "event_types_per_user": SQL_EVENT_TYPES_PER_USER,
         "props_value_stats": SQL_PROPS_VALUE_STATS,
-        # two-algorithms-one-ground-truth oracle (the jaccard_join_exact
-        # precedent): the exhaustive all-pairs cosine sweep — LSH banding
-        # must find exactly the >= 0.98 pairs on this data (pinned green
-        # at sf0.001/0.01/0.1; the planted near-identical pairs dominate)
-        "embedding_near_dup": _sql_embedding_near_dup(),
-        # exact-IVF: the triangle-bound pruning is lossless, so the
-        # exhaustive integer top-k IS the expected output
-        "ivf_topk": _sql_ivf_topk(),
     })

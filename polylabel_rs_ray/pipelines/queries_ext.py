@@ -213,8 +213,7 @@ class _NearestZone:
 def q_nearest_zone(sf_dir: str):
     """Nearest-zone assignment: for each label point, the argmin
     squared-distance zone center (ties -> lowest zone_id).  Broadcast
-    centers, per-batch vectorized argmin — the same shape as the exact
-    ANN top-k stage."""
+    centers, per-batch vectorized argmin."""
     from .queries import _dyadic_labeled
 
     return _dyadic_labeled(sf_dir).map_batches(

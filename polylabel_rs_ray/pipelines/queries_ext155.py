@@ -1,17 +1,4 @@
-"""Round-3 extension operators, batch 155: exact class medoids + isotonic
-regression.
-
-``sq8_class_medoids`` — the prototype-selection op of an embedding
-pipeline (k-medoids' assignment-free core): for every label class, the
-vector minimizing the total squared L2 distance to its classmates, made
-EXACT and single-pass by the Gram identity ``Σ_j ‖x_i − x_j‖² =
-n·‖x_i‖² − 2·x_i·s + Σ_j ‖x_j‖²`` over SQ8 integer codes — only the
-class count, the class sum VECTOR s, and the class sum-of-squares are
-needed, all constant-size mergeable partials.  Pass 1 reduces the
-bounded (label × (dim+2)) stat table via map-side combine; pass 2
-broadcasts it and computes every vector's cost in one vectorized
-matmul, reducing per-class argmin by (cost, vec_id).  No O(n²)
-pairwise work anywhere; the oracle replays the identity in SQL.
+"""Round-3 extension operators, batch 155: isotonic regression.
 
 ``isotonic_price_size`` — weighted isotonic regression (PAVA) of part
 retail price (exact cents) on ``p_size``: the calibration primitive of
@@ -26,10 +13,8 @@ argmax (NOT EXISTS dominance), then recovers the canonical block
 representation from the fit's level sets — PAVA's uniqueness theorem is
 what the test proves (fit == minimax at every point).
 
-Reference anchors: similarity + regression families (SURVEY.md §2.4);
-siblings: embedding_gram (constant-size linear-algebra partials),
-sq8_1nn_label_audit (integer code kernels), ols_price_model (exact
-regression by determinants).
+Reference anchors: regression family (SURVEY.md §2.4); sibling:
+ols_price_model (exact regression by determinants).
 """
 
 from __future__ import annotations
@@ -37,133 +22,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-
-# --------------------------------------------------------------------------
-# sq8_class_medoids
-# --------------------------------------------------------------------------
-
-
-def q_sq8_class_medoids(sf_dir: str):
-    from .agg import grouped_aggregate
-    from .queries_ext32 import _minmax, _quantize
-    from .sim import embedding_matrix
-
-    import ray
-    mn, mx = _minmax(sf_dir)
-    span = np.where(mx > mn, mx - mn, 1.0)
-    path = f"{sf_dir}/embeddings.parquet"
-    ds = ray.data.read_parquet(path,
-                               columns=["vec_id", "embedding", "label"])
-
-    # pass 1: per-label (count, sumsq, per-dim sums) — packed as
-    # (label, d, val) rows with d = -1 count / d = -2 sumsq sentinels
-    def stats(batch: pa.Table) -> pa.Table:
-        c = _quantize(embedding_matrix(batch), mn, span)
-        lab = pc.cast(batch.column("label"), pa.int64()).to_numpy()
-        labs = np.unique(lab)
-        dim = c.shape[1]
-        ls, ds_, vs = [], [], []
-        for lv in labs:
-            rows = c[lab == lv]
-            ls.extend([int(lv)] * (dim + 2))
-            ds_.extend(list(range(dim)) + [-1, -2])
-            vs.extend(list(rows.sum(axis=0)) +
-                      [rows.shape[0], int((rows * rows).sum())])
-        return pa.table({
-            "label": pa.array(ls, type=pa.int64()),
-            "d": pa.array(ds_, type=pa.int64()),
-            "val": pa.array(vs, type=pa.int64()),
-        })
-
-    st = grouped_aggregate(
-        ds.map_batches(stats, batch_format="pyarrow", zero_copy_batch=True),
-        ["label", "d"], [("sum", "val", "val")],
-    ).to_pandas()  # bounded: labels x (dim + 2)
-
-    labels = np.sort(st["label"].unique())
-    dim = int(st["d"].max()) + 1
-    svec = np.zeros((len(labels), dim), dtype=np.int64)
-    n_l = np.zeros(len(labels), dtype=np.int64)
-    S_l = np.zeros(len(labels), dtype=np.int64)
-    lpos = {int(v): i for i, v in enumerate(labels)}
-    for r in st.itertuples():
-        i = lpos[int(r.label)]
-        if r.d == -1:
-            n_l[i] = r.val
-        elif r.d == -2:
-            S_l[i] = r.val
-        else:
-            svec[i, int(r.d)] = r.val
-    stats_ref = ray.put((labels, svec, n_l, S_l))
-
-    # pass 2: vectorized per-vector cost, per-class argmin partials
-    def argmin_partial(batch: pa.Table) -> pa.Table:
-        labs, sv, nl, Sl = ray.get(stats_ref)
-        c = _quantize(embedding_matrix(batch), mn, span)
-        lab = pc.cast(batch.column("label"), pa.int64()).to_numpy()
-        vid = batch.column("vec_id").to_numpy().astype(np.int64)
-        li = np.searchsorted(labs, lab)
-        e = (c * c).sum(axis=1)
-        xs = np.einsum("ij,ij->i", c, sv[li])  # int64 exact
-        cost = nl[li] * e - 2 * xs + Sl[li]
-        out_l, out_c, out_v = [], [], []
-        for lv in np.unique(lab):
-            m = lab == lv
-            order = np.lexsort((vid[m], cost[m]))
-            out_l.append(int(lv))
-            out_c.append(int(cost[m][order[0]]))
-            out_v.append(int(vid[m][order[0]]))
-        return pa.table({
-            "label": pa.array(out_l, type=pa.int64()),
-            "cost": pa.array(out_c, type=pa.int64()),
-            "vec_id": pa.array(out_v, type=pa.int64()),
-        })
-
-    parts = ds.map_batches(argmin_partial, batch_format="pyarrow",
-                           zero_copy_batch=True).to_pandas()
-    parts = parts.sort_values(["label", "cost", "vec_id"]) \
-        .groupby("label", as_index=False).first()
-    return ray.data.from_arrow(pa.table({
-        "label": pa.array(parts["label"].astype(np.int64)),
-        "medoid_vec_id": pa.array(parts["vec_id"].astype(np.int64)),
-        "total_sq_dist": pa.array(parts["cost"].astype(np.int64)),
-    }))
-
-
-def _sql_sq8_class_medoids() -> str:
-    from .queries_ext125 import _SQL_CODES
-
-    return _SQL_CODES + """
-, e AS (
-  SELECT vec_id, SUM(code * code) AS e FROM codes GROUP BY 1
-), lab AS (
-  SELECT vec_id, CAST(label AS BIGINT) AS label FROM embeddings
-), cls AS (
-  SELECT l.label, COUNT(*) AS n, SUM(e.e) AS ss
-  FROM e JOIN lab l USING (vec_id) GROUP BY 1
-), sv AS (
-  SELECT l.label, c.d, SUM(c.code) AS sd
-  FROM codes c JOIN lab l USING (vec_id) GROUP BY 1, 2
-), dotv AS (
-  SELECT l.label, c.vec_id, SUM(c.code * s.sd) AS xs
-  FROM codes c JOIN lab l USING (vec_id)
-  JOIN sv s ON s.label = l.label AND s.d = c.d
-  GROUP BY 1, 2
-), cost AS (
-  SELECT d.label, d.vec_id,
-         cls.n * e.e - 2 * d.xs + cls.ss AS cost
-  FROM dotv d JOIN e USING (vec_id) JOIN cls ON cls.label = d.label
-)
-SELECT CAST(label AS BIGINT) AS label,
-       CAST(vec_id AS BIGINT) AS medoid_vec_id,
-       CAST(cost AS BIGINT) AS total_sq_dist
-FROM (
-  SELECT *, ROW_NUMBER() OVER (
-      PARTITION BY label ORDER BY cost, vec_id) AS rn
-  FROM cost
-) WHERE rn = 1
-"""
 
 
 # --------------------------------------------------------------------------
@@ -292,13 +150,11 @@ FROM ord o JOIN blk b USING (k) JOIN bstat t USING (bid)
 
 def build_queries_ext155() -> dict:
     return {
-        "sq8_class_medoids": q_sq8_class_medoids,
         "isotonic_price_size": q_isotonic_price_size,
     }
 
 
 def build_oracles_ext155() -> dict:
     return {
-        "sq8_class_medoids": _sql_sq8_class_medoids(),
         "isotonic_price_size": SQL_ISOTONIC_PRICE_SIZE,
     }

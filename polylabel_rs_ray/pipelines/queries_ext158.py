@@ -30,7 +30,7 @@ engine meets (P ≤ 20k parts at sf0.1).
 
 Reference anchors: raster + retrieval families (SURVEY.md §2.3/§2.4);
 siblings: edge_supercover_stats (integer segment rasterization),
-tile_chebyshev_dt, bm25_search / sq8_topk (the rankings RRF fuses),
+tile_chebyshev_dt, bm25_search (a ranking RRF fuses),
 nation_rank_concordance (exact rank machinery).
 """
 

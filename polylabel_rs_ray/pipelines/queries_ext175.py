@@ -29,7 +29,7 @@ membership join — no packed keys, no bit tricks.
 Reference anchors: compression + IR-evaluation families (SURVEY.md
 §2.4); siblings: elias_code_spectrum / varint_size_estimate (code-
 length arithmetic), vocab_ids (bounded vocabulary reduces),
-rrf_fusion (exact-rational rank fusion), top_k_dims.
+rrf_fusion (exact-rational rank fusion).
 """
 
 from __future__ import annotations

@@ -1,22 +1,10 @@
-"""Round-3 extension operators, batch 25: BM25 term scoring and
-SemDeDup-style semantic dedup over clustered embeddings.
+"""Round-3 extension operators, batch 25: BM25 term scoring.
 
 ``bm25_top_terms`` — Okapi BM25 (rational-idf variant, no transcendental
 ops so the DuckDB oracle replays the arithmetic bit-exactly): per-doc
 top-K terms by score.  Same two-pass shape as ``tfidf_top_terms``:
 distributed df + corpus length stats, broadcast vocabulary (vocab <<
 corpus by the df floor), per-batch scoring with zero per-doc shuffles.
-
-``semantic_dedup`` — SemDeDup-style (Abbas et al. 2023, arXiv:2303.09540)
-semantic near-duplicate pruning: within each embedding cluster, a vector
-is a duplicate iff some LOWER-vec_id vector of the same cluster has
-cosine similarity >= TAU; the keeper is the smallest such vec_id.
-Cluster = the table's ``label`` column (in a full pipeline this is the
-k-means/IVF assignment, cf. pipelines/sim.py::ivf_topk).  Scale shape:
-``groupby(label).map_groups`` — per-cluster work is O(m^2) dense numpy,
-the SemDeDup design constraint (clusters are SIZE-CAPPED by the
-clustering step; for uncapped corpora the LSH-banded ``embedding_near_dup``
-is the scale path).  No broadcast, no driver materialization.
 """
 
 from __future__ import annotations
@@ -25,14 +13,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.util import group_map
-
 BM25_K1 = 1.2
 BM25_B = 0.75
 BM25_DF_MIN = 5  # vocabulary floor: term must appear in >= BM25_DF_MIN docs
 BM25_K = 3  # top terms kept per document
-
-SEMDEDUP_TAU = 0.30  # cosine threshold (data margin >= 8.6e-6 at sf<=0.1)
 
 
 # --------------------------------------------------------------------------
@@ -190,74 +174,13 @@ SQL_BM25_TOP_TERMS = rf"""
 """
 
 
-# --------------------------------------------------------------------------
-# SemDeDup-style semantic dedup
-# --------------------------------------------------------------------------
-
-
-def q_semantic_dedup(sf_dir: str):
-    import ray
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label", "embedding"]
-    )
-
-    def per_cluster(group: pa.Table) -> pa.Table:
-        vid = group.column("vec_id").to_numpy().astype(np.int64)
-        order = np.argsort(vid)
-        vid = vid[order]
-        emb = group.column("embedding")
-        if isinstance(emb, pa.ChunkedArray):
-            emb = emb.combine_chunks()
-        m = len(vid)
-        flat = pc.list_flatten(emb).to_numpy().astype(np.float64)
-        mat = flat.reshape(m, -1)[order]
-        unit = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-        gram = unit @ unit.T
-        # strict lower triangle: only LOWER vec_ids can be the keeper
-        hits = (gram >= SEMDEDUP_TAU) & np.tri(m, k=-1, dtype=bool)
-        has = hits.any(axis=1)
-        first = np.argmax(hits, axis=1)  # first True == smallest vec_id
-        dup_of = np.where(has, vid[first], np.int64(-1))
-        lab = np.int64(group.column("label")[0].as_py())
-        return pa.table({
-            "vec_id": pa.array(vid, type=pa.int64()),
-            "label": pa.array(np.full(m, lab), type=pa.int64()),
-            "is_dup": pa.array(has.astype(np.int64), type=pa.int64()),
-            "dup_of": pa.array(dup_of, type=pa.int64()),
-        })
-
-    return group_map(ds, "label", per_cluster)
-
-
-SQL_SEMANTIC_DEDUP = f"""
-    WITH e AS (
-        SELECT vec_id, label, CAST(embedding AS DOUBLE[]) AS v
-        FROM embeddings
-    ),
-    pairs AS (
-        SELECT a.vec_id AS vid, MIN(b.vec_id) AS dup_of
-        FROM e a JOIN e b ON a.label = b.label AND b.vec_id < a.vec_id
-        WHERE list_cosine_similarity(a.v, b.v) >= {SEMDEDUP_TAU}
-        GROUP BY a.vec_id
-    )
-    SELECT e.vec_id AS vec_id,
-           CAST(e.label AS BIGINT) AS label,
-           CAST(CASE WHEN p.dup_of IS NULL THEN 0 ELSE 1 END AS BIGINT)
-               AS is_dup,
-           CAST(COALESCE(p.dup_of, -1) AS BIGINT) AS dup_of
-    FROM e LEFT JOIN pairs p ON e.vec_id = p.vid
-"""
-
-
 def build_queries_ext25() -> dict:
     return {
         "bm25_top_terms": q_bm25_top_terms,
-        "semantic_dedup": q_semantic_dedup,
     }
 
 
 def build_oracles_ext25() -> dict:
     return {
         "bm25_top_terms": SQL_BM25_TOP_TERMS,
-        "semantic_dedup": SQL_SEMANTIC_DEDUP,
     }

@@ -97,22 +97,15 @@ _OFFSETS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
 
 
 def q_tile_heat_smooth(sf_dir: str):
-    from ..config import DEFAULT_CELL_RES, DEFAULT_TILE_RES
-    from ..stages.cells import append_cell_columns, decode_cells, encode_cells
+    from ..config import DEFAULT_TILE_RES
+    from ..stages.cells import decode_cells, encode_cells, encode_stage
     from .agg import grouped_aggregate
     from .queries import _dyadic_labeled
 
     n = 1 << DEFAULT_TILE_RES
 
-    def encode(batch: pa.Table) -> pa.Table:
-        return append_cell_columns(
-            batch, cell_res=DEFAULT_CELL_RES, tile_res=DEFAULT_TILE_RES
-        )
-
     hist = grouped_aggregate(
-        _dyadic_labeled(sf_dir).map_batches(
-            encode, batch_format="pyarrow", zero_copy_batch=True
-        ),
+        encode_stage(_dyadic_labeled(sf_dir)),
         ["tile_id"],
         [("count", None, "n_points")],
     )

@@ -1,14 +1,10 @@
-"""Round-2 extension operators, batch 8: sampling, vector math, sketches.
+"""Round-2 extension operators, batch 8: sampling and sketches.
 
 * ``weighted_sample`` — deterministic distributed weighted sampling
   without replacement (A-Res / Efraimidis-Spirakis): priority
   ln(u)/w with u derived from md5(key) — reproducible across runs and
   engines — selected via per-block partial top-k + one tiny final
   top-k (k x blocks rows ever shuffle).
-* ``embedding_norms`` — integer-exact vector math over the embedding
-  column: per-vector squared L2 norm in micro^2 units (floats
-  quantized to round(x*1e6) BIGINT on BOTH engine and oracle sides, so
-  the comparison is exact, not fp-ordering-dependent).
 * ``value_quantile_sketch`` — mergeable quantile sketch: each block
   contributes its sorted values compressed to <= B weighted
   representatives (rank error <= n_block/B per block, additive ->
@@ -22,7 +18,6 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..stages.util import group_map
 
@@ -104,52 +99,6 @@ SQL_WEIGHTED_SAMPLE = f"""
     QUALIFY ROW_NUMBER() OVER (
         ORDER BY ln(u) / CAST(total_cents AS DOUBLE) DESC, o_orderkey
     ) <= {WS_K}
-"""
-
-
-# --------------------------------------------------------------------------
-# integer-exact embedding norms
-# --------------------------------------------------------------------------
-
-
-def q_embedding_norms(sf_dir: str):
-    """Squared L2 norm per embedding in micro^2 integer units: quantize
-    each float to round(x*1e6) BIGINT, square, reduce per row with one
-    reduceat over the flat list buffer.  Integer arithmetic end-to-end,
-    so the oracle match is exact regardless of summation order."""
-    import ray
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label", "embedding"]
-    )
-
-    def norms(batch: pa.Table) -> pa.Table:
-        emb = batch.column("embedding")
-        if isinstance(emb, pa.ChunkedArray):
-            emb = emb.combine_chunks()
-        offsets = emb.offsets.to_numpy()
-        vals = emb.values.to_numpy().astype(np.float64)
-        # half-away ties to match SQL ROUND (see queries_ext9._emb_matrix)
-        t = vals * 1e6
-        q = np.trunc(t + np.copysign(0.5, t)).astype(np.int64)
-        sq = q * q
-        nsq = np.add.reduceat(sq, offsets[:-1]) if len(vals) else np.array([], np.int64)
-        nsq = np.where(np.diff(offsets) == 0, 0, nsq)
-        return pa.table({
-            "vec_id": pc.cast(batch.column("vec_id"), pa.int64()),
-            "label": pc.cast(batch.column("label"), pa.int64()),
-            "norm_sq_micro": pa.array(nsq, type=pa.int64()),
-        })
-
-    return ds.map_batches(norms, batch_format="pyarrow", zero_copy_batch=True)
-
-
-SQL_EMBEDDING_NORMS = """
-    SELECT vec_id, CAST(label AS BIGINT) AS label,
-           CAST(list_sum(list_transform(embedding,
-                x -> CAST(ROUND(CAST(x AS DOUBLE) * 1000000) AS BIGINT)
-                   * CAST(ROUND(CAST(x AS DOUBLE) * 1000000) AS BIGINT)))
-                AS BIGINT) AS norm_sq_micro
-    FROM embeddings
 """
 
 
@@ -269,7 +218,6 @@ FROM (SELECT UNNEST({list(SKETCH_QS)}) AS q)
 def build_queries_ext7() -> dict:
     return {
         "weighted_sample": q_weighted_sample,
-        "embedding_norms": q_embedding_norms,
         "value_quantile_sketch": q_value_quantile_sketch,
     }
 
@@ -280,6 +228,5 @@ def build_oracles_ext7() -> dict:
     # (select reps, weight, merge, rank-select) value-exactly
     return {
         "weighted_sample": SQL_WEIGHTED_SAMPLE,
-        "embedding_norms": SQL_EMBEDDING_NORMS,
         "value_quantile_sketch": SQL_VALUE_QUANTILE_SKETCH,
     }

@@ -1,13 +1,9 @@
 """Round-2 extension operators, batch 9: analytics widening (conversion
-latency, array top-k, robust statistics, vocabulary build).
+latency, robust statistics, vocabulary build).
 
 * ``user_conversion_latency`` — first-view -> first-purchase latency per
   converting user via ONE pass of sentinel-min conditional aggregates
   (the funnel-op trick), integer microseconds end-to-end.
-* ``top_k_dims`` — per-vector top-k array positions by |value| (feature
-  selection over the embedding column): one stable argsort per batch,
-  original float values passed through untouched (exact oracle match,
-  no fp arithmetic).
 * ``value_mad`` — median absolute deviation, exactly: the reusable
   two-streamed-pass integer histogram selector finds the median, a
   second dependent pass finds the median of |x - m|.  Never sorts or
@@ -24,7 +20,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 SENT = np.int64(2**62)
-TOPK_DIMS = 5
 MAD_BINS = 4096
 
 
@@ -83,70 +78,6 @@ SQL_USER_CONVERSION_LATENCY = """
            CAST(fp - fv AS BIGINT) AS latency_us
     FROM m
     WHERE fv IS NOT NULL AND fp IS NOT NULL AND fp >= fv
-"""
-
-
-# --------------------------------------------------------------------------
-# per-vector top-k dims
-# --------------------------------------------------------------------------
-
-
-def q_top_k_dims(sf_dir: str):
-    import ray
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-
-    def topk(batch: pa.Table) -> pa.Table:
-        emb = batch.column("embedding")
-        if isinstance(emb, pa.ChunkedArray):
-            emb = emb.combine_chunks()
-        offsets = emb.offsets.to_numpy()
-        widths = np.diff(offsets)
-        vals = emb.values.to_numpy().astype(np.float64)
-        vid = batch.column("vec_id").to_numpy().astype(np.int64)
-        if len(widths) == 0 or widths.max() != widths.min():
-            # ragged fallback: per-row loop (never hit by this corpus)
-            rows = []
-            for i in range(len(vid)):
-                v = vals[offsets[i] : offsets[i + 1]]
-                order = np.argsort(-np.abs(v), kind="stable")[:TOPK_DIMS]
-                for d in order:
-                    rows.append((vid[i], d + 1, v[d]))
-            vv, dd, xx = (
-                np.array([r[0] for r in rows], np.int64),
-                np.array([r[1] for r in rows], np.int64),
-                np.array([r[2] for r in rows], np.float64),
-            )
-        else:
-            d = int(widths[0]) if len(widths) else 0
-            mat = vals.reshape(-1, d)
-            # stable sort on -|x| keeps dim ascending on ties
-            idx = np.argsort(-np.abs(mat), axis=1, kind="stable")[:, :TOPK_DIMS]
-            vv = np.repeat(vid, TOPK_DIMS)
-            dd = (idx + 1).ravel().astype(np.int64)
-            xx = np.take_along_axis(mat, idx, axis=1).ravel()
-        return pa.table({
-            "vec_id": pa.array(vv, type=pa.int64()),
-            "dim": pa.array(dd, type=pa.int64()),
-            "val": pa.array(xx, type=pa.float64()),
-        })
-
-    return ds.map_batches(topk, batch_format="pyarrow", zero_copy_batch=True)
-
-
-SQL_TOP_K_DIMS = f"""
-    WITH e AS (
-        SELECT vec_id,
-               UNNEST(list_zip(embedding,
-                               generate_series(1, len(embedding)))) AS z
-        FROM embeddings
-    ),
-    v AS (SELECT vec_id, CAST(z[2] AS BIGINT) AS dim,
-                 CAST(z[1] AS DOUBLE) AS val FROM e)
-    SELECT vec_id, dim, val FROM v
-    QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id
-                               ORDER BY abs(val) DESC, dim ASC) <= {TOPK_DIMS}
 """
 
 
@@ -291,7 +222,6 @@ SQL_VOCAB_IDS = r"""
 def build_queries_ext8() -> dict:
     return {
         "user_conversion_latency": q_user_conversion_latency,
-        "top_k_dims": q_top_k_dims,
         "value_mad": q_value_mad,
         "vocab_ids": q_vocab_ids,
     }
@@ -300,7 +230,6 @@ def build_queries_ext8() -> dict:
 def build_oracles_ext8() -> dict:
     return {
         "user_conversion_latency": SQL_USER_CONVERSION_LATENCY,
-        "top_k_dims": SQL_TOP_K_DIMS,
         "value_mad": SQL_VALUE_MAD,
         "vocab_ids": SQL_VOCAB_IDS,
     }

@@ -35,7 +35,7 @@ def table_path(base_dir: str, name: str) -> str:
     raise FileNotFoundError(f"no {name}.(lance|parquet) under {base_dir}")
 
 
-def read_table(base_dir: str, name: str, columns: list[str] | None = None, **kwargs):
+def read_table(base_dir: str, name: str, columns: list[str] | None = None):
     """Ray Dataset over ``table_path(base_dir, name)``, with the column
     pruning pushed into the read (only the requested columns leave
     storage)."""
@@ -43,4 +43,4 @@ def read_table(base_dir: str, name: str, columns: list[str] | None = None, **kwa
 
     path = table_path(base_dir, name)
     read = ray.data.read_lance if path.endswith(".lance") else ray.data.read_parquet
-    return read(path, columns=columns, **kwargs)
+    return read(path, columns=columns)

@@ -115,22 +115,19 @@ def cover_bbox(minx: float, miny: float, maxx: float, maxy: float, res: int) -> 
 def append_cell_columns(
     batch: pa.Table,
     cell_res: int = DEFAULT_CELL_RES,
-    tile_res: int | None = None,
-    x_col: str = "label_x",
-    y_col: str = "label_y",
+    tile_res: int = DEFAULT_TILE_RES,
 ) -> pa.Table:
-    """Append ``cell_id`` (and ``tile_id`` when ``tile_res`` is given) for
-    the point ``(x_col, y_col)`` of each row."""
-    x = batch.column(x_col).to_numpy()
-    y = batch.column(y_col).to_numpy()
+    """Append ``cell_id`` and ``tile_id`` of each row's label point
+    ``(label_x, label_y)``."""
+    x = batch.column("label_x").to_numpy()
+    y = batch.column("label_y").to_numpy()
     ix, iy = grid_coords(x, y, cell_res)
-    out = batch.append_column("cell_id", pa.array(encode_cells(ix, iy, cell_res), type=pa.int64()))
-    if tile_res is not None:
-        shift = cell_res - tile_res
-        out = out.append_column(
-            "tile_id", pa.array(encode_cells(ix >> shift, iy >> shift, tile_res), type=pa.int64())
-        )
-    return out
+    shift = cell_res - tile_res
+    return batch.append_column(
+        "cell_id", pa.array(encode_cells(ix, iy, cell_res), type=pa.int64())
+    ).append_column(
+        "tile_id", pa.array(encode_cells(ix >> shift, iy >> shift, tile_res), type=pa.int64())
+    )
 
 
 def encode_stage(ds, cell_res: int = DEFAULT_CELL_RES, tile_res: int = DEFAULT_TILE_RES):

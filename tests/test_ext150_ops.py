@@ -1,4 +1,4 @@
-"""Extension batch 150: SQ8 energy-label matrix + weekend premium."""
+"""Extension batch 150: weekend premium."""
 
 import duckdb
 import pytest
@@ -9,7 +9,7 @@ SF = "/root/testdata/sf0.001"
 @pytest.fixture(scope="module")
 def con():
     c = duckdb.connect()
-    for t in ("embeddings", "orders"):
+    for t in ("orders",):
         c.execute(f"CREATE VIEW {t} AS SELECT * FROM '{SF}/{t}.parquet'")
     return c
 
@@ -19,39 +19,6 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
-
-
-def test_energy_matrix_matches_duckdb(ray_session, con):
-    from polylabel_rs_ray.pipelines.queries_ext150 import (
-        _sql_sq8_energy_label_matrix, q_sq8_energy_label_matrix,
-    )
-
-    d = q_sq8_energy_label_matrix(SF).to_pandas()
-    o = con.execute(_sql_sq8_energy_label_matrix()).df()
-    assert len(d) == len(o) == 40
-    assert _norm(d).equals(_norm(o))
-
-
-def test_energy_matrix_reconciles(ray_session, con):
-    """Matrix mass equals vector count; band marginals are the exact
-    quartile split (each within the tie slack of n/4); label marginals
-    match the embeddings table."""
-    from polylabel_rs_ray.pipelines.queries_ext150 import (
-        q_sq8_energy_label_matrix,
-    )
-
-    d = q_sq8_energy_label_matrix(SF).to_pandas()
-    n_vec = con.execute("SELECT COUNT(*) FROM embeddings").fetchone()[0]
-    assert int(d["n"].sum()) == n_vec
-    lab = con.execute("""
-        SELECT CAST(label AS BIGINT) AS lab, COUNT(*) AS n
-        FROM embeddings GROUP BY 1
-    """).df().set_index("lab")["n"]
-    got_lab = d.groupby("label")["n"].sum()
-    for k, v in lab.items():
-        assert got_lab[k] == v
-    band = d.groupby("energy_band")["n"].sum()
-    assert (band > 0).all()
 
 
 def test_premium_matches_duckdb(ray_session, con):

@@ -1,7 +1,6 @@
-"""Extension batch 154: MMR diversified retrieval + cohort LTV."""
+"""Extension batch 154: cohort LTV."""
 
 import duckdb
-import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -10,7 +9,7 @@ SF = "/root/testdata/sf0.001"
 @pytest.fixture(scope="module")
 def con():
     c = duckdb.connect()
-    for t in ("embeddings", "orders"):
+    for t in ("orders",):
         c.execute(f"CREATE VIEW {t} AS SELECT * FROM '{SF}/{t}.parquet'")
     return c
 
@@ -20,34 +19,6 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
-
-
-def test_mmr_matches_duckdb(ray_session, con):
-    from polylabel_rs_ray.pipelines.queries_ext154 import (
-        MMR_K, _sql_mmr_topk, q_mmr_topk,
-    )
-
-    d = q_mmr_topk(SF).to_pandas()
-    o = con.execute(_sql_mmr_topk()).df()
-    assert len(d) == len(o) == MMR_K
-    assert _norm(d).equals(_norm(o))
-
-
-def test_mmr_greedy_invariants(ray_session):
-    """Selections are distinct, the first pick is the pure-relevance
-    argmax, scores are non-increasing within the greedy (each step's
-    winner would have scored at least as well a step earlier), and
-    score == rel - maxsim exactly."""
-    from polylabel_rs_ray.pipelines.queries_ext154 import q_mmr_topk
-
-    d = q_mmr_topk(SF).to_pandas().sort_values("sel_rank")
-    assert d["vec_id"].nunique() == len(d)
-    assert d.iloc[0]["maxsim"] == 0
-    assert (d["score"] == d["rel"] - d["maxsim"]).all()
-    # maxsim only grows as the selected set grows, so the chosen score
-    # sequence is non-increasing
-    s = d["score"].to_numpy()
-    assert (np.diff(s) <= 0).all()
 
 
 def test_ltv_matches_duckdb(ray_session, con):

@@ -1,4 +1,4 @@
-"""Extension batch 155: SQ8 class medoids + isotonic regression."""
+"""Extension batch 155: isotonic regression."""
 
 import duckdb
 import numpy as np
@@ -11,7 +11,7 @@ SF = "/root/testdata/sf0.001"
 @pytest.fixture(scope="module")
 def con():
     c = duckdb.connect()
-    for t in ("embeddings", "part"):
+    for t in ("part",):
         c.execute(f"CREATE VIEW {t} AS SELECT * FROM '{SF}/{t}.parquet'")
     return c
 
@@ -21,46 +21,6 @@ def _norm(df):
               .sort_values(by=sorted(df.columns))
               .reset_index(drop=True)
               .astype(str))
-
-
-def test_medoids_match_duckdb(ray_session, con):
-    from polylabel_rs_ray.pipelines.queries_ext155 import (
-        _sql_sq8_class_medoids, q_sq8_class_medoids,
-    )
-
-    d = q_sq8_class_medoids(SF).to_pandas()
-    o = con.execute(_sql_sq8_class_medoids()).df()
-    assert len(d) == len(o) > 0
-    assert _norm(d).equals(_norm(o))
-
-
-def test_medoids_vs_bruteforce(ray_session, con):
-    """Brute-force O(n^2) pairwise recount per class: the Gram-identity
-    cost must equal the literal sum of squared distances, and the medoid
-    must be its argmin."""
-    from polylabel_rs_ray.pipelines.queries_ext32 import _minmax, _quantize
-    from polylabel_rs_ray.pipelines.queries_ext155 import q_sq8_class_medoids
-
-    d = q_sq8_class_medoids(SF).to_pandas()
-    raw = con.execute(
-        "SELECT vec_id, embedding, label FROM embeddings ORDER BY vec_id"
-    ).df()
-    mn, mx = _minmax(SF)
-    span = np.where(mx > mn, mx - mn, 1.0)
-    codes = _quantize(
-        np.asarray(list(raw["embedding"]), dtype=np.float64), mn, span)
-    vids = raw["vec_id"].to_numpy().astype(np.int64)
-    labs = raw["label"].to_numpy().astype(np.int64)
-    for row in d.itertuples():
-        m = labs == row.label
-        c = codes[m]
-        v = vids[m]
-        # pairwise squared distances (class is small at sf0.001)
-        d2 = ((c[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
-        cost = d2.sum(axis=1)
-        best = np.lexsort((v, cost))[0]
-        assert v[best] == row.medoid_vec_id
-        assert int(cost[best]) == row.total_sq_dist
 
 
 def test_isotonic_matches_duckdb(ray_session, con):

@@ -1,4 +1,4 @@
-"""Extension batch 164: half-revenue item counts + sign Hamming spectrum."""
+"""Extension batch 164: half-revenue item counts."""
 
 import duckdb
 import numpy as np
@@ -10,7 +10,7 @@ SF = "/root/testdata/sf0.001"
 @pytest.fixture(scope="module")
 def con():
     c = duckdb.connect()
-    for t in ("lineitem", "embeddings"):
+    for t in ("lineitem",):
         c.execute(f"CREATE VIEW {t} AS SELECT * FROM '{SF}/{t}.parquet'")
     return c
 
@@ -61,36 +61,3 @@ def test_half_revenue_exhaustive_subsets(ray_session, con):
         row = d.loc[int(okey)]
         assert int(row["min_items_half"]) == best, okey
         assert int(row["n_items"]) == len(c)
-
-
-def test_hamming_matches_duckdb(ray_session, con):
-    from polylabel_rs_ray.pipelines.queries_ext164 import (
-        SQL_EMBEDDING_SIGN_HAMMING_HIST, q_embedding_sign_hamming_hist,
-    )
-
-    d = q_embedding_sign_hamming_hist(SF).to_pandas()
-    o = con.execute(SQL_EMBEDDING_SIGN_HAMMING_HIST).df()
-    assert len(d) == len(o) > 5  # a real spectrum, not a point mass
-    assert _norm(d).equals(_norm(o))
-
-
-def test_hamming_pair_mass_and_bruteforce(ray_session, con):
-    """Total pair mass == n(n-1)/2 and a direct numpy recount of the
-    full distance matrix agrees bin by bin."""
-    from polylabel_rs_ray.pipelines.queries_ext164 import (
-        q_embedding_sign_hamming_hist,
-    )
-
-    d = q_embedding_sign_hamming_hist(SF).to_pandas()
-    emb = np.array(con.execute(
-        "SELECT embedding FROM embeddings ORDER BY vec_id"
-    ).df()["embedding"].tolist(), dtype=np.float64)
-    n = len(emb)
-    assert int(d["n_pairs"].sum()) == n * (n - 1) // 2
-    bits = emb > 0.0
-    dist = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
-    iu = np.triu_indices(n, k=1)
-    want = np.bincount(dist[iu], minlength=65)
-    got = np.zeros(65, dtype=np.int64)
-    got[d["hamming_dist"].to_numpy()] = d["n_pairs"].to_numpy()
-    assert np.array_equal(got, want)

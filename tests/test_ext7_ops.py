@@ -1,5 +1,5 @@
-"""Extension operators batch 8 (queries_ext7): sampling / vector math /
-quantile sketch — oracle matches plus the sketch's rank-error bound."""
+"""Extension operators batch 8 (queries_ext7): sampling / quantile
+sketch — oracle matches plus the sketch's rank-error bound."""
 
 import duckdb
 import numpy as np
@@ -25,7 +25,7 @@ def _compare(q, sql, con):
 @pytest.fixture(scope="module")
 def con():
     c = duckdb.connect()
-    for t in ["orders", "embeddings", "events"]:
+    for t in ["orders", "events"]:
         c.execute(f"CREATE VIEW {t} AS SELECT * FROM '{SF}/{t}.parquet'")
     return c
 
@@ -54,18 +54,6 @@ def test_weighted_sample_deterministic(ray_session):
     a = q_weighted_sample(SF).to_pandas()
     b = q_weighted_sample(SF).to_pandas()
     assert a.equals(b)
-
-
-def test_embedding_norms_match_duckdb(ray_session, con):
-    from polylabel_rs_ray.pipelines.queries_ext7 import (
-        SQL_EMBEDDING_NORMS,
-        q_embedding_norms,
-    )
-
-    n = _compare(q_embedding_norms, SQL_EMBEDDING_NORMS, con)
-    assert (n["norm_sq_micro"] >= 0).all()
-    total = con.execute("SELECT COUNT(*) FROM embeddings").fetchone()[0]
-    assert len(n) == total
 
 
 def test_sketch_block_weights_conserve_and_bound():

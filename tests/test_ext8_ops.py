@@ -1,5 +1,5 @@
-"""Extension operators batch 9 (queries_ext8): conversion latency, array
-top-k, exact MAD, vocabulary build — bit-equal to DuckDB at sf0.001."""
+"""Extension operators batch 9 (queries_ext8): conversion latency, exact
+MAD, vocabulary build — bit-equal to DuckDB at sf0.001."""
 
 import duckdb
 import numpy as np
@@ -25,7 +25,7 @@ def _compare(q, sql, con):
 @pytest.fixture(scope="module")
 def con():
     c = duckdb.connect()
-    for t in ["events", "embeddings", "documents"]:
+    for t in ["events", "documents"]:
         c.execute(f"CREATE VIEW {t} AS SELECT * FROM '{SF}/{t}.parquet'")
     return c
 
@@ -39,30 +39,6 @@ def test_conversion_latency_matches_duckdb(ray_session, con):
     l = _compare(q_user_conversion_latency, SQL_USER_CONVERSION_LATENCY, con)
     assert (l["latency_us"] >= 0).all()
     assert l["user_id"].is_unique
-
-
-def test_top_k_dims_match_duckdb(ray_session, con):
-    from polylabel_rs_ray.pipelines.queries_ext8 import (
-        SQL_TOP_K_DIMS,
-        TOPK_DIMS,
-        q_top_k_dims,
-    )
-
-    t = _compare(q_top_k_dims, SQL_TOP_K_DIMS, con)
-    n_vecs = con.execute("SELECT COUNT(*) FROM embeddings").fetchone()[0]
-    assert len(t) == n_vecs * TOPK_DIMS
-    assert t["dim"].between(1, 64).all()
-    # the selected |val| for one vector dominates its non-selected dims
-    one = t[t["vec_id"] == t["vec_id"].iloc[0]]
-    emb = np.abs(np.array(
-        con.execute(
-            f"SELECT embedding FROM embeddings WHERE vec_id = {one['vec_id'].iloc[0]}"
-        ).fetchone()[0],
-        dtype=np.float64,
-    ))
-    kept = set(one["dim"] - 1)
-    rest_max = max((v for i, v in enumerate(emb) if i not in kept), default=0.0)
-    assert np.abs(one["val"]).min() >= rest_max
 
 
 def test_value_mad_matches_duckdb(ray_session, con):

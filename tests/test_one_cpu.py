@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-QUERIES = ("zone_join", "knn_tiles", "ann_topk")
+QUERIES = ("zone_join", "knn_tiles", "bm25_top_terms")
 # each unions a hash_exchange output, first, with a branch that reads parquet
 UNION_QUERIES = ("cohort_retention", "large_volume_customers_q18",
                  "order_reconciliation", "name_key_consistency_audit")

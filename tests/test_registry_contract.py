@@ -22,7 +22,7 @@ def test_registries_consistent():
         assert params and params[0] == "sf_dir", name
     # oracles are non-empty SQL strings mentioning a registered table
     tables = ("region", "nation", "customer", "supplier", "part", "orders",
-              "lineitem", "events", "documents", "embeddings")
+              "lineitem", "events", "documents")
     for name, sql in os_.items():
         assert isinstance(sql, str) and sql.strip(), name
         assert any(t in sql for t in tables), name
@@ -50,11 +50,19 @@ def test_coverage_states_the_registry_size():
 
 
 def test_bench_queries_are_registered():
-    # bench.py reads only environment variables on import, so no Ray here
+    # bench.py and tools/bench_sf1.py read only environment variables on
+    # import, so no Ray here
+    import importlib.util
+
     import bench
     from polylabel_rs_ray.pipelines.queries import build_queries
 
-    missing = set(bench.BENCH_QUERIES) - set(build_queries())
+    spec = importlib.util.spec_from_file_location(
+        "bench_sf1", REPO / "tools" / "bench_sf1.py")
+    bench_sf1 = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_sf1)
+    names = set(bench.BENCH_QUERIES) | set(bench_sf1.HEAVY)
+    missing = names - set(build_queries())
     assert not missing, sorted(missing)
 
 

@@ -1,4 +1,4 @@
-"""Text analysis + dedup + similarity kernels and their pipelines."""
+"""Text analysis + dedup kernels and their pipelines."""
 
 import numpy as np
 import pyarrow as pa
@@ -108,31 +108,6 @@ def test_minhash_pipeline_finds_planted_dups(ray_session):
     assert (df.jaccard_pct >= 50).all()
 
 
-def test_embedding_near_dup_pipeline(ray_session):
-    from polylabel_rs_ray.pipelines.queries import DUP_EVERY, DUP_OFFSET, q_embedding_near_dup
-
-    df = q_embedding_near_dup(SF).to_pandas()
-    planted = {(a, a + DUP_OFFSET) for a in range(0, 500, DUP_EVERY)}
-    got = set(zip(df.vec_a, df.vec_b))
-    assert planted <= got
-
-
-def test_ann_vs_ivf_recall(ray_session):
-    from polylabel_rs_ray.pipelines.queries import q_ann_topk, q_ivf_topk
-
-    exact = q_ann_topk(SF).to_pandas()
-    approx = q_ivf_topk(SF).to_pandas()
-    # per query, rank-1 must agree (the query vector itself); overall
-    # recall of the approximate index stays high on this data
-    for qid in exact.query_id.unique():
-        e1 = exact[(exact.query_id == qid) & (exact["rank"] == 1)].vec_id.iloc[0]
-        a1 = approx[(approx.query_id == qid) & (approx["rank"] == 1)].vec_id.iloc[0]
-        assert e1 == a1 == qid
-    eset = set(zip(exact.query_id, exact.vec_id))
-    aset = set(zip(approx.query_id, approx.vec_id))
-    assert len(eset & aset) / len(eset) >= 0.6
-
-
 def test_minhash_partitioned_equals_single_task(ray_session):
     """The bucket-hash-partitioned candidate/verify path must produce the
     exact pair set of the 1-partition path (global dedup via pass-B key)."""
@@ -159,30 +134,6 @@ def test_minhash_verify_modes_agree(ray_session):
     # each pair exactly once in BOTH modes (the broadcast path dedupes the
     # multi-band candidate duplicates before verification)
     assert len(bc) == len(sb) and len(pt) == len(sp)
-
-def test_banded_bucketing_candidate_growth():
-    """AND/OR banding with size-scaled planes: candidate pair count grows
-    ~linearly with n (10x rows -> well under the ~100x a fixed flat code
-    would produce from O(n^2/buckets) random collisions)."""
-    from polylabel_rs_ray.pipelines.queries import EMB_BANDS, emb_planes_for
-
-    rng = np.random.default_rng(7)
-
-    def cand_pairs(n):
-        m = rng.standard_normal((n, 64))
-        R = emb_planes_for(n)
-        planes = np.random.default_rng(123).standard_normal((EMB_BANDS * R, 64))
-        signs = (m @ planes.T) > 0
-        w = np.int64(1) << np.arange(R, dtype=np.int64)
-        tot = 0
-        for b in range(EMB_BANDS):
-            bucket = signs[:, b * R : (b + 1) * R] @ w
-            _, cnt = np.unique(bucket, return_counts=True)
-            tot += int((cnt * (cnt - 1) // 2).sum())
-        return tot
-
-    c_small, c_big = cand_pairs(2000), cand_pairs(20000)
-    assert c_big <= max(30 * max(c_small, 1), 400), (c_small, c_big)
 
 def test_dedup_clusters_match_union_find(ray_session):
     """Distributed min-label propagation == driver-side union-find over the
@@ -272,30 +223,6 @@ def test_minhash_bloom_path_equals_unfiltered(ray_session):
     sa = set(zip(a.doc_a, a.doc_b, a.jaccard_pct))
     sb = set(zip(b.doc_a, b.doc_b, b.jaccard_pct))
     assert sa == sb and len(sa) > 0
-
-def test_ivf_exact_matches_bruteforce_integer_topk(ray_session):
-    """The exact-IVF triangle-bound cell pruning is lossless: the pipeline
-    equals an independent numpy brute-force integer-ADC top-k (no engine
-    kernels in the expected side)."""
-    import pyarrow.parquet as pq
-
-    from polylabel_rs_ray.pipelines.queries import IVF_K, IVF_N_QUERIES, q_ivf_topk
-
-    t = pq.read_table(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
-    emb = np.array(t.column("embedding").to_pylist(), dtype=np.float64)
-    mn, mx = emb.min(0), emb.max(0)
-    span = np.where(mx > mn, mx - mn, 1.0)
-    codes = np.clip(np.floor(((emb - mn) * 255.0) / span), 0, 255).astype(np.int64)
-    ids = t.column("vec_id").to_numpy().astype(np.int64)
-
-    got = q_ivf_topk(SF).to_pandas()
-    for qi in range(IVF_N_QUERIES):
-        d2 = ((codes - codes[qi]) ** 2).sum(axis=1)
-        order = np.lexsort((ids, d2))[:IVF_K]
-        sub = got[got.query_id == ids[qi]].sort_values("rank")
-        assert list(sub.vec_id) == list(ids[order])
-        assert list(sub.d2) == [int(d2[o]) for o in order]
-
 
 def test_jaccard_exact_gate_delegates_to_minhash(ray_session, monkeypatch, caplog):
     """Past the vocabulary-derived corpus bound the exact PPJoin delegates

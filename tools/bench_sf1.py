@@ -34,7 +34,7 @@ HEAVY = [
     "bbox_overlap_join", "tile_gradient_histogram", "tile_facility_location",
     # representative engine stages (bench.py set)
     "minhash_near_dup", "exact_dedup", "pricing_summary", "events_by_type",
-    "ann_topk", "ivf_topk", "bm25_top_terms", "pagerank_parts",
+    "bm25_top_terms", "pagerank_parts",
 ]
 
 

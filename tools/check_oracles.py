@@ -28,7 +28,7 @@ from pathlib import Path
 import duckdb
 import pandas as pd
 
-TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
+TABLES = "region nation customer supplier part orders lineitem events documents".split()
 
 
 def to_pandas(res) -> pd.DataFrame:

@@ -9,14 +9,13 @@ sweep + bench at 10x the shipped data.
 Shapes mirror the driver tables (verified against sf0.1):
   customer 150k/sf-unit, supplier 10k, part 200k, orders 1.5M,
   lineitem 6M, events 1M (users = customer/10), documents 500k*sf with
-  5% exact-copy-plus-" dup" near-duplicates, embeddings 20k unit
-  float32 vectors with a random 10-class label.  region/nation are the
+  5% exact-copy-plus-" dup" near-duplicates.  region/nation are the
   fixed 5/25-row dimensions, copied verbatim from the shipped sf0.1.
-Row groups: ~128k rows for the big fact tables, ~4k rows for the small
-per-row-expensive tables (documents/embeddings) — BOTH Ray's parquet
-reader and DuckDB's scan parallelize by row group, and a single-group
-documents file serializes every oracle's text kernel (measured: the
-sf1 levenshtein oracle pinned one core for 30+ minutes before this).
+Row groups: ~128k rows for the big fact tables, ~4k rows for the
+per-row-expensive documents table — BOTH Ray's parquet reader and
+DuckDB's scan parallelize by row group, and a single-group documents
+file serializes every oracle's text kernel (measured: the sf1
+levenshtein oracle pinned one core for 30+ minutes before this).
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ SHIP_DAYS = (np.datetime64("2001-11-04") - np.datetime64("1995-01-02")).astype(i
 SHIP_BASE = EPOCH_1995 + DAY_US  # 1995-01-02
 
 
-SMALL_GROUP = 4096  # documents/embeddings: parallelize per-row-heavy kernels
+SMALL_GROUP = 4096  # documents: parallelize per-row-heavy kernels
 
 
 def _write(path: str, table: pa.Table, rows_per_group: int = 131072) -> None:
@@ -71,7 +70,6 @@ def generate(sf: float, out_dir: str, seed: int = 42) -> None:
     n_events = int(100000 * unit)
     n_users = n_cust // 10
     n_docs = int(5000 * unit)
-    n_emb = int(2000 * unit)
     rng = np.random.default_rng(seed + int(round(sf * 1000)))
 
     # fixed dims verbatim
@@ -180,18 +178,6 @@ def generate(sf: float, out_dir: str, seed: int = 42) -> None:
         "source": pa.array([f"src{i % 20}" for i in range(n_docs)],
                            type=pa.string()),
         "n_chars": pa.array(np.array([len(t) for t in texts], dtype=np.int64)),
-    }), rows_per_group=SMALL_GROUP)
-
-    # embeddings: unit float32 vectors, random 10-class label
-    m = rng.standard_normal((n_emb, 64))
-    m /= np.linalg.norm(m, axis=1, keepdims=True)
-    flat = pa.array(m.astype(np.float32).ravel(), type=pa.float32())
-    col = pa.ListArray.from_arrays(
-        pa.array(np.arange(0, (n_emb + 1) * 64, 64, dtype=np.int32)), flat)
-    _write(f"{out_dir}/embeddings.parquet", pa.table({
-        "vec_id": pa.array(np.arange(n_emb, dtype=np.int64)),
-        "embedding": col,
-        "label": pa.array(rng.integers(0, 10, n_emb).astype(np.int32)),
     }), rows_per_group=SMALL_GROUP)
 
 
