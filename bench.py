@@ -66,7 +66,7 @@ def headline(num_cpus: int) -> dict:
     ray.data.range(1000).map_batches(lambda b: b, batch_format="pyarrow").count()
 
     t0 = time.time()
-    ds = labeled_rows(range_docs(0, BENCH_DOCS))
+    ds = labeled_rows(range_docs([(0, BENCH_DOCS)]))
     tiles = render_tiles(ds.select_columns(["tile_id", "label_x", "label_y"]))
     n_tiles = tiles.count()
     wall = time.time() - t0

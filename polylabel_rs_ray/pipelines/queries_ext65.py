@@ -47,8 +47,8 @@ def _clip_halfplane(poly: np.ndarray, axis: int, bound: float,
     cross = pin != qin
     t = np.zeros(len(p))
     denom = q[:, axis] - p[:, axis]
-    safe = denom != 0.0
-    t[cross & safe] = ((bound - p[:, axis]) / denom)[cross & safe]
+    m = cross & (denom != 0.0)
+    t[m] = (bound - p[m, axis]) / denom[m]
     ix = p[:, 0] + t * (q[:, 0] - p[:, 0])
     iy = p[:, 1] + t * (q[:, 1] - p[:, 1])
     inter = np.stack([ix, iy], axis=1)

@@ -3,11 +3,13 @@
     python -m polylabel_rs_ray.run --out /tmp/labels_run --n-docs 20000 \
         --partitions 16 [--tiles] [--num-cpus 32]
 
-Phase 1 (resumable): each doc-id-range partition runs the engine's one
-chain, ``stages.label.labeled_rows`` over ``sources.docs.range_docs``
-(synthesize -> label -> cell-encode), into a per-partition parquet +
-lineage manifest; the flagship runs the same chain over ``read_docs``.  A
-re-run skips partitions whose manifest matches the input fingerprint.
+Phase 1 (resumable): the pending doc-id-range partitions run the engine's
+one chain, ``stages.label.labeled_rows`` over ``sources.docs.range_docs``
+(synthesize -> label -> cell-encode), as one streaming Dataset execution;
+the driver commits each partition, a parquet file + lineage manifest, as
+soon as all its rows are in.  The flagship runs the same chain over
+``read_docs``.  A re-run skips partitions whose manifest matches the input
+fingerprint and builds no Dataset when none is pending.
 Phase 2: tile rendering over exactly this run's partitions (the
 ``group_map`` on tile_id), committed beside them like a partition and
 skipped when its manifest matches.  Once the run summary is written, the
@@ -67,27 +69,52 @@ def build_partition_descs(n_docs: int, n_parts: int, cell_res: int, tile_res: in
     ]
 
 
-def run_label_partition(desc: dict) -> pa.Table:
+def run_label_partition(descs: list[dict], commit) -> None:
+    """Label the doc-id ranges of ``descs`` in one Dataset execution and
+    call ``commit(j, table)`` for ``descs[j]`` as soon as all of its
+    ``hi - lo`` rows are in, with the rows sorted by ``doc_num``.  Blocks
+    arrive in task-completion order, and a label task may hold rows of
+    several partitions; the sort makes a partition's rows, and so its
+    data.parquet bytes, reproducible.  The commits run on the driver, one
+    at a time, while later blocks are still being labelled."""
     import ray
 
     from .sources import docs
     from .stages import label
 
-    ds = docs.range_docs(desc["lo"], desc["hi"])
+    cell_res, tile_res = descs[0]["cell_res"], descs[0]["tile_res"]
+    if any((d["cell_res"], d["tile_res"]) != (cell_res, tile_res) for d in descs):
+        raise ValueError("the partitions of one pass must share cell_res and tile_res")
+    order = sorted(range(len(descs)), key=lambda j: descs[j]["lo"])
+    los = np.array([descs[j]["lo"] for j in order], dtype=np.int64)
+    missing = {j: d["hi"] - d["lo"] for j, d in enumerate(descs)}
+    pieces: dict[int, list[pa.Table]] = {j: [] for j in missing}
+
+    ds = docs.range_docs([(d["lo"], d["hi"]) for d in descs])
     # one dominant compute stage -> per-op CPU reservation only starves it.
     # The Dataset holds its own copy of the context, and every Dataset
     # derived from it below shares that copy; the process-global one stays.
     ds.context.op_resource_reservation_enabled = False
-    ds = label.labeled_rows(ds, desc["cell_res"], desc["tile_res"])
+    ds = label.labeled_rows(ds, cell_res, tile_res)
     ds = ds.drop_columns(["rings"])  # labels + lineage only in the sink
-    # one partition's output is bounded by construction (n_docs / n_parts
-    # rows), so collecting its blocks to write a single partition file is a
-    # small-result materialization, not a whole-dataset one.  The plan runs
-    # once in materialize(): to_arrow_refs() on the lazy plan would first
-    # run it under a row limit to read the schema, labelling every row twice.
-    # Blocks arrive in task-completion order; sorting by the unique doc_num
-    # makes a partition's rows, and so its data.parquet bytes, reproducible.
-    return pa.concat_tables(ray.get(ds.materialize().to_arrow_refs())).sort_by("doc_num")
+    # The plan runs once, streaming.  Ref bundles come in task-completion
+    # order; iter_batches would hold a finished block back behind a slower
+    # task's.  A partition's output is bounded by construction (n_docs /
+    # n_parts rows), so holding the blocks of the partitions not yet
+    # complete is a small-result buffer.
+    blocks = (ray.get(ref) for bundle in ds.iter_internal_ref_bundles()
+              for ref, _ in bundle.blocks)
+    for block in blocks:
+        owner = np.searchsorted(los, block.column("doc_num").to_numpy(), side="right") - 1
+        for k in np.unique(owner):
+            j = order[k]
+            rows = block.filter(pa.array(owner == k))
+            pieces[j].append(rows)
+            missing[j] -= rows.num_rows
+            if missing[j] == 0:
+                commit(j, pa.concat_tables(pieces.pop(j)).sort_by("doc_num"))
+    if pieces:
+        raise RuntimeError(f"partitions {sorted(pieces)} did not receive all their rows")
 
 
 def run(out_dir: str, n_docs: int, n_parts: int, *, tiles: bool = False) -> dict:

@@ -27,7 +27,11 @@ reads as complete (at most a temp dir, which is never read), and two
 commits of one unit never share a temp dir.  A restart calls
 ``pending_partitions`` first and processes only partitions whose manifest
 is missing or whose input fingerprint changed, so a crashed run never
-repeats finished work and never produces one giant file."""
+repeats finished work and never produces one giant file.
+
+``run_partitioned`` labels all pending partitions in one pass and commits
+them on the driver, one at a time, in the order their rows complete; the
+run summary is written after the last of them."""
 
 from __future__ import annotations
 
@@ -173,14 +177,30 @@ def remove_partitions_from(out_dir: str, n_parts: int) -> None:
 
 
 def run_partitioned(out_dir: str, parts: list[dict], run_one) -> dict:
-    """Execute ``run_one(desc) -> pyarrow.Table`` for every pending
-    partition, skipping complete ones (resume semantics).  Returns the run
-    summary.  ``run_one`` typically builds and consumes a Ray Dataset
-    pipeline restricted to that partition's input shard."""
+    """Run every pending partition, skipping complete ones (resume
+    semantics), and return the run summary.
+
+    When any partition is pending, ``run_one(descs, commit)`` is called
+    once with the pending partitions' descriptions; it labels them all in
+    one pass and calls ``commit(j, table)`` once for each ``descs[j]``, in
+    the order their rows complete.  Each commit writes that partition
+    through ``write_partition`` (one ``commit_dir`` unit) before it
+    returns, so a failure later in the pass keeps every partition
+    committed before it.  A partition's manifest ``wall_s`` is the time
+    since the previous commit of the pass, or since the pass started, so
+    the summary's ``wall_s_total`` is the pass's label time up to its last
+    commit."""
     pending = pending_partitions(out_dir, parts)
-    for i in pending:
-        t0 = time.time()
-        table = run_one(parts[i])
-        write_partition(out_dir, i, table, parts[i], time.time() - t0)
+    if pending:
+        last = time.perf_counter()
+
+        def commit(j: int, table: pa.Table) -> None:
+            nonlocal last
+            now = time.perf_counter()
+            i = pending[j]
+            write_partition(out_dir, i, table, parts[i], now - last)
+            last = now
+
+        run_one([parts[i] for i in pending], commit)
     return write_summary(out_dir, len(parts),
                          {"resumed_skipped": len(parts) - len(pending)})

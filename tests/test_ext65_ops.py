@@ -65,6 +65,20 @@ def test_clip_square_exact():
     assert len(clipped) == 4
 
 
+def test_clip_axis_parallel_edge_divides_by_no_zero():
+    """An edge parallel to the cut line is never divided by its zero
+    extent, so the clip raises no RuntimeWarning."""
+    import warnings
+
+    from polylabel_rs_ray.pipelines.queries_ext65 import _clip_halfplane
+
+    sq = np.array([(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clipped = _clip_halfplane(sq, 1, 2.0, keep_low=True)
+    assert clipped.tolist() == [[4.0, 0.0], [4.0, 2.0], [0.0, 2.0], [0.0, 0.0]]
+
+
 def test_clip_engine_equals_twin():
     """Vectorized engine clipper == sequential scalar twin, bit-for-bit,
     on every dyadic fixture."""

@@ -67,7 +67,9 @@ def test_partition_labelled_once(ray_session, labelled_rows):
     once, not once more to read the output schema."""
     from polylabel_rs_ray.run import build_partition_descs, run_label_partition
 
-    out = run_label_partition(build_partition_descs(600, 1, 8, 5)[0])
+    committed = {}
+    run_label_partition([build_partition_descs(600, 1, 8, 5)[0]], committed.__setitem__)
+    out = committed[0]
     assert out.num_rows == 600
     assert labelled_rows() == 600
 
@@ -106,13 +108,112 @@ def test_partition_matches_read_docs_chain(ray_session, tmp_path):
                    str(tmp_path / "documents.parquet"))
     desc = build_partition_descs(n, 1, 8, 5)[0]
     desc["lo"], desc["hi"] = lo, lo + n
-    part = run_label_partition(desc).sort_by("doc_num")
+    committed = {}
+    run_label_partition([desc], committed.__setitem__)
+    part = committed[0].sort_by("doc_num")
     ds = labeled_rows(read_docs(str(tmp_path)), 8, 5).materialize()
     table = pa.concat_tables(ray.get(ds.to_arrow_refs())).sort_by("doc_num")
     assert part.column("doc_num").to_pylist() == list(range(lo, lo + n))
     for col in ["doc_num", "doc_id", "label_x", "label_y", "label_dist", "area",
                 "label_error", "cell_id", "tile_id", "spans"]:
         assert part.column(col).to_pylist() == table.column(col).to_pylist(), col
+
+
+def test_pass_is_one_execution(ray_session, tmp_path, monkeypatch, labelled_rows):
+    """A pass over 4 pending partitions builds one Dataset and labels each
+    row once; a second pass over the complete output builds none."""
+    from polylabel_rs_ray import run as run_mod
+    from polylabel_rs_ray.sources import docs
+
+    built = []
+    real = docs._synthesize
+
+    def spy(ds):
+        built.append(ds)
+        return real(ds)
+
+    monkeypatch.setattr(docs, "_synthesize", spy)
+    out = str(tmp_path / "one")
+    parts = run_mod.build_partition_descs(400, 4, 8, 5)
+    s1 = manifest.run_partitioned(out, parts, run_mod.run_label_partition)
+    assert (len(built), labelled_rows(), s1["rows"], s1["resumed_skipped"]) == (1, 400, 400, 0)
+    s2 = manifest.run_partitioned(out, parts, run_mod.run_label_partition)
+    assert (len(built), labelled_rows(), s2["resumed_skipped"]) == (1, 400, 4)
+
+
+def test_wall_s_sums_to_the_pass(ray_session, tmp_path):
+    """A partition's ``wall_s`` is the time since the previous commit of
+    its pass, so the partitions of one pass sum to no more than the pass."""
+    import time
+
+    from polylabel_rs_ray import run as run_mod
+
+    out = str(tmp_path / "wall")
+    t0 = time.perf_counter()
+    s = manifest.run_partitioned(out, run_mod.build_partition_descs(400, 4, 8, 5),
+                                 run_mod.run_label_partition)
+    wall = time.perf_counter() - t0
+    walls = []
+    for i in range(4):
+        with open(manifest_path(out, i)) as f:
+            walls.append(json.load(f)["wall_s"])
+    assert all(w >= 0 for w in walls)
+    assert s["wall_s_total"] == pytest.approx(sum(walls))
+    assert 0 < s["wall_s_total"] <= wall
+
+
+def test_failure_mid_pass_keeps_finished_partitions(ray_session, tmp_path, monkeypatch,
+                                                    labelled_rows):
+    """A label task that fails on the last partition's rows, after the
+    other partitions are in, ends the pass with those partitions committed
+    and the failed one pending; the resume labels only its rows."""
+    import time
+
+    import ray
+
+    from polylabel_rs_ray import run as run_mod
+    from polylabel_rs_ray.stages import label
+
+    out = str(tmp_path / "fail")
+    # 512-doc partitions: one label batch never holds two partitions' rows
+    parts = run_mod.build_partition_descs(2048, 4, 8, 5)
+    last = parts[-1]
+    done = [manifest_path(out, i) for i in range(3)]
+    counting = label.label_batch
+
+    def failing(batch):
+        if batch.column("doc_num").to_numpy().min() >= last["lo"]:
+            # fail only once the other partitions are committed, whatever
+            # order the label tasks run in
+            deadline = time.monotonic() + 60
+            while not all(map(os.path.exists, done)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            raise RuntimeError("label failed")
+        return counting(batch)
+
+    monkeypatch.setattr(label, "label_batch", failing)
+    with pytest.raises((RuntimeError, ray.exceptions.RayError)):
+        manifest.run_partitioned(out, parts, run_mod.run_label_partition)
+    assert all(map(os.path.exists, done))
+    assert not os.path.exists(manifest_path(out, 3))
+    assert pending_partitions(out, parts) == [3]
+
+    before = labelled_rows()
+    monkeypatch.setattr(label, "label_batch", counting)
+    s = manifest.run_partitioned(out, parts, run_mod.run_label_partition)
+    assert labelled_rows() - before == last["hi"] - last["lo"]
+    assert (s["resumed_skipped"], s["rows"]) == (3, 2048)
+
+
+def test_perfbench_checkpoint_round_passes_its_checks(ray_session, tmp_path):
+    """The benchmark's checkpoint_resume workload drives ``run_partitioned``
+    and ``run_label_partition``; one small round of it passes every check
+    the benchmark makes."""
+    from perfbench import checks, workloads
+
+    rnd = workloads.checkpoint_resume(41, 0, 36, parts=2, work_dir=str(tmp_path))
+    verdict = checks.check_round("checkpoint_resume", rnd, 41, 0)
+    assert verdict.failed == 0, verdict.notes
 
 
 def _table(n):
@@ -345,7 +446,9 @@ def test_partition_leaves_global_data_context(ray_session, monkeypatch):
         return real(ds, *a)
 
     monkeypatch.setattr(cells, "encode_stage", spy)
-    out = run_label_partition(build_partition_descs(40, 1, 8, 5)[0])
+    committed = {}
+    run_label_partition([build_partition_descs(40, 1, 8, 5)[0]], committed.__setitem__)
+    out = committed[0]
     assert out.num_rows == 40
     assert seen == [False]  # the labelled Dataset inherited the flag
     assert ray.data.DataContext.get_current().op_resource_reservation_enabled is True

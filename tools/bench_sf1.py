@@ -67,7 +67,7 @@ def main() -> None:
     docs = int(os.environ.get("GRAFT_BENCH_DOCS", "1200000"))
     ray.data.range(1000).map_batches(lambda b: b, batch_format="pyarrow").count()
     t0 = time.time()
-    ds = labeled_rows(range_docs(0, docs))
+    ds = labeled_rows(range_docs([(0, docs)]))
     tiles = render_tiles(ds.select_columns(["tile_id", "label_x", "label_y"]))
     n_tiles = tiles.count()
     flagship_wall = time.time() - t0

@@ -3,7 +3,8 @@
 bench.py's headline and the driver's ``entry()``
 (``pipelines.flagship.flagship_pipeline``) run the same chain,
 ``stages.label.labeled_rows`` then the tile render, and differ only in the
-doc source: bench.py synthesizes a doc-id range (``sources.docs.range_docs``),
+doc source: bench.py synthesizes one doc-id range (``sources.docs.range_docs``
+over ``[(0, n)]``, its id blocks built on the driver),
 entry() reads the documents table (``read_docs``).  This script times the
 ENTRY path on a 120k-doc documents table (written to /tmp once) so the two
 numbers are directly comparable, which measures what the source alone costs.

@@ -36,7 +36,7 @@ def run(num_cpus: int, docs: int, reservation: bool) -> tuple[dict, str]:
     ray.data.range(1000).map_batches(lambda b: b, batch_format="pyarrow").count()
 
     t0 = time.time()
-    ds = labeled_rows(range_docs(0, docs))
+    ds = labeled_rows(range_docs([(0, docs)]))
     tiles = render_tiles(ds.select_columns(["tile_id", "label_x", "label_y"]))
     # materialize so stats() reports THIS execution (count() runs a plan
     # copy whose stats are dropped); the output is tile rows — driver-small
