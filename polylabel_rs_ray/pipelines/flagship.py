@@ -12,6 +12,8 @@ and cell-encode steps are the engine's one chain,
 chain and differ only in the doc source (``sources.docs.range_docs`` there,
 ``read_docs`` here).  Every map stage in the engine runs as a stateless
 task, so Ray Data fuses the cell encode into the label tasks.
+``labeled_output`` shapes such rows (the registry reads them from a
+``run`` output) into the FIXTURES.md §3 table.
 """
 
 from __future__ import annotations
@@ -29,26 +31,18 @@ def flagship_pipeline(sf_dir: str):
     return render_tiles(ds.select_columns(["tile_id", "label_x", "label_y"]))
 
 
-def labeled_output(sf_dir: str):
-    """The per-document output table in the exact FIXTURES.md §3 schema:
+def labeled_output(ds):
+    """Labelled, cell-encoded rows -> the per-document output table in the
+    exact FIXTURES.md §3 schema:
 
         doc_id, spans (pass-through, order-preserved), label struct<x,y>,
         label_dist, area, label_error (nullable), cell_id, tile_id
     """
     import pyarrow as pa
 
-    ds = labeled_rows(read_docs(sf_dir))
-
     def shape(batch: pa.Table) -> pa.Table:
         label = pa.StructArray.from_arrays(
-            [
-                batch.column("label_x").combine_chunks()
-                if isinstance(batch.column("label_x"), pa.ChunkedArray)
-                else batch.column("label_x"),
-                batch.column("label_y").combine_chunks()
-                if isinstance(batch.column("label_y"), pa.ChunkedArray)
-                else batch.column("label_y"),
-            ],
+            [batch.column("label_x").combine_chunks(), batch.column("label_y").combine_chunks()],
             names=["x", "y"],
         )
         return pa.table({

@@ -28,6 +28,7 @@ import tempfile
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from .. import run
 from ..config import WORLD_MIN, WORLD_SIZE
@@ -38,9 +39,8 @@ from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
 from ..sources.table import table_path
 from ..stages.cells import _RES_SHIFT
 from ..stages.join import N_ZONES, zone_table
-from ..stages.label import label_points
 from ..stages.util import group_map, shuffle_blocks
-from ..state.manifest import commit_dir
+from ..state.manifest import commit_dir, partition_dir
 from .agg import hash_exchange, hash_part, n_partitions
 
 REGISTRY_DIRS = run.ENGINE_DIRS + ("pipelines",)
@@ -50,19 +50,21 @@ REGISTRY_DIRS = run.ENGINE_DIRS + ("pipelines",)
 # geometry / labeling queries
 # --------------------------------------------------------------------------
 
-_LABELED_CACHE: dict[str, object] = {}
+def _unit_dir(sf_dir: str, name: str) -> str:
+    """``$TMPDIR/polylabel_ckpt/<source>/<name>``; ``<source>`` keys ``sf_dir``."""
+    return os.path.join(tempfile.gettempdir(), "polylabel_ckpt",
+                        hashlib.sha256(sf_dir.encode()).hexdigest()[:16], name)
 
 
-def _checkpoint(sf_dir: str, name: str, inputs: list[str], write_fn,
-                dirs: tuple[str, ...] = REGISTRY_DIRS) -> str:
-    """Commit the registry checkpoint ``$TMPDIR/polylabel_ckpt/<source>/<name>``
-    through ``state.manifest.commit_dir`` and return its ``data/`` path;
-    ``write_fn(path)`` writes the rows.  ``<source>`` keys ``sf_dir``.  The
-    manifest's fingerprint covers the mtime and size of each file of the
-    ``inputs`` (paths in ``sf_dir``; a directory, such as a Lance dataset,
-    stands for the files under it) and ``run.code_digest`` of ``dirs``,
-    the code that computes the rows, so a touched input or a code edit
-    makes the next call write the unit afresh."""
+def _checkpoint(sf_dir: str, name: str, inputs: list[str], write_fn) -> str:
+    """Commit the registry checkpoint ``_unit_dir(sf_dir, name)`` through
+    ``state.manifest.commit_dir`` and return its ``data/`` path;
+    ``write_fn(path)`` writes the rows.  The manifest's fingerprint covers
+    the mtime and size of each file of the ``inputs`` (paths in ``sf_dir``;
+    a directory, such as a Lance dataset, stands for the files under it)
+    and ``run.code_digest`` of ``REGISTRY_DIRS``, so a touched input or a
+    code edit makes the next call write the unit afresh.  (The labelled
+    documents are a ``run`` output instead: ``labeled_docs``.)"""
     stamps = {}
     for f in inputs:
         path = os.path.join(sf_dir, f)
@@ -73,39 +75,45 @@ def _checkpoint(sf_dir: str, name: str, inputs: list[str], write_fn,
             except OSError:
                 stamp = None
             stamps[os.path.relpath(fp, sf_dir)] = stamp
-    desc = {"source": sf_dir, "inputs": stamps, "code": run.code_digest(dirs=dirs)}
-    unit = os.path.join(tempfile.gettempdir(), "polylabel_ckpt",
-                        hashlib.sha256(sf_dir.encode()).hexdigest()[:16], name)
+    desc = {"source": sf_dir, "inputs": stamps, "code": run.code_digest(dirs=REGISTRY_DIRS)}
+    unit = _unit_dir(sf_dir, name)
     commit_dir(unit, desc, write_fn)
     return os.path.join(unit, "data")
 
 
 def labeled_docs(sf_dir: str):
-    """Interleaved docs (synthesized from the documents table's doc_id) with
-    label columns appended — the first half of the flagship pipeline.
+    """The engine's product for the documents of ``sf_dir``, read back with
+    ``read_parquet`` from exactly the partition files of a ``run.run`` over
+    their ids into ``_unit_dir(sf_dir, "labeled")``, one partition per
+    ``LABEL_BLOCK_ROWS`` docs: every ``run`` column (labels, ``cell_id``,
+    ``tile_id``; no ``rings``).  A label is a pure function of its id, so
+    the table enters only through its ``doc_id`` column, which must hold
+    exactly ``0 .. n-1`` (else ValueError), and the partitions' manifests
+    (id range, resolutions, ``code_digest()``) do not stamp the table:
+    rewriting it with the same ids relabels nothing."""
+    import ray
 
-    Shared by every downstream query via a PARTITIONED PARQUET CHECKPOINT
-    (written once per source fingerprint, then streamed back with
-    read_parquet) rather than an object-store ``materialize()`` — at scale
-    the checkpoint spills to disk/storage instead of pinning the whole
-    labeled dataset in cluster memory, and a later run reuses it for free."""
-    ds = _LABELED_CACHE.get(sf_dir)
-    if ds is None:
-        ckpt = _checkpoint(
-            sf_dir, "labeled", [table_path(sf_dir, "documents")],
-            lambda path: label_points(docs_mod.read_docs(sf_dir)).write_parquet(path),
-            run.ENGINE_DIRS,
-        )
-        import ray
+    path = table_path(sf_dir, "documents")
+    if path.endswith(".lance"):
+        import lance
 
-        ds = ray.data.read_parquet(ckpt)
-        _LABELED_CACHE[sf_dir] = ds
-    return ds
+        table = lance.dataset(path).to_table(columns=["doc_id"])
+    else:
+        table = pq.read_table(path, columns=["doc_id"])
+    ids = np.sort(table.column("doc_id").to_numpy())
+    n = len(ids)
+    if not np.array_equal(ids, np.arange(n)):
+        raise ValueError(f"{path}: the doc ids are not exactly 0..{n - 1}")
+    unit = _unit_dir(sf_dir, "labeled")
+    n_parts = -(-n // docs_mod.LABEL_BLOCK_ROWS)
+    run.run(unit, n, n_parts)
+    return ray.data.read_parquet(
+        [os.path.join(partition_dir(unit, i), "data.parquet") for i in range(n_parts)])
 
 
-def q_label_dyadic(sf_dir: str):
-    """Label points of the dyadic fixtures: fp-exactly ``fixture + offset``."""
-    ds = labeled_docs(sf_dir)
+def _dyadic_labeled(sf_dir: str, columns=("doc_num", "label_x", "label_y")):
+    """Labeled docs filtered to the dyadic-fixture rows (exact-oracle set),
+    projected to ``columns``; ``fixture_idx`` is ``doc_num % N_FIXTURES``."""
     mods = DYADIC_IDX
 
     def pick(batch: pa.Table) -> pa.Table:
@@ -114,11 +122,19 @@ def q_label_dyadic(sf_dir: str):
         out = batch.append_column(
             "fixture_idx", pa.array(fixture_idx, type=pa.int64())
         ).filter(mask)
-        return out.select(
-            ["doc_num", "fixture_idx", "label_x", "label_y", "label_dist", "area"]
-        )
+        return out.select(list(columns))
 
-    return ds.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
+    return labeled_docs(sf_dir).map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
+
+
+# the dyadic rows with the unit's cell and tile ids
+CELL_COLUMNS = ("doc_num", "label_x", "label_y", "cell_id", "tile_id")
+
+
+def q_label_dyadic(sf_dir: str):
+    """Label points of the dyadic fixtures: fp-exactly ``fixture + offset``."""
+    return _dyadic_labeled(
+        sf_dir, ("doc_num", "fixture_idx", "label_x", "label_y", "label_dist", "area"))
 
 
 def _sql_label_dyadic() -> str:
@@ -335,27 +351,20 @@ def _sql_dyadic_labels_cte() -> str:
     return f"SELECT doc_num, label_x, label_y FROM ({_sql_label_dyadic()})"
 
 
-def _dyadic_labeled(sf_dir: str):
-    """Labeled docs filtered to the dyadic-fixture rows (exact-oracle set)."""
-    return q_label_dyadic(sf_dir).select_columns(["doc_num", "label_x", "label_y"])
-
-
 def q_labeled_output(sf_dir: str):
-    """The flagship product table (FIXTURES.md §3 schema), projected to an
-    oracle-checkable row per document: the nested ``spans`` column becomes
-    (n_spans, span_sig) where ``span_sig`` is the md5-low-8-bytes of the
-    canonical span-sequence string — computed from the ACTUAL spans that
-    traveled the whole pipeline (synthesize -> checkpoint parquet ->
-    label -> encode), so the north-rule span-sequence invariant (kind,
-    text, media_ref, order) is oracle-verified end-to-end, not assumed.
-    Label/cell columns are exact for the dyadic fixtures and NULL
-    otherwise (same contract as label_dyadic).  The full nested table
-    remains available via pipelines.flagship.labeled_output."""
-    import hashlib
-
+    """The flagship product table (FIXTURES.md §3 schema, built by
+    ``flagship.labeled_output``) over the labeled unit's rows, projected to
+    an oracle-checkable row per document: the nested ``spans`` column
+    becomes (n_spans, span_sig) where ``span_sig`` is the md5-low-8-bytes
+    of the canonical span-sequence string — computed from the ACTUAL spans
+    that traveled the whole chain (synthesize -> label -> encode ->
+    partition parquet written by ``run``), so the north-rule span-sequence
+    invariant (kind, text, media_ref, order) is oracle-verified end-to-end,
+    not assumed.  Label/cell columns are exact for the dyadic fixtures and
+    NULL otherwise (same contract as label_dyadic)."""
     from .flagship import labeled_output
 
-    ds = labeled_output(sf_dir)
+    ds = labeled_output(labeled_docs(sf_dir))
     mods = np.array(DYADIC_IDX, dtype=np.int64)
 
     def project(batch: pa.Table) -> pa.Table:
@@ -463,9 +472,7 @@ def _sql_labeled_output() -> str:
 
 def q_cell_encode(sf_dir: str):
     """H3/S2-style cell encoding of label points (stateless tasks)."""
-    from ..stages.cells import encode_stage
-
-    ds = encode_stage(_dyadic_labeled(sf_dir))
+    ds = _dyadic_labeled(sf_dir, CELL_COLUMNS)
     return ds.select_columns(["doc_num", "cell_id", "tile_id"])
 
 
@@ -577,9 +584,7 @@ def _sql_knn_tiles() -> str:
 
 def q_tile_counts(sf_dir: str):
     """Per-tile label counts after the groupby(tile_id) shuffle."""
-    from ..stages.cells import encode_stage
-
-    ds = encode_stage(_dyadic_labeled(sf_dir))
+    ds = _dyadic_labeled(sf_dir, CELL_COLUMNS)
     from .agg import grouped_aggregate
 
     return grouped_aggregate(ds, ["tile_id"], [("count", None, "n_points")])
@@ -605,10 +610,9 @@ def q_render_tiles(sf_dir: str):
     (the exact-oracle set, same contract as zone_join/cell_encode); the
     all-fixture path with full binary payloads runs in the flagship and
     the pytest golden tests."""
-    from ..stages.cells import encode_stage
     from ..stages.tiles import render_tiles
 
-    ds = encode_stage(_dyadic_labeled(sf_dir))
+    ds = _dyadic_labeled(sf_dir, CELL_COLUMNS)
     tiles = render_tiles(ds)
     return tiles.select_columns(
         ["tile_id", "n_points", "n_zones_clipped", "raster_nonzero", "raster_sum"]
@@ -733,7 +737,6 @@ SQL_TOP_ORDERS = """
 def q_customers_per_nation(sf_dir: str):
     """Broadcast hash join (small side shipped once via ray.put) + count."""
     import ray
-    import pyarrow.parquet as pq
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
 
@@ -1701,7 +1704,6 @@ def verify_candidate_pairs(
     from .dedup import jaccard_pct_exact, shingle_strs
 
     import ray
-    import pyarrow.parquet as pq
 
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
     if verify_mode is None:
@@ -1992,8 +1994,6 @@ def q_token_packing(sf_dir: str, n_parts: int | None = None):
     its exact global cumulative sums locally.  pack_id = the PACK_BUDGET
     bucket the doc's pack STARTS in (window-function-reproducible, hence the
     SQL oracle)."""
-    import pyarrow.parquet as pq
-
     import ray
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
     P = n_partitions(n_parts)
@@ -2946,8 +2946,6 @@ def q_revenue_by_region(sf_dir: str, join_mode: str | None = None):
     pinned equal in tests/test_queries.py).  One pass over orders below
     the gate, one custkey exchange above it; the final shuffle is never
     wider than |regions| x blocks."""
-    import pyarrow.parquet as pq
-
     from .agg import grouped_aggregate
     from .factjoin import attach_cust_nationkey
 
@@ -3480,10 +3478,10 @@ def q_tile_pyramid(sf_dir: str):
     z -> z-1 pyramid build: every level after the finest costs
     O(tiles), not O(points)."""
     from ..config import DEFAULT_TILE_RES
-    from ..stages.cells import cell_parent, encode_stage
+    from ..stages.cells import cell_parent
     from .agg import grouped_aggregate
 
-    ds = encode_stage(_dyadic_labeled(sf_dir))
+    ds = _dyadic_labeled(sf_dir, CELL_COLUMNS)
     level = grouped_aggregate(
         ds, ["tile_id"], [("count", None, "n_points")]
     ).materialize()  # |tiles at z| rows

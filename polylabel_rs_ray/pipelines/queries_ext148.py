@@ -41,12 +41,11 @@ from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
 
 
 def q_tile_majority_fixture(sf_dir: str):
-    from ..stages.cells import encode_stage
     from .agg import grouped_aggregate
-    from .queries import _dyadic_labeled
+    from .queries import CELL_COLUMNS, _dyadic_labeled
 
     import ray
-    ds = encode_stage(_dyadic_labeled(sf_dir))
+    ds = _dyadic_labeled(sf_dir, CELL_COLUMNS)
 
     def keyed(batch: pa.Table) -> pa.Table:
         fix = batch.column("doc_num").to_numpy() % docs_mod.N_FIXTURES

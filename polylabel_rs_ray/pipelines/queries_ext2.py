@@ -76,8 +76,8 @@ _TOKENIZED_CACHE: dict[str, object] = {}
 
 def tokenized_docs(sf_dir: str):
     """Documents with their ``\\S+`` token LIST — ONE tokenization pass,
-    checkpointed as fingerprinted partitioned parquet (``queries._checkpoint``,
-    like ``labeled_docs``) and shared by the BM25/TF-IDF family.
+    checkpointed as fingerprinted partitioned parquet (``queries._checkpoint``)
+    and shared by the BM25/TF-IDF family.
     Each consumer streams (doc_id, toks) back and recovers the flat-token
     + offsets view zero-copy via ``toks_flat_from_batch`` instead of
     re-tokenizing the corpus once per pass."""

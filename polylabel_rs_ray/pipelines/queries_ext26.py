@@ -98,14 +98,14 @@ _OFFSETS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
 
 def q_tile_heat_smooth(sf_dir: str):
     from ..config import DEFAULT_TILE_RES
-    from ..stages.cells import decode_cells, encode_cells, encode_stage
+    from ..stages.cells import decode_cells, encode_cells
     from .agg import grouped_aggregate
-    from .queries import _dyadic_labeled
+    from .queries import CELL_COLUMNS, _dyadic_labeled
 
     n = 1 << DEFAULT_TILE_RES
 
     hist = grouped_aggregate(
-        encode_stage(_dyadic_labeled(sf_dir)),
+        _dyadic_labeled(sf_dir, CELL_COLUMNS),
         ["tile_id"],
         [("count", None, "n_points")],
     )

@@ -20,12 +20,11 @@ import pyarrow as pa
 
 
 def q_tile_png_stats(sf_dir: str):
-    from ..stages.cells import encode_stage
     from ..stages.tiles import render_tiles
     from .png import decode_count_grid, encode_count_grid
-    from .queries import _dyadic_labeled
+    from .queries import CELL_COLUMNS, _dyadic_labeled
 
-    ds = encode_stage(_dyadic_labeled(sf_dir))
+    ds = _dyadic_labeled(sf_dir, CELL_COLUMNS)
     tiles = render_tiles(ds)
 
     def png_stage(batch: pa.Table) -> pa.Table:

@@ -55,6 +55,11 @@ def code_digest(root: str = _PKG, dirs: tuple[str, ...] = ENGINE_DIRS) -> str:
 
 
 def build_partition_descs(n_docs: int, n_parts: int, cell_res: int, tile_res: int) -> list[dict]:
+    """``n_parts`` contiguous doc-id ranges over ``0 .. n_docs - 1``, none
+    empty; raises ValueError, before any work, unless
+    ``1 <= n_parts <= n_docs``."""
+    if not 1 <= n_parts <= n_docs:
+        raise ValueError(f"{n_parts} partitions need 1 <= partitions <= docs ({n_docs})")
     bounds = np.linspace(0, n_docs, n_parts + 1, dtype=np.int64)
     return [
         {

@@ -209,17 +209,16 @@ def _synthesize(ds):
 def range_docs(ranges: list[tuple[int, int]]):
     """Interleaved-document Dataset for the doc ids of every ``(lo, hi)``
     range in ``ranges``, with no table behind it: every row is synthesized
-    from its id.  The int64 ``doc_id`` blocks, ``doc_blocks(hi - lo)`` a
-    range, are built on the driver and enter the Dataset through
-    ``from_arrow``, so no read task runs and the synthesis fuses into the
-    label chain.  The price: every id passes through the object store at 8
-    bytes a doc (0.8 GB for a pass over 10^8 docs)."""
+    from its id.  The ids of all ranges, concatenated, are split once into
+    ``doc_blocks(total)`` int64 ``doc_id`` blocks on the driver (a block may
+    hold ids of two ranges) and enter the Dataset through ``from_arrow``,
+    so no read task runs and the synthesis fuses into the label chain.  The
+    price: every id passes through the object store at 8 bytes a doc
+    (0.8 GB for a pass over 10^8 docs)."""
     import ray
 
-    blocks = [pa.table({"doc_id": ids})
-              for lo, hi in ranges
-              for ids in np.array_split(np.arange(lo, hi, dtype=np.int64),
-                                        doc_blocks(hi - lo))]
+    ids = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in ranges])
+    blocks = [pa.table({"doc_id": b}) for b in np.array_split(ids, doc_blocks(len(ids)))]
     return _synthesize(ray.data.from_arrow(blocks))
 
 

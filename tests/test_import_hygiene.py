@@ -2,8 +2,9 @@
 ``state/``, ``run.py``, ``api.py``, ``geojson_cli.py``, ``config.py``),
 checked on the source with ``ast``: the engine never imports the query
 registry under ``pipelines/``, every module ``run.code_digest()`` hashes
-is code the chain runs, and no module of the package or of its tests
-has an unused import."""
+is code the chain runs, the registry labels documents only through
+``run``, and no module of the package or of its tests has an unused
+import."""
 
 import ast
 import os
@@ -98,6 +99,24 @@ def test_engine_digest_covers_only_chain_code():
     digested = [f for f in FILES if f.split(os.sep)[0] in run.ENGINE_DIRS]
     unreached = [f for f in digested if f not in seen]
     assert unreached == [], f"hashed by code_digest() but not run by the chain: {unreached}"
+
+
+LABEL_CHAIN = ("label_points", "labeled_rows", "read_docs")
+
+
+@pytest.mark.parametrize("rel", REGISTRY_FILES)
+def test_registry_labels_only_through_run(rel):
+    """The registry reads the documents' labels from a ``run`` output
+    (``queries.labeled_docs``); only ``flagship.py``, the flagship entry,
+    builds the label chain itself, so no second label route comes back."""
+    if rel == os.path.join("pipelines", "flagship.py"):
+        return
+    tree = ast.parse(_source(rel), rel)
+    bad = sorted({m for m in _imported_modules(rel, tree)
+                  if m.rsplit(".", 1)[-1] in LABEL_CHAIN}
+                 | {n.attr for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and n.attr in LABEL_CHAIN})
+    assert bad == [], f"{rel} builds a label chain of its own: {bad}"
 
 
 def _unused_imports(rel):

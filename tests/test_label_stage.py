@@ -158,8 +158,7 @@ def test_labeled_checkpoint_fingerprint_invalidation(tmp_path, monkeypatch):
         writes.append(path)
 
     def checkpoint():
-        return _checkpoint(str(tmp_path), "labeled", ["documents.parquet"], write,
-                           run.ENGINE_DIRS)
+        return _checkpoint(str(tmp_path), "labeled", ["documents.parquet"], write)
 
     src = tmp_path / "documents.parquet"
     shutil.copy("/root/testdata/sf0.001/documents.parquet", src)
@@ -191,7 +190,6 @@ def test_labeled_checkpoint_stamps_the_lance_table(tmp_path, monkeypatch):
     import os
     import tempfile
 
-    from polylabel_rs_ray import run
     from polylabel_rs_ray.pipelines.queries import _checkpoint
     from polylabel_rs_ray.sources import table
 
@@ -210,8 +208,7 @@ def test_labeled_checkpoint_stamps_the_lance_table(tmp_path, monkeypatch):
 
     def checkpoint():
         return _checkpoint(str(tmp_path), "labeled",
-                           [table.table_path(str(tmp_path), "documents")], write,
-                           run.ENGINE_DIRS)
+                           [table.table_path(str(tmp_path), "documents")], write)
 
     p1 = checkpoint()
     assert checkpoint() == p1 and len(writes) == 1

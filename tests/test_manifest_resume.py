@@ -47,6 +47,20 @@ def test_run_and_resume(ray_session, tmp_path):
     assert is_complete(out, 2, input_fingerprint(parts[2]))
 
 
+def test_run_with_more_partitions_than_docs_fails_before_any_work(ray_session, tmp_path):
+    """Every partition holds at least one doc: asking for more partitions
+    than docs is refused before a Dataset is built or a partition written."""
+    import glob
+
+    from polylabel_rs_ray.run import run
+
+    out = str(tmp_path / "few")
+    for n_parts in (4, 0):
+        with pytest.raises(ValueError):
+            run(out, 3, n_parts)
+    assert glob.glob(os.path.join(out, "part-*")) == []
+
+
 def test_tiles_phase(ray_session, tmp_path):
     from polylabel_rs_ray.run import run
 
@@ -137,6 +151,8 @@ def test_pass_is_one_execution(ray_session, tmp_path, monkeypatch, labelled_rows
     parts = run_mod.build_partition_descs(400, 4, 8, 5)
     s1 = manifest.run_partitioned(out, parts, run_mod.run_label_partition)
     assert (len(built), labelled_rows(), s1["rows"], s1["resumed_skipped"]) == (1, 400, 400, 0)
+    # the ids of all four ranges are split once, not into blocks per range
+    assert built[0].num_blocks() == docs.doc_blocks(400)
     s2 = manifest.run_partitioned(out, parts, run_mod.run_label_partition)
     assert (len(built), labelled_rows(), s2["resumed_skipped"]) == (1, 400, 4)
 
