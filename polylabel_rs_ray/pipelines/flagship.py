@@ -1,6 +1,6 @@
 """Flagship pipeline: the full streaming chain from SURVEY.md §3.4.
 
-    read interleaved docs (doc_id-pruned read, deterministic synthesis)
+    synthesize the documents of ids 0..n-1 (n from the documents table)
       -> map_batches(label_batch)            stateless tasks, Arrow zero-copy
       -> map_batches(append_cell_columns)    stateless tasks
       -> group_map(tile_id, render)          THE shuffle
@@ -8,23 +8,25 @@
 
 Every stage streams; nothing materializes the whole dataset.  The label
 and cell-encode steps are the engine's one chain,
-``stages.label.labeled_rows``; ``run`` and the bench scripts call the same
-chain and differ only in the doc source (``sources.docs.range_docs`` there,
-``read_docs`` here).  Every map stage in the engine runs as a stateless
-task, so Ray Data fuses the cell encode into the label tasks.
+``stages.label.labeled_rows``, over the engine's one doc source,
+``sources.docs.range_docs``, as in ``run`` and the bench scripts; the
+documents table gives only its row count (``table.document_count``,
+which requires the ids ``0..n-1``).  Every map stage in the engine runs as
+a stateless task, so Ray Data fuses the cell encode into the label tasks.
 ``labeled_output`` shapes such rows (the registry reads them from a
 ``run`` output) into the FIXTURES.md §3 table.
 """
 
 from __future__ import annotations
 
-from ..sources.docs import read_docs
+from ..sources.docs import range_docs
 from ..stages.label import labeled_rows
 from ..stages.tiles import render_tiles
+from .table import document_count
 
 
 def flagship_pipeline(sf_dir: str):
-    ds = labeled_rows(read_docs(sf_dir))
+    ds = labeled_rows(range_docs([(0, document_count(sf_dir))]))
     # project BEFORE the tile shuffle: the renderer needs 3 columns; spans +
     # rings riding through the groupby would multiply the exchange ~50x
     # (measured 49 s -> bench-level on 120k docs)

@@ -36,12 +36,12 @@ from ..geom.kernel import polylabel_one
 from ..sources import docs as docs_mod
 from ..sources.docs import DYADIC_CYCLE_IDX as DYADIC_IDX
 from ..sources.fixtures import DYADIC_FIXTURES, FIXTURE_CYCLE, FIXTURES
-from ..sources.table import table_path
 from ..stages.cells import _RES_SHIFT
 from ..stages.join import N_ZONES, zone_table
 from ..stages.util import group_map, shuffle_blocks
 from ..state.manifest import commit_dir, partition_dir
 from .agg import hash_exchange, hash_part, n_partitions
+from .table import document_count, table_path
 
 REGISTRY_DIRS = run.ENGINE_DIRS + ("pipelines",)
 
@@ -87,23 +87,13 @@ def labeled_docs(sf_dir: str):
     their ids into ``_unit_dir(sf_dir, "labeled")``, one partition per
     ``LABEL_BLOCK_ROWS`` docs: every ``run`` column (labels, ``cell_id``,
     ``tile_id``; no ``rings``).  A label is a pure function of its id, so
-    the table enters only through its ``doc_id`` column, which must hold
-    exactly ``0 .. n-1`` (else ValueError), and the partitions' manifests
-    (id range, resolutions, ``code_digest()``) do not stamp the table:
-    rewriting it with the same ids relabels nothing."""
+    the table enters only through ``table.document_count``, which
+    requires its ``doc_id`` column to hold exactly ``0 .. n-1``, and the
+    partitions' manifests (id range, resolutions, ``code_digest()``) do
+    not stamp the table: rewriting it with the same ids relabels nothing."""
     import ray
 
-    path = table_path(sf_dir, "documents")
-    if path.endswith(".lance"):
-        import lance
-
-        table = lance.dataset(path).to_table(columns=["doc_id"])
-    else:
-        table = pq.read_table(path, columns=["doc_id"])
-    ids = np.sort(table.column("doc_id").to_numpy())
-    n = len(ids)
-    if not np.array_equal(ids, np.arange(n)):
-        raise ValueError(f"{path}: the doc ids are not exactly 0..{n - 1}")
+    n = document_count(sf_dir)
     unit = _unit_dir(sf_dir, "labeled")
     n_parts = -(-n // docs_mod.LABEL_BLOCK_ROWS)
     run.run(unit, n, n_parts)
@@ -1594,56 +1584,24 @@ def _bucket_candidate_pairs(group: pa.Table) -> pa.Table:
     })
 
 
-MINHASH_BROADCAST_MAX_DOCS = 1_000_000
-
-
 def q_minhash_near_dup(
     sf_dir: str,
     threshold: float = 0.5,
     n_parts: int | None = None,
-    use_bloom: bool | None = None,
-    verify_mode: str | None = None,
 ):
-    """MinHash+LSH near-dup.  Candidate generation is always the
-    bucket-hash-partitioned band sweep; VERIFICATION is corpus-size-gated
-    (same auto-gating idea as the bloom prefilter below):
-
-    * ``verify_mode="broadcast"`` (auto when the corpus is <=
-      MINHASH_BROADCAST_MAX_DOCS): the (doc_id -> text) map ships to the
-      object store ONCE (``ray.put``) and candidate pairs verify in
-      stateless elastic tasks — zero extra shuffles.  Right whenever the
-      corpus text fits comfortably in the object store (~1M docs).
-    * ``verify_mode="partitioned"`` (auto above the gate): the fully
-      distributed two-pass co-partitioned text join below — 2 extra
-      shuffles, but no stage ever holds the whole corpus.
-
-    Both modes return identical pairs (pinned by
-    tests/test_text_dedup.py::test_minhash_verify_modes_agree).
-
-    The distributed shape, for the partitioned mode:
+    """MinHash+LSH near-dup: a stateless signature + band explode, a
+    bucket-hash-partitioned pair sweep (the one shuffle), then the
+    broadcast exact-Jaccard verify (``verify_candidate_pairs``):
 
       signature -> band explode                        (stateless map_batches)
-      -> groupby(bucket-hash partition) pair sweep     (shuffle 1: bands)
-      -> union(pairs keyed h(doc_b), docs keyed h(doc_id)) -> attach text_b
-                                                       (shuffle 2: join pass B)
-      -> union(attached keyed h(doc_a), docs)          (shuffle 3: join pass A)
-         -> exact-Jaccard verify inside the group
+      -> groupby(bucket-hash partition) pair sweep     (shuffle: bands)
+      -> global pair dedup + verify against the broadcast corpus
 
-    Partitioning assumption: candidate pairs and document texts share the
-    `hash_part(doc_id)` partitioner, so each verify group holds 1/P of the
-    corpus plus exactly the pairs that need those texts.  Global pair dedup
-    falls out of pass B: every copy of a pair (any bucket, any candidate
-    partition) has the same doc_b, so all copies land in one group.
-    Rows-only oracle (pytest pins planted-pair recall and the partitioned
-    path's equality with the single-partition path)."""
-    from .dedup import (
-        LSH_BANDS,
-        band_hashes_batch,
-        jaccard_pct_exact,
-        shingle_strs,
-    )
+    The oracle is the exhaustive set-similarity self-join; pytest also pins
+    planted-pair recall and the partitioned sweep's equality with the
+    single-partition one."""
+    from .dedup import LSH_BANDS, band_hashes_batch
 
-    import ray
     P = n_partitions(n_parts)
     ds = _corpus_with_planted_dups(sf_dir)
 
@@ -1663,222 +1621,78 @@ def q_minhash_near_dup(
 
     banded = ds.map_batches(sign_band, batch_format="pyarrow", zero_copy_batch=True)
     cands = group_map(banded, "part", _bucket_candidate_pairs)
-
-    return verify_candidate_pairs(
-        cands, ds, sf_dir, threshold, P,
-        verify_mode=verify_mode, use_bloom=use_bloom,
-    )
+    return verify_candidate_pairs(cands, sf_dir, threshold)
 
 
-def verify_candidate_pairs(
-    cands,
-    ds,
-    sf_dir: str,
-    threshold: float,
-    P: int,
-    verify_mode: str | None = None,
-    use_bloom: bool | None = None,
-    pre_deduped: bool = False,
-):
-    """Corpus-size-gated exact-Jaccard verification of candidate pairs —
-    the ONE verify stage shared by every similarity self-join whose
-    candidate generator emits (doc_a, doc_b) rows (``minhash_near_dup``'s
-    banded LSH and ``jaccard_join_exact``'s PPJoin prefix filter).
+def verify_candidate_pairs(cands, sf_dir: str, threshold: float,
+                           pre_deduped: bool = False):
+    """Exact-Jaccard verification of candidate pairs — the ONE verify
+    stage shared by every similarity self-join whose candidate generator
+    emits (doc_a, doc_b) rows (``minhash_near_dup``'s banded LSH and
+    ``jaccard_join_exact``'s PPJoin prefix filter).
 
-    * ``verify_mode="broadcast"`` (auto when the corpus is <=
-      MINHASH_BROADCAST_MAX_DOCS): the (doc_id -> text) map ships to the
-      object store ONCE (``ray.put``); pairs verify in stateless tasks.
-    * ``verify_mode="partitioned"`` (auto above the gate): two-pass
-      co-partitioned text join — no stage ever holds the whole corpus.
-    * ``use_bloom`` (auto past ~5M docs, partitioned mode only): bloom
-      semi-join prefilter so only pair-relevant docs cross the shuffles.
+    The (doc_id -> text) map (base corpus + the same deterministic
+    planting ``_corpus_with_planted_dups`` applies) is built from the
+    source parquet — no second pipeline run — and shipped to the object
+    store ONCE (``ray.put``); candidate pairs verify in stateless tasks,
+    with no extra shuffle.  Exact shingle sets are recomputed from the
+    texts, so an LSH/hash collision upstream can only add candidates,
+    never flip a verified pair.
 
-    ``pre_deduped=True`` skips the broadcast path's global pair dedup when
-    the caller already deduplicated (PPJoin's high-cardinality exchange);
-    the partitioned path's pass-B dedup is a free no-op on unique pairs.
-
-    ``ds`` must be the SAME corpus dataset the candidates were generated
-    from (doc_id, text) — both paths recompute exact shingle sets from it,
-    so an LSH/hash collision upstream can only add candidates, never flip
-    a verified pair."""
+    The candidate sweep dedupes only within its partition, and the same
+    pair surfaces from many band buckets (measured ~13x duplication at
+    120k docs), so one small groupby over the 16-byte pair rows dedupes
+    them first; ``pre_deduped=True`` skips it when the caller already
+    deduplicated (PPJoin's high-cardinality exchange)."""
     from .dedup import jaccard_pct_exact, shingle_strs
 
     import ray
 
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
-    if verify_mode is None:
-        verify_mode = (
-            "broadcast" if n_docs <= MINHASH_BROADCAST_MAX_DOCS else "partitioned"
-        )
-    if verify_mode not in ("broadcast", "partitioned"):
-        raise ValueError(verify_mode)
+    if not pre_deduped:
+        from .agg import grouped_aggregate
 
-    if verify_mode == "broadcast":
-        # Small-corpus fast path: the (doc_id -> text) map (base corpus +
-        # the same deterministic planting the dataset applies) is built from
-        # the source parquet — no second pipeline run — and shipped to the
-        # object store ONCE; candidate pairs verify in stateless tasks.
-        #
-        # Global pair dedup first: the partitioned candidate sweep dedupes
-        # only within its partition, and the same pair surfaces from many
-        # band buckets (measured ~13x duplication at 120k docs).  The
-        # partitioned mode gets this for free from pass B; here one tiny
-        # groupby over the 16-byte pair rows does it before any Jaccard
-        # work is spent.
-        if not pre_deduped:
-            from .agg import grouped_aggregate
+        cands = grouped_aggregate(
+            cands, ["doc_a", "doc_b"], [("count", None, "_nbands")]
+        ).select_columns(["doc_a", "doc_b"])
+    base = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    corpus: dict[int, str] = {}
+    for i, t in zip(base.column("doc_id").to_pylist(),
+                    base.column("text").to_pylist()):
+        corpus[int(i)] = t
+        if int(i) % DUP_EVERY == 0:
+            corpus[int(i) + DUP_OFFSET] = mutate_text(t, int(i))
+    corpus_ref = ray.put(corpus)
 
-            cands = grouped_aggregate(
-                cands, ["doc_a", "doc_b"], [("count", None, "_nbands")]
-            ).select_columns(["doc_a", "doc_b"])
-        base = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-        corpus: dict[int, str] = {}
-        for i, t in zip(base.column("doc_id").to_pylist(),
-                        base.column("text").to_pylist()):
-            corpus[int(i)] = t
-            if int(i) % DUP_EVERY == 0:
-                corpus[int(i) + DUP_OFFSET] = mutate_text(t, int(i))
-        corpus_ref = ray.put(corpus)
+    def verify_broadcast(batch: pa.Table) -> pa.Table:
+        texts = ray.get(corpus_ref)
+        cache: dict[int, set] = {}
 
-        def verify_broadcast(batch: pa.Table) -> pa.Table:
-            texts = ray.get(corpus_ref)
-            cache: dict[int, set] = {}
+        def sh(i: int) -> set:
+            v = cache.get(i)
+            if v is None:
+                v = shingle_strs(texts.get(i, ""))
+                cache[i] = v
+            return v
 
-            def sh(i: int) -> set:
-                v = cache.get(i)
-                if v is None:
-                    v = shingle_strs(texts.get(i, ""))
-                    cache[i] = v
-                return v
-
-            A = batch.column("doc_a").to_numpy()
-            B = batch.column("doc_b").to_numpy()
-            da, db, jj = [], [], []
-            for a_id, b_id in zip(A, B):
-                i, u = jaccard_pct_exact(sh(int(a_id)), sh(int(b_id)))
-                if i >= threshold * u:
-                    da.append(int(a_id))
-                    db.append(int(b_id))
-                    jj.append((200 * i + u) // (2 * u))
-            return pa.table({
-                "doc_a": pa.array(da, type=pa.int64()),
-                "doc_b": pa.array(db, type=pa.int64()),
-                "jaccard_pct": pa.array(jj, type=pa.int64()),
-            })
-
-        return cands.map_batches(
-            verify_broadcast, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=8192,
-        )
-
-    # Distributed bloom semi-join prefilter: only docs that can appear in a
-    # candidate pair cross the two verify shuffles (no false negatives ->
-    # results unchanged; false positives ship harmlessly).  It requires
-    # FINISHING candidate generation before the doc passes start, losing
-    # pipeline overlap — measured 3.5x slower at sf0.1 (120k docs) but the
-    # shuffle volume it saves dominates once the corpus text is large, so
-    # it auto-enables past ~5M docs.
-    if use_bloom is None:
-        use_bloom = n_docs > 5_000_000
-    bloom_ref = None
-    if use_bloom:
-        from .bloom import bloom_size_bits, build_bloom
-
-        cands = cands.materialize()  # pair table: tiny vs the corpus
-        n_pairs = cands.count()
-        bloom_ref = ray.put(
-            build_bloom(cands, ["doc_a", "doc_b"], bloom_size_bits(2 * n_pairs))
-        )
-
-    # --- distributed verify: two co-partitioned join passes -----------------
-    def docs_keyed(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy().astype(np.int64)
-        if bloom_ref is not None:
-            from .bloom import bloom_contains
-
-            keep = bloom_contains(ray.get(bloom_ref), ids)
-            batch = batch.filter(pa.array(keep))
-            ids = ids[keep]
-        n = len(ids)
-        return pa.table({
-            "part": pa.array(hash_part(ids, P), type=pa.int64()),
-            "doc_a": pa.array(ids, type=pa.int64()),
-            "doc_b": pa.nulls(n, pa.int64()),
-            "text": batch.column("text"),
-        })
-
-    def pairs_keyed_by_b(batch: pa.Table) -> pa.Table:
-        b = batch.column("doc_b").to_numpy().astype(np.int64)
-        return pa.table({
-            "part": pa.array(hash_part(b, P), type=pa.int64()),
-            "doc_a": batch.column("doc_a"),
-            "doc_b": batch.column("doc_b"),
-            "text": pa.nulls(len(b), pa.string()),
-        })
-
-    docs_keyed_ds = ds.map_batches(docs_keyed, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-
-    def attach_text_b(group: pa.Table) -> pa.Table:
-        is_pair = pc.is_valid(group.column("doc_b"))
-        pairs = group.filter(is_pair)
-        docs = group.filter(pc.invert(is_pair))
-        out_schema = {
-            "doc_a": pa.array([], type=pa.int64()),
-            "doc_b": pa.array([], type=pa.int64()),
-            "text": pa.array([], type=pa.string()),
-        }
-        if pairs.num_rows == 0:
-            return pa.table(out_schema)
-        lut = dict(zip(docs.column("doc_a").to_pylist(), docs.column("text").to_pylist()))
-        A = pairs.column("doc_a").to_numpy().astype(np.int64)
-        B = pairs.column("doc_b").to_numpy().astype(np.int64)
-        # GLOBAL pair dedup: all copies of (a,b) share doc_b => same group
-        key = A * np.int64(1 << 31) + B
-        _, idx = np.unique(key, return_index=True)
-        A, B = A[idx], B[idx]
-        return pa.table({
-            "doc_a": pa.array(A, type=pa.int64()),
-            "doc_b": pa.array(B, type=pa.int64()),
-            "text": pa.array([lut.get(int(b)) for b in B], type=pa.string()),
-        })
-
-    pairs_b = cands.map_batches(pairs_keyed_by_b, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    with_b = group_map(docs_keyed_ds.union(pairs_b), "part", attach_text_b)
-
-    def verify_group(group: pa.Table) -> pa.Table:
-        is_pair = pc.is_valid(group.column("doc_b"))
-        pairs = group.filter(is_pair)
-        docs = group.filter(pc.invert(is_pair))
+        A = batch.column("doc_a").to_numpy()
+        B = batch.column("doc_b").to_numpy()
         da, db, jj = [], [], []
-        if pairs.num_rows:
-            lut = dict(zip(docs.column("doc_a").to_pylist(), docs.column("text").to_pylist()))
-            cache: dict[int, set] = {}
-            A = pairs.column("doc_a").to_pylist()
-            B = pairs.column("doc_b").to_pylist()
-            TB = pairs.column("text").to_pylist()
-            for a_id, b_id, tb in zip(A, B, TB):
-                ta = lut.get(int(a_id))
-                if ta is None or tb is None:
-                    continue
-                sa = cache.get(int(a_id))
-                if sa is None:
-                    sa = shingle_strs(ta)
-                    cache[int(a_id)] = sa
-                i, u = jaccard_pct_exact(sa, shingle_strs(tb))
-                if i >= threshold * u:
-                    da.append(int(a_id))
-                    db.append(int(b_id))
-                    jj.append((200 * i + u) // (2 * u))
+        for a_id, b_id in zip(A, B):
+            i, u = jaccard_pct_exact(sh(int(a_id)), sh(int(b_id)))
+            if i >= threshold * u:
+                da.append(int(a_id))
+                db.append(int(b_id))
+                jj.append((200 * i + u) // (2 * u))
         return pa.table({
             "doc_a": pa.array(da, type=pa.int64()),
             "doc_b": pa.array(db, type=pa.int64()),
             "jaccard_pct": pa.array(jj, type=pa.int64()),
         })
 
-    docs_a = docs_keyed_ds.drop_columns(["part"])
-    return hash_exchange(with_b.union(docs_a), "doc_a", verify_group, P)
+    return cands.map_batches(
+        verify_broadcast, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=8192,
+    )
 
 
 TOP_BIGRAMS_K = 20
@@ -2937,20 +2751,17 @@ SQL_VIEW_ONLY_HOURS = """
 """
 
 
-def q_revenue_by_region(sf_dir: str, join_mode: str | None = None):
+def q_revenue_by_region(sf_dir: str):
     """Join chain region ⨝ nation ⨝ customer ⨝ orders, split by scale
     class: nation/region are bounded dims (a 25-entry nationkey→r_name
     lookup broadcast into the stage closure), while CUSTOMER is a
-    fact-scaled table — it attaches through the size-gated broadcast /
-    co-partitioned exchange (pipelines/factjoin.attach_cust_nationkey; modes
-    pinned equal in tests/test_queries.py).  One pass over orders below
-    the gate, one custkey exchange above it; the final shuffle is never
-    wider than |regions| x blocks."""
+    fact-scaled table — it attaches through the broadcast lookup
+    (pipelines/factjoin.attach_cust_nationkey).  One pass over orders; the
+    final shuffle is never wider than |regions| x blocks."""
     from .agg import grouped_aggregate
     from .factjoin import attach_cust_nationkey
 
     import ray
-    P = n_partitions(None)
     region = pq.read_table(f"{sf_dir}/region.parquet")
     nation = pq.read_table(f"{sf_dir}/nation.parquet")
     nkey = nation.column("n_nationkey").to_numpy().astype(np.int64)
@@ -2975,8 +2786,7 @@ def q_revenue_by_region(sf_dir: str, join_mode: str | None = None):
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     ).map_batches(fact, batch_format="pyarrow", zero_copy_batch=True)
-    joined = attach_cust_nationkey(sf_dir, orders, ["revenue_cents"], P,
-                                   mode=join_mode)
+    joined = attach_cust_nationkey(sf_dir, orders, ["revenue_cents"])
 
     def name_region(batch: pa.Table) -> pa.Table:
         nk = batch.column("nk").to_numpy().astype(np.int64)

@@ -33,7 +33,7 @@ def _dyadic_rings_ds(sf_dir: str):
     """Dataset of (doc_num, rings) restricted to the dyadic fixtures —
     pruned at the source (only doc_id leaves storage; rings are
     synthesized per batch, spans never built)."""
-    from ..sources.table import read_table
+    from .table import read_table
 
     ds = read_table(sf_dir, "documents", columns=["doc_id"])
 

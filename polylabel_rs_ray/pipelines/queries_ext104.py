@@ -65,9 +65,8 @@ def q_market_share_q8(sf_dir: str, n_parts: int | None = None):
     nrk = nat.column("n_regionkey").to_numpy().astype(np.int64)
     asia_nations = np.sort(nk[nrk == region_key])
     # the region membership flag attaches to orders through the
-    # size-gated broadcast / co-partitioned customer join (customer is
-    # fact-scaled; pipelines/factjoin.attach_fact_value) — never a driver
-    # scan of the whole customer table
+    # broadcast customer lookup (customer is fact-scaled;
+    # pipelines/factjoin.attach_fact_value)
 
     # broadcast side 2: ECONOMY partkeys
     part = pq.read_table(f"{sf_dir}/part.parquet",
@@ -188,7 +187,7 @@ def q_market_share_q8(sf_dir: str, n_parts: int | None = None):
             columns=["o_orderkey", "o_custkey", "o_orderdate"],
         ).map_batches(orders_fact, batch_format="pyarrow",
                       zero_copy_batch=True),
-        ["o_orderkey", "order_date_us"], P, out_col="in_region",
+        ["o_orderkey", "order_date_us"], out_col="in_region",
         side_val_fn=lambda a: np.isin(
             a.astype(np.int64), asia_nations).astype(np.int64),
     )

@@ -8,12 +8,11 @@ per-type counts (HHI = sumsq/n², emitted as the two integers so no
 float division crosses the oracle boundary), plus the distinct type
 count.  Shape: the part TYPE domain (bounded, 150 values) is discovered
 distributedly (pipelines/agg.distinct_values), the partkey -> type-class
-attach AND the orders FACT attach both go through the size-gated
-broadcast / co-partitioned exchange (pipelines/factjoin.attach_fact_value
-/ attach_order_custkey — part scales at 200k rows/sf, a dim at sf1 but
-a fact at 100x; modes pinned equal in pytest), then a (custkey,
-type-class) hash aggregate whose bounded per-customer fan-in (≤150
-types) collapses map-side before the final per-customer fold.
+attach AND the orders FACT attach both go through the broadcast
+lookup (pipelines/factjoin.attach_fact_value / attach_order_custkey),
+then a (custkey, type-class) hash aggregate whose bounded per-customer
+fan-in (≤150 types) collapses map-side before the final per-customer
+fold.
 Oracle: the same two-level GROUP BY.
 
 ``brand_share_by_type`` — per part type: total revenue and the
@@ -21,7 +20,7 @@ dominant brand (argmax by revenue, ties to the lexicographically
 smallest brand) with its revenue, in the repo's exact integer
 cent·percent units (``round(price·100) · (100 − round(disc·100))``).
 The partkey -> (type, brand) attach packs both bounded class ids into
-one int64 side value through the size-gated fact join; the
+one int64 side value through the broadcast fact join; the
 (type, brand) aggregate is bounded (150 types × 25 brands); the
 argmax is the packed max-key discipline (revenue is non-negative,
 brands integer-classed by sorted index so the packed
@@ -40,7 +39,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .agg import n_partitions
 
 
 def _rev_cents_pct(batch: pa.Table) -> np.ndarray:
@@ -57,19 +55,14 @@ def _rev_cents_pct(batch: pa.Table) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def q_customer_parttype_hhi(
-    sf_dir: str,
-    join_mode: str | None = None,
-    part_mode: str | None = None,
-):
+def q_customer_parttype_hhi(sf_dir: str):
     from .agg import distinct_values, grouped_aggregate
     from .factjoin import attach_fact_value, attach_order_custkey
 
     import ray
-    P = n_partitions(None)
     # part TYPE domain is bounded (150 values) and discovered distributedly;
-    # the partkey -> type-class attach itself goes through the size-gated
-    # fact join (part scales at 200k rows/sf — a dim at sf1, a fact at 100x)
+    # the partkey -> type-class attach itself goes through the broadcast
+    # fact join (pipelines/factjoin.py)
     types = distinct_values(f"{sf_dir}/part.parquet", "p_type")
     tidx = {t: i for i, t in enumerate(types)}
 
@@ -86,13 +79,10 @@ def q_customer_parttype_hhi(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     ).map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
     fact = attach_fact_value(
-        sf_dir, "part", "p_partkey", "p_type", ds, ["okey"], P,
-        mode=part_mode, out_col="t", side_val_fn=type_cls,
+        sf_dir, "part", "p_partkey", "p_type", ds, ["okey"],
+        out_col="t", side_val_fn=type_cls,
     )
-
-    # orders attach: size-gated broadcast / co-partitioned exchange
-    # (orders is a fact, not a dim — pipelines/factjoin.py)
-    joined = attach_order_custkey(sf_dir, fact, ["t"], P, mode=join_mode)
+    joined = attach_order_custkey(sf_dir, fact, ["t"])
 
     def ones(batch: pa.Table) -> pa.Table:
         return batch.append_column(
@@ -143,15 +133,14 @@ FROM ct GROUP BY c_custkey
 # --------------------------------------------------------------------------
 
 
-def q_brand_share_by_type(sf_dir: str, part_mode: str | None = None):
+def q_brand_share_by_type(sf_dir: str):
     from .agg import distinct_values, grouped_aggregate
     from .factjoin import attach_fact_value
 
     import ray
-    P = n_partitions(None)
     # bounded domains (150 types x 25 brands) discovered distributedly;
-    # the part attach is size-gated (pipelines/factjoin.py) with both class
-    # ids packed into ONE int64 side value (tc * B + bc)
+    # the part attach (pipelines/factjoin.py) packs both class ids into
+    # ONE int64 side value (tc * B + bc)
     types = distinct_values(f"{sf_dir}/part.parquet", "p_type")
     brands = distinct_values(f"{sf_dir}/part.parquet", "p_brand")
     tidx = {t: i for i, t in enumerate(types)}
@@ -176,8 +165,8 @@ def q_brand_share_by_type(sf_dir: str, part_mode: str | None = None):
         columns=["l_partkey", "l_extendedprice", "l_discount"],
     ).map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
     attached = attach_fact_value(
-        sf_dir, "part", "p_partkey", ["p_type", "p_brand"], ds, ["rev"], P,
-        mode=part_mode, out_col="tb", side_val_fn=pack_type_brand,
+        sf_dir, "part", "p_partkey", ["p_type", "p_brand"], ds, ["rev"],
+        out_col="tb", side_val_fn=pack_type_brand,
     )
 
     def unpack(batch: pa.Table) -> pa.Table:

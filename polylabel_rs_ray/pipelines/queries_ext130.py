@@ -16,8 +16,7 @@ chain: per customer, the bitmask and count of supplier REGIONS their
 lineitems touch (lineitem → orders (orderkey→cust) → supplier →
 nation → region), and the has-all-regions flag.  supplier/nation/
 region broadcast once (tiny bounded dims); the orders FACT attaches
-through the size-gated broadcast/co-partitioned exchange
-(pipelines/factjoin.attach_order_custkey — modes pinned equal in pytest);
+through the broadcast lookup (pipelines/factjoin.attach_order_custkey);
 distinct (cust, region) collapses map-side, the mask is
 Σ 2^region over the distinct pairs.  Oracle: joins + bit_or /
 COUNT(DISTINCT).
@@ -34,7 +33,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .agg import n_partitions
 
 WEEK_US = 7 * 86_400_000_000
 
@@ -126,21 +124,16 @@ FROM uw GROUP BY user_id
 # --------------------------------------------------------------------------
 
 
-def q_customer_region_coverage(
-    sf_dir: str,
-    join_mode: str | None = None,
-    supp_mode: str | None = None,
-):
+def q_customer_region_coverage(sf_dir: str):
     import pyarrow.parquet as pq
 
     from .agg import grouped_aggregate
     from .factjoin import attach_fact_value, attach_order_custkey
 
     import ray
-    P = n_partitions(None)
     # nation is a TRUE bounded dim (25 rows) — its nationkey -> regionkey
     # map closes over the side_val_fn; supplier scales at 10k rows/sf, so
-    # its suppkey -> region attach goes through the size-gated fact join
+    # its suppkey -> region attach goes through the broadcast fact join
     # (pipelines/factjoin.py), as does the orders attach below
     nat = pq.read_table(f"{sf_dir}/nation.parquet",
                         columns=["n_nationkey", "n_regionkey"])
@@ -166,10 +159,10 @@ def q_customer_region_coverage(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_suppkey"]
     ).map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
     fact = attach_fact_value(
-        sf_dir, "supplier", "s_suppkey", "s_nationkey", ds, ["okey"], P,
-        mode=supp_mode, out_col="r", side_val_fn=nation_to_region,
+        sf_dir, "supplier", "s_suppkey", "s_nationkey", ds, ["okey"],
+        out_col="r", side_val_fn=nation_to_region,
     )
-    joined = attach_order_custkey(sf_dir, fact, ["r"], P, mode=join_mode)
+    joined = attach_order_custkey(sf_dir, fact, ["r"])
 
     # map-side distinct (c, r) collapse before the global aggregate
     def pairs(batch: pa.Table) -> pa.Table:

@@ -9,8 +9,7 @@ split deterministically), and orders roll up per bucket: customers,
 orders, exact revenue cents.  Shape: the decile boundaries come from
 a DISTRIBUTED cents histogram (bounded by the 1.1M-value acctbal
 domain, never O(customers)); the customer balance attaches to orders
-through the size-gated broadcast / co-partitioned fact join
-(pipelines/factjoin.attach_fact_value — modes pinned equal in pytest);
+through the broadcast fact join (pipelines/factjoin.attach_fact_value);
 one hash aggregate over orders.  Oracle: the same ROW_NUMBER boundary
 extraction + a boundary-count join.
 
@@ -33,7 +32,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .agg import n_partitions
 from .queries_ext120 import HOUR_US, _bucket_counts
 
 QQ_DECILES = tuple(range(1, 10))
@@ -44,12 +42,11 @@ QQ_DECILES = tuple(range(1, 10))
 # --------------------------------------------------------------------------
 
 
-def q_balance_decile_order_stats(sf_dir: str, join_mode: str | None = None):
+def q_balance_decile_order_stats(sf_dir: str):
     from .agg import grouped_aggregate
     from .factjoin import attach_fact_value
 
     import ray
-    P = n_partitions(None)
 
     # exact decile bounds via the DISTRIBUTED cents histogram: per-batch
     # (cents, count) partials, one bounded aggregate (|distinct cents| <=
@@ -84,7 +81,7 @@ def q_balance_decile_order_stats(sf_dir: str, join_mode: str | None = None):
     n_cust_per_dec = np.bincount(
         dec_of_val, weights=hc, minlength=10).astype(np.int64)
 
-    # orders x customer: the size-gated fact attach (cents derived from
+    # orders x customer: the broadcast fact attach (cents derived from
     # c_acctbal by side_val_fn); decile = #bounds <= cents, per batch
     def fact(batch: pa.Table) -> pa.Table:
         cents = np.round(
@@ -98,8 +95,8 @@ def q_balance_decile_order_stats(sf_dir: str, join_mode: str | None = None):
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     ).map_batches(fact, batch_format="pyarrow", zero_copy_batch=True)
     joined = attach_fact_value(
-        sf_dir, "customer", "c_custkey", "c_acctbal", orders, ["rev"], P,
-        mode=join_mode, out_col="bal",
+        sf_dir, "customer", "c_custkey", "c_acctbal", orders, ["rev"],
+        out_col="bal",
         side_val_fn=lambda a: np.round(a * 100.0).astype(np.int64),
     )
 

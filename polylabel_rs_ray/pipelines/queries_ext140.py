@@ -33,7 +33,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .agg import n_partitions
 
 MOM_SHARDS = 32
 
@@ -140,12 +139,11 @@ SELECT CAST((SELECT m FROM exact) AS BIGINT) AS exact_median_cents,
 # --------------------------------------------------------------------------
 
 
-def q_simpsons_paradox_slices(sf_dir: str, supp_mode: str | None = None):
+def q_simpsons_paradox_slices(sf_dir: str):
     from .agg import grouped_aggregate
     from .factjoin import attach_fact_value
 
     import ray
-    P = n_partitions(None)
 
     def partials(batch: pa.Table) -> pa.Table:
         x = batch.column("l_quantity").to_numpy().astype(np.int64)
@@ -161,14 +159,14 @@ def q_simpsons_paradox_slices(sf_dir: str, supp_mode: str | None = None):
         })
 
     # supplier scales at 10k rows/sf — the suppkey -> nation attach goes
-    # through the size-gated broadcast / co-partitioned fact join
+    # through the broadcast fact join
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_suppkey", "l_quantity", "l_extendedprice"],
     ).map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
     attached = attach_fact_value(
         sf_dir, "supplier", "s_suppkey", "s_nationkey", ds,
-        ["one", "sx", "sy", "sxy"], P, mode=supp_mode, out_col="nation",
+        ["one", "sx", "sy", "sxy"], out_col="nation",
     )
 
     agg = grouped_aggregate(

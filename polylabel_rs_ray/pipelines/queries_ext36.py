@@ -25,12 +25,9 @@ Distributed shape (tau never changes the exchange structure):
                                         triu expansion + size filter
                                         (min >= tau*max prunes free)
   -> pair dedup + exact verify          exchange 4: high-cardinality pair
-                                        hash; then the corpus-size-GATED
+                                        hash; then the broadcast-corpus
                                         verify shared with minhash
-                                        (queries.verify_candidate_pairs):
-                                        broadcast <= 1M docs, two-pass
-                                        co-partitioned text join (+ bloom
-                                        semi-join past ~5M docs) above
+                                        (queries.verify_candidate_pairs)
 
 Candidate volume is bounded by prefix-shingle bucket sizes; rarest-first
 ordering makes those buckets the rarest shingles in each document.
@@ -78,7 +75,6 @@ def q_jaccard_join_exact(
     sf_dir: str,
     tau: float = TAU,
     n_parts: int | None = None,
-    verify_mode: str | None = None,
     force_exact: bool = False,
 ):
     from .agg import _key_hash, grouped_aggregate
@@ -105,9 +101,7 @@ def q_jaccard_join_exact(
         )
         from .queries import q_minhash_near_dup
 
-        return q_minhash_near_dup(
-            sf_dir, threshold=tau, n_parts=n_parts, verify_mode=verify_mode
-        )
+        return q_minhash_near_dup(sf_dir, threshold=tau, n_parts=n_parts)
 
     P = n_partitions(n_parts)
 
@@ -275,17 +269,11 @@ def q_jaccard_join_exact(
         cands, ["doc_a", "doc_b"], [("count", None, "_n")],
     ).select_columns(["doc_a", "doc_b"]).repartition(4)
 
-    # exact verify: the corpus-size-gated stage shared with minhash —
-    # broadcast (doc_id -> text) map below MINHASH_BROADCAST_MAX_DOCS,
-    # the two-pass co-partitioned text join (+ bloom semi-join past ~5M
-    # docs) above it.  Modes pinned equal by
-    # tests/test_text_dedup.py::test_ppjoin_verify_modes_agree.
+    # exact verify against the broadcast (doc_id -> text) map, the stage
+    # shared with minhash
     from .queries import verify_candidate_pairs
 
-    return verify_candidate_pairs(
-        cands, _corpus_with_planted_dups(sf_dir), sf_dir, tau, P,
-        verify_mode=verify_mode, pre_deduped=True,
-    )
+    return verify_candidate_pairs(cands, sf_dir, tau, pre_deduped=True)
 
 
 def build_queries_ext36() -> dict:

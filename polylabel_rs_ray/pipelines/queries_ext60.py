@@ -80,8 +80,7 @@ def _attach_inner(group: pa.Table, key: str) -> pa.Table:
     return pa.table(out)
 
 
-def q_shipping_priority_q3(sf_dir: str, n_parts: int | None = None,
-                           join_mode: str | None = None):
+def q_shipping_priority_q3(sf_dir: str, n_parts: int | None = None):
     from .agg import grouped_aggregate
     from .factjoin import attach_fact_value
 
@@ -90,7 +89,7 @@ def q_shipping_priority_q3(sf_dir: str, n_parts: int | None = None,
     cut_us = _ts_us(Q3_CUT)
 
     # semi-join side: the segment membership flag attaches to orders
-    # through the size-gated broadcast / co-partitioned customer join
+    # through the broadcast customer lookup
     # (customer is fact-scaled; pipelines/factjoin.attach_fact_value)
     def orders_fact(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -105,7 +104,7 @@ def q_shipping_priority_q3(sf_dir: str, n_parts: int | None = None,
     ).map_batches(orders_fact, batch_format="pyarrow", zero_copy_batch=True)
     flagged = attach_fact_value(
         sf_dir, "customer", "c_custkey", "c_mktsegment", ofact,
-        ["o_orderkey", "order_date_us"], P, mode=join_mode, out_col="in_seg",
+        ["o_orderkey", "order_date_us"], out_col="in_seg",
         side_val_fn=lambda a: (a == Q3_SEGMENT).astype(np.int64),
     )
 

@@ -8,8 +8,8 @@ one chain, ``stages.label.labeled_rows`` over ``sources.docs.range_docs``
 (synthesize -> label -> cell-encode), as one streaming Dataset execution;
 the driver commits each partition, a parquet file + lineage manifest, as
 soon as all its rows are in.  The flagship runs the same chain over
-``read_docs``.  A re-run skips partitions whose manifest matches the input
-fingerprint and builds no Dataset when none is pending.
+``range_docs([(0, n)])``.  A re-run skips partitions whose manifest
+matches the input fingerprint and builds no Dataset when none is pending.
 Phase 2: tile rendering over exactly this run's partitions (the
 ``group_map`` on tile_id), committed beside them like a partition and
 skipped when its manifest matches.  Once the run summary is written, the

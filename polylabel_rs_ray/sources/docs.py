@@ -2,16 +2,17 @@
 
 Input table shape per ``BASELINE.json`` ``input_hint``:
 
-    doc_id:    string      (derived from the integer doc_id of the sf tables)
+    doc_id:    string      (derived from the integer doc id)
     spans:     list<struct<kind: string, text: string, media_ref: string,
                            offset: int32>>
     rings:     list<list<fixed_size_list<double, 2>>>   ring 0 = exterior
     tolerance: double
 
 Everything is a pure function of the integer ``doc_id`` (seed-free), so any
-shard of the table can be synthesized independently on any worker — the
-property that lets the same generator run at 10^12-doc scale as a
-``map_batches`` over a doc_id range dataset.
+shard of the table can be synthesized independently on any worker.  The
+one source, ``range_docs``, therefore needs no table: it synthesizes the
+documents of doc-id ranges, and every caller (``run``, the flagship, the
+bench scripts) names its documents by such ranges.
 
 Geometry: row i carries fixture ``FIXTURE_CYCLE[i % 9]`` translated by the
 integer offset ``(i*37 % 1000, i*73 % 1000)``.  For the dyadic fixtures
@@ -175,14 +176,6 @@ def attach_interleaved(batch: pa.Table) -> pa.Table:
     return out
 
 
-# Doc block sizing: a single parquet file reads as ONE block, which would
-# serialize the downstream label chain (measured 12-17x on 120k docs).
-# Below RESPLIT_MAX_ROWS the doc_id column is cheap enough (8 bytes/row) to
-# re-split into ~LABEL_BLOCK_ROWS-row blocks; above it — the 10^12-doc
-# deployment — the table is many files/fragments and the reader's natural
-# sharding provides the parallelism, so a repartition of the id column would
-# be a pointless all-to-all.
-RESPLIT_MAX_ROWS = 50_000_000
 # Rows a doc block holds.  It is not the label task size: a label task
 # bundles whole blocks up to ``label.LABEL_BATCH_ROWS`` rows, i.e. two
 # 300-row blocks.  Since fixtures cycle with the doc id, every block of
@@ -191,7 +184,7 @@ LABEL_BLOCK_ROWS = 300
 
 
 def doc_blocks(rows: int) -> int:
-    """Block count for ``rows`` docs, the one rule of every doc source:
+    """Block count for ``rows`` docs, the one block rule of ``range_docs``:
     ~LABEL_BLOCK_ROWS rows a block, at least ``shuffle_blocks()`` blocks
     (one a CPU, at least 8), at most 4096."""
     from ..stages.util import shuffle_blocks
@@ -220,27 +213,3 @@ def range_docs(ranges: list[tuple[int, int]]):
     ids = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in ranges])
     blocks = [pa.table({"doc_id": b}) for b in np.array_split(ids, doc_blocks(len(ids)))]
     return _synthesize(ray.data.from_arrow(blocks))
-
-
-def read_docs(sf_dir: str):
-    """Interleaved-document Dataset derived from the sf documents table.
-
-    On a real deployment this is ``ray.data.read_lance`` over the Lance table
-    (input_hint); in this sandbox the same logical table is synthesized
-    deterministically from the documents table's doc_id column — only the
-    needed column leaves storage (prune-at-read).  The format is resolved by
-    ``sources.table.read_table`` (Lance if available, Parquet fallback).
-    Small single-file tables are re-split to ``doc_blocks`` blocks so the
-    label chain parallelizes (see RESPLIT_MAX_ROWS note above)."""
-    from .table import read_table
-
-    ds = read_table(sf_dir, "documents", columns=["doc_id"])
-    try:
-        import pyarrow.parquet as pq
-
-        rows = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    except Exception:  # noqa: BLE001 — non-parquet source: trust its sharding
-        rows = None
-    if rows and rows <= RESPLIT_MAX_ROWS:
-        ds = ds.repartition(doc_blocks(rows))
-    return _synthesize(ds)

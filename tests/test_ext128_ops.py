@@ -85,33 +85,3 @@ def test_brand_share_brute(ray_session, con):
         assert row["top_rev"] == grp["rev"].iloc[0]
         assert row["total_rev"] == grp["rev"].sum()
         assert row["top_rev"] <= row["total_rev"]
-
-
-def test_hhi_join_modes_agree(ray_session):
-    """The size-gated orders attach (pipelines/factjoin.attach_order_custkey)
-    is mode-invariant: broadcast == co-partitioned exchange."""
-    from polylabel_rs_ray.pipelines.queries_ext128 import q_customer_parttype_hhi
-
-    a = _norm(q_customer_parttype_hhi(SF, join_mode="broadcast").to_pandas())
-    b = _norm(q_customer_parttype_hhi(SF, join_mode="partitioned").to_pandas())
-    assert len(a) == len(b) > 0
-    assert a.equals(b)
-
-
-def test_part_attach_modes_agree(ray_session):
-    """The part-dimension attach now routes through the size-gated
-    pipelines/factjoin.attach_fact_value (VERDICT r4 finding #2): the
-    broadcast and co-partitioned modes are value-equal for both the
-    single-column (type class) and the packed two-column (type, brand)
-    side derivations."""
-    from polylabel_rs_ray.pipelines.queries_ext128 import (
-        q_brand_share_by_type, q_customer_parttype_hhi,
-    )
-
-    a = _norm(q_customer_parttype_hhi(SF, part_mode="broadcast").to_pandas())
-    b = _norm(q_customer_parttype_hhi(SF, part_mode="partitioned").to_pandas())
-    assert len(a) == len(b) > 0 and a.equals(b)
-
-    a = _norm(q_brand_share_by_type(SF, part_mode="broadcast").to_pandas())
-    b = _norm(q_brand_share_by_type(SF, part_mode="partitioned").to_pandas())
-    assert len(a) == len(b) > 0 and a.equals(b)

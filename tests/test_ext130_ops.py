@@ -80,26 +80,3 @@ def test_regions_mask_identities(ray_session):
     assert ((d["has_all"] == 1) == (d["n_regions"]
                                     == d["n_regions"].max())).all() or \
         (d["has_all"] == 0).all()
-
-
-def test_region_coverage_join_modes_agree(ray_session):
-    """The size-gated orders attach (pipelines/factjoin.attach_order_custkey)
-    is mode-invariant: broadcast == co-partitioned exchange."""
-    from polylabel_rs_ray.pipelines.queries_ext130 import q_customer_region_coverage
-
-    a = _norm(q_customer_region_coverage(SF, join_mode="broadcast").to_pandas())
-    b = _norm(q_customer_region_coverage(SF, join_mode="partitioned").to_pandas())
-    assert len(a) == len(b) > 0
-    assert a.equals(b)
-
-
-def test_supplier_attach_modes_agree(ray_session):
-    """The supplier attach routes through the size-gated
-    pipelines/factjoin.attach_fact_value (VERDICT r4 finding #2), with the
-    bounded nation->region map closed over the side derivation: broadcast
-    == co-partitioned exchange."""
-    from polylabel_rs_ray.pipelines.queries_ext130 import q_customer_region_coverage
-
-    a = _norm(q_customer_region_coverage(SF, supp_mode="broadcast").to_pandas())
-    b = _norm(q_customer_region_coverage(SF, supp_mode="partitioned").to_pandas())
-    assert len(a) == len(b) > 0 and a.equals(b)

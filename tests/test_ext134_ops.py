@@ -90,17 +90,3 @@ def test_islands_brute(ray_session, con):
         assert row["longest_run"] == max(runs)
         # islands partition the observed hours
         assert sum(runs) == len(hs)
-
-
-def test_balance_decile_join_modes_agree(ray_session):
-    """The size-gated customer attach is mode-invariant for the decile
-    rollup: broadcast == co-partitioned exchange."""
-    from polylabel_rs_ray.pipelines.queries_ext134 import (
-        q_balance_decile_order_stats,
-    )
-
-    a = q_balance_decile_order_stats(SF, join_mode="broadcast").to_pandas()
-    b = q_balance_decile_order_stats(SF, join_mode="partitioned").to_pandas()
-    assert len(a) == len(b) == 10
-    assert a.sort_values("decile").reset_index(drop=True).equals(
-        b.sort_values("decile").reset_index(drop=True))

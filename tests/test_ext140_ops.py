@@ -91,14 +91,3 @@ def test_simpson_brute(ray_session, con):
     pooled = tot_n * tot_sxy - tot_sx * tot_sy
     assert int(d.loc["ALL", "cov_num"]) == pooled
     assert d.loc["ALL", "n"] == tot_n
-
-
-def test_simpson_supplier_attach_modes_agree(ray_session):
-    """The supplier->nation attach routes through the size-gated
-    pipelines/factjoin.attach_fact_value (VERDICT r4 finding #2): broadcast
-    == co-partitioned exchange, covariance partials intact."""
-    from polylabel_rs_ray.pipelines.queries_ext140 import q_simpsons_paradox_slices
-
-    a = _norm(q_simpsons_paradox_slices(SF, supp_mode="broadcast").to_pandas())
-    b = _norm(q_simpsons_paradox_slices(SF, supp_mode="partitioned").to_pandas())
-    assert len(a) == len(b) > 0 and a.equals(b)

@@ -80,20 +80,3 @@ def test_jaccard_join_partition_invariant(ray_session):
     a = _sorted(q_jaccard_join_exact(SF, n_parts=1).to_pandas())
     b = _sorted(q_jaccard_join_exact(SF, n_parts=5).to_pandas())
     assert a.equals(b)
-
-
-def test_ppjoin_verify_modes_agree(ray_session):
-    """The corpus-size-gated verify stage (shared with minhash via
-    queries.verify_candidate_pairs) returns the identical pair set in
-    broadcast mode and in the fully distributed co-partitioned mode."""
-    from polylabel_rs_ray.pipelines.queries_ext36 import q_jaccard_join_exact
-
-    bc = q_jaccard_join_exact(SF, verify_mode="broadcast").to_pandas()
-    pt = q_jaccard_join_exact(SF, verify_mode="partitioned").to_pandas()
-    sb = set(zip(bc.doc_a, bc.doc_b, bc.jaccard_pct))
-    sp = set(zip(pt.doc_a, pt.doc_b, pt.jaccard_pct))
-    assert sb == sp and len(sb) > 0
-    # each pair exactly once in BOTH modes (candidates are pre-deduped by
-    # the high-cardinality pair exchange; the partitioned pass-B dedup is
-    # a no-op on the already-unique pairs)
-    assert len(bc) == len(sb) and len(pt) == len(sp)

@@ -55,27 +55,11 @@ def test_pagerank_matches_dense_power_iteration(ray_session):
     assert set(got["p_partkey"]) == set(node_ids[order])
 
 
-def test_pagerank_dense_and_keyed_paths_agree(ray_session):
-    """The size-gated dense path and the scale-safe co-partitioned path
-    are the same algorithm: identical top-k set and ranks to float
-    tolerance (summation orders differ, exact bits may not)."""
-    from polylabel_rs_ray.pipelines.queries_ext6 import q_pagerank_parts
-
-    dense = q_pagerank_parts(SF, force_path="dense")
-    dense = dense.to_pandas() if hasattr(dense, "to_pandas") else dense
-    keyed = q_pagerank_parts(SF, force_path="keyed").to_pandas()
-    d = dense.sort_values("p_partkey").reset_index(drop=True)
-    k = keyed.sort_values("p_partkey").reset_index(drop=True)
-    assert list(d["p_partkey"]) == list(k["p_partkey"])
-    assert np.allclose(d["rank"].to_numpy(), k["rank"].to_numpy(),
-                       rtol=1e-9, atol=1e-14)
-
-
 def test_pagerank_conserves_mass(ray_session):
     import pyarrow.parquet as pq
 
     from polylabel_rs_ray.pipelines.queries import q_part_pair_counts
-    from polylabel_rs_ray.pipelines.queries_ext6 import pagerank_over_pairs
+    from polylabel_rs_ray.pipelines.queries_ext6 import pagerank_dense
 
     edges = q_part_pair_counts(SF).materialize()
     node_ids = np.sort(
@@ -84,6 +68,6 @@ def test_pagerank_conserves_mass(ray_session):
         .to_numpy()
         .astype(np.int64)
     )
-    r = pagerank_over_pairs(edges, node_ids, iters=3)
+    r = pagerank_dense(edges, node_ids, iters=3)
     assert abs(r.sum() - 1.0) < 1e-9
     assert (r > 0).all()

@@ -3,8 +3,8 @@
 checked on the source with ``ast``: the engine never imports the query
 registry under ``pipelines/``, every module ``run.code_digest()`` hashes
 is code the chain runs, the registry labels documents only through
-``run``, and no module of the package or of its tests has an unused
-import."""
+``run``, no module of the package reads the environment, and no module
+of the package or of its tests has an unused import."""
 
 import ast
 import os
@@ -101,7 +101,7 @@ def test_engine_digest_covers_only_chain_code():
     assert unreached == [], f"hashed by code_digest() but not run by the chain: {unreached}"
 
 
-LABEL_CHAIN = ("label_points", "labeled_rows", "read_docs")
+LABEL_CHAIN = ("label_points", "labeled_rows", "range_docs")
 
 
 @pytest.mark.parametrize("rel", REGISTRY_FILES)
@@ -117,6 +117,21 @@ def test_registry_labels_only_through_run(rel):
                  | {n.attr for n in ast.walk(tree)
                     if isinstance(n, ast.Attribute) and n.attr in LABEL_CHAIN})
     assert bad == [], f"{rel} builds a label chain of its own: {bad}"
+
+
+def test_package_reads_no_environment():
+    """No module of the package reads ``os.environ`` or ``os.getenv``:
+    what it computes depends on its arguments and its inputs only."""
+    bad = []
+    for rel in sorted(os.path.relpath(os.path.join(d, f), ROOT)
+                      for d, _, fs in os.walk(ROOT) for f in fs if f.endswith(".py")):
+        for node in ast.walk(ast.parse(_source(rel), rel)):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                bad.append(f"{rel}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                bad += [f"{rel}:{node.lineno}" for a in node.names
+                        if a.name in ("environ", "getenv")]
+    assert bad == [], f"reads the environment: {bad}"
 
 
 def _unused_imports(rel):

@@ -177,7 +177,7 @@ def test_labeled_checkpoint_fingerprint_invalidation(tmp_path, monkeypatch):
 def test_read_table_format_fallbacks(ray_session, tmp_path):
     """read_table reads only Lance or Parquet: a table in neither format
     is missing."""
-    from polylabel_rs_ray.sources.table import read_table
+    from polylabel_rs_ray.pipelines.table import read_table
 
     with pytest.raises(FileNotFoundError):
         read_table(str(tmp_path), "missing_table")
@@ -191,7 +191,7 @@ def test_labeled_checkpoint_stamps_the_lance_table(tmp_path, monkeypatch):
     import tempfile
 
     from polylabel_rs_ray.pipelines.queries import _checkpoint
-    from polylabel_rs_ray.sources import table
+    from polylabel_rs_ray.pipelines import table
 
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     os.makedirs(tempfile.tempdir)
@@ -226,7 +226,7 @@ def test_read_table_lance_dispatch(ray_session, tmp_path, monkeypatch):
 
     import ray
 
-    from polylabel_rs_ray.sources.table import read_table
+    from polylabel_rs_ray.pipelines.table import read_table
 
     (tmp_path / "documents.lance").mkdir()
     # a parquet sibling too: lance must win when both exist

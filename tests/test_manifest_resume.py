@@ -105,32 +105,46 @@ def test_partition_rows_in_doc_order(ray_session, tmp_path):
         assert fa.read() == fb.read()
 
 
-def test_partition_matches_read_docs_chain(ray_session, tmp_path):
-    """A checkpointed partition and the flagship's documents-table source
-    feed the same chain: for the same doc ids they give the same labels,
-    cells, tiles and spans."""
+def test_flagship_tiles_match_run_tiles(ray_session, tmp_path):
+    """The flagship over a documents table of the ids ``0..n-1`` renders
+    the same tile rows as ``run`` over ``n`` docs: both label
+    ``range_docs([(0, n)])``."""
     import numpy as np
     import pyarrow as pa
     import ray
 
-    from polylabel_rs_ray.run import build_partition_descs, run_label_partition
-    from polylabel_rs_ray.sources.docs import read_docs
-    from polylabel_rs_ray.stages.label import labeled_rows
+    from polylabel_rs_ray.pipelines.flagship import flagship_pipeline
+    from polylabel_rs_ray.run import run
 
-    lo, n = 1000, 250
-    pq.write_table(pa.table({"doc_id": pa.array(np.arange(lo, lo + n), type=pa.int64())}),
+    n = 250
+    pq.write_table(pa.table({"doc_id": pa.array(np.arange(n)[::-1], type=pa.int64())}),
                    str(tmp_path / "documents.parquet"))
-    desc = build_partition_descs(n, 1, 8, 5)[0]
-    desc["lo"], desc["hi"] = lo, lo + n
-    committed = {}
-    run_label_partition([desc], committed.__setitem__)
-    part = committed[0].sort_by("doc_num")
-    ds = labeled_rows(read_docs(str(tmp_path)), 8, 5).materialize()
-    table = pa.concat_tables(ray.get(ds.to_arrow_refs())).sort_by("doc_num")
-    assert part.column("doc_num").to_pylist() == list(range(lo, lo + n))
-    for col in ["doc_num", "doc_id", "label_x", "label_y", "label_dist", "area",
-                "label_error", "cell_id", "tile_id", "spans"]:
-        assert part.column(col).to_pylist() == table.column(col).to_pylist(), col
+    ds = flagship_pipeline(str(tmp_path))
+    # a group_map output may hold empty blocks without columns
+    got = pa.concat_tables([b for b in ray.get(ds.to_arrow_refs())
+                            if b.num_columns]).sort_by("tile_id")
+    s = run(str(tmp_path / "out"), n, 2, tiles=True)
+    want = pq.read_table(s["tiles_dir"]).sort_by("tile_id")
+    assert got.num_rows == want.num_rows > 1
+    assert got.select(want.column_names).to_pylist() == want.to_pylist()
+
+
+def test_flagship_rejects_ids_not_from_zero(ray_session, tmp_path, monkeypatch):
+    """A documents table whose ids are ``1..n`` raises ValueError naming
+    the table before any Dataset is built."""
+    import numpy as np
+    import pyarrow as pa
+
+    from polylabel_rs_ray.pipelines.flagship import flagship_pipeline
+    from polylabel_rs_ray.sources import docs
+
+    built = []
+    monkeypatch.setattr(docs, "_synthesize", lambda ds: built.append(ds) or ds)
+    pq.write_table(pa.table({"doc_id": pa.array(np.arange(1, 101), type=pa.int64())}),
+                   str(tmp_path / "documents.parquet"))
+    with pytest.raises(ValueError, match="documents.parquet"):
+        flagship_pipeline(str(tmp_path))
+    assert built == []
 
 
 def test_pass_is_one_execution(ray_session, tmp_path, monkeypatch, labelled_rows):

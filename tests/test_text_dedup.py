@@ -109,31 +109,16 @@ def test_minhash_pipeline_finds_planted_dups(ray_session):
 
 
 def test_minhash_partitioned_equals_single_task(ray_session):
-    """The bucket-hash-partitioned candidate/verify path must produce the
-    exact pair set of the 1-partition path (global dedup via pass-B key)."""
+    """The bucket-hash-partitioned candidate sweep must produce the exact
+    pair set of the 1-partition sweep (global pair dedup before verify)."""
     from polylabel_rs_ray.pipelines.queries import q_minhash_near_dup
 
-    df1 = q_minhash_near_dup(SF, n_parts=1, verify_mode="partitioned").to_pandas()
-    df8 = q_minhash_near_dup(SF, n_parts=8, verify_mode="partitioned").to_pandas()
+    df1 = q_minhash_near_dup(SF, n_parts=1).to_pandas()
+    df8 = q_minhash_near_dup(SF, n_parts=8).to_pandas()
     s1 = set(zip(df1.doc_a, df1.doc_b, df1.jaccard_pct))
     s8 = set(zip(df8.doc_a, df8.doc_b, df8.jaccard_pct))
     assert s1 == s8 and len(s1) > 0
 
-
-def test_minhash_verify_modes_agree(ray_session):
-    """The corpus-size-gated broadcast verify (small-corpus fast path, zero
-    extra shuffles) must produce the exact pair set of the fully
-    distributed co-partitioned verify."""
-    from polylabel_rs_ray.pipelines.queries import q_minhash_near_dup
-
-    bc = q_minhash_near_dup(SF, verify_mode="broadcast").to_pandas()
-    pt = q_minhash_near_dup(SF, verify_mode="partitioned").to_pandas()
-    sb = set(zip(bc.doc_a, bc.doc_b, bc.jaccard_pct))
-    sp = set(zip(pt.doc_a, pt.doc_b, pt.jaccard_pct))
-    assert sb == sp and len(sb) > 0
-    # each pair exactly once in BOTH modes (the broadcast path dedupes the
-    # multi-band candidate duplicates before verification)
-    assert len(bc) == len(sb) and len(pt) == len(sp)
 
 def test_dedup_clusters_match_union_find(ray_session):
     """Distributed min-label propagation == driver-side union-find over the
@@ -214,15 +199,6 @@ def test_bloom_no_false_negatives():
     other = rng.integers(1 << 61, 1 << 62, 50_000).astype(np.int64)
     fp = bloom_contains(bits, other).mean()
     assert fp < 0.02, fp
-
-def test_minhash_bloom_path_equals_unfiltered(ray_session):
-    from polylabel_rs_ray.pipelines.queries import q_minhash_near_dup
-
-    a = q_minhash_near_dup(SF, use_bloom=False, verify_mode="partitioned").to_pandas()
-    b = q_minhash_near_dup(SF, use_bloom=True, verify_mode="partitioned").to_pandas()
-    sa = set(zip(a.doc_a, a.doc_b, a.jaccard_pct))
-    sb = set(zip(b.doc_a, b.doc_b, b.jaccard_pct))
-    assert sa == sb and len(sa) > 0
 
 def test_jaccard_exact_gate_delegates_to_minhash(ray_session, monkeypatch, caplog):
     """Past the vocabulary-derived corpus bound the exact PPJoin delegates

@@ -189,16 +189,3 @@ def test_doc_chunks_match_duckdb(ray_session):
     assert (d.groupby("doc_id")["chunk_idx"].min() == 0).all()
     n_docs = con.execute("SELECT COUNT(*) FROM documents").fetchone()[0]
     assert d["doc_id"].nunique() == n_docs  # every doc yields >= 1 chunk
-
-
-def test_revenue_by_region_join_modes_agree(ray_session):
-    """The size-gated customer attach (pipelines/factjoin.attach_cust_nationkey)
-    is mode-invariant: broadcast == co-partitioned exchange."""
-    from polylabel_rs_ray.pipelines.queries import q_revenue_by_region
-
-    a = q_revenue_by_region(SF, join_mode="broadcast").to_pandas() \
-        .sort_values("r_name").reset_index(drop=True)
-    b = q_revenue_by_region(SF, join_mode="partitioned").to_pandas() \
-        .sort_values("r_name").reset_index(drop=True)
-    assert len(a) == len(b) > 0
-    assert a.equals(b)
